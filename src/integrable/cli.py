@@ -3,247 +3,230 @@ binary with machine-readable output.
 
 Output contract: JSON run reports by default (sorted keys, so identical
 argv gives byte-identical output); CSV for bulk tables. wall_time is null
-unless --timing is passed, keeping reports deterministic. Exit codes:
-0 all residuals within tolerance, 1 a residual check failed, 2 usage or
-parameter error.
+unless --timing is passed, keeping reports deterministic. CSV modes take
+their exit code from the same residuals as the JSON report. Exit codes:
+0 all residuals within tolerance; 1 a residual check failed (an empty
+residual set fails too) or a computation did not converge; 2 usage or
+parameter error, including a non-finite number on the command line.
+
+Each subcommand is one row of COMMANDS: its arguments and the function
+that computes its Run. main() is the only code that turns a Run into a
+report, a verdict and an exit code.
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
+import math
 import sys
 import time
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from . import models, mpa, oscillator, sixvertex, uqsl2, ybe
+from . import models, mpa, oscillator, sixvertex, tensor, uqsl2, ybe
+from .errors import ConvergenceError, ParameterError
 
 PASS_EXIT = 0
 FAIL_EXIT = 1
 USAGE_EXIT = 2
 
+# Residuals limited by a truncation, a quadrature or a finite difference
+# are compared against at least this tolerance, keyed by report command.
+TOL_FLOOR = {
+    "mpa": 1e-8,
+    "fuse": 1e-8,
+    "twprob": 1e-5,
+    "verify markov": 1e-8,
+    "oscillator hermite": 1e-6,
+}
 
-def _report(command: str, params: dict, results: dict, residuals: dict,
-            tol: float, timing_start) -> dict:
-    ok = all(v <= tol for v in residuals.values())
+
+class Run(NamedTuple):
+    """What one subcommand computed. `table`, when set, renders the CSV
+    printed in place of the JSON report."""
+
+    command: str
+    params: dict
+    results: dict
+    residuals: dict
+    table: Callable[[], str] | None = None
+
+
+class Command(NamedTuple):
+    """One subcommand: its argparse arguments as (flags, keywords) pairs,
+    the function computing its Run, and whether it only prints CSV."""
+
+    name: str
+    arguments: tuple
+    run: Callable[[argparse.Namespace], Run]
+    csv_only: bool = False
+
+
+def _report(run: Run, tol: float, t0) -> dict:
+    """The run report. Residuals pass when at most the tolerance, raised to
+    the command's floor; an empty residual set never passes."""
+    tol = max(tol, TOL_FLOOR.get(run.command, tol))
+    ok = bool(run.residuals) and all(v <= tol for v in run.residuals.values())
     return {
-        "command": command,
-        "params": params,
-        "results": results,
-        "residuals": residuals,
-        "pass": bool(ok),
-        "wall_time": (time.perf_counter() - timing_start)
-        if timing_start is not None
-        else None,
+        "command": run.command,
+        "params": run.params,
+        "results": run.results,
+        "residuals": run.residuals,
+        "pass": ok,
+        "wall_time": (time.perf_counter() - t0) if t0 is not None else None,
     }
 
 
-def _emit(report: dict) -> int:
-    print(json.dumps(report, indent=2, sort_keys=True))
-    return PASS_EXIT if report["pass"] else FAIL_EXIT
+def _measure_csv(values, L: int) -> str:
+    rows = [f"{idx:0{L}b},{float(val)!r}" for idx, val in enumerate(values)]
+    return "\n".join(["configuration,probability", *rows]) + "\n"
 
 
-def _cmd_verify(args, t0):
-    tol = args.tol
-    if args.target == "ybe":
-        fam = args.family
-        if fam == "r-alpha-beta":
-            R = ybe.r_alpha_beta(args.alpha, args.beta)
-        elif fam == "permutation":
-            from .tensor import permutation_operator
-
-            R = permutation_operator(2, 2)
-        elif fam == "identity":
-            from .tensor import identity
-
-            R = identity((2, 2))
-        elif fam == "frt":
-            R = ybe.frt_r(args.q)
-        else:
-            print(f"unknown --family {fam}", file=sys.stderr)
-            return USAGE_EXIT
-        res = ybe.verify_braided_ybe(R, tol=tol)
-        residuals = {"braided_ybe": min(res["residual"], res["r_check_residual"])}
-        rep = _report(
-            "verify ybe",
-            {"family": fam, "alpha": args.alpha, "beta": args.beta, "q": args.q},
-            res,
-            residuals,
-            tol,
-            t0,
-        )
-        return _emit(rep)
-    if args.target == "spectral":
-        fam = ybe.asep_r_family(args.q)
-        worst = 0.0
-        for z in args.grid:
-            for w in args.grid:
-                worst = max(worst, ybe.verify_spectral_ybe(fam, z, w, tol)["residual"])
-        rep = _report(
-            "verify spectral",
-            {"q": args.q, "grid": list(args.grid)},
-            {},
-            {"spectral_ybe": worst},
-            tol,
-            t0,
-        )
-        return _emit(rep)
-    if args.target == "reflection":
-        rfam = ybe.asep_r_family(args.q)
-        kfam = ybe.reflection_family(args.q, args.alpha, args.gamma, side="left")
-        kbar = ybe.reflection_family(args.q, args.beta, args.delta, side="right")
-        worst = 0.0
-        evaluated = 0
-        for z in args.grid:
-            for w in args.grid:
-                for kf in (kfam, kbar):
-                    try:
-                        res = ybe.verify_reflection_equation(rfam, kf, z, w, tol)
-                    except ybe.EvaluationPole:
-                        continue  # grid point sits on a pole of R or K
-                    worst = max(worst, res["residual"])
-                    evaluated += 1
-        if evaluated == 0:
-            print("every grid point hits an evaluation pole", file=sys.stderr)
-            return USAGE_EXIT
-        k1 = kfam.evaluator(1.0).entries
-        regular = float(np.max(np.abs(k1 - np.eye(2))))
-        rep = _report(
-            "verify reflection",
-            {
-                "q": args.q,
-                "alpha": args.alpha,
-                "gamma": args.gamma,
-                "beta": args.beta,
-                "delta": args.delta,
-            },
-            {},
-            {"reflection": worst, "k_at_one": regular},
-            tol,
-            t0,
-        )
-        return _emit(rep)
-    if args.target == "hecke":
-        R = ybe.frt_r(args.q)
-        res = ybe.verify_hecke_quadratic(R, args.q**-2, -1.0, tol)
-        rep = _report(
-            "verify hecke",
-            {"q": args.q},
-            {"eigenvalues": [args.q**-2, -1.0]},
-            {"hecke_quadratic": res["residual"]},
-            tol,
-            t0,
-        )
-        return _emit(rep)
-    if args.target == "markov":
-        fam = ybe.asep_r_family(args.q)
-        res = ybe.markov_structure_report(fam, models.asep_bulk_w(args.q), tol)
-        rep = _report(
-            "verify markov",
-            {"q": args.q, "rho_fit": res["params"]["rho_fit"]},
-            res["params"],
-            res["residuals"],
-            max(tol, 1e-8),
-            t0,
-        )
-        return _emit(rep)
-    print(f"unknown verify target {args.target}", file=sys.stderr)
-    return USAGE_EXIT
+def _residuals_of(check: dict) -> dict:
+    return {k: v for k, v in check.items() if k not in ("max", "pass")}
 
 
-def _cmd_rep_check(args, t0):
-    r = uqsl2.rep(args.m, args.q)
-    res = uqsl2.check_relations(r, tol=args.tol)
-    residuals = {k: v for k, v in res.items() if k not in ("max", "pass")}
-    rep = _report("rep-check", {"m": args.m, "q": args.q}, {}, residuals, args.tol, t0)
-    return _emit(rep)
+_YBE_FAMILIES = {
+    "r-alpha-beta": lambda args: ybe.r_alpha_beta(args.alpha, args.beta),
+    "permutation": lambda args: tensor.permutation_operator(2, 2),
+    "identity": lambda args: tensor.identity((2, 2)),
+    "frt": lambda args: ybe.frt_r(args.q),
+}
 
 
-def _cmd_universal_r(args, t0):
-    rl = uqsl2.rep(args.l, args.q)
-    rm = uqsl2.rep(args.m, args.q)
-    res = uqsl2.universal_r_check(rl, rm, tol=args.tol)
-    residuals = {k: v for k, v in res.items() if k not in ("max", "pass")}
-    rep = _report(
-        "universal-r", {"l": args.l, "m": args.m, "q": args.q}, {}, residuals, args.tol, t0
-    )
-    return _emit(rep)
-
-
-def _params(args):
-    return models.AsepParams(
-        q=args.q,
-        alpha=args.alpha,
-        beta=args.beta,
-        gamma=args.gamma,
-        delta=args.delta,
-        L=args.L,
+def _verify_ybe(args) -> Run:
+    res = ybe.verify_braided_ybe(_YBE_FAMILIES[args.family](args), tol=args.tol)
+    return Run(
+        "verify ybe",
+        {"family": args.family, "alpha": args.alpha, "beta": args.beta, "q": args.q},
+        res,
+        {"braided_ybe": min(res["residual"], res["r_check_residual"])},
     )
 
 
-def _cmd_asep(args, t0):
-    from .tensor import stationary_distribution
+def _verify_spectral(args) -> Run:
+    fam = ybe.asep_r_family(args.q)
+    worst = max(
+        ybe.verify_spectral_ybe(fam, z, w, args.tol)["residual"]
+        for z in args.grid
+        for w in args.grid
+    )
+    return Run("verify spectral", {"q": args.q, "grid": list(args.grid)}, {},
+               {"spectral_ybe": worst})
 
-    p = _params(args)
+
+def _verify_reflection(args) -> Run:
+    rfam = ybe.asep_r_family(args.q)
+    kfam = ybe.reflection_family(args.q, args.alpha, args.gamma, side="left")
+    kbar = ybe.reflection_family(args.q, args.beta, args.delta, side="right")
+    residuals = []
+    for z, w, kf in itertools.product(args.grid, args.grid, (kfam, kbar)):
+        try:
+            res = ybe.verify_reflection_equation(rfam, kf, z, w, args.tol)
+        except ybe.EvaluationPole:
+            continue  # grid point sits on a pole of R or K
+        residuals.append(res["residual"])
+    if not residuals:
+        raise ParameterError("every grid point hits an evaluation pole")
+    k1 = kfam.evaluator(1.0).entries
+    return Run(
+        "verify reflection",
+        {"q": args.q, "alpha": args.alpha, "gamma": args.gamma,
+         "beta": args.beta, "delta": args.delta},
+        {},
+        {"reflection": max(residuals),
+         "k_at_one": float(np.max(np.abs(k1 - np.eye(2))))},
+    )
+
+
+def _verify_hecke(args) -> Run:
+    res = ybe.verify_hecke_quadratic(ybe.frt_r(args.q), args.q**-2, -1.0, args.tol)
+    return Run("verify hecke", {"q": args.q}, {"eigenvalues": [args.q**-2, -1.0]},
+               {"hecke_quadratic": res["residual"]})
+
+
+def _verify_markov(args) -> Run:
+    res = ybe.markov_structure_report(
+        ybe.asep_r_family(args.q), models.asep_bulk_w(args.q), args.tol
+    )
+    return Run("verify markov", {"q": args.q, "rho_fit": res["params"]["rho_fit"]},
+               res["params"], res["residuals"])
+
+
+_VERIFY = {
+    "ybe": _verify_ybe,
+    "spectral": _verify_spectral,
+    "reflection": _verify_reflection,
+    "hecke": _verify_hecke,
+    "markov": _verify_markov,
+}
+
+
+def _rep_check(args) -> Run:
+    res = uqsl2.check_relations(uqsl2.rep(args.m, args.q), tol=args.tol)
+    return Run("rep-check", {"m": args.m, "q": args.q}, {}, _residuals_of(res))
+
+
+def _universal_r(args) -> Run:
+    res = uqsl2.universal_r_check(
+        uqsl2.rep(args.l, args.q), uqsl2.rep(args.m, args.q), tol=args.tol
+    )
+    return Run("universal-r", {"l": args.l, "m": args.m, "q": args.q}, {},
+               _residuals_of(res))
+
+
+def _asep_params(args) -> models.AsepParams:
+    return models.AsepParams(q=args.q, alpha=args.alpha, beta=args.beta,
+                             gamma=args.gamma, delta=args.delta, L=args.L)
+
+
+def _asep(args) -> Run:
+    p = _asep_params(args)
     G = models.asep_generator(p, open_boundary=args.open)
     if args.open:
-        pi = stationary_distribution(G)
+        pi = tensor.stationary_distribution(G)
     else:
         # closed chain conserves particle number; report the half-filled class
-        n_target = p.L // 2
-        support = [
-            s for s in range(2**p.L) if bin(s).count("1") == n_target
-        ]
-        pi = stationary_distribution(G, support=support)
-    if args.csv:
-        print("configuration,probability")
-        for idx, val in enumerate(pi.values):
-            print(f"{idx:0{p.L}b},{float(val)!r}")
-        return PASS_EXIT
-    rep = _report(
+        support = [s for s in range(2**p.L) if bin(s).count("1") == p.L // 2]
+        pi = tensor.stationary_distribution(G, support=support)
+    return Run(
         "asep stationary",
         {"L": p.L, "q": p.q, "open": args.open},
         {"measure": [float(v) for v in pi.values]},
         {"normalization": abs(float(pi.values.sum()) - 1.0)},
-        args.tol,
-        t0,
+        table=lambda: _measure_csv(pi.values, p.L),
     )
-    return _emit(rep)
 
 
-def _cmd_mpa(args, t0):
-    from .tensor import stationary_distribution
-
-    p = _params(args)
+def _mpa(args) -> Run:
+    p = _asep_params(args)
     mu = mpa.mpa_stationary_measure(p, M=args.truncation)
-    pi = stationary_distribution(models.asep_generator(p, open_boundary=True))
-    tv = 0.5 * float(np.abs(mu.values - pi.values).sum())
-    if args.csv:
-        print("configuration,probability")
-        for idx, val in enumerate(mu.values):
-            print(f"{idx:0{p.L}b},{float(val)!r}")
-        return PASS_EXIT
-    rep = _report(
+    pi = tensor.stationary_distribution(models.asep_generator(p, open_boundary=True))
+    return Run(
         "mpa",
-        {
-            "L": p.L,
-            "q": p.q,
-            "alpha": p.alpha,
-            "beta": p.beta,
-            "gamma": p.gamma,
-            "delta": p.delta,
-            "truncation_start": args.truncation,
-        },
+        {"L": p.L, "q": p.q, "alpha": p.alpha, "beta": p.beta, "gamma": p.gamma,
+         "delta": p.delta, "truncation_start": args.truncation},
         {"measure": [float(v) for v in mu.values]},
-        {"oracle_tv": tv},
-        max(args.tol, 1e-8),
-        t0,
+        {"oracle_tv": 0.5 * float(np.abs(mu.values - pi.values).sum())},
+        table=lambda: _measure_csv(mu.values, p.L),
     )
-    return _emit(rep)
 
 
-def _cmd_fuse(args, t0):
+def _fuse_csv(l: int, m: int, tables: dict) -> str:
+    lines = ["j1,k1,j2,k2," + ",".join(tables)]
+    for j1, k1, j2, k2 in itertools.product(range(l + 1), range(m + 1),
+                                            range(l + 1), range(m + 1)):
+        if j1 + k1 == j2 + k2:
+            vals = ",".join(repr(float(t.table[j1, k1, j2, k2].real))
+                            for t in tables.values())
+            lines.append(f"{j1},{k1},{j2},{k2},{vals}")
+    return "\n".join(lines) + "\n"
+
+
+def _fuse(args) -> Run:
     tables = {}
     if args.method in ("recurrence", "both"):
         tables["recurrence"] = sixvertex.fused_weights_recurrence(
@@ -253,229 +236,211 @@ def _cmd_fuse(args, t0):
         tables["closed"] = sixvertex.fused_weights_closed_form(
             args.l, args.m, args.z, args.q
         )
-    any_table = next(iter(tables.values()))
     residuals = {
         "row_sums": max(t.row_sum_violation() for t in tables.values()),
         "conservation": max(t.conservation_violation() for t in tables.values()),
     }
     if len(tables) == 2:
-        diff = float(
-            np.max(np.abs(tables["recurrence"].table - tables["closed"].table))
-        )
+        diff = float(np.max(np.abs(tables["recurrence"].table - tables["closed"].table)))
         scale = float(max(1.0, np.max(np.abs(tables["recurrence"].table))))
         residuals["cross_check"] = diff / scale
-    if args.csv:
-        print("j1,k1,j2,k2," + ",".join(tables))
-        for j1 in range(args.l + 1):
-            for k1 in range(args.m + 1):
-                for j2 in range(args.l + 1):
-                    for k2 in range(args.m + 1):
-                        if j1 + k1 != j2 + k2:
-                            continue
-                        vals = ",".join(
-                            repr(float(t.table[j1, k1, j2, k2].real))
-                            for t in tables.values()
-                        )
-                        print(f"{j1},{k1},{j2},{k2},{vals}")
-        return PASS_EXIT
-    rep = _report(
+    any_table = next(iter(tables.values()))
+    return Run(
         "fuse",
         {"l": args.l, "m": args.m, "z": args.z, "q": args.q, "method": args.method},
         {"max_entry": float(np.max(np.abs(any_table.table)))},
         residuals,
-        max(args.tol, 1e-8),
-        t0,
+        table=lambda: _fuse_csv(args.l, args.m, tables),
     )
-    return _emit(rep)
 
 
-def _cmd_sample6v(args, t0):
-    w = sixvertex.six_vertex_weights(args.b1, args.b2)
-    if args.boundary == "step":
-        left = (1,) * args.height
-        bottom = (0,) * args.width
-    elif args.boundary == "empty":
-        left = (0,) * args.height
-        bottom = (0,) * args.width
-    else:
-        print(f"unknown --boundary {args.boundary}", file=sys.stderr)
-        return USAGE_EXIT
+# Arrows entering each row from the left; none enter from the bottom.
+_BOUNDARIES = {"step": 1, "empty": 0}
+
+
+def _sample6v(args) -> Run:
     config = sixvertex.sample_lattice(
-        w, args.width, args.height, boundary_left=left, boundary_bottom=bottom,
-        seed=args.seed,
+        sixvertex.six_vertex_weights(args.b1, args.b2), args.width, args.height,
+        boundary_left=(_BOUNDARIES[args.boundary],) * args.height,
+        boundary_bottom=(0,) * args.width, seed=args.seed,
     )
-    sys.stdout.write(config.to_csv())
-    return PASS_EXIT
+    return Run(
+        "sample6v",
+        {"b1": args.b1, "b2": args.b2, "width": args.width, "height": args.height,
+         "seed": args.seed, "boundary": args.boundary},
+        {},
+        {"conservation": config.conservation_violation()},
+        table=config.to_csv,
+    )
 
 
-def _cmd_twprob(args, t0):
-    y = tuple(int(v) for v in args.y)
-    x = tuple(int(v) for v in args.x)
+def _twprob(args) -> Run:
+    y, x = tuple(args.y), tuple(args.x)
     val = models.tw_transition_probability(
         y, x, args.t, args.q, radius=args.radius, n_quad=args.nquad
     )
     results = {"probability": val}
-    residuals = {}
+    residuals = {"probability_range": max(0.0, -val, val - 1.0)}
     if args.check_oracle:
         oracle = models.ctmc_oracle_probability(y, x, args.t, args.q)
         results["oracle"] = oracle
         residuals["oracle_diff"] = abs(val - oracle)
-    rep = _report(
+    return Run(
         "twprob",
-        {
-            "y": list(y),
-            "x": list(x),
-            "t": args.t,
-            "q": args.q,
-            "radius": args.radius,
-            "nquad": args.nquad,
-        },
+        {"y": list(y), "x": list(x), "t": args.t, "q": args.q,
+         "radius": args.radius, "nquad": args.nquad},
         results,
         residuals,
-        max(args.tol, 1e-5),
-        t0,
     )
-    return _emit(rep)
 
 
-def _cmd_oscillator(args, t0):
-    if args.what == "hermite":
-        val = oscillator.hermite(args.n, args.x)
-        worst = 0.0
-        for mdeg in range(min(args.n, 6) + 1):
-            for ndeg in range(mdeg):
-                worst = max(worst, abs(oscillator.hermite_overlap(mdeg, ndeg)))
-        rep = _report(
-            "oscillator hermite",
-            {"n": args.n, "x": args.x},
-            {"value": val},
-            {"orthogonality": worst},
-            max(args.tol, 1e-6),
-            t0,
-        )
-        return _emit(rep)
-    if args.what == "fock":
-        f = oscillator.truncated_fock(args.cutoff)
-        rep = _report(
-            "oscillator fock",
-            {"cutoff": args.cutoff},
-            {},
-            {"commutator": f.commutator_violation()},
-            args.tol,
-            t0,
-        )
-        return _emit(rep)
-    if args.what == "js":
-        e = np.array([[0.0, 1.0], [0.0, 0.0]])
-        f = np.array([[0.0, 0.0], [1.0, 0.0]])
-        h = np.diag([1.0, -1.0])
-        worst = max(
-            oscillator.js_homomorphism_violation(h, e, args.cutoff),
-            oscillator.js_homomorphism_violation(h, f, args.cutoff),
-            oscillator.js_homomorphism_violation(e, f, args.cutoff),
-        )
-        rep = _report(
-            "oscillator js",
-            {"cutoff": args.cutoff},
-            {},
-            {"sl2_commutators": worst},
-            args.tol,
-            t0,
-        )
-        return _emit(rep)
-    print(f"unknown oscillator target {args.what}", file=sys.stderr)
-    return USAGE_EXIT
+def _oscillator_hermite(args) -> Run:
+    val = oscillator.hermite(args.n, args.x)
+    worst = max(
+        (abs(oscillator.hermite_overlap(mdeg, ndeg))
+         for mdeg in range(min(args.n, 6) + 1) for ndeg in range(mdeg)),
+        default=0.0,
+    )
+    return Run("oscillator hermite", {"n": args.n, "x": args.x}, {"value": val},
+               {"orthogonality": worst})
+
+
+def _oscillator_fock(args) -> Run:
+    f = oscillator.truncated_fock(args.cutoff)
+    return Run("oscillator fock", {"cutoff": args.cutoff}, {},
+               {"commutator": f.commutator_violation()})
+
+
+def _oscillator_js(args) -> Run:
+    e = np.array([[0.0, 1.0], [0.0, 0.0]])
+    f = np.array([[0.0, 0.0], [1.0, 0.0]])
+    h = np.diag([1.0, -1.0])
+    worst = max(oscillator.js_homomorphism_violation(a, b, args.cutoff)
+                for a, b in ((h, e), (h, f), (e, f)))
+    return Run("oscillator js", {"cutoff": args.cutoff}, {},
+               {"sl2_commutators": worst})
+
+
+_OSCILLATOR = {
+    "hermite": _oscillator_hermite,
+    "fock": _oscillator_fock,
+    "js": _oscillator_js,
+}
+
+
+def _finite_float(text: str) -> float:
+    """argparse type: a float that is neither infinite nor NaN."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+    return value
+
+
+def _arg(*flags, **kwargs):
+    return flags, kwargs
+
+
+def _float(*flags, **kwargs):
+    return flags, dict(kwargs, type=_finite_float)
+
+
+def _int(*flags, **kwargs):
+    return flags, dict(kwargs, type=int)
+
+
+def _flag(*flags):
+    return flags, {"action": "store_true"}
+
+
+COMMANDS = (
+    Command("verify", (
+        _arg("target", choices=list(_VERIFY)),
+        _arg("--family", choices=list(_YBE_FAMILIES), default="r-alpha-beta"),
+        _float("--alpha", default=0.5),
+        _float("--beta", default=0.5),
+        _float("--gamma", default=0.1),
+        _float("--delta", default=0.1),
+        _float("--q", default=0.5),
+        _float("--grid", nargs="+", default=[0.3, 0.5, 0.7, 0.9]),
+    ), lambda args: _VERIFY[args.target](args)),
+    Command("rep-check", (
+        _int("--m", required=True),
+        _float("--q", required=True),
+    ), _rep_check),
+    Command("universal-r", (
+        _int("--l", required=True),
+        _int("--m", required=True),
+        _float("--q", required=True),
+    ), _universal_r),
+    Command("asep", (
+        _arg("mode", choices=["stationary"]),
+        _int("--L", required=True),
+        _float("--q", required=True),
+        _float("--alpha", default=0.0),
+        _float("--beta", default=0.0),
+        _float("--gamma", default=0.0),
+        _float("--delta", default=0.0),
+        _flag("--open"),
+        _flag("--csv"),
+    ), _asep),
+    Command("mpa", (
+        _int("--L", required=True),
+        _float("--q", required=True),
+        _float("--alpha", required=True),
+        _float("--beta", required=True),
+        _float("--gamma", default=0.0),
+        _float("--delta", default=0.0),
+        _int("--truncation", default=mpa.M_START),
+        _flag("--csv"),
+    ), _mpa),
+    Command("fuse", (
+        _int("--l", required=True),
+        _int("--m", required=True),
+        _float("--z", required=True),
+        _float("--q", required=True),
+        _arg("--method", choices=["recurrence", "closed", "both"], default="both"),
+        _flag("--csv"),
+    ), _fuse),
+    Command("sample6v", (
+        _float("--b1", required=True),
+        _float("--b2", required=True),
+        _int("--width", required=True),
+        _int("--height", required=True),
+        _int("--seed", default=0),
+        _arg("--boundary", choices=list(_BOUNDARIES), default="step"),
+    ), _sample6v, csv_only=True),
+    Command("twprob", (
+        _float("--t", required=True),
+        _float("--q", required=True),
+        _int("--y", nargs="+", required=True),
+        _int("--x", nargs="+", required=True),
+        _float("--radius", default=0.5),
+        _int("--nquad", default=256),
+        _flag("--check-oracle"),
+    ), _twprob),
+    Command("oscillator", (
+        _arg("what", choices=list(_OSCILLATOR)),
+        _int("--n", default=4),
+        _float("--x", default=0.0),
+        _int("--cutoff", default=8),
+    ), lambda args: _OSCILLATOR[args.what](args)),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="integrable", allow_abbrev=False)
-    top.add_argument("--tol", type=float, default=1e-10)
+    top.add_argument("--tol", type=_finite_float, default=1e-10)
     top.add_argument("--timing", action="store_true",
                      help="include wall_time in the report (non-deterministic)")
     sub = top.add_subparsers(dest="command", required=True)
-
-    v = sub.add_parser("verify")
-    v.add_argument("target", choices=["ybe", "spectral", "reflection", "hecke", "markov"])
-    v.add_argument("--family", default="r-alpha-beta")
-    v.add_argument("--alpha", type=float, default=0.5)
-    v.add_argument("--beta", type=float, default=0.5)
-    v.add_argument("--gamma", type=float, default=0.1)
-    v.add_argument("--delta", type=float, default=0.1)
-    v.add_argument("--q", type=float, default=0.5)
-    v.add_argument("--grid", type=float, nargs="*",
-                   default=[0.3, 0.5, 0.7, 0.9])
-    v.set_defaults(func=_cmd_verify)
-
-    r = sub.add_parser("rep-check")
-    r.add_argument("--m", type=int, required=True)
-    r.add_argument("--q", type=float, required=True)
-    r.set_defaults(func=_cmd_rep_check)
-
-    u = sub.add_parser("universal-r")
-    u.add_argument("--l", type=int, required=True)
-    u.add_argument("--m", type=int, required=True)
-    u.add_argument("--q", type=float, required=True)
-    u.set_defaults(func=_cmd_universal_r)
-
-    a = sub.add_parser("asep")
-    a.add_argument("mode", choices=["stationary"])
-    a.add_argument("--L", type=int, required=True)
-    a.add_argument("--q", type=float, required=True)
-    a.add_argument("--alpha", type=float, default=0.0)
-    a.add_argument("--beta", type=float, default=0.0)
-    a.add_argument("--gamma", type=float, default=0.0)
-    a.add_argument("--delta", type=float, default=0.0)
-    a.add_argument("--open", action="store_true")
-    a.add_argument("--csv", action="store_true")
-    a.set_defaults(func=_cmd_asep)
-
-    m = sub.add_parser("mpa")
-    m.add_argument("--L", type=int, required=True)
-    m.add_argument("--q", type=float, required=True)
-    m.add_argument("--alpha", type=float, required=True)
-    m.add_argument("--beta", type=float, required=True)
-    m.add_argument("--gamma", type=float, default=0.0)
-    m.add_argument("--delta", type=float, default=0.0)
-    m.add_argument("--truncation", type=int, default=mpa.M_START)
-    m.add_argument("--csv", action="store_true")
-    m.set_defaults(func=_cmd_mpa)
-
-    f = sub.add_parser("fuse")
-    f.add_argument("--l", type=int, required=True)
-    f.add_argument("--m", type=int, required=True)
-    f.add_argument("--z", type=float, required=True)
-    f.add_argument("--q", type=float, required=True)
-    f.add_argument("--method", choices=["recurrence", "closed", "both"],
-                   default="both")
-    f.add_argument("--csv", action="store_true")
-    f.set_defaults(func=_cmd_fuse)
-
-    s = sub.add_parser("sample6v")
-    s.add_argument("--b1", type=float, required=True)
-    s.add_argument("--b2", type=float, required=True)
-    s.add_argument("--width", type=int, required=True)
-    s.add_argument("--height", type=int, required=True)
-    s.add_argument("--seed", type=int, default=0)
-    s.add_argument("--boundary", default="step")
-    s.set_defaults(func=_cmd_sample6v)
-
-    t = sub.add_parser("twprob")
-    t.add_argument("--t", type=float, required=True)
-    t.add_argument("--q", type=float, required=True)
-    t.add_argument("--y", type=int, nargs="+", required=True)
-    t.add_argument("--x", type=int, nargs="+", required=True)
-    t.add_argument("--radius", type=float, default=0.5)
-    t.add_argument("--nquad", type=int, default=256)
-    t.add_argument("--check-oracle", action="store_true")
-    t.set_defaults(func=_cmd_twprob)
-
-    o = sub.add_parser("oscillator")
-    o.add_argument("what", choices=["hermite", "fock", "js"])
-    o.add_argument("--n", type=int, default=4)
-    o.add_argument("--x", type=float, default=0.0)
-    o.add_argument("--cutoff", type=int, default=8)
-    o.set_defaults(func=_cmd_oscillator)
-
+    for command in COMMANDS:
+        p = sub.add_parser(command.name)
+        for flags, kwargs in command.arguments:
+            p.add_argument(*flags, **kwargs)
+        p.set_defaults(run=command.run, csv=command.csv_only)
     return top
 
 
@@ -488,28 +453,22 @@ def main(argv=None) -> int:
         return USAGE_EXIT if exc.code not in (0,) else 0
     t0 = time.perf_counter() if args.timing else None
     try:
-        return args.func(args, t0)
-    except (ValueError, KeyError) as exc:
+        run = args.run(args)
+    except ConvergenceError as exc:
+        print(f"convergence error: {exc}", file=sys.stderr)
+        return FAIL_EXIT
+    except ValueError as exc:  # ParameterError, and numpy's domain errors
         print(f"parameter error: {exc}", file=sys.stderr)
         return USAGE_EXIT
-    except Exception as exc:  # domain errors from the library layer
-        from .mpa import MpaError
-        from .models import ModelsError
-        from .oscillator import OscillatorError
-        from .qnum import QnumError
-        from .sixvertex import SixVertexError
-        from .tensor import TensorError
-        from .uqsl2 import Uqsl2Error
-        from .ybe import YbeError
-
-        if isinstance(
-            exc,
-            (QnumError, TensorError, Uqsl2Error, YbeError, ModelsError,
-             SixVertexError, MpaError, OscillatorError),
-        ):
-            print(f"parameter error: {exc}", file=sys.stderr)
-            return USAGE_EXIT
-        raise
+    report = _report(run, args.tol, t0)
+    if args.csv:
+        sys.stdout.write(run.table())
+        if not report["pass"]:
+            print(f"check failed: {json.dumps(run.residuals, sort_keys=True)}",
+                  file=sys.stderr)
+    else:
+        print(json.dumps(report, indent=2, sort_keys=True))
+    return PASS_EXIT if report["pass"] else FAIL_EXIT
 
 
 if __name__ == "__main__":

@@ -12,12 +12,12 @@ infinite-lattice ASEP with right rate 1 and left rate q.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 
+from .errors import ConvergenceError, ParameterError, SingularGauge
 from .tensor import (
     DimensionMismatch,
     Operator,
@@ -27,35 +27,27 @@ from .tensor import (
 )
 
 
-class ModelsError(Exception):
+class ZeroEntryInGroundState(ParameterError):
     pass
 
 
-class SingularGauge(ModelsError):
+class NotAnEigenvector(ParameterError):
     pass
 
 
-class ZeroEntryInGroundState(ModelsError):
+class NegativeOffDiagonal(ParameterError):
     pass
 
 
-class NotAnEigenvector(ModelsError):
+class ContourHitsPole(ParameterError):
     pass
 
 
-class NegativeOffDiagonal(ModelsError):
+class NonConvergedQuadrature(ConvergenceError):
     pass
 
 
-class ContourHitsPole(ModelsError):
-    pass
-
-
-class NonConvergedQuadrature(ModelsError):
-    pass
-
-
-class WindowTooSmall(ModelsError):
+class WindowTooSmall(ConvergenceError):
     pass
 
 
@@ -73,12 +65,12 @@ class AsepParams:
 
     def __post_init__(self):
         if self.q <= 0:
-            raise ValueError(f"q must be positive, got {self.q}")
+            raise ParameterError(f"q must be positive, got {self.q}")
         for name in ("alpha", "beta", "gamma", "delta"):
             if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be nonnegative")
+                raise ParameterError(f"{name} must be nonnegative")
         if self.L < 1:
-            raise ValueError(f"L must be >= 1, got {self.L}")
+            raise ParameterError(f"L must be >= 1, got {self.L}")
 
 
 @dataclass(frozen=True)
@@ -92,7 +84,7 @@ class XxzParams:
 
     def __post_init__(self):
         if self.N < 2:
-            raise ValueError(f"N must be >= 2, got {self.N}")
+            raise ParameterError(f"N must be >= 2, got {self.N}")
 
 
 SIGMA1 = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -106,7 +98,7 @@ def asep_local_generator(q: float) -> Operator:
     swaps at rate 1, empty-occupied at rate q^2. Overall time scale fixed
     to 1."""
     if q <= 0:
-        raise ValueError(f"q must be positive, got {q}")
+        raise ParameterError(f"q must be positive, got {q}")
     mat = np.zeros((4, 4), dtype=complex)
     mat[1, 1], mat[1, 2] = -1.0, 1.0
     mat[2, 1], mat[2, 2] = q**2, -(q**2)
@@ -183,7 +175,7 @@ def xxz_hamiltonian(p: XxzParams) -> Operator:
 def symmetry_commutator(H: Operator, a: int) -> float:
     """Max-norm of [H, sum_j sigma_j^a]."""
     if a not in PAULI:
-        raise ValueError(f"a must be 1, 2 or 3, got {a}")
+        raise ParameterError(f"a must be 1, 2 or 3, got {a}")
     dims = H.site_dims
     if any(d != 2 for d in dims):
         raise DimensionMismatch("symmetry commutator needs qubit sites")
@@ -308,17 +300,19 @@ def tw_transition_probability(
     x = tuple(int(v) for v in x)
     N = len(y)
     if len(x) != N:
-        raise ValueError("x and y must have equal length")
+        raise ParameterError("x and y must have equal length")
     if N > 3:
-        raise ValueError("N <= 3 only; the permutation sum grows as N!")
+        raise ParameterError("N <= 3 only; the permutation sum grows as N!")
     if any(y[i] >= y[i + 1] for i in range(N - 1)) or any(
         x[i] >= x[i + 1] for i in range(N - 1)
     ):
-        raise ValueError("positions must be strictly increasing")
+        raise ParameterError("positions must be strictly increasing")
     if t < 0:
-        raise ValueError("t must be nonnegative")
+        raise ParameterError("t must be nonnegative")
     if n_quad is None:
         n_quad = 256
+    if n_quad < 1:
+        raise ParameterError(f"need at least one quadrature node, got {n_quad}")
 
     val1 = _tw_eval(y, x, t, q, radius, n_quad)
     val2 = _tw_eval(y, x, t, q, radius, 2 * n_quad)
@@ -402,9 +396,9 @@ def ctmc_oracle_probability(y, x, t: float, q: float, window: int = 6) -> float:
     y = tuple(int(v) for v in y)
     x = tuple(int(v) for v in x)
     if len(y) != len(x):
-        raise ValueError("x and y must have equal length")
+        raise ParameterError("x and y must have equal length")
     if len(y) > 3:
-        raise ValueError("N <= 3 only")
+        raise ParameterError("N <= 3 only")
     prev = None
     margin = window
     for _ in range(8):
@@ -422,9 +416,3 @@ def ctmc_oracle_probability(y, x, t: float, q: float, window: int = 6) -> float:
         margin *= 2
     raise WindowTooSmall("probability did not stabilize to 1e-9")
 
-
-def symmetric_heat_kernel(d: int, t: float) -> float:
-    """One-particle symmetric-walk kernel e^{-2t} I_d(2t)."""
-    from scipy.special import iv
-
-    return float(math.exp(-2.0 * t) * iv(abs(d), 2.0 * t))

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ConvergenceError, IntegrableError, ParameterError
 from .models import AsepParams
 from .tensor import ProbVector
 
@@ -25,23 +26,23 @@ M_CAP = 1024
 TV_CONVERGED = 1e-10
 
 
-class MpaError(Exception):
+# perfbench/make_reference.py catches this name.
+MpaError = IntegrableError
+
+
+class InvalidTruncation(ParameterError):
     pass
 
 
-class InvalidTruncation(MpaError):
+class ZeroLeadingRate(ParameterError):
     pass
 
 
-class ZeroLeadingRate(MpaError):
+class TruncationNotConverged(ConvergenceError):
     pass
 
 
-class TruncationNotConverged(MpaError):
-    pass
-
-
-class NegativeWeight(MpaError):
+class NegativeWeight(ConvergenceError):
     """A matrix element came out negative: the truncated representation is
     unreliable for these parameters."""
 

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ParameterError
 from .tensor import Operator, StateSpaceTooLarge
 
 # Fixed quadrature for Gaussian-weight orthogonality checks: 200-node
@@ -23,15 +24,11 @@ QUAD_HALF_WIDTH = 10.0
 MAX_STATES = 2**16
 
 
-class OscillatorError(Exception):
-    pass
-
-
 def hermite(n: int, x: float) -> float:
     """Physicists' Hermite polynomial H_n(x) by the three-term recurrence
     H_{k+1} = 2x H_k - 2k H_{k-1} from H_0 = 1, H_1 = 2x."""
     if n < 0:
-        raise ValueError(f"degree must be nonnegative, got {n}")
+        raise ParameterError(f"degree must be nonnegative, got {n}")
     h_prev, h = 1.0, 2.0 * x
     if n == 0:
         return h_prev
@@ -72,7 +69,7 @@ class TruncatedFock:
 def truncated_fock(cutoff: int) -> TruncatedFock:
     """Ladder pair with a|n> = sqrt(n)|n-1>, a'|n> = sqrt(n+1)|n+1>."""
     if cutoff < 2:
-        raise ValueError(f"cutoff must be >= 2, got {cutoff}")
+        raise ParameterError(f"cutoff must be >= 2, got {cutoff}")
     adag = np.zeros((cutoff, cutoff))
     for n in range(cutoff - 1):
         adag[n + 1, n] = np.sqrt(n + 1.0)
@@ -85,7 +82,7 @@ def jordan_schwinger(mat: np.ndarray, cutoff: int) -> Operator:
     n-mode truncated Fock space (site dims all equal to cutoff)."""
     mat = np.asarray(mat, dtype=complex)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise ValueError(f"need a square matrix, got shape {mat.shape}")
+        raise ParameterError(f"need a square matrix, got shape {mat.shape}")
     n = mat.shape[0]
     if cutoff**n > MAX_STATES:
         raise StateSpaceTooLarge(

@@ -12,6 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import ConvergenceError, ParameterError
+
 # |q - 1| below this switches every q-formula to its analytic q -> 1 limit.
 Q_ONE_THRESHOLD = 1e-8
 
@@ -19,15 +21,11 @@ Q_ONE_THRESHOLD = 1e-8
 TERMINATION_RTOL = 1e-12
 
 
-class QnumError(Exception):
-    """Base error for the q-arithmetic layer."""
-
-
-class NonTerminatingDivergent(QnumError):
+class NonTerminatingDivergent(ConvergenceError):
     """Series neither terminated nor converged within max_terms."""
 
 
-class PoleInLowerParameters(QnumError):
+class PoleInLowerParameters(ParameterError):
     """A lower parameter hit q^{-k} before the series terminated."""
 
 
@@ -43,7 +41,7 @@ def q_pochhammer(a: complex, q: float, n: int) -> complex:
         for k in range(1, -n + 1):
             factor = 1.0 - a * q ** (-k)
             if abs(factor) < 1e-14:
-                raise QnumError(f"pole in (a;q)_{{{n}}} at a={a}, q={q}")
+                raise ParameterError(f"pole in (a;q)_{{{n}}} at a={a}, q={q}")
             out /= factor
         return out
     out = complex(1.0)
@@ -181,7 +179,7 @@ class QRacahParams:
     def __post_init__(self):
         if self.validate:
             if not (0 <= self.n <= self.N and 0 <= self.x <= self.N):
-                raise ValueError(
+                raise ParameterError(
                     f"need 0 <= n,x <= N, got n={self.n}, x={self.x}, N={self.N}"
                 )
             target = self.q ** (-self.N)
@@ -195,7 +193,7 @@ class QRacahParams:
                 if abs(v - target) <= 1e-8 * max(1.0, abs(target))
             )
             if hits != 1:
-                raise ValueError(
+                raise ParameterError(
                     "exactly one of alpha*q, beta*delta*q, gamma*q must equal "
                     f"q^-N; found {hits}"
                 )

@@ -17,35 +17,20 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import ParameterError, RateOutOfRange, SingularGauge
 from .qnum import q_binomial, q_pochhammer
 from .tensor import Operator
 
 
-class SixVertexError(Exception):
+class PoleAtZEqualsQPower(ParameterError):
     pass
 
 
-class RateOutOfRange(SixVertexError):
+class PoleInSpectralLadder(ParameterError):
     pass
 
 
-class PoleAtZEqualsQPower(SixVertexError):
-    pass
-
-
-class PoleInSpectralLadder(SixVertexError):
-    pass
-
-
-class PoleInPochhammer(SixVertexError):
-    pass
-
-
-class InconsistentBoundary(SixVertexError):
-    pass
-
-
-class SingularGauge(SixVertexError):
+class InconsistentBoundary(ParameterError):
     pass
 
 
@@ -63,7 +48,7 @@ class VertexWeights:
         t = np.asarray(self.table, dtype=complex)
         expect = (self.l + 1, self.m + 1, self.l + 1, self.m + 1)
         if t.shape != expect:
-            raise ValueError(f"table shape {t.shape}, expected {expect}")
+            raise ParameterError(f"table shape {t.shape}, expected {expect}")
         object.__setattr__(self, "table", t)
 
     def conservation_violation(self) -> float:
@@ -123,7 +108,7 @@ def higher_spin_base_weights(m: int, z: complex, q: float) -> VertexWeights:
     absorb up with (q^{m+1}-q^{2g-m+1})/(q^{m+1}-z). Each pair sums to 1.
     """
     if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
+        raise ParameterError(f"m must be >= 1, got {m}")
     den = q ** (m + 1) - z
     if abs(den) < 1e-13:
         raise PoleAtZEqualsQPower(f"z = q^(m+1) at z={z}, m={m}")
@@ -151,7 +136,7 @@ def fused_weights_recurrence(l: int, m: int, z: complex, q: float) -> VertexWeig
     sense, so the table is independent of how the j1 arrows are arranged.
     """
     if l < 1 or m < 1:
-        raise ValueError(f"capacities must be >= 1, got l={l}, m={m}")
+        raise ParameterError(f"capacities must be >= 1, got l={l}, m={m}")
     for step in range(l):
         if abs(q ** (m + 1) - z * q ** (2 * step)) < 1e-13:
             raise PoleInSpectralLadder(
@@ -246,7 +231,7 @@ def fused_weights_closed_form(l: int, m: int, z: complex, q: float) -> VertexWei
     the oracle of record.
     """
     if l < 1 or m < 1:
-        raise ValueError(f"capacities must be >= 1, got l={l}, m={m}")
+        raise ParameterError(f"capacities must be >= 1, got l={l}, m={m}")
     for step in range(l):
         if abs(q ** (m + 1) - z * q ** (2 * step)) < 1e-13:
             raise PoleInSpectralLadder(
@@ -268,7 +253,7 @@ def gauge_transform(R: Operator, G_lm: Operator, G_ml: Operator) -> Operator:
     from .tensor import permutation_operator
 
     if len(R.site_dims) != 2:
-        raise ValueError("gauge transform needs a two-factor operator")
+        raise ParameterError("gauge transform needs a two-factor operator")
     d1, d2 = R.site_dims
     P = permutation_operator(d1, d2).entries
     Pback = permutation_operator(d2, d1).entries
@@ -338,6 +323,10 @@ def sample_lattice(
     samples the correct joint distribution. Uses a counter-based generator
     so identical seeds give identical configurations.
     """
+    if width < 1 or height < 1:
+        raise InconsistentBoundary(
+            f"lattice must be at least 1x1, got {width}x{height}"
+        )
     if boundary_left is None:
         boundary_left = (0,) * height
     if boundary_bottom is None:

@@ -1,7 +1,7 @@
 """Operators on tensor-product state spaces, Markov-chain predicates,
 stationary distributions, and semigroup evaluation.
 
-Conventions (wire-level contract, also used by the CSV export):
+Conventions (wire-level contract, also used by the CLI's CSV tables):
   * basis ordering is lexicographic in site indices with site 1 slowest,
     i.e. the ordering produced by nested numpy.kron with site 1 outermost;
   * generators have rows summing to 0 and nonnegative off-diagonals
@@ -11,33 +11,30 @@ Conventions (wire-level contract, also used by the CSV export):
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 
+from .errors import ParameterError
+
 MAX_STATE_SPACE = 2**20
 
 
-class TensorError(Exception):
-    """Base error for the tensor layer."""
-
-
-class DimensionMismatch(TensorError):
+class DimensionMismatch(ParameterError):
     pass
 
 
-class StateSpaceTooLarge(TensorError):
+class StateSpaceTooLarge(ParameterError):
     pass
 
 
-class NotAGenerator(TensorError):
+class NotAGenerator(ParameterError):
     pass
 
 
-class ReducibleChain(TensorError):
+class ReducibleChain(ParameterError):
     pass
 
 
@@ -88,29 +85,6 @@ class Operator:
 
     def __rmul__(self, scalar: complex) -> "Operator":
         return Operator(self.site_dims, scalar * self.entries)
-
-    def to_csv(self) -> str:
-        """Row-major CSV with "re,im" cells; first line records site_dims."""
-        buf = io.StringIO()
-        buf.write("# site_dims: " + ",".join(str(d) for d in self.site_dims) + "\n")
-        for row in self.entries:
-            buf.write(",".join(f"{c.real:.17g} {c.imag:.17g}" for c in row) + "\n")
-        return buf.getvalue()
-
-    @staticmethod
-    def from_csv(text: str) -> "Operator":
-        lines = [ln for ln in text.splitlines() if ln.strip()]
-        if not lines or not lines[0].startswith("# site_dims:"):
-            raise ValueError("missing site_dims header line")
-        dims = tuple(int(d) for d in lines[0].split(":", 1)[1].split(","))
-        rows = []
-        for ln in lines[1:]:
-            row = []
-            for cell in ln.split(","):
-                re_s, im_s = cell.split()
-                row.append(complex(float(re_s), float(im_s)))
-            rows.append(row)
-        return Operator(dims, np.array(rows, dtype=complex))
 
 
 def identity(site_dims) -> Operator:
@@ -196,9 +170,9 @@ class ProbVector:
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
         if v.min() < -1e-12:
-            raise ValueError(f"negative probability {v.min()}")
+            raise ParameterError(f"negative probability {v.min()}")
         if abs(v.sum() - 1.0) > 1e-12:
-            raise ValueError(f"probabilities sum to {v.sum()}, not 1")
+            raise ParameterError(f"probabilities sum to {v.sum()}, not 1")
         object.__setattr__(self, "values", np.clip(v, 0.0, None))
 
 
@@ -248,7 +222,7 @@ def transition_semigroup(G: Operator, t: float, tol: float = 1e-12) -> Operator:
     """
     _require_generator(G, max(tol, 1e-10))
     if t < 0:
-        raise ValueError(f"time must be nonnegative, got {t}")
+        raise ParameterError(f"time must be nonnegative, got {t}")
     mat = G.entries.real
     n = mat.shape[0]
     lam = float(np.max(-np.diag(mat)))

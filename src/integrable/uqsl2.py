@@ -15,18 +15,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ParameterError
 from .tensor import Operator, kron, permutation_operator
 
 
-class Uqsl2Error(Exception):
+class InvalidDeformation(ParameterError):
     pass
 
 
-class InvalidDeformation(Uqsl2Error):
-    pass
-
-
-class DeformationMismatch(Uqsl2Error):
+class DeformationMismatch(ParameterError):
     pass
 
 
@@ -54,7 +51,7 @@ class RepM:
 def rep(m: int, q: float) -> RepM:
     """Build the (m+1)-dimensional representation."""
     if m < 0:
-        raise ValueError(f"spin label must be nonnegative, got {m}")
+        raise ParameterError(f"spin label must be nonnegative, got {m}")
     if q <= 0 or q == 1:
         raise InvalidDeformation(f"need q > 0 and q != 1, got {q}")
     d = m + 1
@@ -119,7 +116,7 @@ def coproduct_action(rl: RepM, rm: RepM, gen: str) -> Operator:
     if rl.q != rm.q:
         raise DeformationMismatch(f"q mismatch: {rl.q} vs {rm.q}")
     if gen not in _GEN_NAMES:
-        raise ValueError(f"generator must be one of {_GEN_NAMES}, got {gen!r}")
+        raise ParameterError(f"generator must be one of {_GEN_NAMES}, got {gen!r}")
     if gen == "e":
         return kron(rl.K, rm.E) + kron(rl.E, _one(rm))
     if gen == "f":
@@ -137,7 +134,7 @@ def opposite_coproduct_action(rl: RepM, rm: RepM, gen: str) -> Operator:
         return kron(rl.F, _one(rm)) + kron(rl.Kinv, rm.F)
     if gen == "k":
         return kron(rl.K, rm.K)
-    raise ValueError(f"generator must be one of {_GEN_NAMES}, got {gen!r}")
+    raise ParameterError(f"generator must be one of {_GEN_NAMES}, got {gen!r}")
 
 
 def _one(r: RepM) -> Operator:

@@ -13,71 +13,47 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
+from .errors import ParameterError, RateOutOfRange
 from .tensor import Operator, permutation_operator
 
 
-class YbeError(Exception):
+class DimensionNotASquare(ParameterError):
     pass
 
 
-class DimensionNotASquare(YbeError):
+class PoleAtQZEqualsOne(ParameterError):
     pass
 
 
-class RateOutOfRange(YbeError):
+class PoleInDenominator(ParameterError):
     pass
 
 
-class PoleAtQZEqualsOne(YbeError):
+class EvaluationPole(ParameterError):
     pass
 
 
-class PoleInDenominator(YbeError):
-    pass
-
-
-class EvaluationPole(YbeError):
-    pass
-
-
-class NotRegular(YbeError):
+class NotRegular(ParameterError):
     pass
 
 
 @dataclass(frozen=True)
 class SpectralRFamily:
-    """One-parameter family z -> R(z) on V (x) V.
-
-    convention is "R" when the evaluator returns the R-form (satisfying
-    R12(z) R13(zw) R23(w) = R23(w) R13(zw) R12(z)) and "R_check" when it
-    returns the braided form P o R.
-    """
+    """One-parameter family z -> R(z) on V (x) V, in R-form (satisfying
+    R12(z) R13(zw) R23(w) = R23(w) R13(zw) R12(z))."""
 
     evaluator: Callable[[complex], Operator]
     q: float
     site_dim: int
-    convention: str = "R"
-
-    def __post_init__(self):
-        if self.convention not in ("R", "R_check"):
-            raise ValueError(f"convention must be R or R_check, got {self.convention}")
 
     def r_form(self, z: complex) -> np.ndarray:
-        """The R-form matrix at z regardless of stored convention."""
-        mat = self.evaluator(z).entries
-        if self.convention == "R_check":
-            P = permutation_operator(self.site_dim, self.site_dim).entries
-            mat = P @ mat
-        return mat
-
-    def is_regular(self, tol: float = 1e-12) -> bool:
-        P = permutation_operator(self.site_dim, self.site_dim).entries
-        return bool(np.max(np.abs(self.r_form(1.0) - P)) <= tol)
+        """The R-form matrix at z."""
+        return self.evaluator(z).entries
 
 
 @dataclass(frozen=True)
@@ -90,11 +66,7 @@ class ReflectionFamily:
 
     def __post_init__(self):
         if self.side not in ("left", "right"):
-            raise ValueError(f"side must be left or right, got {self.side}")
-
-    def is_regular(self, tol: float = 1e-12) -> bool:
-        K1 = self.evaluator(1.0).entries
-        return bool(np.max(np.abs(K1 - np.eye(K1.shape[0]))) <= tol)
+            raise ParameterError(f"side must be left or right, got {self.side}")
 
 
 def _split_square(R: Operator) -> int:
@@ -145,11 +117,6 @@ def r_alpha_beta(alpha: float, beta: float) -> Operator:
     return Operator((2, 2), mat)
 
 
-def particle_hole_swap() -> Operator:
-    """Single-site involution exchanging occupied and empty."""
-    return Operator((2,), np.array([[0, 1], [1, 0]], dtype=complex))
-
-
 def asep_spectral_r(z: complex, q: float) -> Operator:
     """Spectral R-matrix of the asymmetric exclusion process.
 
@@ -175,7 +142,6 @@ def asep_r_family(q: float) -> SpectralRFamily:
         evaluator=lambda z: asep_spectral_r(z, q),
         q=q,
         site_dim=2,
-        convention="R",
     )
 
 
@@ -212,7 +178,7 @@ def frt_r(q: float) -> Operator:
     """Constant 4x4 R-matrix with entries q^-2, q^-1, q^-2 - 1; satisfies
     the braided YBE and the quadratic relation (R - q^-2)(R + 1) = 0."""
     if q == 0:
-        raise ValueError("q must be nonzero")
+        raise ParameterError("q must be nonzero")
     qi = 1.0 / q
     mat = np.array(
         [
@@ -270,7 +236,7 @@ def reflection_k(x: complex, q: float, a: float, c: float, side: str = "left") -
             dtype=complex,
         )
         return Operator((2,), mat)
-    raise ValueError(f"side must be left or right, got {side}")
+    raise ParameterError(f"side must be left or right, got {side}")
 
 
 def reflection_family(q: float, a: float, c: float, side: str = "left") -> ReflectionFamily:

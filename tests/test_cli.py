@@ -53,12 +53,45 @@ def test_usage_error_exit_two(capsys):
 
 
 def test_parameter_error_exit_two(capsys):
-    # fused weights at a spectral-ladder pole must refuse, not emit output
-    code, out = _run(
-        capsys, ["fuse", "--l", "2", "--m", "1", "--z", "0.25", "--q", "0.5"]
-    )
-    assert code == 2
-    assert out == ""
+    for argv in (
+        # fused weights at a spectral-ladder pole must refuse, not emit output
+        ["fuse", "--l", "2", "--m", "1", "--z", "0.25", "--q", "0.5"],
+        ["verify", "hecke", "--q", "inf"],
+        ["--tol", "nan", "rep-check", "--m", "2", "--q", "0.5"],
+        ["sample6v", "--b1", "0.4", "--b2", "0.7", "--width", "0", "--height", "4"],
+    ):
+        code, out = _run(capsys, argv)
+        assert code == 2, argv
+        assert out == "", argv
+
+
+TWPROB = ["twprob", "--t", "0.5", "--q", "0.4"]
+
+
+@pytest.mark.parametrize(
+    "argv, expected, silent",
+    [
+        # the contour encloses the wrong poles: probability -0.0153
+        (TWPROB + ["--y", "0", "2", "--x", "1", "3", "--radius", "2.0"], 1, False),
+        (TWPROB + ["--y", "0", "--x", "1", "--nquad", "0"], 2, True),
+        (TWPROB + ["--y", "0", "2", "--x", "1", "3", "--nquad", "0"], 2, True),
+        (["verify", "spectral", "--grid"], 2, True),
+        (["verify", "hecke", "--q", "nan"], 2, True),
+        # TruncationNotConverged is a failed check, not a parameter error
+        (["mpa", "--L", "4", "--q", "0.95", "--alpha", "0.1", "--beta", "0.1",
+          "--gamma", "0.9", "--delta", "0.9"], 1, True),
+        # the CSV mode keeps the verdict of the JSON report (row_sums 7.6e17)
+        (["fuse", "--l", "8", "--m", "8", "--z", "0.25", "--q", "0.5", "--csv"],
+         1, False),
+    ],
+    ids=["radius-2", "nquad-0-n1", "nquad-0-n2", "empty-grid", "q-nan",
+         "mpa-not-converged", "fuse-csv-fails"],
+)
+def test_exit_code(capsys, argv, expected, silent):
+    code, out = _run(capsys, argv)
+    assert code == expected
+    if silent:
+        assert out == ""
 
 
 def test_deterministic_json_output(capsys):

@@ -19,13 +19,6 @@ from integrable.tensor import (
 )
 
 
-def test_operator_round_trip_csv():
-    op = Operator((2, 3), np.arange(36, dtype=complex).reshape(6, 6) + 0.5j)
-    back = Operator.from_csv(op.to_csv())
-    assert back.site_dims == (2, 3)
-    assert np.allclose(back.entries, op.entries)
-
-
 def test_kron_dimensions_and_values():
     a = Operator((2,), np.array([[0, 1], [1, 0]], dtype=complex))
     b = Operator((3,), np.eye(3, dtype=complex))

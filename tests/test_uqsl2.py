@@ -21,9 +21,9 @@ def test_rep_dimension_and_weights():
 
 
 def test_invalid_deformation_rejected():
-    with pytest.raises(uqsl2.Uqsl2Error):
+    with pytest.raises(uqsl2.InvalidDeformation):
         uqsl2.rep(2, 1.0)
-    with pytest.raises(uqsl2.Uqsl2Error):
+    with pytest.raises(uqsl2.InvalidDeformation):
         uqsl2.rep(2, 0.0)
 
 

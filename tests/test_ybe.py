@@ -45,7 +45,7 @@ def test_spectral_ybe_on_grid(q):
 
 
 def test_spectral_pole_raises():
-    with pytest.raises(ybe.YbeError):
+    with pytest.raises(ybe.PoleAtQZEqualsOne):
         ybe.asep_spectral_r(2.0, 0.5)
 
 
