@@ -1,5 +1,5 @@
 """Stationary density profile of the open exclusion chain: matrix-product
-construction against the exact null-space solver, one CSV row per site.
+construction against the exact stationary solver, one CSV row per site.
 
 Usage: python scripts/mpa_density_profile.py --L 8 --q 0.5
 """

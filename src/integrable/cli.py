@@ -186,17 +186,17 @@ def _asep_params(args) -> models.AsepParams:
 def _asep(args) -> Run:
     p = _asep_params(args)
     G = models.asep_generator(p, open_boundary=args.open)
-    if args.open:
-        pi = tensor.stationary_distribution(G)
-    else:
+    support = None
+    if not args.open:
         # closed chain conserves particle number; report the half-filled class
         support = [s for s in range(2**p.L) if bin(s).count("1") == p.L // 2]
-        pi = tensor.stationary_distribution(G, support=support)
+    pi = tensor.stationary_distribution(G, support=support)
     return Run(
         "asep stationary",
         {"L": p.L, "q": p.q, "open": args.open},
         {"measure": [float(v) for v in pi.values]},
-        {"normalization": abs(float(pi.values.sum()) - 1.0)},
+        {"normalization": abs(float(pi.values.sum()) - 1.0),
+         "stationarity": float(np.abs(G.rates.T @ pi.values).sum())},
         table=lambda: _measure_csv(pi.values, p.L),
     )
 

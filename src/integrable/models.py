@@ -12,18 +12,20 @@ infinite-lattice ASEP with right rate 1 and left rate q.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import ConvergenceError, ParameterError, SingularGauge
 from .tensor import (
+    MAX_STATE_SPACE,
     DimensionMismatch,
+    Generator,
     Operator,
+    StateSpaceTooLarge,
     embed_local,
-    is_generator,
-    transition_semigroup,
+    transition_row,
 )
 
 
@@ -114,29 +116,54 @@ def asep_bulk_w(q: float) -> Operator:
     return Operator((2, 2), mat)
 
 
-def boundary_b(alpha: float, gamma: float) -> Operator:
-    """Left-boundary generator: injection at rate alpha, ejection at gamma."""
-    return Operator((2,), np.array([[-alpha, alpha], [gamma, -gamma]], dtype=complex))
+def _require_qubit_chain(n: int):
+    """Raise StateSpaceTooLarge for a chain of n two-state sites whose 2^n
+    states exceed the cap, before anything is allocated."""
+    if n > math.log2(MAX_STATE_SPACE):
+        raise StateSpaceTooLarge(f"2^{n} states exceed cap {MAX_STATE_SPACE}")
 
 
-def boundary_bbar(beta: float, delta: float) -> Operator:
-    """Right-boundary generator: injection at rate delta, ejection at beta."""
-    return Operator((2,), np.array([[-delta, delta], [beta, -beta]], dtype=complex))
+def _sparse_generator(site_dims, rows, cols, rates) -> Generator:
+    """Generator with the given off-diagonal rates (repeats add up) and the
+    diagonal that makes every row sum to zero."""
+    import scipy.sparse
+
+    n = math.prod(site_dims)
+    off = scipy.sparse.csr_array((rates, (rows, cols)), shape=(n, n))
+    return Generator(site_dims, off - scipy.sparse.diags_array(off.sum(axis=1)))
 
 
-def asep_generator(p: AsepParams, open_boundary: bool = False) -> Operator:
-    """Full-chain generator: sum of embedded bulk hop matrices, plus
-    boundary terms B at site 1 and B-bar at site L when open."""
+def asep_generator(p: AsepParams, open_boundary: bool = False) -> Generator:
+    """Full-chain generator, filled move by move with bit operations on the
+    configuration index (site 1 is the most significant bit).
+
+    Every bond (i, i+1) carries asep_bulk_w: a local 01 becomes 10 at rate q
+    and 10 becomes 01 at rate 1. When open, site 1 fills at rate alpha and
+    empties at gamma, and site L fills at delta and empties at beta.
+    """
     L = p.L
-    dims = (2,) * L
-    total = np.zeros((2**L, 2**L), dtype=complex)
-    w = asep_bulk_w(p.q)
+    _require_qubit_chain(L)
+    idx = np.arange(1 << L)
+    # Seeded empty, so that a chain without moves (closed, L=1) concatenates.
+    rows, cols, rates = [idx[:0]], [idx[:0]], [np.zeros(0)]
+
+    def move(mask, flip, rate):
+        src = idx[mask]
+        rows.append(src)
+        cols.append(src ^ flip)
+        rates.append(np.full(src.size, float(rate)))
+
     for i in range(1, L):
-        total += embed_local(w, i, L, dims).entries
+        a, b = 1 << (L - i), 1 << (L - i - 1)
+        left, right = (idx & a) != 0, (idx & b) != 0
+        move(~left & right, a | b, p.q)
+        move(left & ~right, a | b, 1.0)
     if open_boundary:
-        total += embed_local(boundary_b(p.alpha, p.gamma), 1, L, dims).entries
-        total += embed_local(boundary_bbar(p.beta, p.delta), L, L, dims).entries
-    return Operator(dims, total)
+        for bit, fill, empty in ((1 << (L - 1), p.alpha, p.gamma), (1, p.delta, p.beta)):
+            occupied = (idx & bit) != 0
+            move(~occupied, bit, fill)
+            move(occupied, bit, empty)
+    return _sparse_generator((2,) * L, *map(np.concatenate, (rows, cols, rates)))
 
 
 def xxz_local_block(p: XxzParams) -> Operator:
@@ -155,6 +182,7 @@ def xxz_hamiltonian(p: XxzParams) -> Operator:
     """H = -1/2 sum_j (Jx s1_j s1_{j+1} + Jy s2_j s2_{j+1} + Jz s3_j s3_{j+1}
     - h s3_j), with the periodic wrap s_{N+1} = s_1 when requested."""
     N = p.N
+    _require_qubit_chain(N)
     dims = (2,) * N
     total = np.zeros((2**N, 2**N), dtype=complex)
     bonds = list(range(1, N)) + ([N] if p.periodic else [])
@@ -369,30 +397,28 @@ def _tw_eval(y, x, t, q, radius, n):
     return complex(total)
 
 
-def _window_generator(positions, q, lo, hi):
-    """Dense generator of N-particle ASEP (right rate 1, left rate q) with
-    blocking, on the integer window [lo, hi]."""
-    states = list(itertools.combinations(range(lo, hi + 1), len(positions)))
+def _window_generator(n_particles, q, lo, hi):
+    """Sparse generator of N-particle ASEP (right rate 1, left rate q) with
+    blocking, on the integer window [lo, hi], and the index of each
+    configuration (a sorted tuple of positions)."""
+    states = itertools.combinations(range(lo, hi + 1), n_particles)
     index = {s: i for i, s in enumerate(states)}
-    n = len(states)
-    G = np.zeros((n, n))
+    rows, cols, rates = [], [], []
     for s, i in index.items():
-        occ = set(s)
-        for pos in s:
-            if pos + 1 <= hi and pos + 1 not in occ:
-                j = index[tuple(sorted(occ - {pos} | {pos + 1}))]
-                G[i, j] += 1.0
-                G[i, i] -= 1.0
-            if pos - 1 >= lo and pos - 1 not in occ:
-                j = index[tuple(sorted(occ - {pos} | {pos - 1}))]
-                G[i, j] += q
-                G[i, i] -= q
-    return states, index, G
+        for k, pos in enumerate(s):
+            for target, rate in ((pos + 1, 1.0), (pos - 1, q)):
+                # A hop to a free neighbouring site keeps the positions sorted.
+                if lo <= target <= hi and target not in s:
+                    rows.append(i)
+                    cols.append(index[s[:k] + (target,) + s[k + 1:]])
+                    rates.append(rate)
+    return index, _sparse_generator((len(index),), rows, cols, rates)
 
 
 def ctmc_oracle_probability(y, x, t: float, q: float, window: int = 6) -> float:
-    """Master-equation probability on a truncated lattice via
-    uniformization; the window grows until the value is stable to 1e-9."""
+    """Master-equation probability on a truncated lattice: the row of y in
+    exp(tG), by uniformization. The window doubles until the value is
+    stable to 1e-9, and stops beyond 6000 configurations."""
     y = tuple(int(v) for v in y)
     x = tuple(int(v) for v in x)
     if len(y) != len(x):
@@ -404,12 +430,10 @@ def ctmc_oracle_probability(y, x, t: float, q: float, window: int = 6) -> float:
     for _ in range(8):
         lo = min(min(x), min(y)) - margin
         hi = max(max(x), max(y)) + margin
-        states, index, G = _window_generator(y, q, lo, hi)
-        if len(states) > 6000:
+        if math.comb(hi - lo + 1, len(y)) > 6000:
             break
-        op = Operator((len(states),), G.astype(complex))
-        P = transition_semigroup(op, t, tol=1e-13).entries.real
-        val = float(P[index[y], index[x]])
+        index, G = _window_generator(len(y), q, lo, hi)
+        val = float(transition_row(G, index[y], t, tol=1e-13)[index[x]])
         if prev is not None and abs(val - prev) <= 1e-9:
             return val
         prev = val

@@ -1,5 +1,5 @@
-"""Operators on tensor-product state spaces, Markov-chain predicates,
-stationary distributions, and semigroup evaluation.
+"""Operators on tensor-product state spaces, CTMC generators, stationary
+distributions, and single rows of the transition semigroup.
 
 Conventions (wire-level contract, also used by the CLI's CSV tables):
   * basis ordering is lexicographic in site indices with site 1 slowest,
@@ -7,6 +7,13 @@ Conventions (wire-level contract, also used by the CLI's CSV tables):
   * generators have rows summing to 0 and nonnegative off-diagonals
     (G[c, c'] is the rate c -> c' for c != c');
   * stochastic matrices have rows summing to 1.
+
+An Operator is dense and complex (R-matrices, representations,
+Hamiltonians). A Generator is real and sparse (scipy.sparse CSR): its
+stationary law comes from a sparse LU solve and a row of exp(tG) from
+sparse matrix-vector products, so neither builds a dense dim x dim array.
+scipy.sparse is imported inside the functions that use it, which keeps it
+out of the package's import time.
 """
 
 from __future__ import annotations
@@ -15,7 +22,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import ParameterError
 
@@ -38,6 +44,18 @@ class ReducibleChain(ParameterError):
     pass
 
 
+def _state_space(site_dims) -> tuple:
+    """The site dimensions as ints, and their product, which must not
+    exceed MAX_STATE_SPACE."""
+    dims = tuple(int(d) for d in site_dims)
+    if any(d < 1 for d in dims):
+        raise DimensionMismatch(f"site dims must be positive, got {dims}")
+    total = math.prod(dims)
+    if total > MAX_STATE_SPACE:
+        raise StateSpaceTooLarge(f"state space {total} exceeds cap {MAX_STATE_SPACE}")
+    return dims, total
+
+
 @dataclass(frozen=True)
 class Operator:
     """Dense operator tagged with the per-site dimensions of its space."""
@@ -46,15 +64,8 @@ class Operator:
     entries: np.ndarray
 
     def __post_init__(self):
-        dims = tuple(int(d) for d in self.site_dims)
+        dims, total = _state_space(self.site_dims)
         object.__setattr__(self, "site_dims", dims)
-        if any(d < 1 for d in dims):
-            raise DimensionMismatch(f"site dims must be positive, got {dims}")
-        total = math.prod(dims)
-        if total > MAX_STATE_SPACE:
-            raise StateSpaceTooLarge(
-                f"state space {total} exceeds cap {MAX_STATE_SPACE}"
-            )
         mat = np.asarray(self.entries, dtype=complex)
         if mat.shape != (total, total):
             raise DimensionMismatch(
@@ -140,25 +151,60 @@ def permutation_operator(d1: int, d2: int) -> Operator:
     return Operator((d2, d1), mat) if d1 != d2 else Operator((d1, d2), mat)
 
 
-def is_generator(G: Operator, tol: float = 1e-10) -> bool:
-    mat = G.entries
-    if np.max(np.abs(mat.imag)) > tol:
-        return False
-    real = mat.real
-    off = real - np.diag(np.diag(real))
+@dataclass(frozen=True)
+class Generator:
+    """CTMC generator tagged with the per-site dimensions of its space: a
+    real CSR matrix `rates`, with rates[c, c'] the rate c -> c'. Checked on
+    construction to have nonnegative off-diagonal rates and zero row sums;
+    explicit zeros are dropped, so the sparsity pattern is the transition
+    graph."""
+
+    site_dims: tuple
+    rates: object
+
+    def __post_init__(self):
+        import scipy.sparse
+
+        dims, total = _state_space(self.site_dims)
+        object.__setattr__(self, "site_dims", dims)
+        if np.iscomplexobj(self.rates):
+            raise NotAGenerator("generator rates must be real")
+        rates = scipy.sparse.csr_array(self.rates, dtype=float, copy=True)
+        if rates.shape != (total, total):
+            raise DimensionMismatch(
+                f"rates shape {rates.shape} does not match site_dims product {total}"
+            )
+        rates.sum_duplicates()
+        rates.eliminate_zeros()
+        object.__setattr__(self, "rates", rates)
+        if not is_generator(self):
+            raise NotAGenerator(
+                "matrix is not a CTMC generator (row sums nonzero or negative "
+                "off-diagonal entries beyond tolerance)"
+            )
+
+    @property
+    def dim(self) -> int:
+        return self.rates.shape[0]
+
+
+def is_generator(G, tol: float = 1e-10) -> bool:
+    """Whether G, a Generator or an Operator, is real with nonnegative
+    off-diagonal entries and zero row sums, to within tol (row sums relative
+    to the largest entry)."""
+    import scipy.sparse
+
+    if isinstance(G, Generator):
+        rates = G.rates
+    else:
+        if np.max(np.abs(G.entries.imag)) > tol:
+            return False
+        rates = scipy.sparse.csr_array(G.entries.real)
+    off = rates - scipy.sparse.diags_array(rates.diagonal())
     if off.min() < -tol:
         return False
-    if np.max(np.abs(real.sum(axis=1))) > tol * max(1.0, np.abs(real).max()):
-        return False
-    return True
-
-
-def _require_generator(G: Operator, tol: float):
-    if not is_generator(G, tol):
-        raise NotAGenerator(
-            "matrix is not a CTMC generator (row sums nonzero or negative "
-            "off-diagonal entries beyond tolerance)"
-        )
+    scale = max(1.0, float(abs(rates).max()))
+    return float(np.abs(rates.sum(axis=1)).max()) <= tol * scale
 
 
 @dataclass(frozen=True)
@@ -176,72 +222,89 @@ class ProbVector:
         object.__setattr__(self, "values", np.clip(v, 0.0, None))
 
 
-def stationary_distribution(G: Operator, tol: float = 1e-10, support=None) -> ProbVector:
+def _closed_class(rates) -> np.ndarray:
+    """States of the one closed communicating class of a rate matrix; a
+    chain with several closed classes raises ReducibleChain."""
+    from scipy.sparse.csgraph import connected_components
+
+    n_classes, label = connected_components(rates, directed=True, connection="strong")
+    coo = rates.tocoo()
+    leaving = label[coo.row] != label[coo.col]
+    closed = np.setdiff1d(np.arange(n_classes), label[coo.row[leaving]])
+    if closed.size != 1:
+        raise ReducibleChain(
+            f"chain has {closed.size} closed classes; pass the states of one as support"
+        )
+    return np.flatnonzero(label == closed[0])
+
+
+def stationary_distribution(G: Generator, tol: float = 1e-10, support=None) -> ProbVector:
     """Stationary law pi with pi G = 0, pi >= 0, sum pi = 1.
 
-    For reducible chains pass `support` (state indices of one communicating
-    class); otherwise a null space of dimension > 1 raises ReducibleChain.
+    The chain, or its restriction to `support` (state indices that no rate
+    leaves to within `tol`, such as one conserved sector), must have exactly
+    one closed communicating class, else ReducibleChain; pi vanishes off that
+    class. On the class, pi is pinned to 1 at its first state, that state's
+    row and column are dropped from G^T, the rest is solved by a sparse LU
+    (COLAMD ordering), and the result is normalised. Pinning keeps the
+    system as sparse as G; a dense row of ones in place of an equation
+    would spoil the fill-reducing ordering.
     """
-    _require_generator(G, tol)
-    mat = G.entries.real
+    from scipy.sparse.linalg import splu
+
+    if not isinstance(G, Generator):
+        raise NotAGenerator(f"expected a Generator, got {type(G).__name__}")
+    states = np.arange(G.dim)
+    rates = G.rates
     if support is not None:
-        idx = np.asarray(sorted(support), dtype=int)
-        sub = mat[np.ix_(idx, idx)]
-        ns = scipy.linalg.null_space(sub.T, rcond=max(tol, 1e-12))
-        if ns.shape[1] != 1:
-            raise ReducibleChain(
-                f"restriction to requested class has null dimension {ns.shape[1]}"
-            )
-        pi_sub = np.abs(ns[:, 0].real)
-        pi_sub /= pi_sub.sum()
-        pi = np.zeros(G.dim)
-        pi[idx] = pi_sub
-        return ProbVector(pi)
-    ns = scipy.linalg.null_space(mat.T, rcond=max(tol, 1e-12))
-    if ns.shape[1] > 1:
-        raise ReducibleChain(
-            f"null space has dimension {ns.shape[1]}; pass a communicating class"
-        )
-    if ns.shape[1] == 0:
-        raise NotAGenerator("generator has empty null space at this tolerance")
-    pi = ns[:, 0].real
-    # The null vector of a generator restricted to one class has one sign.
-    if pi.sum() < 0:
-        pi = -pi
-    pi = np.clip(pi, 0.0, None)
-    pi /= pi.sum()
+        states = np.unique(np.asarray(support, dtype=int))
+        if states.size == 0 or states[0] < 0 or states[-1] >= G.dim:
+            raise ParameterError(f"support must be nonempty and within 0..{G.dim - 1}")
+        rates = rates[states][:, states]
+        leak = float(np.abs(rates.sum(axis=1)).max())
+        if leak > tol * max(1.0, float(abs(rates).max())):
+            raise ReducibleChain(f"support is not closed: rate {leak} leaves it")
+    members = _closed_class(rates)
+    weights = np.ones(members.size)
+    if members.size > 1:
+        adjoint = rates[members][:, members].T.tocsc()
+        lu = splu(adjoint[1:, 1:])
+        weights[1:] = lu.solve(-adjoint[1:, [0]].toarray().ravel())
+    weights = np.clip(weights, 0.0, None)
+    pi = np.zeros(G.dim)
+    pi[states[members]] = weights / weights.sum()
     return ProbVector(pi)
 
 
-def transition_semigroup(G: Operator, t: float, tol: float = 1e-12) -> Operator:
-    """Stochastic matrix exp(tG) by uniformization.
+def transition_row(G: Generator, state: int, t: float, tol: float = 1e-12) -> np.ndarray:
+    """Row `state` of the stochastic matrix exp(tG), by uniformization.
 
-    exp(tG) = sum_k e^{-lambda t}(lambda t)^k / k! * (I + G/lambda)^k with
-    lambda at least the max exit rate; truncated when the Poisson tail
-    drops below `tol`.
+    e_s exp(tG) = sum_k e^{-lambda t}(lambda t)^k / k! * e_s (I + G/lambda)^k
+    with lambda the max exit rate, truncated when the Poisson tail drops
+    below `tol`. Each term costs one sparse matrix-vector product.
     """
-    _require_generator(G, max(tol, 1e-10))
+    import scipy.sparse
+
     if t < 0:
         raise ParameterError(f"time must be nonnegative, got {t}")
-    mat = G.entries.real
-    n = mat.shape[0]
-    lam = float(np.max(-np.diag(mat)))
+    row = np.zeros(G.dim)
+    row[state] = 1.0
+    lam = float(np.max(-G.rates.diagonal()))
     if lam <= 0 or t == 0:
-        return Operator(G.site_dims, np.eye(n, dtype=complex))
-    P = np.eye(n) + mat / lam
+        return row
+    # Row vectors times P = I + G/lambda, as P^T times column vectors.
+    step = (scipy.sparse.eye_array(G.dim, format="csr") + G.rates / lam).T.tocsr()
     mu = lam * t
     # Poisson(mu) weights, accumulated until the tail is below tol.
-    result = np.zeros((n, n))
-    power = np.eye(n)
     weight = math.exp(-mu)
     acc = weight
-    result += weight * power
+    result = weight * row
     k = 0
     kmax = int(mu + 40.0 * math.sqrt(mu) + 50)
     while 1.0 - acc > tol and k < kmax:
         k += 1
-        power = power @ P
+        row = step @ row
         weight *= mu / k
         acc += weight
-        result += weight * power
-    return Operator(G.site_dims, result.astype(complex))
+        result += weight * row
+    return result

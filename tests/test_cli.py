@@ -83,15 +83,27 @@ TWPROB = ["twprob", "--t", "0.5", "--q", "0.4"]
         # the CSV mode keeps the verdict of the JSON report (row_sums 7.6e17)
         (["fuse", "--l", "8", "--m", "8", "--z", "0.25", "--q", "0.5", "--csv"],
          1, False),
+        # 2^40 states: refused before any array is allocated
+        (["asep", "stationary", "--L", "40", "--q", "0.5", "--open"], 2, True),
     ],
     ids=["radius-2", "nquad-0-n1", "nquad-0-n2", "empty-grid", "q-nan",
-         "mpa-not-converged", "fuse-csv-fails"],
+         "mpa-not-converged", "fuse-csv-fails", "asep-cap"],
 )
 def test_exit_code(capsys, argv, expected, silent):
     code, out = _run(capsys, argv)
     assert code == expected
     if silent:
         assert out == ""
+
+
+@pytest.mark.parametrize("extra", [["--alpha", "0.6", "--beta", "0.4", "--gamma",
+                                    "0.1", "--delta", "0.2", "--open"], []])
+def test_asep_report_checks_stationarity(capsys, extra):
+    code, out = _run(capsys, ["asep", "stationary", "--L", "8", "--q", "0.5", *extra])
+    assert code == 0
+    report = json.loads(out)
+    assert report["residuals"]["stationarity"] <= 1e-12
+    jsonschema.validate(report, _schema())
 
 
 def test_deterministic_json_output(capsys):

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from integrable import tensor
 from integrable.tensor import (
     DimensionMismatch,
+    Generator,
     NotAGenerator,
     Operator,
     ReducibleChain,
@@ -15,7 +16,7 @@ from integrable.tensor import (
     kron,
     permutation_operator,
     stationary_distribution,
-    transition_semigroup,
+    transition_row,
 )
 
 
@@ -55,31 +56,33 @@ def test_is_generator_accepts_and_rejects():
 
 
 def test_stationary_two_state():
-    G = Operator((2,), np.array([[-1.0, 1.0], [3.0, -3.0]], dtype=complex))
+    G = Generator((2,), np.array([[-1.0, 1.0], [3.0, -3.0]]))
     pi = stationary_distribution(G)
     assert pi.values == pytest.approx([0.75, 0.25])
 
 
 def test_stationary_reducible_needs_support():
-    G = Operator((2, 2), np.zeros((4, 4), dtype=complex))
+    G = Generator((2, 2), np.zeros((4, 4)))
     with pytest.raises(ReducibleChain):
         stationary_distribution(G)
 
 
 def test_stationary_rejects_non_generator():
-    bad = Operator((2,), np.array([[1.0, 0.0], [0.0, 1.0]], dtype=complex))
+    bad = np.array([[1.0, 0.0], [0.0, 1.0]])
     with pytest.raises(NotAGenerator):
-        stationary_distribution(bad)
+        stationary_distribution(Operator((2,), bad))
+    with pytest.raises(NotAGenerator):
+        Generator((2,), bad)
 
 
-def test_transition_semigroup_is_stochastic_and_exact():
-    G = Operator((2,), np.array([[-2.0, 2.0], [1.0, -1.0]], dtype=complex))
+def test_transition_row_is_stochastic_and_exact():
+    G = Generator((2,), np.array([[-2.0, 2.0], [1.0, -1.0]]))
     t = 0.7
-    P = transition_semigroup(G, t).entries.real
+    P = np.array([transition_row(G, s, t) for s in range(2)])
     assert np.allclose(P.sum(axis=1), 1.0, atol=1e-12)
     from scipy.linalg import expm
 
-    assert np.allclose(P, expm(t * G.entries.real), atol=1e-12)
+    assert np.allclose(P, expm(t * G.rates.toarray()), atol=1e-12)
 
 
 def test_identity_factory():
