@@ -220,7 +220,7 @@ def _fuse_csv(l: int, m: int, tables: dict) -> str:
     for j1, k1, j2, k2 in itertools.product(range(l + 1), range(m + 1),
                                             range(l + 1), range(m + 1)):
         if j1 + k1 == j2 + k2:
-            vals = ",".join(repr(float(t.table[j1, k1, j2, k2].real))
+            vals = ",".join(repr(float(t.table[j1, k1, j2, k2]))
                             for t in tables.values())
             lines.append(f"{j1},{k1},{j2},{k2},{vals}")
     return "\n".join(lines) + "\n"

@@ -11,8 +11,11 @@ infinite-lattice ASEP with right rate 1 and left rate q.
 
 from __future__ import annotations
 
+import cmath
+import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,8 +26,11 @@ from .tensor import (
     DimensionMismatch,
     Generator,
     Operator,
-    StateSpaceTooLarge,
-    embed_local,
+    embed,
+    identity,
+    kron,
+    real_entries,
+    state_space,
     transition_row,
 )
 
@@ -89,9 +95,9 @@ class XxzParams:
             raise ParameterError(f"N must be >= 2, got {self.N}")
 
 
-SIGMA1 = np.array([[0, 1], [1, 0]], dtype=complex)
+SIGMA1 = np.array([[0.0, 1.0], [1.0, 0.0]])
 SIGMA2 = np.array([[0, -1j], [1j, 0]], dtype=complex)
-SIGMA3 = np.array([[1, 0], [0, -1]], dtype=complex)
+SIGMA3 = np.array([[1.0, 0.0], [0.0, -1.0]])
 PAULI = {1: SIGMA1, 2: SIGMA2, 3: SIGMA3}
 
 
@@ -101,7 +107,7 @@ def asep_local_generator(q: float) -> Operator:
     to 1."""
     if q <= 0:
         raise ParameterError(f"q must be positive, got {q}")
-    mat = np.zeros((4, 4), dtype=complex)
+    mat = np.zeros((4, 4))
     mat[1, 1], mat[1, 2] = -1.0, 1.0
     mat[2, 1], mat[2, 2] = q**2, -(q**2)
     return Operator((2, 2), mat)
@@ -110,17 +116,10 @@ def asep_local_generator(q: float) -> Operator:
 def asep_bulk_w(q: float) -> Operator:
     """Bulk hop matrix with right rate q and left rate 1: the 10 -> 01 move
     (particle hops right) carries rate q."""
-    mat = np.zeros((4, 4), dtype=complex)
+    mat = np.zeros((4, 4))
     mat[1, 1], mat[1, 2] = -q, q
     mat[2, 1], mat[2, 2] = 1.0, -1.0
     return Operator((2, 2), mat)
-
-
-def _require_qubit_chain(n: int):
-    """Raise StateSpaceTooLarge for a chain of n two-state sites whose 2^n
-    states exceed the cap, before anything is allocated."""
-    if n > math.log2(MAX_STATE_SPACE):
-        raise StateSpaceTooLarge(f"2^{n} states exceed cap {MAX_STATE_SPACE}")
 
 
 def _sparse_generator(site_dims, rows, cols, rates) -> Generator:
@@ -142,7 +141,7 @@ def asep_generator(p: AsepParams, open_boundary: bool = False) -> Generator:
     empties at gamma, and site L fills at delta and empties at beta.
     """
     L = p.L
-    _require_qubit_chain(L)
+    state_space((2,) * L, MAX_STATE_SPACE)
     idx = np.arange(1 << L)
     # Seeded empty, so that a chain without moves (closed, L=1) concatenates.
     rows, cols, rates = [idx[:0]], [idx[:0]], [np.zeros(0)]
@@ -169,35 +168,32 @@ def asep_generator(p: AsepParams, open_boundary: bool = False) -> Generator:
 def xxz_local_block(p: XxzParams) -> Operator:
     """The 4x4 summand J_x s1s1 + J_y s2s2 + J_z s3s3 + h(s3 (x) 1 + 1 (x) s3):
     corners Jz + 2h and Jz - 2h, anti-corners Jx - Jy."""
-    mat = (
-        p.Jx * np.kron(SIGMA1, SIGMA1)
-        + p.Jy * np.kron(SIGMA2, SIGMA2)
-        + p.Jz * np.kron(SIGMA3, SIGMA3)
-        + p.h_field * (np.kron(SIGMA3, np.eye(2)) + np.kron(np.eye(2), SIGMA3))
+    s1, s2, s3 = (Operator((2,), PAULI[a]) for a in (1, 2, 3))
+    one = identity((2,))
+    return (
+        p.Jx * kron(s1, s1)
+        + p.Jy * kron(s2, s2)
+        + p.Jz * kron(s3, s3)
+        + p.h_field * (kron(s3, one) + kron(one, s3))
     )
-    return Operator((2, 2), mat)
 
 
 def xxz_hamiltonian(p: XxzParams) -> Operator:
     """H = -1/2 sum_j (Jx s1_j s1_{j+1} + Jy s2_j s2_{j+1} + Jz s3_j s3_{j+1}
-    - h s3_j), with the periodic wrap s_{N+1} = s_1 when requested."""
+    - h s3_j), each bond term at embed sites (j, j+1); the periodic wrap
+    s_{N+1} = s_1, when requested, is the bond at sites (N, 1)."""
     N = p.N
-    _require_qubit_chain(N)
-    dims = (2,) * N
-    total = np.zeros((2**N, 2**N), dtype=complex)
-    bonds = list(range(1, N)) + ([N] if p.periodic else [])
-    for j in bonds:
-        for J, s in ((p.Jx, SIGMA1), (p.Jy, SIGMA2), (p.Jz, SIGMA3)):
-            if j < N:
-                op = Operator((2, 2), np.kron(s, s))
-                total += J * embed_local(op, j, N, dims).entries
-            else:
-                a = embed_local(Operator((2,), s), N, N, dims).entries
-                b = embed_local(Operator((2,), s), 1, N, dims).entries
-                total += J * (a @ b)
-    for j in range(1, N + 1):
-        total -= p.h_field * embed_local(Operator((2,), SIGMA3), j, N, dims).entries
-    return Operator(dims, -0.5 * total)
+    dims, _ = state_space((2,) * N)
+    bonds = [(j, j % N + 1) for j in range(1, N + 1 if p.periodic else N)]
+    pairs = [kron(s, s) for s in (Operator((2,), PAULI[a]) for a in (1, 2, 3))]
+    hops = (
+        J * embed(pair, bond, dims)
+        for bond in bonds
+        for J, pair in zip((p.Jx, p.Jy, p.Jz), pairs)
+    )
+    s3 = Operator((2,), SIGMA3)
+    field = (-p.h_field * embed(s3, (j,), dims) for j in range(1, N + 1))
+    return -0.5 * functools.reduce(operator.add, itertools.chain(hops, field))
 
 
 def symmetry_commutator(H: Operator, a: int) -> float:
@@ -207,10 +203,10 @@ def symmetry_commutator(H: Operator, a: int) -> float:
     dims = H.site_dims
     if any(d != 2 for d in dims):
         raise DimensionMismatch("symmetry commutator needs qubit sites")
-    N = len(dims)
-    S = np.zeros_like(H.entries)
-    for j in range(1, N + 1):
-        S += embed_local(Operator((2,), PAULI[a]), j, N, dims).entries
+    sigma = Operator((2,), PAULI[a])
+    S = functools.reduce(
+        operator.add, (embed(sigma, (j,), dims) for j in range(1, len(dims) + 1))
+    ).entries
     comm = H.entries @ S - S @ H.entries
     return float(np.max(np.abs(comm)))
 
@@ -229,7 +225,7 @@ def gauge_conjugate(H: Operator, G: Operator) -> Operator:
 
 def xxz_gauge_matrix(gamma: float) -> Operator:
     """The two-site change of basis with middle block [[1, gamma-1], [0, gamma]]."""
-    mat = np.eye(4, dtype=complex)
+    mat = np.eye(4)
     mat[1, 2] = gamma - 1.0
     mat[2, 2] = gamma
     return Operator((2, 2), mat)
@@ -245,7 +241,7 @@ def xxz_to_asep_search(q: float, grid: int = 41) -> dict:
     """
     from scipy.optimize import minimize
 
-    target = asep_local_generator(q).entries.real
+    target = asep_local_generator(q).entries
     c = 4.0 / (1.0 + q**2)
 
     def residual(params):
@@ -256,7 +252,7 @@ def xxz_to_asep_search(q: float, grid: int = 41) -> dict:
         # drop the Jz=1 diagonal shift: block = Id + W
         W = block - np.eye(4)
         conj = gauge_conjugate(Operator((2, 2), W), xxz_gauge_matrix(gamma)).entries
-        return float(np.max(np.abs(conj.real - c * target)))
+        return float(np.max(np.abs(conj - c * target)))
 
     best = None
     for Jx in np.linspace(0.2, 2.0, grid):
@@ -282,7 +278,7 @@ def ground_state_transform(H: Operator, g: np.ndarray, tol: float = 1e-8) -> Ope
         raise DimensionMismatch(f"vector length {g.shape} vs operator dim {H.dim}")
     if np.min(np.abs(g)) < 1e-14:
         raise ZeroEntryInGroundState("vector has (near-)zero entries")
-    mat = H.entries.real
+    mat = real_entries(H.entries, tol)
     c = float(g @ (mat @ g) / (g @ g))
     if np.max(np.abs(mat @ g - c * g)) > tol * max(1.0, np.max(np.abs(g))):
         raise NotAnEigenvector(f"g is not an eigenvector at tolerance {tol}")
@@ -344,6 +340,8 @@ def tw_transition_probability(
 
     val1 = _tw_eval(y, x, t, q, radius, n_quad)
     val2 = _tw_eval(y, x, t, q, radius, 2 * n_quad)
+    if not (cmath.isfinite(val1) and cmath.isfinite(val2)):
+        raise NonConvergedQuadrature(f"trapezoid values {val1} and {val2} are not finite")
     if abs(val1 - val2) > 1e-8:
         raise NonConvergedQuadrature(
             f"doubling nodes moved the value by {abs(val1 - val2)}"
@@ -373,7 +371,7 @@ def _tw_eval(y, x, t, q, radius, n):
     # variable and one matrix per inversion pair, so the N-fold sum is a
     # small einsum contraction (memory O(n^2) instead of O(n^N)).
     letters = "abc"
-    total = np.zeros((), dtype=complex)
+    total = 0.0
     for sigma in itertools.permutations(range(N)):
         inv_sigma = [0] * N
         for j, a in enumerate(sigma):

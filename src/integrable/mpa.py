@@ -173,7 +173,7 @@ def relation_checks(p: AsepParams, M: int = 40) -> dict:
 
     pair = [E, D]
     pair_bar = [p.q - 1.0, 1.0 - p.q]  # scalars Ebar, Dbar
-    w = asep_bulk_w(p.q).entries.real
+    w = asep_bulk_w(p.q).entries
     bulk = 0.0
     for t1 in (0, 1):
         for t2 in (0, 1):

@@ -9,19 +9,19 @@ with total occupation at most cutoff - 2.
 
 from __future__ import annotations
 
+import functools
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ParameterError
-from .tensor import Operator, StateSpaceTooLarge
+from .tensor import Operator, embed, kron, state_space
 
 # Fixed quadrature for Gaussian-weight orthogonality checks: 200-node
 # Gauss-Legendre on [-10, 10] with exp(-x^2) folded into the integrand.
 QUAD_NODES = 200
 QUAD_HALF_WIDTH = 10.0
-
-MAX_STATES = 2**16
 
 
 def hermite(n: int, x: float) -> float:
@@ -43,12 +43,20 @@ def hermite_overlap(m: int, n: int) -> float:
     Equals sqrt(pi) 2^n n! delta_{mn} up to quadrature error (small for
     degrees up to about 8 at the fixed node count).
     """
+    x, w, gauss = _quadrature()
+    return float(np.sum(w * hermite(m, x) * hermite(n, x) * gauss))
+
+
+@functools.cache
+def _quadrature():
+    """Nodes, weights and exp(-x^2) of the fixed rule, built on first use
+    (leggauss takes milliseconds) and shared read-only afterwards."""
     nodes, weights = np.polynomial.legendre.leggauss(QUAD_NODES)
     x = QUAD_HALF_WIDTH * nodes
-    w = QUAD_HALF_WIDTH * weights
-    hm = np.array([hermite(m, xi) for xi in x])
-    hn = np.array([hermite(n, xi) for xi in x])
-    return float(np.sum(w * hm * hn * np.exp(-(x**2))))
+    rule = (x, QUAD_HALF_WIDTH * weights, np.exp(-(x**2)))
+    for a in rule:
+        a.setflags(write=False)
+    return rule
 
 
 @dataclass(frozen=True)
@@ -70,6 +78,7 @@ def truncated_fock(cutoff: int) -> TruncatedFock:
     """Ladder pair with a|n> = sqrt(n)|n-1>, a'|n> = sqrt(n+1)|n+1>."""
     if cutoff < 2:
         raise ParameterError(f"cutoff must be >= 2, got {cutoff}")
+    state_space((cutoff,))
     adag = np.zeros((cutoff, cutoff))
     for n in range(cutoff - 1):
         adag[n + 1, n] = np.sqrt(n + 1.0)
@@ -79,44 +88,33 @@ def truncated_fock(cutoff: int) -> TruncatedFock:
 
 def jordan_schwinger(mat: np.ndarray, cutoff: int) -> Operator:
     """Image of an n x n matrix under M -> sum_{ij} a_i' M_ij a_j on the
-    n-mode truncated Fock space (site dims all equal to cutoff)."""
-    mat = np.asarray(mat, dtype=complex)
+    n-mode truncated Fock space (site dims all equal to cutoff): a_i' a_j
+    is embedded at sites (i, j), and a_i' a_i at site i."""
+    mat = np.asarray(mat)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ParameterError(f"need a square matrix, got shape {mat.shape}")
     n = mat.shape[0]
-    if cutoff**n > MAX_STATES:
-        raise StateSpaceTooLarge(
-            f"{n} modes at cutoff {cutoff} give {cutoff**n} states"
-        )
+    dims, total_dim = state_space((cutoff,) * n)
     f = truncated_fock(cutoff)
-    dims = (cutoff,) * n
-    total = np.zeros((cutoff**n, cutoff**n), dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            if mat[i, j] == 0:
-                continue
-            factors = []
-            for site in range(n):
-                if site == i == j:
-                    factors.append(f.adag @ f.a)
-                elif site == i:
-                    factors.append(f.adag)
-                elif site == j:
-                    factors.append(f.a)
-                else:
-                    factors.append(np.eye(cutoff))
-            term = factors[0]
-            for fac in factors[1:]:
-                term = np.kron(term, fac)
-            total += mat[i, j] * term
+    adag, a = Operator((cutoff,), f.adag), Operator((cutoff,), f.a)
+    number = Operator((cutoff,), f.number_op)
+    total = np.zeros((total_dim, total_dim), dtype=np.result_type(mat, float))
+    for i, j in itertools.product(range(n), repeat=2):
+        if mat[i, j] == 0:
+            continue
+        if i == j:
+            term = embed(number, (i + 1,), dims)
+        else:
+            term = embed(kron(adag, a), (i + 1, j + 1), dims)
+        total += mat[i, j] * term.entries
     return Operator(dims, total)
 
 
 def shell_projector(n_modes: int, cutoff: int, max_total: int) -> np.ndarray:
     """Diagonal projector onto states with total occupation <= max_total."""
-    dims = (cutoff,) * n_modes
-    diag = np.zeros(cutoff**n_modes)
-    for idx in range(cutoff**n_modes):
+    dims, total_dim = state_space((cutoff,) * n_modes)
+    diag = np.zeros(total_dim)
+    for idx in range(total_dim):
         rem, total = idx, 0
         for d in reversed(dims):
             total += rem % d
@@ -132,7 +130,7 @@ def js_homomorphism_violation(A: np.ndarray, B: np.ndarray, cutoff: int) -> floa
     The restriction is necessary: the raising operator leaks out of the
     truncated space at the top shell.
     """
-    A = np.asarray(A, dtype=complex)
+    A = np.asarray(A)
     n = A.shape[0]
     ja = jordan_schwinger(A, cutoff).entries
     jb = jordan_schwinger(B, cutoff).entries

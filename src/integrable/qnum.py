@@ -34,17 +34,18 @@ def q_pochhammer(a: complex, q: float, n: int) -> complex:
 
     Negative orders use the standard continuation
     (a; q)_{-n} = 1 / (a q^{-n}; q)_n = prod_{k=1}^{n} 1/(1 - a q^{-k}),
-    which diverges (pole) when a = q^k for some 1 <= k <= n.
+    which diverges (pole) when a = q^k for some 1 <= k <= n. The value is
+    real for real a and q, and complex for complex a.
     """
     if n < 0:
-        out = complex(1.0)
+        out = 1.0
         for k in range(1, -n + 1):
             factor = 1.0 - a * q ** (-k)
             if abs(factor) < 1e-14:
                 raise ParameterError(f"pole in (a;q)_{{{n}}} at a={a}, q={q}")
             out /= factor
         return out
-    out = complex(1.0)
+    out = 1.0
     for k in range(n):
         out *= 1.0 - a * q**k
     return out

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import ParameterError, RateOutOfRange, SingularGauge
 from .qnum import q_binomial, q_pochhammer
-from .tensor import Operator
+from .tensor import Operator, float_array, permutation_operator, real_entries
 
 
 class PoleAtZEqualsQPower(ParameterError):
@@ -45,7 +45,7 @@ class VertexWeights:
     table: np.ndarray
 
     def __post_init__(self):
-        t = np.asarray(self.table, dtype=complex)
+        t = float_array(self.table)
         expect = (self.l + 1, self.m + 1, self.l + 1, self.m + 1)
         if t.shape != expect:
             raise ParameterError(f"table shape {t.shape}, expected {expect}")
@@ -62,8 +62,11 @@ class VertexWeights:
         return worst
 
     def row_sum_violation(self) -> float:
+        """Largest |row sum - 1| over the input pairs, each relative to
+        max(1, the largest |entry| in its row)."""
         sums = self.table.sum(axis=(2, 3))
-        return float(np.max(np.abs(sums - 1.0)))
+        scale = np.maximum(1.0, np.abs(self.table).max(axis=(2, 3)))
+        return float(np.max(np.abs(sums - 1.0) / scale))
 
     def as_operator(self) -> Operator:
         """Matrix on V_l (x) V_m with rows indexed by (j1, k1)."""
@@ -78,7 +81,7 @@ def six_vertex_weights(b1: float, b2: float, z: complex = 0.0, q: float = 0.0) -
     right with probability b2."""
     if not (0 <= b1 <= 1 and 0 <= b2 <= 1):
         raise RateOutOfRange(f"probabilities must lie in [0,1], got {b1}, {b2}")
-    W = np.zeros((2, 2, 2, 2), dtype=complex)
+    W = np.zeros((2, 2, 2, 2))
     W[0, 0, 0, 0] = 1.0
     W[1, 1, 1, 1] = 1.0
     W[0, 1, 0, 1] = b1
@@ -94,9 +97,8 @@ def asep_weights(z: complex, q: float) -> VertexWeights:
     d = q * z - 1.0
     if abs(d) < 1e-13:
         raise PoleAtZEqualsQPower(f"qz = 1 at z={z}")
-    b1 = q * (z - 1.0) / d
-    b2 = (z - 1.0) / d
-    return six_vertex_weights(float(b1.real), float(b2.real), z=z, q=q)
+    b1, b2 = real_entries([q * (z - 1.0) / d, (z - 1.0) / d])
+    return six_vertex_weights(float(b1), float(b2), z=z, q=q)
 
 
 def higher_spin_base_weights(m: int, z: complex, q: float) -> VertexWeights:
@@ -112,7 +114,7 @@ def higher_spin_base_weights(m: int, z: complex, q: float) -> VertexWeights:
     den = q ** (m + 1) - z
     if abs(den) < 1e-13:
         raise PoleAtZEqualsQPower(f"z = q^(m+1) at z={z}, m={m}")
-    W = np.zeros((2, m + 1, 2, m + 1), dtype=complex)
+    W = np.zeros((2, m + 1, 2, m + 1), dtype=np.result_type(z, q, float))
     for g in range(m + 1):
         W[0, g, 0, g] = (q ** (m + 1) - q ** (2 * g) * z) / den
         if g >= 1:
@@ -146,7 +148,7 @@ def fused_weights_recurrence(l: int, m: int, z: complex, q: float) -> VertexWeig
         return higher_spin_base_weights(m, z, q)
     prev = fused_weights_recurrence(l - 1, m, z, q)
     one = higher_spin_base_weights(m, z * q ** (2 * (l - 1)), q)
-    W = np.zeros((l + 1, m + 1, l + 1, m + 1), dtype=complex)
+    W = np.zeros((l + 1, m + 1, l + 1, m + 1), dtype=np.result_type(z, q, float))
     Q = q * q
     for j1 in range(l + 1):
         p0 = q_binomial(l - 1, j1, Q) / q_binomial(l, j1, Q)
@@ -156,7 +158,7 @@ def fused_weights_recurrence(l: int, m: int, z: complex, q: float) -> VertexWeig
                 for k2 in range(m + 1):
                     if j1 + k1 != j2 + k2:
                         continue
-                    acc = 0.0 + 0.0j
+                    acc = 0.0
                     for a in (0, 1):
                         prob = p0 if a == 0 else p1
                         if prob == 0 or j1 - a < 0 or j1 - a > l - 1:
@@ -180,12 +182,12 @@ def _fused_entry_closed(j1, k1, j2, k2, l, m, z, q):
     """Single fused weight from the closed-form sum; see
     fused_weights_closed_form for the exact expression."""
     if j1 + k1 != j2 + k2:
-        return 0.0 + 0.0j
+        return 0.0
     Q = q * q
     w = z * q ** (-(m + 1))
     nu = q ** (-2 * m)
     w_top = w * Q ** (l - j1)  # spectral argument seen by the passing block
-    total = 0.0 + 0.0j
+    total = 0.0
     for p in range(0, min(j1, j2) + 1):
         e = j2 - p
         n = l - j1
@@ -237,7 +239,7 @@ def fused_weights_closed_form(l: int, m: int, z: complex, q: float) -> VertexWei
             raise PoleInSpectralLadder(
                 f"spectral point z q^{2 * step} hits the pole q^(m+1)"
             )
-    W = np.zeros((l + 1, m + 1, l + 1, m + 1), dtype=complex)
+    W = np.zeros((l + 1, m + 1, l + 1, m + 1), dtype=np.result_type(z, q, float))
     for j1 in range(l + 1):
         for k1 in range(m + 1):
             for j2 in range(l + 1):
@@ -250,8 +252,6 @@ def fused_weights_closed_form(l: int, m: int, z: complex, q: float) -> VertexWei
 
 def gauge_transform(R: Operator, G_lm: Operator, G_ml: Operator) -> Operator:
     """S = P G_ml^{-1} P R G_lm with P the factor swap."""
-    from .tensor import permutation_operator
-
     if len(R.site_dims) != 2:
         raise ParameterError("gauge transform needs a two-factor operator")
     d1, d2 = R.site_dims
@@ -340,10 +340,11 @@ def sample_lattice(
     if any(v < 0 or v > w.m for v in boundary_bottom):
         raise InconsistentBoundary(f"bottom boundary exceeds capacity m={w.m}")
 
+    # One row per input pair (j1, k1), over the outputs (j2, k2). A row is
+    # checked, and normalised, when a vertex first draws from it.
+    rows = real_entries(w.table).reshape(w.l + 1, w.m + 1, -1)
+    laws = {}
     rng = np.random.Generator(np.random.Philox(seed))
-    out_states = [
-        (j2, k2) for j2 in range(w.l + 1) for k2 in range(w.m + 1)
-    ]
     j_in = np.zeros((height, width), dtype=int)
     k_in = np.zeros((height, width), dtype=int)
     j_out = np.zeros((height, width), dtype=int)
@@ -352,14 +353,17 @@ def sample_lattice(
         for x in range(width):
             j1 = boundary_left[y] if x == 0 else j_out[y, x - 1]
             k1 = boundary_bottom[x] if y == 0 else k_out[y - 1, x]
-            probs = np.abs(w.table[j1, k1].reshape(-1).real)
-            total = probs.sum()
-            if abs(total - 1.0) > 1e-8:
-                raise InconsistentBoundary(
-                    f"weight row ({j1},{k1}) sums to {total}, not 1"
-                )
-            idx = rng.choice(len(out_states), p=probs / total)
-            j2, k2 = out_states[idx]
+            law = laws.get((j1, k1))
+            if law is None:
+                probs = rows[j1, k1]
+                total = probs.sum()
+                if abs(total - 1.0) > 1e-8 or probs.min() < 0:
+                    raise InconsistentBoundary(
+                        f"weight row ({j1},{k1}) sums to {total} or has a "
+                        "negative entry; it is not a probability law"
+                    )
+                law = laws[j1, k1] = probs / total
+            j2, k2 = divmod(rng.choice(law.size, p=law), w.m + 1)
             j_in[y, x], k_in[y, x] = j1, k1
             j_out[y, x], k_out[y, x] = j2, k2
     return LatticeConfig(

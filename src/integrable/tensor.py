@@ -2,18 +2,25 @@
 distributions, and single rows of the transition semigroup.
 
 Conventions (wire-level contract, also used by the CLI's CSV tables):
-  * basis ordering is lexicographic in site indices with site 1 slowest,
-    i.e. the ordering produced by nested numpy.kron with site 1 outermost;
+  * leg order: the basis of V_1 (x) ... (x) V_n is lexicographic in the
+    site indices with site 1 slowest, the order numpy.kron produces with
+    site 1 as the outermost factor. This module is the only place that
+    builds a tensor product: `kron` multiplies operators in site order and
+    `embed` places an operator on any ordered tuple of sites, so callers
+    name sites and never write Kronecker products by hand;
+  * dtype: an Operator keeps the dtype of its entries, promoted to at
+    least float, so real input stays real and complex input stays complex;
   * generators have rows summing to 0 and nonnegative off-diagonals
     (G[c, c'] is the rate c -> c' for c != c');
   * stochastic matrices have rows summing to 1.
 
-An Operator is dense and complex (R-matrices, representations,
-Hamiltonians). A Generator is real and sparse (scipy.sparse CSR): its
-stationary law comes from a sparse LU solve and a row of exp(tG) from
-sparse matrix-vector products, so neither builds a dense dim x dim array.
-scipy.sparse is imported inside the functions that use it, which keeps it
-out of the package's import time.
+An Operator is dense (R-matrices, representations, Hamiltonians), so its
+dimension is capped by MAX_DENSE_DIM; `state_space` checks a space against
+a cap before anything is allocated on it. A Generator is real and sparse
+(scipy.sparse CSR): its stationary law comes from a sparse LU solve and a
+row of exp(tG) from sparse matrix-vector products, so neither builds a
+dense dim x dim array. scipy.sparse is imported inside the functions that
+use it, which keeps it out of the package's import time.
 """
 
 from __future__ import annotations
@@ -25,7 +32,10 @@ import numpy as np
 
 from .errors import ParameterError
 
+# States of a sparse Generator.
 MAX_STATE_SPACE = 2**20
+# Side of a dense Operator: a 4096 x 4096 complex array takes 256 MiB.
+MAX_DENSE_DIM = 2**12
 
 
 class DimensionMismatch(ParameterError):
@@ -44,16 +54,41 @@ class ReducibleChain(ParameterError):
     pass
 
 
-def _state_space(site_dims) -> tuple:
+class NotReal(ParameterError):
+    pass
+
+
+def state_space(site_dims, cap: int = MAX_DENSE_DIM) -> tuple:
     """The site dimensions as ints, and their product, which must not
-    exceed MAX_STATE_SPACE."""
+    exceed `cap` (by default the dense cap). Call it on the dimensions
+    before allocating an array on the space."""
     dims = tuple(int(d) for d in site_dims)
     if any(d < 1 for d in dims):
         raise DimensionMismatch(f"site dims must be positive, got {dims}")
     total = math.prod(dims)
-    if total > MAX_STATE_SPACE:
-        raise StateSpaceTooLarge(f"state space {total} exceeds cap {MAX_STATE_SPACE}")
+    if total > cap:
+        raise StateSpaceTooLarge(f"state space {total} exceeds cap {cap}")
     return dims, total
+
+
+def float_array(values) -> np.ndarray:
+    """`values` as an array of at least float precision: integer and real
+    input becomes float64, complex input stays complex."""
+    values = np.asarray(values)
+    return np.asarray(values, dtype=np.result_type(values, float))
+
+
+def real_entries(values, tol: float = 1e-12) -> np.ndarray:
+    """`values` as a real array. Complex values must have every imaginary
+    part within tol * max(1, max |value|), else NotReal."""
+    values = np.asarray(values)
+    if not np.iscomplexobj(values):
+        return values
+    scale = max(1.0, float(np.max(np.abs(values))))
+    worst = float(np.max(np.abs(values.imag)))
+    if worst > tol * scale:
+        raise NotReal(f"imaginary part {worst} exceeds {tol} x {scale}")
+    return values.real
 
 
 @dataclass(frozen=True)
@@ -64,9 +99,9 @@ class Operator:
     entries: np.ndarray
 
     def __post_init__(self):
-        dims, total = _state_space(self.site_dims)
+        dims, total = state_space(self.site_dims)
         object.__setattr__(self, "site_dims", dims)
-        mat = np.asarray(self.entries, dtype=complex)
+        mat = float_array(self.entries)
         if mat.shape != (total, total):
             raise DimensionMismatch(
                 f"entries shape {mat.shape} does not match site_dims product {total}"
@@ -91,64 +126,66 @@ class Operator:
             )
         return Operator(self.site_dims, self.entries + other.entries)
 
-    def __sub__(self, other: "Operator") -> "Operator":
-        return self + (-1.0) * other
-
     def __rmul__(self, scalar: complex) -> "Operator":
         return Operator(self.site_dims, scalar * self.entries)
 
 
 def identity(site_dims) -> Operator:
-    n = math.prod(site_dims)
-    return Operator(tuple(site_dims), np.eye(n, dtype=complex))
+    dims, total = state_space(site_dims)
+    return Operator(dims, np.eye(total))
 
 
 def kron(*ops: Operator) -> Operator:
     """Tensor product; site 1 of the first factor is slowest."""
     dims = ()
-    mat = np.eye(1, dtype=complex)
+    mat = np.eye(1)
     for op in ops:
         dims = dims + op.site_dims
         mat = np.kron(mat, op.entries)
     return Operator(dims, mat)
 
 
-def embed_local(op: Operator, i: int, N: int, site_dims=None) -> Operator:
-    """Embed `op` acting on sites i..i+k-1 into an N-site space.
-
-    Sites are 1-based. `site_dims` gives the full chain's dimensions;
-    defaults to dimension 2 everywhere.
+def embed(op: Operator, sites, site_dims) -> Operator:
+    """`op` acting on the 1-based `sites` of the space with `site_dims`,
+    and the identity on every other site: leg k of `op` sits on site
+    sites[k]. The sites must be distinct; they need not be adjacent or
+    increasing, so embed(R, (2, 1), dims) is R with its legs swapped and
+    embed(R, (1, 3), dims) is R13 on three sites.
     """
-    k = len(op.site_dims)
-    if site_dims is None:
-        site_dims = (2,) * N
-    site_dims = tuple(int(d) for d in site_dims)
-    if len(site_dims) != N:
-        raise DimensionMismatch(f"site_dims has {len(site_dims)} entries, N={N}")
-    if i < 1 or i + k - 1 > N:
+    dims, total = state_space(site_dims)
+    sites = tuple(int(s) for s in sites)
+    if (
+        len(set(sites)) != len(sites)
+        or not all(1 <= s <= len(dims) for s in sites)
+        or tuple(dims[s - 1] for s in sites) != op.site_dims
+    ):
         raise DimensionMismatch(
-            f"operator on {k} sites does not fit at position {i} of {N}"
+            f"cannot place an operator on {op.site_dims} at sites {sites} of {dims}"
         )
-    if site_dims[i - 1 : i - 1 + k] != op.site_dims:
-        raise DimensionMismatch(
-            f"target slots {site_dims[i - 1:i - 1 + k]} != operator dims {op.site_dims}"
-        )
-    left = math.prod(site_dims[: i - 1])
-    right = math.prod(site_dims[i - 1 + k :])
-    mat = np.kron(np.kron(np.eye(left), op.entries), np.eye(right))
-    return Operator(site_dims, mat)
+    rest = tuple(s for s in range(1, len(dims) + 1) if s not in sites)
+    rest_dims = tuple(dims[s - 1] for s in rest)
+    # op (x) identity as a tensor with axes (op rows, op cols, rest rows,
+    # rest cols), permuted to (rows of sites 1..n, columns of sites 1..n).
+    product = np.multiply.outer(
+        op.entries.reshape(op.site_dims * 2),
+        np.eye(math.prod(rest_dims)).reshape(rest_dims * 2),
+    )
+    k, n = len(sites), len(dims)
+    rows = [sites.index(s) if s in sites else 2 * k + rest.index(s) for s in range(1, n + 1)]
+    cols = [a + (k if a < k else n - k) for a in rows]
+    return Operator(dims, product.transpose(rows + cols).reshape(total, total))
 
 
 def permutation_operator(d1: int, d2: int) -> Operator:
     """P(u (x) v) = v (x) u between factors of dimensions d1 and d2."""
     if d1 < 1 or d2 < 1:
         raise DimensionMismatch(f"dimensions must be >= 1, got {d1}, {d2}")
-    mat = np.zeros((d1 * d2, d1 * d2), dtype=complex)
+    mat = np.zeros((d1 * d2, d1 * d2))
     for a in range(d1):
         for b in range(d2):
             # e_a (x) e_b (index a*d2+b) maps to e_b (x) e_a (index b*d1+a)
             mat[b * d1 + a, a * d2 + b] = 1.0
-    return Operator((d2, d1), mat) if d1 != d2 else Operator((d1, d2), mat)
+    return Operator((d2, d1), mat)
 
 
 @dataclass(frozen=True)
@@ -165,7 +202,7 @@ class Generator:
     def __post_init__(self):
         import scipy.sparse
 
-        dims, total = _state_space(self.site_dims)
+        dims, total = state_space(self.site_dims, MAX_STATE_SPACE)
         object.__setattr__(self, "site_dims", dims)
         if np.iscomplexobj(self.rates):
             raise NotAGenerator("generator rates must be real")
@@ -197,9 +234,10 @@ def is_generator(G, tol: float = 1e-10) -> bool:
     if isinstance(G, Generator):
         rates = G.rates
     else:
-        if np.max(np.abs(G.entries.imag)) > tol:
+        try:
+            rates = scipy.sparse.csr_array(real_entries(G.entries, tol))
+        except NotReal:
             return False
-        rates = scipy.sparse.csr_array(G.entries.real)
     off = rates - scipy.sparse.diags_array(rates.diagonal())
     if off.min() < -tol:
         return False

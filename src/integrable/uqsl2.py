@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError
-from .tensor import Operator, kron, permutation_operator
+from .tensor import Operator, identity, kron, permutation_operator
 
 
 class InvalidDeformation(ParameterError):
@@ -55,15 +55,15 @@ def rep(m: int, q: float) -> RepM:
     if q <= 0 or q == 1:
         raise InvalidDeformation(f"need q > 0 and q != 1, got {q}")
     d = m + 1
-    E = np.zeros((d, d), dtype=complex)
-    F = np.zeros((d, d), dtype=complex)
+    E = np.zeros((d, d))
+    F = np.zeros((d, d))
     denom = q - 1.0 / q
     for k in range(d):
         if k + 1 < d:
             E[k + 1, k] = (q ** (m - k) - q ** (k - m)) / denom
         if k - 1 >= 0:
             F[k - 1, k] = (q**k - q ** (-k)) / denom
-    Kdiag = np.array([q ** (2 * k - m) for k in range(d)], dtype=complex)
+    Kdiag = np.array([q ** (2 * k - m) for k in range(d)])
     dims = (d,)
     return RepM(
         m=m,
@@ -118,9 +118,9 @@ def coproduct_action(rl: RepM, rm: RepM, gen: str) -> Operator:
     if gen not in _GEN_NAMES:
         raise ParameterError(f"generator must be one of {_GEN_NAMES}, got {gen!r}")
     if gen == "e":
-        return kron(rl.K, rm.E) + kron(rl.E, _one(rm))
+        return kron(rl.K, rm.E) + kron(rl.E, identity((rm.dim,)))
     if gen == "f":
-        return kron(_one(rl), rm.F) + kron(rl.F, rm.Kinv)
+        return kron(identity((rl.dim,)), rm.F) + kron(rl.F, rm.Kinv)
     return kron(rl.K, rm.K)
 
 
@@ -129,16 +129,12 @@ def opposite_coproduct_action(rl: RepM, rm: RepM, gen: str) -> Operator:
     if rl.q != rm.q:
         raise DeformationMismatch(f"q mismatch: {rl.q} vs {rm.q}")
     if gen == "e":
-        return kron(rl.E, rm.K) + kron(_one(rl), rm.E)
+        return kron(rl.E, rm.K) + kron(identity((rl.dim,)), rm.E)
     if gen == "f":
-        return kron(rl.F, _one(rm)) + kron(rl.Kinv, rm.F)
+        return kron(rl.F, identity((rm.dim,))) + kron(rl.Kinv, rm.F)
     if gen == "k":
         return kron(rl.K, rm.K)
     raise ParameterError(f"generator must be one of {_GEN_NAMES}, got {gen!r}")
-
-
-def _one(r: RepM) -> Operator:
-    return Operator((r.dim,), np.eye(r.dim, dtype=complex))
 
 
 def universal_r(rl: RepM, rm: RepM) -> Operator:
@@ -161,23 +157,18 @@ def universal_r(rl: RepM, rm: RepM) -> Operator:
     wm = rm.weights.astype(float)
     d1, d2 = rl.dim, rm.dim
     # q^{h (x) h / 2}: diagonal with entries q^{w_a w_b / 2}.
-    cartan = np.array(
-        [q ** (wa * wb / 2.0) for wa in wl for wb in wm], dtype=complex
-    )
+    cartan = np.array([q ** (wa * wb / 2.0) for wa in wl for wb in wm])
     denom = q - 1.0 / q
-    total = np.zeros((d1 * d2, d1 * d2), dtype=complex)
-    Fi = np.eye(d1, dtype=complex)
-    Ei = np.eye(d2, dtype=complex)
+    Fi, Ei = identity((d1,)), identity((d2,))
+    total = kron(Fi, Ei)  # the i = 0 term, with coefficient 1
     qfact = 1.0
-    for i in range(min(rl.m, rm.m) + 1):
-        if i > 0:
-            Fi = rl.F.entries @ Fi
-            Ei = rm.E.entries @ Ei
-            qfact *= (q**i - q ** (-i)) / denom
+    for i in range(1, min(rl.m, rm.m) + 1):
+        Fi = rl.F @ Fi
+        Ei = rm.E @ Ei
+        qfact *= (q**i - q ** (-i)) / denom
         coeff = denom**i * q ** (i * (i - 1) / 2.0) / qfact
-        total += coeff * np.kron(Fi, Ei)
-    mat = np.diag(cartan) @ total
-    return Operator((d1, d2), mat)
+        total = total + coeff * kron(Fi, Ei)
+    return Operator((d1, d2), np.diag(cartan) @ total.entries)
 
 
 def universal_r_check(rl: RepM, rm: RepM, tol: float = 1e-10) -> dict:

@@ -3,27 +3,21 @@ Yang-Baxter equations, Hecke quadratic relations, the reflection equation,
 and the Markov-structure properties tying R-matrices to CTMC generators.
 
 All stochastic matrices here act on probability row-vectors (rows sum to 1),
-matching the generator convention of the tensor layer. In the reflection
-equation, tensor leg 1 is the rightmost Kronecker factor; this is the
-convention under which the explicit exclusion-process K-matrices satisfy
-the equation against the row-stochastic R.
+matching the generator convention of the tensor layer. Every equation
+places its factors with tensor.embed, so each verifier names the sites an
+operator acts on and the tensor module alone fixes the leg order.
 """
 
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .errors import ParameterError, RateOutOfRange
-from .tensor import Operator, permutation_operator
-
-
-class DimensionNotASquare(ParameterError):
-    pass
+from .tensor import Operator, embed, permutation_operator
 
 
 class PoleAtQZEqualsOne(ParameterError):
@@ -49,7 +43,6 @@ class SpectralRFamily:
 
     evaluator: Callable[[complex], Operator]
     q: float
-    site_dim: int
 
     def r_form(self, z: complex) -> np.ndarray:
         """The R-form matrix at z."""
@@ -69,33 +62,24 @@ class ReflectionFamily:
             raise ParameterError(f"side must be left or right, got {self.side}")
 
 
-def _split_square(R: Operator) -> int:
-    n = R.dim
-    d = round(math.isqrt(n))
-    if d * d != n:
-        raise DimensionNotASquare(f"operator dimension {n} is not a perfect square")
-    return d
-
-
 def verify_braided_ybe(R: Operator, tol: float = 1e-10) -> dict:
-    """Residuals of R12 R23 R12 = R23 R12 R23 on V (x) V (x) V, in both the
-    given presentation and the P-composed presentation R-check = P o R.
+    """Residuals of R12 R23 R12 = R23 R12 R23 on V (x) V (x) V, with
+    R12 = embed(R, (1, 2)) and R23 = embed(R, (2, 3)), in both the given
+    presentation and the P-composed presentation R-check = P o R.
 
     A matrix passes when either presentation satisfies the braid relation:
     the same stochastic object can be written with or without the leading
     swap, and the two presentations solve the equation on complementary
     parameter sets (e.g. the one-sided exclusion families below).
     """
-    d = _split_square(R)
-    Id = np.eye(d)
-    R12 = np.kron(R.entries, Id)
-    R23 = np.kron(Id, R.entries)
-    braided = float(np.max(np.abs(R12 @ R23 @ R12 - R23 @ R12 @ R23)))
-    P = permutation_operator(d, d).entries
-    Rc = P @ R.entries
-    C12 = np.kron(Rc, Id)
-    C23 = np.kron(Id, Rc)
-    unbraided = float(np.max(np.abs(C12 @ C23 @ C12 - C23 @ C12 @ C23)))
+    d = R.site_dims[0]  # embed and @ raise DimensionMismatch unless R is on V (x) V
+    dims = (d, d, d)
+    residuals = []
+    for op in (R, permutation_operator(d, d) @ R):
+        R12 = embed(op, (1, 2), dims).entries
+        R23 = embed(op, (2, 3), dims).entries
+        residuals.append(float(np.max(np.abs(R12 @ R23 @ R12 - R23 @ R12 @ R23))))
+    braided, unbraided = residuals
     return {
         "residual": braided,
         "r_check_residual": unbraided,
@@ -109,7 +93,7 @@ def r_alpha_beta(alpha: float, beta: float) -> Operator:
     with probability alpha; state 21 swaps with probability beta."""
     if not (0 <= alpha <= 1 and 0 <= beta <= 1):
         raise RateOutOfRange(f"rates must lie in [0,1], got {alpha}, {beta}")
-    mat = np.eye(4, dtype=complex)
+    mat = np.eye(4)
     mat[1, 1] = 1 - alpha
     mat[1, 2] = alpha
     mat[2, 1] = beta
@@ -131,45 +115,30 @@ def asep_spectral_r(z: complex, q: float) -> Operator:
             [0, q * (z - 1) / d, (q - 1) / d, 0],
             [0, (q - 1) * z / d, (z - 1) / d, 0],
             [0, 0, 0, 1],
-        ],
-        dtype=complex,
+        ]
     )
     return Operator((2, 2), mat)
 
 
 def asep_r_family(q: float) -> SpectralRFamily:
-    return SpectralRFamily(
-        evaluator=lambda z: asep_spectral_r(z, q),
-        q=q,
-        site_dim=2,
-    )
+    return SpectralRFamily(evaluator=lambda z: asep_spectral_r(z, q), q=q)
 
 
 def verify_spectral_ybe(
     fam: SpectralRFamily, z: complex, w: complex, tol: float = 1e-10
 ) -> dict:
-    """Residual of R12(z) R13(zw) R23(w) - R23(w) R13(zw) R12(z)."""
-    d = fam.site_dim
+    """Residual of R12(z) R13(zw) R23(w) - R23(w) R13(zw) R12(z), with
+    Rij = embed(R, (i, j)) on three sites."""
     try:
-        Rz = fam.r_form(z)
-        Rzw = fam.r_form(z * w)
-        Rw = fam.r_form(w)
+        Rz, Rzw, Rw = fam.evaluator(z), fam.evaluator(z * w), fam.evaluator(w)
     except (PoleAtQZEqualsOne, PoleInDenominator, ZeroDivisionError) as exc:
         raise EvaluationPole(f"family undefined at one of z={z}, zw={z*w}, w={w}") from exc
-    Id = np.eye(d)
-    P23 = np.kron(Id, permutation_operator(d, d).entries)
-
-    def e12(M):
-        return np.kron(M, Id)
-
-    def e23(M):
-        return np.kron(Id, M)
-
-    def e13(M):
-        return P23 @ np.kron(M, Id) @ P23
-
-    lhs = e12(Rz) @ e13(Rzw) @ e23(Rw)
-    rhs = e23(Rw) @ e13(Rzw) @ e12(Rz)
+    dims = Rz.site_dims[:1] * 3
+    R12 = embed(Rz, (1, 2), dims).entries
+    R13 = embed(Rzw, (1, 3), dims).entries
+    R23 = embed(Rw, (2, 3), dims).entries
+    lhs = R12 @ R13 @ R23
+    rhs = R23 @ R13 @ R12
     res = float(np.max(np.abs(lhs - rhs)))
     return {"residual": res, "pass": res <= tol}
 
@@ -186,8 +155,7 @@ def frt_r(q: float) -> Operator:
             [0, 0, qi, 0],
             [0, qi, qi**2 - 1, 0],
             [0, 0, 0, qi**2],
-        ],
-        dtype=complex,
+        ]
     )
     return Operator((2, 2), mat)
 
@@ -219,8 +187,7 @@ def reflection_k(x: complex, q: float, a: float, c: float, side: str = "left") -
             [
                 [(-x * al + x * ga + q + al - ga - 1) * x / den, al * (x * x - 1) / den],
                 [(x * x - 1) * ga / den, (q * x + x * al - x * ga - x - al + ga) / den],
-            ],
-            dtype=complex,
+            ]
         )
         return Operator((2,), mat)
     if side == "right":
@@ -232,8 +199,7 @@ def reflection_k(x: complex, q: float, a: float, c: float, side: str = "left") -
             [
                 [(x * de - x * be + q - de + be - 1) * x / den, (x * x - 1) * de / den],
                 [-(x * x - 1) * be / den, (q * x - x * de + x * be - x + de - be) / den],
-            ],
-            dtype=complex,
+            ]
         )
         return Operator((2,), mat)
     raise ParameterError(f"side must be left or right, got {side}")
@@ -255,25 +221,23 @@ def verify_reflection_equation(
     tol: float = 1e-10,
 ) -> dict:
     """Residual of R12(z/w) K1(z) R21(zw) K2(w) - K2(w) R12(zw) K1(z) R21(z/w)
-    with R21 := P R P. Leg 1 is the rightmost Kronecker factor, so K1 acts
-    as Id (x) K and K2 as K (x) Id.
+    on two sites, with R12 = R, R21 = embed(R, (2, 1)), K1 = embed(K, (2,))
+    and K2 = embed(K, (1,)): the equation's boundary leg 1 is site 2. This
+    is the placement under which the explicit exclusion-process K-matrices
+    satisfy the equation against the row-stochastic R.
     """
-    d = Rfam.site_dim
-    P = permutation_operator(d, d).entries
-    Id = np.eye(d)
     try:
-        Ra = Rfam.r_form(z / w)
-        Rb = Rfam.r_form(z * w)
-        Kz = Kfam.evaluator(z).entries
-        Kw = Kfam.evaluator(w).entries
+        Ra, Rb = Rfam.evaluator(z / w), Rfam.evaluator(z * w)
+        Kz, Kw = Kfam.evaluator(z), Kfam.evaluator(w)
     except (PoleAtQZEqualsOne, PoleInDenominator, ZeroDivisionError) as exc:
         raise EvaluationPole(f"evaluation pole at z={z}, w={w}") from exc
-    K1 = np.kron(Id, Kz)
-    K2 = np.kron(Kw, Id)
-    R21a = P @ Ra @ P
-    R21b = P @ Rb @ P
-    lhs = Ra @ K1 @ R21b @ K2
-    rhs = K2 @ Rb @ K1 @ R21a
+    dims = Ra.site_dims
+    K1 = embed(Kz, (2,), dims).entries
+    K2 = embed(Kw, (1,), dims).entries
+    R21a = embed(Ra, (2, 1), dims).entries
+    R21b = embed(Rb, (2, 1), dims).entries
+    lhs = Ra.entries @ K1 @ R21b @ K2
+    rhs = K2 @ Rb.entries @ K1 @ R21a
     res = float(np.max(np.abs(lhs - rhs)))
     return {"residual": res, "pass": res <= tol}
 
@@ -295,15 +259,14 @@ def markov_structure_report(
     on a z grid, and the rank-one fixed-point residual
     R^T(z/w) (v1(z) (x) v2(w)) = v1(z) (x) v2(w) for v(z) = (z, 1).
     """
-    d = fam.site_dim
-    P = permutation_operator(d, d).entries
-    R1 = fam.r_form(1.0)
-    regularity = float(np.max(np.abs(R1 - P)))
+    R1 = fam.evaluator(1.0)
+    P = permutation_operator(*R1.site_dims).entries
+    regularity = float(np.max(np.abs(R1.entries - P)))
     if regularity > 1e-8:
         raise NotRegular(f"R(1) differs from P by {regularity}")
     Rp = _central_derivative(lambda x: fam.r_form(x), 1.0)
-    M = (Rp @ P).real
-    W = w_local.entries.real
+    M = Rp @ P
+    W = w_local.entries
     denom = float(np.sum(W * W))
     rho = float(np.sum(M * W) / denom) if denom > 0 else 0.0
     markov_residual = float(np.max(np.abs(M - rho * W)))
@@ -316,7 +279,7 @@ def markov_structure_report(
     for z, w in [(0.3, 0.8), (0.6, 0.9), (0.4, 0.5)]:
         v1 = np.array([z, 1.0])
         v2 = np.array([w, 1.0])
-        vec = np.kron(v1, v2)
+        vec = np.outer(v1, v2).ravel()  # v1 (x) v2, site 1 slowest
         fixed = max(
             fixed, float(np.max(np.abs(fam.r_form(z / w).T @ vec - vec)))
         )

@@ -80,14 +80,23 @@ TWPROB = ["twprob", "--t", "0.5", "--q", "0.4"]
         # TruncationNotConverged is a failed check, not a parameter error
         (["mpa", "--L", "4", "--q", "0.95", "--alpha", "0.1", "--beta", "0.1",
           "--gamma", "0.9", "--delta", "0.9"], 1, True),
-        # the CSV mode keeps the verdict of the JSON report (row_sums 7.6e17)
-        (["fuse", "--l", "8", "--m", "8", "--z", "0.25", "--q", "0.5", "--csv"],
+        # the CSV mode keeps the verdict of the JSON report (row_sums 0.011)
+        (["fuse", "--l", "8", "--m", "8", "--z", "0.1", "--q", "0.2", "--csv"],
          1, False),
         # 2^40 states: refused before any array is allocated
         (["asep", "stationary", "--L", "40", "--q", "0.5", "--open"], 2, True),
+        # row sums relative to each row's largest entry (3.9e34 here)
+        (["fuse", "--l", "8", "--m", "8", "--z", "0.25", "--q", "0.5"], 0, False),
+        (["fuse", "--l", "4", "--m", "4", "--z", "0.1", "--q", "0.5"], 0, False),
+        # exp overflows at large t: a failed check, not a crash
+        (["twprob", "--t", "1200", "--q", "0.5", "--y", "0", "--x", "1"], 1, True),
+        # 256^2 and 100000 dense states: refused before allocation
+        (["oscillator", "js", "--cutoff", "256"], 2, True),
+        (["oscillator", "fock", "--cutoff", "100000"], 2, True),
     ],
     ids=["radius-2", "nquad-0-n1", "nquad-0-n2", "empty-grid", "q-nan",
-         "mpa-not-converged", "fuse-csv-fails", "asep-cap"],
+         "mpa-not-converged", "fuse-csv-fails", "asep-cap", "fuse-l8-relative",
+         "fuse-l4-relative", "twprob-overflow", "js-cap", "fock-cap"],
 )
 def test_exit_code(capsys, argv, expected, silent):
     code, out = _run(capsys, argv)

@@ -107,6 +107,9 @@ def test_state_space_cap_precedes_allocation():
         models.asep_generator(AsepParams(q=0.5, L=40), open_boundary=True)
     with pytest.raises(StateSpaceTooLarge):
         models.xxz_hamiltonian(XxzParams(Jx=1.0, Jy=1.0, Jz=1.0, N=40))
+    # the dense cap: 2^13 states would ask for 1 GiB per complex array
+    with pytest.raises(StateSpaceTooLarge):
+        models.xxz_hamiltonian(XxzParams(Jx=1.0, Jy=1.0, Jz=1.0, N=13))
 
 
 def test_xxz_isotropic_su2_symmetry():

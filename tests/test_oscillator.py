@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from integrable import oscillator
+from integrable.tensor import StateSpaceTooLarge
 
 
 def test_hermite_low_degrees():
@@ -70,6 +71,15 @@ def test_jordan_schwinger_sl2_commutators():
 def test_jordan_schwinger_rejects_non_square():
     with pytest.raises(ValueError):
         oscillator.jordan_schwinger(np.zeros((2, 3)), 4)
+
+
+def test_dense_cap_precedes_allocation():
+    with pytest.raises(StateSpaceTooLarge):
+        oscillator.jordan_schwinger(np.eye(2), 256)
+    with pytest.raises(StateSpaceTooLarge):
+        oscillator.truncated_fock(100_000)
+    with pytest.raises(StateSpaceTooLarge):
+        oscillator.shell_projector(3, 17, 10)
 
 
 def test_shell_projector_counts():

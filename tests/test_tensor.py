@@ -1,16 +1,20 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from integrable import tensor
+from integrable import models, oscillator, sixvertex, tensor, uqsl2, ybe
 from integrable.tensor import (
     DimensionMismatch,
     Generator,
     NotAGenerator,
     Operator,
     ReducibleChain,
-    embed_local,
+    StateSpaceTooLarge,
+    embed,
     identity,
     is_generator,
     kron,
@@ -28,11 +32,95 @@ def test_kron_dimensions_and_values():
     assert np.allclose(ab.entries, np.kron(a.entries, b.entries))
 
 
-def test_embed_local_matches_manual_kron():
+def test_embed_matches_manual_kron():
     x = Operator((2,), np.array([[1, 2], [3, 4]], dtype=complex))
-    emb = embed_local(x, 2, 3)
+    emb = embed(x, (2,), (2, 2, 2))
     manual = np.kron(np.eye(2), np.kron(x.entries, np.eye(2)))
     assert np.allclose(emb.entries, manual)
+
+
+@given(data=st.data())
+def test_embed_matches_entrywise_construction(data):
+    site_dims = tuple(data.draw(st.lists(st.integers(1, 3), min_size=1, max_size=4)))
+    n = len(site_dims)
+    # a prefix of a random permutation: non-adjacent and reversed tuples occur
+    order = data.draw(st.permutations(range(1, n + 1)))
+    sites = tuple(order[: data.draw(st.integers(1, n))])
+    op_dims = tuple(site_dims[s - 1] for s in sites)
+    d = math.prod(op_dims)
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    entries = np.random.default_rng(seed).normal(size=(d, d))
+
+    def index(digits, dims):
+        out = 0
+        for digit, dim in zip(digits, dims):
+            out = out * dim + digit
+        return out
+
+    total = math.prod(site_dims)
+    expected = np.zeros((total, total))
+    basis = list(itertools.product(*(range(dim) for dim in site_dims)))
+    for row in basis:
+        for col in basis:
+            # identity on every site the operator does not touch
+            if any(row[s] != col[s] for s in range(n) if s + 1 not in sites):
+                continue
+            local_row = index([row[s - 1] for s in sites], op_dims)
+            local_col = index([col[s - 1] for s in sites], op_dims)
+            expected[index(row, site_dims), index(col, site_dims)] = entries[
+                local_row, local_col
+            ]
+    got = embed(Operator(op_dims, entries), sites, site_dims)
+    assert got.site_dims == site_dims
+    assert np.array_equal(got.entries, expected)
+
+
+def test_embed_rejects_bad_sites():
+    x = Operator((2, 3), np.eye(6))
+    with pytest.raises(DimensionMismatch):
+        embed(x, (1, 1), (2, 3))
+    with pytest.raises(DimensionMismatch):
+        embed(x, (2, 1), (2, 3))  # leg dims do not match the sites
+    with pytest.raises(DimensionMismatch):
+        embed(x, (1, 3), (2, 3))
+    with pytest.raises(StateSpaceTooLarge):
+        embed(x, (1, 2), (2, 3, 2**11))
+
+
+def test_real_input_stays_real():
+    r1 = uqsl2.rep(2, 0.6)
+    ops = [
+        identity((2, 2)),
+        permutation_operator(2, 3),
+        ybe.r_alpha_beta(0.3, 0.6),
+        ybe.asep_spectral_r(0.4, 0.5),
+        ybe.reflection_k(0.4, 0.5, 0.6, 0.15, "left"),
+        ybe.reflection_k(0.4, 0.5, 0.4, 0.2, "right"),
+        ybe.frt_r(0.7),
+        models.asep_local_generator(0.5),
+        models.asep_bulk_w(0.5),
+        models.xxz_gauge_matrix(1.3),
+        r1.E, r1.F, r1.K, r1.Kinv,
+        uqsl2.universal_r(r1, uqsl2.rep(1, 0.6)),
+        oscillator.jordan_schwinger(np.array([[1.0, 2.0], [0.0, -1.0]]), 3),
+    ]
+    for op in ops:
+        assert op.entries.dtype == np.float64
+    tables = [
+        sixvertex.six_vertex_weights(0.3, 0.8),
+        sixvertex.asep_weights(0.3, 0.5),
+        sixvertex.higher_spin_base_weights(2, 0.3, 0.5),
+        sixvertex.fused_weights_recurrence(2, 2, 0.3, 0.5),
+        sixvertex.fused_weights_closed_form(2, 2, 0.3, 0.5),
+    ]
+    for w in tables:
+        assert w.table.dtype == np.float64
+    fock = oscillator.truncated_fock(4)
+    for mat in (fock.a, fock.adag, fock.number_op):
+        assert mat.dtype == np.float64
+    # complex input stays complex
+    assert ybe.asep_spectral_r(0.4 + 0.1j, 0.5).entries.dtype == np.complex128
+    assert Operator((2,), models.SIGMA2).entries.dtype == np.complex128
 
 
 @given(d1=st.integers(1, 4), d2=st.integers(1, 4))
