@@ -15,12 +15,12 @@ from integrable.tensor import stationary_distribution
 
 
 def density(values: np.ndarray, L: int) -> np.ndarray:
-    out = np.zeros(L)
-    for config, p in enumerate(values):
-        for site in range(L):
-            if (config >> (L - 1 - site)) & 1:
-                out[site] += p
-    return out
+    """Occupation of each site, site 1 the most significant bit."""
+    shifts = L - 1 - np.arange(L)
+    occupied = (np.arange(2**L)[np.newaxis, :] >> shifts[:, np.newaxis]) & 1
+    # cumsum adds in configuration order, so the printed digits match a
+    # plain running sum; pairwise or BLAS sums move the last digit.
+    return np.cumsum(np.where(occupied, values, 0.0), axis=1)[:, -1]
 
 
 def main() -> int:

@@ -8,6 +8,9 @@ their exit code from the same residuals as the JSON report. Exit codes:
 0 all residuals within tolerance; 1 a residual check failed (an empty
 residual set fails too) or a computation did not converge; 2 usage or
 parameter error, including a non-finite number on the command line.
+No report holds a NaN or an infinity: a non-finite residual is written
+as null and fails its check, and a non-finite result is a convergence
+error, with nothing on stdout.
 
 Each subcommand is one row of COMMANDS: its arguments and the function
 that computes its Run. main() is the only code that turns a Run into a
@@ -44,6 +47,10 @@ TOL_FLOOR = {
 }
 
 
+class NonFiniteResult(ConvergenceError):
+    """A computed result is infinite or NaN."""
+
+
 class Run(NamedTuple):
     """What one subcommand computed. `table`, when set, renders the CSV
     printed in place of the JSON report."""
@@ -65,16 +72,31 @@ class Command(NamedTuple):
     csv_only: bool = False
 
 
+def _is_finite(value) -> bool:
+    """False if any float in value, nested in lists and dicts, is infinite
+    or NaN."""
+    if isinstance(value, dict):
+        return all(_is_finite(v) for v in value.values())
+    if isinstance(value, (list, tuple)):
+        return all(_is_finite(v) for v in value)
+    return not isinstance(value, float) or math.isfinite(value)
+
+
 def _report(run: Run, tol: float, t0) -> dict:
     """The run report. Residuals pass when at most the tolerance, raised to
-    the command's floor; an empty residual set never passes."""
+    the command's floor; an empty residual set never passes, and a
+    non-finite residual fails and is reported as null."""
     tol = max(tol, TOL_FLOOR.get(run.command, tol))
-    ok = bool(run.residuals) and all(v <= tol for v in run.residuals.values())
+    residuals = {k: v if math.isfinite(v) else None
+                 for k, v in run.residuals.items()}
+    ok = bool(residuals) and all(
+        v is not None and v <= tol for v in residuals.values()
+    )
     return {
         "command": run.command,
         "params": run.params,
         "results": run.results,
-        "residuals": run.residuals,
+        "residuals": residuals,
         "pass": ok,
         "wall_time": (time.perf_counter() - t0) if t0 is not None else None,
     }
@@ -454,6 +476,9 @@ def main(argv=None) -> int:
     t0 = time.perf_counter() if args.timing else None
     try:
         run = args.run(args)
+        # params can carry a fitted value (verify markov's rho_fit)
+        if not _is_finite([run.params, run.results]):
+            raise NonFiniteResult(f"non-finite value in {run.command} report")
     except ConvergenceError as exc:
         print(f"convergence error: {exc}", file=sys.stderr)
         return FAIL_EXIT
@@ -464,10 +489,11 @@ def main(argv=None) -> int:
     if args.csv:
         sys.stdout.write(run.table())
         if not report["pass"]:
-            print(f"check failed: {json.dumps(run.residuals, sort_keys=True)}",
-                  file=sys.stderr)
+            residuals = json.dumps(report["residuals"], sort_keys=True,
+                                   allow_nan=False)
+            print(f"check failed: {residuals}", file=sys.stderr)
     else:
-        print(json.dumps(report, indent=2, sort_keys=True))
+        print(json.dumps(report, indent=2, sort_keys=True, allow_nan=False))
     return PASS_EXIT if report["pass"] else FAIL_EXIT
 
 

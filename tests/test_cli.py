@@ -80,6 +80,9 @@ TWPROB = ["twprob", "--t", "0.5", "--q", "0.4"]
         # TruncationNotConverged is a failed check, not a parameter error
         (["mpa", "--L", "4", "--q", "0.95", "--alpha", "0.1", "--beta", "0.1",
           "--gamma", "0.9", "--delta", "0.9"], 1, True),
+        # 2^40 configurations: refused before the weights are allocated
+        (["mpa", "--L", "40", "--q", "0.5", "--alpha", "0.6", "--beta", "0.4"],
+         2, True),
         # the CSV mode keeps the verdict of the JSON report (row_sums 0.011)
         (["fuse", "--l", "8", "--m", "8", "--z", "0.1", "--q", "0.2", "--csv"],
          1, False),
@@ -90,13 +93,16 @@ TWPROB = ["twprob", "--t", "0.5", "--q", "0.4"]
         (["fuse", "--l", "4", "--m", "4", "--z", "0.1", "--q", "0.5"], 0, False),
         # exp overflows at large t: a failed check, not a crash
         (["twprob", "--t", "1200", "--q", "0.5", "--y", "0", "--x", "1"], 1, True),
+        # H_400(30) overflows to inf - inf: a non-finite result, never NaN
+        (["oscillator", "hermite", "--n", "400", "--x", "30"], 1, True),
         # 256^2 and 100000 dense states: refused before allocation
         (["oscillator", "js", "--cutoff", "256"], 2, True),
         (["oscillator", "fock", "--cutoff", "100000"], 2, True),
     ],
     ids=["radius-2", "nquad-0-n1", "nquad-0-n2", "empty-grid", "q-nan",
-         "mpa-not-converged", "fuse-csv-fails", "asep-cap", "fuse-l8-relative",
-         "fuse-l4-relative", "twprob-overflow", "js-cap", "fock-cap"],
+         "mpa-not-converged", "mpa-cap", "fuse-csv-fails", "asep-cap",
+         "fuse-l8-relative", "fuse-l4-relative", "twprob-overflow",
+         "hermite-nan", "js-cap", "fock-cap"],
 )
 def test_exit_code(capsys, argv, expected, silent):
     code, out = _run(capsys, argv)
@@ -174,3 +180,28 @@ def test_fuse_csv_table(capsys):
     for line in lines[1:]:
         j1, k1, j2, k2 = (int(v) for v in line.split(",")[:4])
         assert j1 + k1 == j2 + k2
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_non_finite_residual_is_null_and_fails(capsys, monkeypatch, value):
+    run = cli.Run("verify hecke", {"q": 0.5}, {}, {"hecke_quadratic": value,
+                                                   "other": 0.0})
+    monkeypatch.setitem(cli._VERIFY, "hecke", lambda args: run)
+    code, out = _run(capsys, ["verify", "hecke"])
+    assert code == 1
+    report = json.loads(out)
+    assert report["residuals"] == {"hecke_quadratic": None, "other": 0.0}
+    assert report["pass"] is False
+    jsonschema.validate(report, _schema())
+
+
+@pytest.mark.parametrize("field", ["params", "results"])
+def test_non_finite_result_is_a_convergence_error(capsys, monkeypatch, field):
+    values = {"params": {"q": 0.5}, "results": {"eigenvalues": [1.0, -1.0]}}
+    values[field] = {"nested": [0.0, {"x": float("nan")}]}
+    run = cli.Run("verify hecke", values["params"], values["results"],
+                  {"hecke_quadratic": 0.0})
+    monkeypatch.setitem(cli._VERIFY, "hecke", lambda args: run)
+    code, out = _run(capsys, ["verify", "hecke"])
+    assert code == 1
+    assert out == ""

@@ -1,13 +1,58 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from integrable import models, mpa
 from integrable.models import AsepParams
-from integrable.tensor import stationary_distribution
+from integrable.tensor import StateSpaceTooLarge, stationary_distribution
 
 
 def _params(L=4, q=0.5):
     return AsepParams(q=q, alpha=0.6, beta=0.4, gamma=0.1, delta=0.2, L=L)
+
+
+def _product_per_configuration(p, M):
+    """Oracle: <W|X_1 ... X_L|V> as one vector-matrix chain per
+    configuration, site 1 the most significant bit of its index."""
+    rep = mpa.q_oscillator(M, p.q)
+    w_left = mpa.boundary_coefficients(p.q, p.alpha, p.gamma, M)
+    v_right = mpa.boundary_coefficients(p.q, p.beta, p.delta, M)
+    weights = np.zeros(2**p.L)
+    for config in range(2**p.L):
+        vec = w_left.copy()
+        for site in range(p.L):
+            tau = (config >> (p.L - 1 - site)) & 1
+            vec = vec @ (rep.D if tau else rep.E)
+        weights[config] = vec @ v_right
+    return weights
+
+
+# Rates drawn as in acceptance criterion 5.
+@settings(max_examples=60, deadline=None)
+@given(
+    L=st.integers(1, 10),
+    M=st.sampled_from([2, 3, 16, 64]),
+    q=st.sampled_from([0.3, 0.5, 0.8]),
+    alpha=st.floats(0.5, 1.2),
+    beta=st.floats(0.5, 1.2),
+    gamma=st.floats(0.05, 0.3),
+    delta=st.floats(0.05, 0.3),
+)
+def test_split_contraction_matches_per_configuration_product(
+    L, M, q, alpha, beta, gamma, delta
+):
+    p = AsepParams(q=q, alpha=alpha, beta=beta, gamma=gamma, delta=delta, L=L)
+    expected = _product_per_configuration(p, M)
+    weights = mpa._matrix_element_measure(p, M)
+    assert weights.shape == expected.shape
+    # At M = 2, 3 some weights are negative, so the total is taken in l1.
+    assert np.abs(weights - expected).max() <= 1e-13 * np.abs(expected).sum()
+
+
+def test_state_space_cap_precedes_allocation():
+    with pytest.raises(StateSpaceTooLarge):
+        mpa.mpa_stationary_measure(_params(L=40))
 
 
 def test_q_oscillator_commutation():
@@ -40,7 +85,7 @@ def test_boundary_coefficients_need_positive_leading_rate():
         mpa.boundary_coefficients(0.5, 0.0, 0.1, 8)
 
 
-@pytest.mark.parametrize("L", [2, 3, 4, 5])
+@pytest.mark.parametrize("L", [2, 3, 4, 5, 6, 7, 8])
 def test_measure_matches_null_space_oracle(L):
     p = _params(L=L)
     mu = mpa.mpa_stationary_measure(p)
