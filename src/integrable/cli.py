@@ -9,8 +9,8 @@ their exit code from the same residuals as the JSON report. Exit codes:
 residual set fails too) or a computation did not converge; 2 usage or
 parameter error, including a non-finite number on the command line.
 No report holds a NaN or an infinity: a non-finite residual is written
-as null and fails its check, and a non-finite result is a convergence
-error, with nothing on stdout.
+as null and fails its check, and a non-finite result (an overflow too)
+exits 1 with nothing on stdout.
 
 Each subcommand is one row of COMMANDS: its arguments and the function
 that computes its Run. main() is the only code that turns a Run into a
@@ -237,42 +237,24 @@ def _mpa(args) -> Run:
     )
 
 
-def _fuse_csv(l: int, m: int, tables: dict) -> str:
-    lines = ["j1,k1,j2,k2," + ",".join(tables)]
-    for j1, k1, j2, k2 in itertools.product(range(l + 1), range(m + 1),
-                                            range(l + 1), range(m + 1)):
+def _fuse_csv(w: sixvertex.VertexWeights) -> str:
+    lines = ["j1,k1,j2,k2,recurrence"]
+    for j1, k1, j2, k2 in itertools.product(range(w.l + 1), range(w.m + 1),
+                                            range(w.l + 1), range(w.m + 1)):
         if j1 + k1 == j2 + k2:
-            vals = ",".join(repr(float(t.table[j1, k1, j2, k2]))
-                            for t in tables.values())
-            lines.append(f"{j1},{k1},{j2},{k2},{vals}")
+            lines.append(f"{j1},{k1},{j2},{k2},{float(w.table[j1, k1, j2, k2])!r}")
     return "\n".join(lines) + "\n"
 
 
 def _fuse(args) -> Run:
-    tables = {}
-    if args.method in ("recurrence", "both"):
-        tables["recurrence"] = sixvertex.fused_weights_recurrence(
-            args.l, args.m, args.z, args.q
-        )
-    if args.method in ("closed", "both"):
-        tables["closed"] = sixvertex.fused_weights_closed_form(
-            args.l, args.m, args.z, args.q
-        )
-    residuals = {
-        "row_sums": max(t.row_sum_violation() for t in tables.values()),
-        "conservation": max(t.conservation_violation() for t in tables.values()),
-    }
-    if len(tables) == 2:
-        diff = float(np.max(np.abs(tables["recurrence"].table - tables["closed"].table)))
-        scale = float(max(1.0, np.max(np.abs(tables["recurrence"].table))))
-        residuals["cross_check"] = diff / scale
-    any_table = next(iter(tables.values()))
+    w = sixvertex.fused_weights_recurrence(args.l, args.m, args.z, args.q)
     return Run(
         "fuse",
-        {"l": args.l, "m": args.m, "z": args.z, "q": args.q, "method": args.method},
-        {"max_entry": float(np.max(np.abs(any_table.table)))},
-        residuals,
-        table=lambda: _fuse_csv(args.l, args.m, tables),
+        {"l": args.l, "m": args.m, "z": args.z, "q": args.q},
+        {"max_entry": float(np.max(np.abs(w.table)))},
+        {"row_sums": w.row_sum_violation(),
+         "conservation": w.conservation_violation()},
+        table=lambda: _fuse_csv(w),
     )
 
 
@@ -423,7 +405,6 @@ COMMANDS = (
         _int("--m", required=True),
         _float("--z", required=True),
         _float("--q", required=True),
-        _arg("--method", choices=["recurrence", "closed", "both"], default="both"),
         _flag("--csv"),
     ), _fuse),
     Command("sample6v", (
@@ -481,6 +462,9 @@ def main(argv=None) -> int:
             raise NonFiniteResult(f"non-finite value in {run.command} report")
     except ConvergenceError as exc:
         print(f"convergence error: {exc}", file=sys.stderr)
+        return FAIL_EXIT
+    except OverflowError as exc:  # a float power overflowed: a non-finite result
+        print(f"non-finite result: {exc}", file=sys.stderr)
         return FAIL_EXIT
     except ValueError as exc:  # ParameterError, and numpy's domain errors
         print(f"parameter error: {exc}", file=sys.stderr)

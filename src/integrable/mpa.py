@@ -139,7 +139,9 @@ def mpa_stationary_measure(p: AsepParams, M: int = M_START) -> ProbVector:
     Doubles the truncation until successive measures differ by less than
     1e-10 in total variation (cap 1024). Raises NegativeWeight if any
     matrix element is negative beyond rounding: that signals a parameter
-    regime where the truncated representation cannot be trusted.
+    regime where the truncated representation cannot be trusted. A
+    non-finite matrix element stops the doubling at once with
+    TruncationNotConverged: larger truncations only overflow further.
 
     Each truncation's weights come from one split contraction (see
     _matrix_element_measure), at O(2^L M + 2^(L/2) M^2). The 2^L states
@@ -151,6 +153,10 @@ def mpa_stationary_measure(p: AsepParams, M: int = M_START) -> ProbVector:
     prev = None
     while M <= M_CAP:
         weights = _matrix_element_measure(p, M)
+        if not np.all(np.isfinite(weights)):
+            raise TruncationNotConverged(
+                f"non-finite matrix element at truncation {M}"
+            )
         total = weights.sum()
         if total <= 0:
             raise NegativeWeight(f"normalization {total} is not positive")

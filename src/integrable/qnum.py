@@ -34,33 +34,32 @@ def q_pochhammer(a: complex, q: float, n: int) -> complex:
 
     Negative orders use the standard continuation
     (a; q)_{-n} = 1 / (a q^{-n}; q)_n = prod_{k=1}^{n} 1/(1 - a q^{-k}),
-    which diverges (pole) when a = q^k for some 1 <= k <= n. The value is
-    real for real a and q, and complex for complex a.
+    which diverges (pole) when a = q^k for some 1 <= k <= n. The value has
+    the number type of a and q: real, complex, or an exact Fraction.
     """
+    out = q**0
     if n < 0:
-        out = 1.0
         for k in range(1, -n + 1):
-            factor = 1.0 - a * q ** (-k)
+            factor = 1 - a * q ** (-k)
             if abs(factor) < 1e-14:
                 raise ParameterError(f"pole in (a;q)_{{{n}}} at a={a}, q={q}")
             out /= factor
         return out
-    out = 1.0
     for k in range(n):
-        out *= 1.0 - a * q**k
+        out *= 1 - a * q**k
     return out
 
 
 def q_int(n: int, q: float) -> float:
     """[n]_q = (1 - q^n)/(1 - q), with the limit value n at q = 1."""
-    if abs(q - 1.0) < Q_ONE_THRESHOLD:
-        return float(n)
-    return (1.0 - q**n) / (1.0 - q)
+    if abs(q - 1) < Q_ONE_THRESHOLD:
+        return n * q**0
+    return (1 - q**n) / (1 - q)
 
 
 def q_factorial(n: int, q: float) -> float:
     """[n]_q! = [1]_q [2]_q ... [n]_q."""
-    out = 1.0
+    out = q**0
     for k in range(1, n + 1):
         out *= q_int(k, q)
     return out
@@ -70,11 +69,12 @@ def q_binomial(l: int, j: int, q: float) -> float:
     """Gaussian binomial [l choose j]_q; zero outside 0 <= j <= l.
 
     Computed by the product form prod_{k=1}^{j} [l-j+k]_q / [k]_q, which
-    stays finite at q = 1 (classical binomial).
+    stays finite at q = 1 (classical binomial). Like q_int, it keeps the
+    number type of q, so a Fraction q gives an exact value.
     """
     if j < 0 or j > l:
-        return 0.0
-    out = 1.0
+        return 0 * q
+    out = q**0
     for k in range(1, j + 1):
         out *= q_int(l - j + k, q) / q_int(k, q)
     return out

@@ -10,7 +10,6 @@ operator acts on and the tensor module alone fixes the leg order.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Callable
 
@@ -296,7 +295,3 @@ def markov_structure_report(
         "pass": all(v <= max(tol, 1e-8) for v in residuals.values()),
     }
     return report
-
-
-def report_to_json(report: dict) -> str:
-    return json.dumps(report, indent=2, sort_keys=True)

@@ -50,6 +50,10 @@ def test_usage_error_exit_two(capsys):
     assert code == 2
     code, _ = _run(capsys, ["rep-check", "--m", "2"])  # missing --q
     assert code == 2
+    # fuse has one construction and no --method
+    code, _ = _run(capsys, ["fuse", "--l", "2", "--m", "2", "--z", "0.3",
+                            "--q", "0.5", "--method", "both"])
+    assert code == 2
 
 
 def test_parameter_error_exit_two(capsys):
@@ -83,9 +87,14 @@ TWPROB = ["twprob", "--t", "0.5", "--q", "0.4"]
         # 2^40 configurations: refused before the weights are allocated
         (["mpa", "--L", "40", "--q", "0.5", "--alpha", "0.6", "--beta", "0.4"],
          2, True),
-        # the CSV mode keeps the verdict of the JSON report (row_sums 0.011)
+        # the CSV mode keeps the verdict of the JSON report
+        (["--tol", "1e-20", "asep", "stationary", "--L", "4", "--q", "0.5",
+          "--alpha", "0.6", "--beta", "0.4", "--gamma", "0.1", "--delta", "0.2",
+          "--open", "--csv"], 1, False),
+        # the float closed form lost rows here (row_sums 0.011); the
+        # recurrence, the one construction fuse builds, does not
         (["fuse", "--l", "8", "--m", "8", "--z", "0.1", "--q", "0.2", "--csv"],
-         1, False),
+         0, False),
         # 2^40 states: refused before any array is allocated
         (["asep", "stationary", "--L", "40", "--q", "0.5", "--open"], 2, True),
         # row sums relative to each row's largest entry (3.9e34 here)
@@ -98,17 +107,31 @@ TWPROB = ["twprob", "--t", "0.5", "--q", "0.4"]
         # 256^2 and 100000 dense states: refused before allocation
         (["oscillator", "js", "--cutoff", "256"], 2, True),
         (["oscillator", "fock", "--cutoff", "100000"], 2, True),
+        # q^-2 overflows a float: a non-finite result, not a traceback
+        (["verify", "hecke", "--q", "1e-200"], 1, True),
+        (["rep-check", "--m", "2", "--q", "1e-200"], 1, True),
     ],
     ids=["radius-2", "nquad-0-n1", "nquad-0-n2", "empty-grid", "q-nan",
-         "mpa-not-converged", "mpa-cap", "fuse-csv-fails", "asep-cap",
-         "fuse-l8-relative", "fuse-l4-relative", "twprob-overflow",
-         "hermite-nan", "js-cap", "fock-cap"],
+         "mpa-not-converged", "mpa-cap", "asep-csv-fails", "fuse-l8-z01",
+         "asep-cap", "fuse-l8-relative", "fuse-l4-relative", "twprob-overflow",
+         "hermite-nan", "js-cap", "fock-cap", "hecke-overflow",
+         "rep-check-overflow"],
 )
 def test_exit_code(capsys, argv, expected, silent):
     code, out = _run(capsys, argv)
     assert code == expected
-    if silent:
-        assert out == ""
+    assert (out == "") == silent
+
+
+# Points where the closed form in float64 lost whole rows (row sums off by
+# 0.011 to 1.3); fuse now builds the recurrence alone.
+@pytest.mark.parametrize("lmzq", [("8", "0.1", "0.2"), ("10", "0.4", "0.3"),
+                                  ("12", "0.25", "0.3"), ("8", "0.05", "0.1")])
+def test_fuse_rows_sum_to_one_at_large_capacity(capsys, lmzq):
+    lm, z, q = lmzq
+    code, out = _run(capsys, ["fuse", "--l", lm, "--m", lm, "--z", z, "--q", q])
+    assert code == 0
+    assert json.loads(out)["residuals"]["row_sums"] <= 1e-13
 
 
 @pytest.mark.parametrize("extra", [["--alpha", "0.6", "--beta", "0.4", "--gamma",
@@ -175,7 +198,7 @@ def test_fuse_csv_table(capsys):
     )
     assert code == 0
     lines = out.strip().splitlines()
-    assert lines[0].startswith("j1,k1,j2,k2")
+    assert lines[0] == "j1,k1,j2,k2,recurrence"
     # only conserving transitions are listed
     for line in lines[1:]:
         j1, k1, j2, k2 = (int(v) for v in line.split(",")[:4])

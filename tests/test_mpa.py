@@ -55,6 +55,23 @@ def test_state_space_cap_precedes_allocation():
         mpa.mpa_stationary_measure(_params(L=40))
 
 
+def test_non_finite_weight_stops_the_doubling(monkeypatch):
+    # Weights are finite up to M = 128 and overflow to inf at M = 256.
+    p = AsepParams(q=0.95, alpha=0.1, beta=0.1, gamma=0.9, delta=0.9, L=4)
+    contract = mpa._matrix_element_measure
+    seen = []
+
+    def counted(p, M):
+        seen.append(M)
+        return contract(p, M)
+
+    monkeypatch.setattr(mpa, "_matrix_element_measure", counted)
+    with pytest.raises(mpa.TruncationNotConverged, match="truncation 256"):
+        with np.errstate(over="ignore"):
+            mpa.mpa_stationary_measure(p)
+    assert seen == [16, 32, 64, 128, 256]
+
+
 def test_q_oscillator_commutation():
     rep = mpa.q_oscillator(32, 0.5)
     assert rep.commutation_violation() <= 1e-12

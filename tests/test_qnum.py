@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -39,6 +41,17 @@ def test_q_binomial_pascal(l, j, q):
     if j >= 1:
         rhs += q ** (l + 1 - j) * qnum.q_binomial(l, j - 1, q)
     assert abs(lhs - rhs) <= 1e-9 * max(1.0, abs(lhs))
+
+
+@pytest.mark.parametrize("q", [Fraction(1, 2), Fraction(3, 7), Fraction(5, 3)])
+def test_q_binomial_pascal_is_exact_at_rational_q(q):
+    for l in range(8):
+        for j in range(l + 2):
+            rhs = qnum.q_binomial(l, j, q) + q ** (l + 1 - j) * qnum.q_binomial(
+                l, j - 1, q
+            )
+            assert qnum.q_binomial(l + 1, j, q) == rhs
+            assert isinstance(rhs, Fraction)
 
 
 def test_q_binomial_counts_at_q_one_limit():

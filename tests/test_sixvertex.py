@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -60,14 +62,26 @@ def test_higher_spin_base_is_stochastic(m, z, q):
     assert w.row_sum_violation() <= 1e-9
 
 
+def _assert_recurrence_matches_exact_oracle(l, m, z, q):
+    exact = sixvertex.fused_weights_closed_form(l, m, z, q)
+    assert all(isinstance(v, (Fraction, int)) for v in exact.table.flat)
+    assert exact.row_sum_violation() == 0
+    assert exact.conservation_violation() == 0
+    rec = sixvertex.fused_weights_recurrence(l, m, z, q)
+    assert rec.row_deviation(exact) <= 1e-13
+
+
 @pytest.mark.parametrize("lm", [(1, 1), (2, 1), (2, 2), (3, 2)])
 def test_fusion_recurrence_matches_closed_form(lm):
-    l, m = lm
-    z, q = 0.3, 0.5
-    rec = sixvertex.fused_weights_recurrence(l, m, z, q)
-    clo = sixvertex.fused_weights_closed_form(l, m, z, q)
-    scale = np.maximum(1.0, np.abs(rec.table))
-    assert float(np.max(np.abs(rec.table - clo.table) / scale)) <= 1e-10
+    _assert_recurrence_matches_exact_oracle(*lm, 0.3, 0.5)
+
+
+# Points where the closed form in float64 was off by 8.7e-12 to 1.1e-2
+# (entries reach ~1e34 with both signs).
+@pytest.mark.parametrize("lmzq", [(8, 8, 0.1, 0.2), (8, 8, 0.05, 0.1),
+                                  (8, 8, 0.25, 0.5)])
+def test_fusion_recurrence_matches_exact_oracle_at_large_capacity(lmzq):
+    _assert_recurrence_matches_exact_oracle(*lmzq)
 
 
 def test_fusion_l1_reproduces_base_weights():

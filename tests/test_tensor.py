@@ -111,7 +111,6 @@ def test_real_input_stays_real():
         sixvertex.asep_weights(0.3, 0.5),
         sixvertex.higher_spin_base_weights(2, 0.3, 0.5),
         sixvertex.fused_weights_recurrence(2, 2, 0.3, 0.5),
-        sixvertex.fused_weights_closed_form(2, 2, 0.3, 0.5),
     ]
     for w in tables:
         assert w.table.dtype == np.float64

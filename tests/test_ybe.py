@@ -89,12 +89,3 @@ def test_markov_structure_report_fits_rho():
     rep = ybe.markov_structure_report(ybe.asep_r_family(q), models.asep_bulk_w(q))
     assert rep["pass"], rep
     assert rep["params"]["rho_fit"] == pytest.approx(1.0 / (q - 1.0), abs=1e-6)
-
-
-def test_report_to_json_round_trips():
-    import json
-
-    q = 0.4
-    rep = ybe.markov_structure_report(ybe.asep_r_family(q), models.asep_bulk_w(q))
-    text = ybe.report_to_json(rep)
-    assert json.loads(text)["params"]["q"] == q
