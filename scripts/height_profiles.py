@@ -23,20 +23,16 @@ def main() -> int:
     args = ap.parse_args()
 
     w = sixvertex.six_vertex_weights(args.b1, args.b2)
-    left = (1,) * args.height
-    bottom = (0,) * args.width
-    acc = np.zeros(args.width)
-    for r in range(args.reps):
-        c = sixvertex.sample_lattice(
-            w, args.width, args.height,
-            boundary_left=left, boundary_bottom=bottom,
-            seed=args.seed + r,
-        )
-        acc += c.top_height_profile()
-    acc /= args.reps
+    # All reps in one sweep: rep r is the lattice of seed args.seed + r.
+    batch = sixvertex.sample_lattices(
+        w, args.width, args.height,
+        boundary_left=(1,) * args.height, boundary_bottom=(0,) * args.width,
+        seeds=range(args.seed, args.seed + args.reps),
+    )
+    mean = np.mean([batch.lattice(r).top_height_profile() for r in range(args.reps)], axis=0)
 
     print("x,mean_height")
-    for x, h in enumerate(acc):
+    for x, h in enumerate(mean):
         print(f"{x},{float(h)!r}")
     return 0
 

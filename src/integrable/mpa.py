@@ -137,10 +137,12 @@ def mpa_stationary_measure(p: AsepParams, M: int = M_START) -> ProbVector:
     """Stationary law over the 2^L configurations from the matrix product.
 
     Doubles the truncation until successive measures differ by less than
-    1e-10 in total variation (cap 1024). Raises NegativeWeight if any
-    matrix element is negative beyond rounding: that signals a parameter
-    regime where the truncated representation cannot be trusted. A
-    non-finite matrix element stops the doubling at once with
+    1e-10 in total variation (cap 1024). A matrix element that is negative
+    beyond rounding (or a non-positive normalization) means the truncation
+    is too small to be trusted: that measure is dropped and the doubling
+    goes on, so convergence needs two trusted truncations in a row.
+    NegativeWeight is raised only if the weights are still negative at the
+    cap. A non-finite matrix element stops the doubling at once with
     TruncationNotConverged: larger truncations only overflow further.
 
     Each truncation's weights come from one split contraction (see
@@ -158,12 +160,15 @@ def mpa_stationary_measure(p: AsepParams, M: int = M_START) -> ProbVector:
                 f"non-finite matrix element at truncation {M}"
             )
         total = weights.sum()
-        if total <= 0:
-            raise NegativeWeight(f"normalization {total} is not positive")
-        if weights.min() < -1e-9 * total:
-            raise NegativeWeight(
-                f"negative matrix element {weights.min()} at truncation {M}"
-            )
+        if total <= 0 or weights.min() < -1e-9 * total:
+            if 2 * M > M_CAP:
+                raise NegativeWeight(
+                    f"negative matrix element {weights.min()} or normalization "
+                    f"{total} at truncation {M}"
+                )
+            prev = None
+            M *= 2
+            continue
         measure = np.clip(weights, 0.0, None) / np.clip(weights, 0.0, None).sum()
         if prev is not None:
             tv = 0.5 * float(np.abs(measure - prev).sum())

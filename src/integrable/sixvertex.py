@@ -1,6 +1,7 @@
-"""Stochastic six-vertex weights, a raster-order sampler, fusion of the
-spin-1/2 weights to higher-spin vertex weights by a recurrence, its exact
-q-Racah closed-form oracle, and the diagonal gauge transformation.
+"""Stochastic six-vertex weights, an anti-diagonal lattice sampler over a
+batch of seeds, fusion of the spin-1/2 weights to higher-spin vertex
+weights by a recurrence, its exact q-Racah closed-form oracle, and the
+diagonal gauge transformation.
 
 Weight tables are indexed W[j1, k1, j2, k2]: j counts horizontal arrows
 (j1 in from the left, j2 out to the right, both at most l) and k counts
@@ -11,10 +12,10 @@ each input pair's outgoing weights sum to 1.
 
 from __future__ import annotations
 
-import io
 import itertools
 import json
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -134,11 +135,21 @@ def higher_spin_base_weights(m: int, z: complex, q: float) -> VertexWeights:
     return VertexWeights(l=1, m=m, z=z, q=q, table=W)
 
 
+# Largest capacity l or m that fused weights are built for. Entries grow
+# fast with the capacities (5.5e135 at l = m = 16, z = 0.25, q = 0.5, and
+# past the float range before l = m = 32), so larger tables are refused
+# before anything is allocated.
+MAX_CAPACITY = 16
+
+
 def _check_spectral_ladder(l: int, m: int, z, q) -> None:
-    """Refuse capacities below 1 and a rung z q^(2s), s < l, of the
-    spectral ladder that hits the pole q^(m+1) of the base weights."""
-    if l < 1 or m < 1:
-        raise ParameterError(f"capacities must be >= 1, got l={l}, m={m}")
+    """Refuse capacities outside [1, MAX_CAPACITY] and a rung z q^(2s),
+    s < l, of the spectral ladder that hits the pole q^(m+1) of the base
+    weights."""
+    if not (1 <= l <= MAX_CAPACITY and 1 <= m <= MAX_CAPACITY):
+        raise ParameterError(
+            f"capacities must lie in [1, {MAX_CAPACITY}], got l={l}, m={m}"
+        )
     for step in range(l):
         if abs(q ** (m + 1) - z * q ** (2 * step)) < 1e-13:
             raise PoleInSpectralLadder(
@@ -149,48 +160,49 @@ def _check_spectral_ladder(l: int, m: int, z, q) -> None:
 def fused_weights_recurrence(l: int, m: int, z: complex, q: float) -> VertexWeights:
     """Fused weights built inductively in the horizontal capacity.
 
-    The capacity-l vertex splits into a capacity-(l-1) vertex at z and a
-    capacity-1 vertex at z q^{2(l-1)}; the j1 incoming arrows are
+    The capacity-c vertex splits into a capacity-(c-1) vertex at z and a
+    capacity-1 vertex at z q^{2(c-1)}; the j1 incoming arrows are
     distributed over the two with the Q-binomial probabilities (Q = q^2)
-    P(0) = C(l-1, j1)_Q / C(l, j1)_Q for the single line staying empty and
-    P(1) = Q^{l-j1} C(l-1, j1-1)_Q / C(l, j1)_Q for it carrying an arrow;
+    P(0) = C(c-1, j1)_Q / C(c, j1)_Q for the single line staying empty and
+    P(1) = Q^{c-j1} C(c-1, j1-1)_Q / C(c, j1)_Q for it carrying an arrow;
     the intermediate vertical occupancy is fixed by conservation. With this
     splitting the output arrangement is exchangeable in the same Q-binomial
     sense, so the table is independent of how the j1 arrows are arranged.
+    The loop runs c = 2, ..., l from the base weights at c = 1.
     """
     _check_spectral_ladder(l, m, z, q)
-    if l == 1:
-        return higher_spin_base_weights(m, z, q)
-    prev = fused_weights_recurrence(l - 1, m, z, q)
-    one = higher_spin_base_weights(m, z * q ** (2 * (l - 1)), q)
-    W = np.zeros((l + 1, m + 1, l + 1, m + 1), dtype=np.result_type(z, q, float))
+    prev = higher_spin_base_weights(m, z, q).table
     Q = q * q
-    for j1 in range(l + 1):
-        p0 = q_binomial(l - 1, j1, Q) / q_binomial(l, j1, Q)
-        p1 = Q ** (l - j1) * q_binomial(l - 1, j1 - 1, Q) / q_binomial(l, j1, Q)
-        for k1 in range(m + 1):
-            for j2 in range(l + 1):
-                for k2 in range(m + 1):
-                    if j1 + k1 != j2 + k2:
-                        continue
-                    acc = 0.0
-                    for a in (0, 1):
-                        prob = p0 if a == 0 else p1
-                        if prob == 0 or j1 - a < 0 or j1 - a > l - 1:
+    for c in range(2, l + 1):
+        one = higher_spin_base_weights(m, z * q ** (2 * (c - 1)), q).table
+        W = np.zeros((c + 1, m + 1, c + 1, m + 1), dtype=np.result_type(z, q, float))
+        for j1 in range(c + 1):
+            p0 = q_binomial(c - 1, j1, Q) / q_binomial(c, j1, Q)
+            p1 = Q ** (c - j1) * q_binomial(c - 1, j1 - 1, Q) / q_binomial(c, j1, Q)
+            for k1 in range(m + 1):
+                for j2 in range(c + 1):
+                    for k2 in range(m + 1):
+                        if j1 + k1 != j2 + k2:
                             continue
-                        for b in (0, 1):
-                            if j2 - b < 0 or j2 - b > l - 1:
+                        acc = 0.0
+                        for a in (0, 1):
+                            prob = p0 if a == 0 else p1
+                            if prob == 0 or j1 - a < 0 or j1 - a > c - 1:
                                 continue
-                            mid = j1 - a + k1 - (j2 - b)
-                            if mid < 0 or mid > m:
-                                continue
-                            acc += (
-                                prob
-                                * prev.table[j1 - a, k1, j2 - b, mid]
-                                * one.table[a, mid, b, k2]
-                            )
-                    W[j1, k1, j2, k2] = acc
-    return VertexWeights(l=l, m=m, z=z, q=q, table=W)
+                            for b in (0, 1):
+                                if j2 - b < 0 or j2 - b > c - 1:
+                                    continue
+                                mid = j1 - a + k1 - (j2 - b)
+                                if mid < 0 or mid > m:
+                                    continue
+                                acc += (
+                                    prob
+                                    * prev[j1 - a, k1, j2 - b, mid]
+                                    * one[a, mid, b, k2]
+                                )
+                        W[j1, k1, j2, k2] = acc
+        prev = W
+    return VertexWeights(l=l, m=m, z=z, q=q, table=prev)
 
 
 def _fused_entry_closed(j1, k1, j2, l, m, z, q):
@@ -274,8 +286,14 @@ def gauge_transform(R: Operator, G_lm: Operator, G_ml: Operator) -> Operator:
     return Operator(R.site_dims, mat)
 
 
-@dataclass(frozen=True)
-class LatticeConfig:
+# Written to the "sampler" key of the CSV header. The same seed gives the
+# same bytes only under the same sampler.
+SAMPLER_VERSION = "antidiagonal-philox-1"
+
+
+# The lattice types are NamedTuples: a frozen dataclass costs about 1 ms
+# of import time each.
+class LatticeConfig(NamedTuple):
     """Sampled configuration: per-vertex arrow counts and metadata."""
 
     width: int
@@ -298,39 +316,178 @@ class LatticeConfig:
         return np.cumsum(self.k_out[-1, :])
 
     def to_csv(self) -> str:
-        """JSON header line, then one row per vertex: x, y, j1, k1, j2, k2."""
-        buf = io.StringIO()
+        """JSON header line, then one row per vertex in raster order:
+        x, y, j1, k1, j2, k2. Each row is three tokens from lookup tables:
+        "x,", "y," and "j1,k1,j2,k2\n", the last one per distinct arrow
+        configuration of a vertex."""
         header = {
             "seed": self.seed,
             "width": self.width,
             "height": self.height,
             "boundary_left": list(self.boundary_left),
             "boundary_bottom": list(self.boundary_bottom),
+            "sampler": SAMPLER_VERSION,
         }
-        buf.write("# " + json.dumps(header, sort_keys=True) + "\n")
-        buf.write("x,y,j1,k1,j2,k2\n")
-        for y in range(self.height):
-            for x in range(self.width):
-                buf.write(
-                    f"{x},{y},{self.j_in[y, x]},{self.k_in[y, x]},"
-                    f"{self.j_out[y, x]},{self.k_out[y, x]}\n"
-                )
-        return buf.getvalue()
+        arrows = np.stack([self.j_in, self.k_in, self.j_out, self.k_out])
+        arrows = arrows.reshape(4, -1)
+        base = int(arrows.max()) + 1  # arrow counts are nonnegative
+        code = ((arrows[0] * base + arrows[1]) * base + arrows[2]) * base + arrows[3]
+        _, first, kind = np.unique(code, return_index=True, return_inverse=True)
+        kind_tokens = np.array(
+            [f"{j1},{k1},{j2},{k2}\n" for j1, k1, j2, k2 in arrows[:, first].T.tolist()],
+            dtype=object,
+        )
+        rows = np.empty((self.height, self.width, 3), dtype=object)
+        rows[..., 0] = [f"{x}," for x in range(self.width)]
+        rows[..., 1] = np.array([f"{y}," for y in range(self.height)],
+                                dtype=object)[:, np.newaxis]
+        rows[..., 2] = kind_tokens[kind].reshape(self.height, self.width)
+        return ("# " + json.dumps(header, sort_keys=True) + "\n"
+                + "x,y,j1,k1,j2,k2\n" + "".join(rows.ravel().tolist()))
 
 
-def sample_lattice(
+class LatticeBatch(NamedTuple):
+    """Lattices sampled in one sweep, one per seed: arrow arrays of shape
+    (len(seeds), height, width)."""
+
+    j_in: np.ndarray
+    k_in: np.ndarray
+    j_out: np.ndarray
+    k_out: np.ndarray
+    seeds: tuple
+    boundary_left: tuple
+    boundary_bottom: tuple
+
+    def lattice(self, i: int) -> LatticeConfig:
+        """The lattice of seeds[i]."""
+        height, width = self.j_in.shape[1:]
+        return LatticeConfig(
+            width=width,
+            height=height,
+            j_in=self.j_in[i],
+            k_in=self.k_in[i],
+            j_out=self.j_out[i],
+            k_out=self.k_out[i],
+            seed=self.seeds[i],
+            boundary_left=self.boundary_left,
+            boundary_bottom=self.boundary_bottom,
+        )
+
+
+# numpy's SeedSequence hash constants and Philox4x64-10 constants.
+_M32 = 0xFFFFFFFF
+_HASH_A = (0x43B0D7E5, 0x931E8875)  # initial hash constant, its multiplier
+_HASH_B = (0x8B51F9DD, 0x58F38DED)
+_MIX = (0xCA01F9DD, 0x4973F715)
+_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+
+
+def _philox_keys(seeds: np.ndarray) -> tuple:
+    """The two 64-bit Philox key words numpy derives from each seed: its
+    SeedSequence pool of four 32-bit words (the seed's two words and two
+    zeros, hashed and mixed), hashed into four output words."""
+    words = [(seeds & _M32).astype(np.uint32), (seeds >> 32).astype(np.uint32)]
+    words += [np.zeros_like(words[0])] * 2
+    hash_const = _HASH_A[0]
+
+    def hashmix(v):
+        nonlocal hash_const
+        v = v ^ np.uint32(hash_const)
+        hash_const = hash_const * _HASH_A[1] & _M32
+        v = v * np.uint32(hash_const)
+        return v ^ (v >> 16)
+
+    pool = [hashmix(v) for v in words]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                v = np.uint32(_MIX[0]) * pool[dst] - np.uint32(_MIX[1]) * hashmix(pool[src])
+                pool[dst] = v ^ (v >> 16)
+    hash_const = _HASH_B[0]
+    state = []
+    for v in pool:
+        v = v ^ np.uint32(hash_const)
+        hash_const = hash_const * _HASH_B[1] & _M32
+        v = v * np.uint32(hash_const)
+        state.append((v ^ (v >> 16)).astype(np.uint64))
+    return state[0] | state[1] << 32, state[2] | state[3] << 32
+
+
+def _mulhilo(a: np.ndarray, b: int) -> tuple:
+    """Low and high 64-bit words of a * b, from 32-bit halves."""
+    a0, a1 = a & _M32, a >> 32
+    b0, b1 = b & _M32, b >> 32
+    t = a0 * b0
+    u = a1 * b0 + (t >> 32)
+    v = a0 * b1 + (u & _M32)
+    return a * b, a1 * b1 + (u >> 32) + (v >> 32)
+
+
+def _philox_uniforms(seeds: np.ndarray, n: int) -> np.ndarray:
+    """u[i, t]: the t-th double of Generator(Philox(seeds[i])).random().
+
+    Philox is counter-based (Salmon et al., SC'11): its t-th 64-bit output
+    is word t % 4 of the block Philox4x64-10(key, counter t // 4 + 1), so
+    every (seed, t) is computed at once, with no state carried between
+    draws. A double is the output's top 53 bits times 2^-53, as numpy's.
+    """
+    k0, k1 = (k[:, np.newaxis] for k in _philox_keys(seeds))
+    x0 = np.arange(1, -(-n // 4) + 1, dtype=np.uint64)[np.newaxis, :]
+    x1 = x2 = x3 = np.uint64(0)
+    for rnd in range(10):
+        if rnd:
+            k0, k1 = k0 + np.uint64(_PHILOX_W[0]), k1 + np.uint64(_PHILOX_W[1])
+        lo0, hi0 = _mulhilo(x0, _PHILOX_M[0])
+        lo1, hi1 = _mulhilo(x2, _PHILOX_M[1])
+        x0, x1, x2, x3 = hi1 ^ x1 ^ k0, lo1, hi0 ^ x3 ^ k1, lo0
+    words = np.stack(np.broadcast_arrays(x0, x1, x2, x3), axis=-1)
+    return (words.reshape(len(seeds), -1)[:, :n] >> 11) * 2.0**-53
+
+
+def _seed_array(seeds) -> np.ndarray:
+    s = np.asarray(seeds)
+    if (s.ndim != 1 or s.size == 0 or s.dtype.kind not in "iu"
+            or (s.dtype.kind == "i" and s.min() < 0)):
+        raise ParameterError(
+            "seeds must be a non-empty sequence of integers in [0, 2^64)"
+        )
+    return s.astype(np.uint64)
+
+
+def _inverse_cdf_table(rows: np.ndarray) -> np.ndarray:
+    """Cumulative rows: output o is drawn for cdf[o-1] <= u < cdf[o]. From
+    each row's last positive entry on, cdf is +inf, so that a uniform
+    above a cumulative sum rounded below 1 still draws a possible output,
+    and a zero-probability output is never drawn."""
+    cdf = np.cumsum(rows, axis=1)
+    last = rows.shape[1] - 1 - np.argmax(rows[:, ::-1] > 0, axis=1)
+    cdf[np.arange(rows.shape[1]) >= last[:, np.newaxis]] = np.inf
+    return cdf
+
+
+def sample_lattices(
     w: VertexWeights,
     width: int,
     height: int,
     boundary_left=None,
     boundary_bottom=None,
-    seed: int = 0,
-) -> LatticeConfig:
-    """Sample vertex outputs in raster order (bottom row first, left to
-    right). Each vertex's inputs are already determined when it is visited,
-    so drawing its outputs from the conditional law given the inputs
-    samples the correct joint distribution. Uses a counter-based generator
-    so identical seeds give identical configurations.
+    seeds=(0,),
+) -> LatticeBatch:
+    """Sample one lattice per seed in a single anti-diagonal sweep.
+
+    A vertex's inputs are its left and lower neighbours' outputs, so every
+    vertex on the anti-diagonal x + y = d is determined by diagonal d - 1
+    and the whole diagonal, across all seeds, is drawn at once. Vertex
+    (y, x) of seed s draws its output (j2, k2) by inverse CDF over the
+    weight row of its input (j1, k1), with the uniform u[y, x] of
+    Generator(Philox(s)).random((height, width)). Its draw thus does not
+    depend on the sweep order, and a seed's lattice does not depend on the
+    other seeds in the batch.
+
+    A weight row that is not a probability law raises InconsistentBoundary
+    before any vertex draws from it; a row that no vertex reaches is never
+    checked.
     """
     if width < 1 or height < 1:
         raise InconsistentBoundary(
@@ -348,41 +505,64 @@ def sample_lattice(
         raise InconsistentBoundary(f"left boundary exceeds capacity l={w.l}")
     if any(v < 0 or v > w.m for v in boundary_bottom):
         raise InconsistentBoundary(f"bottom boundary exceeds capacity m={w.m}")
+    seeds = _seed_array(seeds)
 
-    # One row per input pair (j1, k1), over the outputs (j2, k2). A row is
-    # checked, and normalised, when a vertex first draws from it.
-    rows = real_entries(w.table).reshape(w.l + 1, w.m + 1, -1)
-    laws = {}
-    rng = np.random.Generator(np.random.Philox(seed))
-    j_in = np.zeros((height, width), dtype=int)
-    k_in = np.zeros((height, width), dtype=int)
-    j_out = np.zeros((height, width), dtype=int)
-    k_out = np.zeros((height, width), dtype=int)
-    for y in range(height):
-        for x in range(width):
-            j1 = boundary_left[y] if x == 0 else j_out[y, x - 1]
-            k1 = boundary_bottom[x] if y == 0 else k_out[y - 1, x]
-            law = laws.get((j1, k1))
-            if law is None:
-                probs = rows[j1, k1]
-                total = probs.sum()
-                if abs(total - 1.0) > 1e-8 or probs.min() < 0:
-                    raise InconsistentBoundary(
-                        f"weight row ({j1},{k1}) sums to {total} or has a "
-                        "negative entry; it is not a probability law"
-                    )
-                law = laws[j1, k1] = probs / total
-            j2, k2 = divmod(rng.choice(law.size, p=law), w.m + 1)
-            j_in[y, x], k_in[y, x] = j1, k1
-            j_out[y, x], k_out[y, x] = j2, k2
-    return LatticeConfig(
-        width=width,
-        height=height,
-        j_in=j_in,
-        k_in=k_in,
-        j_out=j_out,
-        k_out=k_out,
-        seed=seed,
+    # One row per input pair r = j1 (m+1) + k1, over the outputs
+    # o = j2 (m+1) + k2.
+    rows = real_entries(w.table).reshape((w.l + 1) * (w.m + 1), -1)
+    totals = rows.sum(axis=1)
+    bad = ~(np.abs(totals - 1.0) <= 1e-8) | ~(rows.min(axis=1) >= 0)  # NaN too
+    cdf = _inverse_cdf_table(rows / np.where(bad, 1.0, totals)[:, np.newaxis])
+
+    # J[:, y, x] is the horizontal input of vertex (y, x) and J[:, y, x + 1]
+    # its output; K[:, y, x] and K[:, y + 1, x] likewise vertically.
+    batch = len(seeds)
+    J = np.empty((batch, height, width + 1), dtype=int)
+    K = np.empty((batch, height + 1, width), dtype=int)
+    J[:, :, 0] = boundary_left
+    K[:, 0, :] = boundary_bottom
+    J_flat, K_flat = J.reshape(batch, -1), K.reshape(batch, -1)
+    # Vertices in sweep order: by diagonal, then by y.
+    y, x = np.divmod(np.arange(width * height), width)
+    order = np.argsort(x + y, kind="stable")
+    y, x = y[order], x[order]
+    j_at, k_at = y * (width + 1) + x, y * width + x
+    j_out_at, k_out_at = j_at + 1, k_at + width
+    u = _philox_uniforms(seeds, width * height)[:, order]
+    any_bad = bool(bad.any())
+    sizes = np.bincount(x + y)
+    for end, size in zip(np.cumsum(sizes).tolist(), sizes.tolist()):
+        v = slice(end - size, end)
+        r = J_flat[:, j_at[v]] * (w.m + 1) + K_flat[:, k_at[v]]
+        if any_bad and bad[r].any():
+            row = int(r[bad[r]][0])
+            j1, k1 = divmod(row, w.m + 1)
+            raise InconsistentBoundary(
+                f"weight row ({j1},{k1}) sums to {totals[row]} or has a "
+                "negative entry; it is not a probability law"
+            )
+        o = (u[:, v, np.newaxis] >= cdf[r]).sum(axis=-1)
+        J_flat[:, j_out_at[v]], K_flat[:, k_out_at[v]] = np.divmod(o, w.m + 1)
+    return LatticeBatch(
+        j_in=J[:, :, :-1],
+        k_in=K[:, :-1, :],
+        j_out=J[:, :, 1:],
+        k_out=K[:, 1:, :],
+        seeds=tuple(seeds.tolist()),
         boundary_left=boundary_left,
         boundary_bottom=boundary_bottom,
     )
+
+
+def sample_lattice(
+    w: VertexWeights,
+    width: int,
+    height: int,
+    boundary_left=None,
+    boundary_bottom=None,
+    seed: int = 0,
+) -> LatticeConfig:
+    """One lattice: the batch of one seed of sample_lattices."""
+    return sample_lattices(
+        w, width, height, boundary_left, boundary_bottom, seeds=(seed,)
+    ).lattice(0)

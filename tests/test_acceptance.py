@@ -251,18 +251,15 @@ def test_criterion_9_sampler_statistics():
     w = sixvertex.six_vertex_weights(b1, b2)
     n = 100_000
     # iid single-vertex draws: a 1x1 lattice per seed, conditioned on each
-    # nontrivial input state
-    counts_up = 0
-    counts_right = 0
-    for seed in range(n):
-        c = sixvertex.sample_lattice(
-            w, 1, 1, boundary_left=(0,), boundary_bottom=(1,), seed=seed
-        )
-        counts_up += int(c.k_out[0, 0] == 1)
-        c = sixvertex.sample_lattice(
-            w, 1, 1, boundary_left=(1,), boundary_bottom=(0,), seed=seed + n
-        )
-        counts_right += int(c.j_out[0, 0] == 1)
+    # nontrivial input state, all seeds in one batched sweep
+    up = sixvertex.sample_lattices(
+        w, 1, 1, boundary_left=(0,), boundary_bottom=(1,), seeds=range(n)
+    )
+    counts_up = int(np.sum(up.k_out[:, 0, 0] == 1))
+    right = sixvertex.sample_lattices(
+        w, 1, 1, boundary_left=(1,), boundary_bottom=(0,), seeds=range(n, 2 * n)
+    )
+    counts_right = int(np.sum(right.j_out[:, 0, 0] == 1))
     dev1 = abs(counts_up / n - b1) / math.sqrt(b1 * (1 - b1) / n)
     dev2 = abs(counts_right / n - b2) / math.sqrt(b2 * (1 - b2) / n)
     a = sixvertex.sample_lattice(

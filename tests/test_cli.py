@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import jsonschema
@@ -100,6 +101,8 @@ TWPROB = ["twprob", "--t", "0.5", "--q", "0.4"]
         # row sums relative to each row's largest entry (3.9e34 here)
         (["fuse", "--l", "8", "--m", "8", "--z", "0.25", "--q", "0.5"], 0, False),
         (["fuse", "--l", "4", "--m", "4", "--z", "0.1", "--q", "0.5"], 0, False),
+        # capacity beyond MAX_CAPACITY: refused before any table is built
+        (["fuse", "--l", "1100", "--m", "1", "--z", "0.3", "--q", "0.5"], 2, True),
         # exp overflows at large t: a failed check, not a crash
         (["twprob", "--t", "1200", "--q", "0.5", "--y", "0", "--x", "1"], 1, True),
         # H_400(30) overflows to inf - inf: a non-finite result, never NaN
@@ -113,7 +116,8 @@ TWPROB = ["twprob", "--t", "0.5", "--q", "0.4"]
     ],
     ids=["radius-2", "nquad-0-n1", "nquad-0-n2", "empty-grid", "q-nan",
          "mpa-not-converged", "mpa-cap", "asep-csv-fails", "fuse-l8-z01",
-         "asep-cap", "fuse-l8-relative", "fuse-l4-relative", "twprob-overflow",
+         "asep-cap", "fuse-l8-relative", "fuse-l4-relative", "fuse-cap",
+         "twprob-overflow",
          "hermite-nan", "js-cap", "fock-cap", "hecke-overflow",
          "rep-check-overflow"],
 )
@@ -166,6 +170,10 @@ def test_sample6v_deterministic_csv(capsys):
     _, out2 = _run(capsys, argv)
     assert out1 == out2
     assert out1.splitlines()[1] == "x,y,j1,k1,j2,k2"
+    assert json.loads(out1.splitlines()[0][2:])["sampler"] == "antidiagonal-philox-1"
+    # Pinned bytes: a change here changes every CSV a seed reproduces.
+    assert hashlib.sha256(out1.encode()).hexdigest() == (
+        "58904ebbd8076aa1ffc6e513ab73081c4fd4f6b283d74c0d16275bd16570ff08")
 
 
 def test_every_json_subcommand_validates(capsys):

@@ -72,6 +72,35 @@ def test_non_finite_weight_stops_the_doubling(monkeypatch):
     assert seen == [16, 32, 64, 128, 256]
 
 
+def test_negative_weights_below_the_cap_double_the_truncation(monkeypatch):
+    # Point 1 of perfbench/reference.json's pool: at L = 16 a matrix element
+    # is negative at M = 16 (-0.0035), and M = 32 onward converges.
+    p = AsepParams(q=0.6273, alpha=0.5545, beta=0.9018, gamma=0.0765,
+                   delta=0.0117, L=16)
+    contract = mpa._matrix_element_measure
+    seen = []
+
+    def counted(p, M):
+        seen.append(M)
+        return contract(p, M)
+
+    monkeypatch.setattr(mpa, "_matrix_element_measure", counted)
+    mu = mpa.mpa_stationary_measure(p)
+    assert seen == [16, 32, 64]
+    assert mu.values.min() >= 0 and mu.values.sum() == pytest.approx(1.0)
+    G = models.asep_generator(p, open_boundary=True)
+    assert np.abs(mu.values @ G.rates).sum() <= 1e-8
+
+
+def test_negative_weights_at_the_cap_raise(monkeypatch):
+    # The same point with the cap lowered to the truncation that is negative.
+    monkeypatch.setattr(mpa, "M_CAP", 16)
+    p = AsepParams(q=0.6273, alpha=0.5545, beta=0.9018, gamma=0.0765,
+                   delta=0.0117, L=16)
+    with pytest.raises(mpa.NegativeWeight, match="truncation 16"):
+        mpa.mpa_stationary_measure(p)
+
+
 def test_q_oscillator_commutation():
     rep = mpa.q_oscillator(32, 0.5)
     assert rep.commutation_violation() <= 1e-12

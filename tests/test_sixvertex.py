@@ -1,3 +1,5 @@
+import io
+import json
 from fractions import Fraction
 
 import numpy as np
@@ -6,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from integrable import sixvertex
+from integrable.errors import ParameterError
 from integrable.sixvertex import (
     InconsistentBoundary,
     PoleInSpectralLadder,
@@ -99,6 +102,14 @@ def test_fusion_pole_detection_in_both_constructions():
         sixvertex.fused_weights_closed_form(2, 1, 0.25, 0.5)
 
 
+def test_fusion_refuses_capacities_beyond_the_cap():
+    cap = sixvertex.MAX_CAPACITY
+    for l, m in ((cap + 1, 1), (1, cap + 1), (1100, 1), (0, 1)):
+        with pytest.raises(ParameterError, match="capacities must lie in"):
+            sixvertex.fused_weights_recurrence(l, m, 0.3, 0.5)
+    assert sixvertex.fused_weights_recurrence(cap, 1, 0.3, 0.5).l == cap
+
+
 def test_gauge_transform_with_identity_gauges_swaps():
     from integrable.tensor import identity
 
@@ -153,11 +164,179 @@ def test_height_profile_monotone():
 
 
 def test_csv_round_trip_header():
-    import json
-
     w = sixvertex.six_vertex_weights(0.4, 0.7)
     c = sixvertex.sample_lattice(w, 3, 2, seed=9)
     text = c.to_csv()
     header = json.loads(text.splitlines()[0][2:])
     assert header["seed"] == 9
     assert header["width"] == 3 and header["height"] == 2
+
+
+def _reference_csv(c):
+    """The per-vertex f-string writer that to_csv replaced, kept as its
+    byte oracle."""
+    header = {
+        "seed": c.seed,
+        "width": c.width,
+        "height": c.height,
+        "boundary_left": list(c.boundary_left),
+        "boundary_bottom": list(c.boundary_bottom),
+        "sampler": sixvertex.SAMPLER_VERSION,
+    }
+    buf = io.StringIO()
+    buf.write("# " + json.dumps(header, sort_keys=True) + "\n")
+    buf.write("x,y,j1,k1,j2,k2\n")
+    for y in range(c.height):
+        for x in range(c.width):
+            buf.write(
+                f"{x},{y},{c.j_in[y, x]},{c.k_in[y, x]},"
+                f"{c.j_out[y, x]},{c.k_out[y, x]}\n"
+            )
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("size", [(3, 2), (128, 128), (256, 128)])
+def test_csv_writer_matches_per_vertex_oracle(size):
+    width, height = size
+    w = sixvertex.six_vertex_weights(0.4, 0.7)
+    c = sixvertex.sample_lattice(w, width, height, boundary_left=(1,) * height,
+                                 boundary_bottom=(0,) * width, seed=21)
+    assert c.to_csv() == _reference_csv(c)
+
+
+def test_csv_writer_matches_oracle_on_multi_digit_counts():
+    rng = np.random.default_rng(4)
+    arrows = [rng.integers(0, 120, size=(5, 7)) for _ in range(4)]
+    c = sixvertex.LatticeConfig(7, 5, *arrows, seed=2**40, boundary_left=(3,) * 5,
+                                boundary_bottom=(11,) * 7)
+    assert c.to_csv() == _reference_csv(c)
+
+
+@pytest.mark.parametrize("n", [1, 4, 37])
+def test_uniforms_are_numpys_philox_stream(n):
+    seeds = [0, 1, 7, 2**32 - 1, 2**32, 2**63 + 5, 2**64 - 1]
+    u = sixvertex._philox_uniforms(np.array(seeds, dtype=np.uint64), n)
+    for s, row in zip(seeds, u):
+        expected = np.random.Generator(np.random.Philox(s)).random(n)
+        assert np.array_equal(row, expected), s
+
+
+@pytest.mark.parametrize("bad_seeds", [[-1], [2**64], [], [1.5], 3])
+def test_seeds_outside_uint64_are_refused(bad_seeds):
+    w = sixvertex.six_vertex_weights(0.4, 0.7)
+    with pytest.raises(ParameterError):
+        sixvertex.sample_lattices(w, 2, 2, seeds=bad_seeds)
+
+
+@pytest.mark.parametrize("weights", [
+    sixvertex.six_vertex_weights(0.4, 0.7),
+    sixvertex.fused_weights_recurrence(2, 2, 0.2, 1.5),
+])
+def test_batch_member_equals_single_seed_call(weights):
+    left, bottom = (weights.l,) * 6, (0,) * 9
+    seeds = (11, 3, 2**40, 11)
+    batch = sixvertex.sample_lattices(weights, 9, 6, left, bottom, seeds=seeds)
+    for i, seed in enumerate(seeds):
+        one = sixvertex.sample_lattice(weights, 9, 6, left, bottom, seed=seed)
+        member = batch.lattice(i)
+        for name in ("j_in", "k_in", "j_out", "k_out"):
+            assert np.array_equal(getattr(member, name), getattr(one, name))
+        assert member.to_csv() == one.to_csv()
+
+
+def _exact_law(w, width, height, left, bottom):
+    """{outputs (j2, k2) of every vertex in raster order: probability},
+    enumerated vertex by vertex from the weight table."""
+    law = {(): 1.0}
+    for y in range(height):
+        for x in range(width):
+            grown = {}
+            for outs, p in law.items():
+                j1 = left[y] if x == 0 else outs[-1][0]
+                k1 = bottom[x] if y == 0 else outs[-width][1]
+                for j2 in range(w.l + 1):
+                    for k2 in range(w.m + 1):
+                        weight = float(w.table[j1, k1, j2, k2])
+                        if weight > 0:
+                            grown[outs + ((j2, k2),)] = p * weight
+            law = grown
+    return law
+
+
+# Exact joint laws of small lattices against 20,000 seeds at once. Cells
+# with expected count below 5 are pooled; the bound is the chi-square
+# upper 0.1% point.
+@pytest.mark.parametrize("weights, width, height, left, bottom", [
+    (sixvertex.six_vertex_weights(0.35, 0.7), 1, 1, (1,), (1,)),
+    (sixvertex.six_vertex_weights(0.35, 0.7), 1, 1, (0,), (1,)),
+    (sixvertex.six_vertex_weights(0.35, 0.7), 2, 2, (1, 1), (0, 0)),
+    (sixvertex.six_vertex_weights(0.35, 0.7), 2, 2, (1, 0), (1, 0)),
+    (sixvertex.fused_weights_recurrence(2, 2, 0.2, 1.5), 1, 1, (1,), (2,)),
+    (sixvertex.fused_weights_recurrence(2, 2, 0.2, 1.5), 2, 2, (2, 1), (1, 0)),
+], ids=["6v-1x1-full", "6v-1x1-up", "6v-2x2-step", "6v-2x2-mixed",
+        "spin2-1x1", "spin2-2x2"])
+def test_sampler_matches_exact_law(weights, width, height, left, bottom):
+    from scipy.stats import chi2
+
+    law = _exact_law(weights, width, height, left, bottom)
+    assert sum(law.values()) == pytest.approx(1.0, abs=1e-12)
+    n = 20_000
+    batch = sixvertex.sample_lattices(weights, width, height, left, bottom,
+                                      seeds=range(1000, 1000 + n))
+    outs = np.stack([batch.j_out.reshape(n, -1), batch.k_out.reshape(n, -1)], axis=-1)
+    counts = {}
+    for row in outs.tolist():
+        key = tuple(map(tuple, row))
+        counts[key] = counts.get(key, 0) + 1
+    assert set(counts) <= set(law), "an impossible configuration was drawn"
+    expected = np.array([n * p for p in law.values()])
+    observed = np.array([counts.get(key, 0) for key in law])
+    small = expected < 5
+    if small.any():
+        expected = np.append(expected[~small], expected[small].sum())
+        observed = np.append(observed[~small], observed[small].sum())
+    if len(expected) == 1:  # a deterministic law: every draw must match
+        assert observed[0] == n
+        return
+    stat = float(np.sum((observed - expected) ** 2 / expected))
+    assert stat <= chi2.ppf(0.999, len(expected) - 1), stat
+
+
+def _six_vertex_with_bad_row():
+    """The six-vertex table with b2 = 0 (a lone horizontal arrow turns up)
+    and row (1, 1) summing to 2."""
+    table = sixvertex.six_vertex_weights(0.4, 0.0).table.copy()
+    table[1, 1, 0, 0] = 1.0
+    return sixvertex.VertexWeights(l=1, m=1, z=0.0, q=0.0, table=table)
+
+
+def test_unreached_bad_row_is_not_checked():
+    # no arrows enter: every vertex reads row (0, 0)
+    c = sixvertex.sample_lattice(_six_vertex_with_bad_row(), 6, 5,
+                                 boundary_left=(0,) * 5, boundary_bottom=(0,) * 6)
+    assert c.conservation_violation() == 0
+    assert not c.j_out.any() and not c.k_out.any()
+
+
+def test_reached_bad_row_raises():
+    # vertex (0, 0) turns its arrow up, so vertex (1, 0) reads row (1, 1)
+    left, bottom = (1, 1, 0), (0, 0, 0, 0)
+    with pytest.raises(InconsistentBoundary,
+                       match=r"weight row \(1,1\) sums to 2.0 or has a negative "
+                             "entry; it is not a probability law"):
+        sixvertex.sample_lattices(_six_vertex_with_bad_row(), 4, 3, left, bottom,
+                                  seeds=range(5))
+
+
+def test_inverse_cdf_never_draws_a_zero_probability_output():
+    rows = np.zeros((3, 11))
+    rows[0, :10] = 0.1  # sums to 1 - 2^-53 in float64; last output impossible
+    rows[1, 1::2] = 0.2  # impossible outputs between possible ones
+    rows[2, 10] = 1.0
+    assert np.cumsum(rows[0])[-1] < 1
+    cdf = sixvertex._inverse_cdf_table(rows)
+    for u in (0.0, 0.05, 0.5, 1 - 2**-53):
+        drawn = (u >= cdf).sum(axis=1)
+        assert np.all(rows[np.arange(3), drawn] > 0), u
+    # the largest uniform draws each row's last possible output
+    assert ((1 - 2**-53) >= cdf).sum(axis=1).tolist() == [9, 9, 10]
