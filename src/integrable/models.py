@@ -298,12 +298,6 @@ def _epsilon(xi: np.ndarray, q: float) -> np.ndarray:
     return 1.0 / xi + q * xi - (1.0 + q)
 
 
-def _scattering(xa: np.ndarray, xb: np.ndarray, q: float) -> np.ndarray:
-    num = 1.0 + q * xa * xb - (1.0 + q) * xa
-    den = 1.0 + q * xa * xb - (1.0 + q) * xb
-    return -num / den
-
-
 def tw_transition_probability(
     y,
     x,
@@ -355,7 +349,8 @@ def _tw_eval(y, x, t, q, radius, n):
     N = len(y)
     theta = 2.0 * np.pi * np.arange(n) / n
     nodes = radius * np.exp(1j * theta)
-    # pole scan for the scattering denominators on the product torus
+    # The scattering factor S(xa, xb) on the product torus, shared by every
+    # inversion of every permutation, after a scan of its denominator for poles.
     if N > 1:
         xa = nodes[:, None]
         xb = nodes[None, :]
@@ -364,6 +359,7 @@ def _tw_eval(y, x, t, q, radius, n):
             raise ContourHitsPole(
                 f"scattering denominator within 1e-6 of zero at radius {radius}"
             )
+        scattering = -(1.0 + q * xa * xb - (1.0 + q) * xa) / den
     weights = nodes / n  # node value times dxi/(2 pi i) per trapezoid node
     ephase = np.exp(_epsilon(nodes, q) * t)
 
@@ -386,8 +382,7 @@ def _tw_eval(y, x, t, q, radius, n):
         for j in range(N):
             for k in range(j + 1, N):
                 if sigma[j] > sigma[k]:
-                    mat = _scattering(nodes[:, None], nodes[None, :], q)
-                    operands.append(mat)
+                    operands.append(scattering)
                     subs.append(letters[sigma[j]] + letters[sigma[k]])
         total = total + np.einsum(
             ",".join(subs) + "->", *operands, optimize=True

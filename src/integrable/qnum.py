@@ -8,7 +8,7 @@ Conventions follow the standard q-analysis literature: the q-integer is
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -175,29 +175,27 @@ class QRacahParams:
     delta: complex
     q: float
     N: int
-    validate: bool = field(default=True)
 
     def __post_init__(self):
-        if self.validate:
-            if not (0 <= self.n <= self.N and 0 <= self.x <= self.N):
-                raise ParameterError(
-                    f"need 0 <= n,x <= N, got n={self.n}, x={self.x}, N={self.N}"
-                )
-            target = self.q ** (-self.N)
-            hits = sum(
-                1
-                for v in (
-                    self.alpha * self.q,
-                    self.beta * self.delta * self.q,
-                    self.gamma * self.q,
-                )
-                if abs(v - target) <= 1e-8 * max(1.0, abs(target))
+        if not (0 <= self.n <= self.N and 0 <= self.x <= self.N):
+            raise ParameterError(
+                f"need 0 <= n,x <= N, got n={self.n}, x={self.x}, N={self.N}"
             )
-            if hits != 1:
-                raise ParameterError(
-                    "exactly one of alpha*q, beta*delta*q, gamma*q must equal "
-                    f"q^-N; found {hits}"
-                )
+        target = self.q ** (-self.N)
+        hits = sum(
+            1
+            for v in (
+                self.alpha * self.q,
+                self.beta * self.delta * self.q,
+                self.gamma * self.q,
+            )
+            if abs(v - target) <= 1e-8 * max(1.0, abs(target))
+        )
+        if hits != 1:
+            raise ParameterError(
+                "exactly one of alpha*q, beta*delta*q, gamma*q must equal "
+                f"q^-N; found {hits}"
+            )
 
 
 def q_racah(p: QRacahParams) -> complex:

@@ -54,14 +54,10 @@ class VertexWeights:
         object.__setattr__(self, "table", t)
 
     def conservation_violation(self) -> float:
-        worst = 0.0
-        for j1 in range(self.l + 1):
-            for k1 in range(self.m + 1):
-                for j2 in range(self.l + 1):
-                    for k2 in range(self.m + 1):
-                        if j1 + k1 != j2 + k2:
-                            worst = max(worst, abs(self.table[j1, k1, j2, k2]))
-        return worst
+        """Largest |entry| off the conservation law j1 + k1 = j2 + k2."""
+        j1, k1, j2, k2 = np.indices(self.table.shape)
+        off = self.table[j1 + k1 != j2 + k2]
+        return float(np.max(np.abs(off), initial=0.0))
 
     def row_sum_violation(self) -> float:
         """Largest |row sum - 1| over the input pairs, each relative to

@@ -6,11 +6,14 @@ All stochastic matrices here act on probability row-vectors (rows sum to 1),
 matching the generator convention of the tensor layer. Every equation
 places its factors with tensor.embed, so each verifier names the sites an
 operator acts on and the tensor module alone fixes the leg order.
+
+Verifiers return residuals and pass no verdict; the caller compares them
+with its tolerance. A spectral or boundary family is any callable
+z -> Operator, such as functools.partial(asep_spectral_r, q=q).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -35,39 +38,13 @@ class NotRegular(ParameterError):
     pass
 
 
-@dataclass(frozen=True)
-class SpectralRFamily:
-    """One-parameter family z -> R(z) on V (x) V, in R-form (satisfying
-    R12(z) R13(zw) R23(w) = R23(w) R13(zw) R12(z))."""
-
-    evaluator: Callable[[complex], Operator]
-    q: float
-
-    def r_form(self, z: complex) -> np.ndarray:
-        """The R-form matrix at z."""
-        return self.evaluator(z).entries
-
-
-@dataclass(frozen=True)
-class ReflectionFamily:
-    """Boundary family x -> K(x) on a single site V."""
-
-    evaluator: Callable[[complex], Operator]
-    rates: tuple
-    side: str = "left"
-
-    def __post_init__(self):
-        if self.side not in ("left", "right"):
-            raise ParameterError(f"side must be left or right, got {self.side}")
-
-
-def verify_braided_ybe(R: Operator, tol: float = 1e-10) -> dict:
+def verify_braided_ybe(R: Operator) -> dict:
     """Residuals of R12 R23 R12 = R23 R12 R23 on V (x) V (x) V, with
     R12 = embed(R, (1, 2)) and R23 = embed(R, (2, 3)), in both the given
     presentation and the P-composed presentation R-check = P o R.
 
-    A matrix passes when either presentation satisfies the braid relation:
-    the same stochastic object can be written with or without the leading
+    A matrix solves the braid relation when either residual vanishes: the
+    same stochastic object can be written with or without the leading
     swap, and the two presentations solve the equation on complementary
     parameter sets (e.g. the one-sided exclusion families below).
     """
@@ -79,11 +56,7 @@ def verify_braided_ybe(R: Operator, tol: float = 1e-10) -> dict:
         R23 = embed(op, (2, 3), dims).entries
         residuals.append(float(np.max(np.abs(R12 @ R23 @ R12 - R23 @ R12 @ R23))))
     braided, unbraided = residuals
-    return {
-        "residual": braided,
-        "r_check_residual": unbraided,
-        "pass": min(braided, unbraided) <= tol,
-    }
+    return {"residual": braided, "r_check_residual": unbraided}
 
 
 def r_alpha_beta(alpha: float, beta: float) -> Operator:
@@ -119,17 +92,13 @@ def asep_spectral_r(z: complex, q: float) -> Operator:
     return Operator((2, 2), mat)
 
 
-def asep_r_family(q: float) -> SpectralRFamily:
-    return SpectralRFamily(evaluator=lambda z: asep_spectral_r(z, q), q=q)
-
-
 def verify_spectral_ybe(
-    fam: SpectralRFamily, z: complex, w: complex, tol: float = 1e-10
+    r: Callable[[complex], Operator], z: complex, w: complex
 ) -> dict:
     """Residual of R12(z) R13(zw) R23(w) - R23(w) R13(zw) R12(z), with
     Rij = embed(R, (i, j)) on three sites."""
     try:
-        Rz, Rzw, Rw = fam.evaluator(z), fam.evaluator(z * w), fam.evaluator(w)
+        Rz, Rzw, Rw = r(z), r(z * w), r(w)
     except (PoleAtQZEqualsOne, PoleInDenominator, ZeroDivisionError) as exc:
         raise EvaluationPole(f"family undefined at one of z={z}, zw={z*w}, w={w}") from exc
     dims = Rz.site_dims[:1] * 3
@@ -138,8 +107,7 @@ def verify_spectral_ybe(
     R23 = embed(Rw, (2, 3), dims).entries
     lhs = R12 @ R13 @ R23
     rhs = R23 @ R13 @ R12
-    res = float(np.max(np.abs(lhs - rhs)))
-    return {"residual": res, "pass": res <= tol}
+    return {"residual": float(np.max(np.abs(lhs - rhs)))}
 
 
 def frt_r(q: float) -> Operator:
@@ -159,14 +127,11 @@ def frt_r(q: float) -> Operator:
     return Operator((2, 2), mat)
 
 
-def verify_hecke_quadratic(
-    R: Operator, lam1: complex, lam2: complex, tol: float = 1e-10
-) -> dict:
+def verify_hecke_quadratic(R: Operator, lam1: complex, lam2: complex) -> dict:
     """Residual of the two-eigenvalue relation (R - lam1)(R - lam2) = 0."""
     mat = R.entries
     Id = np.eye(mat.shape[0])
-    res = float(np.max(np.abs((mat - lam1 * Id) @ (mat - lam2 * Id))))
-    return {"residual": res, "pass": res <= tol}
+    return {"residual": float(np.max(np.abs((mat - lam1 * Id) @ (mat - lam2 * Id))))}
 
 
 def reflection_k(x: complex, q: float, a: float, c: float, side: str = "left") -> Operator:
@@ -204,20 +169,9 @@ def reflection_k(x: complex, q: float, a: float, c: float, side: str = "left") -
     raise ParameterError(f"side must be left or right, got {side}")
 
 
-def reflection_family(q: float, a: float, c: float, side: str = "left") -> ReflectionFamily:
-    return ReflectionFamily(
-        evaluator=lambda x: reflection_k(x, q, a, c, side),
-        rates=(a, c),
-        side=side,
-    )
-
-
 def verify_reflection_equation(
-    Rfam: SpectralRFamily,
-    Kfam: ReflectionFamily,
-    z: complex,
-    w: complex,
-    tol: float = 1e-10,
+    r: Callable[[complex], Operator], k: Callable[[complex], Operator],
+    z: complex, w: complex,
 ) -> dict:
     """Residual of R12(z/w) K1(z) R21(zw) K2(w) - K2(w) R12(zw) K1(z) R21(z/w)
     on two sites, with R12 = R, R21 = embed(R, (2, 1)), K1 = embed(K, (2,))
@@ -226,8 +180,8 @@ def verify_reflection_equation(
     satisfy the equation against the row-stochastic R.
     """
     try:
-        Ra, Rb = Rfam.evaluator(z / w), Rfam.evaluator(z * w)
-        Kz, Kw = Kfam.evaluator(z), Kfam.evaluator(w)
+        Ra, Rb = r(z / w), r(z * w)
+        Kz, Kw = k(z), k(w)
     except (PoleAtQZEqualsOne, PoleInDenominator, ZeroDivisionError) as exc:
         raise EvaluationPole(f"evaluation pole at z={z}, w={w}") from exc
     dims = Ra.site_dims
@@ -237,8 +191,7 @@ def verify_reflection_equation(
     R21b = embed(Rb, (2, 1), dims).entries
     lhs = Ra.entries @ K1 @ R21b @ K2
     rhs = K2 @ Rb.entries @ K1 @ R21a
-    res = float(np.max(np.abs(lhs - rhs)))
-    return {"residual": res, "pass": res <= tol}
+    return {"residual": float(np.max(np.abs(lhs - rhs)))}
 
 
 def _central_derivative(f: Callable[[float], np.ndarray], x0: float, h: float = 1e-5):
@@ -248,22 +201,20 @@ def _central_derivative(f: Callable[[float], np.ndarray], x0: float, h: float = 
     return (4 * d2 - d1) / 3
 
 
-def markov_structure_report(
-    fam: SpectralRFamily, w_local: Operator, tol: float = 1e-10
-) -> dict:
-    """Diagnostics connecting a regular spectral family to a CTMC generator.
-
-    Reports ||R(1) - P||, the least-squares rho in R'(1) P = rho * w_local
-    (the row-convention form of the Markovian property), row sums of R(z)
-    on a z grid, and the rank-one fixed-point residual
+def markov_structure_report(r: Callable[[complex], Operator], w_local: Operator) -> dict:
+    """Diagnostics connecting a regular spectral family z -> R(z) to a CTMC
+    generator: the least-squares rho in R'(1) P = rho * w_local (the
+    row-convention form of the Markovian property) as "rho_fit", and as
+    "residuals" ||R(1) - P||, the misfit of that rho, row sums of R(z) on a
+    z grid, and the rank-one fixed-point residual
     R^T(z/w) (v1(z) (x) v2(w)) = v1(z) (x) v2(w) for v(z) = (z, 1).
     """
-    R1 = fam.evaluator(1.0)
+    R1 = r(1.0)
     P = permutation_operator(*R1.site_dims).entries
     regularity = float(np.max(np.abs(R1.entries - P)))
     if regularity > 1e-8:
         raise NotRegular(f"R(1) differs from P by {regularity}")
-    Rp = _central_derivative(lambda x: fam.r_form(x), 1.0)
+    Rp = _central_derivative(lambda x: r(x).entries, 1.0)
     M = Rp @ P
     W = w_local.entries
     denom = float(np.sum(W * W))
@@ -271,7 +222,7 @@ def markov_structure_report(
     markov_residual = float(np.max(np.abs(M - rho * W)))
     zs = [0.2, 0.4, 0.6, 0.8]
     row_sum_dev = max(
-        float(np.max(np.abs(fam.r_form(z).sum(axis=1) - 1.0))) for z in zs
+        float(np.max(np.abs(r(z).entries.sum(axis=1) - 1.0))) for z in zs
     )
     fixed = 0.0
     # ratios stay below 1 so qz never hits 1 for q in (0,1)
@@ -280,18 +231,14 @@ def markov_structure_report(
         v2 = np.array([w, 1.0])
         vec = np.outer(v1, v2).ravel()  # v1 (x) v2, site 1 slowest
         fixed = max(
-            fixed, float(np.max(np.abs(fam.r_form(z / w).T @ vec - vec)))
+            fixed, float(np.max(np.abs(r(z / w).entries.T @ vec - vec)))
         )
-    residuals = {
-        "regularity": regularity,
-        "markov": markov_residual,
-        "row_sums": row_sum_dev,
-        "fixed_point": fixed,
+    return {
+        "rho_fit": rho,
+        "residuals": {
+            "regularity": regularity,
+            "markov": markov_residual,
+            "row_sums": row_sum_dev,
+            "fixed_point": fixed,
+        },
     }
-    report = {
-        "family": "spectral_r",
-        "params": {"q": fam.q, "rho_fit": rho},
-        "residuals": residuals,
-        "pass": all(v <= max(tol, 1e-8) for v in residuals.values()),
-    }
-    return report

@@ -1,8 +1,13 @@
+import contextlib
 import hashlib
+import io
 import json
+import math
 
 import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from integrable import cli
 
@@ -236,3 +241,41 @@ def test_non_finite_result_is_a_convergence_error(capsys, monkeypatch, field):
     code, out = _run(capsys, ["verify", "hecke"])
     assert code == 1
     assert out == ""
+
+
+@st.composite
+def _verdict_cases(draw):
+    """A command (with a floor, or "verify hecke" without one), a --tol,
+    and 0-3 residuals: just below, at and just above the tolerance and
+    the floor, zero, and non-finite values."""
+    command = draw(st.sampled_from([*cli.TOL_FLOOR, "verify hecke"]))
+    tol = draw(st.sampled_from([0.0, 1e-12, 1e-10, 1e-8, 1e-6, 1e-5, 1e-3]))
+    edges = [tol, cli.TOL_FLOOR.get(command, tol)]
+    values = [0.0, math.inf, -math.inf, math.nan] + [
+        math.nextafter(edge, toward) for edge in edges
+        for toward in (0.0, edge, math.inf)
+    ]
+    residuals = draw(st.lists(st.sampled_from(values), max_size=3))
+    return command, tol, {f"r{i}": v for i, v in enumerate(residuals)}
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_verdict_cases())
+def test_verdict_rule(case):
+    command, tol, residuals = case
+    run = cli.Run(command, {}, {}, residuals)
+    out = io.StringIO()
+    with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stdout(out):
+        mp.setitem(cli._VERIFY, "hecke", lambda args: run)
+        code = cli.main(["--tol", repr(tol), "verify", "hecke"])
+    report = json.loads(out.getvalue())
+    bound = max(tol, cli.TOL_FLOOR.get(command, 0.0))
+    ok = bool(residuals) and all(
+        math.isfinite(v) and v <= bound for v in residuals.values()
+    )
+    assert code == (0 if ok else 1)
+    assert report["pass"] is ok
+    assert report["residuals"] == {
+        k: v if math.isfinite(v) else None for k, v in residuals.items()
+    }
+    jsonschema.validate(report, _schema())
