@@ -436,7 +436,12 @@ COMMANDS = (
 )
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built on first use and reused by
+    every later call in the process: parsing does not change it, and the
+    verify and oscillator rows look up their _VERIFY/_OSCILLATOR entry at
+    call time. `build_parser.__wrapped__()` builds a fresh one."""
     top = argparse.ArgumentParser(prog="integrable", allow_abbrev=False)
     top.add_argument("--tol", type=_finite_float, default=1e-10)
     top.add_argument("--timing", action="store_true",
@@ -451,9 +456,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on usage errors already; normalize other codes
         return USAGE_EXIT if exc.code not in (0,) else 0

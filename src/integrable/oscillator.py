@@ -15,13 +15,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ConvergenceError, ParameterError
 from .tensor import Operator, embed, kron, state_space
 
 # Fixed quadrature for Gaussian-weight orthogonality checks: 200-node
 # Gauss-Legendre on [-10, 10] with exp(-x^2) folded into the integrand.
 QUAD_NODES = 200
 QUAD_HALF_WIDTH = 10.0
+# Newton iteration for the Legendre roots on [-1, 1].
+NEWTON_MAX_STEPS = 20
+NEWTON_STEP_TOL = 1e-15
 
 
 def hermite(n: int, x: float) -> float:
@@ -47,11 +50,46 @@ def hermite_overlap(m: int, n: int) -> float:
     return float(np.sum(w * hermite(m, x) * hermite(n, x) * gauss))
 
 
+def _legendre(n: int, x: np.ndarray):
+    """P_n(x) and P_n'(x) by the recurrence (k+1) P_{k+1} = (2k+1) x P_k
+    - k P_{k-1} from P_0 = 1, P_1 = x; x must avoid +-1."""
+    p_prev, p = np.ones_like(x), x
+    for k in range(1, n):
+        p_prev, p = p, ((2 * k + 1) * x * p - k * p_prev) / (k + 1)
+    return p, n * (x * p - p_prev) / (x * x - 1.0)
+
+
+def _gauss_legendre(n: int):
+    """Nodes (ascending) and weights of the n-node Gauss-Legendre rule on
+    [-1, 1], with no eigensolve, so neither numpy.polynomial nor LAPACK is
+    loaded for it.
+
+    The nodes are the roots of P_n, found by Newton iteration on the
+    Legendre recurrence from the guesses -cos(pi (k - 1/4) / (n + 1/2));
+    at 200 nodes four steps reach rounding. The weights are
+    2 / ((1 - x^2) P_n'(x)^2). Both are then made exactly symmetric about 0.
+    """
+    nodes = -np.cos(np.pi * (np.arange(1, n + 1) - 0.25) / (n + 0.5))
+    for _ in range(NEWTON_MAX_STEPS):
+        p, dp = _legendre(n, nodes)
+        step = p / dp
+        nodes = nodes - step
+        if np.max(np.abs(step)) <= NEWTON_STEP_TOL:
+            break
+    else:
+        raise ConvergenceError(f"Legendre nodes moved {np.max(np.abs(step))} "
+                               f"after {NEWTON_MAX_STEPS} Newton steps")
+    _, dp = _legendre(n, nodes)
+    weights = 2.0 / ((1.0 - nodes) * (1.0 + nodes) * dp**2)
+    return (nodes - nodes[::-1]) / 2, (weights + weights[::-1]) / 2
+
+
 @functools.cache
 def _quadrature():
-    """Nodes, weights and exp(-x^2) of the fixed rule, built on first use
-    (leggauss takes milliseconds) and shared read-only afterwards."""
-    nodes, weights = np.polynomial.legendre.leggauss(QUAD_NODES)
+    """Nodes, weights and exp(-x^2) of the fixed rule: _gauss_legendre
+    scaled to [-QUAD_HALF_WIDTH, QUAD_HALF_WIDTH], built on first use and
+    shared read-only afterwards."""
+    nodes, weights = _gauss_legendre(QUAD_NODES)
     x = QUAD_HALF_WIDTH * nodes
     rule = (x, QUAD_HALF_WIDTH * weights, np.exp(-(x**2)))
     for a in rule:

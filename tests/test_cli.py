@@ -168,6 +168,49 @@ def test_timing_flag_populates_wall_time(capsys):
     assert json.loads(out)["wall_time"] > 0
 
 
+def _outputs(argv):
+    """Exit code, stdout and stderr of one main() call; a --timing report
+    drops its wall_time, which differs from call to call."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    stdout = out.getvalue()
+    if "--timing" in argv:
+        report = json.loads(stdout)
+        assert report.pop("wall_time") > 0
+        stdout = json.dumps(report, sort_keys=True)
+    return code, stdout, err.getvalue()
+
+
+def test_reused_parser_matches_a_fresh_one(monkeypatch):
+    sequence = [
+        ["verify", "nonsense"],
+        ["--timing", "rep-check", "--m", "2", "--q", "0.5"],
+        ["verify", "spectral", "--grid", "0.2", "0.4"],
+        ["verify", "spectral"],
+        ["verify", "ybe", "--family", "frt", "--q", "0.3"],
+        ["verify", "ybe"],
+        ["asep", "stationary", "--L", "4", "--q", "0.5", "--csv"],
+    ]
+    parser = cli.build_parser()
+    hits = cli.build_parser.cache_info().hits
+    reused = [_outputs(argv) for argv in sequence]
+    assert cli.build_parser.cache_info().hits == hits + len(sequence)
+    assert cli.build_parser() is parser
+    with monkeypatch.context() as mp:
+        mp.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+        fresh = [_outputs(argv) for argv in sequence]
+    assert [r[:2] for r in reused] == [f[:2] for f in fresh]
+    # the default r-alpha-beta point (alpha = beta = 0.5) fails its check
+    assert [r[0] for r in reused] == [2, 0, 0, 0, 0, 1, 0]
+    assert reused[0][2] == fresh[0][2] != ""
+    assert parser.parse_args(["verify", "spectral"]).grid == [0.3, 0.5, 0.7, 0.9]
+    # the cached parser still dispatches to the current table entry
+    run = cli.Run("oscillator fock", {"cutoff": 3}, {}, {"commutator": 0.5})
+    monkeypatch.setitem(cli._OSCILLATOR, "fock", lambda args: run)
+    assert _outputs(["oscillator", "fock", "--cutoff", "3"])[0] == 1
+
+
 def test_sample6v_deterministic_csv(capsys):
     argv = ["sample6v", "--b1", "0.4", "--b2", "0.7", "--width", "5",
             "--height", "4", "--seed", "3"]

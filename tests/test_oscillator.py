@@ -1,8 +1,12 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import integrable
 from integrable import oscillator
 from integrable.tensor import StateSpaceTooLarge
 
@@ -36,6 +40,39 @@ def test_hermite_overlap_off_diagonal_vanishes():
                 * oscillator.hermite_overlap(n, n)
             )
             assert abs(oscillator.hermite_overlap(m, n)) / norm <= 1e-10
+
+
+def test_legendre_rule_matches_leggauss():
+    nodes, weights = oscillator._gauss_legendre(200)
+    ref_nodes, ref_weights = np.polynomial.legendre.leggauss(200)
+    assert np.max(np.abs(nodes - ref_nodes)) <= 1e-15
+    # leggauss's own end weights are about 2e-11 off the exact values
+    assert np.max(np.abs(weights / ref_weights - 1.0)) <= 1e-10
+    assert abs(weights.sum() - 2.0) <= 1e-14
+    assert np.array_equal(nodes, -nodes[::-1])
+    assert np.array_equal(weights, weights[::-1])
+    x, w, _ = oscillator._quadrature()
+    assert oscillator.QUAD_NODES == 200
+    assert np.array_equal(x, oscillator.QUAD_HALF_WIDTH * nodes)
+    assert np.array_equal(w, oscillator.QUAD_HALF_WIDTH * weights)
+
+
+def test_hermite_report_leaves_numpy_polynomial_unloaded():
+    # leggauss would load numpy.polynomial and run a LAPACK eigensolve,
+    # about 2 MB of peak resident memory on the verify benchmark, which
+    # the Newton rule does not need
+    code = (
+        "import contextlib, io, sys\n"
+        "import integrable.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = integrable.cli.main(['oscillator', 'hermite', '--n', '6', '--x', '0.3'])\n"
+        "print(code, 'numpy.polynomial' in sys.modules)\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(integrable.__file__)))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env=dict(os.environ, PYTHONPATH=path))
+    assert out.stdout.split() == ["0", "False"]
 
 
 def test_truncated_fock_ladder_action():

@@ -29,7 +29,32 @@ def test_kron_dimensions_and_values():
     b = Operator((3,), np.eye(3, dtype=complex))
     ab = kron(a, b)
     assert ab.site_dims == (2, 3)
-    assert np.allclose(ab.entries, np.kron(a.entries, b.entries))
+    assert np.array_equal(ab.entries, np.kron(a.entries, b.entries))
+
+
+def _kron_fold(*entries):
+    """The former tensor.kron: numpy.kron folded from a 1 x 1 identity."""
+    mat = np.eye(1)
+    for e in entries:
+        mat = np.kron(mat, e)
+    return mat
+
+
+@given(data=st.data())
+def test_kron_equals_the_numpy_kron_fold(data):
+    dims = data.draw(st.lists(st.integers(1, 4), max_size=3))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    ops = []
+    for d in dims:
+        entries = rng.normal(size=(d, d))
+        if data.draw(st.booleans()):
+            entries = entries + 1j * rng.normal(size=(d, d))
+        ops.append(Operator((d,), entries))
+    product = kron(*ops)
+    expected = _kron_fold(*(op.entries for op in ops))
+    assert product.site_dims == tuple(dims)
+    assert product.entries.dtype == expected.dtype
+    assert np.array_equal(product.entries, expected)
 
 
 def test_embed_matches_manual_kron():
