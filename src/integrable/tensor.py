@@ -17,10 +17,13 @@ Conventions (wire-level contract, also used by the CLI's CSV tables):
 An Operator is dense (R-matrices, representations, Hamiltonians), so its
 dimension is capped by MAX_DENSE_DIM; `state_space` checks a space against
 a cap before anything is allocated on it. A Generator is real and sparse
-(scipy.sparse CSR): its stationary law comes from a sparse LU solve and a
-row of exp(tG) from sparse matrix-vector products, so neither builds a
-dense dim x dim array. scipy.sparse is imported inside the functions that
-use it, which keeps it out of the package's import time.
+(scipy.sparse CSR), and neither of its solvers builds a dense dim x dim
+array. Its stationary law comes from a sparse LU with diagonal pivots in a
+symmetric minimum-degree ordering of A + A^T (MMD_AT_PLUS_A), which needs
+no pivoting because the pinned system is a column diagonally dominant
+M-matrix (see `stationary_distribution`). A row of exp(tG) comes from
+sparse matrix-vector products. scipy.sparse is imported inside the
+functions that use it, which keeps it out of the package's import time.
 """
 
 from __future__ import annotations
@@ -289,10 +292,23 @@ def stationary_distribution(G: Generator, tol: float = 1e-10, support=None) -> P
     leaves to within `tol`, such as one conserved sector), must have exactly
     one closed communicating class, else ReducibleChain; pi vanishes off that
     class. On the class, pi is pinned to 1 at its first state, that state's
-    row and column are dropped from G^T, the rest is solved by a sparse LU
-    (COLAMD ordering), and the result is normalised. Pinning keeps the
-    system as sparse as G; a dense row of ones in place of an equation
-    would spoil the fill-reducing ordering.
+    row and column are dropped from G^T, the rest is solved by a sparse LU,
+    and the result is normalised. Pinning keeps the system as sparse as G;
+    a dense row of ones in place of an equation would spoil the
+    fill-reducing ordering.
+
+    The LU takes its pivots from the diagonal, in a symmetric minimum-degree
+    ordering of the pattern of A + A^T, where A is the pinned system. That
+    needs no pivoting. On its closed class the chain is irreducible, so
+    -G^T there is an irreducible singular M-matrix, and -A, a proper
+    principal submatrix of it, is a nonsingular M-matrix. A symmetric
+    permutation of a nonsingular M-matrix is one too, and every leading
+    principal submatrix of one is nonsingular, so elimination without
+    pivoting exists in any symmetric ordering. Each column of A is also
+    diagonally dominant (the exit rate of a state is at least its rates to
+    the other kept states), elimination keeps column diagonal dominance,
+    and so the growth factor is at most 2 and the solve is stable without
+    row exchanges.
     """
     from scipy.sparse.linalg import splu
 
@@ -312,7 +328,8 @@ def stationary_distribution(G: Generator, tol: float = 1e-10, support=None) -> P
     weights = np.ones(members.size)
     if members.size > 1:
         adjoint = rates[members][:, members].T.tocsc()
-        lu = splu(adjoint[1:, 1:])
+        lu = splu(adjoint[1:, 1:], permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                  options={"SymmetricMode": True})
         weights[1:] = lu.solve(-adjoint[1:, [0]].toarray().ravel())
     weights = np.clip(weights, 0.0, None)
     pi = np.zeros(G.dim)

@@ -85,6 +85,8 @@ TWPROB = ["twprob", "--t", "0.5", "--q", "0.4"]
         (TWPROB + ["--y", "0", "2", "--x", "1", "3", "--radius", "2.0"], 1, False),
         (TWPROB + ["--y", "0", "--x", "1", "--nquad", "0"], 2, True),
         (TWPROB + ["--y", "0", "2", "--x", "1", "3", "--nquad", "0"], 2, True),
+        # a contour needs a positive radius
+        (TWPROB + ["--y", "0", "2", "--x", "1", "3", "--radius", "0"], 2, True),
         (["verify", "spectral", "--grid"], 2, True),
         (["verify", "hecke", "--q", "nan"], 2, True),
         # TruncationNotConverged is a failed check, not a parameter error
@@ -119,7 +121,7 @@ TWPROB = ["twprob", "--t", "0.5", "--q", "0.4"]
         (["verify", "hecke", "--q", "1e-200"], 1, True),
         (["rep-check", "--m", "2", "--q", "1e-200"], 1, True),
     ],
-    ids=["radius-2", "nquad-0-n1", "nquad-0-n2", "empty-grid", "q-nan",
+    ids=["radius-2", "nquad-0-n1", "nquad-0-n2", "radius-0", "empty-grid", "q-nan",
          "mpa-not-converged", "mpa-cap", "asep-csv-fails", "fuse-l8-z01",
          "asep-cap", "fuse-l8-relative", "fuse-l4-relative", "fuse-cap",
          "twprob-overflow",

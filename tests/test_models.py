@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -169,6 +171,115 @@ def test_probabilities_sum_to_one_over_target_window():
         for x in range(-8, 9)
     )
     assert total == pytest.approx(1.0, abs=1e-8)
+
+
+TW_POINTS = {1: ((0,), (1,)), 2: ((0, 2), (1, 3)), 3: ((0, 2, 4), (1, 3, 5))}
+
+
+@pytest.mark.parametrize("q", [0.2, 0.5])
+@pytest.mark.parametrize("t", [0.1, 0.5, 2.0, 4.0])
+@pytest.mark.parametrize("N", [1, 2, 3])
+def test_tw_adaptive_equals_the_fixed_512_node_rule(N, t, q):
+    y, x = TW_POINTS[N]
+    fixed = models._tw_eval(y, x, t, q, 0.5, 512).real
+    assert abs(models.tw_transition_probability(y, x, t, q) - fixed) <= 1e-10
+    # starting at 256 nodes is the fixed 256/512 rule, bit for bit
+    assert models.tw_transition_probability(y, x, t, q, n_quad=256) == fixed
+
+
+@pytest.mark.parametrize("n_quad", [4, 8, 16])
+@pytest.mark.parametrize("y, x, t, q", [
+    ((0,), (2,), 2.0, 0.4),
+    ((0, 2), (1, 3), 0.5, 0.3),
+    ((0, 2), (1, 3), 4.0, 0.5),
+    ((0, 2, 4), (1, 3, 5), 0.5, 0.4),
+])
+def test_tw_coarse_start_is_right_or_raises(y, x, t, q, n_quad):
+    oracle = models.ctmc_oracle_probability(y, x, t, q)
+    try:
+        val = models.tw_transition_probability(y, x, t, q, n_quad=n_quad)
+    except models.NonConvergedQuadrature:
+        return
+    assert abs(val - oracle) <= 1e-8
+
+
+@pytest.mark.parametrize("fooled", [2, 3, 4])
+def test_tw_coarse_levels_agreeing_by_chance_are_not_accepted(monkeypatch, fooled):
+    y, x, t, q = (0, 2), (1, 3), 0.6, 0.3
+    truth = models.tw_transition_probability(y, x, t, q)
+    start = models.tw_start_nodes(y, x, t, q, 0.5)
+    real_eval = models._tw_eval
+
+    def fooled_eval(y, x, t, q, radius, n):
+        # the first `fooled` levels agree exactly, on a wrong value
+        if n < start * 2**fooled:
+            return complex(0.25)
+        return real_eval(y, x, t, q, radius, n)
+
+    monkeypatch.setattr(models, "_tw_eval", fooled_eval)
+    if start * 2**fooled >= models.TW_MAX_NODES:
+        # only the last level is right: one change, and it is large
+        with pytest.raises(models.NonConvergedQuadrature,
+                           match=r"nodes \[32, 64, 128, 256, 512\]"):
+            models.tw_transition_probability(y, x, t, q)
+        return
+    assert abs(models.tw_transition_probability(y, x, t, q) - truth) <= 1e-8
+
+
+@pytest.mark.parametrize("n_quad", [None, 4, 16])
+def test_tw_pole_on_the_torus_takes_the_fixed_rule(n_quad):
+    # q = 0.8 at radius 0.5: a scattering pole lies on the torus. There 128
+    # and 256 nodes agree to 4.5e-11 after a change of 8.6e-7, on a value
+    # 4.5e-7 from the oracle, which the early rule would accept. The
+    # 256/512 rule rejects it (change 1.5e-8).
+    with pytest.raises(models.NonConvergedQuadrature, match=r"nodes \[256, 512\]"):
+        models.tw_transition_probability((0, 3), (2, 4), 4.0, 0.8, n_quad=n_quad)
+    # where the 256/512 rule accepts, the value is its value, bit for bit
+    fixed = models._tw_eval((0, 2), (1, 3), 6.0, 0.8, 0.5, 512).real
+    assert models.tw_transition_probability((0, 2), (1, 3), 6.0, 0.8, n_quad=n_quad) == fixed
+
+
+def test_tw_start_nodes_grow_with_t_and_are_capped():
+    floors = [models.tw_start_nodes((0,), (1,), t, 0.4, 0.5) for t in (0.1, 2.0, 4.0, 6.0, 100.0)]
+    assert floors == [32, 32, 64, 128, 256]
+    assert models.tw_start_nodes((0,), (70,), 0.1, 0.4, 0.5) == 128
+    assert models.tw_start_nodes((0,), (1,), 0.1, 0.4, 0.5, n_quad=8) == 8
+    # a scattering pole on the torus (2/3 <= q <= 2 at radius 1/2): fixed rule
+    assert models.tw_start_nodes((0, 2), (1, 3), 0.1, 0.8, 0.5) == 256
+    assert models.tw_start_nodes((0, 2), (1, 3), 0.1, 0.6, 0.5) == 32
+    assert models.tw_start_nodes((0,), (1,), 0.1, 0.8, 0.5) == 32
+    with pytest.raises(ValueError):
+        models.tw_start_nodes((0,), (1,), 0.5, 0.4, 0.0)
+    with pytest.raises(ValueError):
+        models.tw_start_nodes((0,), (1,), 0.5, 0.4, 0.5, n_quad=0)
+
+
+def _window_generator_loop(n_particles, q, lo, hi):
+    """The per-state loop that _window_generator replaced."""
+    states = itertools.combinations(range(lo, hi + 1), n_particles)
+    index = {s: i for i, s in enumerate(states)}
+    rows, cols, rates = [], [], []
+    for s, i in index.items():
+        for k, pos in enumerate(s):
+            for target, rate in ((pos + 1, 1.0), (pos - 1, q)):
+                if lo <= target <= hi and target not in s:
+                    rows.append(i)
+                    cols.append(index[s[:k] + (target,) + s[k + 1:]])
+                    rates.append(rate)
+    return index, models._sparse_generator((len(index),), rows, cols, rates)
+
+
+@pytest.mark.parametrize("n, q, lo, hi", [
+    (1, 0.4, -6, 7), (1, 0.5, 3, 3), (2, 0.3, -6, 9), (2, 0.5, 0, 1),
+    (3, 0.37, -7, 12), (3, 0.9, 0, 2), (3, 0.55, -14, 19),
+])
+def test_window_generator_equals_the_loop(n, q, lo, hi):
+    index, G = models._window_generator(n, q, lo, hi)
+    index_loop, G_loop = _window_generator_loop(n, q, lo, hi)
+    assert list(index.items()) == list(index_loop.items())
+    for name in ("data", "indices", "indptr"):
+        got, want = getattr(G.rates, name), getattr(G_loop.rates, name)
+        assert got.dtype == want.dtype and np.array_equal(got, want), name
 
 
 def test_asep_params_validation():

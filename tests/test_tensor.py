@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from integrable import models, oscillator, sixvertex, tensor, uqsl2, ybe
@@ -185,6 +185,60 @@ def test_stationary_rejects_non_generator():
         stationary_distribution(Operator((2,), bad))
     with pytest.raises(NotAGenerator):
         Generator((2,), bad)
+
+
+RATE = st.floats(0.05, 1.0)
+# A boundary rate that is zero half of the time: gamma = delta = 0 is the
+# injection-only, extraction-only open chain.
+EXCHANGE = st.one_of(st.just(0.0), RATE)
+
+
+def _null_space_law(dense):
+    """The stationary law as the one dense null vector of G^T."""
+    import scipy.linalg
+
+    null = scipy.linalg.null_space(dense.T)
+    assert null.shape[1] == 1
+    return np.abs(null[:, 0]) / np.abs(null[:, 0]).sum()
+
+
+@st.composite
+def _stationary_cases(draw):
+    """(generator, support or None): open ASEP at L <= 7, the closed
+    half-filled sector, or a random sparse irreducible generator."""
+    kind = draw(st.sampled_from(["open", "closed", "random"]))
+    if kind == "random":
+        n = draw(st.integers(2, 16))
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        rates = np.zeros((n, n))
+        # a cycle through every state makes the chain irreducible
+        cycle = rng.permutation(n)
+        rates[cycle, np.roll(cycle, -1)] = rng.uniform(0.05, 1.0, n)
+        extra = rng.random((n, n)) < draw(st.floats(0.0, 0.5))
+        rates[extra] += rng.uniform(0.05, 1.0, int(extra.sum()))
+        np.fill_diagonal(rates, 0.0)
+        np.fill_diagonal(rates, -rates.sum(axis=1))
+        return Generator((n,), rates), None
+    p = models.AsepParams(q=draw(RATE), alpha=draw(RATE), beta=draw(RATE),
+                          gamma=draw(EXCHANGE), delta=draw(EXCHANGE),
+                          L=draw(st.integers(1 if kind == "open" else 2, 7)))
+    G = models.asep_generator(p, open_boundary=kind == "open")
+    if kind == "open":
+        return G, None
+    return G, np.flatnonzero(np.bitwise_count(np.arange(2**p.L)) == p.L // 2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_stationary_cases())
+def test_stationary_matches_dense_null_space(case):
+    G, support = case
+    dense = G.rates.toarray()
+    states = np.arange(G.dim) if support is None else support
+    oracle = _null_space_law(dense[np.ix_(states, states)])
+    pi = stationary_distribution(G, support=support).values
+    assert np.max(np.abs(pi[states] - oracle)) <= 1e-12
+    assert np.delete(pi, states).sum() == 0.0
+    assert np.abs(G.rates.T @ pi).sum() <= 1e-13
 
 
 def test_transition_row_is_stochastic_and_exact():
