@@ -213,7 +213,9 @@ def _asep(args) -> Run:
     support = None
     if not args.open:
         # closed chain conserves particle number; report the half-filled class
-        support = np.flatnonzero(np.bitwise_count(np.arange(2**p.L)) == p.L // 2)
+        states = np.arange(2**p.L)
+        filled = sum((states >> b) & 1 for b in range(p.L))
+        support = np.flatnonzero(filled == p.L // 2)
     pi = tensor.stationary_distribution(G, support=support)
     return Run(
         "asep stationary",

@@ -306,6 +306,10 @@ TW_FLOOR_CAP = 256
 TW_MAX_NODES = 512
 # Largest change between two node counts at which the finer value is kept.
 TW_DOUBLING_TOL = 1e-8
+# Largest change before that one at which the finer value is kept early:
+# geometric convergence roughly squares the change at each doubling, so a
+# change of TW_DOUBLING_TOL follows one of about its square root.
+TW_APPROACH_TOL = 1e-4
 
 
 def _scattering_pole_on_torus(q: float, radius: float) -> bool:
@@ -324,12 +328,14 @@ def tw_start_nodes(y, x, t: float, q: float, radius: float,
 
     By default it is the node floor: the smallest power of two, from
     TW_MIN_NODES up to at most TW_FLOOR_CAP, that is at least
-    2e t / radius + max |x_i - y_i|. On the circle |xi| = radius the factor
-    exp(t/xi) of the integrand has Laurent coefficients of size
-    (t/radius)^k / k! < (e t / (radius k))^k, which fall below 2^-k once k
-    exceeds 2e t / radius; the monomial xi^(x - y - 1) shifts that band by
-    |x - y|, and an n-node trapezoid rule is exact on Laurent terms of
-    degree below n in magnitude. An explicit `n_quad` replaces the floor.
+    2e t / radius + max |x_j - y_a| over all pairs (j, a). On the circle
+    |xi| = radius the factor exp(t/xi) of the integrand has Laurent
+    coefficients of size (t/radius)^k / k! < (e t / (radius k))^k, which
+    fall below 2^-k once k exceeds 2e t / radius. Each permutation pairs
+    the variable xi_a with some x_j in the monomial xi_a^(x_j - y_a - 1),
+    which shifts that band by |x_j - y_a|, and an n-node trapezoid rule is
+    exact on Laurent terms of degree below n in magnitude. An explicit
+    `n_quad` replaces the floor.
 
     For N > 1 on a torus that a scattering pole crosses, the schedule has
     only its last two counts (see `tw_transition_probability`), so it
@@ -339,7 +345,7 @@ def tw_start_nodes(y, x, t: float, q: float, radius: float,
         raise ParameterError(f"contour radius must be positive, got {radius}")
     if n_quad is None:
         need = 2.0 * math.e * t / radius + max(
-            (abs(b - a) for a, b in zip(y, x)), default=0)
+            (abs(b - a) for a in y for b in x), default=0)
         n_quad = TW_MIN_NODES
         while n_quad < need and n_quad < TW_FLOOR_CAP:
             n_quad *= 2
@@ -366,21 +372,25 @@ def tw_transition_probability(
     by the trapezoid rule. The node count starts at `tw_start_nodes`: by
     default a floor of 32 to 256 nodes that grows with t / radius, or else
     `n_quad`. It doubles from there. The value at 2n is accepted once it
-    moved by at most 1e-8 from the value at n, at least two such changes
-    have been computed, and this change is strictly smaller than the one
-    before it, so two coarse rules that agree by chance are not enough. At
-    the last count, max(512, 2 n_quad) nodes, a single change of at most
-    1e-8 is accepted; otherwise NonConvergedQuadrature names the node
-    schedule and every change.
+    moved by at most 1e-8 from the value at n, and the change before, from
+    n/2 to n, was at most 1e-4 and strictly larger. So three successive
+    counts must agree, as under geometric convergence, where each doubling
+    roughly squares the change: two counts that agree by chance after one
+    that differs by more than 1e-4 are not enough. Three counts that all
+    agree by chance on a wrong value would be. At the last count,
+    max(512, 2 n_quad) nodes, a single change of at most 1e-8 is accepted;
+    otherwise NonConvergedQuadrature names the node schedule and every
+    change.
 
     Early acceptance rests on geometric convergence (Trefethen-Weideman,
     SIAM Rev. 56 (2014) 385), which holds when the integrand is analytic
-    near the torus of contours. For N > 1 at a (q, radius) where a pole of
-    the scattering factor lies on that torus, only the last two counts are
-    evaluated: the fixed rule, 256 and 512 nodes by default. There two
-    coarse counts can agree by chance on a wrong value, as 128 and 256
-    nodes do, to 4.5e-11, at y = (0, 3), x = (2, 4), t = 4, q = 0.8, on a
-    value 4.5e-7 from the master-equation oracle.
+    near the torus of contours; the rule above only tests for it. For
+    N > 1 at a (q, radius) where a pole of the scattering factor lies on
+    that torus, only the last two counts are evaluated: the fixed rule, 256
+    and 512 nodes by default. There coarse counts can agree by chance on a
+    wrong value, as 64, 128 and 256 nodes do at y = (0, 3), x = (2, 4),
+    t = 4, q = 0.8 (changes 8.6e-7, then 4.5e-11), on a value 4.5e-7 from
+    the master-equation oracle.
 
     Each count scans the contours for poles of the scattering factor,
     every value must be finite, and the accepted value must be real to
@@ -419,7 +429,7 @@ def tw_transition_probability(
         changes.append(abs(val - prev))
         if changes[-1] <= TW_DOUBLING_TOL and (
             schedule[-1] >= last
-            or (len(changes) >= 2 and changes[-1] < changes[-2])
+            or (len(changes) >= 2 and changes[-1] < changes[-2] <= TW_APPROACH_TOL)
         ):
             break
         if schedule[-1] >= last:

@@ -153,6 +153,11 @@ def test_asep_report_checks_stationarity(capsys, extra):
     report = json.loads(out)
     assert report["residuals"]["stationarity"] <= 1e-12
     jsonschema.validate(report, _schema())
+    if not extra:
+        # the closed chain reports the half-filled class, and only it
+        measure = report["results"]["measure"]
+        assert [s for s, v in enumerate(measure) if v > 0] == [
+            s for s in range(2**8) if bin(s).count("1") == 4]
 
 
 def test_deterministic_json_output(capsys):

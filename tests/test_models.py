@@ -203,21 +203,26 @@ def test_tw_coarse_start_is_right_or_raises(y, x, t, q, n_quad):
     assert abs(val - oracle) <= 1e-8
 
 
-@pytest.mark.parametrize("fooled", [2, 3, 4])
-def test_tw_coarse_levels_agreeing_by_chance_are_not_accepted(monkeypatch, fooled):
+@pytest.mark.parametrize("wrong", [
+    (0.25, 0.25), (0.25, 0.25, 0.25), (0.25,) * 4,
+    # a first level that differs, then two that agree on a wrong value
+    (0.5, 0.25, 0.25), (0.25 + 1e-3, 0.25, 0.25), (0.5, 0.25, 0.25, 0.25),
+])
+def test_tw_coarse_levels_agreeing_by_chance_are_not_accepted(monkeypatch, wrong):
     y, x, t, q = (0, 2), (1, 3), 0.6, 0.3
     truth = models.tw_transition_probability(y, x, t, q)
     start = models.tw_start_nodes(y, x, t, q, 0.5)
     real_eval = models._tw_eval
 
     def fooled_eval(y, x, t, q, radius, n):
-        # the first `fooled` levels agree exactly, on a wrong value
-        if n < start * 2**fooled:
-            return complex(0.25)
+        # the first levels return the values in `wrong`
+        level = (n // start).bit_length() - 1
+        if level < len(wrong):
+            return complex(wrong[level])
         return real_eval(y, x, t, q, radius, n)
 
     monkeypatch.setattr(models, "_tw_eval", fooled_eval)
-    if start * 2**fooled >= models.TW_MAX_NODES:
+    if start * 2**len(wrong) >= models.TW_MAX_NODES:
         # only the last level is right: one change, and it is large
         with pytest.raises(models.NonConvergedQuadrature,
                            match=r"nodes \[32, 64, 128, 256, 512\]"):
@@ -243,6 +248,8 @@ def test_tw_start_nodes_grow_with_t_and_are_capped():
     floors = [models.tw_start_nodes((0,), (1,), t, 0.4, 0.5) for t in (0.1, 2.0, 4.0, 6.0, 100.0)]
     assert floors == [32, 32, 64, 128, 256]
     assert models.tw_start_nodes((0,), (70,), 0.1, 0.4, 0.5) == 128
+    # the monomials pair every y_a with every x_j: here the shift is 41, not 1
+    assert models.tw_start_nodes((0, 40), (1, 41), 0.1, 0.4, 0.5) == 64
     assert models.tw_start_nodes((0,), (1,), 0.1, 0.4, 0.5, n_quad=8) == 8
     # a scattering pole on the torus (2/3 <= q <= 2 at radius 1/2): fixed rule
     assert models.tw_start_nodes((0, 2), (1, 3), 0.1, 0.8, 0.5) == 256
