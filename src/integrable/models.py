@@ -231,42 +231,28 @@ def xxz_gauge_matrix(gamma: float) -> Operator:
     return Operator((2, 2), mat)
 
 
-def xxz_to_asep_search(q: float, grid: int = 41) -> dict:
-    """Search (Jx, gamma) so that conjugating the two-site XXZ block at
+def xxz_to_asep_gauge(q: float) -> dict:
+    """The (Jx, gamma) at which conjugating the two-site XXZ block at
     Jz=1, h=0 by the gauge matrix reproduces the two-site exclusion
     generator up to the trace-fixed scale c = 4/(1+q^2).
 
-    Coarse grid search refined by Nelder-Mead. Returns the best point and
-    the final residual.
+    Less its Jz diagonal shift, the block's middle is [[-2, 2Jx], [2Jx, -2]].
+    The generator's middle block is singular, so 4 - 4Jx^2 = 0 and Jx = 1.
+    The second rows then agree only if 2/gamma = c q^2, so
+    gamma = (1+q^2)/(2q^2). Returns the point and the max-norm residual of
+    the conjugated block against c times the generator.
     """
-    from scipy.optimize import minimize
-
     target = asep_local_generator(q).entries
     c = 4.0 / (1.0 + q**2)
-
-    def residual(params):
-        Jx, gamma = params
-        if abs(gamma) < 1e-9:
-            return 1e6
-        block = xxz_local_block(XxzParams(Jx=Jx, Jy=Jx, Jz=1.0, h_field=0.0)).entries
-        # drop the Jz=1 diagonal shift: block = Id + W
-        W = block - np.eye(4)
-        conj = gauge_conjugate(Operator((2, 2), W), xxz_gauge_matrix(gamma)).entries
-        return float(np.max(np.abs(conj - c * target)))
-
-    best = None
-    for Jx in np.linspace(0.2, 2.0, grid):
-        for gamma in np.linspace(0.2, 3.0, grid):
-            r = residual((Jx, gamma))
-            if best is None or r < best[1]:
-                best = ((Jx, gamma), r)
-    res = minimize(residual, best[0], method="Nelder-Mead", options={"xatol": 1e-12, "fatol": 1e-14, "maxiter": 4000})
-    Jx, gamma = res.x
+    Jx, gamma = 1.0, (1.0 + q**2) / (2.0 * q**2)
+    block = xxz_local_block(XxzParams(Jx=Jx, Jy=Jx, Jz=1.0, h_field=0.0)).entries
+    W = block - np.eye(4)
+    conj = gauge_conjugate(Operator((2, 2), W), xxz_gauge_matrix(gamma)).entries
     return {
-        "Jx": float(Jx),
-        "gamma": float(gamma),
+        "Jx": Jx,
+        "gamma": gamma,
         "scale": c,
-        "residual": float(residual(res.x)),
+        "residual": float(np.max(np.abs(conj - c * target))),
     }
 
 
@@ -527,10 +513,15 @@ def _window_generator(n_particles, q, lo, hi):
     return index, _sparse_generator((len(index),), rows, cols[moves], rates)
 
 
-def ctmc_oracle_probability(y, x, t: float, q: float, window: int = 6) -> float:
+# Sites the oracle's first window adds on each side of the particles.
+ORACLE_MARGIN = 6
+
+
+def ctmc_oracle_probability(y, x, t: float, q: float) -> float:
     """Master-equation probability on a truncated lattice: the row of y in
-    exp(tG), by uniformization. The window doubles until the value is
-    stable to 1e-9, and stops beyond 6000 configurations."""
+    exp(tG), by uniformization. The window starts ORACLE_MARGIN sites past
+    the particles on each side, and its margin doubles until the value is
+    stable to 1e-9; it stops beyond 6000 configurations."""
     y = tuple(int(v) for v in y)
     x = tuple(int(v) for v in x)
     if len(y) != len(x):
@@ -538,7 +529,7 @@ def ctmc_oracle_probability(y, x, t: float, q: float, window: int = 6) -> float:
     if len(y) > 3:
         raise ParameterError("N <= 3 only")
     prev = None
-    margin = window
+    margin = ORACLE_MARGIN
     for _ in range(8):
         lo = min(min(x), min(y)) - margin
         hi = max(max(x), max(y)) + margin

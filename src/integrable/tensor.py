@@ -39,6 +39,9 @@ from .errors import ParameterError
 MAX_STATE_SPACE = 2**20
 # Side of a dense Operator: a 4096 x 4096 complex array takes 256 MiB.
 MAX_DENSE_DIM = 2**12
+# Largest rate, relative to max(1, the largest rate), that may leave the
+# support given to stationary_distribution.
+SUPPORT_LEAK_TOL = 1e-10
 
 
 class DimensionMismatch(ParameterError):
@@ -285,17 +288,17 @@ def _closed_class(rates) -> np.ndarray:
     return np.flatnonzero(label == closed[0])
 
 
-def stationary_distribution(G: Generator, tol: float = 1e-10, support=None) -> ProbVector:
+def stationary_distribution(G: Generator, support=None) -> ProbVector:
     """Stationary law pi with pi G = 0, pi >= 0, sum pi = 1.
 
     The chain, or its restriction to `support` (state indices that no rate
-    leaves to within `tol`, such as one conserved sector), must have exactly
-    one closed communicating class, else ReducibleChain; pi vanishes off that
-    class. On the class, pi is pinned to 1 at its first state, that state's
-    row and column are dropped from G^T, the rest is solved by a sparse LU,
-    and the result is normalised. Pinning keeps the system as sparse as G;
-    a dense row of ones in place of an equation would spoil the
-    fill-reducing ordering.
+    leaves to within SUPPORT_LEAK_TOL, such as one conserved sector), must
+    have exactly one closed communicating class, else ReducibleChain; pi
+    vanishes off that class. On the class, pi is pinned to 1 at its first
+    state, that state's row and column are dropped from G^T, the rest is
+    solved by a sparse LU, and the result is normalised. Pinning keeps the
+    system as sparse as G; a dense row of ones in place of an equation
+    would spoil the fill-reducing ordering.
 
     The LU takes its pivots from the diagonal, in a symmetric minimum-degree
     ordering of the pattern of A + A^T, where A is the pinned system. That
@@ -322,7 +325,7 @@ def stationary_distribution(G: Generator, tol: float = 1e-10, support=None) -> P
             raise ParameterError(f"support must be nonempty and within 0..{G.dim - 1}")
         rates = rates[states][:, states]
         leak = float(np.abs(rates.sum(axis=1)).max())
-        if leak > tol * max(1.0, float(abs(rates).max())):
+        if leak > SUPPORT_LEAK_TOL * max(1.0, float(abs(rates).max())):
             raise ReducibleChain(f"support is not closed: rate {leak} leaves it")
     members = _closed_class(rates)
     weights = np.ones(members.size)

@@ -83,7 +83,7 @@ def test_criterion_3_quantum_group_suite():
 def test_criterion_4_xxz_asep_equivalence():
     res = xxz = 0.0
     for q in (0.4, 0.7):
-        res = max(res, models.xxz_to_asep_search(q, grid=21)["residual"])
+        res = max(res, models.xxz_to_asep_gauge(q)["residual"])
     xxx = XxzParams(Jx=1.0, Jy=1.0, Jz=1.0, N=4)
     xxx_worst = max(
         models.symmetry_commutator(models.xxz_hamiltonian(xxx), a)

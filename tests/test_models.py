@@ -126,10 +126,13 @@ def test_xxz_anisotropic_keeps_only_axial_symmetry():
     assert models.symmetry_commutator(H, 1) > 1e-3
 
 
-@pytest.mark.parametrize("q", [0.4, 0.8])
+# gamma runs from 0.52 (q = 5) to 200.5 (q = 0.05)
+@pytest.mark.parametrize("q", [0.05, 0.3, 0.4, 0.7, 0.8, 5.0])
 def test_xxz_to_asep_gauge_search(q):
-    out = models.xxz_to_asep_search(q, grid=21)
-    assert out["residual"] <= 1e-9
+    out = models.xxz_to_asep_gauge(q)
+    assert out["Jx"] == 1.0
+    assert out["gamma"] == (1.0 + q**2) / (2.0 * q**2)
+    assert out["residual"] <= 1e-12
     assert out["scale"] == pytest.approx(4.0 / (1.0 + q**2))
 
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from integrable import sixvertex
+from integrable import sixvertex, ybe
 from integrable.errors import ParameterError
 from integrable.sixvertex import (
     InconsistentBoundary,
@@ -29,12 +29,14 @@ def test_six_vertex_rejects_bad_rates():
 
 
 def test_asep_weights_match_six_vertex_parametrization():
-    z, q = 0.3, 0.5
-    w = sixvertex.asep_weights(z, q)
-    b1 = q * (z - 1) / (q * z - 1)
-    b2 = (z - 1) / (q * z - 1)
-    assert w.table[0, 1, 0, 1].real == pytest.approx(b1)
-    assert w.table[1, 0, 1, 0].real == pytest.approx(b2)
+    # the exclusion process's spectral R-matrix is the six-vertex table at
+    # b1 = q(z-1)/(qz-1), b2 = (z-1)/(qz-1)
+    for z, q in [(0.3, 0.5), (0.05, 0.9), (0.8, 0.2)]:
+        b1 = q * (z - 1) / (q * z - 1)
+        b2 = (z - 1) / (q * z - 1)
+        R = ybe.asep_spectral_r(z, q).entries
+        W = sixvertex.six_vertex_weights(b1, b2).as_operator().entries
+        assert np.max(np.abs(R - W)) <= 1e-15
 
 
 def test_higher_spin_base_reduces_to_six_vertex():

@@ -133,7 +133,6 @@ def test_real_input_stays_real():
         assert op.entries.dtype == np.float64
     tables = [
         sixvertex.six_vertex_weights(0.3, 0.8),
-        sixvertex.asep_weights(0.3, 0.5),
         sixvertex.higher_spin_base_weights(2, 0.3, 0.5),
         sixvertex.fused_weights_recurrence(2, 2, 0.3, 0.5),
     ]
