@@ -3,9 +3,10 @@ or closed boundaries, the XXZ Hamiltonian, symmetry commutators, gauge
 conjugation between the two, ground-state transforms, and the N-particle
 contour-integral transition probability with a master-equation oracle.
 
-Rate conventions: the bulk hop matrix w uses right rate q and left rate 1
-(the convention matching the matrix-product relations); the standalone
-two-site generator uses rates (1, q^2). The contour formula describes the
+Rate conventions, with site 1 the slowest index of a configuration: the
+bulk hop matrix w uses right rate 1 and left rate q (the convention
+matching the matrix-product relations); the standalone two-site generator
+uses right rate q^2 and left rate 1. The contour formula describes the
 infinite-lattice ASEP with right rate 1 and left rate q.
 """
 
@@ -102,9 +103,9 @@ PAULI = {1: SIGMA1, 2: SIGMA2, 3: SIGMA3}
 
 
 def asep_local_generator(q: float) -> Operator:
-    """Two-site exclusion generator with hop rates (1, q^2): occupied-empty
-    swaps at rate 1, empty-occupied at rate q^2. Overall time scale fixed
-    to 1."""
+    """Two-site exclusion generator with left rate 1 and right rate q^2:
+    01 becomes 10 at rate 1 and 10 becomes 01 at rate q^2. Overall time
+    scale fixed to 1."""
     if q <= 0:
         raise ParameterError(f"q must be positive, got {q}")
     mat = np.zeros((4, 4))
@@ -114,8 +115,8 @@ def asep_local_generator(q: float) -> Operator:
 
 
 def asep_bulk_w(q: float) -> Operator:
-    """Bulk hop matrix with right rate q and left rate 1: the 10 -> 01 move
-    (particle hops right) carries rate q."""
+    """Bulk hop matrix with right rate 1 and left rate q: the 01 -> 10 move
+    (particle hops left) carries rate q, the 10 -> 01 move rate 1."""
     mat = np.zeros((4, 4))
     mat[1, 1], mat[1, 2] = -q, q
     mat[2, 1], mat[2, 2] = 1.0, -1.0

@@ -1,7 +1,6 @@
 """Stochastic six-vertex weights, an anti-diagonal lattice sampler over a
 batch of seeds, fusion of the spin-1/2 weights to higher-spin vertex
-weights by a recurrence, its exact closed-form single-sum oracle, and the
-diagonal gauge transformation.
+weights by a recurrence, and its exact closed-form single-sum oracle.
 
 Weight tables are indexed W[j1, k1, j2, k2]: j counts horizontal arrows
 (j1 in from the left, j2 out to the right, both at most l) and k counts
@@ -19,9 +18,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ParameterError, RateOutOfRange, SingularGauge
+from .errors import ParameterError, RateOutOfRange
 from .qnum import q_binomial, q_pochhammer
-from .tensor import Operator, float_array, permutation_operator, real_entries
+from .tensor import Operator, float_array, real_entries
 
 
 class PoleAtZEqualsQPower(ParameterError):
@@ -38,20 +37,24 @@ class InconsistentBoundary(ParameterError):
 
 @dataclass(frozen=True)
 class VertexWeights:
-    """Stochastic vertex weight table on V_l (x) V_m."""
+    """Stochastic vertex weight table on V_l (x) V_m, of shape
+    (l+1, m+1, l+1, m+1)."""
 
-    l: int
-    m: int
-    z: complex
-    q: float
     table: np.ndarray
 
     def __post_init__(self):
         t = float_array(self.table)
-        expect = (self.l + 1, self.m + 1, self.l + 1, self.m + 1)
-        if t.shape != expect:
-            raise ParameterError(f"table shape {t.shape}, expected {expect}")
+        if t.ndim != 4 or t.shape[:2] != t.shape[2:]:
+            raise ParameterError(f"table shape {t.shape} is not (l+1, m+1, l+1, m+1)")
         object.__setattr__(self, "table", t)
+
+    @property
+    def l(self) -> int:
+        return self.table.shape[0] - 1
+
+    @property
+    def m(self) -> int:
+        return self.table.shape[1] - 1
 
     def conservation_violation(self) -> float:
         """Largest |entry| off the conservation law j1 + k1 = j2 + k2."""
@@ -76,9 +79,8 @@ class VertexWeights:
 
     def as_operator(self) -> Operator:
         """Matrix on V_l (x) V_m with rows indexed by (j1, k1)."""
-        d = (self.l + 1) * (self.m + 1)
-        mat = self.table.reshape(d, d)
-        return Operator((self.l + 1, self.m + 1), mat)
+        dims = self.table.shape[:2]
+        return Operator(dims, self.table.reshape(dims[0] * dims[1], -1))
 
 
 def six_vertex_weights(b1: float, b2: float) -> VertexWeights:
@@ -94,7 +96,7 @@ def six_vertex_weights(b1: float, b2: float) -> VertexWeights:
     W[0, 1, 1, 0] = 1.0 - b1
     W[1, 0, 1, 0] = b2
     W[1, 0, 0, 1] = 1.0 - b2
-    return VertexWeights(l=1, m=1, z=0.0, q=0.0, table=W)
+    return VertexWeights(W)
 
 
 def higher_spin_base_weights(m: int, z: complex, q: float) -> VertexWeights:
@@ -107,6 +109,8 @@ def higher_spin_base_weights(m: int, z: complex, q: float) -> VertexWeights:
     """
     if m < 1:
         raise ParameterError(f"m must be >= 1, got {m}")
+    if q == 0:
+        raise ParameterError("q must be nonzero")
     den = q ** (m + 1) - z
     if abs(den) < 1e-13:
         raise PoleAtZEqualsQPower(f"z = q^(m+1) at z={z}, m={m}")
@@ -118,7 +122,7 @@ def higher_spin_base_weights(m: int, z: complex, q: float) -> VertexWeights:
         W[1, g, 1, g] = (q ** (2 * g - m + 1) - z) / den
         if g + 1 <= m:
             W[1, g, 0, g + 1] = (q ** (m + 1) - q ** (2 * g - m + 1)) / den
-    return VertexWeights(l=1, m=m, z=z, q=q, table=W)
+    return VertexWeights(W)
 
 
 # Largest capacity l or m that fused weights are built for. Entries grow
@@ -129,13 +133,15 @@ MAX_CAPACITY = 16
 
 
 def _check_spectral_ladder(l: int, m: int, z, q) -> None:
-    """Refuse capacities outside [1, MAX_CAPACITY] and a rung z q^(2s),
-    s < l, of the spectral ladder that hits the pole q^(m+1) of the base
-    weights."""
+    """Refuse capacities outside [1, MAX_CAPACITY], q = 0, and a rung
+    z q^(2s), s < l, of the spectral ladder that hits the pole q^(m+1) of
+    the base weights."""
     if not (1 <= l <= MAX_CAPACITY and 1 <= m <= MAX_CAPACITY):
         raise ParameterError(
             f"capacities must lie in [1, {MAX_CAPACITY}], got l={l}, m={m}"
         )
+    if q == 0:
+        raise ParameterError("q must be nonzero")
     for step in range(l):
         if abs(q ** (m + 1) - z * q ** (2 * step)) < 1e-13:
             raise PoleInSpectralLadder(
@@ -147,48 +153,31 @@ def fused_weights_recurrence(l: int, m: int, z: complex, q: float) -> VertexWeig
     """Fused weights built inductively in the horizontal capacity.
 
     The capacity-c vertex splits into a capacity-(c-1) vertex at z and a
-    capacity-1 vertex at z q^{2(c-1)}; the j1 incoming arrows are
-    distributed over the two with the Q-binomial probabilities (Q = q^2)
-    P(0) = C(c-1, j1)_Q / C(c, j1)_Q for the single line staying empty and
-    P(1) = Q^{c-j1} C(c-1, j1-1)_Q / C(c, j1)_Q for it carrying an arrow;
-    the intermediate vertical occupancy is fixed by conservation. With this
-    splitting the output arrangement is exchangeable in the same Q-binomial
-    sense, so the table is independent of how the j1 arrows are arranged.
-    The loop runs c = 2, ..., l from the base weights at c = 1.
+    capacity-1 vertex at z q^{2(c-1)}, which takes a in {0, 1} of the j1
+    incoming arrows with the Q-binomial probability (Q = q^2)
+        P(a | j1) = Q^{a(c-j1)} C(c-1, j1-a)_Q / C(c, j1)_Q.
+    The output arrangement is then exchangeable, so the table does not
+    depend on how the j1 arrows are arranged. Each step c = 2, ..., l is a
+    contraction per (a, b), b the arrows the single line sends right: rows
+    j1 - a of the capacity-(c-1) table, times P(a | j1), are contracted
+    over the intermediate occupancy (conservation leaves one nonzero term)
+    with one[a, :, b, :] into the outputs j2 = b, ..., b + c - 1.
     """
     _check_spectral_ladder(l, m, z, q)
     prev = higher_spin_base_weights(m, z, q).table
     Q = q * q
     for c in range(2, l + 1):
         one = higher_spin_base_weights(m, z * q ** (2 * (c - 1)), q).table
-        W = np.zeros((c + 1, m + 1, c + 1, m + 1), dtype=np.result_type(z, q, float))
-        for j1 in range(c + 1):
-            p0 = q_binomial(c - 1, j1, Q) / q_binomial(c, j1, Q)
-            p1 = Q ** (c - j1) * q_binomial(c - 1, j1 - 1, Q) / q_binomial(c, j1, Q)
-            for k1 in range(m + 1):
-                for j2 in range(c + 1):
-                    for k2 in range(m + 1):
-                        if j1 + k1 != j2 + k2:
-                            continue
-                        acc = 0.0
-                        for a in (0, 1):
-                            prob = p0 if a == 0 else p1
-                            if prob == 0 or j1 - a < 0 or j1 - a > c - 1:
-                                continue
-                            for b in (0, 1):
-                                if j2 - b < 0 or j2 - b > c - 1:
-                                    continue
-                                mid = j1 - a + k1 - (j2 - b)
-                                if mid < 0 or mid > m:
-                                    continue
-                                acc += (
-                                    prob
-                                    * prev[j1 - a, k1, j2 - b, mid]
-                                    * one[a, mid, b, k2]
-                                )
-                        W[j1, k1, j2, k2] = acc
+        W = np.zeros((c + 1, m + 1, c + 1, m + 1), dtype=prev.dtype)
+        for a in (0, 1):
+            split = np.zeros((c + 1, m + 1, c, m + 1), dtype=prev.dtype)
+            for j1 in range(a, a + c):
+                prob = Q ** (a * (c - j1)) * q_binomial(c - 1, j1 - a, Q)
+                split[j1] = prob / q_binomial(c, j1, Q) * prev[j1 - a]
+            for b in (0, 1):
+                W[:, :, b:b + c] += np.einsum("ikjm,mn->ikjn", split, one[a, :, b, :])
         prev = W
-    return VertexWeights(l=l, m=m, z=z, q=q, table=prev)
+    return VertexWeights(prev)
 
 
 def _fused_entry_closed(j1, k1, j2, l, m, z, q):
@@ -267,22 +256,7 @@ def fused_weights_closed_form(l: int, m: int, z: float, q: float) -> VertexWeigh
         k2 = j1 + k1 - j2
         if 0 <= k2 <= m:
             W[j1, k1, j2, k2] = _fused_entry_closed(j1, k1, j2, l, m, z, q)
-    return VertexWeights(l=l, m=m, z=z, q=q, table=W)
-
-
-def gauge_transform(R: Operator, G_lm: Operator, G_ml: Operator) -> Operator:
-    """S = P G_ml^{-1} P R G_lm with P the factor swap."""
-    if len(R.site_dims) != 2:
-        raise ParameterError("gauge transform needs a two-factor operator")
-    d1, d2 = R.site_dims
-    P = permutation_operator(d1, d2).entries
-    Pback = permutation_operator(d2, d1).entries
-    gd = np.diag(G_ml.entries)
-    if np.min(np.abs(gd)) < 1e-13 or np.min(np.abs(np.diag(G_lm.entries))) < 1e-13:
-        raise SingularGauge("gauge diagonal has a (near-)zero entry")
-    Ginv = np.diag(1.0 / gd)
-    mat = Pback @ Ginv @ P @ R.entries @ G_lm.entries
-    return Operator(R.site_dims, mat)
+    return VertexWeights(W)
 
 
 # Written to the "sampler" key of the CSV header. The same seed gives the

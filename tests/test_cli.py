@@ -110,6 +110,8 @@ TWPROB = ["twprob", "--t", "0.5", "--q", "0.4"]
         (["fuse", "--l", "4", "--m", "4", "--z", "0.1", "--q", "0.5"], 0, False),
         # capacity beyond MAX_CAPACITY: refused before any table is built
         (["fuse", "--l", "1100", "--m", "1", "--z", "0.3", "--q", "0.5"], 2, True),
+        # the base weights divide by q^(2g-m+1): q = 0 is outside the domain
+        (["fuse", "--l", "1", "--m", "2", "--z", "0.3", "--q", "0"], 2, True),
         # exp overflows at large t: a failed check, not a crash
         (["twprob", "--t", "1200", "--q", "0.5", "--y", "0", "--x", "1"], 1, True),
         # H_400(30) overflows to inf - inf: a non-finite result, never NaN
@@ -123,7 +125,7 @@ TWPROB = ["twprob", "--t", "0.5", "--q", "0.4"]
     ],
     ids=["radius-2", "nquad-0-n1", "nquad-0-n2", "radius-0", "empty-grid", "q-nan",
          "mpa-not-converged", "mpa-cap", "asep-csv-fails", "fuse-l8-z01",
-         "asep-cap", "fuse-l8-relative", "fuse-l4-relative", "fuse-cap",
+         "asep-cap", "fuse-l8-relative", "fuse-l4-relative", "fuse-cap", "fuse-q0",
          "twprob-overflow",
          "hermite-nan", "js-cap", "fock-cap", "hecke-overflow",
          "rep-check-overflow"],

@@ -34,6 +34,18 @@ def test_bulk_w_is_generator_summand():
     assert np.allclose(w.sum(axis=1), 0.0)
 
 
+@pytest.mark.parametrize("q", [0.3, 0.5, 2.0])
+def test_rate_conventions_agree(q):
+    # right rate 1, left rate q: the two-site chain is one bond of w, and a
+    # lone particle on sites 0, 1 hops right at rate 1 and left at rate q
+    G = models.asep_generator(AsepParams(q=q, L=2)).rates.toarray()
+    assert np.array_equal(G, models.asep_bulk_w(q).entries)
+    index, W = models._window_generator(1, q, 0, 1)
+    W = W.rates.toarray()
+    assert W[index[(0,)], index[(1,)]] == 1.0
+    assert W[index[(1,)], index[(0,)]] == q
+
+
 def test_full_generator_closed_and_open():
     p = AsepParams(q=0.5, alpha=0.6, beta=0.4, gamma=0.1, delta=0.2, L=3)
     closed = models.asep_generator(p)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from integrable import sixvertex, ybe
 from integrable.errors import ParameterError
+from integrable.qnum import q_binomial
 from integrable.sixvertex import (
     InconsistentBoundary,
     PoleInSpectralLadder,
@@ -89,6 +90,62 @@ def test_fusion_recurrence_matches_exact_oracle_at_large_capacity(lmzq):
     _assert_recurrence_matches_exact_oracle(*lmzq)
 
 
+def _loop_recurrence(l, m, z, q):
+    """The entry-by-entry loop that the contraction in
+    fused_weights_recurrence replaced, kept as its bit-level oracle."""
+    prev = sixvertex.higher_spin_base_weights(m, z, q).table
+    Q = q * q
+    for c in range(2, l + 1):
+        one = sixvertex.higher_spin_base_weights(m, z * q ** (2 * (c - 1)), q).table
+        W = np.zeros((c + 1, m + 1, c + 1, m + 1), dtype=np.result_type(z, q, float))
+        for j1 in range(c + 1):
+            p0 = q_binomial(c - 1, j1, Q) / q_binomial(c, j1, Q)
+            p1 = Q ** (c - j1) * q_binomial(c - 1, j1 - 1, Q) / q_binomial(c, j1, Q)
+            for k1 in range(m + 1):
+                for j2 in range(c + 1):
+                    for k2 in range(m + 1):
+                        if j1 + k1 != j2 + k2:
+                            continue
+                        acc = 0.0
+                        for a in (0, 1):
+                            prob = p0 if a == 0 else p1
+                            if prob == 0 or j1 - a < 0 or j1 - a > c - 1:
+                                continue
+                            for b in (0, 1):
+                                if j2 - b < 0 or j2 - b > c - 1:
+                                    continue
+                                mid = j1 - a + k1 - (j2 - b)
+                                if mid < 0 or mid > m:
+                                    continue
+                                acc += (
+                                    prob
+                                    * prev[j1 - a, k1, j2 - b, mid]
+                                    * one[a, mid, b, k2]
+                                )
+                        W[j1, k1, j2, k2] = acc
+        prev = W
+    return prev
+
+
+@pytest.mark.parametrize("lmzq", [(4, 4, 0.1, 0.5), (8, 8, 0.25, 0.5),
+                                  (16, 16, 0.25, 0.5), (2, 2, 0.2, 1.5),
+                                  (5, 2, -0.5, 0.5), (3, 5, 0.3 + 0.2j, 0.7),
+                                  (6, 3, 0.4, -0.8)])
+def test_fusion_contraction_equals_the_loop(lmzq):
+    table = sixvertex.fused_weights_recurrence(*lmzq).table
+    expected = _loop_recurrence(*lmzq)
+    assert table.dtype == expected.dtype
+    assert np.array_equal(table, expected)
+
+
+def test_vertex_weights_read_capacities_from_the_table():
+    w = sixvertex.VertexWeights(np.zeros((4, 3, 4, 3)))
+    assert (w.l, w.m) == (3, 2)
+    for shape in [(4, 3, 3, 4), (4, 3, 4), (2, 2, 2, 2, 1)]:
+        with pytest.raises(ParameterError, match="table shape"):
+            sixvertex.VertexWeights(np.zeros(shape))
+
+
 def test_fusion_l1_reproduces_base_weights():
     m, z, q = 2, 0.3, 0.5
     fused = sixvertex.fused_weights_recurrence(1, m, z, q)
@@ -110,18 +167,6 @@ def test_fusion_refuses_capacities_beyond_the_cap():
         with pytest.raises(ParameterError, match="capacities must lie in"):
             sixvertex.fused_weights_recurrence(l, m, 0.3, 0.5)
     assert sixvertex.fused_weights_recurrence(cap, 1, 0.3, 0.5).l == cap
-
-
-def test_gauge_transform_with_identity_gauges_swaps():
-    from integrable.tensor import identity
-
-    w = sixvertex.fused_weights_recurrence(2, 1, 0.3, 0.5)
-    R = w.as_operator()
-    G1 = identity((3, 2))
-    G2 = identity((2, 3))
-    out = sixvertex.gauge_transform(R, G1, G2)
-    # P P R = R when both gauges are trivial and dims agree after the swap
-    assert out.entries.shape == R.entries.shape
 
 
 def test_sampler_conserves_arrows_and_respects_boundary():
@@ -309,7 +354,7 @@ def _six_vertex_with_bad_row():
     and row (1, 1) summing to 2."""
     table = sixvertex.six_vertex_weights(0.4, 0.0).table.copy()
     table[1, 1, 0, 0] = 1.0
-    return sixvertex.VertexWeights(l=1, m=1, z=0.0, q=0.0, table=table)
+    return sixvertex.VertexWeights(table)
 
 
 def test_unreached_bad_row_is_not_checked():
