@@ -136,22 +136,23 @@ def _matrix_element_measure(p: AsepParams, M: int) -> np.ndarray:
 def mpa_stationary_measure(p: AsepParams, M: int = M_START) -> ProbVector:
     """Stationary law over the 2^L configurations from the matrix product.
 
-    Doubles the truncation until successive measures differ by less than
-    1e-10 in total variation (cap 1024). A matrix element that is negative
-    beyond rounding (or a non-positive normalization) means the truncation
-    is too small to be trusted: that measure is dropped and the doubling
-    goes on, so convergence needs two trusted truncations in a row.
-    NegativeWeight is raised only if the weights are still negative at the
-    cap. A non-finite matrix element stops the doubling at once with
-    TruncationNotConverged: larger truncations only overflow further.
+    Doubles the truncation M until successive measures differ by less than
+    1e-10 in total variation (cap M_CAP; a start M outside [2, M_CAP] is
+    InvalidTruncation). A matrix element that is negative beyond rounding
+    (or a non-positive normalization) means the truncation is too small to
+    be trusted: that measure is dropped and the doubling goes on, so
+    convergence needs two trusted truncations in a row. NegativeWeight is
+    raised only if the weights are still negative at the cap. A non-finite
+    matrix element stops the doubling at once with TruncationNotConverged:
+    larger truncations only overflow further.
 
     Each truncation's weights come from one split contraction (see
     _matrix_element_measure), at O(2^L M + 2^(L/2) M^2). The 2^L states
     are checked against MAX_STATE_SPACE before any array is allocated.
     """
     state_space((2,) * p.L, MAX_STATE_SPACE)
-    if M < 2:
-        raise InvalidTruncation(f"truncation must be >= 2, got {M}")
+    if not 2 <= M <= M_CAP:
+        raise InvalidTruncation(f"truncation must lie in [2, {M_CAP}], got {M}")
     prev = None
     while M <= M_CAP:
         weights = _matrix_element_measure(p, M)

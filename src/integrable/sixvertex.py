@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import ParameterError, RateOutOfRange
 from .qnum import q_binomial, q_pochhammer
-from .tensor import Operator, float_array, real_entries
+from .tensor import Operator, float_array, real_entries, state_space
 
 
 class PoleAtZEqualsQPower(ParameterError):
@@ -347,75 +347,13 @@ class LatticeBatch(NamedTuple):
         )
 
 
-# numpy's SeedSequence hash constants and Philox4x64-10 constants.
-_M32 = 0xFFFFFFFF
-_HASH_A = (0x43B0D7E5, 0x931E8875)  # initial hash constant, its multiplier
-_HASH_B = (0x8B51F9DD, 0x58F38DED)
-_MIX = (0xCA01F9DD, 0x4973F715)
-_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
-_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
-
-
-def _philox_keys(seeds: np.ndarray) -> tuple:
-    """The two 64-bit Philox key words numpy derives from each seed: its
-    SeedSequence pool of four 32-bit words (the seed's two words and two
-    zeros, hashed and mixed), hashed into four output words."""
-    words = [(seeds & _M32).astype(np.uint32), (seeds >> 32).astype(np.uint32)]
-    words += [np.zeros_like(words[0])] * 2
-    hash_const = _HASH_A[0]
-
-    def hashmix(v):
-        nonlocal hash_const
-        v = v ^ np.uint32(hash_const)
-        hash_const = hash_const * _HASH_A[1] & _M32
-        v = v * np.uint32(hash_const)
-        return v ^ (v >> 16)
-
-    pool = [hashmix(v) for v in words]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                v = np.uint32(_MIX[0]) * pool[dst] - np.uint32(_MIX[1]) * hashmix(pool[src])
-                pool[dst] = v ^ (v >> 16)
-    hash_const = _HASH_B[0]
-    state = []
-    for v in pool:
-        v = v ^ np.uint32(hash_const)
-        hash_const = hash_const * _HASH_B[1] & _M32
-        v = v * np.uint32(hash_const)
-        state.append((v ^ (v >> 16)).astype(np.uint64))
-    return state[0] | state[1] << 32, state[2] | state[3] << 32
-
-
-def _mulhilo(a: np.ndarray, b: int) -> tuple:
-    """Low and high 64-bit words of a * b, from 32-bit halves."""
-    a0, a1 = a & _M32, a >> 32
-    b0, b1 = b & _M32, b >> 32
-    t = a0 * b0
-    u = a1 * b0 + (t >> 32)
-    v = a0 * b1 + (u & _M32)
-    return a * b, a1 * b1 + (u >> 32) + (v >> 32)
-
-
 def _philox_uniforms(seeds: np.ndarray, n: int) -> np.ndarray:
-    """u[i, t]: the t-th double of Generator(Philox(seeds[i])).random().
-
-    Philox is counter-based (Salmon et al., SC'11): its t-th 64-bit output
-    is word t % 4 of the block Philox4x64-10(key, counter t // 4 + 1), so
-    every (seed, t) is computed at once, with no state carried between
-    draws. A double is the output's top 53 bits times 2^-53, as numpy's.
-    """
-    k0, k1 = (k[:, np.newaxis] for k in _philox_keys(seeds))
-    x0 = np.arange(1, -(-n // 4) + 1, dtype=np.uint64)[np.newaxis, :]
-    x1 = x2 = x3 = np.uint64(0)
-    for rnd in range(10):
-        if rnd:
-            k0, k1 = k0 + np.uint64(_PHILOX_W[0]), k1 + np.uint64(_PHILOX_W[1])
-        lo0, hi0 = _mulhilo(x0, _PHILOX_M[0])
-        lo1, hi1 = _mulhilo(x2, _PHILOX_M[1])
-        x0, x1, x2, x3 = hi1 ^ x1 ^ k0, lo1, hi0 ^ x3 ^ k1, lo0
-    words = np.stack(np.broadcast_arrays(x0, x1, x2, x3), axis=-1)
-    return (words.reshape(len(seeds), -1)[:, :n] >> 11) * 2.0**-53
+    """u[i, t]: the t-th double of Generator(Philox(seeds[i])).random(),
+    from numpy's own Philox stream, whose raw outputs numpy keeps stable:
+    the top 53 bits of output t times 2^-53, as Generator.random does.
+    numpy.random is first loaded here, not when the package is imported."""
+    raw = np.stack([np.random.Philox(s).random_raw(n) for s in seeds.tolist()])
+    return (raw >> 11) * 2.0**-53
 
 
 def _seed_array(seeds) -> np.ndarray:
@@ -426,6 +364,11 @@ def _seed_array(seeds) -> np.ndarray:
             "seeds must be a non-empty sequence of integers in [0, 2^64)"
         )
     return s.astype(np.uint64)
+
+
+# Most vertices sampled in one call, over all seeds: at about 110 bytes per
+# vertex this is about 1.8 GB, enough for four seeds at 2048^2.
+MAX_VERTICES = 2**24
 
 
 def _inverse_cdf_table(rows: np.ndarray) -> np.ndarray:
@@ -453,19 +396,22 @@ def sample_lattices(
     vertex on the anti-diagonal x + y = d is determined by diagonal d - 1
     and the whole diagonal, across all seeds, is drawn at once. Vertex
     (y, x) of seed s draws its output (j2, k2) by inverse CDF over the
-    weight row of its input (j1, k1), with the uniform u[y, x] of
-    Generator(Philox(s)).random((height, width)). Its draw thus does not
-    depend on the sweep order, and a seed's lattice does not depend on the
-    other seeds in the batch.
+    weight row of its input (j1, k1), with uniform y * width + x of numpy's
+    own Philox stream for s. Its draw thus does not depend on the sweep
+    order, and a seed's lattice does not depend on the other seeds in the
+    batch.
 
-    A weight row that is not a probability law raises InconsistentBoundary
-    before any vertex draws from it; a row that no vertex reaches is never
-    checked.
+    More than MAX_VERTICES vertices over all seeds raise StateSpaceTooLarge
+    before anything is allocated. A weight row that is not a probability
+    law raises InconsistentBoundary before any vertex draws from it; a row
+    that no vertex reaches is never checked.
     """
     if width < 1 or height < 1:
         raise InconsistentBoundary(
             f"lattice must be at least 1x1, got {width}x{height}"
         )
+    seeds = _seed_array(seeds)
+    state_space((len(seeds), width, height), MAX_VERTICES)
     if boundary_left is None:
         boundary_left = (0,) * height
     if boundary_bottom is None:
@@ -478,7 +424,6 @@ def sample_lattices(
         raise InconsistentBoundary(f"left boundary exceeds capacity l={w.l}")
     if any(v < 0 or v > w.m for v in boundary_bottom):
         raise InconsistentBoundary(f"bottom boundary exceeds capacity m={w.m}")
-    seeds = _seed_array(seeds)
 
     # One row per input pair r = j1 (m+1) + k1, over the outputs
     # o = j2 (m+1) + k2.

@@ -147,9 +147,11 @@ def kron(*ops: Operator) -> Operator:
     axes (rows, rows', cols, cols'), numpy.kron's own layout, so the
     entries are numpy.kron's bit for bit; numpy.multiply.outer and a
     transpose can differ in the last bit on 1 x 1 complex factors. No
-    factors give the 1 x 1 identity."""
+    factors give the 1 x 1 identity. The product's dimension is checked
+    against the dense cap before it is allocated."""
     if not ops:
         return Operator((), np.eye(1))
+    state_space(sum((op.site_dims for op in ops), ()))
     mat = ops[0].entries
     for op in ops[1:]:
         (r, c), (s, t) = mat.shape, op.entries.shape

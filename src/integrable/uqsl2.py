@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError
-from .tensor import Operator, embed, identity, kron, permutation_operator
+from .tensor import Operator, embed, identity, kron, permutation_operator, state_space
 
 
 class InvalidDeformation(ParameterError):
@@ -52,12 +52,14 @@ class RepM:
 
 
 def rep(m: int, q: float) -> RepM:
-    """Build the (m+1)-dimensional representation."""
+    """Build the (m+1)-dimensional representation; m + 1 is checked
+    against the dense cap before any matrix is filled."""
     if m < 0:
         raise ParameterError(f"spin label must be nonnegative, got {m}")
     if q <= 0 or q == 1:
         raise InvalidDeformation(f"need q > 0 and q != 1, got {q}")
     d = m + 1
+    state_space((d,))
     E = np.zeros((d, d))
     F = np.zeros((d, d))
     denom = q - 1.0 / q

@@ -122,13 +122,21 @@ TWPROB = ["twprob", "--t", "0.5", "--q", "0.4"]
         # q^-2 overflows a float: a non-finite result, not a traceback
         (["verify", "hecke", "--q", "1e-200"], 1, True),
         (["rep-check", "--m", "2", "--q", "1e-200"], 1, True),
+        # 10^12 vertices: refused before the 7 TiB of arrows are allocated
+        (["sample6v", "--b1", "0.4", "--b2", "0.7", "--width", "1000000",
+          "--height", "1000000"], 2, True),
+        # a 1001^2-dimensional tensor product: refused before it is allocated
+        (["universal-r", "--l", "1000", "--m", "1000", "--q", "0.999"], 2, True),
+        # a start above the truncation cap computes nothing: a parameter error
+        (["mpa", "--L", "4", "--q", "0.5", "--alpha", "0.6", "--beta", "0.4",
+          "--truncation", "2048"], 2, True),
     ],
     ids=["radius-2", "nquad-0-n1", "nquad-0-n2", "radius-0", "empty-grid", "q-nan",
          "mpa-not-converged", "mpa-cap", "asep-csv-fails", "fuse-l8-z01",
          "asep-cap", "fuse-l8-relative", "fuse-l4-relative", "fuse-cap", "fuse-q0",
          "twprob-overflow",
          "hermite-nan", "js-cap", "fock-cap", "hecke-overflow",
-         "rep-check-overflow"],
+         "rep-check-overflow", "sample6v-cap", "universal-r-cap", "mpa-truncation-cap"],
 )
 def test_exit_code(capsys, argv, expected, silent):
     code, out = _run(capsys, argv)
@@ -231,6 +239,21 @@ def test_sample6v_deterministic_csv(capsys):
     # Pinned bytes: a change here changes every CSV a seed reproduces.
     assert hashlib.sha256(out1.encode()).hexdigest() == (
         "58904ebbd8076aa1ffc6e513ab73081c4fd4f6b283d74c0d16275bd16570ff08")
+
+
+# Pinned bytes at the benchmark's lattice size, for a seed above 2^32. No
+# arrow enters the empty boundary, so its lattice draws nothing and pins
+# only the CSV; the step boundary's pins all 16,384 uniforms.
+@pytest.mark.parametrize("boundary, digest", [
+    ("empty", "4c38a50a0848fe838618e108f1e9e9e749bafec818c1d892fe120ecbe9a0e4ba"),
+    ("step", "b2db75abaa96c8d2cd850c7f56f4e97ba7f2edbf297da5bc4577d7e647e2b731"),
+], ids=["empty", "step"])
+def test_sample6v_pinned_csv_at_benchmark_scale(capsys, boundary, digest):
+    argv = ["sample6v", "--b1", "0.4", "--b2", "0.7", "--width", "128",
+            "--height", "128", "--seed", str(2**40 + 3), "--boundary", boundary]
+    code, out = _run(capsys, argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_every_json_subcommand_validates(capsys):

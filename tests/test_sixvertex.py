@@ -15,6 +15,7 @@ from integrable.sixvertex import (
     PoleInSpectralLadder,
     RateOutOfRange,
 )
+from integrable.tensor import StateSpaceTooLarge
 
 
 def test_six_vertex_table_shape_and_stochasticity():
@@ -259,13 +260,21 @@ def test_csv_writer_matches_oracle_on_multi_digit_counts():
     assert c.to_csv() == _reference_csv(c)
 
 
-@pytest.mark.parametrize("n", [1, 4, 37])
+# The sampler's shift and scale of Philox.random_raw is Generator.random's.
+@pytest.mark.parametrize("n", [1, 4, 37, 16384])
 def test_uniforms_are_numpys_philox_stream(n):
     seeds = [0, 1, 7, 2**32 - 1, 2**32, 2**63 + 5, 2**64 - 1]
     u = sixvertex._philox_uniforms(np.array(seeds, dtype=np.uint64), n)
     for s, row in zip(seeds, u):
         expected = np.random.Generator(np.random.Philox(s)).random(n)
         assert np.array_equal(row, expected), s
+
+
+def test_vertex_cap_counts_every_seed():
+    w = sixvertex.six_vertex_weights(0.4, 0.7)
+    assert 4 * 2048 * 2048 <= sixvertex.MAX_VERTICES < 5 * 2048 * 2048
+    with pytest.raises(StateSpaceTooLarge):
+        sixvertex.sample_lattices(w, 2048, 2048, seeds=range(5))
 
 
 @pytest.mark.parametrize("bad_seeds", [[-1], [2**64], [], [1.5], 3])

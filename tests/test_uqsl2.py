@@ -1,8 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from integrable import uqsl2
-from integrable.tensor import permutation_operator
+from integrable.tensor import StateSpaceTooLarge, permutation_operator
 
 
 @pytest.mark.parametrize("q", [0.3, 0.7, 1.5])
@@ -61,3 +63,14 @@ def test_braided_r_satisfies_braid_relation():
     R12 = np.kron(Rc, I)
     R23 = np.kron(I, Rc)
     assert np.max(np.abs(R12 @ R23 @ R12 - R23 @ R12 @ R23)) <= 1e-12
+
+
+def test_rep_beyond_the_dense_cap_allocates_nothing():
+    tracemalloc.start()
+    try:
+        with pytest.raises(StateSpaceTooLarge):
+            uqsl2.rep(5000, 0.999)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20  # the two 5001^2 matrices would take 400 MB
