@@ -1,7 +1,9 @@
 """Exclusion-process and spin-chain constructors: ASEP generators with open
-or closed boundaries, the XXZ Hamiltonian, symmetry commutators, gauge
-conjugation between the two, ground-state transforms, and the N-particle
-contour-integral transition probability with a master-equation oracle.
+or closed boundaries, their action on a row vector without a matrix, the
+closed chain's stationary law in closed form, the XXZ Hamiltonian,
+symmetry commutators, gauge conjugation between the two, and the
+N-particle contour-integral transition probability with a master-equation
+oracle.
 
 Rate conventions, with site 1 the slowest index of a configuration: the
 bulk hop matrix w uses right rate 1 and left rate q (the convention
@@ -27,25 +29,13 @@ from .tensor import (
     DimensionMismatch,
     Generator,
     Operator,
+    ProbVector,
     embed,
     identity,
     kron,
-    real_entries,
     state_space,
     transition_row,
 )
-
-
-class ZeroEntryInGroundState(ParameterError):
-    pass
-
-
-class NotAnEigenvector(ParameterError):
-    pass
-
-
-class NegativeOffDiagonal(ParameterError):
-    pass
 
 
 class ContourHitsPole(ParameterError):
@@ -166,6 +156,65 @@ def asep_generator(p: AsepParams, open_boundary: bool = False) -> Generator:
     return _sparse_generator((2,) * L, *map(np.concatenate, (rows, cols, rates)))
 
 
+def closed_asep_law(p: AsepParams, particles: int) -> ProbVector:
+    """Stationary law of the closed chain on the sector of `particles`
+    particles, as a vector over all 2^L configurations that vanishes off
+    the sector.
+
+    The closed chain is reversible: a hop to the right at rate 1 and its
+    reverse at rate q balance when pi(eta) is proportional to
+    q^(-sum_x x eta_x), x the 1-based site (Sandow-Schutz, Europhys. Lett.
+    26 (1994) 7). The chain is irreducible on each sector, so this is the
+    sector's one stationary law. Each weight is an integer power of
+    r = min(q, 1/q), offset so that the largest is 1; none can overflow.
+
+    The particle count and the position sum of every configuration are
+    built in L doubling passes, one per site from site L to site 1: the
+    configurations with site x occupied follow those with it empty.
+    """
+    L = p.L
+    state_space((2,) * L, MAX_STATE_SPACE)
+    if not 0 <= particles <= L:
+        raise ParameterError(f"particles must lie in [0, {L}], got {particles}")
+    count = position = np.zeros(1, dtype=np.int64)
+    for x in range(L, 0, -1):
+        count = np.concatenate([count, count + 1])
+        position = np.concatenate([position, position + x])
+    sector = count == particles
+    s = position[sector]
+    weights = min(p.q, 1.0 / p.q) ** (s.max() - s if p.q < 1 else s - s.min())
+    pi = np.zeros(1 << L)
+    pi[sector] = weights / weights.sum()
+    return ProbVector(pi)
+
+
+def asep_left_action(pi, p: AsepParams, open_boundary: bool = False) -> np.ndarray:
+    """The row vector pi G for the generator asep_generator builds, without
+    building it: pi is viewed as a (2,) * L array, axis x - 1 for site x,
+    and each bond and each boundary site adds its net flow with one strided
+    update. Across bond (x, x+1) the net flow to the right is
+    pi(..10..) - q pi(..01..); into site 1 it is alpha pi(0..) - gamma pi(1..),
+    and into site L, delta pi(..0) - beta pi(..1)."""
+    L = p.L
+    pi = np.asarray(pi, dtype=float)
+    if pi.shape != (1 << L,):
+        raise DimensionMismatch(f"vector shape {pi.shape} does not match L = {L}")
+    v = pi.reshape((2,) * L)
+    out = np.zeros_like(v)
+    for i in range(L - 1):
+        left = (slice(None),) * i
+        flow = v[left + (1, 0)] - p.q * v[left + (0, 1)]
+        out[left + (0, 1)] += flow
+        out[left + (1, 0)] -= flow
+    if open_boundary:
+        # Index prefixes of site 1 (the first axis) and site L (the last).
+        for end, fill, empty in (((), p.alpha, p.gamma), ((...,), p.delta, p.beta)):
+            flow = fill * v[end + (0,)] - empty * v[end + (1,)]
+            out[end + (1,)] += flow
+            out[end + (0,)] -= flow
+    return out.ravel()
+
+
 def xxz_local_block(p: XxzParams) -> Operator:
     """The 4x4 summand J_x s1s1 + J_y s2s2 + J_z s3s3 + h(s3 (x) 1 + 1 (x) s3):
     corners Jz + 2h and Jz - 2h, anti-corners Jx - Jy."""
@@ -255,28 +304,6 @@ def xxz_to_asep_gauge(q: float) -> dict:
         "scale": c,
         "residual": float(np.max(np.abs(conj - c * target))),
     }
-
-
-def ground_state_transform(H: Operator, g: np.ndarray, tol: float = 1e-8) -> Operator:
-    """diag(g)^{-1} H diag(g) - c Id for the eigenvalue c of the positive
-    eigenvector g; returns a CTMC generator or raises."""
-    g = np.asarray(g, dtype=float)
-    if g.shape != (H.dim,):
-        raise DimensionMismatch(f"vector length {g.shape} vs operator dim {H.dim}")
-    if np.min(np.abs(g)) < 1e-14:
-        raise ZeroEntryInGroundState("vector has (near-)zero entries")
-    mat = real_entries(H.entries, tol)
-    c = float(g @ (mat @ g) / (g @ g))
-    if np.max(np.abs(mat @ g - c * g)) > tol * max(1.0, np.max(np.abs(g))):
-        raise NotAnEigenvector(f"g is not an eigenvector at tolerance {tol}")
-    conj = mat * (g[None, :] / g[:, None])
-    out = conj - c * np.eye(H.dim)
-    off = out - np.diag(np.diag(out))
-    if off.min() < -1e-10:
-        raise NegativeOffDiagonal(
-            f"transform produced off-diagonal entry {off.min()}"
-        )
-    return Operator(H.site_dims, np.clip(off, 0.0, None) + np.diag(np.diag(out)))
 
 
 def _epsilon(xi: np.ndarray, q: float) -> np.ndarray:

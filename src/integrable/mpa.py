@@ -137,8 +137,10 @@ def mpa_stationary_measure(p: AsepParams, M: int = M_START) -> ProbVector:
     """Stationary law over the 2^L configurations from the matrix product.
 
     Doubles the truncation M until successive measures differ by less than
-    1e-10 in total variation (cap M_CAP; a start M outside [2, M_CAP] is
-    InvalidTruncation). A matrix element that is negative beyond rounding
+    1e-10 in total variation (cap M_CAP). A start M outside
+    [2, M_CAP / 2] is InvalidTruncation: convergence compares two
+    truncations, and a start above M_CAP / 2 leaves none to compare it
+    with. A matrix element that is negative beyond rounding
     (or a non-positive normalization) means the truncation is too small to
     be trusted: that measure is dropped and the doubling goes on, so
     convergence needs two trusted truncations in a row. NegativeWeight is
@@ -151,8 +153,8 @@ def mpa_stationary_measure(p: AsepParams, M: int = M_START) -> ProbVector:
     are checked against MAX_STATE_SPACE before any array is allocated.
     """
     state_space((2,) * p.L, MAX_STATE_SPACE)
-    if not 2 <= M <= M_CAP:
-        raise InvalidTruncation(f"truncation must lie in [2, {M_CAP}], got {M}")
+    if not 2 <= M <= M_CAP // 2:
+        raise InvalidTruncation(f"truncation must lie in [2, {M_CAP // 2}], got {M}")
     prev = None
     while M <= M_CAP:
         weights = _matrix_element_measure(p, M)

@@ -21,8 +21,11 @@ a cap before anything is allocated on it. A Generator is real and sparse
 array. Its stationary law comes from a sparse LU with diagonal pivots in a
 symmetric minimum-degree ordering of A + A^T (MMD_AT_PLUS_A), which needs
 no pivoting because the pinned system is a column diagonally dominant
-M-matrix (see `stationary_distribution`). A row of exp(tG) comes from
-sparse matrix-vector products. scipy.sparse is imported inside the
+M-matrix (see `stationary_distribution`); a solve whose residual shows a
+badly chosen pin is pinned again once. This LU gives the open exclusion
+chain its law, and it is the oracle of the closed chain's closed-form law
+(`models.closed_asep_law`). A row of exp(tG) comes from sparse
+matrix-vector products. scipy.sparse is imported inside the
 functions that use it, which keeps it out of the package's import time.
 """
 
@@ -42,6 +45,11 @@ MAX_DENSE_DIM = 2**12
 # Largest rate, relative to max(1, the largest rate), that may leave the
 # support given to stationary_distribution.
 SUPPORT_LEAK_TOL = 1e-10
+# Largest ||pi G||_1 on the closed class, relative to max(1, the largest exit
+# rate), that a pinned solve may leave before the class is pinned again.
+STATIONARY_TOL = 1e-13
+# Steps of the uniformized walk that picks the state to pin again.
+PIN_WALK_STEPS = 64
 
 
 class DimensionMismatch(ParameterError):
@@ -290,6 +298,31 @@ def _closed_class(rates) -> np.ndarray:
     return np.flatnonzero(label == closed[0])
 
 
+def _pinned_law(adjoint) -> np.ndarray:
+    """The normalised null vector of an irreducible generator, given as
+    its transpose in CSC form, with state 0 pinned to 1 before the solve
+    (see `stationary_distribution`)."""
+    from scipy.sparse.linalg import splu
+
+    weights = np.ones(adjoint.shape[0])
+    if weights.size > 1:
+        lu = splu(adjoint[1:, 1:], permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                  options={"SymmetricMode": True})
+        weights[1:] = lu.solve(-adjoint[1:, [0]].toarray().ravel())
+    weights = np.clip(weights, 0.0, None)
+    return weights / weights.sum()
+
+
+def _walk_peak(adjoint, rate: float) -> int:
+    """The state on which the uniformized chain I + G/rate puts the most
+    mass after PIN_WALK_STEPS steps from the uniform law; G is given as its
+    transpose."""
+    law = np.full(adjoint.shape[0], 1.0 / adjoint.shape[0])
+    for _ in range(PIN_WALK_STEPS):
+        law += (adjoint @ law) / rate
+    return int(np.argmax(law))
+
+
 def stationary_distribution(G: Generator, support=None) -> ProbVector:
     """Stationary law pi with pi G = 0, pi >= 0, sum pi = 1.
 
@@ -301,6 +334,15 @@ def stationary_distribution(G: Generator, support=None) -> ProbVector:
     solved by a sparse LU, and the result is normalised. Pinning keeps the
     system as sparse as G; a dense row of ones in place of an equation
     would spoil the fill-reducing ordering.
+
+    A pinned state of tiny stationary mass makes the pinned system nearly
+    singular, and its solve can put most of the mass in the wrong place.
+    So ||pi G||_1 on the class is computed after the solve, at the cost of
+    one sparse product. If it exceeds STATIONARY_TOL times
+    max(1, the largest exit rate), the class is pinned again at the state
+    where a PIN_WALK_STEPS-step uniformized walk from the uniform law
+    peaks, and solved once more. That law is returned whatever its
+    residual; the caller judges it.
 
     The LU takes its pivots from the diagonal, in a symmetric minimum-degree
     ordering of the pattern of A + A^T, where A is the pinned system. That
@@ -315,8 +357,6 @@ def stationary_distribution(G: Generator, support=None) -> ProbVector:
     and so the growth factor is at most 2 and the solve is stable without
     row exchanges.
     """
-    from scipy.sparse.linalg import splu
-
     if not isinstance(G, Generator):
         raise NotAGenerator(f"expected a Generator, got {type(G).__name__}")
     states = np.arange(G.dim)
@@ -330,15 +370,16 @@ def stationary_distribution(G: Generator, support=None) -> ProbVector:
         if leak > SUPPORT_LEAK_TOL * max(1.0, float(abs(rates).max())):
             raise ReducibleChain(f"support is not closed: rate {leak} leaves it")
     members = _closed_class(rates)
-    weights = np.ones(members.size)
-    if members.size > 1:
-        adjoint = rates[members][:, members].T.tocsc()
-        lu = splu(adjoint[1:, 1:], permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                  options={"SymmetricMode": True})
-        weights[1:] = lu.solve(-adjoint[1:, [0]].toarray().ravel())
-    weights = np.clip(weights, 0.0, None)
+    adjoint = rates[members][:, members].T.tocsc()
+    weights = _pinned_law(adjoint)
+    rate = float(-adjoint.diagonal().min())
+    # Written so that a non-finite residual pins again too.
+    if not np.abs(adjoint @ weights).sum() <= STATIONARY_TOL * max(1.0, rate):
+        # The state the walk favours goes first, the rest keep their order.
+        order = np.roll(np.arange(members.size), -_walk_peak(adjoint, rate))
+        weights[order] = _pinned_law(adjoint[order][:, order])
     pi = np.zeros(G.dim)
-    pi[states[members]] = weights / weights.sum()
+    pi[states[members]] = weights
     return ProbVector(pi)
 
 

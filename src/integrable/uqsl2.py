@@ -142,16 +142,19 @@ def universal_r(rl: RepM, rm: RepM) -> Operator:
     The f (x) e ordering and the q^{i(i-1)/2} exponent are pinned numerically:
     they form the unique variant (within the natural family of sign and
     exponent choices) intertwining the coproduct used here with its flip.
-    The sum terminates at i = min(l, m) by nilpotency of f and e.
+    The sum terminates at i = min(l, m) by nilpotency of f and e. The
+    product space is checked against the dense cap before anything is
+    built on it.
     """
     if rl.q != rm.q:
         raise DeformationMismatch(f"q mismatch: {rl.q} vs {rm.q}")
     q = rl.q
     if q == 1:
         raise InvalidDeformation("universal R requires q != 1")
+    d1, d2 = rl.dim, rm.dim
+    state_space((d1, d2))
     wl = rl.weights.astype(float)
     wm = rm.weights.astype(float)
-    d1, d2 = rl.dim, rm.dim
     # q^{h (x) h / 2}: diagonal with entries q^{w_a w_b / 2}.
     cartan = np.array([q ** (wa * wb / 2.0) for wa in wl for wb in wm])
     denom = q - 1.0 / q

@@ -3,6 +3,9 @@ import hashlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 
 import jsonschema
 import pytest
@@ -130,13 +133,18 @@ TWPROB = ["twprob", "--t", "0.5", "--q", "0.4"]
         # a start above the truncation cap computes nothing: a parameter error
         (["mpa", "--L", "4", "--q", "0.5", "--alpha", "0.6", "--beta", "0.4",
           "--truncation", "2048"], 2, True),
+        # a start at the cap has no second truncation to compare: it could
+        # never converge
+        (["mpa", "--L", "4", "--q", "0.5", "--alpha", "0.6", "--beta", "0.4",
+          "--truncation", "1024"], 2, True),
     ],
     ids=["radius-2", "nquad-0-n1", "nquad-0-n2", "radius-0", "empty-grid", "q-nan",
          "mpa-not-converged", "mpa-cap", "asep-csv-fails", "fuse-l8-z01",
          "asep-cap", "fuse-l8-relative", "fuse-l4-relative", "fuse-cap", "fuse-q0",
          "twprob-overflow",
          "hermite-nan", "js-cap", "fock-cap", "hecke-overflow",
-         "rep-check-overflow", "sample6v-cap", "universal-r-cap", "mpa-truncation-cap"],
+         "rep-check-overflow", "sample6v-cap", "universal-r-cap", "mpa-truncation-cap",
+         "mpa-truncation-at-cap"],
 )
 def test_exit_code(capsys, argv, expected, silent):
     code, out = _run(capsys, argv)
@@ -168,6 +176,45 @@ def test_asep_report_checks_stationarity(capsys, extra):
         measure = report["results"]["measure"]
         assert [s for s, v in enumerate(measure) if v > 0] == [
             s for s in range(2**8) if bin(s).count("1") == 4]
+
+
+# Open chains whose first state has a stationary mass of about 1e-19: pinned
+# there alone, the LU put most of the mass in the wrong place.
+@pytest.mark.parametrize("rates", [
+    ["--L", "7", "--q", "6.54", "--alpha", "2.55", "--beta", "3.09",
+     "--gamma", "0", "--delta", "2.61"],
+    ["--L", "11", "--q", "0.0246", "--alpha", "2.45", "--beta", "0.0125",
+     "--gamma", "0.0209", "--delta", "0.00621"],
+], ids=["L7", "L11"])
+def test_open_asep_with_a_tiny_first_state(capsys, rates):
+    code, out = _run(capsys, ["asep", "stationary", "--open", *rates])
+    assert code == 0
+    assert json.loads(out)["residuals"]["stationarity"] <= 1e-12
+
+
+def test_closed_asep_builds_no_generator(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the closed chain's law needs no generator")
+
+    monkeypatch.setattr(cli.models, "asep_generator", refuse)
+    monkeypatch.setattr(cli.tensor, "stationary_distribution", refuse)
+    code, out = _run(capsys, ["asep", "stationary", "--L", "10", "--q", "3.0"])
+    assert code == 0
+    assert json.loads(out)["residuals"]["stationarity"] <= 1e-12
+
+
+def test_closed_asep_imports_no_scipy():
+    script = ("import contextlib, io, sys\n"
+              "from integrable import cli\n"
+              "with contextlib.redirect_stdout(io.StringIO()):\n"
+              "    code = cli.main(['asep', 'stationary', '--L', '6', '--q', '0.5'])\n"
+              "scipy = [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
+              "print(code, sorted(scipy))\n")
+    # the child imports this copy of the package, wherever it lives
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                         text=True, check=True, env=env).stdout
+    assert out.split() == ["0", "[]"]
 
 
 def test_deterministic_json_output(capsys):

@@ -7,9 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from integrable import models
+from integrable.errors import ParameterError
 from integrable.models import AsepParams, XxzParams
 from integrable.tensor import (
-    Operator,
     ReducibleChain,
     StateSpaceTooLarge,
     is_generator,
@@ -101,6 +101,52 @@ def test_uniformized_row_matches_expm(n, width, q, t, data):
     assert np.max(np.abs(transition_row(G, state, t, tol=1e-13) - exact)) <= 1e-12
 
 
+# Asymmetries on both sides of q = 1, where the law's weights flip order.
+ASYMMETRY = st.floats(0.05, 20.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(L=st.integers(1, 8), q=ASYMMETRY, data=st.data())
+def test_closed_law_matches_the_sparse_lu(L, q, data):
+    particles = data.draw(st.integers(0, L))
+    p = AsepParams(q=q, L=L)
+    filled = np.array([bin(s).count("1") for s in range(2**L)])
+    sector = np.flatnonzero(filled == particles)
+    lu = stationary_distribution(models.asep_generator(p), support=sector).values
+    law = models.closed_asep_law(p, particles).values
+    assert 0.5 * np.abs(law - lu).sum() <= 1e-12
+    assert np.delete(law, sector).max(initial=0.0) == 0.0
+    assert law.max() > 0
+
+
+def test_closed_law_is_its_closed_form():
+    # L = 3, one particle at site x: weights q^-1, q^-2, q^-3, site 1 the
+    # most significant bit; at L = 20 and q = 0.01 the weights span 1e-200
+    # and none overflows
+    q = 0.4
+    law = models.closed_asep_law(AsepParams(q=q, L=3), 1).values
+    w = np.array([q**-3, q**-2, q**-1])
+    assert np.allclose(law[[1, 2, 4]], w / w.sum(), rtol=1e-15, atol=0)
+    wide = models.closed_asep_law(AsepParams(q=0.01, L=20), 10).values
+    assert np.isfinite(wide).all() and wide.argmax() == 2**10 - 1
+    with pytest.raises(ParameterError):
+        models.closed_asep_law(AsepParams(q=q, L=3), 4)
+
+
+@settings(max_examples=40, deadline=None)
+@given(L=st.integers(1, 10), q=ASYMMETRY,
+       rates=st.lists(st.one_of(st.just(0.0), st.floats(0.05, 5.0)),
+                      min_size=4, max_size=4),
+       open_boundary=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_left_action_matches_the_generator(L, q, rates, open_boundary, seed):
+    alpha, beta, gamma, delta = rates
+    p = AsepParams(q=q, alpha=alpha, beta=beta, gamma=gamma, delta=delta, L=L)
+    v = np.random.default_rng(seed).standard_normal(2**L)
+    want = models.asep_generator(p, open_boundary=open_boundary).rates.T @ v
+    got = models.asep_left_action(v, p, open_boundary=open_boundary)
+    assert np.max(np.abs(got - want)) <= 1e-13 * max(1e-300, np.max(np.abs(want)))
+
+
 def test_absorbing_configuration_is_the_stationary_law():
     # injection only: the full configuration is the one closed class, and
     # every other state (state 0 included) is transient
@@ -146,16 +192,6 @@ def test_xxz_to_asep_gauge_search(q):
     assert out["gamma"] == (1.0 + q**2) / (2.0 * q**2)
     assert out["residual"] <= 1e-12
     assert out["scale"] == pytest.approx(4.0 / (1.0 + q**2))
-
-
-def test_ground_state_transform_builds_generator():
-    # a generator conjugated by its positive left eigenvector stays a
-    # generator with eigenvalue shift zero
-    p = AsepParams(q=0.5, alpha=0.6, beta=0.4, gamma=0.1, delta=0.2, L=3)
-    G = models.asep_generator(p, open_boundary=True)
-    g = np.ones(8)
-    out = models.ground_state_transform(Operator(G.site_dims, G.rates.toarray()), g)
-    assert is_generator(out)
 
 
 def test_tw_single_particle_is_heat_kernel_like():

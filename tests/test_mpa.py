@@ -93,12 +93,23 @@ def test_negative_weights_below_the_cap_double_the_truncation(monkeypatch):
 
 
 def test_negative_weights_at_the_cap_raise(monkeypatch):
-    # The same point with the cap lowered to the truncation that is negative.
+    # The same point with the cap lowered to the truncation that is negative,
+    # from the largest legal start: M = 8 is negative too (-87.7), so the
+    # doubling reaches the cap and raises there.
     monkeypatch.setattr(mpa, "M_CAP", 16)
     p = AsepParams(q=0.6273, alpha=0.5545, beta=0.9018, gamma=0.0765,
                    delta=0.0117, L=16)
+    contract = mpa._matrix_element_measure
+    seen = []
+
+    def counted(p, M):
+        seen.append(M)
+        return contract(p, M)
+
+    monkeypatch.setattr(mpa, "_matrix_element_measure", counted)
     with pytest.raises(mpa.NegativeWeight, match="truncation 16"):
-        mpa.mpa_stationary_measure(p)
+        mpa.mpa_stationary_measure(p, M=8)
+    assert seen == [8, 16]
 
 
 def test_q_oscillator_commutation():

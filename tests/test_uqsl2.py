@@ -74,3 +74,15 @@ def test_rep_beyond_the_dense_cap_allocates_nothing():
     finally:
         tracemalloc.stop()
     assert peak < 2**20  # the two 5001^2 matrices would take 400 MB
+
+
+def test_universal_r_beyond_the_dense_cap_allocates_nothing():
+    rl = uqsl2.rep(1000, 0.999)
+    tracemalloc.start()
+    try:
+        with pytest.raises(StateSpaceTooLarge):
+            uqsl2.universal_r(rl, rl)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20  # the 1001^2 Cartan diagonal alone would take 8 MB
