@@ -15,6 +15,10 @@ exits 1 with nothing on stdout.
 Each subcommand is one row of COMMANDS: its arguments and the function
 that computes its Run. main() is the only code that turns a Run into a
 report, a verdict and an exit code.
+
+`asep stationary` and `mpa` share one report (_stationary_run) and its
+certificate ||pi G||_1, computed without a generator; only
+`asep stationary --open` builds one and runs the LU.
 """
 
 from __future__ import annotations
@@ -74,12 +78,14 @@ class Command(NamedTuple):
 
 
 def _is_finite(value) -> bool:
-    """False if any float in value, nested in lists and dicts, is infinite
-    or NaN."""
+    """False if any float in value, nested in lists, dicts and arrays, is
+    infinite or NaN."""
     if isinstance(value, dict):
         return all(_is_finite(v) for v in value.values())
     if isinstance(value, (list, tuple)):
         return all(_is_finite(v) for v in value)
+    if isinstance(value, np.ndarray):
+        return bool(np.isfinite(value).all())
     return not isinstance(value, float) or math.isfinite(value)
 
 
@@ -109,7 +115,7 @@ def _report(run: Run, tol: float, t0) -> dict:
 
 
 def _measure_csv(values, L: int) -> str:
-    rows = [f"{idx:0{L}b},{float(val)!r}" for idx, val in enumerate(values)]
+    rows = [f"{idx:0{L}b},{val!r}" for idx, val in enumerate(values.tolist())]
     return "\n".join(["configuration,probability", *rows]) + "\n"
 
 
@@ -207,6 +213,17 @@ def _asep_params(args) -> models.AsepParams:
                              gamma=args.gamma, delta=args.delta, L=args.L)
 
 
+def _stationary_run(command, params, law, p, open_boundary) -> Run:
+    """A stationary law's report: the measure, |sum pi - 1| and the
+    certificate ||pi G||_1 from the matrix-free left action."""
+    pi = law.values
+    flow = models.asep_left_action(pi, p, open_boundary)
+    return Run(command, params, {"measure": pi},
+               {"normalization": abs(float(pi.sum()) - 1.0),
+                "stationarity": float(np.abs(flow).sum())},
+               table=lambda: _measure_csv(pi, p.L))
+
+
 def _asep(args) -> Run:
     p = _asep_params(args)
     if args.open:
@@ -214,29 +231,14 @@ def _asep(args) -> Run:
     else:
         # closed chain conserves particle number; report the half-filled class
         pi = models.closed_asep_law(p, p.L // 2)
-    flow = models.asep_left_action(pi.values, p, args.open)
-    return Run(
-        "asep stationary",
-        {"L": p.L, "q": p.q, "open": args.open},
-        {"measure": [float(v) for v in pi.values]},
-        {"normalization": abs(float(pi.values.sum()) - 1.0),
-         "stationarity": float(np.abs(flow).sum())},
-        table=lambda: _measure_csv(pi.values, p.L),
-    )
+    return _stationary_run("asep stationary", {"L": p.L, "q": p.q, "open": args.open},
+                           pi, p, args.open)
 
 
 def _mpa(args) -> Run:
     p = _asep_params(args)
-    mu = mpa.mpa_stationary_measure(p, M=args.truncation)
-    pi = tensor.stationary_distribution(models.asep_generator(p, open_boundary=True))
-    return Run(
-        "mpa",
-        {"L": p.L, "q": p.q, "alpha": p.alpha, "beta": p.beta, "gamma": p.gamma,
-         "delta": p.delta, "truncation_start": args.truncation},
-        {"measure": [float(v) for v in mu.values]},
-        {"oracle_tv": 0.5 * float(np.abs(mu.values - pi.values).sum())},
-        table=lambda: _measure_csv(mu.values, p.L),
-    )
+    return _stationary_run("mpa", {**vars(p), "truncation_start": args.truncation},
+                           mpa.mpa_stationary_measure(p, M=args.truncation), p, True)
 
 
 def _fuse_csv(w: sixvertex.VertexWeights) -> str:
@@ -485,7 +487,8 @@ def main(argv=None) -> int:
                                    allow_nan=False)
             print(f"check failed: {residuals}", file=sys.stderr)
     else:
-        print(json.dumps(report, indent=2, sort_keys=True, allow_nan=False))
+        print(json.dumps(report, indent=2, sort_keys=True, allow_nan=False,
+                         default=np.ndarray.tolist))
     return PASS_EXIT if report["pass"] else FAIL_EXIT
 
 

@@ -23,10 +23,11 @@ symmetric minimum-degree ordering of A + A^T (MMD_AT_PLUS_A), which needs
 no pivoting because the pinned system is a column diagonally dominant
 M-matrix (see `stationary_distribution`); a solve whose residual shows a
 badly chosen pin is pinned again once. This LU gives the open exclusion
-chain its law, and it is the oracle of the closed chain's closed-form law
-(`models.closed_asep_law`). A row of exp(tG) comes from sparse
-matrix-vector products. scipy.sparse is imported inside the
-functions that use it, which keeps it out of the package's import time.
+chain its law; in tests and scripts only, it is the oracle of the closed
+chain's closed form (`models.closed_asep_law`) and of the matrix product
+(`mpa`). A row of exp(tG) comes from sparse matrix-vector products.
+scipy.sparse is imported inside the functions that use it, which keeps
+it out of the package's import time.
 """
 
 from __future__ import annotations
@@ -269,15 +270,16 @@ def is_generator(G, tol: float = 1e-10) -> bool:
 
 @dataclass(frozen=True)
 class ProbVector:
-    """Nonnegative vector summing to 1 over the configuration basis."""
+    """Finite nonnegative vector summing to 1 over the configuration basis."""
 
     values: np.ndarray
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
-        if v.min() < -1e-12:
-            raise ParameterError(f"negative probability {v.min()}")
-        if abs(v.sum() - 1.0) > 1e-12:
+        # written so that a NaN fails each check
+        if not v.min() >= -1e-12:
+            raise ParameterError(f"negative or NaN probability {v.min()}")
+        if not abs(v.sum() - 1.0) <= 1e-12:
             raise ParameterError(f"probabilities sum to {v.sum()}, not 1")
         object.__setattr__(self, "values", np.clip(v, 0.0, None))
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError
-from .tensor import Operator, embed, identity, kron, permutation_operator, state_space
+from .tensor import Operator, embed, identity, kron, state_space
 
 
 class InvalidDeformation(ParameterError):
@@ -183,9 +183,3 @@ def universal_r_check(rl: RepM, rm: RepM) -> dict:
     res["invertibility"] = float(np.max(np.abs(R @ Rinv - np.eye(R.shape[0]))))
     return res
 
-
-def braided_r(rl: RepM, rm: RepM) -> Operator:
-    """R-check = P o R, the braiding operator on V_l (x) V_m."""
-    R = universal_r(rl, rm)
-    P = permutation_operator(rl.dim, rm.dim)
-    return Operator(R.site_dims, P.entries @ R.entries)

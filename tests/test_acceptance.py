@@ -73,7 +73,8 @@ def test_criterion_3_quantum_group_suite():
             intw, max(v for k, v in chk.items() if k.startswith("intertwine"))
         )
         trip = max(
-            trip, ybe.verify_braided_ybe(uqsl2.braided_r(r1, r1))["residual"]
+            trip,
+            ybe.verify_braided_ybe(uqsl2.universal_r(r1, r1))["r_check_residual"],
         )
     ok = rel <= 1e-10 and intw <= 1e-10 and trip <= 1e-10
     _line(3, "quantum group suite", ok,

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import hashlib
 import io
 import json
@@ -192,22 +193,33 @@ def test_open_asep_with_a_tiny_first_state(capsys, rates):
     assert json.loads(out)["residuals"]["stationarity"] <= 1e-12
 
 
-def test_closed_asep_builds_no_generator(capsys, monkeypatch):
+# Laws that need no generator: the closed chain's closed form and the
+# matrix product.
+NO_GENERATOR = pytest.mark.parametrize("argv", [
+    ["asep", "stationary", "--L", "10", "--q", "3.0"],
+    ["mpa", "--L", "10", "--q", "0.5", "--alpha", "0.6", "--beta", "0.4",
+     "--gamma", "0.1", "--delta", "0.2"],
+], ids=["asep", "mpa"])
+
+
+@NO_GENERATOR
+def test_closed_asep_builds_no_generator(capsys, monkeypatch, argv):
     def refuse(*args, **kwargs):
-        raise AssertionError("the closed chain's law needs no generator")
+        raise AssertionError("this law needs no generator")
 
     monkeypatch.setattr(cli.models, "asep_generator", refuse)
     monkeypatch.setattr(cli.tensor, "stationary_distribution", refuse)
-    code, out = _run(capsys, ["asep", "stationary", "--L", "10", "--q", "3.0"])
+    code, out = _run(capsys, argv)
     assert code == 0
     assert json.loads(out)["residuals"]["stationarity"] <= 1e-12
 
 
-def test_closed_asep_imports_no_scipy():
+@NO_GENERATOR
+def test_closed_asep_imports_no_scipy(argv):
     script = ("import contextlib, io, sys\n"
               "from integrable import cli\n"
               "with contextlib.redirect_stdout(io.StringIO()):\n"
-              "    code = cli.main(['asep', 'stationary', '--L', '6', '--q', '0.5'])\n"
+              f"    code = cli.main({argv!r})\n"
               "scipy = [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
               "print(code, sorted(scipy))\n")
     # the child imports this copy of the package, wherever it lives
@@ -215,6 +227,23 @@ def test_closed_asep_imports_no_scipy():
     out = subprocess.run([sys.executable, "-c", script], capture_output=True,
                          text=True, check=True, env=env).stdout
     assert out.split() == ["0", "[]"]
+
+
+def test_mpa_report_fails_on_a_wrong_law(capsys, monkeypatch):
+    # the law of the chain with its two boundaries swapped
+    measure = cli.mpa.mpa_stationary_measure
+
+    def swapped(p, M):
+        return measure(dataclasses.replace(p, alpha=p.beta, beta=p.alpha,
+                                           gamma=p.delta, delta=p.gamma), M=M)
+
+    monkeypatch.setattr(cli.mpa, "mpa_stationary_measure", swapped)
+    code, out = _run(capsys, ["mpa", "--L", "6", "--q", "0.5", "--alpha", "0.6",
+                              "--beta", "0.4", "--gamma", "0.1", "--delta", "0.2"])
+    assert code == 1
+    report = json.loads(out)
+    assert report["residuals"]["stationarity"] > 1e-3
+    assert report["residuals"]["normalization"] <= 1e-12
 
 
 def test_deterministic_json_output(capsys):
@@ -315,6 +344,8 @@ def test_every_json_subcommand_validates(capsys):
         ["universal-r", "--l", "1", "--m", "2", "--q", "0.6"],
         ["asep", "stationary", "--L", "3", "--q", "0.5", "--alpha", "0.6",
          "--beta", "0.4", "--gamma", "0.1", "--delta", "0.2", "--open"],
+        ["mpa", "--L", "3", "--q", "0.5", "--alpha", "0.6", "--beta", "0.4",
+         "--gamma", "0.1", "--delta", "0.2"],
         ["fuse", "--l", "2", "--m", "2", "--z", "0.3", "--q", "0.5"],
         ["twprob", "--t", "0.5", "--q", "0.4", "--y", "0", "--x", "1"],
         ["oscillator", "hermite", "--n", "4", "--x", "0.3"],

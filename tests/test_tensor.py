@@ -7,11 +7,13 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from integrable import models, oscillator, sixvertex, tensor, uqsl2, ybe
+from integrable.errors import ParameterError
 from integrable.tensor import (
     DimensionMismatch,
     Generator,
     NotAGenerator,
     Operator,
+    ProbVector,
     ReducibleChain,
     StateSpaceTooLarge,
     embed,
@@ -184,6 +186,15 @@ def test_stationary_rejects_non_generator():
         stationary_distribution(Operator((2,), bad))
     with pytest.raises(NotAGenerator):
         Generator((2,), bad)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("where", [0, 1])
+def test_prob_vector_refuses_non_finite_entries(bad, where):
+    values = np.array([0.0, 1.0])
+    values[where] = bad
+    with pytest.raises(ParameterError):
+        ProbVector(values)
 
 
 RATE = st.floats(0.05, 1.0)

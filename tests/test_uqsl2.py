@@ -3,8 +3,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from integrable import uqsl2
-from integrable.tensor import StateSpaceTooLarge, permutation_operator
+from integrable import uqsl2, ybe
+from integrable.tensor import StateSpaceTooLarge
 
 
 @pytest.mark.parametrize("q", [0.3, 0.7, 1.5])
@@ -49,20 +49,10 @@ def test_deformation_mismatch_raises():
         uqsl2.universal_r(uqsl2.rep(1, 0.4), uqsl2.rep(1, 0.5))
 
 
-def test_braided_r_is_p_compose_r():
-    r = uqsl2.rep(1, 0.6)
-    R = uqsl2.universal_r(r, r).entries
-    P = permutation_operator(2, 2).entries
-    assert np.allclose(uqsl2.braided_r(r, r).entries, P @ R)
-
-
 def test_braided_r_satisfies_braid_relation():
+    # the braid relation of R-check = P o R
     r = uqsl2.rep(1, 0.7)
-    Rc = uqsl2.braided_r(r, r).entries
-    I = np.eye(2)
-    R12 = np.kron(Rc, I)
-    R23 = np.kron(I, Rc)
-    assert np.max(np.abs(R12 @ R23 @ R12 - R23 @ R12 @ R23)) <= 1e-12
+    assert ybe.verify_braided_ybe(uqsl2.universal_r(r, r))["r_check_residual"] <= 1e-12
 
 
 def test_rep_beyond_the_dense_cap_allocates_nothing():
