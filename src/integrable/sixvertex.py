@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import ParameterError, RateOutOfRange
 from .qnum import q_binomial, q_pochhammer
-from .tensor import Operator, float_array, real_entries, state_space
+from .tensor import float_array, real_entries, state_space
 
 
 class PoleAtZEqualsQPower(ParameterError):
@@ -76,11 +76,6 @@ class VertexWeights:
 
     def _row_scale(self) -> np.ndarray:
         return np.maximum(1, np.abs(self.table).max(axis=(2, 3)))
-
-    def as_operator(self) -> Operator:
-        """Matrix on V_l (x) V_m with rows indexed by (j1, k1)."""
-        dims = self.table.shape[:2]
-        return Operator(dims, self.table.reshape(dims[0] * dims[1], -1))
 
 
 def six_vertex_weights(b1: float, b2: float) -> VertexWeights:
@@ -263,6 +258,17 @@ def fused_weights_closed_form(l: int, m: int, z: float, q: float) -> VertexWeigh
 # same bytes only under the same sampler.
 SAMPLER_VERSION = "antidiagonal-philox-1"
 
+# A draw ku < 2^53 of input pair r is searched for as the int64 key
+# r (2^53 + 1) + ku. With n input pairs (l+1)(m+1) the keys reach
+# n (2^53 + 1) - 1, which is below 2^63 only for n <= 1023.
+_KEY_ROW = 2**53 + 1
+MAX_INPUT_PAIRS = 1023
+
+
+# Most codes j1 k1 j2 k2 in base (largest count + 1) that LatticeConfig.to_csv
+# counts over: 32^4, so 8 MB of counts.
+_MAX_CSV_CODES = 2**20
+
 
 # The lattice types are NamedTuples: a frozen dataclass costs about 1 ms
 # of import time each.
@@ -292,7 +298,10 @@ class LatticeConfig(NamedTuple):
         """JSON header line, then one row per vertex in raster order:
         x, y, j1, k1, j2, k2. Each row is three tokens from lookup tables:
         "x,", "y," and "j1,k1,j2,k2\n", the last one per distinct arrow
-        configuration of a vertex."""
+        configuration of a vertex. The configurations are found by counting
+        their codes over the code range when it is at most _MAX_CSV_CODES,
+        that is for arrow counts below 32 (every fused table), and by
+        sorting the codes past it."""
         header = {
             "seed": self.seed,
             "width": self.width,
@@ -305,9 +314,15 @@ class LatticeConfig(NamedTuple):
         arrows = arrows.reshape(4, -1)
         base = int(arrows.max()) + 1  # arrow counts are nonnegative
         code = ((arrows[0] * base + arrows[1]) * base + arrows[2]) * base + arrows[3]
-        _, first, kind = np.unique(code, return_index=True, return_inverse=True)
+        if base**4 <= _MAX_CSV_CODES:
+            seen = np.bincount(code, minlength=base**4) > 0
+            kinds = np.flatnonzero(seen)
+            kind = (np.cumsum(seen) - 1)[code]
+        else:
+            kinds, kind = np.unique(code, return_inverse=True)
         kind_tokens = np.array(
-            [f"{j1},{k1},{j2},{k2}\n" for j1, k1, j2, k2 in arrows[:, first].T.tolist()],
+            [f"{j1},{k1},{j2},{k2}\n" for j1, k1, j2, k2
+             in np.transpose(np.unravel_index(kinds, (base,) * 4)).tolist()],
             dtype=object,
         )
         rows = np.empty((self.height, self.width, 3), dtype=object)
@@ -347,13 +362,16 @@ class LatticeBatch(NamedTuple):
         )
 
 
-def _philox_uniforms(seeds: np.ndarray, n: int) -> np.ndarray:
-    """u[i, t]: the t-th double of Generator(Philox(seeds[i])).random(),
-    from numpy's own Philox stream, whose raw outputs numpy keeps stable:
-    the top 53 bits of output t times 2^-53, as Generator.random does.
-    numpy.random is first loaded here, not when the package is imported."""
-    raw = np.stack([np.random.Philox(s).random_raw(n) for s in seeds.tolist()])
-    return (raw >> 11) * 2.0**-53
+def _philox_draws(seeds: np.ndarray, n: int) -> np.ndarray:
+    """ku[i, t]: the t-th double of Generator(Philox(seeds[i])).random()
+    is exactly ku[i, t] * 2^-53. numpy keeps the raw Philox stream stable,
+    and Generator.random keeps the top 53 bits of raw output t. numpy.random
+    is first loaded here, not when the package is imported."""
+    raw = np.empty((len(seeds), n), dtype=np.uint64)
+    for row, s in zip(raw, seeds.tolist()):
+        row[:] = np.random.Philox(s).random_raw(n)
+    raw >>= np.uint64(11)
+    return raw.view(np.int64)
 
 
 def _seed_array(seeds) -> np.ndarray:
@@ -366,20 +384,25 @@ def _seed_array(seeds) -> np.ndarray:
     return s.astype(np.uint64)
 
 
-# Most vertices sampled in one call, over all seeds: at about 110 bytes per
-# vertex this is about 1.8 GB, enough for four seeds at 2048^2.
+# Most vertices sampled in one call, over all seeds: at a peak of about 28
+# bytes per vertex (16 of them kept for the lattice) this is about 470 MB,
+# enough for four seeds at 2048^2.
 MAX_VERTICES = 2**24
 
 
 def _inverse_cdf_table(rows: np.ndarray) -> np.ndarray:
-    """Cumulative rows: output o is drawn for cdf[o-1] <= u < cdf[o]. From
-    each row's last positive entry on, cdf is +inf, so that a uniform
-    above a cumulative sum rounded below 1 still draws a possible output,
-    and a zero-probability output is never drawn."""
+    """Integer thresholds: output o is drawn for th[o-1] <= ku < th[o],
+    where u = ku 2^-53 is the draw. With c the cumulative rows, u >= c
+    exactly when ku >= ceil(c 2^53). From each row's last positive entry
+    on, and wherever c > 1, the threshold is 2^53, above every ku: so a
+    uniform above a cumulative sum rounded below 1 still draws a possible
+    output, and a zero-probability output is never drawn."""
     cdf = np.cumsum(rows, axis=1)
     last = rows.shape[1] - 1 - np.argmax(rows[:, ::-1] > 0, axis=1)
-    cdf[np.arange(rows.shape[1]) >= last[:, np.newaxis]] = np.inf
-    return cdf
+    never = (np.arange(rows.shape[1]) >= last[:, np.newaxis]) | ~(cdf <= 1)
+    # a negative c, which only a refused row has, is below every u
+    thresholds = np.where(never, 2**53, np.ceil(np.maximum(cdf, 0) * 2.0**53))
+    return thresholds.astype(np.int64)
 
 
 def sample_lattices(
@@ -396,15 +419,25 @@ def sample_lattices(
     vertex on the anti-diagonal x + y = d is determined by diagonal d - 1
     and the whole diagonal, across all seeds, is drawn at once. Vertex
     (y, x) of seed s draws its output (j2, k2) by inverse CDF over the
-    weight row of its input (j1, k1), with uniform y * width + x of numpy's
-    own Philox stream for s. Its draw thus does not depend on the sweep
-    order, and a seed's lattice does not depend on the other seeds in the
-    batch.
+    weight row r = j1 (m+1) + k1 of its input (j1, k1), with uniform
+    y * width + x of numpy's own Philox stream for s. Its draw thus does
+    not depend on the sweep order, and a seed's lattice does not depend
+    on the other seeds in the batch.
+
+    The draw is exact integer arithmetic. The uniform is ku 2^-53 for an
+    integer ku, and each cumulative weight c becomes the integer threshold
+    ceil(c 2^53), so u >= c exactly when ku >= the threshold. Row r's
+    thresholds, offset by r (2^53 + 1), make one sorted key array, and a
+    whole diagonal is drawn by one search: the number of keys at most
+    r (2^53 + 1) + ku is p = r n_out + o, the input pair and the drawn
+    output o = j2 (m+1) + k2 at once. Lookup tables on p give the next
+    diagonal's inputs, and the lattice is decoded from p after the sweep.
 
     More than MAX_VERTICES vertices over all seeds raise StateSpaceTooLarge
-    before anything is allocated. A weight row that is not a probability
-    law raises InconsistentBoundary before any vertex draws from it; a row
-    that no vertex reaches is never checked.
+    and a table with more than MAX_INPUT_PAIRS input pairs raises
+    ParameterError, both before anything is allocated. A weight row that is
+    not a probability law raises InconsistentBoundary before any vertex
+    draws from it; a row that no vertex reaches is never checked.
     """
     if width < 1 or height < 1:
         raise InconsistentBoundary(
@@ -412,6 +445,12 @@ def sample_lattices(
         )
     seeds = _seed_array(seeds)
     state_space((len(seeds), width, height), MAX_VERTICES)
+    n_in = (w.l + 1) * (w.m + 1)
+    if n_in > MAX_INPUT_PAIRS:
+        raise ParameterError(
+            f"the sampler takes at most {MAX_INPUT_PAIRS} input pairs "
+            f"(l+1)(m+1), got {n_in}"
+        )
     if boundary_left is None:
         boundary_left = (0,) * height
     if boundary_bottom is None:
@@ -427,40 +466,63 @@ def sample_lattices(
 
     # One row per input pair r = j1 (m+1) + k1, over the outputs
     # o = j2 (m+1) + k2.
-    rows = real_entries(w.table).reshape((w.l + 1) * (w.m + 1), -1)
+    rows = real_entries(w.table).reshape(n_in, -1)
     totals = rows.sum(axis=1)
     bad = ~(np.abs(totals - 1.0) <= 1e-8) | ~(rows.min(axis=1) >= 0)  # NaN too
-    cdf = _inverse_cdf_table(rows / np.where(bad, 1.0, totals)[:, np.newaxis])
+    thresholds = _inverse_cdf_table(rows / np.where(bad, 1.0, totals)[:, np.newaxis])
+    thresholds[bad] = 2**53  # keeps the keys sorted; never drawn from
+    keys = (thresholds + np.arange(n_in)[:, np.newaxis] * _KEY_ROW).ravel()
+    # From p = r n_out + o: the outputs, and the inputs they give the right
+    # and upper neighbours, scaled to the key of their row.
+    j2, k2 = np.divmod(np.arange(keys.size) % n_in, w.m + 1)
+    to_right, to_top = j2 * ((w.m + 1) * _KEY_ROW), k2 * _KEY_ROW
+
+    # The wavefront: H[y] and V[y] are the scaled horizontal and vertical
+    # inputs of row y's next vertex, one column per seed. Vertex (y, x) is
+    # draw y (width - 1) + d of its diagonal d = x + y, so a diagonal is a
+    # strided slice of the raster arrays. The sweep sees every array with
+    # its seed axis last, so that a diagonal is one slice of the first axis.
+    batch = len(seeds)
+    ku = _philox_draws(seeds, width * height).T
+    p_at = np.empty((batch, width * height), dtype=np.int32)  # p < 1023^2
+    swept = p_at.T
+    H = np.empty((height, batch), dtype=np.int64)
+    V = np.empty((height + 1, batch), dtype=np.int64)
+    H[:] = np.array(boundary_left)[:, np.newaxis] * ((w.m + 1) * _KEY_ROW)
+    bottom = np.array(boundary_bottom) * _KEY_ROW
+    any_bad = bool(bad.any())
+    step = max(width - 1, 1)
+    for d in range(width + height - 1):
+        y0, y1 = max(0, d - width + 1), min(d, height - 1) + 1
+        if d < width:
+            V[0] = bottom[d]
+        key = H[y0:y1] + V[y0:y1]
+        if any_bad:
+            r = key.T // _KEY_ROW
+            if bad[r].any():
+                row = int(r[bad[r]][0])
+                j1, k1 = divmod(row, w.m + 1)
+                raise InconsistentBoundary(
+                    f"weight row ({j1},{k1}) sums to {totals[row]} or has a "
+                    "negative entry; it is not a probability law"
+                )
+        at = slice(y0 * (width - 1) + d, (y1 - 1) * (width - 1) + d + 1, step)
+        key += ku[at]
+        p = keys.searchsorted(key, side="right")
+        swept[at] = p
+        H[y0:y1] = to_right[p]
+        V[y0 + 1:y1 + 1] = to_top[p]
+    del ku
 
     # J[:, y, x] is the horizontal input of vertex (y, x) and J[:, y, x + 1]
     # its output; K[:, y, x] and K[:, y + 1, x] likewise vertically.
-    batch = len(seeds)
     J = np.empty((batch, height, width + 1), dtype=int)
     K = np.empty((batch, height + 1, width), dtype=int)
     J[:, :, 0] = boundary_left
     K[:, 0, :] = boundary_bottom
-    J_flat, K_flat = J.reshape(batch, -1), K.reshape(batch, -1)
-    # Vertices in sweep order: by diagonal, then by y.
-    y, x = np.divmod(np.arange(width * height), width)
-    order = np.argsort(x + y, kind="stable")
-    y, x = y[order], x[order]
-    j_at, k_at = y * (width + 1) + x, y * width + x
-    j_out_at, k_out_at = j_at + 1, k_at + width
-    u = _philox_uniforms(seeds, width * height)[:, order]
-    any_bad = bool(bad.any())
-    sizes = np.bincount(x + y)
-    for end, size in zip(np.cumsum(sizes).tolist(), sizes.tolist()):
-        v = slice(end - size, end)
-        r = J_flat[:, j_at[v]] * (w.m + 1) + K_flat[:, k_at[v]]
-        if any_bad and bad[r].any():
-            row = int(r[bad[r]][0])
-            j1, k1 = divmod(row, w.m + 1)
-            raise InconsistentBoundary(
-                f"weight row ({j1},{k1}) sums to {totals[row]} or has a "
-                "negative entry; it is not a probability law"
-            )
-        o = (u[:, v, np.newaxis] >= cdf[r]).sum(axis=-1)
-        J_flat[:, j_out_at[v]], K_flat[:, k_out_at[v]] = np.divmod(o, w.m + 1)
+    p_at = p_at.reshape(batch, height, width)
+    J[:, :, 1:] = j2[p_at]
+    K[:, 1:, :] = k2[p_at]
     return LatticeBatch(
         j_in=J[:, :, :-1],
         k_in=K[:, :-1, :],

@@ -161,7 +161,7 @@ def test_criterion_6_fusion_cross_check():
     def T(x):
         return sixvertex.fused_weights_recurrence(
             l, m, x * q ** (-(l - 1)), q
-        ).as_operator().entries
+        ).table.reshape((l + 1) * (m + 1), -1)
 
     def e12(M):
         return np.kron(M, np.eye(m + 1))

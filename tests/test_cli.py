@@ -246,6 +246,16 @@ def test_mpa_report_fails_on_a_wrong_law(capsys, monkeypatch):
     assert report["residuals"]["normalization"] <= 1e-12
 
 
+def test_mpa_report_fails_where_the_truncations_settle_on_a_wrong_law(capsys):
+    # At this point the doubling settles (TV between truncations below 1e-10)
+    # on a law 0.125 in TV from the LU's; only the certificate catches it.
+    code, out = _run(capsys, ["mpa", "--L", "10", "--q", "0.5448", "--alpha",
+                              "0.3207", "--beta", "0.3304", "--gamma", "0.211",
+                              "--delta", "0.295"])
+    assert code == 1
+    assert json.loads(out)["residuals"]["stationarity"] > 1e-2
+
+
 def test_deterministic_json_output(capsys):
     argv = ["mpa", "--L", "3", "--q", "0.5", "--alpha", "0.6", "--beta",
             "0.4", "--gamma", "0.1", "--delta", "0.2"]

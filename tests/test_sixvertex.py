@@ -37,7 +37,7 @@ def test_asep_weights_match_six_vertex_parametrization():
         b1 = q * (z - 1) / (q * z - 1)
         b2 = (z - 1) / (q * z - 1)
         R = ybe.asep_spectral_r(z, q).entries
-        W = sixvertex.six_vertex_weights(b1, b2).as_operator().entries
+        W = sixvertex.six_vertex_weights(b1, b2).table.reshape(4, -1)
         assert np.max(np.abs(R - W)) <= 1e-15
 
 
@@ -260,11 +260,13 @@ def test_csv_writer_matches_oracle_on_multi_digit_counts():
     assert c.to_csv() == _reference_csv(c)
 
 
-# The sampler's shift and scale of Philox.random_raw is Generator.random's.
+# The sampler's integer draws, scaled by 2^-53, are Generator.random's.
 @pytest.mark.parametrize("n", [1, 4, 37, 16384])
 def test_uniforms_are_numpys_philox_stream(n):
     seeds = [0, 1, 7, 2**32 - 1, 2**32, 2**63 + 5, 2**64 - 1]
-    u = sixvertex._philox_uniforms(np.array(seeds, dtype=np.uint64), n)
+    ku = sixvertex._philox_draws(np.array(seeds, dtype=np.uint64), n)
+    assert ku.dtype == np.int64 and 0 <= ku.min() and ku.max() < 2**53
+    u = ku * 2.0**-53
     for s, row in zip(seeds, u):
         expected = np.random.Generator(np.random.Philox(s)).random(n)
         assert np.array_equal(row, expected), s
@@ -384,15 +386,95 @@ def test_reached_bad_row_raises():
                                   seeds=range(5))
 
 
-def test_inverse_cdf_never_draws_a_zero_probability_output():
+def test_inverse_cdf_never_draws_a_zero_probability_output(monkeypatch):
     rows = np.zeros((3, 11))
     rows[0, :10] = 0.1  # sums to 1 - 2^-53 in float64; last output impossible
     rows[1, 1::2] = 0.2  # impossible outputs between possible ones
     rows[2, 10] = 1.0
     assert np.cumsum(rows[0])[-1] < 1
-    cdf = sixvertex._inverse_cdf_table(rows)
-    for u in (0.0, 0.05, 0.5, 1 - 2**-53):
-        drawn = (u >= cdf).sum(axis=1)
-        assert np.all(rows[np.arange(3), drawn] > 0), u
+    thresholds = sixvertex._inverse_cdf_table(rows)
+    assert thresholds.dtype == np.int64
+    for ku in (0, 2**51, 2**52, 2**53 - 1):
+        drawn = (ku >= thresholds).sum(axis=1)
+        assert np.all(rows[np.arange(3), drawn] > 0), ku
     # the largest uniform draws each row's last possible output
-    assert ((1 - 2**-53) >= cdf).sum(axis=1).tolist() == [9, 9, 10]
+    assert ((2**53 - 1) >= thresholds).sum(axis=1).tolist() == [9, 9, 10]
+    # u = ku 2^-53 >= c exactly when ku >= the threshold of c, also with
+    # ku on the threshold and one either side of it
+    for c in (0.0, 2**-53, 1 / 3, 0.5, 1 - 2**-53, 1.0, 1 + 2**-52, np.inf):
+        th = int(sixvertex._inverse_cdf_table(np.array([[c, 1.0]]))[0, 0])
+        for ku in (th - 1, th, th + 1):
+            if 0 <= ku < 2**53:
+                assert (ku >= th) == (ku * 2.0**-53 >= c), (c, ku)
+    # Through the sweep: row (0, 1) of the six-vertex table draws "up" for
+    # u < b1 and "right" for u >= b1. Vertex (0, 0) draws just below the
+    # threshold and sends its arrow up; vertex (1, 0) draws on it and turns
+    # the arrow right.
+    for b1 in (2**-53, 1 / 3, 0.5, 1 - 2**-53):
+        th = int(np.ceil(b1 * 2.0**53))
+        assert (th - 1) * 2.0**-53 < b1 <= th * 2.0**-53
+        monkeypatch.setattr(sixvertex, "_philox_draws",
+                            lambda seeds, n: np.array([[th - 1, th]]))
+        c = sixvertex.sample_lattice(sixvertex.six_vertex_weights(b1, 0.5), 1, 2,
+                                     boundary_left=(0, 0), boundary_bottom=(1,))
+        assert c.k_out[:, 0].tolist() == [1, 0], b1
+        assert c.j_out[:, 0].tolist() == [0, 1], b1
+
+
+def _raster_loop(w, width, height, left, bottom, seed):
+    """The sampler's law vertex by vertex in raster order, from float
+    cumulative rows: vertex (y, x) draws o = #{cdf[r] <= u} with uniform
+    y * width + x of Generator(Philox(seed)).random(). Kept as the oracle of
+    the anti-diagonal sweep."""
+    n = (w.l + 1) * (w.m + 1)
+    rows = np.real(w.table).reshape(n, n)
+    rows = rows / rows.sum(axis=1, keepdims=True)
+    cdf = np.cumsum(rows, axis=1)
+    for r in range(n):
+        last = max(np.flatnonzero(rows[r] > 0))
+        cdf[r, last:] = np.inf
+    u = np.random.Generator(np.random.Philox(seed)).random(width * height)
+    arrays = {name: np.zeros((height, width), dtype=int)
+              for name in ("j_in", "k_in", "j_out", "k_out")}
+    for y in range(height):
+        for x in range(width):
+            j1 = left[y] if x == 0 else arrays["j_out"][y, x - 1]
+            k1 = bottom[x] if y == 0 else arrays["k_out"][y - 1, x]
+            o = int((u[y * width + x] >= cdf[j1 * (w.m + 1) + k1]).sum())
+            arrays["j_in"][y, x], arrays["k_in"][y, x] = j1, k1
+            arrays["j_out"][y, x], arrays["k_out"][y, x] = divmod(o, w.m + 1)
+    return arrays
+
+
+@pytest.mark.parametrize("weights", [
+    sixvertex.six_vertex_weights(0.4, 0.7),
+    sixvertex.six_vertex_weights(0.35, 0.9),
+    sixvertex.fused_weights_recurrence(2, 2, 0.2, 1.5),
+], ids=["6v", "6v-b", "spin2"])
+@pytest.mark.parametrize("size", [(1, 1), (9, 6), (4, 13), (1, 7), (7, 1)])
+@pytest.mark.parametrize("boundary", ["default", "empty", "step"])
+def test_sweep_equals_the_raster_loop(weights, size, boundary):
+    width, height = size
+    left, bottom = {"default": ((0,) * height, (weights.m,) * width),
+                    "empty": ((0,) * height, (0,) * width),
+                    "step": ((weights.l,) * height, (0,) * width)}[boundary]
+    seeds = (0, 17, 2**40 + 3)
+    arg = (None, None) if boundary == "default" else (left, bottom)
+    batch = sixvertex.sample_lattices(weights, width, height, *arg, seeds=seeds)
+    for i, seed in enumerate(seeds):
+        expected = _raster_loop(weights, width, height, left, bottom, seed)
+        for name, array in expected.items():
+            assert np.array_equal(getattr(batch, name)[i], array), (seed, name)
+
+
+def test_tables_past_the_key_range_are_refused():
+    # 1024 input pairs: the int64 keys r (2^53 + 1) + ku would overflow
+    with pytest.raises(ParameterError, match="at most 1023 input pairs"):
+        sixvertex.sample_lattice(sixvertex.VertexWeights(np.zeros((32, 32, 32, 32))),
+                                 2, 2)
+    # 1023 input pairs draw from the last row, whose keys reach 1023 * 2^53
+    table = np.zeros((31, 33, 31, 33))
+    table[30, 32, 30, 32] = 1.0
+    c = sixvertex.sample_lattice(sixvertex.VertexWeights(table), 2, 2,
+                                 boundary_left=(30, 30), boundary_bottom=(32, 32))
+    assert (c.j_out == 30).all() and (c.k_out == 32).all()
