@@ -18,7 +18,8 @@ report, a verdict and an exit code.
 
 `asep stationary` and `mpa` share one report (_stationary_run) and its
 certificate ||pi G||_1, computed without a generator; only
-`asep stationary --open` builds one and runs the LU.
+`asep stationary --open` builds one and runs the band solve of
+`tensor.stationary_distribution`.
 """
 
 from __future__ import annotations
@@ -115,7 +116,12 @@ def _report(run: Run, tol: float, t0) -> dict:
 
 
 def _measure_csv(values, L: int) -> str:
-    rows = [f"{idx:0{L}b},{val!r}" for idx, val in enumerate(values.tolist())]
+    # Row i's label is i in L binary digits, most significant first. All
+    # labels are built at once as one ASCII string of L characters per row.
+    idx = np.arange(len(values), dtype=">u4").view(np.uint8).reshape(-1, 4)
+    labels = (np.unpackbits(idx, axis=1)[:, 32 - L:] + ord("0")).tobytes().decode("ascii")
+    rows = [f"{labels[k:k + L]},{val!r}"
+            for k, val in zip(range(0, len(labels), L), values.tolist())]
     return "\n".join(["configuration,probability", *rows]) + "\n"
 
 

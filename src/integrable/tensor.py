@@ -18,16 +18,18 @@ An Operator is dense (R-matrices, representations, Hamiltonians), so its
 dimension is capped by MAX_DENSE_DIM; `state_space` checks a space against
 a cap before anything is allocated on it. A Generator is real and sparse
 (scipy.sparse CSR), and neither of its solvers builds a dense dim x dim
-array. Its stationary law comes from a sparse LU with diagonal pivots in a
-symmetric minimum-degree ordering of A + A^T (MMD_AT_PLUS_A), which needs
-no pivoting because the pinned system is a column diagonally dominant
-M-matrix (see `stationary_distribution`); a solve whose residual shows a
-badly chosen pin is pinned again once. This LU gives the open exclusion
-chain its law; in tests and scripts only, it is the oracle of the closed
-chain's closed form (`models.closed_asep_law`) and of the matrix product
-(`mpa`). A row of exp(tG) comes from sparse matrix-vector products.
-scipy.sparse is imported inside the functions that use it, which keeps
-it out of the package's import time.
+array. Its stationary law comes from one LAPACK band solve (dgbsv) of the
+pinned system in the reverse Cuthill-McKee ordering of A + A^T, which
+makes the open exclusion chain's system a narrow band. Every column of
+the pinned system is diagonally dominant, so in exact arithmetic partial
+pivoting exchanges no rows (see `stationary_distribution`). The band's
+size is known before it is allocated and is capped by MAX_BAND_BYTES. A
+solve whose residual shows a badly chosen pin is pinned again once. This solve
+gives the open exclusion chain its law; in tests and scripts only, it is
+the oracle of the closed chain's closed form (`models.closed_asep_law`)
+and of the matrix product (`mpa`). A row of exp(tG) comes from sparse
+matrix-vector products. scipy is imported inside the functions that use
+it, which keeps it out of the package's import time.
 """
 
 from __future__ import annotations
@@ -43,6 +45,9 @@ from .errors import ParameterError
 MAX_STATE_SPACE = 2**20
 # Side of a dense Operator: a 4096 x 4096 complex array takes 256 MiB.
 MAX_DENSE_DIM = 2**12
+# Bytes of the band that stationary_distribution factors. The open chain's
+# band takes 298 MiB at L = 14 and 1,077 MiB at L = 15.
+MAX_BAND_BYTES = 2**29
 # Largest rate, relative to max(1, the largest rate), that may leave the
 # support given to stationary_distribution.
 SUPPORT_LEAK_TOL = 1e-10
@@ -300,17 +305,53 @@ def _closed_class(rates) -> np.ndarray:
     return np.flatnonzero(label == closed[0])
 
 
+def _band_system(system) -> tuple:
+    """A square sparse `system` A with no duplicate entries, such as a slice
+    of a Generator's rates, in the reverse Cuthill-McKee order of the
+    pattern of A + A^T, as LAPACK band storage: (order, kl, ku, band) with
+    band[kl + ku + i - j, j] = A[order[i], order[j]] for the kl
+    subdiagonals and ku superdiagonals, and kl spare rows on top for
+    dgbsv's row exchanges. The band's size is checked against
+    MAX_BAND_BYTES before it is allocated."""
+    import scipy.sparse
+    from scipy.sparse.csgraph import reverse_cuthill_mckee
+
+    coo = system.tocoo()
+    n = system.shape[0]
+    ends = (np.concatenate([coo.row, coo.col]), np.concatenate([coo.col, coo.row]))
+    # A csr_matrix, the input type reverse_cuthill_mckee has taken in every
+    # SciPy release.
+    pattern = scipy.sparse.csr_matrix((np.ones(2 * coo.nnz), ends), shape=(n, n))
+    order = reverse_cuthill_mckee(pattern, symmetric_mode=True)
+    rank = np.empty(n, dtype=np.intp)
+    rank[order] = np.arange(n)
+    row, col = rank[coo.row], rank[coo.col]
+    offset = row - col
+    kl, ku = int(max(offset.max(), 0)), int(max(-offset.min(), 0))
+    rows = 2 * kl + ku + 1
+    if 8 * rows * n > MAX_BAND_BYTES:
+        raise StateSpaceTooLarge(
+            f"band of {rows} x {n} doubles exceeds {MAX_BAND_BYTES} bytes"
+        )
+    # Fortran order: dgbsv factors the band in place, with no copy.
+    band = np.zeros((rows, n), order="F")
+    band[kl + ku + offset, col] = coo.data
+    return order, kl, ku, band
+
+
 def _pinned_law(adjoint) -> np.ndarray:
     """The normalised null vector of an irreducible generator, given as
     its transpose in CSC form, with state 0 pinned to 1 before the solve
     (see `stationary_distribution`)."""
-    from scipy.sparse.linalg import splu
+    from scipy.linalg.lapack import dgbsv
 
     weights = np.ones(adjoint.shape[0])
     if weights.size > 1:
-        lu = splu(adjoint[1:, 1:], permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                  options={"SymmetricMode": True})
-        weights[1:] = lu.solve(-adjoint[1:, [0]].toarray().ravel())
+        order, kl, ku, band = _band_system(adjoint[1:, 1:])
+        rhs = -adjoint[1:, [0]].toarray()[order]
+        *_, solution, info = dgbsv(kl, ku, band, rhs, overwrite_ab=1, overwrite_b=1)
+        # An exactly zero pivot leaves NaN, which the residual test pins again.
+        weights[1 + order] = solution[:, 0] if info == 0 else np.nan
     weights = np.clip(weights, 0.0, None)
     return weights / weights.sum()
 
@@ -333,9 +374,9 @@ def stationary_distribution(G: Generator, support=None) -> ProbVector:
     have exactly one closed communicating class, else ReducibleChain; pi
     vanishes off that class. On the class, pi is pinned to 1 at its first
     state, that state's row and column are dropped from G^T, the rest is
-    solved by a sparse LU, and the result is normalised. Pinning keeps the
+    solved by one band LU, and the result is normalised. Pinning keeps the
     system as sparse as G; a dense row of ones in place of an equation
-    would spoil the fill-reducing ordering.
+    would spoil the band.
 
     A pinned state of tiny stationary mass makes the pinned system nearly
     singular, and its solve can put most of the mass in the wrong place.
@@ -346,18 +387,25 @@ def stationary_distribution(G: Generator, support=None) -> ProbVector:
     peaks, and solved once more. That law is returned whatever its
     residual; the caller judges it.
 
-    The LU takes its pivots from the diagonal, in a symmetric minimum-degree
-    ordering of the pattern of A + A^T, where A is the pinned system. That
-    needs no pivoting. On its closed class the chain is irreducible, so
+    The pinned system A is put in the reverse Cuthill-McKee ordering
+    (Cuthill-McKee, Proc. ACM 1969) of the pattern of A + A^T, which
+    gives the open exclusion chain a band of half-width 145 at L = 11 and
+    446 at L = 13, and LAPACK's dgbsv factors that band in place with
+    partial pivoting. On its closed class the chain is irreducible, so
     -G^T there is an irreducible singular M-matrix, and -A, a proper
-    principal submatrix of it, is a nonsingular M-matrix. A symmetric
-    permutation of a nonsingular M-matrix is one too, and every leading
-    principal submatrix of one is nonsingular, so elimination without
-    pivoting exists in any symmetric ordering. Each column of A is also
-    diagonally dominant (the exit rate of a state is at least its rates to
-    the other kept states), elimination keeps column diagonal dominance,
-    and so the growth factor is at most 2 and the solve is stable without
-    row exchanges.
+    principal submatrix of it, is a nonsingular M-matrix. Each column of A
+    is diagonally dominant (the exit rate of a state is at least its rates
+    to the other kept states), and elimination keeps column diagonal
+    dominance. So in exact arithmetic the diagonal is the largest entry at
+    or below it in its column, partial pivoting exchanges no rows, and the
+    growth factor is at most 2: the solve is stable. In floating point a
+    column can tie its diagonal with its one entry below (a state with one
+    move, which a zero boundary rate allows), or a pin on a state of tiny
+    mass can erode the dominance; rounding may then make dgbsv exchange
+    rows, which partial pivoting does stably, and the residual test above
+    judges the result. The band, (2 kl + ku + 1) x n doubles, must fit in
+    MAX_BAND_BYTES, else StateSpaceTooLarge is raised before it is
+    allocated: the open chain runs to L = 14 and is refused from L = 15.
     """
     if not isinstance(G, Generator):
         raise NotAGenerator(f"expected a Generator, got {type(G).__name__}")

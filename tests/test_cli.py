@@ -9,6 +9,7 @@ import subprocess
 import sys
 
 import jsonschema
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -109,6 +110,9 @@ TWPROB = ["twprob", "--t", "0.5", "--q", "0.4"]
          0, False),
         # 2^40 states: refused before any array is allocated
         (["asep", "stationary", "--L", "40", "--q", "0.5", "--open"], 2, True),
+        # a 1,077 MiB band for the open chain's solve: refused before allocation
+        (["asep", "stationary", "--open", "--L", "15", "--q", "0.5", "--alpha", "0.6",
+          "--beta", "0.4", "--gamma", "0.1", "--delta", "0.2"], 2, True),
         # row sums relative to each row's largest entry (3.9e34 here)
         (["fuse", "--l", "8", "--m", "8", "--z", "0.25", "--q", "0.5"], 0, False),
         (["fuse", "--l", "4", "--m", "4", "--z", "0.1", "--q", "0.5"], 0, False),
@@ -141,8 +145,8 @@ TWPROB = ["twprob", "--t", "0.5", "--q", "0.4"]
     ],
     ids=["radius-2", "nquad-0-n1", "nquad-0-n2", "radius-0", "empty-grid", "q-nan",
          "mpa-not-converged", "mpa-cap", "asep-csv-fails", "fuse-l8-z01",
-         "asep-cap", "fuse-l8-relative", "fuse-l4-relative", "fuse-cap", "fuse-q0",
-         "twprob-overflow",
+         "asep-cap", "asep-band-cap", "fuse-l8-relative", "fuse-l4-relative", "fuse-cap",
+         "fuse-q0", "twprob-overflow",
          "hermite-nan", "js-cap", "fock-cap", "hecke-overflow",
          "rep-check-overflow", "sample6v-cap", "universal-r-cap", "mpa-truncation-cap",
          "mpa-truncation-at-cap"],
@@ -151,6 +155,15 @@ def test_exit_code(capsys, argv, expected, silent):
     code, out = _run(capsys, argv)
     assert code == expected
     assert (out == "") == silent
+
+
+@pytest.mark.parametrize("L", range(1, 13))
+def test_measure_csv_labels_match_the_format_string(L):
+    values = np.random.default_rng(L).random(2**L)
+    values[0] = 0.0
+    rows = [f"{idx:0{L}b},{val!r}" for idx, val in enumerate(values.tolist())]
+    expected = "\n".join(["configuration,probability", *rows]) + "\n"
+    assert cli._measure_csv(values, L) == expected
 
 
 # Points where the closed form in float64 lost whole rows (row sums off by

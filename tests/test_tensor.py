@@ -274,6 +274,62 @@ def test_stationary_residual_is_at_rounding_level(L, q, rates):
     assert np.abs(G.rates.T @ pi).sum() <= 1e-13 * max(1.0, rate)
 
 
+# The stability argument of stationary_distribution, on the band it solves
+# last: elimination keeps the columns diagonally dominant, so the factor U
+# grows by at most 2 over A. With every boundary rate positive, no column
+# ties its diagonal, and partial pivoting exchanges no rows. A zero rate
+# allows such ties, and rounding may break them either way.
+@settings(max_examples=40, deadline=None)
+@given(L=st.integers(1, 11), q=st.floats(0.05, 20.0),
+       rates=st.lists(st.one_of(st.just(0.0), st.floats(0.05, 5.0)),
+                      min_size=4, max_size=4))
+@example(L=9, q=0.1875, rates=[0.0, 0.0, 1.0, 2.0])  # exchanges rows 509, 510
+def test_band_factorisation_is_stable(L, q, rates):
+    from unittest import mock
+
+    from scipy.linalg.lapack import dgbsv
+
+    alpha, beta, gamma, delta = rates
+    p = models.AsepParams(q=q, alpha=alpha, beta=beta, gamma=gamma, delta=delta, L=L)
+    G = models.asep_generator(p, open_boundary=True)
+    build, bands = tensor._band_system, []
+
+    def spy(system):
+        order, kl, ku, band = build(system)
+        bands.append((kl, ku, band.copy(order="F")))
+        return order, kl, ku, band
+
+    with mock.patch.object(tensor, "_band_system", spy):
+        try:
+            stationary_distribution(G)
+        except ReducibleChain:  # no boundary rate: a closed chain
+            assume(False)
+    assume(bands)
+    kl, ku, band = bands[-1]
+    n = band.shape[1]
+    factors, piv, _, info = dgbsv(kl, ku, band.copy(order="F"), np.ones((n, 1)))
+    assert info == 0
+    assert np.abs(factors[:kl + ku + 1]).max() <= 2 * np.abs(band).max()
+    if min(rates) > 0:
+        assert np.array_equal(piv, np.arange(n))
+
+
+def test_band_past_its_cap_is_refused_before_allocation():
+    import tracemalloc
+
+    # The open chain's band at L = 15 would take 1,077 MiB.
+    p = models.AsepParams(q=0.5, alpha=0.6, beta=0.4, gamma=0.1, delta=0.2, L=15)
+    G = models.asep_generator(p, open_boundary=True)
+    tracemalloc.start()
+    try:
+        with pytest.raises(StateSpaceTooLarge):
+            stationary_distribution(G)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
+
+
 def test_transition_row_is_stochastic_and_exact():
     G = Generator((2,), np.array([[-2.0, 2.0], [1.0, -1.0]]))
     t = 0.7
