@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, ParameterError
-from .tensor import Operator, embed, kron, state_space
+from .tensor import Operator, embed_entries, kron_entries, state_space
 
 # Fixed quadrature for Gaussian-weight orthogonality checks: 200-node
 # Gauss-Legendre on [-10, 10] with exp(-x^2) folded into the integrand.
@@ -134,45 +134,33 @@ def jordan_schwinger(mat: np.ndarray, cutoff: int) -> Operator:
     n = mat.shape[0]
     dims, total_dim = state_space((cutoff,) * n)
     f = truncated_fock(cutoff)
-    adag, a = Operator((cutoff,), f.adag), Operator((cutoff,), f.a)
-    number = Operator((cutoff,), f.number_op)
+    hop = kron_entries(f.adag, f.a)
     total = np.zeros((total_dim, total_dim), dtype=np.result_type(mat, float))
     for i, j in itertools.product(range(n), repeat=2):
         if mat[i, j] == 0:
             continue
         if i == j:
-            term = embed(number, (i + 1,), dims)
+            term = embed_entries(f.number_op, (i + 1,), dims)
         else:
-            term = embed(kron(adag, a), (i + 1, j + 1), dims)
-        total += mat[i, j] * term.entries
+            term = embed_entries(hop, (i + 1, j + 1), dims)
+        total += mat[i, j] * term
     return Operator(dims, total)
-
-
-def shell_projector(n_modes: int, cutoff: int, max_total: int) -> np.ndarray:
-    """Diagonal projector onto states with total occupation <= max_total."""
-    dims, total_dim = state_space((cutoff,) * n_modes)
-    diag = np.zeros(total_dim)
-    for idx in range(total_dim):
-        rem, total = idx, 0
-        for d in reversed(dims):
-            total += rem % d
-            rem //= d
-        if total <= max_total:
-            diag[idx] = 1.0
-    return np.diag(diag)
 
 
 def js_homomorphism_violation(A: np.ndarray, B: np.ndarray, cutoff: int) -> float:
     """‖[JS(A), JS(B)] - JS([A, B])‖ restricted to total number <= cutoff-2.
 
     The restriction is necessary: the raising operator leaks out of the
-    truncated space at the top shell.
+    truncated space at the top shell. It is taken on the kept states, the
+    rows and columns of the product with total occupation <= cutoff - 2,
+    with the inner sum over every state, so the value is exactly that of
+    the full commutator with the rest cut away.
     """
     A = np.asarray(A)
-    n = A.shape[0]
     ja = jordan_schwinger(A, cutoff).entries
     jb = jordan_schwinger(B, cutoff).entries
     jc = jordan_schwinger(A @ B - B @ A, cutoff).entries
-    P = shell_projector(n, cutoff, cutoff - 2)
-    resid = P @ (ja @ jb - jb @ ja - jc) @ P
+    occupation = np.indices((cutoff,) * A.shape[0]).sum(axis=0).ravel()
+    keep = np.flatnonzero(occupation <= cutoff - 2)
+    resid = ja[keep] @ jb[:, keep] - jb[keep] @ ja[:, keep] - jc[np.ix_(keep, keep)]
     return float(np.max(np.abs(resid)))

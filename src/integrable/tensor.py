@@ -5,9 +5,12 @@ Conventions (wire-level contract, also used by the CLI's CSV tables):
   * leg order: the basis of V_1 (x) ... (x) V_n is lexicographic in the
     site indices with site 1 slowest, the order numpy.kron produces with
     site 1 as the outermost factor. This module is the only place that
-    builds a tensor product: `kron` multiplies operators in site order and
-    `embed` places an operator on any ordered tuple of sites, so callers
-    name sites and never write Kronecker products by hand;
+    builds a tensor product: `kron_entries` multiplies arrays of entries in
+    site order and `embed_entries` places them on any ordered tuple of
+    sites, so callers name sites and never write Kronecker products by
+    hand. Both work on a matrix or on a stack of matrices with leading
+    batch axes, such as a spectral family evaluated on a whole grid, and
+    `kron` and `embed` are the same two operations on Operators;
   * dtype: an Operator keeps the dtype of its entries, promoted to at
     least float, so real input stays real and complex input stays complex;
   * generators have rows summing to 0 and nonnegative off-diagonals
@@ -155,53 +158,85 @@ def identity(site_dims) -> Operator:
     return Operator(dims, np.eye(total))
 
 
+def kron_entries(*mats) -> np.ndarray:
+    """Tensor product of arrays of entries; site 1 of the first factor is
+    slowest. A factor is a matrix or a stack of matrices with leading batch
+    axes, and the batch axes of the factors broadcast against each other.
+    Each factor after the first costs one broadcast product written
+    straight into the axes (batch, rows, rows', cols, cols'), numpy.kron's
+    own layout, so each matrix of the result is numpy.kron's bit for bit;
+    numpy.multiply.outer and a transpose can differ in the last bit on
+    1 x 1 complex factors. No factors give the 1 x 1 identity. The
+    product of the factors' longer sides, which bounds both sides of the
+    result, is checked against the dense cap before it is allocated."""
+    if not mats:
+        return np.eye(1)
+    state_space(max(m.shape[-2:]) for m in mats)
+    mat = mats[0]
+    for op in mats[1:]:
+        (r, c), (s, t) = mat.shape[-2:], op.shape[-2:]
+        product = mat[..., :, None, :, None] * op[..., None, :, None, :]
+        mat = product.reshape(product.shape[:-4] + (r * s, c * t))
+    return mat
+
+
 def kron(*ops: Operator) -> Operator:
-    """Tensor product; site 1 of the first factor is slowest. Each factor
-    after the first costs one broadcast product written straight into the
-    axes (rows, rows', cols, cols'), numpy.kron's own layout, so the
-    entries are numpy.kron's bit for bit; numpy.multiply.outer and a
-    transpose can differ in the last bit on 1 x 1 complex factors. No
-    factors give the 1 x 1 identity. The product's dimension is checked
-    against the dense cap before it is allocated."""
-    if not ops:
-        return Operator((), np.eye(1))
-    state_space(sum((op.site_dims for op in ops), ()))
-    mat = ops[0].entries
-    for op in ops[1:]:
-        (r, c), (s, t) = mat.shape, op.entries.shape
-        mat = (mat[:, None, :, None] * op.entries[None, :, None, :]).reshape(r * s, c * t)
-    return Operator(sum((op.site_dims for op in ops), ()), mat)
+    """Tensor product of operators in site order: kron_entries of their
+    entries, on the concatenated site dimensions."""
+    return Operator(sum((op.site_dims for op in ops), ()),
+                    kron_entries(*(op.entries for op in ops)))
+
+
+def embed_entries(entries, sites, site_dims) -> np.ndarray:
+    """`entries`, an operator on the legs of the 1-based `sites` of the
+    space with `site_dims`, placed there with the identity on every other
+    site: leg k sits on site sites[k]. `entries` is a matrix or a stack of
+    matrices with leading batch axes, each of side the product of the
+    dimensions at `sites`, and the result keeps the batch axes. The sites
+    must be distinct; they need not be adjacent or increasing, so
+    embed_entries(R, (2, 1), dims) is R with its legs swapped and
+    embed_entries(R, (1, 3), dims) is R13 on three sites. The legs are
+    placed by one outer product with the identity and one transpose, so
+    each entry of the result is exactly an entry of `entries` or zero.
+    """
+    dims, total = state_space(site_dims)
+    sites = tuple(int(s) for s in sites)
+    if len(set(sites)) != len(sites) or not all(1 <= s <= len(dims) for s in sites):
+        raise DimensionMismatch(f"cannot place an operator at sites {sites} of {dims}")
+    op_dims = tuple(dims[s - 1] for s in sites)
+    side = math.prod(op_dims)
+    batch = entries.shape[:-2]
+    if entries.shape[-2:] != (side, side):
+        raise DimensionMismatch(
+            f"entries of shape {entries.shape} cannot act on sites {sites} of {dims}"
+        )
+    rest = tuple(s for s in range(1, len(dims) + 1) if s not in sites)
+    rest_dims = tuple(dims[s - 1] for s in rest)
+    # The batch, then entries (x) identity as a tensor with axes (op rows,
+    # op cols, rest rows, rest cols), permuted to (batch, rows of sites
+    # 1..n, columns of sites 1..n).
+    product = np.multiply.outer(
+        entries.reshape(batch + op_dims * 2),
+        np.eye(math.prod(rest_dims)).reshape(rest_dims * 2),
+    )
+    b, k, n = len(batch), len(sites), len(dims)
+    rows = [sites.index(s) if s in sites else 2 * k + rest.index(s) for s in range(1, n + 1)]
+    cols = [a + (k if a < k else n - k) for a in rows]
+    axes = [*range(b), *(b + a for a in rows + cols)]
+    return product.transpose(axes).reshape(batch + (total, total))
 
 
 def embed(op: Operator, sites, site_dims) -> Operator:
     """`op` acting on the 1-based `sites` of the space with `site_dims`,
-    and the identity on every other site: leg k of `op` sits on site
-    sites[k]. The sites must be distinct; they need not be adjacent or
-    increasing, so embed(R, (2, 1), dims) is R with its legs swapped and
-    embed(R, (1, 3), dims) is R13 on three sites.
-    """
-    dims, total = state_space(site_dims)
-    sites = tuple(int(s) for s in sites)
-    if (
-        len(set(sites)) != len(sites)
-        or not all(1 <= s <= len(dims) for s in sites)
-        or tuple(dims[s - 1] for s in sites) != op.site_dims
-    ):
+    and the identity on every other site: embed_entries of its entries,
+    whose legs must have the dimensions of those sites."""
+    entries = embed_entries(op.entries, sites, site_dims)
+    dims = tuple(int(d) for d in site_dims)
+    if tuple(dims[int(s) - 1] for s in sites) != op.site_dims:
         raise DimensionMismatch(
-            f"cannot place an operator on {op.site_dims} at sites {sites} of {dims}"
+            f"cannot place an operator on {op.site_dims} at sites {tuple(sites)} of {dims}"
         )
-    rest = tuple(s for s in range(1, len(dims) + 1) if s not in sites)
-    rest_dims = tuple(dims[s - 1] for s in rest)
-    # op (x) identity as a tensor with axes (op rows, op cols, rest rows,
-    # rest cols), permuted to (rows of sites 1..n, columns of sites 1..n).
-    product = np.multiply.outer(
-        op.entries.reshape(op.site_dims * 2),
-        np.eye(math.prod(rest_dims)).reshape(rest_dims * 2),
-    )
-    k, n = len(sites), len(dims)
-    rows = [sites.index(s) if s in sites else 2 * k + rest.index(s) for s in range(1, n + 1)]
-    cols = [a + (k if a < k else n - k) for a in rows]
-    return Operator(dims, product.transpose(rows + cols).reshape(total, total))
+    return Operator(dims, entries)
 
 
 def permutation_operator(d1: int, d2: int) -> Operator:

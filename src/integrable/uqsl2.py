@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError
-from .tensor import Operator, embed, identity, kron, state_space
+from .tensor import Operator, embed_entries, kron_entries, state_space
 
 
 class InvalidDeformation(ParameterError):
@@ -112,6 +112,18 @@ def check_relations(r: RepM) -> dict:
 _GEN_NAMES = ("e", "f", "k")
 
 
+def _coproducts(rl: RepM, rm: RepM) -> np.ndarray:
+    """Entries of Delta(x) on V_l (x) V_m for x in _GEN_NAMES, stacked in
+    that order (see `coproduct_action`): the five tensor products are one
+    kron_entries of stacked factors."""
+    one_l, one_m = np.eye(rl.dim), np.eye(rm.dim)
+    terms = kron_entries(
+        np.array([rl.K.entries, rl.E.entries, one_l, rl.F.entries, rl.K.entries]),
+        np.array([rm.E.entries, one_m, rm.F.entries, rm.Kinv.entries, rm.K.entries]),
+    )
+    return np.array([terms[0] + terms[1], terms[2] + terms[3], terms[4]])
+
+
 def coproduct_action(rl: RepM, rm: RepM, gen: str) -> Operator:
     """Coproduct image on the tensor space:
     Delta(e) = K (x) E + E (x) 1,  Delta(f) = 1 (x) F + F (x) K^{-1},
@@ -120,17 +132,43 @@ def coproduct_action(rl: RepM, rm: RepM, gen: str) -> Operator:
         raise DeformationMismatch(f"q mismatch: {rl.q} vs {rm.q}")
     if gen not in _GEN_NAMES:
         raise ParameterError(f"generator must be one of {_GEN_NAMES}, got {gen!r}")
-    if gen == "e":
-        return kron(rl.K, rm.E) + kron(rl.E, identity((rm.dim,)))
-    if gen == "f":
-        return kron(identity((rl.dim,)), rm.F) + kron(rl.F, rm.Kinv)
-    return kron(rl.K, rm.K)
+    return Operator((rl.dim, rm.dim), _coproducts(rl, rm)[_GEN_NAMES.index(gen)])
 
 
 def opposite_coproduct_action(rl: RepM, rm: RepM, gen: str) -> Operator:
     """The reversed coproduct Delta' = P o Delta on V_l (x) V_m: Delta on
     V_m (x) V_l with its legs swapped."""
-    return embed(coproduct_action(rm, rl, gen), (2, 1), (rl.dim, rm.dim))
+    dims = (rl.dim, rm.dim)
+    return Operator(dims, embed_entries(coproduct_action(rm, rl, gen).entries, (2, 1), dims))
+
+
+def _universal_r_entries(rl: RepM, rm: RepM) -> np.ndarray:
+    """Entries of `universal_r`, built on the reps' arrays."""
+    if rl.q != rm.q:
+        raise DeformationMismatch(f"q mismatch: {rl.q} vs {rm.q}")
+    q = rl.q
+    if q == 1:
+        raise InvalidDeformation("universal R requires q != 1")
+    d1, d2 = rl.dim, rm.dim
+    state_space((d1, d2))
+    wl = rl.weights.astype(float)
+    wm = rm.weights.astype(float)
+    # q^{h (x) h / 2}: diagonal with entries q^{w_a w_b / 2}. Python's
+    # float power, not numpy's, which can differ in the last digit.
+    cartan = np.array([q ** (wa * wb / 2.0) for wa in wl for wb in wm])
+    denom = q - 1.0 / q
+    F, E = rl.F.entries, rm.E.entries
+    Fi, Ei, coeff = [np.eye(d1)], [np.eye(d2)], [1.0]  # the i = 0 term
+    qfact = 1.0
+    for i in range(1, min(rl.m, rm.m) + 1):
+        Fi.append(F @ Fi[-1])
+        Ei.append(E @ Ei[-1])
+        qfact *= (q**i - q ** (-i)) / denom
+        coeff.append(denom**i * q ** (i * (i - 1) / 2.0) / qfact)
+    # Every term is one matrix of one stacked product; the sum over the
+    # first axis adds them in order of i.
+    terms = np.asarray(coeff)[:, None, None] * kron_entries(np.array(Fi), np.array(Ei))
+    return cartan[:, None] * terms.sum(axis=0)
 
 
 def universal_r(rl: RepM, rm: RepM) -> Operator:
@@ -146,40 +184,18 @@ def universal_r(rl: RepM, rm: RepM) -> Operator:
     product space is checked against the dense cap before anything is
     built on it.
     """
-    if rl.q != rm.q:
-        raise DeformationMismatch(f"q mismatch: {rl.q} vs {rm.q}")
-    q = rl.q
-    if q == 1:
-        raise InvalidDeformation("universal R requires q != 1")
-    d1, d2 = rl.dim, rm.dim
-    state_space((d1, d2))
-    wl = rl.weights.astype(float)
-    wm = rm.weights.astype(float)
-    # q^{h (x) h / 2}: diagonal with entries q^{w_a w_b / 2}.
-    cartan = np.array([q ** (wa * wb / 2.0) for wa in wl for wb in wm])
-    denom = q - 1.0 / q
-    Fi, Ei = identity((d1,)), identity((d2,))
-    total = kron(Fi, Ei)  # the i = 0 term, with coefficient 1
-    qfact = 1.0
-    for i in range(1, min(rl.m, rm.m) + 1):
-        Fi = rl.F @ Fi
-        Ei = rm.E @ Ei
-        qfact *= (q**i - q ** (-i)) / denom
-        coeff = denom**i * q ** (i * (i - 1) / 2.0) / qfact
-        total = total + coeff * kron(Fi, Ei)
-    return Operator((d1, d2), np.diag(cartan) @ total.entries)
+    return Operator((rl.dim, rm.dim), _universal_r_entries(rl, rm))
 
 
 def universal_r_check(rl: RepM, rm: RepM) -> dict:
     """Intertwining residuals ||R Delta(x) - Delta'(x) R|| for x in {e,f,k},
-    plus invertibility of R."""
-    R = universal_r(rl, rm).entries
-    res = {}
-    for gen in _GEN_NAMES:
-        D = coproduct_action(rl, rm, gen).entries
-        Dop = opposite_coproduct_action(rl, rm, gen).entries
-        res[f"intertwine_{gen}"] = float(np.max(np.abs(R @ D - Dop @ R)))
+    plus invertibility of R. The three generators are one stacked product,
+    with Delta' the (2, 1) leg swap of Delta on V_m (x) V_l."""
+    R = _universal_r_entries(rl, rm)
+    D = _coproducts(rl, rm)
+    Dop = embed_entries(_coproducts(rm, rl), (2, 1), (rl.dim, rm.dim))
+    gaps = np.max(np.abs(R @ D - Dop @ R), axis=(1, 2))
+    res = {f"intertwine_{gen}": float(gap) for gen, gap in zip(_GEN_NAMES, gaps)}
     Rinv = np.linalg.inv(R)
     res["invertibility"] = float(np.max(np.abs(R @ Rinv - np.eye(R.shape[0]))))
     return res
-

@@ -4,22 +4,33 @@ and the Markov-structure properties tying R-matrices to CTMC generators.
 
 All stochastic matrices here act on probability row-vectors (rows sum to 1),
 matching the generator convention of the tensor layer. Every equation
-places its factors with tensor.embed, so each verifier names the sites an
-operator acts on and the tensor module alone fixes the leg order.
+places its factors with tensor.embed_entries, so each verifier names the
+sites an operator acts on and the tensor module alone fixes the leg order.
 
 Verifiers return residuals and pass no verdict; the caller compares them
-with its tolerance. A spectral or boundary family is any callable
-z -> Operator, such as functools.partial(asep_spectral_r, q=q).
+with its tolerance. A spectral or boundary family is a callable that maps
+a scalar z to an Operator, raising at a pole, and a 1-D array of n points
+to (entries, poles): the (n, d, d) stack of its matrices and the mask of
+the points where it has a pole, such as
+functools.partial(asep_spectral_r, q=q). The spectral and reflection
+verifiers evaluate a family once on a whole grid of points, which is the
+leading batch axis of every stacked product they take.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Callable
 
 import numpy as np
 
 from .errors import ParameterError, RateOutOfRange
-from .tensor import Operator, embed, permutation_operator
+from .tensor import Operator, embed_entries, kron_entries, permutation_operator
+
+# Points of one verifier's grid. A spectral point takes about 4 KB of
+# stacked matrices, so a grid at the cap peaks about 60 MB above the
+# process (a 128-value --grid for `verify spectral`).
+MAX_GRID_POINTS = 2**14
 
 
 class PoleAtQZEqualsOne(ParameterError):
@@ -48,12 +59,12 @@ def verify_braided_ybe(R: Operator) -> dict:
     swap, and the two presentations solve the equation on complementary
     parameter sets (e.g. the one-sided exclusion families below).
     """
-    d = R.site_dims[0]  # embed and @ raise DimensionMismatch unless R is on V (x) V
+    d = R.site_dims[0]  # embed_entries and @ raise unless R is on V (x) V
     dims = (d, d, d)
     residuals = []
-    for op in (R, permutation_operator(d, d) @ R):
-        R12 = embed(op, (1, 2), dims).entries
-        R23 = embed(op, (2, 3), dims).entries
+    for mat in (R.entries, (permutation_operator(d, d) @ R).entries):
+        R12 = embed_entries(mat, (1, 2), dims)
+        R23 = embed_entries(mat, (2, 3), dims)
         residuals.append(float(np.max(np.abs(R12 @ R23 @ R12 - R23 @ R12 @ R23))))
     braided, unbraided = residuals
     return {"residual": braided, "r_check_residual": unbraided}
@@ -73,38 +84,88 @@ def r_alpha_beta(alpha: float, beta: float) -> Operator:
     return Operator((2, 2), mat)
 
 
-def asep_spectral_r(z: complex, q: float) -> Operator:
+def _stack(rows, poles: np.ndarray) -> np.ndarray:
+    """The (n, d, d) stack whose (i, j) entries are rows[i][j], scalars or
+    arrays over the n points, set to zero where `poles` is true."""
+    entries = [entry for row in rows for entry in row]
+    mat = np.zeros(poles.shape + (len(rows),) * 2, dtype=np.result_type(float, *entries))
+    flat = mat.reshape(poles.shape + (-1,))
+    for k, entry in enumerate(entries):
+        flat[:, k] = entry
+    flat[poles] = 0
+    return mat
+
+
+def _family(stack, z, site_dims: tuple, pole):
+    """A family's value at z: the Operator on `site_dims` at a scalar z,
+    raising pole() if z is a pole, and (entries, poles) at a 1-D array of
+    points. `stack` maps a 1-D array to (entries, poles)."""
+    if np.ndim(z) > 0:
+        return stack(np.asarray(z))
+    entries, poles = stack(np.reshape(z, 1))
+    if poles[0]:
+        raise pole()
+    return Operator(site_dims, entries[0])
+
+
+def asep_spectral_r(z, q: float):
     """Spectral R-matrix of the asymmetric exclusion process.
 
-    Row-stochastic for z in (0,1), q in (0,1); R(1) = P.
+    Row-stochastic for z in (0,1), q in (0,1); R(1) = P. At a scalar z it
+    is an Operator on two sites, and a pole (|qz - 1| < 1e-13) raises
+    PoleAtQZEqualsOne. At a 1-D array of n points it is (entries, poles):
+    the (n, 4, 4) stack of R at every point and the mask of the poles,
+    where the entries are zero.
     """
-    if abs(q * z - 1.0) < 1e-13:
-        raise PoleAtQZEqualsOne(f"qz = 1 at z={z}, q={q}")
-    d = q * z - 1.0
-    mat = np.array(
-        [
-            [1, 0, 0, 0],
-            [0, q * (z - 1) / d, (q - 1) / d, 0],
-            [0, (q - 1) * z / d, (z - 1) / d, 0],
-            [0, 0, 0, 1],
-        ]
-    )
-    return Operator((2, 2), mat)
+
+    def stack(z):
+        d = q * z - 1.0
+        poles = np.abs(d) < 1e-13
+        d = np.where(poles, 1.0, d)
+        rows = (
+            (1, 0, 0, 0),
+            (0, q * (z - 1) / d, (q - 1) / d, 0),
+            (0, (q - 1) * z / d, (z - 1) / d, 0),
+            (0, 0, 0, 1),
+        )
+        return _stack(rows, poles), poles
+
+    return _family(stack, z, (2, 2), lambda: PoleAtQZEqualsOne(f"qz = 1 at z={z}, q={q}"))
 
 
-def verify_spectral_ybe(
-    r: Callable[[complex], Operator], z: complex, w: complex
-) -> dict:
-    """Residual of R12(z) R13(zw) R23(w) - R23(w) R13(zw) R12(z), with
-    Rij = embed(R, (i, j)) on three sites."""
-    try:
-        Rz, Rzw, Rw = r(z), r(z * w), r(w)
-    except (PoleAtQZEqualsOne, PoleInDenominator, ZeroDivisionError) as exc:
-        raise EvaluationPole(f"family undefined at one of z={z}, zw={z*w}, w={w}") from exc
-    dims = Rz.site_dims[:1] * 3
-    R12 = embed(Rz, (1, 2), dims).entries
-    R13 = embed(Rzw, (1, 3), dims).entries
-    R23 = embed(Rw, (2, 3), dims).entries
+def _grid(z, w) -> tuple:
+    """Every point (z_i, w_j) of the grid z x w, z slowest, as two flat
+    arrays; a scalar is a grid of one point, and an empty grid is refused."""
+    z, w = np.ravel(z), np.ravel(w)
+    if z.size * w.size == 0:
+        raise ParameterError("the grid has no points")
+    if z.size * w.size > MAX_GRID_POINTS:
+        raise ParameterError(
+            f"{z.size} x {w.size} grid points exceed cap {MAX_GRID_POINTS}"
+        )
+    return np.repeat(z, w.size), np.tile(w, z.size)
+
+
+def verify_spectral_ybe(r: Callable, z, w) -> dict:
+    """Largest residual of R12(z) R13(zw) R23(w) - R23(w) R13(zw) R12(z)
+    over the grid z x w (each a scalar or a 1-D array), with
+    Rij = embed_entries(R, (i, j)) on three sites. The family is evaluated
+    once on all the grid's points, and every point is one matrix of one
+    stacked product. A pole of R(z), R(zw) or R(w) at any point raises
+    EvaluationPole, naming the first such point with z slowest."""
+    zs, ws = _grid(z, w)
+    stack, poles = r(np.concatenate([zs, zs * ws, ws]))
+    Rz, Rzw, Rw = np.split(stack, 3)
+    poles = np.logical_or.reduce(np.split(poles, 3))
+    if poles.any():
+        at = int(np.argmax(poles))
+        z, w = zs[at].item(), ws[at].item()
+        raise EvaluationPole(f"family undefined at one of z={z}, zw={z*w}, w={w}")
+    d = math.isqrt(Rz.shape[-1])
+    dims = (d, d, d)
+    R12 = embed_entries(Rz, (1, 2), dims)
+    R13 = embed_entries(Rzw, (1, 3), dims)
+    R23 = embed_entries(Rw, (2, 3), dims)
     lhs = R12 @ R13 @ R23
     rhs = R23 @ R13 @ R12
     return {"residual": float(np.max(np.abs(lhs - rhs)))}
@@ -134,105 +195,123 @@ def verify_hecke_quadratic(R: Operator, lam1: complex, lam2: complex) -> dict:
     return {"residual": float(np.max(np.abs((mat - lam1 * Id) @ (mat - lam2 * Id))))}
 
 
-def reflection_k(x: complex, q: float, a: float, c: float, side: str = "left") -> Operator:
+def reflection_k(x, q: float, a: float, c: float, side: str = "left"):
     """Boundary K-matrix of the open exclusion process, row convention.
 
     side="left" takes (a, c) = (alpha, gamma), the entry and exit rates at
     the left boundary; side="right" takes (a, c) = (beta, delta). K(1) = Id,
     and for the left family K'(1) = 2 rho B with rho = (q-1)^{-1} and
-    B = [[-alpha, alpha], [gamma, -gamma]].
+    B = [[-alpha, alpha], [gamma, -gamma]]. At a scalar x it is an Operator
+    on one site, and a vanishing denominator (below 1e-13) raises
+    PoleInDenominator. At a 1-D array of n points it is (entries, poles):
+    the (n, 2, 2) stack and the mask of the poles, where the entries are
+    zero.
     """
-    if side == "left":
-        al, ga = a, c
-        den = x * x * ga + q * x + x * al - x * ga - x - al
-        if abs(den) < 1e-13:
-            raise PoleInDenominator(f"K denominator vanishes at x={x}")
-        mat = np.array(
-            [
-                [(-x * al + x * ga + q + al - ga - 1) * x / den, al * (x * x - 1) / den],
-                [(x * x - 1) * ga / den, (q * x + x * al - x * ga - x - al + ga) / den],
-            ]
-        )
-        return Operator((2,), mat)
-    if side == "right":
-        be, de = a, c
-        den = -x * x * be + q * x - x * de + x * be - x + de
-        if abs(den) < 1e-13:
-            raise PoleInDenominator(f"K-bar denominator vanishes at x={x}")
-        mat = np.array(
-            [
-                [(x * de - x * be + q - de + be - 1) * x / den, (x * x - 1) * de / den],
-                [-(x * x - 1) * be / den, (q * x - x * de + x * be - x + de - be) / den],
-            ]
-        )
-        return Operator((2,), mat)
-    raise ParameterError(f"side must be left or right, got {side}")
+    if side not in ("left", "right"):
+        raise ParameterError(f"side must be left or right, got {side}")
+
+    def stack(x):
+        if side == "left":
+            al, ga = a, c
+            den = x * x * ga + q * x + x * al - x * ga - x - al
+            numerators = (
+                ((-x * al + x * ga + q + al - ga - 1) * x, al * (x * x - 1)),
+                ((x * x - 1) * ga, q * x + x * al - x * ga - x - al + ga),
+            )
+        else:
+            be, de = a, c
+            den = -x * x * be + q * x - x * de + x * be - x + de
+            numerators = (
+                ((x * de - x * be + q - de + be - 1) * x, (x * x - 1) * de),
+                (-(x * x - 1) * be, q * x - x * de + x * be - x + de - be),
+            )
+        poles = np.abs(den) < 1e-13
+        den = np.where(poles, 1.0, den)
+        return _stack([[n / den for n in row] for row in numerators], poles), poles
+
+    name = "K" if side == "left" else "K-bar"
+    return _family(stack, x, (2,),
+                   lambda: PoleInDenominator(f"{name} denominator vanishes at x={x}"))
 
 
-def verify_reflection_equation(
-    r: Callable[[complex], Operator], k: Callable[[complex], Operator],
-    z: complex, w: complex,
-) -> dict:
+def verify_reflection_equation(r: Callable, k: Callable, z, w) -> dict:
     """Residual of R12(z/w) K1(z) R21(zw) K2(w) - K2(w) R12(zw) K1(z) R21(z/w)
-    on two sites, with R12 = R, R21 = embed(R, (2, 1)), K1 = embed(K, (2,))
-    and K2 = embed(K, (1,)): the equation's boundary leg 1 is site 2. This
-    is the placement under which the explicit exclusion-process K-matrices
-    satisfy the equation against the row-stochastic R.
+    on two sites, with R12 = R, R21 = embed_entries(R, (2, 1)),
+    K1 = embed_entries(K, (2,)) and K2 = embed_entries(K, (1,)): the
+    equation's boundary leg 1 is site 2. This is the placement under which
+    the explicit exclusion-process K-matrices satisfy the equation against
+    the row-stochastic R.
+
+    The equation is checked on the grid z x w (each a scalar or a 1-D
+    array), every point one matrix of one stacked product. A point is
+    skipped when w = 0 or when one of R(z/w), R(zw), K(z) and K(w) is a
+    pole there. Returns the largest residual over the points checked,
+    their number as "points_checked", and the (len z, len w) mask of the
+    skipped points as "skipped". EvaluationPole if every point is skipped.
     """
-    try:
-        Ra, Rb = r(z / w), r(z * w)
-        Kz, Kw = k(z), k(w)
-    except (PoleAtQZEqualsOne, PoleInDenominator, ZeroDivisionError) as exc:
-        raise EvaluationPole(f"evaluation pole at z={z}, w={w}") from exc
-    dims = Ra.site_dims
-    K1 = embed(Kz, (2,), dims).entries
-    K2 = embed(Kw, (1,), dims).entries
-    R21a = embed(Ra, (2, 1), dims).entries
-    R21b = embed(Rb, (2, 1), dims).entries
-    lhs = Ra.entries @ K1 @ R21b @ K2
-    rhs = K2 @ Rb.entries @ K1 @ R21a
-    return {"residual": float(np.max(np.abs(lhs - rhs)))}
+    zs, ws = _grid(z, w)
+    at_zero = ws == 0
+    R, r_poles = r(np.concatenate([zs / np.where(at_zero, 1, ws), zs * ws]))
+    K, k_poles = k(np.concatenate([zs, ws]))
+    skipped = at_zero | np.logical_or.reduce(np.split(r_poles, 2) + np.split(k_poles, 2))
+    if skipped.all():
+        raise EvaluationPole(f"evaluation pole at every point of z={z}, w={w}")
+    keep = ~skipped
+    Ra, Rb = (part[keep] for part in np.split(R, 2))
+    Kz, Kw = (part[keep] for part in np.split(K, 2))
+    dims = (Kz.shape[-1],) * 2
+    K1 = embed_entries(Kz, (2,), dims)
+    K2 = embed_entries(Kw, (1,), dims)
+    R21a = embed_entries(Ra, (2, 1), dims)
+    R21b = embed_entries(Rb, (2, 1), dims)
+    lhs = Ra @ K1 @ R21b @ K2
+    rhs = K2 @ Rb @ K1 @ R21a
+    return {
+        "residual": float(np.max(np.abs(lhs - rhs))),
+        "points_checked": int(keep.sum()),
+        "skipped": skipped.reshape(np.size(z), np.size(w)),
+    }
 
 
-def _central_derivative(f: Callable[[float], np.ndarray], x0: float, h: float = 1e-5):
-    """Central difference with one Richardson extrapolation step."""
-    d1 = (f(x0 + h) - f(x0 - h)) / (2 * h)
-    d2 = (f(x0 + h / 2) - f(x0 - h / 2)) / h
-    return (4 * d2 - d1) / 3
-
-
-def markov_structure_report(r: Callable[[complex], Operator], w_local: Operator) -> dict:
+def markov_structure_report(r: Callable, w_local: Operator) -> dict:
     """Diagnostics connecting a regular spectral family z -> R(z) to a CTMC
     generator: the least-squares rho in R'(1) P = rho * w_local (the
     row-convention form of the Markovian property) as "rho_fit", and as
     "residuals" ||R(1) - P||, the misfit of that rho, row sums of R(z) on a
     z grid, and the rank-one fixed-point residual
     R^T(z/w) (v1(z) (x) v2(w)) = v1(z) (x) v2(w) for v(z) = (z, 1).
+    R'(1) is a central difference with one Richardson extrapolation step.
+    The family is evaluated once, on all the points these need; a pole
+    among them raises EvaluationPole.
     """
-    R1 = r(1.0)
-    P = permutation_operator(*R1.site_dims).entries
-    regularity = float(np.max(np.abs(R1.entries - P)))
+    h = 1e-5  # the central difference's step
+    # The row sums are taken at zs, the fixed point at the ratios z / w,
+    # which stay below 1 so qz never hits 1 for q in (0,1).
+    zs = np.array([0.2, 0.4, 0.6, 0.8])
+    z, w = np.array([0.3, 0.6, 0.4]), np.array([0.8, 0.9, 0.5])
+    near_one = [1.0, 1.0 + h, 1.0 - h, 1.0 + h / 2, 1.0 - h / 2]
+    points = np.concatenate([near_one, zs, z / w])
+    stack, poles = r(points)
+    if poles.any():
+        raise EvaluationPole(f"family undefined at z={points[np.argmax(poles)].item()}")
+    at_one, rows, ratios = np.split(stack, [len(near_one), len(near_one) + zs.size])
+    R1, up, down, half_up, half_down = at_one
+    d = math.isqrt(R1.shape[-1])
+    P = permutation_operator(d, d).entries
+    regularity = float(np.max(np.abs(R1 - P)))
     if regularity > 1e-8:
         raise NotRegular(f"R(1) differs from P by {regularity}")
-    Rp = _central_derivative(lambda x: r(x).entries, 1.0)
-    M = Rp @ P
+    d1 = (up - down) / (2 * h)
+    d2 = (half_up - half_down) / h
+    M = (4 * d2 - d1) / 3 @ P
     W = w_local.entries
     denom = float(np.sum(W * W))
     rho = float(np.sum(M * W) / denom) if denom > 0 else 0.0
     markov_residual = float(np.max(np.abs(M - rho * W)))
-    zs = [0.2, 0.4, 0.6, 0.8]
-    row_sum_dev = max(
-        float(np.max(np.abs(r(z).entries.sum(axis=1) - 1.0))) for z in zs
-    )
-    fixed = 0.0
-    # ratios stay below 1 so qz never hits 1 for q in (0,1)
-    for z, w in [(0.3, 0.8), (0.6, 0.9), (0.4, 0.5)]:
-        v1 = np.array([z, 1.0])
-        v2 = np.array([w, 1.0])
-        vec = np.outer(v1, v2).ravel()  # v1 (x) v2, site 1 slowest
-        fixed = max(
-            fixed, float(np.max(np.abs(r(z / w).entries.T @ vec - vec)))
-        )
+    row_sum_dev = float(np.max(np.abs(rows.sum(axis=-1) - 1.0)))
+    # v1 (x) v2 at each pair, as a stack of (4, 1) columns
+    vec = kron_entries(*(np.stack([v, np.ones_like(v)], axis=-1)[..., None] for v in (z, w)))
+    fixed = float(np.max(np.abs(np.swapaxes(ratios, -1, -2) @ vec - vec)))
     return {
         "rho_fit": rho,
         "residuals": {

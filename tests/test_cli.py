@@ -93,6 +93,14 @@ TWPROB = ["twprob", "--t", "0.5", "--q", "0.4"]
         # a contour needs a positive radius
         (TWPROB + ["--y", "0", "2", "--x", "1", "3", "--radius", "0"], 2, True),
         (["verify", "spectral", "--grid"], 2, True),
+        # qz = 1 at z = 2: any pole of the spectral check is a parameter error
+        (["verify", "spectral", "--q", "0.5", "--grid", "2.0"], 2, True),
+        # w = 0 at every point leaves nothing to check
+        (["verify", "reflection", "--q", "0.5", "--grid", "0"], 2, True),
+        # 129^2 points: past the grid cap before any stack is allocated
+        (["verify", "spectral", "--grid", *["0.3"] * 129], 2, True),
+        # zw overflows to inf, where R is NaN: a null residual that fails
+        (["verify", "spectral", "--q", "0.5", "--grid", "1e-300", "1e300"], 1, False),
         (["verify", "hecke", "--q", "nan"], 2, True),
         # TruncationNotConverged is a failed check, not a parameter error
         (["mpa", "--L", "4", "--q", "0.95", "--alpha", "0.1", "--beta", "0.1",
@@ -143,7 +151,9 @@ TWPROB = ["twprob", "--t", "0.5", "--q", "0.4"]
         (["mpa", "--L", "4", "--q", "0.5", "--alpha", "0.6", "--beta", "0.4",
           "--truncation", "1024"], 2, True),
     ],
-    ids=["radius-2", "nquad-0-n1", "nquad-0-n2", "radius-0", "empty-grid", "q-nan",
+    ids=["radius-2", "nquad-0-n1", "nquad-0-n2", "radius-0", "empty-grid",
+         "spectral-pole", "reflection-all-poles", "spectral-grid-cap",
+         "spectral-overflow", "q-nan",
          "mpa-not-converged", "mpa-cap", "asep-csv-fails", "fuse-l8-z01",
          "asep-cap", "asep-band-cap", "fuse-l8-relative", "fuse-l4-relative", "fuse-cap",
          "fuse-q0", "twprob-overflow",
@@ -155,6 +165,18 @@ def test_exit_code(capsys, argv, expected, silent):
     code, out = _run(capsys, argv)
     assert code == expected
     assert (out == "") == silent
+
+
+def test_verify_reflection_reports_the_points_it_checked(capsys):
+    # of the 8 (z, w, side) triples, the 4 with w = 0 are poles of R(z/w)
+    code, out = _run(capsys, ["verify", "reflection", "--q", "0.5", "--grid", "0", "0.5"])
+    assert code == 0
+    report = json.loads(out)
+    assert report["params"]["grid"] == [0.0, 0.5]
+    assert report["results"] == {"points_checked": 4}
+    code, out = _run(capsys, ["verify", "reflection", "--q", "0.5"])
+    assert code == 0
+    assert json.loads(out)["results"] == {"points_checked": 32}
 
 
 @pytest.mark.parametrize("L", range(1, 13))

@@ -115,11 +115,43 @@ def test_dense_cap_precedes_allocation():
         oscillator.jordan_schwinger(np.eye(2), 256)
     with pytest.raises(StateSpaceTooLarge):
         oscillator.truncated_fock(100_000)
-    with pytest.raises(StateSpaceTooLarge):
-        oscillator.shell_projector(3, 17, 10)
 
 
-def test_shell_projector_counts():
-    P = oscillator.shell_projector(2, 3, 2)
-    # states of 2 modes with cutoff 3: total occupation <= 2 leaves 6 states
-    assert int(np.trace(P)) == 6
+def _shell_projector(n_modes, cutoff, max_total):
+    """The dense diagonal projector onto states with total occupation <=
+    max_total, one basis state at a time (site 1 slowest)."""
+    diag = np.zeros(cutoff**n_modes)
+    for idx in range(diag.size):
+        rem, total = idx, 0
+        for _ in range(n_modes):
+            total += rem % cutoff
+            rem //= cutoff
+        diag[idx] = total <= max_total
+    return np.diag(diag)
+
+
+@pytest.mark.parametrize("cutoff", [2, 3, 6, 9, 12])
+def test_js_restriction_equals_the_projector_sandwich(cutoff):
+    # 2 modes with cutoff 3: total occupation <= 2 leaves 6 states
+    assert int(np.trace(_shell_projector(2, 3, 2))) == 6
+    e = np.array([[0.0, 1.0], [0.0, 0.0]])
+    f = np.array([[0.0, 0.0], [1.0, 0.0]])
+    h = np.diag([1.0, -1.0])
+    rng = np.random.default_rng(cutoff)
+    # The sl2 pairs of `oscillator js` agree bit for bit. On random pairs
+    # BLAS may sum the smaller products in another order, so they agree to
+    # a rounding bound fixed from float64's epsilon.
+    pairs = [(h, e, True), (h, f, True), (e, f, True),
+             (*rng.normal(size=(2, 2, 2)), False)]
+    if cutoff <= 6:  # 3 modes only at small cutoffs, to keep the test fast
+        pairs.append((*rng.normal(size=(2, 3, 3)), False))
+    for A, B, exact in pairs:
+        ja, jb, jc = (oscillator.jordan_schwinger(M, cutoff).entries
+                      for M in (A, B, A @ B - B @ A))
+        P = _shell_projector(A.shape[0], cutoff, cutoff - 2)
+        oracle = float(np.max(np.abs(P @ (ja @ jb - jb @ ja - jc) @ P)))
+        got = oscillator.js_homomorphism_violation(A, B, cutoff)
+        bound = 0 if exact else (
+            4 * ja.shape[0] * np.finfo(float).eps
+            * max(np.abs(ja).max() * np.abs(jb).max() * ja.shape[0], np.abs(jc).max()))
+        assert abs(got - oracle) <= bound

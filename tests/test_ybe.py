@@ -2,6 +2,8 @@ import functools
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from integrable import models, ybe
 from integrable.tensor import identity, permutation_operator
@@ -100,3 +102,149 @@ def test_markov_structure_report_fits_rho():
     )
     assert max(rep["residuals"].values()) <= 1e-8, rep
     assert rep["rho_fit"] == pytest.approx(1.0 / (q - 1.0), abs=1e-6)
+
+
+# The per-point verifiers that the batched ones replaced, kept as their
+# oracle: the scalar formulas of R and K, numpy.kron placements and one
+# 2-D product chain per point.
+
+def _r_point(z, q):
+    """R(z) by the scalar formula, or None at a pole."""
+    if abs(q * z - 1.0) < 1e-13:
+        return None
+    d = q * z - 1.0
+    return np.array([[1, 0, 0, 0],
+                     [0, q * (z - 1) / d, (q - 1) / d, 0],
+                     [0, (q - 1) * z / d, (z - 1) / d, 0],
+                     [0, 0, 0, 1]])
+
+
+def _k_point(x, q, a, c, side):
+    """K(x) by the scalar formula, or None at a pole."""
+    if side == "left":
+        al, ga = a, c
+        den = x * x * ga + q * x + x * al - x * ga - x - al
+        if abs(den) < 1e-13:
+            return None
+        return np.array([
+            [(-x * al + x * ga + q + al - ga - 1) * x / den, al * (x * x - 1) / den],
+            [(x * x - 1) * ga / den, (q * x + x * al - x * ga - x - al + ga) / den]])
+    be, de = a, c
+    den = -x * x * be + q * x - x * de + x * be - x + de
+    if abs(den) < 1e-13:
+        return None
+    return np.array([
+        [(x * de - x * be + q - de + be - 1) * x / den, (x * x - 1) * de / den],
+        [-(x * x - 1) * be / den, (q * x - x * de + x * be - x + de - be) / den]])
+
+
+_I2 = np.eye(2)
+_SWAP = permutation_operator(2, 2).entries
+
+
+def _spectral_oracle(q, zs, ws):
+    """max over the grid, z slowest, or the EvaluationPole message of the
+    first pole."""
+    worst = 0.0
+    S23 = np.kron(_I2, _SWAP)
+    for z in zs:
+        for w in ws:
+            Rz, Rzw, Rw = _r_point(z, q), _r_point(z * w, q), _r_point(w, q)
+            if Rz is None or Rzw is None or Rw is None:
+                return f"family undefined at one of z={z}, zw={z*w}, w={w}"
+            R12, R23 = np.kron(Rz, _I2), np.kron(_I2, Rw)
+            R13 = S23 @ np.kron(Rzw, _I2) @ S23
+            lhs = R12 @ R13 @ R23
+            rhs = R23 @ R13 @ R12
+            worst = max(worst, float(np.max(np.abs(lhs - rhs))))
+    return worst
+
+
+def _reflection_oracle(q, a, c, side, zs, ws):
+    """(max over the points checked, mask of the skipped points)."""
+    worst, skipped = 0.0, np.zeros((len(zs), len(ws)), dtype=bool)
+    for i, z in enumerate(zs):
+        for j, w in enumerate(ws):
+            mats = (None,) if w == 0 else (
+                _r_point(z / w, q), _r_point(z * w, q),
+                _k_point(z, q, a, c, side), _k_point(w, q, a, c, side))
+            if any(m is None for m in mats):
+                skipped[i, j] = True
+                continue
+            Ra, Rb, Kz, Kw = mats
+            K1, K2 = np.kron(_I2, Kz), np.kron(Kw, _I2)
+            lhs = Ra @ K1 @ (_SWAP @ Rb @ _SWAP) @ K2
+            rhs = K2 @ Rb @ K1 @ (_SWAP @ Ra @ _SWAP)
+            worst = max(worst, float(np.max(np.abs(lhs - rhs))))
+    return worst, skipped
+
+
+@st.composite
+def _grids(draw):
+    """q and two grids of 1-6 points that sometimes hold 0, 1/q, and
+    points z with z/w = 1/q or zw = 1/q for a w of the other grid."""
+    q = draw(st.floats(0.05, 0.95))
+    point = st.floats(0.05, 2.0)
+    ws = draw(st.lists(point, min_size=1, max_size=5))
+    ws = draw(st.permutations(ws + draw(st.lists(st.sampled_from([0.0, 1 / q]),
+                                                  max_size=1))))
+    w = ws[0]
+    special = st.sampled_from([0.0, 1 / q, w / q, 1 / (q * w)] if w else [0.0, 1 / q])
+    zs = draw(st.lists(st.one_of(point, special), min_size=1, max_size=6))
+    return q, zs, ws
+
+
+_RATE = st.one_of(st.just(0.0), st.floats(0.05, 1.0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(grids=_grids(), rates=st.tuples(_RATE, _RATE, _RATE, _RATE))
+@example(grids=(0.5, [0.0, 0.5], [0.0, 0.5]), rates=(0.0, 0.5, 0.1, 0.0))
+@example(grids=(0.5, [0.7], [0.35]), rates=(0.6, 0.4, 0.15, 0.2))
+def test_batched_verifiers_equal_the_per_point_loop(grids, rates):
+    q, zs, ws = grids
+    r = functools.partial(ybe.asep_spectral_r, q=q)
+    expected = _spectral_oracle(q, zs, ws)
+    if isinstance(expected, str):
+        with pytest.raises(ybe.EvaluationPole) as exc:
+            ybe.verify_spectral_ybe(r, zs, ws)
+        assert str(exc.value) == expected
+    else:
+        assert ybe.verify_spectral_ybe(r, zs, ws)["residual"] == expected
+    alpha, gamma, beta, delta = rates
+    for side, a, c in (("left", alpha, gamma), ("right", beta, delta)):
+        k = functools.partial(ybe.reflection_k, q=q, a=a, c=c, side=side)
+        worst, skipped = _reflection_oracle(q, a, c, side, zs, ws)
+        if skipped.all():
+            with pytest.raises(ybe.EvaluationPole):
+                ybe.verify_reflection_equation(r, k, zs, ws)
+            continue
+        res = ybe.verify_reflection_equation(r, k, zs, ws)
+        assert res["residual"] == worst
+        assert np.array_equal(res["skipped"], skipped)
+        assert res["points_checked"] == np.count_nonzero(~skipped)
+
+
+def test_family_stacks_match_their_scalar_values():
+    # the stack's poles are zero matrices; every other matrix is the
+    # Operator of the scalar call
+    q = 0.5
+    xs = np.array([0.3, 2.0, 0.0, 1.7])
+    R, poles = ybe.asep_spectral_r(xs, q)
+    assert R.shape == (4, 4, 4) and poles.tolist() == [False, True, False, False]
+    K, kpoles = ybe.reflection_k(xs, q, 0.0, 0.2, "left")
+    assert K.shape == (4, 2, 2) and kpoles.tolist() == [False, False, True, False]
+    for x, Rx, Kx, pole, kpole in zip(xs, R, K, poles, kpoles):
+        assert np.array_equal(Rx, 0 * Rx if pole else ybe.asep_spectral_r(x, q).entries)
+        assert np.array_equal(
+            Kx, 0 * Kx if kpole else ybe.reflection_k(x, q, 0.0, 0.2, "left").entries)
+
+
+def test_empty_grid_and_grid_beyond_its_cap_are_refused():
+    r = functools.partial(ybe.asep_spectral_r, q=0.5)
+    k = functools.partial(ybe.reflection_k, q=0.5, a=0.6, c=0.15)
+    for z, w in (([], [0.3]), (np.full(129, 0.3), np.full(129, 0.3))):
+        with pytest.raises(ybe.ParameterError):
+            ybe.verify_spectral_ybe(r, z, w)
+        with pytest.raises(ybe.ParameterError):
+            ybe.verify_reflection_equation(r, k, z, w)
