@@ -19,11 +19,12 @@ Conventions (wire-level contract, also used by the CLI's CSV tables):
 
 An Operator is dense (R-matrices, representations, Hamiltonians), so its
 dimension is capped by MAX_DENSE_DIM; `state_space` checks a space against
-a cap before anything is allocated on it. A Generator is real and sparse
-(scipy.sparse CSR), and neither of its solvers builds a dense dim x dim
-array. Its stationary law comes from one LAPACK band solve (dgbsv) of the
-pinned system in the reverse Cuthill-McKee ordering of A + A^T, which
-makes the open exclusion chain's system a narrow band. Every column of
+a cap before anything is allocated on it, and `check_stack` keeps a stack
+of matrices within the entries of one Operator at that cap. A Generator
+is real and sparse (scipy.sparse CSR), and neither of its solvers builds
+a dense dim x dim array. Its stationary law comes from one LAPACK band
+solve (dgbsv) of the pinned system in the reverse Cuthill-McKee ordering
+of A + A^T, which makes the open exclusion chain's system a narrow band. Every column of
 the pinned system is diagonally dominant, so in exact arithmetic partial
 pivoting exchanges no rows (see `stationary_distribution`). The band's
 size is known before it is allocated and is capped by MAX_BAND_BYTES. A
@@ -158,6 +159,19 @@ def identity(site_dims) -> Operator:
     return Operator(dims, np.eye(total))
 
 
+def check_stack(batch, side: int) -> None:
+    """Refuse, with StateSpaceTooLarge, a stack of matrices with batch axes
+    `batch` and sides at most `side` that could hold more entries than one
+    dense Operator at the cap, MAX_DENSE_DIM^2. Call it before the stack is
+    allocated: a batch axis then never takes more memory than one matrix
+    at the cap."""
+    count = math.prod(batch)
+    if count * side * side > MAX_DENSE_DIM**2:
+        raise StateSpaceTooLarge(
+            f"{count} matrices of side {side} exceed {MAX_DENSE_DIM}^2 entries"
+        )
+
+
 def kron_entries(*mats) -> np.ndarray:
     """Tensor product of arrays of entries; site 1 of the first factor is
     slowest. A factor is a matrix or a stack of matrices with leading batch
@@ -166,12 +180,16 @@ def kron_entries(*mats) -> np.ndarray:
     straight into the axes (batch, rows, rows', cols, cols'), numpy.kron's
     own layout, so each matrix of the result is numpy.kron's bit for bit;
     numpy.multiply.outer and a transpose can differ in the last bit on
-    1 x 1 complex factors. No factors give the 1 x 1 identity. The
-    product of the factors' longer sides, which bounds both sides of the
-    result, is checked against the dense cap before it is allocated."""
+    1 x 1 complex factors. No factors give the 1 x 1 identity. Before the
+    result is allocated, the product of the factors' longer sides, which
+    bounds both sides of the result, is checked against the dense cap, and
+    the whole stack against `check_stack`."""
     if not mats:
         return np.eye(1)
-    state_space(max(m.shape[-2:]) for m in mats)
+    _, side = state_space(max(m.shape[-2:]) for m in mats)
+    batches = [m.shape[:-2] for m in mats if m.ndim > 2]
+    if batches:
+        check_stack(np.broadcast_shapes(*batches), side)
     mat = mats[0]
     for op in mats[1:]:
         (r, c), (s, t) = mat.shape[-2:], op.shape[-2:]
@@ -197,7 +215,9 @@ def embed_entries(entries, sites, site_dims) -> np.ndarray:
     embed_entries(R, (2, 1), dims) is R with its legs swapped and
     embed_entries(R, (1, 3), dims) is R13 on three sites. The legs are
     placed by one outer product with the identity and one transpose, so
-    each entry of the result is exactly an entry of `entries` or zero.
+    each entry of the result is exactly an entry of `entries` or zero. The
+    space is checked against the dense cap, and the result against
+    `check_stack`, before anything is allocated on it.
     """
     dims, total = state_space(site_dims)
     sites = tuple(int(s) for s in sites)
@@ -210,6 +230,7 @@ def embed_entries(entries, sites, site_dims) -> np.ndarray:
         raise DimensionMismatch(
             f"entries of shape {entries.shape} cannot act on sites {sites} of {dims}"
         )
+    check_stack(batch, total)
     rest = tuple(s for s in range(1, len(dims) + 1) if s not in sites)
     rest_dims = tuple(dims[s - 1] for s in rest)
     # The batch, then entries (x) identity as a tensor with axes (op rows,
@@ -230,13 +251,13 @@ def embed(op: Operator, sites, site_dims) -> Operator:
     """`op` acting on the 1-based `sites` of the space with `site_dims`,
     and the identity on every other site: embed_entries of its entries,
     whose legs must have the dimensions of those sites."""
-    entries = embed_entries(op.entries, sites, site_dims)
-    dims = tuple(int(d) for d in site_dims)
-    if tuple(dims[int(s) - 1] for s in sites) != op.site_dims:
+    dims, _ = state_space(site_dims)
+    sites = tuple(int(s) for s in sites)
+    if tuple(dims[s - 1] if 1 <= s <= len(dims) else None for s in sites) != op.site_dims:
         raise DimensionMismatch(
-            f"cannot place an operator on {op.site_dims} at sites {tuple(sites)} of {dims}"
+            f"cannot place an operator on {op.site_dims} at sites {sites} of {dims}"
         )
-    return Operator(dims, entries)
+    return Operator(dims, embed_entries(op.entries, sites, dims))
 
 
 def permutation_operator(d1: int, d2: int) -> Operator:

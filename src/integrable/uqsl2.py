@@ -112,34 +112,38 @@ def check_relations(r: RepM) -> dict:
 _GEN_NAMES = ("e", "f", "k")
 
 
-def _coproducts(rl: RepM, rm: RepM) -> np.ndarray:
-    """Entries of Delta(x) on V_l (x) V_m for x in _GEN_NAMES, stacked in
-    that order (see `coproduct_action`): the five tensor products are one
-    kron_entries of stacked factors."""
-    one_l, one_m = np.eye(rl.dim), np.eye(rm.dim)
-    terms = kron_entries(
-        np.array([rl.K.entries, rl.E.entries, one_l, rl.F.entries, rl.K.entries]),
-        np.array([rm.E.entries, one_m, rm.F.entries, rm.Kinv.entries, rm.K.entries]),
-    )
-    return np.array([terms[0] + terms[1], terms[2] + terms[3], terms[4]])
+def _coproduct(rl: RepM, rm: RepM, gen: str) -> np.ndarray:
+    """Entries of Delta(gen) on V_l (x) V_m (see `coproduct_action`)."""
+    if rl.q != rm.q:
+        raise DeformationMismatch(f"q mismatch: {rl.q} vs {rm.q}")
+    if gen == "e":
+        return kron_entries(rl.K.entries, rm.E.entries) + kron_entries(
+            rl.E.entries, np.eye(rm.dim))
+    if gen == "f":
+        return kron_entries(np.eye(rl.dim), rm.F.entries) + kron_entries(
+            rl.F.entries, rm.Kinv.entries)
+    if gen == "k":
+        return kron_entries(rl.K.entries, rm.K.entries)
+    raise ParameterError(f"generator must be one of {_GEN_NAMES}, got {gen!r}")
+
+
+def _opposite_coproduct(rl: RepM, rm: RepM, gen: str) -> np.ndarray:
+    """Entries of Delta'(gen) on V_l (x) V_m: Delta(gen) on V_m (x) V_l with
+    its legs swapped."""
+    return embed_entries(_coproduct(rm, rl, gen), (2, 1), (rl.dim, rm.dim))
 
 
 def coproduct_action(rl: RepM, rm: RepM, gen: str) -> Operator:
     """Coproduct image on the tensor space:
     Delta(e) = K (x) E + E (x) 1,  Delta(f) = 1 (x) F + F (x) K^{-1},
     Delta(k) = K (x) K."""
-    if rl.q != rm.q:
-        raise DeformationMismatch(f"q mismatch: {rl.q} vs {rm.q}")
-    if gen not in _GEN_NAMES:
-        raise ParameterError(f"generator must be one of {_GEN_NAMES}, got {gen!r}")
-    return Operator((rl.dim, rm.dim), _coproducts(rl, rm)[_GEN_NAMES.index(gen)])
+    return Operator((rl.dim, rm.dim), _coproduct(rl, rm, gen))
 
 
 def opposite_coproduct_action(rl: RepM, rm: RepM, gen: str) -> Operator:
     """The reversed coproduct Delta' = P o Delta on V_l (x) V_m: Delta on
     V_m (x) V_l with its legs swapped."""
-    dims = (rl.dim, rm.dim)
-    return Operator(dims, embed_entries(coproduct_action(rm, rl, gen).entries, (2, 1), dims))
+    return Operator((rl.dim, rm.dim), _opposite_coproduct(rl, rm, gen))
 
 
 def _universal_r_entries(rl: RepM, rm: RepM) -> np.ndarray:
@@ -158,17 +162,17 @@ def _universal_r_entries(rl: RepM, rm: RepM) -> np.ndarray:
     cartan = np.array([q ** (wa * wb / 2.0) for wa in wl for wb in wm])
     denom = q - 1.0 / q
     F, E = rl.F.entries, rm.E.entries
-    Fi, Ei, coeff = [np.eye(d1)], [np.eye(d2)], [1.0]  # the i = 0 term
+    Fi, Ei = np.eye(d1), np.eye(d2)
+    total = kron_entries(Fi, Ei)  # the i = 0 term, with coefficient 1
     qfact = 1.0
+    # One term at a time, so at most three D x D arrays are alive.
     for i in range(1, min(rl.m, rm.m) + 1):
-        Fi.append(F @ Fi[-1])
-        Ei.append(E @ Ei[-1])
+        Fi = F @ Fi
+        Ei = E @ Ei
         qfact *= (q**i - q ** (-i)) / denom
-        coeff.append(denom**i * q ** (i * (i - 1) / 2.0) / qfact)
-    # Every term is one matrix of one stacked product; the sum over the
-    # first axis adds them in order of i.
-    terms = np.asarray(coeff)[:, None, None] * kron_entries(np.array(Fi), np.array(Ei))
-    return cartan[:, None] * terms.sum(axis=0)
+        coeff = denom**i * q ** (i * (i - 1) / 2.0) / qfact
+        total = total + coeff * kron_entries(Fi, Ei)
+    return cartan[:, None] * total
 
 
 def universal_r(rl: RepM, rm: RepM) -> Operator:
@@ -189,13 +193,13 @@ def universal_r(rl: RepM, rm: RepM) -> Operator:
 
 def universal_r_check(rl: RepM, rm: RepM) -> dict:
     """Intertwining residuals ||R Delta(x) - Delta'(x) R|| for x in {e,f,k},
-    plus invertibility of R. The three generators are one stacked product,
-    with Delta' the (2, 1) leg swap of Delta on V_m (x) V_l."""
+    plus invertibility of R, on the reps' arrays: no Operator is built."""
     R = _universal_r_entries(rl, rm)
-    D = _coproducts(rl, rm)
-    Dop = embed_entries(_coproducts(rm, rl), (2, 1), (rl.dim, rm.dim))
-    gaps = np.max(np.abs(R @ D - Dop @ R), axis=(1, 2))
-    res = {f"intertwine_{gen}": float(gap) for gen, gap in zip(_GEN_NAMES, gaps)}
+    res = {}
+    for gen in _GEN_NAMES:
+        D = _coproduct(rl, rm, gen)
+        Dop = _opposite_coproduct(rl, rm, gen)
+        res[f"intertwine_{gen}"] = float(np.max(np.abs(R @ D - Dop @ R)))
     Rinv = np.linalg.inv(R)
     res["invertibility"] = float(np.max(np.abs(R @ Rinv - np.eye(R.shape[0]))))
     return res

@@ -13,8 +13,9 @@ a scalar z to an Operator, raising at a pole, and a 1-D array of n points
 to (entries, poles): the (n, d, d) stack of its matrices and the mask of
 the points where it has a pole, such as
 functools.partial(asep_spectral_r, q=q). The spectral and reflection
-verifiers evaluate a family once on a whole grid of points, which is the
-leading batch axis of every stacked product they take.
+verifiers evaluate a family once on each block of at most MAX_GRID_POINTS
+points of their grid, and the block is the leading batch axis of every
+stacked product they take.
 """
 
 from __future__ import annotations
@@ -27,10 +28,10 @@ import numpy as np
 from .errors import ParameterError, RateOutOfRange
 from .tensor import Operator, embed_entries, kron_entries, permutation_operator
 
-# Points of one verifier's grid. A spectral point takes about 4 KB of
-# stacked matrices, so a grid at the cap peaks about 60 MB above the
-# process (a 128-value --grid for `verify spectral`).
-MAX_GRID_POINTS = 2**14
+# Points of one block of a verifier's grid: a grid is checked in blocks of
+# at most this many points, each one stacked product. A spectral point
+# takes about 4 KB of stacked matrices, so a block takes about 16 MB.
+MAX_GRID_POINTS = 2**12
 
 
 class PoleAtQZEqualsOne(ParameterError):
@@ -133,42 +134,46 @@ def asep_spectral_r(z, q: float):
     return _family(stack, z, (2, 2), lambda: PoleAtQZEqualsOne(f"qz = 1 at z={z}, q={q}"))
 
 
-def _grid(z, w) -> tuple:
-    """Every point (z_i, w_j) of the grid z x w, z slowest, as two flat
-    arrays; a scalar is a grid of one point, and an empty grid is refused."""
+def _grid_blocks(z, w):
+    """The points (z_i, w_j) of the grid z x w, z slowest, in blocks of at
+    most MAX_GRID_POINTS points, each as two flat arrays; a scalar is a
+    grid of one point, and an empty grid is refused."""
     z, w = np.ravel(z), np.ravel(w)
-    if z.size * w.size == 0:
+    n = z.size * w.size
+    if n == 0:
         raise ParameterError("the grid has no points")
-    if z.size * w.size > MAX_GRID_POINTS:
-        raise ParameterError(
-            f"{z.size} x {w.size} grid points exceed cap {MAX_GRID_POINTS}"
-        )
-    return np.repeat(z, w.size), np.tile(w, z.size)
+    for start in range(0, n, MAX_GRID_POINTS):
+        at = np.arange(start, min(n, start + MAX_GRID_POINTS))
+        yield z[at // w.size], w[at % w.size]
 
 
 def verify_spectral_ybe(r: Callable, z, w) -> dict:
     """Largest residual of R12(z) R13(zw) R23(w) - R23(w) R13(zw) R12(z)
     over the grid z x w (each a scalar or a 1-D array), with
-    Rij = embed_entries(R, (i, j)) on three sites. The family is evaluated
-    once on all the grid's points, and every point is one matrix of one
+    Rij = embed_entries(R, (i, j)) on three sites. The grid is checked in
+    blocks of at most MAX_GRID_POINTS points: the family is evaluated once
+    on all of a block's points, and every point is one matrix of one
     stacked product. A pole of R(z), R(zw) or R(w) at any point raises
     EvaluationPole, naming the first such point with z slowest."""
-    zs, ws = _grid(z, w)
-    stack, poles = r(np.concatenate([zs, zs * ws, ws]))
-    Rz, Rzw, Rw = np.split(stack, 3)
-    poles = np.logical_or.reduce(np.split(poles, 3))
-    if poles.any():
-        at = int(np.argmax(poles))
-        z, w = zs[at].item(), ws[at].item()
-        raise EvaluationPole(f"family undefined at one of z={z}, zw={z*w}, w={w}")
-    d = math.isqrt(Rz.shape[-1])
-    dims = (d, d, d)
-    R12 = embed_entries(Rz, (1, 2), dims)
-    R13 = embed_entries(Rzw, (1, 3), dims)
-    R23 = embed_entries(Rw, (2, 3), dims)
-    lhs = R12 @ R13 @ R23
-    rhs = R23 @ R13 @ R12
-    return {"residual": float(np.max(np.abs(lhs - rhs)))}
+    worst = []
+    for zs, ws in _grid_blocks(z, w):
+        stack, poles = r(np.concatenate([zs, zs * ws, ws]))
+        Rz, Rzw, Rw = np.split(stack, 3)
+        poles = np.logical_or.reduce(np.split(poles, 3))
+        if poles.any():
+            at = int(np.argmax(poles))
+            z, w = zs[at].item(), ws[at].item()
+            raise EvaluationPole(f"family undefined at one of z={z}, zw={z*w}, w={w}")
+        d = math.isqrt(Rz.shape[-1])
+        dims = (d, d, d)
+        R12 = embed_entries(Rz, (1, 2), dims)
+        R13 = embed_entries(Rzw, (1, 3), dims)
+        R23 = embed_entries(Rw, (2, 3), dims)
+        lhs = R12 @ R13 @ R23
+        rhs = R23 @ R13 @ R12
+        worst.append(np.max(np.abs(lhs - rhs)))
+    # numpy's max, unlike Python's, keeps a NaN.
+    return {"residual": float(np.max(worst))}
 
 
 def frt_r(q: float) -> Operator:
@@ -243,32 +248,39 @@ def verify_reflection_equation(r: Callable, k: Callable, z, w) -> dict:
     the row-stochastic R.
 
     The equation is checked on the grid z x w (each a scalar or a 1-D
-    array), every point one matrix of one stacked product. A point is
-    skipped when w = 0 or when one of R(z/w), R(zw), K(z) and K(w) is a
-    pole there. Returns the largest residual over the points checked,
-    their number as "points_checked", and the (len z, len w) mask of the
-    skipped points as "skipped". EvaluationPole if every point is skipped.
+    array) in blocks of at most MAX_GRID_POINTS points, every point one
+    matrix of one stacked product. A point is skipped when w = 0 or when
+    one of R(z/w), R(zw), K(z) and K(w) is a pole there. Returns the
+    largest residual over the points checked, their number as
+    "points_checked", and the (len z, len w) mask of the skipped points as
+    "skipped". EvaluationPole if every point is skipped.
     """
-    zs, ws = _grid(z, w)
-    at_zero = ws == 0
-    R, r_poles = r(np.concatenate([zs / np.where(at_zero, 1, ws), zs * ws]))
-    K, k_poles = k(np.concatenate([zs, ws]))
-    skipped = at_zero | np.logical_or.reduce(np.split(r_poles, 2) + np.split(k_poles, 2))
-    if skipped.all():
+    worst, skipped = [], []
+    for zs, ws in _grid_blocks(z, w):
+        at_zero = ws == 0
+        R, r_poles = r(np.concatenate([zs / np.where(at_zero, 1, ws), zs * ws]))
+        K, k_poles = k(np.concatenate([zs, ws]))
+        skip = at_zero | np.logical_or.reduce(np.split(r_poles, 2) + np.split(k_poles, 2))
+        skipped.append(skip)
+        if skip.all():
+            continue
+        keep = ~skip
+        Ra, Rb = (part[keep] for part in np.split(R, 2))
+        Kz, Kw = (part[keep] for part in np.split(K, 2))
+        dims = (Kz.shape[-1],) * 2
+        K1 = embed_entries(Kz, (2,), dims)
+        K2 = embed_entries(Kw, (1,), dims)
+        R21a = embed_entries(Ra, (2, 1), dims)
+        R21b = embed_entries(Rb, (2, 1), dims)
+        lhs = Ra @ K1 @ R21b @ K2
+        rhs = K2 @ Rb @ K1 @ R21a
+        worst.append(np.max(np.abs(lhs - rhs)))
+    if not worst:
         raise EvaluationPole(f"evaluation pole at every point of z={z}, w={w}")
-    keep = ~skipped
-    Ra, Rb = (part[keep] for part in np.split(R, 2))
-    Kz, Kw = (part[keep] for part in np.split(K, 2))
-    dims = (Kz.shape[-1],) * 2
-    K1 = embed_entries(Kz, (2,), dims)
-    K2 = embed_entries(Kw, (1,), dims)
-    R21a = embed_entries(Ra, (2, 1), dims)
-    R21b = embed_entries(Rb, (2, 1), dims)
-    lhs = Ra @ K1 @ R21b @ K2
-    rhs = K2 @ Rb @ K1 @ R21a
+    skipped = np.concatenate(skipped)
     return {
-        "residual": float(np.max(np.abs(lhs - rhs))),
-        "points_checked": int(keep.sum()),
+        "residual": float(np.max(worst)),
+        "points_checked": int(np.count_nonzero(~skipped)),
         "skipped": skipped.reshape(np.size(z), np.size(w)),
     }
 

@@ -97,8 +97,8 @@ TWPROB = ["twprob", "--t", "0.5", "--q", "0.4"]
         (["verify", "spectral", "--q", "0.5", "--grid", "2.0"], 2, True),
         # w = 0 at every point leaves nothing to check
         (["verify", "reflection", "--q", "0.5", "--grid", "0"], 2, True),
-        # 129^2 points: past the grid cap before any stack is allocated
-        (["verify", "spectral", "--grid", *["0.3"] * 129], 2, True),
+        # 129^2 points: checked in blocks, with no pole among them
+        (["verify", "spectral", "--grid", *["0.3"] * 129], 0, False),
         # zw overflows to inf, where R is NaN: a null residual that fails
         (["verify", "spectral", "--q", "0.5", "--grid", "1e-300", "1e300"], 1, False),
         (["verify", "hecke", "--q", "nan"], 2, True),
@@ -152,7 +152,7 @@ TWPROB = ["twprob", "--t", "0.5", "--q", "0.4"]
           "--truncation", "1024"], 2, True),
     ],
     ids=["radius-2", "nquad-0-n1", "nquad-0-n2", "radius-0", "empty-grid",
-         "spectral-pole", "reflection-all-poles", "spectral-grid-cap",
+         "spectral-pole", "reflection-all-poles", "spectral-grid-in-blocks",
          "spectral-overflow", "q-nan",
          "mpa-not-converged", "mpa-cap", "asep-csv-fails", "fuse-l8-z01",
          "asep-cap", "asep-band-cap", "fuse-l8-relative", "fuse-l4-relative", "fuse-cap",

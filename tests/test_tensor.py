@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -112,6 +113,42 @@ def test_embed_rejects_bad_sites():
         embed(x, (1, 3), (2, 3))
     with pytest.raises(StateSpaceTooLarge):
         embed(x, (1, 2), (2, 3, 2**11))
+
+
+def test_embed_checks_its_sites_before_it_allocates():
+    # sites of dims (3, 2) have the side of x but not its legs; the placed
+    # matrix would be 2 * 3 * 512 = 3072 square: 75 MB
+    x = Operator((2, 3), np.eye(6))
+    tracemalloc.start()
+    try:
+        with pytest.raises(DimensionMismatch):
+            embed(x, (2, 1), (2, 3, 512))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+def test_a_stack_past_the_dense_cap_is_refused_before_allocation():
+    # 2^22 matrices of side 4 hold 2^26 entries, four dense Operators at
+    # the cap; the broadcast factors themselves take no memory
+    many = np.broadcast_to(np.eye(2), (2**22, 2, 2))
+    tracemalloc.start()
+    try:
+        with pytest.raises(StateSpaceTooLarge):
+            tensor.kron_entries(many, np.eye(2))
+        with pytest.raises(StateSpaceTooLarge):
+            tensor.kron_entries(np.eye(2), many)
+        with pytest.raises(StateSpaceTooLarge):
+            tensor.embed_entries(many, (1,), (2, 2))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    # a stack of exactly MAX_DENSE_DIM^2 entries is allowed
+    tensor.check_stack((2**20,), 4)
+    with pytest.raises(StateSpaceTooLarge):
+        tensor.check_stack((2**20 + 1,), 4)
 
 
 def test_real_input_stays_real():

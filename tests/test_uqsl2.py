@@ -76,3 +76,18 @@ def test_universal_r_beyond_the_dense_cap_allocates_nothing():
     finally:
         tracemalloc.stop()
     assert peak < 2**20  # the 1001^2 Cartan diagonal alone would take 8 MB
+
+
+def test_universal_r_check_memory_does_not_grow_with_its_terms():
+    # R has 25 terms f^i (x) e^i on a space of side D = 625. Building them
+    # one at a time keeps a few D x D arrays alive (6 at the peak), where a
+    # stack of the terms would hold 25.
+    r = uqsl2.rep(24, 0.7)
+    side = r.dim**2
+    tracemalloc.start()
+    try:
+        uqsl2.universal_r_check(r, r)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * (8 * side * side)

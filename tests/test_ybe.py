@@ -240,11 +240,38 @@ def test_family_stacks_match_their_scalar_values():
             Kx, 0 * Kx if kpole else ybe.reflection_k(x, q, 0.0, 0.2, "left").entries)
 
 
-def test_empty_grid_and_grid_beyond_its_cap_are_refused():
+def test_empty_grid_is_refused():
     r = functools.partial(ybe.asep_spectral_r, q=0.5)
     k = functools.partial(ybe.reflection_k, q=0.5, a=0.6, c=0.15)
-    for z, w in (([], [0.3]), (np.full(129, 0.3), np.full(129, 0.3))):
-        with pytest.raises(ybe.ParameterError):
-            ybe.verify_spectral_ybe(r, z, w)
-        with pytest.raises(ybe.ParameterError):
-            ybe.verify_reflection_equation(r, k, z, w)
+    with pytest.raises(ybe.ParameterError):
+        ybe.verify_spectral_ybe(r, [], [0.3])
+    with pytest.raises(ybe.ParameterError):
+        ybe.verify_reflection_equation(r, k, [0.3], [])
+
+
+@pytest.mark.parametrize("block", [1, 2, 5, 7])
+def test_grids_checked_in_blocks_equal_one_block(monkeypatch, block):
+    # w = 0 is skipped by the reflection check, R(z/w) has a pole at
+    # (z, w) = (1, 0.5), and z = -1 gives a large residual; in the second
+    # grid qz = 1 first at (z, w) = (0.3, 2), at the third point
+    q = 0.5
+    r = functools.partial(ybe.asep_spectral_r, q=q)
+    k = functools.partial(ybe.reflection_k, q=q, a=0.6, c=0.15)
+    zs, ws = [0.3, 1.0, -1.0, 0.7], [0.5, 0.0, 0.9]
+    poles = [0.3, 0.7, 2.0, 0.2]
+    whole = (ybe.verify_spectral_ybe(r, zs, zs),
+             ybe.verify_reflection_equation(r, k, zs, ws))
+    with pytest.raises(ybe.EvaluationPole) as exc:
+        ybe.verify_spectral_ybe(r, poles, poles)
+    message = str(exc.value)
+    assert message == "family undefined at one of z=0.3, zw=0.6, w=2.0"
+    monkeypatch.setattr(ybe, "MAX_GRID_POINTS", block)
+    spectral = ybe.verify_spectral_ybe(r, zs, zs)
+    reflection = ybe.verify_reflection_equation(r, k, zs, ws)
+    assert spectral == whole[0]
+    assert reflection["residual"] == whole[1]["residual"]
+    assert reflection["points_checked"] == whole[1]["points_checked"]
+    assert np.array_equal(reflection["skipped"], whole[1]["skipped"])
+    with pytest.raises(ybe.EvaluationPole) as exc:
+        ybe.verify_spectral_ybe(r, poles, poles)
+    assert str(exc.value) == message
