@@ -45,7 +45,6 @@ USAGE_EXIT = 2
 # Residuals limited by a truncation, a quadrature or a finite difference
 # are compared against at least this tolerance, keyed by report command.
 TOL_FLOOR = {
-    "mpa": 1e-8,
     "fuse": 1e-8,
     "twprob": 1e-5,
     "verify markov": 1e-8,
@@ -240,8 +239,7 @@ def _asep(args) -> Run:
 
 def _mpa(args) -> Run:
     p = _asep_params(args)
-    return _stationary_run("mpa", {**vars(p), "truncation_start": args.truncation},
-                           mpa.mpa_stationary_measure(p, M=args.truncation), p, True)
+    return _stationary_run("mpa", vars(p), mpa.mpa_stationary_measure(p), p, True)
 
 
 def _fuse_csv(w: sixvertex.VertexWeights) -> str:
@@ -405,7 +403,6 @@ COMMANDS = (
         _float("--beta", required=True),
         _float("--gamma", default=0.0),
         _float("--delta", default=0.0),
-        _int("--truncation", default=mpa.M_START),
         _flag("--csv"),
     ), _mpa),
     Command("fuse", (

@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import jsonschema
 import numpy as np
@@ -102,9 +103,10 @@ TWPROB = ["twprob", "--t", "0.5", "--q", "0.4"]
         # zw overflows to inf, where R is NaN: a null residual that fails
         (["verify", "spectral", "--q", "0.5", "--grid", "1e-300", "1e300"], 1, False),
         (["verify", "hecke", "--q", "nan"], 2, True),
-        # TruncationNotConverged is a failed check, not a parameter error
-        (["mpa", "--L", "4", "--q", "0.95", "--alpha", "0.1", "--beta", "0.1",
-          "--gamma", "0.9", "--delta", "0.9"], 1, True),
+        # a float cancellation in the matrix product is a failed
+        # computation, not a parameter error
+        (["mpa", "--L", "10", "--q", "0.95", "--alpha", "0.05", "--beta", "0.05",
+          "--gamma", "5", "--delta", "5"], 1, True),
         # 2^40 configurations: refused before the weights are allocated
         (["mpa", "--L", "40", "--q", "0.5", "--alpha", "0.6", "--beta", "0.4"],
          2, True),
@@ -143,13 +145,9 @@ TWPROB = ["twprob", "--t", "0.5", "--q", "0.4"]
           "--height", "1000000"], 2, True),
         # a 1001^2-dimensional tensor product: refused before it is allocated
         (["universal-r", "--l", "1000", "--m", "1000", "--q", "0.999"], 2, True),
-        # a start above the truncation cap computes nothing: a parameter error
+        # nothing is truncated, and the option is gone: a usage error
         (["mpa", "--L", "4", "--q", "0.5", "--alpha", "0.6", "--beta", "0.4",
           "--truncation", "2048"], 2, True),
-        # a start at the cap has no second truncation to compare: it could
-        # never converge
-        (["mpa", "--L", "4", "--q", "0.5", "--alpha", "0.6", "--beta", "0.4",
-          "--truncation", "1024"], 2, True),
     ],
     ids=["radius-2", "nquad-0-n1", "nquad-0-n2", "radius-0", "empty-grid",
          "spectral-pole", "reflection-all-poles", "spectral-grid-in-blocks",
@@ -158,8 +156,7 @@ TWPROB = ["twprob", "--t", "0.5", "--q", "0.4"]
          "asep-cap", "asep-band-cap", "fuse-l8-relative", "fuse-l4-relative", "fuse-cap",
          "fuse-q0", "twprob-overflow",
          "hermite-nan", "js-cap", "fock-cap", "hecke-overflow",
-         "rep-check-overflow", "sample6v-cap", "universal-r-cap", "mpa-truncation-cap",
-         "mpa-truncation-at-cap"],
+         "rep-check-overflow", "sample6v-cap", "universal-r-cap", "mpa-truncation-cap"],
 )
 def test_exit_code(capsys, argv, expected, silent):
     code, out = _run(capsys, argv)
@@ -268,9 +265,9 @@ def test_mpa_report_fails_on_a_wrong_law(capsys, monkeypatch):
     # the law of the chain with its two boundaries swapped
     measure = cli.mpa.mpa_stationary_measure
 
-    def swapped(p, M):
+    def swapped(p):
         return measure(dataclasses.replace(p, alpha=p.beta, beta=p.alpha,
-                                           gamma=p.delta, delta=p.gamma), M=M)
+                                           gamma=p.delta, delta=p.gamma))
 
     monkeypatch.setattr(cli.mpa, "mpa_stationary_measure", swapped)
     code, out = _run(capsys, ["mpa", "--L", "6", "--q", "0.5", "--alpha", "0.6",
@@ -281,14 +278,46 @@ def test_mpa_report_fails_on_a_wrong_law(capsys, monkeypatch):
     assert report["residuals"]["normalization"] <= 1e-12
 
 
-def test_mpa_report_fails_where_the_truncations_settle_on_a_wrong_law(capsys):
-    # At this point the doubling settles (TV between truncations below 1e-10)
-    # on a law 0.125 in TV from the LU's; only the certificate catches it.
-    code, out = _run(capsys, ["mpa", "--L", "10", "--q", "0.5448", "--alpha",
-                              "0.3207", "--beta", "0.3304", "--gamma", "0.211",
-                              "--delta", "0.295"])
-    assert code == 1
-    assert json.loads(out)["residuals"]["stationarity"] > 1e-2
+def test_mpa_report_certifies_where_the_truncations_settled_on_a_wrong_law(capsys):
+    # A truncated q-oscillator settled here on a law 0.125 in TV from the
+    # LU's (shock region, a = 1.77 and c = 1.51).
+    params = {"L": 10, "q": 0.5448, "alpha": 0.3207, "beta": 0.3304,
+              "gamma": 0.211, "delta": 0.295}
+    argv = ["mpa"] + [a for k, v in params.items() for a in (f"--{k}", str(v))]
+    code, out = _run(capsys, argv)
+    assert code == 0
+    report = json.loads(out)
+    assert report["params"] == params
+    p = cli.models.AsepParams(**params)
+    pi = cli.tensor.stationary_distribution(cli.models.asep_generator(p, open_boundary=True))
+    assert 0.5 * np.abs(np.array(report["results"]["measure"]) - pi.values).sum() <= 1e-12
+
+
+@pytest.mark.parametrize("argv, cause", [
+    # beta = delta gamma / alpha: the first pivot of z is zero
+    (["--L", "4", "--q", "0.5", "--alpha", "0.5", "--beta", "0.2", "--gamma", "0.5",
+      "--delta", "0.2"], "zero pivot"),
+    # gamma / alpha = 100 near q = 1: the signed sums cancel
+    (["--L", "10", "--q", "0.95", "--alpha", "0.05", "--beta", "0.05", "--gamma", "5",
+      "--delta", "5"], "probability of -"),
+], ids=["zero-pivot", "cancellation"])
+def test_mpa_float_failure_prints_one_error_and_no_warning(argv, cause):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = _outputs(["mpa", *argv])
+    assert (code, out) == (1, "")
+    assert err.startswith("convergence error: ") and err.count("\n") == 1
+    assert cause in err
+
+
+def test_mpa_mirrors_q_above_one(capsys):
+    # The band LU fails at this point (its law has ||pi G||_1 = 0.871).
+    argv = ["mpa", "--L", "10", "--q", "46.47848607733105", "--alpha",
+            "0.0027522646135283743", "--beta", "0.0052862984388549455",
+            "--delta", "0.44790675088142945"]
+    code, out = _run(capsys, argv)
+    assert code == 0
+    assert json.loads(out)["residuals"]["stationarity"] <= 1e-16
 
 
 def test_deterministic_json_output(capsys):

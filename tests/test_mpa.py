@@ -1,53 +1,72 @@
+import itertools
+import json
+from fractions import Fraction as F
+from pathlib import Path
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, reject, settings
 from hypothesis import strategies as st
 
 from integrable import models, mpa
+from integrable.errors import ConvergenceError, ParameterError
 from integrable.models import AsepParams
 from integrable.tensor import StateSpaceTooLarge, stationary_distribution
+
+POOL = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
 
 
 def _params(L=4, q=0.5):
     return AsepParams(q=q, alpha=0.6, beta=0.4, gamma=0.1, delta=0.2, L=L)
 
 
-def _product_per_configuration(p, M):
-    """Oracle: <W|X_1 ... X_L|V> as one vector-matrix chain per
+def _certificate(mu, p):
+    return float(np.abs(models.asep_left_action(mu.values, p, True)).sum())
+
+
+def _tv(mu, p):
+    pi = stationary_distribution(models.asep_generator(p, open_boundary=True))
+    return 0.5 * float(np.abs(mu.values - pi.values).sum())
+
+
+def _product_per_configuration(E, z):
+    """Oracle: e_0 X_1 ... X_L z as one vector-matrix chain per
     configuration, site 1 the most significant bit of its index."""
-    rep = mpa.q_oscillator(M, p.q)
-    w_left = mpa.boundary_coefficients(p.q, p.alpha, p.gamma, M)
-    v_right = mpa.boundary_coefficients(p.q, p.beta, p.delta, M)
-    weights = np.zeros(2**p.L)
-    for config in range(2**p.L):
-        vec = w_left.copy()
-        for site in range(p.L):
-            tau = (config >> (p.L - 1 - site)) & 1
-            vec = vec @ (rep.D if tau else rep.E)
-        weights[config] = vec @ v_right
+    L = len(z) - 1
+    D = np.eye(L + 1, k=1)
+    weights = np.zeros(2**L)
+    for config in range(2**L):
+        vec = np.eye(1, L + 1)[0]
+        for site in range(L):
+            vec = vec @ (D if (config >> (L - 1 - site)) & 1 else E)
+        weights[config] = vec @ z
     return weights
 
 
-# Rates drawn as in acceptance criterion 5.
+# Rates across the shock region ac >= 1, where z changes sign.
 @settings(max_examples=60, deadline=None)
 @given(
     L=st.integers(1, 10),
-    M=st.sampled_from([2, 3, 16, 64]),
     q=st.sampled_from([0.3, 0.5, 0.8]),
-    alpha=st.floats(0.5, 1.2),
-    beta=st.floats(0.5, 1.2),
-    gamma=st.floats(0.05, 0.3),
-    delta=st.floats(0.05, 0.3),
+    alpha=st.floats(0.05, 1.2),
+    beta=st.floats(0.05, 1.2),
+    gamma=st.floats(0.0, 1.0),
+    delta=st.floats(0.0, 1.0),
 )
 def test_split_contraction_matches_per_configuration_product(
-    L, M, q, alpha, beta, gamma, delta
+    L, q, alpha, beta, gamma, delta
 ):
-    p = AsepParams(q=q, alpha=alpha, beta=beta, gamma=gamma, delta=delta, L=L)
-    expected = _product_per_configuration(p, M)
-    weights = mpa._matrix_element_measure(p, M)
+    try:
+        E, z = mpa.krylov_pair(q, alpha, beta, gamma, delta, L)
+    except ConvergenceError:
+        reject()  # a zero pivot of z, at alpha beta = gamma delta q^j
+    expected = _product_per_configuration(E, z)
+    weights = mpa._contract(E, z)
     assert weights.shape == expected.shape
-    # At M = 2, 3 some weights are negative, so the total is taken in l1.
-    assert np.abs(weights - expected).max() <= 1e-13 * np.abs(expected).sum()
+    # Both orders round signed sums, so they are compared on the scale of
+    # the sums' terms: E >= 0 for q < 1, and z carries the signs.
+    scale = mpa._contract(E, np.abs(z)).sum()
+    assert np.abs(weights - expected).max() <= 1e-13 * scale
 
 
 def test_state_space_cap_precedes_allocation():
@@ -55,100 +74,176 @@ def test_state_space_cap_precedes_allocation():
         mpa.mpa_stationary_measure(_params(L=40))
 
 
-def test_non_finite_weight_stops_the_doubling(monkeypatch):
-    # Weights are finite up to M = 128 and overflow to inf at M = 256.
-    p = AsepParams(q=0.95, alpha=0.1, beta=0.1, gamma=0.9, delta=0.9, L=4)
-    contract = mpa._matrix_element_measure
-    seen = []
-
-    def counted(p, M):
-        seen.append(M)
-        return contract(p, M)
-
-    monkeypatch.setattr(mpa, "_matrix_element_measure", counted)
-    with pytest.raises(mpa.TruncationNotConverged, match="truncation 256"):
-        with np.errstate(over="ignore"):
-            mpa.mpa_stationary_measure(p)
-    assert seen == [16, 32, 64, 128, 256]
-
-
-def test_negative_weights_below_the_cap_double_the_truncation(monkeypatch):
-    # Point 1 of perfbench/reference.json's pool: at L = 16 a matrix element
-    # is negative at M = 16 (-0.0035), and M = 32 onward converges.
-    p = AsepParams(q=0.6273, alpha=0.5545, beta=0.9018, gamma=0.0765,
-                   delta=0.0117, L=16)
-    contract = mpa._matrix_element_measure
-    seen = []
-
-    def counted(p, M):
-        seen.append(M)
-        return contract(p, M)
-
-    monkeypatch.setattr(mpa, "_matrix_element_measure", counted)
-    mu = mpa.mpa_stationary_measure(p)
-    assert seen == [16, 32, 64]
-    assert mu.values.min() >= 0 and mu.values.sum() == pytest.approx(1.0)
-    G = models.asep_generator(p, open_boundary=True)
-    assert np.abs(mu.values @ G.rates).sum() <= 1e-8
-
-
-def test_negative_weights_at_the_cap_raise(monkeypatch):
-    # The same point with the cap lowered to the truncation that is negative,
-    # from the largest legal start: M = 8 is negative too (-87.7), so the
-    # doubling reaches the cap and raises there.
-    monkeypatch.setattr(mpa, "M_CAP", 16)
-    p = AsepParams(q=0.6273, alpha=0.5545, beta=0.9018, gamma=0.0765,
-                   delta=0.0117, L=16)
-    contract = mpa._matrix_element_measure
-    seen = []
-
-    def counted(p, M):
-        seen.append(M)
-        return contract(p, M)
-
-    monkeypatch.setattr(mpa, "_matrix_element_measure", counted)
-    with pytest.raises(mpa.NegativeWeight, match="truncation 16"):
-        mpa.mpa_stationary_measure(p, M=8)
-    assert seen == [8, 16]
-
-
-def test_q_oscillator_commutation():
-    rep = mpa.q_oscillator(32, 0.5)
-    assert rep.commutation_violation() <= 1e-12
-
-
-def test_q_oscillator_rejects_bad_truncation():
-    with pytest.raises(mpa.InvalidTruncation):
-        mpa.q_oscillator(1, 0.5)
-    with pytest.raises(mpa.InvalidTruncation):
-        mpa.q_oscillator(16, 1.5)
-
-
-def test_boundary_recurrence_annihilates_boundary_operator():
-    checks = mpa.relation_checks(_params())
-    assert checks["left_boundary"] <= 1e-10
-    assert checks["right_boundary"] <= 1e-10
+# (q, alpha, beta, gamma, delta): a fan point, and a shock-region point
+# (a = 13.4, c = 5.4) where z changes sign.
+EXACT_RATES = {
+    "fan": (F(1, 2), F(3, 5), F(2, 5), F(1, 10), F(1, 5)),
+    "shock": (F(3, 5), F(1, 10), F(1, 20), F(1, 5), F(3, 10)),
+}
 
 
 def test_bulk_relation_telescopes():
-    checks = mpa.relation_checks(_params())
-    assert checks["bulk"] <= 1e-12
-    assert checks["adjointness"] == 0.0
-    assert checks["commutation"] <= 1e-12
+    # DE - qED = (1 - q)(D + E) on every row w_j, j < L, in exact arithmetic.
+    # Row L - 1 holds too: both sides drop the same w_(L+1) term.
+    for L, rates in itertools.product((1, 2, 5, 9), EXACT_RATES.values()):
+        E, _ = mpa.krylov_pair(*rates, L)
+        q = rates[0]
+        assert isinstance(E[0, 0], F)
+        D = np.eye(L + 1, k=1, dtype=object)
+        lhs = D @ E - q * (E @ D)
+        rhs = (1 - q) * (D + E)
+        assert (lhs[:L] == rhs[:L]).all()
+
+
+def test_boundary_recurrence_annihilates_boundary_operator():
+    for L, rates in itertools.product((1, 2, 5, 9), EXACT_RATES.values()):
+        E, z = mpa.krylov_pair(*rates, L)
+        q, alpha, beta, gamma, delta = rates
+        D = np.eye(L + 1, k=1, dtype=object)
+        # <W|(alpha E - gamma D) = (1 - q)<W|, with <W| = w_0
+        assert list(alpha * E[0] - gamma * D[0]) == [1 - q] + [0] * L
+        # (beta D - delta E)|V> = (1 - q)|V> on the rows z reaches, from z_0 = 1
+        right = beta * (D @ z) - delta * (E @ z)
+        assert list(right[:L]) == list((1 - q) * z[:L])
+        assert z[0] == 1
 
 
 def test_boundary_coefficients_need_positive_leading_rate():
     with pytest.raises(mpa.ZeroLeadingRate):
-        mpa.boundary_coefficients(0.5, 0.0, 0.1, 8)
+        mpa.mpa_stationary_measure(AsepParams(q=0.5, alpha=0.0, beta=0.4, L=3))
+    # q > 1 is solved as its mirror, where delta / q is the injection rate
+    with pytest.raises(mpa.ZeroLeadingRate):
+        mpa.mpa_stationary_measure(AsepParams(q=2.0, alpha=0.6, beta=0.4,
+                                              gamma=0.1, L=3))
+
+
+def test_q_one_is_refused():
+    with pytest.raises(ParameterError):
+        mpa.mpa_stationary_measure(_params(q=1.0))
+
+
+def _fraction_generator(L, q, alpha, beta, gamma, delta):
+    """The open chain's rate matrix over Fractions, site 1 the most
+    significant bit: 10 -> 01 at rate 1 and 01 -> 10 at q on each bond;
+    site 1 fills at alpha and empties at gamma, site L fills at delta and
+    empties at beta."""
+    n = 1 << L
+    G = [[F(0)] * n for _ in range(n)]
+
+    def move(s, t, rate):
+        G[s][t] += rate
+        G[s][s] -= rate
+
+    for s in range(n):
+        for x in range(L - 1):
+            left, right = 1 << (L - 1 - x), 1 << (L - 2 - x)
+            if s & left and not s & right:
+                move(s, s ^ left ^ right, F(1))
+            if s & right and not s & left:
+                move(s, s ^ left ^ right, q)
+        first = 1 << (L - 1)
+        move(s, s ^ first, gamma if s & first else alpha)
+        move(s, s ^ 1, beta if s & 1 else delta)
+    return G
+
+
+def _fraction_null_vector(G):
+    """pi with pi G = 0 and sum pi = 1, by Gauss-Jordan elimination over
+    Fractions on G^T with its last equation replaced by the normalisation."""
+    n = len(G)
+    A = [[G[j][i] for j in range(n)] + [F(0)] for i in range(n)]
+    A[-1] = [F(1)] * (n + 1)
+    for c in range(n):
+        pivot = next(r for r in range(c, n) if A[r][c] != 0)
+        A[c], A[pivot] = A[pivot], A[c]
+        for r in range(n):
+            if r != c and A[r][c] != 0:
+                f = A[r][c] / A[c][c]
+                A[r] = [x - f * y for x, y in zip(A[r], A[c])]
+    return [A[i][n] / A[i][i] for i in range(n)]
+
+
+@pytest.mark.parametrize("L", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("rates", EXACT_RATES.values(), ids=EXACT_RATES.keys())
+def test_exact_weights_are_the_generator_null_vector(L, rates):
+    weights = mpa._contract(*mpa.krylov_pair(*rates, L))
+    total = sum(weights)
+    G = _fraction_generator(L, *rates)
+    assert [w / total for w in weights] == _fraction_null_vector(G)
+    # the oracle's generator is the package's
+    p = AsepParams(*map(float, rates), L=L)
+    dense = models.asep_generator(p, open_boundary=True).rates.toarray()
+    assert np.allclose(np.array(G, dtype=float), dense, rtol=0, atol=1e-15)
+
+
+@st.composite
+def _chains(draw):
+    """Open chains at L <= 10, q on both sides of 1, with the boundary rates
+    of the survey in the roadmap; most draws lie in the shock region."""
+    q = draw(st.one_of(st.floats(0.05, 0.95), st.floats(1.05, 20.0)))
+    alpha, beta = (10 ** draw(st.floats(np.log10(0.05), np.log10(3.0))) for _ in "ab")
+    gamma, delta = (draw(st.one_of(st.just(0.0), st.floats(0.01, 1.0))) for _ in "gd")
+    # the mirror of a q > 1 chain injects at delta / q
+    assume(q < 1 or delta > 0)
+    return AsepParams(q=q, alpha=alpha, beta=beta, gamma=gamma, delta=delta,
+                      L=draw(st.integers(1, 10)))
+
+
+def _cancellation(p):
+    """sum |C_j z_j| / |sum C_j z_j| over all weights C z of the chain the
+    law is computed from: C = e_0 X_1 ... X_L >= 0 for q < 1, so the float
+    weights are signed sums whose rounding this ratio amplifies."""
+    rates = (p.q, p.alpha, p.beta, p.gamma, p.delta)
+    if p.q > 1:
+        rates = (1 / p.q, *(r / p.q for r in rates[:0:-1]))
+    E, z = mpa.krylov_pair(*rates, p.L)
+    return mpa._contract(E, np.abs(z)).sum() / abs(mpa._contract(E, z).sum())
+
+
+@settings(max_examples=100, deadline=None)
+@given(p=_chains())
+def test_krylov_law_matches_the_band_lu(p):
+    try:
+        mu = mpa.mpa_stationary_measure(p)
+    except ConvergenceError:
+        # a zero pivot, or a cancellation: no law to compare
+        reject()
+    # Within 1e-12 of the LU, up to the rounding of a sum of 2L + 2 terms.
+    rounding = (2 * p.L + 2) * np.finfo(float).eps * _cancellation(p)
+    assert _tv(mu, p) <= 1e-12 + rounding
 
 
 @pytest.mark.parametrize("L", [2, 3, 4, 5, 6, 7, 8])
 def test_measure_matches_null_space_oracle(L):
-    p = _params(L=L)
+    # q = 2.5 is solved as its mirror image
+    for q in (0.5, 2.5):
+        p = _params(L=L, q=q)
+        assert _tv(mpa.mpa_stationary_measure(p), p) <= 1e-12
+
+
+def test_point_where_the_doubling_overflowed_certifies():
+    # The truncated oscillator overflowed here at M = 256 and never settled.
+    p = AsepParams(q=0.95, alpha=0.1, beta=0.1, gamma=0.9, delta=0.9, L=4)
     mu = mpa.mpa_stationary_measure(p)
-    pi = stationary_distribution(models.asep_generator(p, open_boundary=True))
-    tv = 0.5 * float(np.abs(mu.values - pi.values).sum())
-    assert tv <= 1e-10
+    assert _certificate(mu, p) <= 1e-12
+    assert _tv(mu, p) <= 1e-12
+
+
+def test_mirror_certifies_where_the_band_lu_fails():
+    # The band LU's law has ||pi G||_1 = 0.871 at this point.
+    p = AsepParams(q=46.47848607733105, alpha=0.0027522646135283743,
+                   beta=0.0052862984388549455, gamma=0.0,
+                   delta=0.44790675088142945, L=10)
+    assert _certificate(mpa.mpa_stationary_measure(p), p) <= 1e-16
+
+
+def test_reference_pool_certifies_beyond_the_band_lu():
+    # Point 1 of the pool: the truncated oscillator had a negative matrix
+    # element at M = 16. At L = 16 there is no LU to compare with.
+    points = json.loads(POOL.read_text())["mpa_points"]
+    for point in points:
+        p = AsepParams(L=16, **point)
+        assert _certificate(mpa.mpa_stationary_measure(p), p) <= 1e-12
 
 
 def test_measure_normalized_and_positive():
