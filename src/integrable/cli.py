@@ -16,10 +16,15 @@ Each subcommand is one row of COMMANDS: its arguments and the function
 that computes its Run. main() is the only code that turns a Run into a
 report, a verdict and an exit code.
 
-`asep stationary` and `mpa` share one report (_stationary_run) and its
-certificate ||pi G||_1, computed without a generator; only
-`asep stationary --open` builds one and runs the band solve of
-`tensor.stationary_distribution`.
+`asep stationary` and `mpa` share one report (_stationary_run), its
+certificate ||pi G||_1, computed without a generator, and
+`results.solver`: `closed-form` for the closed chain, `matrix-product`
+for `mpa` and for `asep stationary --open` wherever the matrix product's
+report passes, rounding bound included, and `band-lu` for an open chain
+it cannot solve or certify. Only that fallback builds a generator and
+runs the band solve of `tensor.stationary_distribution`, the matrix
+product's test oracle, and it refuses a chain longer than
+`models.MAX_BAND_SITES` before building one.
 """
 
 from __future__ import annotations
@@ -215,31 +220,50 @@ def _asep_params(args) -> models.AsepParams:
                              gamma=args.gamma, delta=args.delta, L=args.L)
 
 
-def _stationary_run(command, params, law, p, open_boundary) -> Run:
-    """A stationary law's report: the measure, |sum pi - 1| and the
-    certificate ||pi G||_1 from the matrix-free left action."""
+def _stationary_run(command, params, law, p, open_boundary, solver,
+                    rounding=None) -> Run:
+    """A stationary law's report: the measure and the solver that found it,
+    |sum pi - 1|, the certificate ||pi G||_1 from the matrix-free left
+    action, and for a matrix-product law the rounding bound of its
+    weights."""
     pi = law.values
     flow = models.asep_left_action(pi, p, open_boundary)
-    return Run(command, params, {"measure": pi},
-               {"normalization": abs(float(pi.sum()) - 1.0),
-                "stationarity": float(np.abs(flow).sum())},
+    residuals = {"normalization": abs(float(pi.sum()) - 1.0),
+                 "stationarity": float(np.abs(flow).sum())}
+    if rounding is not None:
+        residuals["rounding"] = rounding
+    return Run(command, params, {"measure": pi, "solver": solver}, residuals,
                table=lambda: _measure_csv(pi, p.L))
 
 
 def _asep(args) -> Run:
     p = _asep_params(args)
-    if args.open:
-        pi = tensor.stationary_distribution(models.asep_generator(p, open_boundary=True))
-    else:
+    if not args.open:
         # closed chain conserves particle number; report the half-filled class
-        pi = models.closed_asep_law(p, p.L // 2)
-    return _stationary_run("asep stationary", {"L": p.L, "q": p.q, "open": args.open},
-                           pi, p, args.open)
+        return _stationary_run("asep stationary", {"L": p.L, "q": p.q, "open": False},
+                               models.closed_asep_law(p, p.L // 2), p, False,
+                               "closed-form")
+    params = dict(vars(p), open=True)
+    # The matrix product's law where its report passes; the band LU where
+    # it has no law (a zero injection rate, q = 1, a zero pivot, a
+    # cancellation) or where its report fails, its rounding bound included.
+    try:
+        law, rounding = mpa.measure_with_rounding(p)
+    except (ConvergenceError, ParameterError):
+        pass
+    else:
+        run = _stationary_run("asep stationary", params, law, p, True, "matrix-product",
+                              rounding)
+        if _passes(run.command, run.residuals, args.tol):
+            return run
+    return _stationary_run("asep stationary", params, models.open_band_law(p), p, True,
+                           "band-lu")
 
 
 def _mpa(args) -> Run:
     p = _asep_params(args)
-    return _stationary_run("mpa", vars(p), mpa.mpa_stationary_measure(p), p, True)
+    law, rounding = mpa.measure_with_rounding(p)
+    return _stationary_run("mpa", vars(p), law, p, True, "matrix-product", rounding)
 
 
 def _fuse_csv(w: sixvertex.VertexWeights) -> str:
@@ -322,13 +346,8 @@ def _oscillator_fock(args) -> Run:
 
 
 def _oscillator_js(args) -> Run:
-    e = np.array([[0.0, 1.0], [0.0, 0.0]])
-    f = np.array([[0.0, 0.0], [1.0, 0.0]])
-    h = np.diag([1.0, -1.0])
-    worst = max(oscillator.js_homomorphism_violation(a, b, args.cutoff)
-                for a, b in ((h, e), (h, f), (e, f)))
     return Run("oscillator js", {"cutoff": args.cutoff}, {},
-               {"sl2_commutators": worst})
+               {"sl2_commutators": oscillator.sl2_js_violation(args.cutoff)})
 
 
 _OSCILLATOR = {

@@ -30,10 +30,12 @@ from .tensor import (
     Generator,
     Operator,
     ProbVector,
+    StateSpaceTooLarge,
     embed,
     identity,
     kron,
     state_space,
+    stationary_distribution,
     transition_row,
 )
 
@@ -123,6 +125,15 @@ def _sparse_generator(site_dims, rows, cols, rates) -> Generator:
     return Generator(site_dims, off - scipy.sparse.diags_array(off.sum(axis=1)))
 
 
+# The most sites of an open chain whose band solve fits in MAX_BAND_BYTES.
+# The band of the pinned system in reverse Cuthill-McKee order depends on L
+# and on which ends have a nonzero rate. With both ends open it takes 298 MiB
+# at L = 14 and 1,077 MiB at L = 15; with one, 154-159 MiB and 554-571 MiB.
+# It grows about 3.6-fold per site, so open_band_law refuses a longer chain
+# from L alone, before its generator is built.
+MAX_BAND_SITES = 14
+
+
 def asep_generator(p: AsepParams, open_boundary: bool = False) -> Generator:
     """Full-chain generator, filled move by move with bit operations on the
     configuration index (site 1 is the most significant bit).
@@ -154,6 +165,18 @@ def asep_generator(p: AsepParams, open_boundary: bool = False) -> Generator:
             move(~occupied, bit, fill)
             move(occupied, bit, empty)
     return _sparse_generator((2,) * L, *map(np.concatenate, (rows, cols, rates)))
+
+
+def open_band_law(p: AsepParams) -> ProbVector:
+    """The open chain's law by the band LU of stationary_distribution on
+    asep_generator(p, open_boundary=True). A chain longer than
+    MAX_BAND_SITES is refused with StateSpaceTooLarge before its generator
+    is built."""
+    if p.L > MAX_BAND_SITES:
+        raise StateSpaceTooLarge(
+            f"the open chain's band solve exceeds MAX_BAND_BYTES from "
+            f"L = {MAX_BAND_SITES + 1}, got L = {p.L}")
+    return stationary_distribution(asep_generator(p, open_boundary=True))
 
 
 def closed_asep_law(p: AsepParams, particles: int) -> ProbVector:

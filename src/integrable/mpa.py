@@ -11,7 +11,9 @@ j = 0 ... L, so the construction is exact in that (L + 1)-dimensional
 basis: D is the shift w_j D = w_{j+1}, and krylov_pair builds E and the
 scalars z_j = <W|D^j|V>. Nothing is truncated, and each weight is a
 rational function of the rates. A chain with q > 1 is solved as its
-mirror image x -> L + 1 - x, which has asymmetry 1/q.
+mirror image x -> L + 1 - x, which has asymmetry 1/q. In floating point
+the weights are signed sums, so measure_with_rounding also bounds their
+rounding by the cancellation of those sums.
 
 All 2^L weights come from a split contraction: a table of the 2^(L//2)
 left products <W|X_1 ... X_h| times a table of the 2^(L - L//2) right
@@ -82,6 +84,32 @@ def _contract(E: np.ndarray, z: np.ndarray) -> np.ndarray:
     return (prefix @ suffix).ravel()
 
 
+def _solve(p: AsepParams):
+    """E and z of the chain the law is computed from (p, or for q > 1 its
+    mirror), and p's law (see mpa_stationary_measure)."""
+    state_space((2,) * p.L, MAX_STATE_SPACE)
+    q, rates = p.q, (p.alpha, p.beta, p.gamma, p.delta)
+    if q == 1:
+        raise ParameterError("the matrix product needs q != 1")
+    if q > 1:
+        q, rates = 1 / q, tuple(r / q for r in rates[::-1])
+    if not rates[0] > 0:
+        raise ZeroLeadingRate(f"injection rate at site 1 must be positive, got {rates[0]}")
+    with np.errstate(all="ignore"):
+        E, z = krylov_pair(float(q), *map(float, rates), p.L)
+        weights = _contract(E, z)
+        # <W|V> may be negative: the law is the weights over their sum
+        law = weights / weights.sum()
+    if not law.min() >= -1e-9:
+        raise ConvergenceError(
+            f"the matrix product lost its weights in floating point: a "
+            f"probability of {law.min()}")
+    if p.q > 1:
+        law = law.reshape((2,) * p.L).T.ravel()
+    np.maximum(law, 0.0, out=law)
+    return E, z, ProbVector(law / law.sum())
+
+
 def mpa_stationary_measure(p: AsepParams) -> ProbVector:
     """Stationary law over the 2^L configurations from the matrix product.
 
@@ -94,26 +122,36 @@ def mpa_stationary_measure(p: AsepParams) -> ProbVector:
     A zero pivot of z (beta = delta gamma q^j / alpha), and a weight that
     overflows or cancels in floating point to a negative probability, are
     ConvergenceErrors. The stationarity residual ||pi G||_1 of the CLI
-    report certifies the law. The 2^L states are checked against
+    report certifies the law, and the rounding bound of
+    measure_with_rounding its accuracy. The 2^L states are checked against
     MAX_STATE_SPACE before any array is allocated.
     """
-    state_space((2,) * p.L, MAX_STATE_SPACE)
-    q, rates = p.q, (p.alpha, p.beta, p.gamma, p.delta)
-    if q == 1:
-        raise ParameterError("the matrix product needs q != 1")
-    if q > 1:
-        q, rates = 1 / q, tuple(r / q for r in rates[::-1])
-    if not rates[0] > 0:
-        raise ZeroLeadingRate(f"injection rate at site 1 must be positive, got {rates[0]}")
+    return _solve(p)[2]
+
+
+def cancellation(E: np.ndarray, z: np.ndarray) -> float:
+    """kappa = sum_C sum_j |C_j z_j| / |sum_C sum_j C_j z_j| over the 2^L
+    rows C = e_0 X_1 ... X_L of the weights C z, X = E or the shift D.
+    For q < 1 E >= 0, so every C >= 0 and kappa >= 1 is the factor by which
+    the signed sums C z amplify their rounding. The rows sum to
+    c = e_0 (E + D)^L, so kappa = c |z| / |c z|: L vector-matrix products
+    of side L + 1, and no second contraction. A non-finite kappa is
+    returned as it is."""
+    n = len(z)
+    step = E + np.eye(n, k=1)
+    c = np.eye(1, n)[0]
     with np.errstate(all="ignore"):
-        weights = _contract(*krylov_pair(float(q), *map(float, rates), p.L))
-        # <W|V> may be negative: the law is the weights over their sum
-        law = weights / weights.sum()
-    if not law.min() >= -1e-9:
-        raise ConvergenceError(
-            f"the matrix product lost its weights in floating point: a "
-            f"probability of {law.min()}")
-    if p.q > 1:
-        law = law.reshape((2,) * p.L).T.ravel()
-    np.maximum(law, 0.0, out=law)
-    return ProbVector(law / law.sum())
+        for _ in range(n - 1):
+            c = c @ step
+        return float(c @ np.abs(z) / abs(c @ z))
+
+
+def measure_with_rounding(p: AsepParams) -> tuple[ProbVector, float]:
+    """mpa_stationary_measure(p) and the bound (2L + 2) eps kappa on the
+    rounding of its weights, kappa the cancellation of the chain solved.
+    The certificate ||pi G||_1 bounds the law's residual, not its error:
+    where the signed sums cancel, a law can pass the certificate and be
+    1e-11 from the exact one (Uchiyama-Sasamoto-Wadati's shock region with
+    gamma / alpha large and q near 1). kappa = 1 wherever z >= 0."""
+    E, z, law = _solve(p)
+    return law, (2 * p.L + 2) * np.finfo(float).eps * cancellation(E, z)

@@ -147,6 +147,15 @@ def jordan_schwinger(mat: np.ndarray, cutoff: int) -> Operator:
     return Operator(dims, total)
 
 
+def _restricted_commutator_defect(ja, jb, jc, n_modes: int, cutoff: int) -> float:
+    """max |[ja, jb] - jc| on the states of n_modes modes with total
+    occupation <= cutoff - 2, the inner sum taken over every state."""
+    occupation = np.indices((cutoff,) * n_modes).sum(axis=0).ravel()
+    keep = np.flatnonzero(occupation <= cutoff - 2)
+    resid = ja[keep] @ jb[:, keep] - jb[keep] @ ja[:, keep] - jc[np.ix_(keep, keep)]
+    return float(np.max(np.abs(resid)))
+
+
 def js_homomorphism_violation(A: np.ndarray, B: np.ndarray, cutoff: int) -> float:
     """‖[JS(A), JS(B)] - JS([A, B])‖ restricted to total number <= cutoff-2.
 
@@ -157,10 +166,24 @@ def js_homomorphism_violation(A: np.ndarray, B: np.ndarray, cutoff: int) -> floa
     the full commutator with the rest cut away.
     """
     A = np.asarray(A)
-    ja = jordan_schwinger(A, cutoff).entries
-    jb = jordan_schwinger(B, cutoff).entries
-    jc = jordan_schwinger(A @ B - B @ A, cutoff).entries
-    occupation = np.indices((cutoff,) * A.shape[0]).sum(axis=0).ravel()
-    keep = np.flatnonzero(occupation <= cutoff - 2)
-    resid = ja[keep] @ jb[:, keep] - jb[keep] @ ja[:, keep] - jc[np.ix_(keep, keep)]
-    return float(np.max(np.abs(resid)))
+    ja, jb, jc = (jordan_schwinger(M, cutoff).entries for M in (A, B, A @ B - B @ A))
+    return _restricted_commutator_defect(ja, jb, jc, A.shape[0], cutoff)
+
+
+SL2_BASIS = {
+    "h": np.diag([1.0, -1.0]),
+    "e": np.array([[0.0, 1.0], [0.0, 0.0]]),
+    "f": np.array([[0.0, 0.0], [1.0, 0.0]]),
+}
+
+
+def sl2_js_violation(cutoff: int) -> float:
+    """The largest js_homomorphism_violation over the sl2 pairs (h, e),
+    (h, f) and (e, f), from the three images JS(h), JS(e) and JS(f): JS is
+    linear and [h, e] = 2e, [h, f] = -2f, [e, f] = h, so JS of each
+    commutator is an image already built, times 2, -2 or 1. Those scalings
+    are exact, so the value is the pairwise one bit for bit."""
+    js = {name: jordan_schwinger(M, cutoff).entries for name, M in SL2_BASIS.items()}
+    return max(_restricted_commutator_defect(js[a], js[b], scale * js[c], 2, cutoff)
+               for a, b, scale, c in (("h", "e", 2.0, "e"), ("h", "f", -2.0, "f"),
+                                      ("e", "f", 1.0, "h")))

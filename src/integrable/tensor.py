@@ -29,10 +29,10 @@ the pinned system is diagonally dominant, so in exact arithmetic partial
 pivoting exchanges no rows (see `stationary_distribution`). The band's
 size is known before it is allocated and is capped by MAX_BAND_BYTES. A
 solve whose residual shows a badly chosen pin is pinned again once. This solve
-gives the open exclusion chain its law; in tests and scripts only, it is
-the oracle of the closed chain's closed form (`models.closed_asep_law`)
-and of the matrix product (`mpa`). A row of exp(tG) comes from sparse
-matrix-vector products. scipy is imported inside the functions that use
+gives the open exclusion chain its law where the matrix product (`mpa`)
+has no trusted one; in tests and scripts, it is the oracle of the matrix
+product and of the closed chain's closed form (`models.closed_asep_law`).
+A row of exp(tG) comes from sparse matrix-vector products. scipy is imported inside the functions that use
 it, which keeps it out of the package's import time.
 """
 
@@ -50,7 +50,9 @@ MAX_STATE_SPACE = 2**20
 # Side of a dense Operator: a 4096 x 4096 complex array takes 256 MiB.
 MAX_DENSE_DIM = 2**12
 # Bytes of the band that stationary_distribution factors. The open chain's
-# band takes 298 MiB at L = 14 and 1,077 MiB at L = 15.
+# band takes 298 MiB at L = 14 and 1,077 MiB at L = 15, so its band solve,
+# the fallback and test oracle of the matrix product, stops at L = 14
+# (models.MAX_BAND_SITES).
 MAX_BAND_BYTES = 2**29
 # Largest rate, relative to max(1, the largest rate), that may leave the
 # support given to stationary_distribution.
@@ -361,14 +363,13 @@ def _closed_class(rates) -> np.ndarray:
     return np.flatnonzero(label == closed[0])
 
 
-def _band_system(system) -> tuple:
+def _band_layout(system) -> tuple:
     """A square sparse `system` A with no duplicate entries, such as a slice
     of a Generator's rates, in the reverse Cuthill-McKee order of the
-    pattern of A + A^T, as LAPACK band storage: (order, kl, ku, band) with
-    band[kl + ku + i - j, j] = A[order[i], order[j]] for the kl
-    subdiagonals and ku superdiagonals, and kl spare rows on top for
-    dgbsv's row exchanges. The band's size is checked against
-    MAX_BAND_BYTES before it is allocated."""
+    pattern of A + A^T: (order, kl, ku, entries) with kl subdiagonals and
+    ku superdiagonals of A[order][:, order], and the entries of that matrix
+    as (row, col, data). Its band has 2 kl + ku + 1 rows of doubles (see
+    _band_system); nothing of that size is allocated here."""
     import scipy.sparse
     from scipy.sparse.csgraph import reverse_cuthill_mckee
 
@@ -384,6 +385,17 @@ def _band_system(system) -> tuple:
     row, col = rank[coo.row], rank[coo.col]
     offset = row - col
     kl, ku = int(max(offset.max(), 0)), int(max(-offset.min(), 0))
+    return order, kl, ku, (row, col, coo.data)
+
+
+def _band_system(system) -> tuple:
+    """`system` in the order of _band_layout as LAPACK band storage:
+    (order, kl, ku, band) with band[kl + ku + i - j, j] =
+    A[order[i], order[j]], and kl spare rows on top for dgbsv's row
+    exchanges. The band's size is checked against MAX_BAND_BYTES before it
+    is allocated."""
+    order, kl, ku, (row, col, data) = _band_layout(system)
+    n = system.shape[0]
     rows = 2 * kl + ku + 1
     if 8 * rows * n > MAX_BAND_BYTES:
         raise StateSpaceTooLarge(
@@ -391,7 +403,7 @@ def _band_system(system) -> tuple:
         )
     # Fortran order: dgbsv factors the band in place, with no copy.
     band = np.zeros((rows, n), order="F")
-    band[kl + ku + offset, col] = coo.data
+    band[kl + ku + row - col, col] = data
     return order, kl, ku, band
 
 
@@ -461,7 +473,10 @@ def stationary_distribution(G: Generator, support=None) -> ProbVector:
     rows, which partial pivoting does stably, and the residual test above
     judges the result. The band, (2 kl + ku + 1) x n doubles, must fit in
     MAX_BAND_BYTES, else StateSpaceTooLarge is raised before it is
-    allocated: the open chain runs to L = 14 and is refused from L = 15.
+    allocated: the open chain fits to L = 14 and not from L = 15, and
+    models.open_band_law refuses it from L alone. There this solve is the
+    fallback of the matrix product (mpa), where that has no trusted law,
+    and its test oracle.
     """
     if not isinstance(G, Generator):
         raise NotAGenerator(f"expected a Generator, got {type(G).__name__}")

@@ -8,10 +8,12 @@ places its factors with tensor.embed_entries, so each verifier names the
 sites an operator acts on and the tensor module alone fixes the leg order.
 
 Verifiers return residuals and pass no verdict; the caller compares them
-with its tolerance. A spectral or boundary family is a callable that maps
-a scalar z to an Operator, raising at a pole, and a 1-D array of n points
-to (entries, poles): the (n, d, d) stack of its matrices and the mask of
-the points where it has a pole, such as
+with its tolerance. They compute under np.errstate(all="ignore"): a grid
+whose products overflow gives a non-finite residual, which fails, and
+prints no numpy warning. A spectral or boundary family is a callable that
+maps a scalar z to an Operator, raising at a pole, and a 1-D array of n
+points to (entries, poles): the (n, d, d) stack of its matrices and the
+mask of the points where it has a pole, such as
 functools.partial(asep_spectral_r, q=q). The spectral and reflection
 verifiers evaluate a family once on each block of at most MAX_GRID_POINTS
 points of their grid, and the block is the leading batch axis of every
@@ -147,6 +149,7 @@ def _grid_blocks(z, w):
         yield z[at // w.size], w[at % w.size]
 
 
+@np.errstate(all="ignore")
 def verify_spectral_ybe(r: Callable, z, w) -> dict:
     """Largest residual of R12(z) R13(zw) R23(w) - R23(w) R13(zw) R12(z)
     over the grid z x w (each a scalar or a 1-D array), with
@@ -239,6 +242,7 @@ def reflection_k(x, q: float, a: float, c: float, side: str = "left"):
                    lambda: PoleInDenominator(f"{name} denominator vanishes at x={x}"))
 
 
+@np.errstate(all="ignore")
 def verify_reflection_equation(r: Callable, k: Callable, z, w) -> dict:
     """Residual of R12(z/w) K1(z) R21(zw) K2(w) - K2(w) R12(zw) K1(z) R21(z/w)
     on two sites, with R12 = R, R21 = embed_entries(R, (2, 1)),
@@ -285,6 +289,7 @@ def verify_reflection_equation(r: Callable, k: Callable, z, w) -> dict:
     }
 
 
+@np.errstate(all="ignore")
 def markov_structure_report(r: Callable, w_local: Operator) -> dict:
     """Diagnostics connecting a regular spectral family z -> R(z) to a CTMC
     generator: the least-squares rho in R'(1) P = rho * w_local (the

@@ -289,14 +289,7 @@ def test_criterion_10_oscillator_suite():
                 oscillator.hermite_overlap(m, m) * oscillator.hermite_overlap(n, n)
             )
             worst = max(worst, abs(oscillator.hermite_overlap(m, n)) / norm)
-    e = np.array([[0.0, 1.0], [0.0, 0.0]])
-    f = np.array([[0.0, 0.0], [1.0, 0.0]])
-    h = np.diag([1.0, -1.0])
-    js = max(
-        oscillator.js_homomorphism_violation(h, e, 8),
-        oscillator.js_homomorphism_violation(h, f, 8),
-        oscillator.js_homomorphism_violation(e, f, 8),
-    )
+    js = oscillator.sl2_js_violation(8)
     ok = worst <= 1e-6 and js <= 1e-10
     _line(10, "oscillator suite", ok,
           f"orthogonality {worst:.2e}, sl2 commutators {js:.2e}")

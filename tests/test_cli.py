@@ -12,7 +12,7 @@ import warnings
 import jsonschema
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from integrable import cli
@@ -82,6 +82,8 @@ def test_parameter_error_exit_two(capsys):
 
 
 TWPROB = ["twprob", "--t", "0.5", "--q", "0.4"]
+BAND_CAP_ARGV = ["asep", "stationary", "--open", "--L", "15", "--q", "0.5", "--alpha",
+                 "0", "--beta", "0.4", "--gamma", "0.1", "--delta", "0.2"]
 
 
 @pytest.mark.parametrize(
@@ -120,9 +122,9 @@ TWPROB = ["twprob", "--t", "0.5", "--q", "0.4"]
          0, False),
         # 2^40 states: refused before any array is allocated
         (["asep", "stationary", "--L", "40", "--q", "0.5", "--open"], 2, True),
-        # a 1,077 MiB band for the open chain's solve: refused before allocation
-        (["asep", "stationary", "--open", "--L", "15", "--q", "0.5", "--alpha", "0.6",
-          "--beta", "0.4", "--gamma", "0.1", "--delta", "0.2"], 2, True),
+        # no injection at site 1, so no matrix product: the band LU's
+        # 1,077 MiB band is refused from L alone
+        (BAND_CAP_ARGV, 2, True),
         # row sums relative to each row's largest entry (3.9e34 here)
         (["fuse", "--l", "8", "--m", "8", "--z", "0.25", "--q", "0.5"], 0, False),
         (["fuse", "--l", "4", "--m", "4", "--z", "0.1", "--q", "0.5"], 0, False),
@@ -162,6 +164,20 @@ def test_exit_code(capsys, argv, expected, silent):
     code, out = _run(capsys, argv)
     assert code == expected
     assert (out == "") == silent
+
+
+# Grids whose products overflow: a null residual that fails, and no numpy
+# warning on stderr.
+@pytest.mark.parametrize("argv", [
+    ["verify", "spectral", "--q", "0.5", "--grid", "1e-300", "1e300"],
+    ["verify", "reflection", "--q", "0.5", "--grid", "1e-300", "1e300"],
+], ids=["spectral", "reflection"])
+def test_overflowing_verify_grid_prints_no_warning(argv):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = _outputs(argv)
+    assert (code, err) == (1, "")
+    assert None in json.loads(out)["residuals"].values()
 
 
 def test_verify_reflection_reports_the_points_it_checked(capsys):
@@ -212,7 +228,9 @@ def test_asep_report_checks_stationarity(capsys, extra):
 
 
 # Open chains whose first state has a stationary mass of about 1e-19: pinned
-# there alone, the LU put most of the mass in the wrong place.
+# there alone, the band LU put most of the mass in the wrong place. The
+# report takes the matrix product's law at both; the band LU, its fallback
+# and oracle, is checked here directly.
 @pytest.mark.parametrize("rates", [
     ["--L", "7", "--q", "6.54", "--alpha", "2.55", "--beta", "3.09",
      "--gamma", "0", "--delta", "2.61"],
@@ -220,18 +238,26 @@ def test_asep_report_checks_stationarity(capsys, extra):
      "--gamma", "0.0209", "--delta", "0.00621"],
 ], ids=["L7", "L11"])
 def test_open_asep_with_a_tiny_first_state(capsys, rates):
+    p = cli._asep_params(cli.build_parser().parse_args(["asep", "stationary", *rates]))
+    pi = cli.tensor.stationary_distribution(cli.models.asep_generator(p, open_boundary=True))
+    assert pi.values[0] < 1e-15
+    assert np.abs(cli.models.asep_left_action(pi.values, p, True)).sum() <= 1e-12
     code, out = _run(capsys, ["asep", "stationary", "--open", *rates])
     assert code == 0
-    assert json.loads(out)["residuals"]["stationarity"] <= 1e-12
+    report = json.loads(out)
+    assert report["results"]["solver"] == "matrix-product"
+    assert 0.5 * np.abs(np.array(report["results"]["measure"]) - pi.values).sum() <= 1e-12
 
 
 # Laws that need no generator: the closed chain's closed form and the
-# matrix product.
+# matrix product, through `mpa` and through `asep stationary --open`.
 NO_GENERATOR = pytest.mark.parametrize("argv", [
     ["asep", "stationary", "--L", "10", "--q", "3.0"],
     ["mpa", "--L", "10", "--q", "0.5", "--alpha", "0.6", "--beta", "0.4",
      "--gamma", "0.1", "--delta", "0.2"],
-], ids=["asep", "mpa"])
+    ["asep", "stationary", "--open", "--L", "10", "--q", "0.5", "--alpha", "0.6",
+     "--beta", "0.4", "--gamma", "0.1", "--delta", "0.2"],
+], ids=["asep", "mpa", "asep-open"])
 
 
 @NO_GENERATOR
@@ -261,15 +287,148 @@ def test_closed_asep_imports_no_scipy(argv):
     assert out.split() == ["0", "[]"]
 
 
+def test_band_cap_precedes_the_generator(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the band cap must precede the generator")
+
+    monkeypatch.setattr(cli.models, "asep_generator", refuse)
+    code = cli.main(BAND_CAP_ARGV)
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert "MAX_BAND_BYTES" in captured.err
+
+
+def test_open_chain_runs_past_the_band_cap(capsys, monkeypatch):
+    monkeypatch.setattr(cli.models, "asep_generator", None)
+    code, out = _run(capsys, ["asep", "stationary", "--open", "--L", "16", "--q", "0.5",
+                              "--alpha", "0.6", "--beta", "0.4", "--gamma", "0.1",
+                              "--delta", "0.2", "--csv"])
+    assert code == 0
+    assert out.count("\n") == 2**16 + 1
+
+
+def _band_lu(params):
+    p = cli.models.AsepParams(**params)
+    return cli.tensor.stationary_distribution(cli.models.asep_generator(p, open_boundary=True))
+
+
+def _open_argv(params):
+    return ["asep", "stationary", "--open"] + [
+        a for k, v in params.items() for a in (f"--{k}", repr(v))]
+
+
+def test_open_report_names_its_rates_and_solver(capsys):
+    params = {"L": 5, "q": 0.5, "alpha": 0.6, "beta": 0.4, "gamma": 0.1, "delta": 0.2}
+    argv = _open_argv(params)
+    code, out = _run(capsys, argv)
+    assert code == 0
+    assert _run(capsys, argv)[1] == out  # byte-identical
+    report = json.loads(out)
+    assert report["params"] == dict(params, open=True)
+    assert report["results"]["solver"] == "matrix-product"
+    assert set(report["residuals"]) == {"normalization", "stationarity", "rounding"}
+    # other boundary rates, other params
+    code, other = _run(capsys, _open_argv(dict(params, gamma=0.3)))
+    assert code == 0 and json.loads(other)["params"]["gamma"] == 0.3
+    code, out = _run(capsys, ["asep", "stationary", "--L", "5", "--q", "0.5"])
+    assert json.loads(out)["params"] == {"L": 5, "q": 0.5, "open": False}
+    assert json.loads(out)["results"]["solver"] == "closed-form"
+    code, out = _run(capsys, ["mpa", *_open_argv(params)[3:]])
+    assert json.loads(out)["results"]["solver"] == "matrix-product"
+
+
+# Chains the matrix product cannot solve, then one it solves but whose
+# rounding bound fails: each goes to the band LU.
+FALLBACKS = {
+    # all four rates equal: alpha beta = gamma delta, a zero pivot of z
+    "zero-pivot": {"L": 6, "q": 0.5, "alpha": 1.0, "beta": 1.0, "gamma": 1.0,
+                   "delta": 1.0},
+    # a weight cancels to a probability of -1.5e-3
+    "cancellation": {"L": 10, "q": 0.95, "alpha": 0.05, "beta": 0.05, "gamma": 5.0,
+                     "delta": 5.0},
+    "no-injection": {"L": 6, "q": 0.5, "alpha": 0.0, "beta": 0.4, "gamma": 0.1,
+                     "delta": 0.2},
+    "q-one": {"L": 6, "q": 1.0, "alpha": 0.6, "beta": 0.4, "gamma": 0.1, "delta": 0.2},
+}
+
+
+@pytest.mark.parametrize("params", FALLBACKS.values(), ids=FALLBACKS.keys())
+def test_open_chain_without_a_matrix_product_takes_the_band_lu(capsys, params):
+    code, out = _run(capsys, _open_argv(params))
+    assert code == 0
+    report = json.loads(out)
+    assert report["results"]["solver"] == "band-lu"
+    assert "rounding" not in report["residuals"]
+    assert np.array_equal(report["results"]["measure"], _band_lu(params).values)
+
+
+# Where the float matrix product cancels (shock region, gamma / alpha large,
+# q near 1), its law is 3.1e-11 in TV from the band LU, which is 2.6e-16
+# from the exact law at the L = 8 point, and ||pi G||_1 ~ 4e-11 passes.
+# Its rounding bound, 5.1e-8 and 3.5e-9, does not.
+CANCELLATION_POINTS = {
+    "L8": {"L": 8, "q": 0.7283976664604349, "alpha": 0.031253827912071465,
+           "beta": 1.3625796959257777, "gamma": 4.580578458508393,
+           "delta": 0.3150901183048461},
+    "L7": {"L": 7, "q": 0.8097885652479058, "alpha": 0.0653804926238747,
+           "beta": 0.11523345663118026, "gamma": 0.8875736307980883,
+           "delta": 0.6706633464067916},
+}
+
+
+@pytest.mark.parametrize("params", CANCELLATION_POINTS.values(),
+                         ids=CANCELLATION_POINTS.keys())
+def test_cancelled_matrix_product_fails_and_the_band_lu_answers(capsys, params):
+    code, out = _run(capsys, ["mpa", *_open_argv(params)[3:]])
+    assert code == 1
+    residuals = json.loads(out)["residuals"]
+    assert residuals["stationarity"] <= 1e-10 < residuals["rounding"]
+    code, out = _run(capsys, _open_argv(params))
+    assert code == 0
+    report = json.loads(out)
+    assert report["results"]["solver"] == "band-lu"
+    tv = 0.5 * np.abs(np.array(report["results"]["measure"]) - _band_lu(params).values).sum()
+    assert tv <= 1e-12
+
+
+@st.composite
+def _open_params(draw):
+    """Open chains at L <= 10: q on both sides of 1 and q = 1, boundary
+    rates that include 0, and small alpha, beta with large gamma, delta,
+    which reach the shock region."""
+    q = draw(st.one_of(st.floats(0.05, 0.95), st.floats(1.05, 20.0), st.just(1.0)))
+    rate = st.one_of(st.just(0.0), st.floats(0.05, 3.0))
+    return {"L": draw(st.integers(1, 10)), "q": q,
+            **{k: draw(rate) for k in ("alpha", "beta", "gamma", "delta")}}
+
+
+@settings(max_examples=150, deadline=None)
+@given(params=_open_params())
+def test_open_report_matches_the_band_lu(params):
+    p = cli.models.AsepParams(**params)
+    try:
+        pi = _band_lu(params)
+    except cli.tensor.ReducibleChain:  # no boundary rate: a closed chain
+        assert _outputs(_open_argv(params))[0] == 2
+        return
+    # where the oracle certifies its own law at the report's tolerance
+    assume(np.abs(cli.models.asep_left_action(pi.values, p, True)).sum() <= 1e-10)
+    code, out, _ = _outputs(_open_argv(params))
+    assert code == 0
+    report = json.loads(out)
+    tv = 0.5 * np.abs(np.array(report["results"]["measure"]) - pi.values).sum()
+    assert tv <= 1e-12, report["results"]["solver"]
+
+
 def test_mpa_report_fails_on_a_wrong_law(capsys, monkeypatch):
     # the law of the chain with its two boundaries swapped
-    measure = cli.mpa.mpa_stationary_measure
+    measure = cli.mpa.measure_with_rounding
 
     def swapped(p):
         return measure(dataclasses.replace(p, alpha=p.beta, beta=p.alpha,
                                            gamma=p.delta, delta=p.gamma))
 
-    monkeypatch.setattr(cli.mpa, "mpa_stationary_measure", swapped)
+    monkeypatch.setattr(cli.mpa, "measure_with_rounding", swapped)
     code, out = _run(capsys, ["mpa", "--L", "6", "--q", "0.5", "--alpha", "0.6",
                               "--beta", "0.4", "--gamma", "0.1", "--delta", "0.2"])
     assert code == 1
@@ -318,6 +477,18 @@ def test_mpa_mirrors_q_above_one(capsys):
     code, out = _run(capsys, argv)
     assert code == 0
     assert json.loads(out)["residuals"]["stationarity"] <= 1e-16
+
+
+def test_open_chain_where_the_band_lu_fails_takes_the_matrix_product(capsys):
+    # The band LU's law has ||pi G||_1 = 0.871 here, even after its re-pin.
+    params = {"L": 10, "q": 46.47848607733105, "alpha": 0.0027522646135283743,
+              "beta": 0.0052862984388549455, "gamma": 0.0,
+              "delta": 0.44790675088142945}
+    code, out = _run(capsys, _open_argv(params))
+    assert code == 0
+    report = json.loads(out)
+    assert report["results"]["solver"] == "matrix-product"
+    assert report["residuals"]["stationarity"] <= 1e-16
 
 
 def test_deterministic_json_output(capsys):

@@ -65,6 +65,44 @@ def test_open_chain_has_unique_stationary_law():
     assert pi.values.min() > 0
 
 
+def _open_band_bytes(p):
+    """Bytes of the band stationary_distribution would factor for the open
+    chain p, found without allocating it."""
+    from integrable import tensor
+
+    rates = models.asep_generator(p, open_boundary=True).rates
+    members = tensor._closed_class(rates)
+    adjoint = rates[members][:, members].T.tocsc()
+    _, kl, ku, _ = tensor._band_layout(adjoint[1:, 1:])
+    return 8 * (2 * kl + ku + 1) * (members.size - 1)
+
+
+# Both ends open, then only the left and only the right: the band's pattern
+# depends only on which ends have a nonzero rate.
+@pytest.mark.parametrize("rates", [
+    {"alpha": 0.6, "beta": 0.4, "gamma": 0.1, "delta": 0.2},
+    {"alpha": 0.6, "gamma": 0.1},
+    {"beta": 0.4, "delta": 0.2},
+], ids=["both", "left", "right"])
+def test_band_sites_cap_is_the_band_bytes_cap(rates):
+    from integrable.tensor import MAX_BAND_BYTES
+
+    cap = models.MAX_BAND_SITES
+    fits = _open_band_bytes(AsepParams(q=0.5, L=cap, **rates))
+    refused = _open_band_bytes(AsepParams(q=0.5, L=cap + 1, **rates))
+    assert fits <= MAX_BAND_BYTES < refused
+
+
+def test_open_band_law_refuses_a_long_chain_before_its_generator(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the cap must precede the generator")
+
+    monkeypatch.setattr(models, "asep_generator", refuse)
+    p = AsepParams(q=0.5, alpha=0.6, beta=0.4, L=models.MAX_BAND_SITES + 1)
+    with pytest.raises(StateSpaceTooLarge):
+        models.open_band_law(p)
+
+
 @settings(max_examples=30, deadline=None)
 @given(L=st.integers(1, 8), q=RATE, alpha=RATE, beta=RATE, gamma=RATE,
        delta=RATE, open_boundary=st.booleans())

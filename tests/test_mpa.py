@@ -189,14 +189,20 @@ def _chains(draw):
                       L=draw(st.integers(1, 10)))
 
 
-def _cancellation(p):
-    """sum |C_j z_j| / |sum C_j z_j| over all weights C z of the chain the
-    law is computed from: C = e_0 X_1 ... X_L >= 0 for q < 1, so the float
-    weights are signed sums whose rounding this ratio amplifies."""
+def _solved_pair(p):
+    """E and z of the chain the law is computed from: p, or its mirror."""
     rates = (p.q, p.alpha, p.beta, p.gamma, p.delta)
     if p.q > 1:
         rates = (1 / p.q, *(r / p.q for r in rates[:0:-1]))
-    E, z = mpa.krylov_pair(*rates, p.L)
+    return mpa.krylov_pair(*rates, p.L)
+
+
+def _cancellation(p):
+    """sum |C_j z_j| / |sum C_j z_j| over all weights C z of the chain the
+    law is computed from, by the split contraction: C = e_0 X_1 ... X_L >= 0
+    for q < 1, so the float weights are signed sums whose rounding this
+    ratio amplifies."""
+    E, z = _solved_pair(p)
     return mpa._contract(E, np.abs(z)).sum() / abs(mpa._contract(E, z).sum())
 
 
@@ -211,6 +217,52 @@ def test_krylov_law_matches_the_band_lu(p):
     # Within 1e-12 of the LU, up to the rounding of a sum of 2L + 2 terms.
     rounding = (2 * p.L + 2) * np.finfo(float).eps * _cancellation(p)
     assert _tv(mu, p) <= 1e-12 + rounding
+
+
+@settings(max_examples=100, deadline=None)
+@given(p=_chains())
+def test_cancellation_is_the_ratio_over_all_weights(p):
+    try:
+        _, rounding = mpa.measure_with_rounding(p)
+    except ConvergenceError:
+        reject()
+    kappa = mpa.cancellation(*_solved_pair(p))
+    assert kappa >= 1 - 1e-12
+    # the two forms round the signed sum |c z| differently, by up to its
+    # own rounding bound
+    eps_bound = (2 * p.L + 2) * np.finfo(float).eps * kappa
+    assert abs(kappa - _cancellation(p)) <= (1e-12 + eps_bound) * kappa
+    assert rounding == eps_bound
+
+
+# Shock-region chains with gamma / alpha large and q near 1, where the float
+# law is 3.1e-11 in TV from the band LU (itself 2.6e-16 from the exact
+# Fraction law at the L = 8 point) while ||pi G||_1 ~ 4e-11 passes a 1e-10
+# tolerance. The rounding bound does not pass it.
+CANCELLATION_POINTS = {
+    "L8": AsepParams(L=8, q=0.7283976664604349, alpha=0.031253827912071465,
+                     beta=1.3625796959257777, gamma=4.580578458508393,
+                     delta=0.3150901183048461),
+    "L7": AsepParams(L=7, q=0.8097885652479058, alpha=0.0653804926238747,
+                     beta=0.11523345663118026, gamma=0.8875736307980883,
+                     delta=0.6706633464067916),
+}
+
+
+@pytest.mark.parametrize("p", CANCELLATION_POINTS.values(), ids=CANCELLATION_POINTS.keys())
+def test_rounding_bound_flags_a_cancelled_law(p):
+    mu, rounding = mpa.measure_with_rounding(p)
+    assert _certificate(mu, p) <= 1e-10
+    assert 1e-11 <= _tv(mu, p) <= rounding
+    assert rounding > 1e-9
+
+
+def test_rounding_bound_is_at_epsilon_level_on_the_pool():
+    # z >= 0 at every reference point: no cancellation, kappa = 1.
+    for point in json.loads(POOL.read_text())["mpa_points"]:
+        for L in (4, 10, 14):
+            _, rounding = mpa.measure_with_rounding(AsepParams(L=L, **point))
+            assert rounding <= (2 * L + 2) * np.finfo(float).eps * (1 + 1e-12)
 
 
 @pytest.mark.parametrize("L", [2, 3, 4, 5, 6, 7, 8])

@@ -105,6 +105,19 @@ def test_jordan_schwinger_sl2_commutators():
         assert oscillator.js_homomorphism_violation(A, B, 8) <= 1e-12
 
 
+@pytest.mark.parametrize("cutoff", [2, 3, 8, 12])
+def test_sl2_violation_from_three_images_is_the_pairwise_one(cutoff, monkeypatch):
+    basis = oscillator.SL2_BASIS
+    pairwise = max(oscillator.js_homomorphism_violation(basis[a], basis[b], cutoff)
+                   for a, b in ("he", "hf", "ef"))
+    built = []
+    build = oscillator.jordan_schwinger
+    monkeypatch.setattr(oscillator, "jordan_schwinger",
+                        lambda M, c: built.append(M) or build(M, c))
+    assert oscillator.sl2_js_violation(cutoff) == pairwise
+    assert len(built) == 3
+
+
 def test_jordan_schwinger_rejects_non_square():
     with pytest.raises(ValueError):
         oscillator.jordan_schwinger(np.zeros((2, 3)), 4)
