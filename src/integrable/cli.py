@@ -18,12 +18,13 @@ report, a verdict and an exit code.
 
 `asep stationary` and `mpa` share one report (_stationary_run), its
 certificate ||pi G||_1, computed without a generator, and
-`results.solver`: `closed-form` for the closed chain, `matrix-product`
-for `mpa` and for `asep stationary --open` wherever the matrix product's
-report passes, rounding bound included, and `band-lu` for an open chain
-it cannot solve or certify. Only that fallback builds a generator and
-runs the band solve of `tensor.stationary_distribution`, the matrix
-product's test oracle, and it refuses a chain longer than
+`results.solver`: `closed-form` for the closed chain and for an open
+chain with no way in or no way out, whose law is a point mass,
+`matrix-product` for `mpa` and for `asep stationary --open` wherever the
+matrix product's report passes, rounding bound included, and `band-lu`
+for an open chain it cannot solve or certify. Only that fallback builds
+a generator and runs the band solve of `tensor.stationary_distribution`,
+the matrix product's test oracle, and it refuses a chain longer than
 `models.MAX_BAND_SITES` before building one.
 """
 
@@ -132,7 +133,7 @@ def _measure_csv(values, L: int) -> str:
 _YBE_FAMILIES = {
     "r-alpha-beta": lambda args: ybe.r_alpha_beta(args.alpha, args.beta),
     "permutation": lambda args: tensor.permutation_operator(2, 2),
-    "identity": lambda args: tensor.identity((2, 2)),
+    "identity": lambda args: np.eye(4),
     "frt": lambda args: ybe.frt_r(args.q),
 }
 
@@ -171,14 +172,16 @@ def _verify_reflection(args) -> Run:
         checked += res["points_checked"]
     if not residuals:
         raise ParameterError("every grid point hits an evaluation pole")
-    k1 = k(1.0).entries
+    k1, pole = k(np.ones(1))
+    if pole[0]:
+        raise ybe.PoleInDenominator("K denominator vanishes at x=1.0")
     return Run(
         "verify reflection",
         {"q": args.q, "alpha": args.alpha, "gamma": args.gamma,
          "beta": args.beta, "delta": args.delta, "grid": list(args.grid)},
         {"points_checked": checked},
         {"reflection": max(residuals),
-         "k_at_one": float(np.max(np.abs(k1 - np.eye(2))))},
+         "k_at_one": float(np.max(np.abs(k1[0] - np.eye(2))))},
     )
 
 
@@ -244,6 +247,10 @@ def _asep(args) -> Run:
                                models.closed_asep_law(p, p.L // 2), p, False,
                                "closed-form")
     params = dict(vars(p), open=True)
+    point_mass = models.open_point_mass(p)
+    if point_mass is not None:
+        return _stationary_run("asep stationary", params, point_mass, p, True,
+                               "closed-form")
     # The matrix product's law where its report passes; the band LU where
     # it has no law (a zero injection rate, q = 1, a zero pivot, a
     # cancellation) or where its report fails, its rounding bound included.

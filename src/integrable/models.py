@@ -15,10 +15,8 @@ infinite-lattice ASEP with right rate 1 and left rate q.
 from __future__ import annotations
 
 import cmath
-import functools
 import itertools
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,11 +26,9 @@ from .tensor import (
     MAX_STATE_SPACE,
     DimensionMismatch,
     Generator,
-    Operator,
     ProbVector,
     StateSpaceTooLarge,
     embed,
-    identity,
     kron,
     state_space,
     stationary_distribution,
@@ -94,7 +90,7 @@ SIGMA3 = np.array([[1.0, 0.0], [0.0, -1.0]])
 PAULI = {1: SIGMA1, 2: SIGMA2, 3: SIGMA3}
 
 
-def asep_local_generator(q: float) -> Operator:
+def asep_local_generator(q: float) -> np.ndarray:
     """Two-site exclusion generator with left rate 1 and right rate q^2:
     01 becomes 10 at rate 1 and 10 becomes 01 at rate q^2. Overall time
     scale fixed to 1."""
@@ -103,26 +99,25 @@ def asep_local_generator(q: float) -> Operator:
     mat = np.zeros((4, 4))
     mat[1, 1], mat[1, 2] = -1.0, 1.0
     mat[2, 1], mat[2, 2] = q**2, -(q**2)
-    return Operator((2, 2), mat)
+    return mat
 
 
-def asep_bulk_w(q: float) -> Operator:
+def asep_bulk_w(q: float) -> np.ndarray:
     """Bulk hop matrix with right rate 1 and left rate q: the 01 -> 10 move
     (particle hops left) carries rate q, the 10 -> 01 move rate 1."""
     mat = np.zeros((4, 4))
     mat[1, 1], mat[1, 2] = -q, q
     mat[2, 1], mat[2, 2] = 1.0, -1.0
-    return Operator((2, 2), mat)
+    return mat
 
 
-def _sparse_generator(site_dims, rows, cols, rates) -> Generator:
-    """Generator with the given off-diagonal rates (repeats add up) and the
-    diagonal that makes every row sum to zero."""
+def _sparse_generator(n: int, rows, cols, rates) -> Generator:
+    """Generator on n states with the given off-diagonal rates (repeats add
+    up) and the diagonal that makes every row sum to zero."""
     import scipy.sparse
 
-    n = math.prod(site_dims)
     off = scipy.sparse.csr_array((rates, (rows, cols)), shape=(n, n))
-    return Generator(site_dims, off - scipy.sparse.diags_array(off.sum(axis=1)))
+    return Generator(off - scipy.sparse.diags_array(off.sum(axis=1)))
 
 
 # The most sites of an open chain whose band solve fits in MAX_BAND_BYTES.
@@ -164,7 +159,7 @@ def asep_generator(p: AsepParams, open_boundary: bool = False) -> Generator:
             occupied = (idx & bit) != 0
             move(~occupied, bit, fill)
             move(occupied, bit, empty)
-    return _sparse_generator((2,) * L, *map(np.concatenate, (rows, cols, rates)))
+    return _sparse_generator(1 << L, *map(np.concatenate, (rows, cols, rates)))
 
 
 def open_band_law(p: AsepParams) -> ProbVector:
@@ -177,6 +172,22 @@ def open_band_law(p: AsepParams) -> ProbVector:
             f"the open chain's band solve exceeds MAX_BAND_BYTES from "
             f"L = {MAX_BAND_SITES + 1}, got L = {p.L}")
     return stationary_distribution(asep_generator(p, open_boundary=True))
+
+
+def open_point_mass(p: AsepParams) -> ProbVector | None:
+    """The open chain's law when it is a point mass, else None. With no way
+    in (alpha = delta = 0) and a way out (beta + gamma > 0), every
+    configuration drains to the empty one, which no rate leaves; with no
+    way out (beta = gamma = 0) and a way in, every one fills to the full
+    one. Only the 2^L states are checked against MAX_STATE_SPACE; no
+    generator is built."""
+    way_in, way_out = p.alpha + p.delta > 0, p.beta + p.gamma > 0
+    if way_in == way_out:
+        return None
+    state_space((2,) * p.L, MAX_STATE_SPACE)
+    pi = np.zeros(1 << p.L)
+    pi[-1 if way_in else 0] = 1.0
+    return ProbVector(pi)
 
 
 def closed_asep_law(p: AsepParams, particles: int) -> ProbVector:
@@ -238,70 +249,62 @@ def asep_left_action(pi, p: AsepParams, open_boundary: bool = False) -> np.ndarr
     return out.ravel()
 
 
-def xxz_local_block(p: XxzParams) -> Operator:
+def xxz_local_block(p: XxzParams) -> np.ndarray:
     """The 4x4 summand J_x s1s1 + J_y s2s2 + J_z s3s3 + h(s3 (x) 1 + 1 (x) s3):
     corners Jz + 2h and Jz - 2h, anti-corners Jx - Jy."""
-    s1, s2, s3 = (Operator((2,), PAULI[a]) for a in (1, 2, 3))
-    one = identity((2,))
+    one = np.eye(2)
     return (
-        p.Jx * kron(s1, s1)
-        + p.Jy * kron(s2, s2)
-        + p.Jz * kron(s3, s3)
-        + p.h_field * (kron(s3, one) + kron(one, s3))
+        p.Jx * kron(SIGMA1, SIGMA1)
+        + p.Jy * kron(SIGMA2, SIGMA2)
+        + p.Jz * kron(SIGMA3, SIGMA3)
+        + p.h_field * (kron(SIGMA3, one) + kron(one, SIGMA3))
     )
 
 
-def xxz_hamiltonian(p: XxzParams) -> Operator:
+def xxz_hamiltonian(p: XxzParams) -> np.ndarray:
     """H = -1/2 sum_j (Jx s1_j s1_{j+1} + Jy s2_j s2_{j+1} + Jz s3_j s3_{j+1}
     - h s3_j), each bond term at embed sites (j, j+1); the periodic wrap
     s_{N+1} = s_1, when requested, is the bond at sites (N, 1)."""
     N = p.N
     dims, _ = state_space((2,) * N)
     bonds = [(j, j % N + 1) for j in range(1, N + 1 if p.periodic else N)]
-    pairs = [kron(s, s) for s in (Operator((2,), PAULI[a]) for a in (1, 2, 3))]
-    hops = (
-        J * embed(pair, bond, dims)
-        for bond in bonds
-        for J, pair in zip((p.Jx, p.Jy, p.Jz), pairs)
-    )
-    s3 = Operator((2,), SIGMA3)
-    field = (-p.h_field * embed(s3, (j,), dims) for j in range(1, N + 1))
-    return -0.5 * functools.reduce(operator.add, itertools.chain(hops, field))
+    pairs = [kron(s, s) for s in (SIGMA1, SIGMA2, SIGMA3)]
+    hops = (J * embed(pair, bond, dims)
+            for bond in bonds for J, pair in zip((p.Jx, p.Jy, p.Jz), pairs))
+    field = (-p.h_field * embed(SIGMA3, (j,), dims) for j in range(1, N + 1))
+    return -0.5 * sum(itertools.chain(hops, field))
 
 
-def symmetry_commutator(H: Operator, a: int) -> float:
-    """Max-norm of [H, sum_j sigma_j^a]."""
+def symmetry_commutator(H: np.ndarray, a: int) -> float:
+    """Max-norm of [H, sum_j sigma_j^a] on N qubit sites, N read from the
+    side 2^N of H."""
     if a not in PAULI:
         raise ParameterError(f"a must be 1, 2 or 3, got {a}")
-    dims = H.site_dims
-    if any(d != 2 for d in dims):
+    N = H.shape[0].bit_length() - 1
+    if H.shape != (1 << N, 1 << N):
         raise DimensionMismatch("symmetry commutator needs qubit sites")
-    sigma = Operator((2,), PAULI[a])
-    S = functools.reduce(
-        operator.add, (embed(sigma, (j,), dims) for j in range(1, len(dims) + 1))
-    ).entries
-    comm = H.entries @ S - S @ H.entries
-    return float(np.max(np.abs(comm)))
+    dims = (2,) * N
+    S = sum(embed(PAULI[a], (j,), dims) for j in range(1, N + 1))
+    return float(np.max(np.abs(H @ S - S @ H)))
 
 
-def gauge_conjugate(H: Operator, G: Operator) -> Operator:
+def gauge_conjugate(H: np.ndarray, G: np.ndarray) -> np.ndarray:
     """G^{-1} H G."""
-    mat = G.entries
     try:
-        inv = np.linalg.inv(mat)
+        inv = np.linalg.inv(G)
     except np.linalg.LinAlgError as exc:
         raise SingularGauge("gauge matrix is singular") from exc
-    if np.linalg.cond(mat) > 1e12:
+    if np.linalg.cond(G) > 1e12:
         raise SingularGauge("gauge matrix is numerically singular")
-    return Operator(H.site_dims, inv @ H.entries @ mat)
+    return inv @ H @ G
 
 
-def xxz_gauge_matrix(gamma: float) -> Operator:
+def xxz_gauge_matrix(gamma: float) -> np.ndarray:
     """The two-site change of basis with middle block [[1, gamma-1], [0, gamma]]."""
     mat = np.eye(4)
     mat[1, 2] = gamma - 1.0
     mat[2, 2] = gamma
-    return Operator((2, 2), mat)
+    return mat
 
 
 def xxz_to_asep_gauge(q: float) -> dict:
@@ -315,12 +318,11 @@ def xxz_to_asep_gauge(q: float) -> dict:
     gamma = (1+q^2)/(2q^2). Returns the point and the max-norm residual of
     the conjugated block against c times the generator.
     """
-    target = asep_local_generator(q).entries
+    target = asep_local_generator(q)
     c = 4.0 / (1.0 + q**2)
     Jx, gamma = 1.0, (1.0 + q**2) / (2.0 * q**2)
-    block = xxz_local_block(XxzParams(Jx=Jx, Jy=Jx, Jz=1.0, h_field=0.0)).entries
-    W = block - np.eye(4)
-    conj = gauge_conjugate(Operator((2, 2), W), xxz_gauge_matrix(gamma)).entries
+    block = xxz_local_block(XxzParams(Jx=Jx, Jy=Jx, Jz=1.0, h_field=0.0))
+    conj = gauge_conjugate(block - np.eye(4), xxz_gauge_matrix(gamma))
     return {
         "Jx": Jx,
         "gamma": gamma,
@@ -561,7 +563,7 @@ def _window_generator(n_particles, q, lo, hi):
     moves = cols >= 0
     rows = np.broadcast_to(rank[:, None], cols.shape)[moves]
     rates = np.broadcast_to(np.tile([1.0, q], N), cols.shape)[moves]
-    return index, _sparse_generator((len(index),), rows, cols[moves], rates)
+    return index, _sparse_generator(len(index), rows, cols[moves], rates)
 
 
 # Sites the oracle's first window adds on each side of the particles.

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, ParameterError
-from .tensor import Operator, embed_entries, kron_entries, state_space
+from .tensor import embed, kron, state_space
 
 # Fixed quadrature for Gaussian-weight orthogonality checks: 200-node
 # Gauss-Legendre on [-10, 10] with exp(-x^2) folded into the integrand.
@@ -124,7 +124,7 @@ def truncated_fock(cutoff: int) -> TruncatedFock:
     return TruncatedFock(cutoff=cutoff, a=a, adag=adag, number_op=adag @ a)
 
 
-def jordan_schwinger(mat: np.ndarray, cutoff: int) -> Operator:
+def jordan_schwinger(mat: np.ndarray, cutoff: int) -> np.ndarray:
     """Image of an n x n matrix under M -> sum_{ij} a_i' M_ij a_j on the
     n-mode truncated Fock space (site dims all equal to cutoff): a_i' a_j
     is embedded at sites (i, j), and a_i' a_i at site i."""
@@ -134,17 +134,17 @@ def jordan_schwinger(mat: np.ndarray, cutoff: int) -> Operator:
     n = mat.shape[0]
     dims, total_dim = state_space((cutoff,) * n)
     f = truncated_fock(cutoff)
-    hop = kron_entries(f.adag, f.a)
+    hop = kron(f.adag, f.a)
     total = np.zeros((total_dim, total_dim), dtype=np.result_type(mat, float))
     for i, j in itertools.product(range(n), repeat=2):
         if mat[i, j] == 0:
             continue
         if i == j:
-            term = embed_entries(f.number_op, (i + 1,), dims)
+            term = embed(f.number_op, (i + 1,), dims)
         else:
-            term = embed_entries(hop, (i + 1, j + 1), dims)
+            term = embed(hop, (i + 1, j + 1), dims)
         total += mat[i, j] * term
-    return Operator(dims, total)
+    return total
 
 
 def _restricted_commutator_defect(ja, jb, jc, n_modes: int, cutoff: int) -> float:
@@ -166,7 +166,7 @@ def js_homomorphism_violation(A: np.ndarray, B: np.ndarray, cutoff: int) -> floa
     the full commutator with the rest cut away.
     """
     A = np.asarray(A)
-    ja, jb, jc = (jordan_schwinger(M, cutoff).entries for M in (A, B, A @ B - B @ A))
+    ja, jb, jc = (jordan_schwinger(M, cutoff) for M in (A, B, A @ B - B @ A))
     return _restricted_commutator_defect(ja, jb, jc, A.shape[0], cutoff)
 
 
@@ -183,7 +183,7 @@ def sl2_js_violation(cutoff: int) -> float:
     linear and [h, e] = 2e, [h, f] = -2f, [e, f] = h, so JS of each
     commutator is an image already built, times 2, -2 or 1. Those scalings
     are exact, so the value is the pairwise one bit for bit."""
-    js = {name: jordan_schwinger(M, cutoff).entries for name, M in SL2_BASIS.items()}
+    js = {name: jordan_schwinger(M, cutoff) for name, M in SL2_BASIS.items()}
     return max(_restricted_commutator_defect(js[a], js[b], scale * js[c], 2, cutoff)
                for a, b, scale, c in (("h", "e", 2.0, "e"), ("h", "f", -2.0, "f"),
                                       ("e", "f", 1.0, "h")))

@@ -1,26 +1,25 @@
-"""Operators on tensor-product state spaces, CTMC generators, stationary
+"""Dense operators as numpy arrays, CTMC generators, stationary
 distributions, and single rows of the transition semigroup.
 
 Conventions (wire-level contract, also used by the CLI's CSV tables):
   * leg order: the basis of V_1 (x) ... (x) V_n is lexicographic in the
     site indices with site 1 slowest, the order numpy.kron produces with
     site 1 as the outermost factor. This module is the only place that
-    builds a tensor product: `kron_entries` multiplies arrays of entries in
-    site order and `embed_entries` places them on any ordered tuple of
-    sites, so callers name sites and never write Kronecker products by
-    hand. Both work on a matrix or on a stack of matrices with leading
-    batch axes, such as a spectral family evaluated on a whole grid, and
-    `kron` and `embed` are the same two operations on Operators;
-  * dtype: an Operator keeps the dtype of its entries, promoted to at
-    least float, so real input stays real and complex input stays complex;
+    builds a tensor product: `kron` multiplies arrays in site order and
+    `embed` places an array on any ordered tuple of sites, so callers name
+    sites and never write Kronecker products by hand. Both work on a
+    matrix or on a stack of matrices with leading batch axes, such as a
+    spectral family evaluated on a whole grid;
+  * a dense operator is a plain numpy array and keeps its dtype, so real
+    input stays real and complex input stays complex;
   * generators have rows summing to 0 and nonnegative off-diagonals
     (G[c, c'] is the rate c -> c' for c != c');
   * stochastic matrices have rows summing to 1.
 
-An Operator is dense (R-matrices, representations, Hamiltonians), so its
-dimension is capped by MAX_DENSE_DIM; `state_space` checks a space against
-a cap before anything is allocated on it, and `check_stack` keeps a stack
-of matrices within the entries of one Operator at that cap. A Generator
+A dense operator (R-matrices, representations, Hamiltonians) has its side
+capped by MAX_DENSE_DIM; `state_space` checks a space against a cap before
+anything is allocated on it, and `check_stack` keeps a stack of matrices
+within the entries of one matrix at that cap. A Generator
 is real and sparse (scipy.sparse CSR), and neither of its solvers builds
 a dense dim x dim array. Its stationary law comes from one LAPACK band
 solve (dgbsv) of the pinned system in the reverse Cuthill-McKee ordering
@@ -47,7 +46,7 @@ from .errors import ParameterError
 
 # States of a sparse Generator.
 MAX_STATE_SPACE = 2**20
-# Side of a dense Operator: a 4096 x 4096 complex array takes 256 MiB.
+# Side of a dense operator: a 4096 x 4096 complex array takes 256 MiB.
 MAX_DENSE_DIM = 2**12
 # Bytes of the band that stationary_distribution factors. The open chain's
 # band takes 298 MiB at L = 14 and 1,077 MiB at L = 15, so its band solve,
@@ -117,54 +116,10 @@ def real_entries(values, tol: float = 1e-12) -> np.ndarray:
     return values.real
 
 
-@dataclass(frozen=True)
-class Operator:
-    """Dense operator tagged with the per-site dimensions of its space."""
-
-    site_dims: tuple
-    entries: np.ndarray
-
-    def __post_init__(self):
-        dims, total = state_space(self.site_dims)
-        object.__setattr__(self, "site_dims", dims)
-        mat = float_array(self.entries)
-        if mat.shape != (total, total):
-            raise DimensionMismatch(
-                f"entries shape {mat.shape} does not match site_dims product {total}"
-            )
-        object.__setattr__(self, "entries", mat)
-
-    @property
-    def dim(self) -> int:
-        return self.entries.shape[0]
-
-    def __matmul__(self, other: "Operator") -> "Operator":
-        if self.site_dims != other.site_dims:
-            raise DimensionMismatch(
-                f"cannot compose operators on {self.site_dims} and {other.site_dims}"
-            )
-        return Operator(self.site_dims, self.entries @ other.entries)
-
-    def __add__(self, other: "Operator") -> "Operator":
-        if self.site_dims != other.site_dims:
-            raise DimensionMismatch(
-                f"cannot add operators on {self.site_dims} and {other.site_dims}"
-            )
-        return Operator(self.site_dims, self.entries + other.entries)
-
-    def __rmul__(self, scalar: complex) -> "Operator":
-        return Operator(self.site_dims, scalar * self.entries)
-
-
-def identity(site_dims) -> Operator:
-    dims, total = state_space(site_dims)
-    return Operator(dims, np.eye(total))
-
-
 def check_stack(batch, side: int) -> None:
     """Refuse, with StateSpaceTooLarge, a stack of matrices with batch axes
     `batch` and sides at most `side` that could hold more entries than one
-    dense Operator at the cap, MAX_DENSE_DIM^2. Call it before the stack is
+    dense matrix at the cap, MAX_DENSE_DIM^2. Call it before the stack is
     allocated: a batch axis then never takes more memory than one matrix
     at the cap."""
     count = math.prod(batch)
@@ -174,9 +129,9 @@ def check_stack(batch, side: int) -> None:
         )
 
 
-def kron_entries(*mats) -> np.ndarray:
-    """Tensor product of arrays of entries; site 1 of the first factor is
-    slowest. A factor is a matrix or a stack of matrices with leading batch
+def kron(*mats) -> np.ndarray:
+    """Tensor product of arrays in site order; site 1 of the first factor
+    is slowest. A factor is a matrix or a stack of matrices with leading batch
     axes, and the batch axes of the factors broadcast against each other.
     Each factor after the first costs one broadcast product written
     straight into the axes (batch, rows, rows', cols, cols'), numpy.kron's
@@ -200,22 +155,15 @@ def kron_entries(*mats) -> np.ndarray:
     return mat
 
 
-def kron(*ops: Operator) -> Operator:
-    """Tensor product of operators in site order: kron_entries of their
-    entries, on the concatenated site dimensions."""
-    return Operator(sum((op.site_dims for op in ops), ()),
-                    kron_entries(*(op.entries for op in ops)))
-
-
-def embed_entries(entries, sites, site_dims) -> np.ndarray:
-    """`entries`, an operator on the legs of the 1-based `sites` of the
-    space with `site_dims`, placed there with the identity on every other
+def embed(entries, sites, site_dims) -> np.ndarray:
+    """`entries`, an array acting on the legs of the 1-based `sites` of
+    the space with `site_dims`, placed there with the identity on every other
     site: leg k sits on site sites[k]. `entries` is a matrix or a stack of
     matrices with leading batch axes, each of side the product of the
     dimensions at `sites`, and the result keeps the batch axes. The sites
     must be distinct; they need not be adjacent or increasing, so
-    embed_entries(R, (2, 1), dims) is R with its legs swapped and
-    embed_entries(R, (1, 3), dims) is R13 on three sites. The legs are
+    embed(R, (2, 1), dims) is R with its legs swapped and
+    embed(R, (1, 3), dims) is R13 on three sites. The legs are
     placed by one outer product with the identity and one transpose, so
     each entry of the result is exactly an entry of `entries` or zero. The
     space is checked against the dense cap, and the result against
@@ -249,20 +197,7 @@ def embed_entries(entries, sites, site_dims) -> np.ndarray:
     return product.transpose(axes).reshape(batch + (total, total))
 
 
-def embed(op: Operator, sites, site_dims) -> Operator:
-    """`op` acting on the 1-based `sites` of the space with `site_dims`,
-    and the identity on every other site: embed_entries of its entries,
-    whose legs must have the dimensions of those sites."""
-    dims, _ = state_space(site_dims)
-    sites = tuple(int(s) for s in sites)
-    if tuple(dims[s - 1] if 1 <= s <= len(dims) else None for s in sites) != op.site_dims:
-        raise DimensionMismatch(
-            f"cannot place an operator on {op.site_dims} at sites {sites} of {dims}"
-        )
-    return Operator(dims, embed_entries(op.entries, sites, dims))
-
-
-def permutation_operator(d1: int, d2: int) -> Operator:
+def permutation_operator(d1: int, d2: int) -> np.ndarray:
     """P(u (x) v) = v (x) u between factors of dimensions d1 and d2."""
     if d1 < 1 or d2 < 1:
         raise DimensionMismatch(f"dimensions must be >= 1, got {d1}, {d2}")
@@ -271,36 +206,36 @@ def permutation_operator(d1: int, d2: int) -> Operator:
         for b in range(d2):
             # e_a (x) e_b (index a*d2+b) maps to e_b (x) e_a (index b*d1+a)
             mat[b * d1 + a, a * d2 + b] = 1.0
-    return Operator((d2, d1), mat)
+    return mat
 
 
 @dataclass(frozen=True)
 class Generator:
-    """CTMC generator tagged with the per-site dimensions of its space: a
-    real CSR matrix `rates`, with rates[c, c'] the rate c -> c'. Checked on
-    construction to have nonnegative off-diagonal rates and zero row sums;
-    explicit zeros are dropped, so the sparsity pattern is the transition
-    graph."""
+    """CTMC generator: a real square CSR matrix `rates`, with rates[c, c']
+    the rate c -> c', on at most MAX_STATE_SPACE states. Checked on
+    construction to have off-diagonal rates of at least -1e-10 and row sums
+    of at most 1e-10 times max(1, the largest rate) in magnitude, else
+    NotAGenerator; explicit zeros are dropped, so the sparsity pattern is
+    the transition graph."""
 
-    site_dims: tuple
     rates: object
 
     def __post_init__(self):
         import scipy.sparse
 
-        dims, total = state_space(self.site_dims, MAX_STATE_SPACE)
-        object.__setattr__(self, "site_dims", dims)
+        shape = np.shape(self.rates)
+        if len(shape) != 2 or shape[0] != shape[1]:
+            raise DimensionMismatch(f"rates of shape {shape} are not square")
+        state_space(shape[:1], MAX_STATE_SPACE)
         if np.iscomplexobj(self.rates):
             raise NotAGenerator("generator rates must be real")
         rates = scipy.sparse.csr_array(self.rates, dtype=float, copy=True)
-        if rates.shape != (total, total):
-            raise DimensionMismatch(
-                f"rates shape {rates.shape} does not match site_dims product {total}"
-            )
         rates.sum_duplicates()
         rates.eliminate_zeros()
         object.__setattr__(self, "rates", rates)
-        if not is_generator(self):
+        off = rates - scipy.sparse.diags_array(rates.diagonal())
+        scale = max(1.0, float(abs(rates).max()))
+        if off.min() < -1e-10 or float(np.abs(rates.sum(axis=1)).max()) > 1e-10 * scale:
             raise NotAGenerator(
                 "matrix is not a CTMC generator (row sums nonzero or negative "
                 "off-diagonal entries beyond tolerance)"
@@ -309,26 +244,6 @@ class Generator:
     @property
     def dim(self) -> int:
         return self.rates.shape[0]
-
-
-def is_generator(G, tol: float = 1e-10) -> bool:
-    """Whether G, a Generator or an Operator, is real with nonnegative
-    off-diagonal entries and zero row sums, to within tol (row sums relative
-    to the largest entry)."""
-    import scipy.sparse
-
-    if isinstance(G, Generator):
-        rates = G.rates
-    else:
-        try:
-            rates = scipy.sparse.csr_array(real_entries(G.entries, tol))
-        except NotReal:
-            return False
-    off = rates - scipy.sparse.diags_array(rates.diagonal())
-    if off.min() < -tol:
-        return False
-    scale = max(1.0, float(abs(rates).max()))
-    return float(np.abs(rates.sum(axis=1)).max()) <= tol * scale
 
 
 @dataclass(frozen=True)

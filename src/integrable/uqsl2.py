@@ -6,7 +6,10 @@ On the (m+1)-dimensional representation with weight basis v_0..v_m:
     e v_k = [(q^{m-k} - q^{k-m}) / (q - q^{-1})] v_{k+1}
     f v_k = [(q^k - q^{-k}) / (q - q^{-1})] v_{k-1}
     h v_k = (2k - m) v_k,   K = q^h
-All powers q^{c h} are realized diagonally on the weight basis.
+All powers q^{c h} are realized diagonally on the weight basis. Every
+matrix is a numpy array: a representation holds the arrays of e, f, K and
+K^{-1}, the coproducts and the universal R are arrays on the tensor space,
+and tensor.kron and tensor.embed fix its leg order.
 
 The checks return residuals and pass no verdict; the caller compares them
 with its tolerance.
@@ -19,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError
-from .tensor import Operator, embed_entries, kron_entries, state_space
+from .tensor import embed, kron, state_space
 
 
 class InvalidDeformation(ParameterError):
@@ -36,10 +39,10 @@ class RepM:
 
     m: int
     q: float
-    E: Operator
-    F: Operator
-    K: Operator
-    Kinv: Operator
+    E: np.ndarray
+    F: np.ndarray
+    K: np.ndarray
+    Kinv: np.ndarray
 
     @property
     def dim(self) -> int:
@@ -69,22 +72,14 @@ def rep(m: int, q: float) -> RepM:
         if k - 1 >= 0:
             F[k - 1, k] = (q**k - q ** (-k)) / denom
     Kdiag = np.array([q ** (2 * k - m) for k in range(d)])
-    dims = (d,)
-    return RepM(
-        m=m,
-        q=q,
-        E=Operator(dims, E),
-        F=Operator(dims, F),
-        K=Operator(dims, np.diag(Kdiag)),
-        Kinv=Operator(dims, np.diag(1.0 / Kdiag)),
-    )
+    return RepM(m=m, q=q, E=E, F=F, K=np.diag(Kdiag), Kinv=np.diag(1.0 / Kdiag))
 
 
 def check_relations(r: RepM) -> dict:
     """Max-norm residuals of the defining relations, the antipode
     anti-homomorphism, and counit consistency on the trivial rep."""
     q = r.q
-    E, F, K, Kinv = r.E.entries, r.F.entries, r.K.entries, r.Kinv.entries
+    E, F, K, Kinv = r.E, r.F, r.K, r.Kinv
     Id = np.eye(r.dim)
     denom = q - 1.0 / q
 
@@ -112,42 +107,40 @@ def check_relations(r: RepM) -> dict:
 _GEN_NAMES = ("e", "f", "k")
 
 
-def _coproduct(rl: RepM, rm: RepM, gen: str) -> np.ndarray:
-    """Entries of Delta(gen) on V_l (x) V_m (see `coproduct_action`)."""
+def coproduct(rl: RepM, rm: RepM, gen: str) -> np.ndarray:
+    """Coproduct image on V_l (x) V_m:
+    Delta(e) = K (x) E + E (x) 1,  Delta(f) = 1 (x) F + F (x) K^{-1},
+    Delta(k) = K (x) K."""
     if rl.q != rm.q:
         raise DeformationMismatch(f"q mismatch: {rl.q} vs {rm.q}")
     if gen == "e":
-        return kron_entries(rl.K.entries, rm.E.entries) + kron_entries(
-            rl.E.entries, np.eye(rm.dim))
+        return kron(rl.K, rm.E) + kron(rl.E, np.eye(rm.dim))
     if gen == "f":
-        return kron_entries(np.eye(rl.dim), rm.F.entries) + kron_entries(
-            rl.F.entries, rm.Kinv.entries)
+        return kron(np.eye(rl.dim), rm.F) + kron(rl.F, rm.Kinv)
     if gen == "k":
-        return kron_entries(rl.K.entries, rm.K.entries)
+        return kron(rl.K, rm.K)
     raise ParameterError(f"generator must be one of {_GEN_NAMES}, got {gen!r}")
 
 
-def _opposite_coproduct(rl: RepM, rm: RepM, gen: str) -> np.ndarray:
-    """Entries of Delta'(gen) on V_l (x) V_m: Delta(gen) on V_m (x) V_l with
-    its legs swapped."""
-    return embed_entries(_coproduct(rm, rl, gen), (2, 1), (rl.dim, rm.dim))
-
-
-def coproduct_action(rl: RepM, rm: RepM, gen: str) -> Operator:
-    """Coproduct image on the tensor space:
-    Delta(e) = K (x) E + E (x) 1,  Delta(f) = 1 (x) F + F (x) K^{-1},
-    Delta(k) = K (x) K."""
-    return Operator((rl.dim, rm.dim), _coproduct(rl, rm, gen))
-
-
-def opposite_coproduct_action(rl: RepM, rm: RepM, gen: str) -> Operator:
+def opposite_coproduct(rl: RepM, rm: RepM, gen: str) -> np.ndarray:
     """The reversed coproduct Delta' = P o Delta on V_l (x) V_m: Delta on
     V_m (x) V_l with its legs swapped."""
-    return Operator((rl.dim, rm.dim), _opposite_coproduct(rl, rm, gen))
+    return embed(coproduct(rm, rl, gen), (2, 1), (rl.dim, rm.dim))
 
 
-def _universal_r_entries(rl: RepM, rm: RepM) -> np.ndarray:
-    """Entries of `universal_r`, built on the reps' arrays."""
+def universal_r(rl: RepM, rm: RepM) -> np.ndarray:
+    """Evaluate the universal R on V_l (x) V_m.
+
+    R = q^{(1/2) h (x) h} sum_{i>=0} (q - q^{-1})^i q^{i(i-1)/2} / [i]_q^~!
+        f^i (x) e^i
+    with the symmetric q-factorial [i]^~! built from (q^i - q^{-i})/(q - q^{-1}).
+    The f (x) e ordering and the q^{i(i-1)/2} exponent are pinned numerically:
+    they form the unique variant (within the natural family of sign and
+    exponent choices) intertwining the coproduct used here with its flip.
+    The sum terminates at i = min(l, m) by nilpotency of f and e. The
+    product space is checked against the dense cap before anything is
+    built on it.
+    """
     if rl.q != rm.q:
         raise DeformationMismatch(f"q mismatch: {rl.q} vs {rm.q}")
     q = rl.q
@@ -161,44 +154,27 @@ def _universal_r_entries(rl: RepM, rm: RepM) -> np.ndarray:
     # float power, not numpy's, which can differ in the last digit.
     cartan = np.array([q ** (wa * wb / 2.0) for wa in wl for wb in wm])
     denom = q - 1.0 / q
-    F, E = rl.F.entries, rm.E.entries
     Fi, Ei = np.eye(d1), np.eye(d2)
-    total = kron_entries(Fi, Ei)  # the i = 0 term, with coefficient 1
+    total = kron(Fi, Ei)  # the i = 0 term, with coefficient 1
     qfact = 1.0
     # One term at a time, so at most three D x D arrays are alive.
     for i in range(1, min(rl.m, rm.m) + 1):
-        Fi = F @ Fi
-        Ei = E @ Ei
+        Fi = rl.F @ Fi
+        Ei = rm.E @ Ei
         qfact *= (q**i - q ** (-i)) / denom
         coeff = denom**i * q ** (i * (i - 1) / 2.0) / qfact
-        total = total + coeff * kron_entries(Fi, Ei)
+        total = total + coeff * kron(Fi, Ei)
     return cartan[:, None] * total
-
-
-def universal_r(rl: RepM, rm: RepM) -> Operator:
-    """Evaluate the universal R on V_l (x) V_m.
-
-    R = q^{(1/2) h (x) h} sum_{i>=0} (q - q^{-1})^i q^{i(i-1)/2} / [i]_q^~!
-        f^i (x) e^i
-    with the symmetric q-factorial [i]^~! built from (q^i - q^{-i})/(q - q^{-1}).
-    The f (x) e ordering and the q^{i(i-1)/2} exponent are pinned numerically:
-    they form the unique variant (within the natural family of sign and
-    exponent choices) intertwining the coproduct used here with its flip.
-    The sum terminates at i = min(l, m) by nilpotency of f and e. The
-    product space is checked against the dense cap before anything is
-    built on it.
-    """
-    return Operator((rl.dim, rm.dim), _universal_r_entries(rl, rm))
 
 
 def universal_r_check(rl: RepM, rm: RepM) -> dict:
     """Intertwining residuals ||R Delta(x) - Delta'(x) R|| for x in {e,f,k},
-    plus invertibility of R, on the reps' arrays: no Operator is built."""
-    R = _universal_r_entries(rl, rm)
+    plus invertibility of R."""
+    R = universal_r(rl, rm)
     res = {}
     for gen in _GEN_NAMES:
-        D = _coproduct(rl, rm, gen)
-        Dop = _opposite_coproduct(rl, rm, gen)
+        D = coproduct(rl, rm, gen)
+        Dop = opposite_coproduct(rl, rm, gen)
         res[f"intertwine_{gen}"] = float(np.max(np.abs(R @ D - Dop @ R)))
     Rinv = np.linalg.inv(R)
     res["invertibility"] = float(np.max(np.abs(R @ Rinv - np.eye(R.shape[0]))))

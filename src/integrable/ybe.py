@@ -2,19 +2,20 @@
 Yang-Baxter equations, Hecke quadratic relations, the reflection equation,
 and the Markov-structure properties tying R-matrices to CTMC generators.
 
-All stochastic matrices here act on probability row-vectors (rows sum to 1),
-matching the generator convention of the tensor layer. Every equation
-places its factors with tensor.embed_entries, so each verifier names the
-sites an operator acts on and the tensor module alone fixes the leg order.
+Every matrix is a numpy array. All stochastic matrices here act on
+probability row-vectors (rows sum to 1), matching the generator convention
+of the tensor layer. Every equation places its factors with tensor.embed,
+so each verifier names the sites an operator acts on and the tensor module
+alone fixes the leg order.
 
 Verifiers return residuals and pass no verdict; the caller compares them
 with its tolerance. They compute under np.errstate(all="ignore"): a grid
 whose products overflow gives a non-finite residual, which fails, and
 prints no numpy warning. A spectral or boundary family is a callable that
-maps a scalar z to an Operator, raising at a pole, and a 1-D array of n
-points to (entries, poles): the (n, d, d) stack of its matrices and the
-mask of the points where it has a pole, such as
-functools.partial(asep_spectral_r, q=q). The spectral and reflection
+maps a 1-D array of n points to (entries, poles): the (n, d, d) stack of
+its matrices and the mask of the points where it has a pole, such as
+functools.partial(asep_spectral_r, q=q); a caller that needs one matrix
+indexes the stack. The spectral and reflection
 verifiers evaluate a family once on each block of at most MAX_GRID_POINTS
 points of their grid, and the block is the leading batch axis of every
 stacked product they take.
@@ -28,16 +29,12 @@ from typing import Callable
 import numpy as np
 
 from .errors import ParameterError, RateOutOfRange
-from .tensor import Operator, embed_entries, kron_entries, permutation_operator
+from .tensor import embed, kron, permutation_operator
 
 # Points of one block of a verifier's grid: a grid is checked in blocks of
 # at most this many points, each one stacked product. A spectral point
 # takes about 4 KB of stacked matrices, so a block takes about 16 MB.
 MAX_GRID_POINTS = 2**12
-
-
-class PoleAtQZEqualsOne(ParameterError):
-    pass
 
 
 class PoleInDenominator(ParameterError):
@@ -52,7 +49,7 @@ class NotRegular(ParameterError):
     pass
 
 
-def verify_braided_ybe(R: Operator) -> dict:
+def verify_braided_ybe(R: np.ndarray) -> dict:
     """Residuals of R12 R23 R12 = R23 R12 R23 on V (x) V (x) V, with
     R12 = embed(R, (1, 2)) and R23 = embed(R, (2, 3)), in both the given
     presentation and the P-composed presentation R-check = P o R.
@@ -62,18 +59,18 @@ def verify_braided_ybe(R: Operator) -> dict:
     swap, and the two presentations solve the equation on complementary
     parameter sets (e.g. the one-sided exclusion families below).
     """
-    d = R.site_dims[0]  # embed_entries and @ raise unless R is on V (x) V
+    d = math.isqrt(R.shape[0])  # embed raises unless R is d^2 x d^2
     dims = (d, d, d)
     residuals = []
-    for mat in (R.entries, (permutation_operator(d, d) @ R).entries):
-        R12 = embed_entries(mat, (1, 2), dims)
-        R23 = embed_entries(mat, (2, 3), dims)
+    for mat in (R, permutation_operator(d, d) @ R):
+        R12 = embed(mat, (1, 2), dims)
+        R23 = embed(mat, (2, 3), dims)
         residuals.append(float(np.max(np.abs(R12 @ R23 @ R12 - R23 @ R12 @ R23))))
     braided, unbraided = residuals
     return {"residual": braided, "r_check_residual": unbraided}
 
 
-def r_alpha_beta(alpha: float, beta: float) -> Operator:
+def r_alpha_beta(alpha: float, beta: float) -> np.ndarray:
     """Two-parameter stochastic 4x4 fixing e1(x)e1 and e2(x)e2 and mixing
     the middle block: state 12 stays with probability 1-alpha and swaps
     with probability alpha; state 21 swaps with probability beta."""
@@ -84,7 +81,7 @@ def r_alpha_beta(alpha: float, beta: float) -> Operator:
     mat[1, 2] = alpha
     mat[2, 1] = beta
     mat[2, 2] = 1 - beta
-    return Operator((2, 2), mat)
+    return mat
 
 
 def _stack(rows, poles: np.ndarray) -> np.ndarray:
@@ -99,41 +96,24 @@ def _stack(rows, poles: np.ndarray) -> np.ndarray:
     return mat
 
 
-def _family(stack, z, site_dims: tuple, pole):
-    """A family's value at z: the Operator on `site_dims` at a scalar z,
-    raising pole() if z is a pole, and (entries, poles) at a 1-D array of
-    points. `stack` maps a 1-D array to (entries, poles)."""
-    if np.ndim(z) > 0:
-        return stack(np.asarray(z))
-    entries, poles = stack(np.reshape(z, 1))
-    if poles[0]:
-        raise pole()
-    return Operator(site_dims, entries[0])
-
-
 def asep_spectral_r(z, q: float):
     """Spectral R-matrix of the asymmetric exclusion process.
 
-    Row-stochastic for z in (0,1), q in (0,1); R(1) = P. At a scalar z it
-    is an Operator on two sites, and a pole (|qz - 1| < 1e-13) raises
-    PoleAtQZEqualsOne. At a 1-D array of n points it is (entries, poles):
-    the (n, 4, 4) stack of R at every point and the mask of the poles,
-    where the entries are zero.
+    Row-stochastic for z in (0,1), q in (0,1); R(1) = P. At a 1-D array
+    of n points it is (entries, poles): the (n, 4, 4) stack of R at every
+    point and the mask of the poles (|qz - 1| < 1e-13), where the entries
+    are zero.
     """
-
-    def stack(z):
-        d = q * z - 1.0
-        poles = np.abs(d) < 1e-13
-        d = np.where(poles, 1.0, d)
-        rows = (
-            (1, 0, 0, 0),
-            (0, q * (z - 1) / d, (q - 1) / d, 0),
-            (0, (q - 1) * z / d, (z - 1) / d, 0),
-            (0, 0, 0, 1),
-        )
-        return _stack(rows, poles), poles
-
-    return _family(stack, z, (2, 2), lambda: PoleAtQZEqualsOne(f"qz = 1 at z={z}, q={q}"))
+    d = q * z - 1.0
+    poles = np.abs(d) < 1e-13
+    d = np.where(poles, 1.0, d)
+    rows = (
+        (1, 0, 0, 0),
+        (0, q * (z - 1) / d, (q - 1) / d, 0),
+        (0, (q - 1) * z / d, (z - 1) / d, 0),
+        (0, 0, 0, 1),
+    )
+    return _stack(rows, poles), poles
 
 
 def _grid_blocks(z, w):
@@ -153,7 +133,7 @@ def _grid_blocks(z, w):
 def verify_spectral_ybe(r: Callable, z, w) -> dict:
     """Largest residual of R12(z) R13(zw) R23(w) - R23(w) R13(zw) R12(z)
     over the grid z x w (each a scalar or a 1-D array), with
-    Rij = embed_entries(R, (i, j)) on three sites. The grid is checked in
+    Rij = embed(R, (i, j)) on three sites. The grid is checked in
     blocks of at most MAX_GRID_POINTS points: the family is evaluated once
     on all of a block's points, and every point is one matrix of one
     stacked product. A pole of R(z), R(zw) or R(w) at any point raises
@@ -169,9 +149,9 @@ def verify_spectral_ybe(r: Callable, z, w) -> dict:
             raise EvaluationPole(f"family undefined at one of z={z}, zw={z*w}, w={w}")
         d = math.isqrt(Rz.shape[-1])
         dims = (d, d, d)
-        R12 = embed_entries(Rz, (1, 2), dims)
-        R13 = embed_entries(Rzw, (1, 3), dims)
-        R23 = embed_entries(Rw, (2, 3), dims)
+        R12 = embed(Rz, (1, 2), dims)
+        R13 = embed(Rzw, (1, 3), dims)
+        R23 = embed(Rw, (2, 3), dims)
         lhs = R12 @ R13 @ R23
         rhs = R23 @ R13 @ R12
         worst.append(np.max(np.abs(lhs - rhs)))
@@ -179,13 +159,13 @@ def verify_spectral_ybe(r: Callable, z, w) -> dict:
     return {"residual": float(np.max(worst))}
 
 
-def frt_r(q: float) -> Operator:
+def frt_r(q: float) -> np.ndarray:
     """Constant 4x4 R-matrix with entries q^-2, q^-1, q^-2 - 1; satisfies
     the braided YBE and the quadratic relation (R - q^-2)(R + 1) = 0."""
     if q == 0:
         raise ParameterError("q must be nonzero")
     qi = 1.0 / q
-    mat = np.array(
+    return np.array(
         [
             [qi**2, 0, 0, 0],
             [0, 0, qi, 0],
@@ -193,14 +173,12 @@ def frt_r(q: float) -> Operator:
             [0, 0, 0, qi**2],
         ]
     )
-    return Operator((2, 2), mat)
 
 
-def verify_hecke_quadratic(R: Operator, lam1: complex, lam2: complex) -> dict:
+def verify_hecke_quadratic(R: np.ndarray, lam1: complex, lam2: complex) -> dict:
     """Residual of the two-eigenvalue relation (R - lam1)(R - lam2) = 0."""
-    mat = R.entries
-    Id = np.eye(mat.shape[0])
-    return {"residual": float(np.max(np.abs((mat - lam1 * Id) @ (mat - lam2 * Id))))}
+    Id = np.eye(R.shape[0])
+    return {"residual": float(np.max(np.abs((R - lam1 * Id) @ (R - lam2 * Id))))}
 
 
 def reflection_k(x, q: float, a: float, c: float, side: str = "left"):
@@ -209,44 +187,36 @@ def reflection_k(x, q: float, a: float, c: float, side: str = "left"):
     side="left" takes (a, c) = (alpha, gamma), the entry and exit rates at
     the left boundary; side="right" takes (a, c) = (beta, delta). K(1) = Id,
     and for the left family K'(1) = 2 rho B with rho = (q-1)^{-1} and
-    B = [[-alpha, alpha], [gamma, -gamma]]. At a scalar x it is an Operator
-    on one site, and a vanishing denominator (below 1e-13) raises
-    PoleInDenominator. At a 1-D array of n points it is (entries, poles):
-    the (n, 2, 2) stack and the mask of the poles, where the entries are
-    zero.
+    B = [[-alpha, alpha], [gamma, -gamma]]. At a 1-D array of n points it
+    is (entries, poles): the (n, 2, 2) stack and the mask of the poles,
+    where the denominator vanishes (below 1e-13) and the entries are zero.
     """
     if side not in ("left", "right"):
         raise ParameterError(f"side must be left or right, got {side}")
-
-    def stack(x):
-        if side == "left":
-            al, ga = a, c
-            den = x * x * ga + q * x + x * al - x * ga - x - al
-            numerators = (
-                ((-x * al + x * ga + q + al - ga - 1) * x, al * (x * x - 1)),
-                ((x * x - 1) * ga, q * x + x * al - x * ga - x - al + ga),
-            )
-        else:
-            be, de = a, c
-            den = -x * x * be + q * x - x * de + x * be - x + de
-            numerators = (
-                ((x * de - x * be + q - de + be - 1) * x, (x * x - 1) * de),
-                (-(x * x - 1) * be, q * x - x * de + x * be - x + de - be),
-            )
-        poles = np.abs(den) < 1e-13
-        den = np.where(poles, 1.0, den)
-        return _stack([[n / den for n in row] for row in numerators], poles), poles
-
-    name = "K" if side == "left" else "K-bar"
-    return _family(stack, x, (2,),
-                   lambda: PoleInDenominator(f"{name} denominator vanishes at x={x}"))
+    if side == "left":
+        al, ga = a, c
+        den = x * x * ga + q * x + x * al - x * ga - x - al
+        numerators = (
+            ((-x * al + x * ga + q + al - ga - 1) * x, al * (x * x - 1)),
+            ((x * x - 1) * ga, q * x + x * al - x * ga - x - al + ga),
+        )
+    else:
+        be, de = a, c
+        den = -x * x * be + q * x - x * de + x * be - x + de
+        numerators = (
+            ((x * de - x * be + q - de + be - 1) * x, (x * x - 1) * de),
+            (-(x * x - 1) * be, q * x - x * de + x * be - x + de - be),
+        )
+    poles = np.abs(den) < 1e-13
+    den = np.where(poles, 1.0, den)
+    return _stack([[n / den for n in row] for row in numerators], poles), poles
 
 
 @np.errstate(all="ignore")
 def verify_reflection_equation(r: Callable, k: Callable, z, w) -> dict:
     """Residual of R12(z/w) K1(z) R21(zw) K2(w) - K2(w) R12(zw) K1(z) R21(z/w)
-    on two sites, with R12 = R, R21 = embed_entries(R, (2, 1)),
-    K1 = embed_entries(K, (2,)) and K2 = embed_entries(K, (1,)): the
+    on two sites, with R12 = R, R21 = embed(R, (2, 1)),
+    K1 = embed(K, (2,)) and K2 = embed(K, (1,)): the
     equation's boundary leg 1 is site 2. This is the placement under which
     the explicit exclusion-process K-matrices satisfy the equation against
     the row-stochastic R.
@@ -272,10 +242,10 @@ def verify_reflection_equation(r: Callable, k: Callable, z, w) -> dict:
         Ra, Rb = (part[keep] for part in np.split(R, 2))
         Kz, Kw = (part[keep] for part in np.split(K, 2))
         dims = (Kz.shape[-1],) * 2
-        K1 = embed_entries(Kz, (2,), dims)
-        K2 = embed_entries(Kw, (1,), dims)
-        R21a = embed_entries(Ra, (2, 1), dims)
-        R21b = embed_entries(Rb, (2, 1), dims)
+        K1 = embed(Kz, (2,), dims)
+        K2 = embed(Kw, (1,), dims)
+        R21a = embed(Ra, (2, 1), dims)
+        R21b = embed(Rb, (2, 1), dims)
         lhs = Ra @ K1 @ R21b @ K2
         rhs = K2 @ Rb @ K1 @ R21a
         worst.append(np.max(np.abs(lhs - rhs)))
@@ -290,7 +260,7 @@ def verify_reflection_equation(r: Callable, k: Callable, z, w) -> dict:
 
 
 @np.errstate(all="ignore")
-def markov_structure_report(r: Callable, w_local: Operator) -> dict:
+def markov_structure_report(r: Callable, w_local: np.ndarray) -> dict:
     """Diagnostics connecting a regular spectral family z -> R(z) to a CTMC
     generator: the least-squares rho in R'(1) P = rho * w_local (the
     row-convention form of the Markovian property) as "rho_fit", and as
@@ -314,20 +284,19 @@ def markov_structure_report(r: Callable, w_local: Operator) -> dict:
     at_one, rows, ratios = np.split(stack, [len(near_one), len(near_one) + zs.size])
     R1, up, down, half_up, half_down = at_one
     d = math.isqrt(R1.shape[-1])
-    P = permutation_operator(d, d).entries
+    P = permutation_operator(d, d)
     regularity = float(np.max(np.abs(R1 - P)))
     if regularity > 1e-8:
         raise NotRegular(f"R(1) differs from P by {regularity}")
     d1 = (up - down) / (2 * h)
     d2 = (half_up - half_down) / h
     M = (4 * d2 - d1) / 3 @ P
-    W = w_local.entries
-    denom = float(np.sum(W * W))
-    rho = float(np.sum(M * W) / denom) if denom > 0 else 0.0
-    markov_residual = float(np.max(np.abs(M - rho * W)))
+    denom = float(np.sum(w_local * w_local))
+    rho = float(np.sum(M * w_local) / denom) if denom > 0 else 0.0
+    markov_residual = float(np.max(np.abs(M - rho * w_local)))
     row_sum_dev = float(np.max(np.abs(rows.sum(axis=-1) - 1.0)))
     # v1 (x) v2 at each pair, as a stack of (4, 1) columns
-    vec = kron_entries(*(np.stack([v, np.ones_like(v)], axis=-1)[..., None] for v in (z, w)))
+    vec = kron(*(np.stack([v, np.ones_like(v)], axis=-1)[..., None] for v in (z, w)))
     fixed = float(np.max(np.abs(np.swapaxes(ratios, -1, -2) @ vec - vec)))
     return {
         "rho_fit": rho,

@@ -3,12 +3,13 @@ printing a single pass/fail line. These are the contracts the library is
 shipped against; the per-module tests probe finer-grained behavior."""
 
 import functools
+import json
 import math
 
 import numpy as np
 import pytest
 
-from integrable import models, mpa, oscillator, sixvertex, uqsl2, ybe
+from integrable import cli, models, oscillator, sixvertex, uqsl2, ybe
 from integrable.models import AsepParams, XxzParams
 from integrable.sixvertex import PoleInSpectralLadder
 from integrable.tensor import permutation_operator, stationary_distribution
@@ -19,11 +20,25 @@ def _line(num: int, label: str, ok: bool, detail: str):
     assert ok, f"criterion {num} ({label}): {detail}"
 
 
+def _main_report(capsys, argv) -> dict:
+    """The JSON report of `argv` through cli.main, whose exit code must be
+    the report's verdict."""
+    code = cli.main([str(a) for a in argv])
+    report = json.loads(capsys.readouterr().out)
+    assert code == (0 if report["pass"] else 1), argv
+    return report
+
+
+def _at(family, x: float) -> np.ndarray:
+    """A family's matrix at the one point x, which must not be a pole."""
+    stack, poles = family(np.array([x]))
+    assert not poles[0]
+    return stack[0]
+
+
 def test_criterion_1_braided_ybe_family():
     worst = 0.0
-    from integrable.tensor import identity
-
-    for R in (permutation_operator(2, 2), identity((2, 2))):
+    for R in (permutation_operator(2, 2), np.eye(4)):
         worst = max(worst, ybe.verify_braided_ybe(R)["residual"])
     grid = [round(0.1 * i, 1) for i in range(11)]
     for a in grid:
@@ -51,8 +66,8 @@ def test_criterion_2_spectral_suite():
                 worst = max(
                     worst, ybe.verify_spectral_ybe(r, z, w)["residual"]
                 )
-        P = permutation_operator(2, 2).entries
-        reg = max(reg, float(np.max(np.abs(r(1.0).entries - P))))
+        P = permutation_operator(2, 2)
+        reg = max(reg, float(np.max(np.abs(_at(r, 1.0) - P))))
         rep = ybe.markov_structure_report(r, models.asep_bulk_w(q))
         rho_err = max(rho_err, abs(rep["rho_fit"] - 1.0 / (q - 1.0)))
     ok = worst <= 1e-10 and reg <= 1e-12 and rho_err <= 1e-5
@@ -60,25 +75,34 @@ def test_criterion_2_spectral_suite():
           f"YBE {worst:.2e}, regularity {reg:.2e}, rho error {rho_err:.2e}")
 
 
-def test_criterion_3_quantum_group_suite():
+def test_criterion_3_quantum_group_suite(capsys):
     rel = 0.0
     intw = 0.0
+    frt = 0.0
     trip = 0.0
+    verdicts = []
     for q in (0.3, 0.7, 1.5):
         for m in range(1, 5):
-            rel = max(rel, *uqsl2.check_relations(uqsl2.rep(m, q)).values())
+            report = _main_report(capsys, ["rep-check", "--m", m, "--q", q])
+            verdicts.append(report["pass"])
+            rel = max(rel, *report["residuals"].values())
+        report = _main_report(capsys, ["universal-r", "--l", 1, "--m", 1, "--q", q])
+        verdicts.append(report["pass"])
+        intw = max(intw, max(v for k, v in report["residuals"].items()
+                             if k.startswith("intertwine")))
+        report = _main_report(capsys, ["verify", "ybe", "--family", "frt", "--q", q])
+        verdicts.append(report["pass"])
+        frt = max(frt, report["residuals"]["braided_ybe"])
+        # no CLI family reaches the universal R's braid relation
         r1 = uqsl2.rep(1, q)
-        chk = uqsl2.universal_r_check(r1, r1)
-        intw = max(
-            intw, max(v for k, v in chk.items() if k.startswith("intertwine"))
-        )
         trip = max(
             trip,
             ybe.verify_braided_ybe(uqsl2.universal_r(r1, r1))["r_check_residual"],
         )
-    ok = rel <= 1e-10 and intw <= 1e-10 and trip <= 1e-10
+    ok = all(verdicts) and rel <= 1e-10 and intw <= 1e-10 and frt <= 1e-10 and trip <= 1e-10
     _line(3, "quantum group suite", ok,
-          f"relations {rel:.2e}, intertwining {intw:.2e}, triple YBE {trip:.2e}")
+          f"relations {rel:.2e}, intertwining {intw:.2e}, FRT braid {frt:.2e}, "
+          f"triple YBE {trip:.2e}, {verdicts.count(True)} of {len(verdicts)} reports pass")
 
 
 def test_criterion_4_xxz_asep_equivalence():
@@ -113,28 +137,34 @@ def _kappa_plus(u: float, v: float, q: float) -> float:
     return (s + math.sqrt(s * s + 4.0 * u * v)) / (2.0 * u)
 
 
-def test_criterion_5_mpa_vs_oracle():
+def test_criterion_5_mpa_vs_oracle(capsys):
     rng = np.random.Generator(np.random.Philox(7))
     worst = 0.0
     shock = 0
+    passed = 0
     for L in range(2, 7):
         for q in (0.3, 0.5, 0.8):
             for _ in range(5):
                 # rates on both sides of the shock line ac = 1
-                alpha, beta = rng.uniform(0.05, 1.2, size=2)
-                gamma, delta = rng.uniform(0.0, 1.0, size=2)
+                alpha, beta = map(float, rng.uniform(0.05, 1.2, size=2))
+                gamma, delta = map(float, rng.uniform(0.0, 1.0, size=2))
                 p = AsepParams(
                     q=q, alpha=alpha, beta=beta, gamma=gamma, delta=delta, L=L
                 )
                 shock += _kappa_plus(beta, delta, q) * _kappa_plus(alpha, gamma, q) >= 1
-                mu = mpa.mpa_stationary_measure(p)
+                report = _main_report(capsys, [
+                    "mpa", "--L", L, "--q", q, "--alpha", alpha, "--beta", beta,
+                    "--gamma", gamma, "--delta", delta])
+                passed += report["pass"]
+                mu = np.array(report["results"]["measure"])
                 pi = stationary_distribution(
                     models.asep_generator(p, open_boundary=True)
                 )
-                worst = max(worst, 0.5 * float(np.abs(mu.values - pi.values).sum()))
-    ok = worst <= 1e-8 and shock > 0
-    _line(5, "matrix product vs null-space oracle", ok,
-          f"max total variation {worst:.2e}, {shock} of 75 chains in the shock region")
+                worst = max(worst, 0.5 * float(np.abs(mu - pi.values).sum()))
+    ok = worst <= 1e-8 and shock > 0 and passed == 75
+    _line(5, "mpa reports vs null-space oracle", ok,
+          f"max total variation {worst:.2e}, {passed} of 75 reports pass, "
+          f"{shock} of 75 chains in the shock region")
 
 
 def test_criterion_6_fusion_cross_check():
@@ -165,7 +195,7 @@ def test_criterion_6_fusion_cross_check():
     # fused l=m=2 spectral check: in T(x) := S(x / q^(l-1)) the spectral
     # variable is multiplicative across the three factors
     l = m = 2
-    P = permutation_operator(m + 1, m + 1).entries
+    P = permutation_operator(m + 1, m + 1)
 
     def T(x):
         return sixvertex.fused_weights_recurrence(
@@ -215,12 +245,12 @@ def test_criterion_7_reflection_suite():
                     worst,
                     ybe.verify_reflection_equation(r, kf, z, w)["residual"],
                 )
-    k_one = max(float(np.max(np.abs(kf(1.0).entries - np.eye(2))))
+    k_one = max(float(np.max(np.abs(_at(kf, 1.0) - np.eye(2))))
                 for kf in (k, kbar))
     h = 1e-5
 
     def kl(x):
-        return k(x).entries
+        return _at(k, x)
 
     d1 = (kl(1 + h) - kl(1 - h)) / (2 * h)
     d2 = (kl(1 + h / 2) - kl(1 - h / 2)) / h

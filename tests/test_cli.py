@@ -150,6 +150,11 @@ BAND_CAP_ARGV = ["asep", "stationary", "--open", "--L", "15", "--q", "0.5", "--a
         # nothing is truncated, and the option is gone: a usage error
         (["mpa", "--L", "4", "--q", "0.5", "--alpha", "0.6", "--beta", "0.4",
           "--truncation", "2048"], 2, True),
+        # q = 1 puts a pole of K at x = 1, and of R(z) at z = 1
+        (["verify", "reflection", "--q", "1"], 2, True),
+        (["verify", "markov", "--q", "1"], 2, True),
+        # no boundary rate: every particle number is a closed class
+        (["asep", "stationary", "--open", "--L", "6", "--q", "0.5"], 2, True),
     ],
     ids=["radius-2", "nquad-0-n1", "nquad-0-n2", "radius-0", "empty-grid",
          "spectral-pole", "reflection-all-poles", "spectral-grid-in-blocks",
@@ -158,12 +163,20 @@ BAND_CAP_ARGV = ["asep", "stationary", "--open", "--L", "15", "--q", "0.5", "--a
          "asep-cap", "asep-band-cap", "fuse-l8-relative", "fuse-l4-relative", "fuse-cap",
          "fuse-q0", "twprob-overflow",
          "hermite-nan", "js-cap", "fock-cap", "hecke-overflow",
-         "rep-check-overflow", "sample6v-cap", "universal-r-cap", "mpa-truncation-cap"],
+         "rep-check-overflow", "sample6v-cap", "universal-r-cap", "mpa-truncation-cap",
+         "reflection-k-pole", "markov-pole", "asep-no-rates"],
 )
 def test_exit_code(capsys, argv, expected, silent):
     code, out = _run(capsys, argv)
     assert code == expected
     assert (out == "") == silent
+
+
+def test_reflection_pole_at_one_names_k(capsys):
+    assert cli.main(["verify", "reflection", "--q", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "parameter error: K denominator vanishes at x=1.0\n"
 
 
 # Grids whose products overflow: a null residual that fails, and no numpy
@@ -335,6 +348,31 @@ def test_open_report_names_its_rates_and_solver(capsys):
     assert json.loads(out)["results"]["solver"] == "closed-form"
     code, out = _run(capsys, ["mpa", *_open_argv(params)[3:]])
     assert json.loads(out)["results"]["solver"] == "matrix-product"
+
+
+# Open chains with no way in, whose law is the point mass on the empty
+# configuration (index 0), and with no way out, on the full one (index -1).
+POINT_MASSES = {
+    "no-way-in": ({"alpha": 0.0, "beta": 0.4, "gamma": 0.1, "delta": 0.0}, 0),
+    "no-way-out": ({"alpha": 0.6, "beta": 0.0, "gamma": 0.0, "delta": 0.2}, -1),
+}
+
+
+@pytest.mark.parametrize("rates, state", POINT_MASSES.values(), ids=POINT_MASSES.keys())
+def test_point_mass_chains_are_closed_form(capsys, monkeypatch, rates, state):
+    params = {"L": 6, "q": 0.5, **rates}
+    code, out = _run(capsys, _open_argv(params))
+    report = json.loads(out)
+    assert code == 0 and report["results"]["solver"] == "closed-form"
+    assert np.array_equal(report["results"]["measure"], _band_lu(params).values)
+    assert report["residuals"] == {"normalization": 0.0, "stationarity": 0.0}
+    # past the band cap, with neither a generator nor a matrix product
+    monkeypatch.setattr(cli.models, "asep_generator", None)
+    monkeypatch.setattr(cli.mpa, "measure_with_rounding", None)
+    code, out = _run(capsys, _open_argv(dict(params, L=16)))
+    measure = json.loads(out)["results"]["measure"]
+    assert code == 0 and len(measure) == 2**16
+    assert measure[state] == 1.0 and sum(measure) == 1.0
 
 
 # Chains the matrix product cannot solve, then one it solves but whose

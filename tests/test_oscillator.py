@@ -91,7 +91,7 @@ def test_number_operator_diagonal():
 
 def test_jordan_schwinger_identity_gives_total_number():
     cutoff = 4
-    op = oscillator.jordan_schwinger(np.eye(2), cutoff).entries
+    op = oscillator.jordan_schwinger(np.eye(2), cutoff)
     diag = np.diag(op).real
     for idx in range(cutoff**2):
         assert diag[idx] == pytest.approx(idx // cutoff + idx % cutoff)
@@ -159,7 +159,7 @@ def test_js_restriction_equals_the_projector_sandwich(cutoff):
     if cutoff <= 6:  # 3 modes only at small cutoffs, to keep the test fast
         pairs.append((*rng.normal(size=(2, 3, 3)), False))
     for A, B, exact in pairs:
-        ja, jb, jc = (oscillator.jordan_schwinger(M, cutoff).entries
+        ja, jb, jc = (oscillator.jordan_schwinger(M, cutoff)
                       for M in (A, B, A @ B - B @ A))
         P = _shell_projector(A.shape[0], cutoff, cutoff - 2)
         oracle = float(np.max(np.abs(P @ (ja @ jb - jb @ ja - jc) @ P)))

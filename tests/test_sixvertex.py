@@ -36,7 +36,7 @@ def test_asep_weights_match_six_vertex_parametrization():
     for z, q in [(0.3, 0.5), (0.05, 0.9), (0.8, 0.2)]:
         b1 = q * (z - 1) / (q * z - 1)
         b2 = (z - 1) / (q * z - 1)
-        R = ybe.asep_spectral_r(z, q).entries
+        R = ybe.asep_spectral_r(np.array([z]), q)[0][0]
         W = sixvertex.six_vertex_weights(b1, b2).table.reshape(4, -1)
         assert np.max(np.abs(R - W)) <= 1e-15
 

@@ -13,13 +13,10 @@ from integrable.tensor import (
     DimensionMismatch,
     Generator,
     NotAGenerator,
-    Operator,
     ProbVector,
     ReducibleChain,
     StateSpaceTooLarge,
     embed,
-    identity,
-    is_generator,
     kron,
     permutation_operator,
     stationary_distribution,
@@ -28,11 +25,11 @@ from integrable.tensor import (
 
 
 def test_kron_dimensions_and_values():
-    a = Operator((2,), np.array([[0, 1], [1, 0]], dtype=complex))
-    b = Operator((3,), np.eye(3, dtype=complex))
+    a = np.array([[0, 1], [1, 0]], dtype=complex)
+    b = np.eye(3, dtype=complex)
     ab = kron(a, b)
-    assert ab.site_dims == (2, 3)
-    assert np.array_equal(ab.entries, np.kron(a.entries, b.entries))
+    assert ab.shape == (6, 6)
+    assert np.array_equal(ab, np.kron(a, b))
 
 
 def _kron_fold(*entries):
@@ -52,19 +49,18 @@ def test_kron_equals_the_numpy_kron_fold(data):
         entries = rng.normal(size=(d, d))
         if data.draw(st.booleans()):
             entries = entries + 1j * rng.normal(size=(d, d))
-        ops.append(Operator((d,), entries))
+        ops.append(entries)
     product = kron(*ops)
-    expected = _kron_fold(*(op.entries for op in ops))
-    assert product.site_dims == tuple(dims)
-    assert product.entries.dtype == expected.dtype
-    assert np.array_equal(product.entries, expected)
+    expected = _kron_fold(*ops)
+    assert product.dtype == expected.dtype
+    assert np.array_equal(product, expected)
 
 
 def test_embed_matches_manual_kron():
-    x = Operator((2,), np.array([[1, 2], [3, 4]], dtype=complex))
+    x = np.array([[1, 2], [3, 4]], dtype=complex)
     emb = embed(x, (2,), (2, 2, 2))
-    manual = np.kron(np.eye(2), np.kron(x.entries, np.eye(2)))
-    assert np.allclose(emb.entries, manual)
+    manual = np.kron(np.eye(2), np.kron(x, np.eye(2)))
+    assert np.allclose(emb, manual)
 
 
 @given(data=st.data())
@@ -98,17 +94,16 @@ def test_embed_matches_entrywise_construction(data):
             expected[index(row, site_dims), index(col, site_dims)] = entries[
                 local_row, local_col
             ]
-    got = embed(Operator(op_dims, entries), sites, site_dims)
-    assert got.site_dims == site_dims
-    assert np.array_equal(got.entries, expected)
+    got = embed(entries, sites, site_dims)
+    assert np.array_equal(got, expected)
 
 
 def test_embed_rejects_bad_sites():
-    x = Operator((2, 3), np.eye(6))
+    x = np.eye(6)
     with pytest.raises(DimensionMismatch):
         embed(x, (1, 1), (2, 3))
     with pytest.raises(DimensionMismatch):
-        embed(x, (2, 1), (2, 3))  # leg dims do not match the sites
+        embed(x, (1,), (2, 3))  # the side of x is not that of the sites
     with pytest.raises(DimensionMismatch):
         embed(x, (1, 3), (2, 3))
     with pytest.raises(StateSpaceTooLarge):
@@ -116,13 +111,13 @@ def test_embed_rejects_bad_sites():
 
 
 def test_embed_checks_its_sites_before_it_allocates():
-    # sites of dims (3, 2) have the side of x but not its legs; the placed
-    # matrix would be 2 * 3 * 512 = 3072 square: 75 MB
-    x = Operator((2, 3), np.eye(6))
+    # sites of dims (2, 512) do not have the side of x; the placed matrix
+    # would be 2 * 3 * 512 = 3072 square: 75 MB
+    x = np.eye(6)
     tracemalloc.start()
     try:
         with pytest.raises(DimensionMismatch):
-            embed(x, (2, 1), (2, 3, 512))
+            embed(x, (1, 3), (2, 3, 512))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -130,17 +125,17 @@ def test_embed_checks_its_sites_before_it_allocates():
 
 
 def test_a_stack_past_the_dense_cap_is_refused_before_allocation():
-    # 2^22 matrices of side 4 hold 2^26 entries, four dense Operators at
+    # 2^22 matrices of side 4 hold 2^26 entries, four dense matrices at
     # the cap; the broadcast factors themselves take no memory
     many = np.broadcast_to(np.eye(2), (2**22, 2, 2))
     tracemalloc.start()
     try:
         with pytest.raises(StateSpaceTooLarge):
-            tensor.kron_entries(many, np.eye(2))
+            kron(many, np.eye(2))
         with pytest.raises(StateSpaceTooLarge):
-            tensor.kron_entries(np.eye(2), many)
+            kron(np.eye(2), many)
         with pytest.raises(StateSpaceTooLarge):
-            tensor.embed_entries(many, (1,), (2, 2))
+            embed(many, (1,), (2, 2))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -153,23 +148,24 @@ def test_a_stack_past_the_dense_cap_is_refused_before_allocation():
 
 def test_real_input_stays_real():
     r1 = uqsl2.rep(2, 0.6)
+    at = np.array([0.4])
     ops = [
-        identity((2, 2)),
         permutation_operator(2, 3),
         ybe.r_alpha_beta(0.3, 0.6),
-        ybe.asep_spectral_r(0.4, 0.5),
-        ybe.reflection_k(0.4, 0.5, 0.6, 0.15, "left"),
-        ybe.reflection_k(0.4, 0.5, 0.4, 0.2, "right"),
+        ybe.asep_spectral_r(at, 0.5)[0],
+        ybe.reflection_k(at, 0.5, 0.6, 0.15, "left")[0],
+        ybe.reflection_k(at, 0.5, 0.4, 0.2, "right")[0],
         ybe.frt_r(0.7),
         models.asep_local_generator(0.5),
         models.asep_bulk_w(0.5),
         models.xxz_gauge_matrix(1.3),
         r1.E, r1.F, r1.K, r1.Kinv,
         uqsl2.universal_r(r1, uqsl2.rep(1, 0.6)),
+        uqsl2.coproduct(r1, r1, "e"),
         oscillator.jordan_schwinger(np.array([[1.0, 2.0], [0.0, -1.0]]), 3),
     ]
     for op in ops:
-        assert op.entries.dtype == np.float64
+        assert op.dtype == np.float64
     tables = [
         sixvertex.six_vertex_weights(0.3, 0.8),
         sixvertex.higher_spin_base_weights(2, 0.3, 0.5),
@@ -181,13 +177,13 @@ def test_real_input_stays_real():
     for mat in (fock.a, fock.adag, fock.number_op):
         assert mat.dtype == np.float64
     # complex input stays complex
-    assert ybe.asep_spectral_r(0.4 + 0.1j, 0.5).entries.dtype == np.complex128
-    assert Operator((2,), models.SIGMA2).entries.dtype == np.complex128
+    assert ybe.asep_spectral_r(np.array([0.4 + 0.1j]), 0.5)[0].dtype == np.complex128
+    assert models.xxz_local_block(models.XxzParams(1.0, 1.0, 1.0)).dtype == np.complex128
 
 
 @given(d1=st.integers(1, 4), d2=st.integers(1, 4))
 def test_permutation_swaps_factors(d1, d2):
-    P = permutation_operator(d1, d2).entries
+    P = permutation_operator(d1, d2)
     u = np.arange(1, d1 + 1, dtype=float)
     v = np.arange(1, d2 + 1, dtype=float) * 10
     assert np.allclose(P @ np.kron(u, v), np.kron(v, u))
@@ -198,21 +194,43 @@ def test_permutation_rejects_bad_dims():
         permutation_operator(0, 2)
 
 
-def test_is_generator_accepts_and_rejects():
-    G = Operator((2,), np.array([[-1.0, 1.0], [2.0, -2.0]], dtype=complex))
-    assert is_generator(G)
-    bad = Operator((2,), np.array([[-1.0, 0.5], [2.0, -2.0]], dtype=complex))
-    assert not is_generator(bad)
+def test_generator_accepts_and_rejects():
+    G = Generator(np.array([[-1.0, 1.0], [2.0, -2.0]]))
+    assert G.dim == 2
+    with pytest.raises(NotAGenerator):  # a row sum of -0.5
+        Generator(np.array([[-1.0, 0.5], [2.0, -2.0]]))
+    with pytest.raises(NotAGenerator):  # a negative off-diagonal rate
+        Generator(np.array([[1.0, -1.0], [2.0, -2.0]]))
+    with pytest.raises(NotAGenerator):
+        Generator(np.array([[-1.0, 1.0], [2.0, -2.0]], dtype=complex))
+    with pytest.raises(DimensionMismatch):
+        Generator(np.zeros((2, 3)))
+
+
+def test_generator_cap_precedes_the_csr_copy():
+    # 2^20 + 1 states: refused from the shape, before the rates are copied
+    import scipy.sparse
+
+    n = tensor.MAX_STATE_SPACE + 1
+    rates = scipy.sparse.csr_array((n, n))
+    tracemalloc.start()
+    try:
+        with pytest.raises(StateSpaceTooLarge):
+            Generator(rates)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_stationary_two_state():
-    G = Generator((2,), np.array([[-1.0, 1.0], [3.0, -3.0]]))
+    G = Generator(np.array([[-1.0, 1.0], [3.0, -3.0]]))
     pi = stationary_distribution(G)
     assert pi.values == pytest.approx([0.75, 0.25])
 
 
 def test_stationary_reducible_needs_support():
-    G = Generator((2, 2), np.zeros((4, 4)))
+    G = Generator(np.zeros((4, 4)))
     with pytest.raises(ReducibleChain):
         stationary_distribution(G)
 
@@ -220,9 +238,9 @@ def test_stationary_reducible_needs_support():
 def test_stationary_rejects_non_generator():
     bad = np.array([[1.0, 0.0], [0.0, 1.0]])
     with pytest.raises(NotAGenerator):
-        stationary_distribution(Operator((2,), bad))
+        stationary_distribution(bad)
     with pytest.raises(NotAGenerator):
-        Generator((2,), bad)
+        Generator(bad)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -265,7 +283,7 @@ def _stationary_cases(draw):
         rates[extra] += rng.uniform(0.05, 1.0, int(extra.sum()))
         np.fill_diagonal(rates, 0.0)
         np.fill_diagonal(rates, -rates.sum(axis=1))
-        return Generator((n,), rates), None
+        return Generator(rates), None
     p = models.AsepParams(q=draw(RATE), alpha=draw(RATE), beta=draw(RATE),
                           gamma=draw(EXCHANGE), delta=draw(EXCHANGE),
                           L=draw(st.integers(1 if kind == "open" else 2, 7)))
@@ -368,16 +386,10 @@ def test_band_past_its_cap_is_refused_before_allocation():
 
 
 def test_transition_row_is_stochastic_and_exact():
-    G = Generator((2,), np.array([[-2.0, 2.0], [1.0, -1.0]]))
+    G = Generator(np.array([[-2.0, 2.0], [1.0, -1.0]]))
     t = 0.7
     P = np.array([transition_row(G, s, t) for s in range(2)])
     assert np.allclose(P.sum(axis=1), 1.0, atol=1e-12)
     from scipy.linalg import expm
 
     assert np.allclose(P, expm(t * G.rates.toarray()), atol=1e-12)
-
-
-def test_identity_factory():
-    I = identity((2, 3))
-    assert I.site_dims == (2, 3)
-    assert np.allclose(I.entries, np.eye(6))

@@ -18,7 +18,7 @@ def test_rep_dimension_and_weights():
     r = uqsl2.rep(3, 0.5)
     assert r.dim == 4
     # K = q^h is diagonal with exponents m, m-2, ..., -m
-    diag = np.diag(r.K.entries).real
+    diag = np.diag(r.K).real
     assert np.allclose(sorted(diag), sorted(0.5 ** np.array([3, 1, -1, -3])))
 
 
@@ -31,8 +31,8 @@ def test_invalid_deformation_rejected():
 
 def test_coproduct_vs_opposite_differ_generically():
     r = uqsl2.rep(1, 0.6)
-    D = uqsl2.coproduct_action(r, r, "e").entries
-    Dop = uqsl2.opposite_coproduct_action(r, r, "e").entries
+    D = uqsl2.coproduct(r, r, "e")
+    Dop = uqsl2.opposite_coproduct(r, r, "e")
     assert np.max(np.abs(D - Dop)) > 1e-3
 
 
