@@ -242,6 +242,8 @@ def _stationary_run(command, params, law, p, open_boundary, solver,
 def _asep(args) -> Run:
     p = _asep_params(args)
     if not args.open:
+        if p.alpha or p.beta or p.gamma or p.delta:
+            raise ParameterError("boundary rates need --open: the closed chain has none")
         # closed chain conserves particle number; report the half-filled class
         return _stationary_run("asep stationary", {"L": p.L, "q": p.q, "open": False},
                                models.closed_asep_law(p, p.L // 2), p, False,

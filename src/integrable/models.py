@@ -5,11 +5,14 @@ symmetry commutators, gauge conjugation between the two, and the
 N-particle contour-integral transition probability with a master-equation
 oracle.
 
-Rate conventions, with site 1 the slowest index of a configuration: the
-bulk hop matrix w uses right rate 1 and left rate q (the convention
-matching the matrix-product relations); the standalone two-site generator
-uses right rate q^2 and left rate 1. The contour formula describes the
-infinite-lattice ASEP with right rate 1 and left rate q.
+One rate convention, with site 1 the slowest index of a configuration:
+a particle hops right at rate 1 and left at rate q. The bulk hop matrix
+w = asep_bulk_w(q) carries it on each bond, and asep_local_terms, the
+only place that writes a rate into a generator term, lists w and the two
+boundary terms; the generator, its matrix-free action and the XXZ
+gauge's two-site target (the bulk term at q^2 with its two sites
+swapped) all come from there. The contour formula describes the
+infinite-lattice ASEP with the same rates.
 """
 
 from __future__ import annotations
@@ -90,18 +93,6 @@ SIGMA3 = np.array([[1.0, 0.0], [0.0, -1.0]])
 PAULI = {1: SIGMA1, 2: SIGMA2, 3: SIGMA3}
 
 
-def asep_local_generator(q: float) -> np.ndarray:
-    """Two-site exclusion generator with left rate 1 and right rate q^2:
-    01 becomes 10 at rate 1 and 10 becomes 01 at rate q^2. Overall time
-    scale fixed to 1."""
-    if q <= 0:
-        raise ParameterError(f"q must be positive, got {q}")
-    mat = np.zeros((4, 4))
-    mat[1, 1], mat[1, 2] = -1.0, 1.0
-    mat[2, 1], mat[2, 2] = q**2, -(q**2)
-    return mat
-
-
 def asep_bulk_w(q: float) -> np.ndarray:
     """Bulk hop matrix with right rate 1 and left rate q: the 01 -> 10 move
     (particle hops left) carries rate q, the 10 -> 01 move rate 1."""
@@ -109,6 +100,22 @@ def asep_bulk_w(q: float) -> np.ndarray:
     mat[1, 1], mat[1, 2] = -q, q
     mat[2, 1], mat[2, 2] = 1.0, -1.0
     return mat
+
+
+def asep_local_terms(p: AsepParams, open_boundary: bool = False) -> list:
+    """The chain's generator as local terms (first site, matrix), the only
+    place that writes its rates: asep_bulk_w(q) on each bond (x, x+1) and,
+    when open, B = [[-alpha, alpha], [gamma, -gamma]] on site 1 (site 1
+    fills at alpha and empties at gamma) and [[-delta, delta],
+    [beta, -beta]] on site L. The generator is the sum of the terms, each
+    embedded at its sites; the left K-matrix family has K'(1) = 2B/(q-1)
+    (Sklyanin, J. Phys. A 21 (1988) 2375)."""
+    w = asep_bulk_w(p.q)
+    terms = [(x, w) for x in range(1, p.L)]
+    if open_boundary:
+        terms += [(1, np.array([[-p.alpha, p.alpha], [p.gamma, -p.gamma]])),
+                  (p.L, np.array([[-p.delta, p.delta], [p.beta, -p.beta]]))]
+    return terms
 
 
 def _sparse_generator(n: int, rows, cols, rates) -> Generator:
@@ -130,35 +137,22 @@ MAX_BAND_SITES = 14
 
 
 def asep_generator(p: AsepParams, open_boundary: bool = False) -> Generator:
-    """Full-chain generator, filled move by move with bit operations on the
-    configuration index (site 1 is the most significant bit).
-
-    Every bond (i, i+1) carries asep_bulk_w: a local 01 becomes 10 at rate q
-    and 10 becomes 01 at rate 1. When open, site 1 fills at rate alpha and
-    empties at gamma, and site L fills at delta and empties at beta.
-    """
+    """Full-chain generator with the terms of asep_local_terms: each
+    off-diagonal rate m[i, j] of a term at first site x is one move, from
+    every configuration whose sites x, x+1, ... read i to the one where
+    they read j. In the leg order (site 1 slowest) those configurations are
+    column i of the indices viewed as (2^(x-1), side of m, rest)."""
     L = p.L
     state_space((2,) * L, MAX_STATE_SPACE)
     idx = np.arange(1 << L)
     # Seeded empty, so that a chain without moves (closed, L=1) concatenates.
     rows, cols, rates = [idx[:0]], [idx[:0]], [np.zeros(0)]
-
-    def move(mask, flip, rate):
-        src = idx[mask]
-        rows.append(src)
-        cols.append(src ^ flip)
-        rates.append(np.full(src.size, float(rate)))
-
-    for i in range(1, L):
-        a, b = 1 << (L - i), 1 << (L - i - 1)
-        left, right = (idx & a) != 0, (idx & b) != 0
-        move(~left & right, a | b, p.q)
-        move(left & ~right, a | b, 1.0)
-    if open_boundary:
-        for bit, fill, empty in ((1 << (L - 1), p.alpha, p.gamma), (1, p.delta, p.beta)):
-            occupied = (idx & bit) != 0
-            move(~occupied, bit, fill)
-            move(occupied, bit, empty)
+    for x, m in asep_local_terms(p, open_boundary):
+        view = idx.reshape(1 << (x - 1), len(m), -1)
+        for i, j in np.argwhere(m - np.diag(np.diag(m))):
+            rows.append(view[:, i].ravel())
+            cols.append(view[:, j].ravel())
+            rates.append(np.full(rows[-1].size, m[i, j]))
     return _sparse_generator(1 << L, *map(np.concatenate, (rows, cols, rates)))
 
 
@@ -224,29 +218,19 @@ def closed_asep_law(p: AsepParams, particles: int) -> ProbVector:
 
 def asep_left_action(pi, p: AsepParams, open_boundary: bool = False) -> np.ndarray:
     """The row vector pi G for the generator asep_generator builds, without
-    building it: pi is viewed as a (2,) * L array, axis x - 1 for site x,
-    and each bond and each boundary site adds its net flow with one strided
-    update. Across bond (x, x+1) the net flow to the right is
-    pi(..10..) - q pi(..01..); into site 1 it is alpha pi(0..) - gamma pi(1..),
-    and into site L, delta pi(..0) - beta pi(..1)."""
+    building it: for each term m of asep_local_terms at first site x, pi
+    and pi G are viewed as (2^(x-1), side of m, rest) arrays, and the
+    term's share of pi G is one product of the middle axis with m."""
     L = p.L
     pi = np.asarray(pi, dtype=float)
     if pi.shape != (1 << L,):
         raise DimensionMismatch(f"vector shape {pi.shape} does not match L = {L}")
-    v = pi.reshape((2,) * L)
-    out = np.zeros_like(v)
-    for i in range(L - 1):
-        left = (slice(None),) * i
-        flow = v[left + (1, 0)] - p.q * v[left + (0, 1)]
-        out[left + (0, 1)] += flow
-        out[left + (1, 0)] -= flow
-    if open_boundary:
-        # Index prefixes of site 1 (the first axis) and site L (the last).
-        for end, fill, empty in (((), p.alpha, p.gamma), ((...,), p.delta, p.beta)):
-            flow = fill * v[end + (0,)] - empty * v[end + (1,)]
-            out[end + (1,)] += flow
-            out[end + (0,)] -= flow
-    return out.ravel()
+    out = np.zeros_like(pi)
+    for x, m in asep_local_terms(p, open_boundary):
+        shape = (1 << (x - 1), len(m), -1)
+        view = out.reshape(shape)
+        view += np.einsum("aib,ij->ajb", pi.reshape(shape), m)
+    return out
 
 
 def xxz_local_block(p: XxzParams) -> np.ndarray:
@@ -309,16 +293,20 @@ def xxz_gauge_matrix(gamma: float) -> np.ndarray:
 
 def xxz_to_asep_gauge(q: float) -> dict:
     """The (Jx, gamma) at which conjugating the two-site XXZ block at
-    Jz=1, h=0 by the gauge matrix reproduces the two-site exclusion
-    generator up to the trace-fixed scale c = 4/(1+q^2).
+    Jz=1, h=0 by the gauge matrix reproduces the mirrored bulk term at q^2,
+    embed(asep_bulk_w(q^2), (2, 1)): 01 becomes 10 at rate 1 and 10
+    becomes 01 at rate q^2. It does so up to the trace-fixed scale
+    c = 4/(1+q^2).
 
     Less its Jz diagonal shift, the block's middle is [[-2, 2Jx], [2Jx, -2]].
-    The generator's middle block is singular, so 4 - 4Jx^2 = 0 and Jx = 1.
+    The target's middle block is singular, so 4 - 4Jx^2 = 0 and Jx = 1.
     The second rows then agree only if 2/gamma = c q^2, so
     gamma = (1+q^2)/(2q^2). Returns the point and the max-norm residual of
-    the conjugated block against c times the generator.
+    the conjugated block against c times the target.
     """
-    target = asep_local_generator(q)
+    if q <= 0:
+        raise ParameterError(f"q must be positive, got {q}")
+    target = embed(asep_bulk_w(q**2), (2, 1), (2, 2))
     c = 4.0 / (1.0 + q**2)
     Jx, gamma = 1.0, (1.0 + q**2) / (2.0 * q**2)
     block = xxz_local_block(XxzParams(Jx=Jx, Jy=Jx, Jz=1.0, h_field=0.0))

@@ -15,21 +15,13 @@ Q_ONE_THRESHOLD = 1e-8
 
 
 def q_pochhammer(a: complex, q: float, n: int) -> complex:
-    """(a; q)_n = prod_{k=0}^{n-1} (1 - a q^k); empty product is 1.
-
-    Negative orders use the standard continuation
-    (a; q)_{-n} = 1 / (a q^{-n}; q)_n = prod_{k=1}^{n} 1/(1 - a q^{-k}),
-    which diverges (pole) when a = q^k for some 1 <= k <= n. The value has
-    the number type of a and q: real, complex, or an exact Fraction.
+    """(a; q)_n = prod_{k=0}^{n-1} (1 - a q^k) for n >= 0; the empty product
+    is 1, and a negative order raises ParameterError. The value has the
+    number type of a and q: real, complex, or an exact Fraction.
     """
-    out = q**0
     if n < 0:
-        for k in range(1, -n + 1):
-            factor = 1 - a * q ** (-k)
-            if abs(factor) < 1e-14:
-                raise ParameterError(f"pole in (a;q)_{{{n}}} at a={a}, q={q}")
-            out /= factor
-        return out
+        raise ParameterError(f"q-Pochhammer order must be nonnegative, got {n}")
+    out = q**0
     for k in range(n):
         out *= 1 - a * q**k
     return out

@@ -53,9 +53,6 @@ MAX_DENSE_DIM = 2**12
 # the fallback and test oracle of the matrix product, stops at L = 14
 # (models.MAX_BAND_SITES).
 MAX_BAND_BYTES = 2**29
-# Largest rate, relative to max(1, the largest rate), that may leave the
-# support given to stationary_distribution.
-SUPPORT_LEAK_TOL = 1e-10
 # Largest ||pi G||_1 on the closed class, relative to max(1, the largest exit
 # rate), that a pinned solve may leave before the class is pinned again.
 STATIONARY_TOL = 1e-13
@@ -273,7 +270,7 @@ def _closed_class(rates) -> np.ndarray:
     closed = np.setdiff1d(np.arange(n_classes), label[coo.row[leaving]])
     if closed.size != 1:
         raise ReducibleChain(
-            f"chain has {closed.size} closed classes; pass the states of one as support"
+            f"chain has {closed.size} closed classes; restrict the generator to one"
         )
     return np.flatnonzero(label == closed[0])
 
@@ -349,17 +346,18 @@ def _walk_peak(adjoint, rate: float) -> int:
     return int(np.argmax(law))
 
 
-def stationary_distribution(G: Generator, support=None) -> ProbVector:
+def stationary_distribution(G: Generator) -> ProbVector:
     """Stationary law pi with pi G = 0, pi >= 0, sum pi = 1.
 
-    The chain, or its restriction to `support` (state indices that no rate
-    leaves to within SUPPORT_LEAK_TOL, such as one conserved sector), must
-    have exactly one closed communicating class, else ReducibleChain; pi
-    vanishes off that class. On the class, pi is pinned to 1 at its first
-    state, that state's row and column are dropped from G^T, the rest is
-    solved by one band LU, and the result is normalised. Pinning keeps the
-    system as sparse as G; a dense row of ones in place of an equation
-    would spoil the band.
+    The chain must have exactly one closed communicating class, else
+    ReducibleChain; pi vanishes off that class. A chain with several, such
+    as the closed exclusion chain with one per particle number, is solved
+    on one of them as Generator(G.rates[s][:, s]), whose row-sum check
+    refuses a set of states s that some rate leaves. On the class, pi is
+    pinned to 1 at its first state, that state's row and column are
+    dropped from G^T, the rest is solved by one band LU, and the result is
+    normalised. Pinning keeps the system as sparse as G; a dense row of
+    ones in place of an equation would spoil the band.
 
     A pinned state of tiny stationary mass makes the pinned system nearly
     singular, and its solve can put most of the mass in the wrong place.
@@ -395,18 +393,8 @@ def stationary_distribution(G: Generator, support=None) -> ProbVector:
     """
     if not isinstance(G, Generator):
         raise NotAGenerator(f"expected a Generator, got {type(G).__name__}")
-    states = np.arange(G.dim)
-    rates = G.rates
-    if support is not None:
-        states = np.unique(np.asarray(support, dtype=int))
-        if states.size == 0 or states[0] < 0 or states[-1] >= G.dim:
-            raise ParameterError(f"support must be nonempty and within 0..{G.dim - 1}")
-        rates = rates[states][:, states]
-        leak = float(np.abs(rates.sum(axis=1)).max())
-        if leak > SUPPORT_LEAK_TOL * max(1.0, float(abs(rates).max())):
-            raise ReducibleChain(f"support is not closed: rate {leak} leaves it")
-    members = _closed_class(rates)
-    adjoint = rates[members][:, members].T.tocsc()
+    members = _closed_class(G.rates)
+    adjoint = G.rates[members][:, members].T.tocsc()
     weights = _pinned_law(adjoint)
     rate = float(-adjoint.diagonal().min())
     # Written so that a non-finite residual pins again too.
@@ -415,7 +403,7 @@ def stationary_distribution(G: Generator, support=None) -> ProbVector:
         order = np.roll(np.arange(members.size), -_walk_peak(adjoint, rate))
         weights[order] = _pinned_law(adjoint[order][:, order])
     pi = np.zeros(G.dim)
-    pi[states[members]] = weights
+    pi[members] = weights
     return ProbVector(pi)
 
 

@@ -155,6 +155,8 @@ BAND_CAP_ARGV = ["asep", "stationary", "--open", "--L", "15", "--q", "0.5", "--a
         (["verify", "markov", "--q", "1"], 2, True),
         # no boundary rate: every particle number is a closed class
         (["asep", "stationary", "--open", "--L", "6", "--q", "0.5"], 2, True),
+        # boundary rates without --open: the closed chain has none to use
+        (["asep", "stationary", "--L", "6", "--q", "0.5", "--alpha", "0.6"], 2, True),
     ],
     ids=["radius-2", "nquad-0-n1", "nquad-0-n2", "radius-0", "empty-grid",
          "spectral-pole", "reflection-all-poles", "spectral-grid-in-blocks",
@@ -164,7 +166,8 @@ BAND_CAP_ARGV = ["asep", "stationary", "--open", "--L", "15", "--q", "0.5", "--a
          "fuse-q0", "twprob-overflow",
          "hermite-nan", "js-cap", "fock-cap", "hecke-overflow",
          "rep-check-overflow", "sample6v-cap", "universal-r-cap", "mpa-truncation-cap",
-         "reflection-k-pole", "markov-pole", "asep-no-rates"],
+         "reflection-k-pole", "markov-pole", "asep-no-rates",
+         "asep-closed-rates"],
 )
 def test_exit_code(capsys, argv, expected, silent):
     code, out = _run(capsys, argv)

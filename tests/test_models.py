@@ -6,12 +6,14 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from integrable import models
+from integrable import models, ybe
 from integrable.errors import ParameterError
 from integrable.models import AsepParams, XxzParams
 from integrable.tensor import (
+    Generator,
     ReducibleChain,
     StateSpaceTooLarge,
+    embed,
     stationary_distribution,
     transition_row,
 )
@@ -20,7 +22,8 @@ RATE = st.floats(0.05, 1.0)
 
 
 def test_local_generator_rates():
-    G = models.asep_local_generator(0.5)
+    # the XXZ gauge's two-site target: the bulk term at q^2 = 0.25, mirrored
+    G = embed(models.asep_bulk_w(0.25), (2, 1), (2, 2))
     assert G[1, 2] == pytest.approx(1.0)
     assert G[2, 1] == pytest.approx(0.25)
     assert np.allclose(G.sum(axis=1), 0.0)
@@ -114,20 +117,14 @@ def test_sparse_stationary_law_matches_dense_null_space(
     p = AsepParams(q=q, alpha=alpha, beta=beta, gamma=gamma, delta=delta, L=L)
     G = models.asep_generator(p, open_boundary=open_boundary)
     # closed chains: the half-filled class, as the CLI reports it
-    support = None
-    dense = G.rates.toarray()
     if not open_boundary:
-        support = [s for s in range(2**L) if bin(s).count("1") == L // 2]
-        dense = dense[np.ix_(support, support)]
-    pi = stationary_distribution(G, support=support).values
-    null = scipy.linalg.null_space(dense.T)
+        sector = [s for s in range(2**L) if bin(s).count("1") == L // 2]
+        G = Generator(G.rates[sector][:, sector])
+    pi = stationary_distribution(G).values
+    null = scipy.linalg.null_space(G.rates.toarray().T)
     assert null.shape[1] == 1
     oracle = np.abs(null[:, 0]) / np.abs(null[:, 0]).sum()
-    got = pi
-    if support is not None:
-        got = pi[support]
-        assert np.delete(pi, support).max() == 0.0
-    assert np.max(np.abs(got - oracle)) <= 1e-12
+    assert np.max(np.abs(pi - oracle)) <= 1e-12
 
 
 @settings(max_examples=30, deadline=None)
@@ -152,9 +149,10 @@ def test_closed_law_matches_the_sparse_lu(L, q, data):
     p = AsepParams(q=q, L=L)
     filled = np.array([bin(s).count("1") for s in range(2**L)])
     sector = np.flatnonzero(filled == particles)
-    lu = stationary_distribution(models.asep_generator(p), support=sector).values
+    G = models.asep_generator(p).rates
+    lu = stationary_distribution(Generator(G[sector][:, sector])).values
     law = models.closed_asep_law(p, particles).values
-    assert 0.5 * np.abs(law - lu).sum() <= 1e-12
+    assert 0.5 * np.abs(law[sector] - lu).sum() <= 1e-12
     assert np.delete(law, sector).max(initial=0.0) == 0.0
     assert law.max() > 0
 
@@ -185,6 +183,61 @@ def test_left_action_matches_the_generator(L, q, rates, open_boundary, seed):
     want = models.asep_generator(p, open_boundary=open_boundary).rates.T @ v
     got = models.asep_left_action(v, p, open_boundary=open_boundary)
     assert np.max(np.abs(got - want)) <= 1e-13 * max(1e-300, np.max(np.abs(want)))
+
+
+# Rates that include 0, as at a closed end.
+RATE_OR_ZERO = st.one_of(st.just(0.0), st.floats(0.05, 5.0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(L=st.integers(1, 6), q=ASYMMETRY,
+       rates=st.lists(RATE_OR_ZERO, min_size=4, max_size=4),
+       open_boundary=st.booleans())
+def test_generator_is_the_sum_of_its_local_terms(L, q, rates, open_boundary):
+    # the dense oracle: each term embedded at its sites, summed
+    alpha, beta, gamma, delta = rates
+    p = AsepParams(q=q, alpha=alpha, beta=beta, gamma=gamma, delta=delta, L=L)
+    dense = np.zeros((2**L, 2**L))
+    for x, m in models.asep_local_terms(p, open_boundary):
+        dense += embed(m, range(x, x + len(m).bit_length() - 1), (2,) * L)
+    G = models.asep_generator(p, open_boundary=open_boundary).rates.toarray()
+    off = ~np.eye(2**L, dtype=bool)
+    assert np.array_equal(dense[off], G[off])
+    # the diagonals sum the same rates in another order
+    diag = np.diag(G)
+    assert (np.abs(np.diag(dense) - diag) <= 1e-15 * np.maximum(1.0, -diag)).all()
+    # the boundary terms sit on sites 1 and L: site 1 fills at alpha and
+    # empties at gamma, site L (the last bit) fills at delta, empties at beta
+    if open_boundary and L > 1:
+        top = 2 ** (L - 1)
+        assert (G[0, top], G[top, 0], G[0, 1], G[1, 0]) == (alpha, gamma, delta, beta)
+
+
+# Away from q = 1: K's denominator cancels to q - 1 at x = 1, so its
+# rounding grows as the largest rate over |q - 1|.
+@settings(max_examples=200, deadline=None)
+@given(q=st.one_of(st.floats(0.05, 0.95), st.floats(1.05, 20.0)),
+       alpha=st.floats(0.05, 5.0), gamma=st.floats(0.05, 5.0))
+def test_site_one_term_is_the_left_k_derivative(q, alpha, gamma):
+    # K'(1) = 2B/(q - 1) for the left family (Sklyanin 1988), by a complex
+    # step: Im K(1 + ih)/h is K'(1) to O(h^2), with no cancellation
+    h = 1e-20
+    k, _ = ybe.reflection_k(np.array([1.0 + h * 1j]), q, alpha, gamma, "left")
+    p = AsepParams(q=q, alpha=alpha, gamma=gamma, L=3)
+    site, B = models.asep_local_terms(p, open_boundary=True)[-2]
+    assert site == 1
+    want = 2.0 / (q - 1.0) * B
+    assert np.max(np.abs(k[0].imag / h - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_right_k_derivative_is_not_a_generator_term():
+    # The right family gives K'(1)(q - 1)/2 = [[delta, delta], [-beta, beta]],
+    # whose rows do not sum to zero, so it is not the site-L term
+    # [[-delta, delta], [beta, -beta]] of asep_local_terms (ROADMAP item 2).
+    q, beta, delta, h = 0.5, 0.4, 0.2, 1e-20
+    k, _ = ybe.reflection_k(np.array([1.0 + h * 1j]), q, beta, delta, "right")
+    got = k[0].imag / h * (q - 1.0) / 2.0
+    assert np.allclose(got, [[delta, delta], [-beta, beta]], rtol=1e-12, atol=0)
 
 
 def test_absorbing_configuration_is_the_stationary_law():

@@ -156,7 +156,8 @@ def test_real_input_stays_real():
         ybe.reflection_k(at, 0.5, 0.6, 0.15, "left")[0],
         ybe.reflection_k(at, 0.5, 0.4, 0.2, "right")[0],
         ybe.frt_r(0.7),
-        models.asep_local_generator(0.5),
+        *(m for _, m in models.asep_local_terms(
+            models.AsepParams(q=0.5, alpha=0.6, beta=0.4, L=2), True)),
         models.asep_bulk_w(0.5),
         models.xxz_gauge_matrix(1.3),
         r1.E, r1.F, r1.K, r1.Kinv,
@@ -229,7 +230,7 @@ def test_stationary_two_state():
     assert pi.values == pytest.approx([0.75, 0.25])
 
 
-def test_stationary_reducible_needs_support():
+def test_stationary_refuses_several_closed_classes():
     G = Generator(np.zeros((4, 4)))
     with pytest.raises(ReducibleChain):
         stationary_distribution(G)
@@ -269,7 +270,7 @@ def _null_space_law(dense):
 
 @st.composite
 def _stationary_cases(draw):
-    """(generator, support or None): open ASEP at L <= 7, the closed
+    """A generator: open ASEP at L <= 7, the closed chain restricted to its
     half-filled sector, or a random sparse irreducible generator."""
     kind = draw(st.sampled_from(["open", "closed", "random"]))
     if kind == "random":
@@ -283,27 +284,23 @@ def _stationary_cases(draw):
         rates[extra] += rng.uniform(0.05, 1.0, int(extra.sum()))
         np.fill_diagonal(rates, 0.0)
         np.fill_diagonal(rates, -rates.sum(axis=1))
-        return Generator(rates), None
+        return Generator(rates)
     p = models.AsepParams(q=draw(RATE), alpha=draw(RATE), beta=draw(RATE),
                           gamma=draw(EXCHANGE), delta=draw(EXCHANGE),
                           L=draw(st.integers(1 if kind == "open" else 2, 7)))
     G = models.asep_generator(p, open_boundary=kind == "open")
     if kind == "open":
-        return G, None
+        return G
     filled = [bin(s).count("1") for s in range(2**p.L)]
-    return G, np.flatnonzero(np.array(filled) == p.L // 2)
+    sector = np.flatnonzero(np.array(filled) == p.L // 2)
+    return Generator(G.rates[sector][:, sector])
 
 
 @settings(max_examples=60, deadline=None)
-@given(case=_stationary_cases())
-def test_stationary_matches_dense_null_space(case):
-    G, support = case
-    dense = G.rates.toarray()
-    states = np.arange(G.dim) if support is None else support
-    oracle = _null_space_law(dense[np.ix_(states, states)])
-    pi = stationary_distribution(G, support=support).values
-    assert np.max(np.abs(pi[states] - oracle)) <= 1e-12
-    assert np.delete(pi, states).sum() == 0.0
+@given(G=_stationary_cases())
+def test_stationary_matches_dense_null_space(G):
+    pi = stationary_distribution(G).values
+    assert np.max(np.abs(pi - _null_space_law(G.rates.toarray()))) <= 1e-12
     assert np.abs(G.rates.T @ pi).sum() <= 1e-13
 
 
