@@ -120,6 +120,34 @@ def _report(run: Run, tol: float, t0) -> dict:
     }
 
 
+def _dumps(report: dict) -> str:
+    """json.dumps(report, indent=2, sort_keys=True, allow_nan=False,
+    default=np.ndarray.tolist), byte for byte, without the pure-Python
+    encoder's walk over every float of an array. json.dumps writes each
+    1-D float array as a placeholder string, "\\u0000<i>" (no report
+    string holds a NUL), and each placeholder is then replaced by its
+    array, one repr of a float per line, indented two spaces past the
+    placeholder's line."""
+    arrays = []
+
+    def placeholder(value):
+        if isinstance(value, np.ndarray) and value.ndim == 1 and value.dtype.kind == "f":
+            arrays.append(value)
+            return f"\0{len(arrays) - 1}"
+        return np.ndarray.tolist(value)
+
+    text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False,
+                      default=placeholder)
+    for i, values in enumerate(arrays):
+        token = f'"\\u0000{i}"'
+        at = text.index(token)
+        line = text[text.rfind("\n", 0, at) + 1:at]
+        pad = " " * (len(line) - len(line.lstrip(" ")))
+        rows = f",\n{pad}  ".join(map(repr, values.tolist()))
+        text = text.replace(token, f"[\n{pad}  {rows}\n{pad}]" if rows else "[]", 1)
+    return text
+
+
 def _measure_csv(values, L: int) -> str:
     # Row i's label is i in L binary digits, most significant first. All
     # labels are built at once as one ASCII string of L characters per row.
@@ -515,8 +543,7 @@ def main(argv=None) -> int:
                                    allow_nan=False)
             print(f"check failed: {residuals}", file=sys.stderr)
     else:
-        print(json.dumps(report, indent=2, sort_keys=True, allow_nan=False,
-                         default=np.ndarray.tolist))
+        print(_dumps(report))
     return PASS_EXIT if report["pass"] else FAIL_EXIT
 
 

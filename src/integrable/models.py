@@ -18,6 +18,7 @@ infinite-lattice ASEP with the same rates.
 from __future__ import annotations
 
 import cmath
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -44,10 +45,6 @@ class ContourHitsPole(ParameterError):
 
 
 class NonConvergedQuadrature(ConvergenceError):
-    pass
-
-
-class WindowTooSmall(ConvergenceError):
     pass
 
 
@@ -220,16 +217,28 @@ def asep_left_action(pi, p: AsepParams, open_boundary: bool = False) -> np.ndarr
     """The row vector pi G for the generator asep_generator builds, without
     building it: for each term m of asep_local_terms at first site x, pi
     and pi G are viewed as (2^(x-1), side of m, rest) arrays, and the
-    term's share of pi G is one product of the middle axis with m."""
+    term's share of pi G is one product of the middle axis with m. The
+    product covers only the contiguous span of m's nonzero rows and
+    columns (1:3 for the bulk term), found once per distinct matrix; the
+    rows and columns it skips add exact zeros, so the result is the same
+    to the bit."""
     L = p.L
     pi = np.asarray(pi, dtype=float)
     if pi.shape != (1 << L,):
         raise DimensionMismatch(f"vector shape {pi.shape} does not match L = {L}")
     out = np.zeros_like(pi)
+    blocks = {}
     for x, m in asep_local_terms(p, open_boundary):
+        if id(m) not in blocks:
+            entries = m.tolist()
+            used = [k for k, row in enumerate(entries)
+                    if any(row) or any(r[k] for r in entries)]
+            span = slice(used[0], used[-1] + 1) if used else slice(0)
+            blocks[id(m)] = span, m[span, span]
+        span, block = blocks[id(m)]
         shape = (1 << (x - 1), len(m), -1)
-        view = out.reshape(shape)
-        view += np.einsum("aib,ij->ajb", pi.reshape(shape), m)
+        view = out.reshape(shape)[:, span]
+        view += np.einsum("aib,ij->ajb", pi.reshape(shape)[:, span], block)
     return out
 
 
@@ -469,61 +478,81 @@ def tw_transition_probability(
     return float(val.real)
 
 
+@functools.cache
+def _tw_plan(N: int) -> tuple:
+    """The structure of the permutation sum for N particles, one entry per
+    permutation sigma: its inverse (inv[a] = j where sigma[j] = a), its
+    inversion pairs (sigma[j], sigma[k]) for j < k with sigma[j] >
+    sigma[k], the einsum subscripts of its term (one letter per contour
+    variable, one pair of letters per inversion) and the contraction
+    order of that term. Every operand is a vector or a matrix of one side
+    n, and the greedy order found at one side holds for all."""
+    letters = "abcdefghijklmnopqrstuvwxyz"[:N]
+    plan = []
+    for sigma in itertools.permutations(range(N)):
+        inverse = tuple(sorted(range(N), key=sigma.__getitem__))
+        pairs = tuple((sigma[j], sigma[k]) for j, k in itertools.combinations(range(N), 2)
+                      if sigma[j] > sigma[k])
+        subs = ",".join([*letters, *(letters[a] + letters[b] for a, b in pairs)]) + "->"
+        shapes = [(TW_MIN_NODES,)] * N + [(TW_MIN_NODES,) * 2] * len(pairs)
+        path = np.einsum_path(subs, *map(np.empty, shapes), optimize="greedy")[0]
+        plan.append((inverse, pairs, subs, path))
+    return tuple(plan)
+
+
+@np.errstate(all="ignore")  # non-finite values are caught by the caller
 def _tw_eval(y, x, t, q, radius, n):
     N = len(y)
-    theta = 2.0 * np.pi * np.arange(n) / n
-    nodes = radius * np.exp(1j * theta)
-    # The scattering factor S(xa, xb) on the product torus, shared by every
-    # inversion of every permutation, after a scan of its denominator for poles.
+    # Node j is radius omega^j, omega = exp(2 pi i / n), and each power
+    # xi_j^k is radius^k omega^(jk mod n), read from the table of roots.
+    j = np.arange(n)
+    roots = np.exp(2j * np.pi * j / n)
+    nodes = radius * roots
+    # The scattering factor S(xa, xb) = -num(xa, xb) / num(xb, xa) on the
+    # product torus, shared by every inversion of every permutation, after
+    # a scan of its denominator (num's transpose, so num's own entries) for
+    # poles.
     if N > 1:
-        xa = nodes[:, None]
-        xb = nodes[None, :]
-        den = 1.0 + q * xa * xb - (1.0 + q) * xb
-        if np.min(np.abs(den)) < 1e-6:
+        num = 1.0 + q * nodes[:, None] * nodes[None, :] - (1.0 + q) * nodes[:, None]
+        if np.min(np.abs(num)) < 1e-6:
             raise ContourHitsPole(
                 f"scattering denominator within 1e-6 of zero at radius {radius}"
             )
-        scattering = -(1.0 + q * xa * xb - (1.0 + q) * xa) / den
-    weights = nodes / n  # node value times dxi/(2 pi i) per trapezoid node
-    ephase = np.exp(_epsilon(nodes, q) * t)
+        scattering = -num / num.T
+    # node value times dxi/(2 pi i) per trapezoid node, times exp(t eps(xi))
+    base = nodes / n * np.exp(_epsilon(nodes, q) * t)
+
+    def monomial(k):
+        return base * radius**k * roots[j * k % n]
 
     # Per permutation the integrand factors into one vector per contour
     # variable and one matrix per inversion pair, so the N-fold sum is a
     # small einsum contraction (memory O(n^2) instead of O(n^N)).
-    letters = "abc"
     total = 0.0
-    for sigma in itertools.permutations(range(N)):
-        inv_sigma = [0] * N
-        for j, a in enumerate(sigma):
-            inv_sigma[a] = j
-        operands = []
-        subs = []
-        for a in range(N):
-            operands.append(
-                weights * ephase * nodes ** (x[inv_sigma[a]] - y[a] - 1)
-            )
-            subs.append(letters[a])
-        for j in range(N):
-            for k in range(j + 1, N):
-                if sigma[j] > sigma[k]:
-                    operands.append(scattering)
-                    subs.append(letters[sigma[j]] + letters[sigma[k]])
-        total = total + np.einsum(
-            ",".join(subs) + "->", *operands, optimize=True
-        )
+    for inverse, pairs, subs, path in _tw_plan(N):
+        operands = [monomial(x[inverse[a]] - y[a] - 1) for a in range(N)]
+        operands += [scattering for _ in pairs]
+        total = total + np.einsum(subs, *operands, optimize=path)
     return complex(total)
 
 
-def _window_generator(n_particles, q, lo, hi):
-    """Sparse generator of N-particle ASEP (right rate 1, left rate q) with
-    blocking, on the integer window [lo, hi], and the index of each
-    configuration (a sorted tuple of positions).
+def _window_rank(config, lo: int, hi: int) -> int:
+    """Rank of the configuration `config` (sorted positions in [lo, hi])
+    among all configurations of as many particles on that window, in
+    lexicographic order: C(m, N) - 1 - sum_k C(m - 1 - c_k, N - k), with
+    m = hi - lo + 1 and c_k the k-th position counted from lo."""
+    m, N = hi - lo + 1, len(config)
+    return math.comb(m, N) - 1 - sum(
+        math.comb(m - 1 - (c - lo), N - k) for k, c in enumerate(config))
 
-    Configurations are numbered in lexicographic order, in which the
-    configuration c_0 < ... < c_{N-1} of the m = hi - lo + 1 sites, counted
-    from lo, has rank C(m, N) - 1 - sum_k C(m - 1 - c_k, N - k). A hop of
-    particle k changes only the k-th term, so each (particle, direction) is
-    one masked move over every configuration at once. Column 2k + d of
+
+def _window_generator(n_particles, q, lo, hi) -> Generator:
+    """Sparse generator of N-particle ASEP (right rate 1, left rate q) with
+    blocking, on the integer window [lo, hi].
+
+    Configurations are numbered by _window_rank. A hop of particle k
+    changes only the k-th term of the rank, so each (particle, direction)
+    is one masked move over every configuration at once. Column 2k + d of
     `cols` is the hop of particle k to the right (d = 0) or left (d = 1),
     so the moves are listed state by state, particle by particle, right
     before left; that order fixes how each row's rates are summed into its
@@ -531,14 +560,13 @@ def _window_generator(n_particles, q, lo, hi):
     """
     N = n_particles
     m = hi - lo + 1
-    combos = list(itertools.combinations(range(lo, hi + 1), N))
-    index = {s: i for i, s in enumerate(combos)}
-    pos = np.fromiter(itertools.chain.from_iterable(combos), dtype=np.int64,
-                      count=len(combos) * N).reshape(len(combos), N) - lo
+    count = math.comb(m, N)
+    pos = np.fromiter(itertools.chain.from_iterable(itertools.combinations(range(m), N)),
+                      dtype=np.int64, count=count * N).reshape(count, N)
     binom = np.array([[math.comb(a, j) for j in range(N + 1)] for a in range(m)],
                      dtype=np.int64)
-    rank = np.arange(len(combos))
-    cols = np.full((len(combos), 2 * N), -1, dtype=np.int64)
+    rank = np.arange(count)
+    cols = np.full((count, 2 * N), -1, dtype=np.int64)
     for k in range(N):
         # A hop to a free neighbouring site keeps the positions sorted.
         right_block = pos[:, k + 1] if k + 1 < N else m
@@ -551,36 +579,69 @@ def _window_generator(n_particles, q, lo, hi):
     moves = cols >= 0
     rows = np.broadcast_to(rank[:, None], cols.shape)[moves]
     rates = np.broadcast_to(np.tile([1.0, q], N), cols.shape)[moves]
-    return index, _sparse_generator(len(index), rows, cols[moves], rates)
+    return _sparse_generator(count, rows, cols[moves], rates)
 
 
-# Sites the oracle's first window adds on each side of the particles.
-ORACLE_MARGIN = 6
+# Bound on the total variation between the oracle's windowed chain and the
+# infinite-lattice chain at time t; each side of the window takes half.
+ORACLE_TAIL = 1e-12
+
+
+def _poisson_margin(mu: float) -> int:
+    """The smallest k with P(Poisson(mu) >= k) <= ORACLE_TAIL / 2. The tail
+    is summed from mu + 40 sqrt(mu) + 50 down, where it is negligible. The
+    margin exceeds mu, so past MAX_STATE_SPACE its window would too: that
+    is refused before the sum."""
+    if mu > MAX_STATE_SPACE:
+        raise StateSpaceTooLarge(f"an oracle margin exceeds {mu} sites")
+    if mu > 0:
+        tail = 0.0
+        for k in range(int(mu + 40.0 * math.sqrt(mu) + 50), 0, -1):
+            tail += math.exp(k * math.log(mu) - mu - math.lgamma(k + 1))
+            if tail > ORACLE_TAIL / 2:
+                return k + 1
+    return 1
+
+
+def _oracle_window(y, x, t: float, q: float) -> tuple:
+    """The window [lo, hi] of ctmc_oracle_probability: _poisson_margin(t)
+    sites right of the particles and _poisson_margin(q t) sites left of
+    them, y and x both counted."""
+    return (min(min(x), min(y)) - _poisson_margin(q * t),
+            max(max(x), max(y)) + _poisson_margin(t))
 
 
 def ctmc_oracle_probability(y, x, t: float, q: float) -> float:
-    """Master-equation probability on a truncated lattice: the row of y in
-    exp(tG), by uniformization. The window starts ORACLE_MARGIN sites past
-    the particles on each side, and its margin doubles until the value is
-    stable to 1e-9; it stops beyond 6000 configurations."""
+    """Master-equation probability on one truncated lattice: the row of y
+    in exp(tG), by uniformization, on the window of _oracle_window.
+
+    The window is sized by a coupling. Drive the infinite chain and the
+    windowed one by the same clocks: each particle has a rate-1 clock for
+    right hops and a rate-q clock for left hops, and a hop onto an occupied
+    site (or, in the window, off it) is suppressed. Exclusion keeps the
+    particles in order, so the rightmost particle is never blocked from
+    the right and moves right only when its own rate-1 clock rings; no
+    other particle can reach the right edge before it. The two chains
+    therefore agree until the rightmost particle tries to hop past hi,
+    which takes at least hi - y_N + 1 > k rings of its clock when hi lies
+    k sites past the particles, so it happens by time t with probability
+    at most P(Poisson(t) >= k) <= ORACLE_TAIL / 2; the left edge is the
+    same with the leftmost particle's rate-q clock and Poisson(q t). The
+    windowed row is thus within ORACLE_TAIL of the infinite one in total
+    variation. The window's state count is checked against
+    MAX_STATE_SPACE before anything is built (StateSpaceTooLarge), and
+    the ranks of y and x come from _window_rank.
+    """
     y = tuple(int(v) for v in y)
     x = tuple(int(v) for v in x)
     if len(y) != len(x):
         raise ParameterError("x and y must have equal length")
     if len(y) > 3:
         raise ParameterError("N <= 3 only")
-    prev = None
-    margin = ORACLE_MARGIN
-    for _ in range(8):
-        lo = min(min(x), min(y)) - margin
-        hi = max(max(x), max(y)) + margin
-        if math.comb(hi - lo + 1, len(y)) > 6000:
-            break
-        index, G = _window_generator(len(y), q, lo, hi)
-        val = float(transition_row(G, index[y], t, tol=1e-13)[index[x]])
-        if prev is not None and abs(val - prev) <= 1e-9:
-            return val
-        prev = val
-        margin *= 2
-    raise WindowTooSmall("probability did not stabilize to 1e-9")
-
+    if any(a >= b for c in (y, x) for a, b in zip(c, c[1:])):
+        raise ParameterError("positions must be strictly increasing")
+    lo, hi = _oracle_window(y, x, t, q)
+    state_space((math.comb(hi - lo + 1, len(y)),), MAX_STATE_SPACE)
+    G = _window_generator(len(y), q, lo, hi)
+    row = transition_row(G, _window_rank(y, lo, hi), t, tol=1e-13)
+    return float(row[_window_rank(x, lo, hi)])

@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import jsonschema
 import numpy as np
@@ -18,6 +19,7 @@ from hypothesis import strategies as st
 from integrable import cli
 
 SCHEMA_PATH = "src/integrable/schemas/run_report.schema.json"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def _run(capsys, argv):
@@ -559,6 +561,50 @@ def _outputs(argv):
         assert report.pop("wall_time") > 0
         stdout = json.dumps(report, sort_keys=True)
     return code, stdout, err.getvalue()
+
+
+def test_twprob_overflow_prints_one_error_and_no_warning():
+    # exp(t eps(xi)) overflows on the contour at t = 1200
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = _outputs(["twprob", "--t", "1200", "--q", "0.5",
+                                   "--y", "0", "--x", "1"])
+    assert (code, out) == (1, "")
+    assert err.startswith("convergence error: ") and err.count("\n") == 1
+
+
+def _json_dumps(report):
+    return json.dumps(report, indent=2, sort_keys=True, allow_nan=False,
+                      default=np.ndarray.tolist)
+
+
+def test_report_writer_matches_json_dumps_on_every_markov_argv(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import workloads
+
+    argvs = []
+    for seed in (7, 8, 9):
+        w = workloads.markov(seed)
+        argvs += [c.argv for c in w.warmup + w.calls(0) if c.argv not in argvs]
+    reports = []
+    writer = cli._dumps
+    monkeypatch.setattr(cli, "_dumps", lambda report: reports.append(report) or writer(report))
+    for argv in argvs:
+        code, out, _ = _outputs(argv)
+        assert code == 0 and out == _json_dumps(reports[-1]) + "\n"
+    assert len(reports) == len(argvs)
+    stationary = [argv[0] != "twprob" for argv in argvs]
+    assert [isinstance(r["results"].get("measure"), np.ndarray) for r in reports] == stationary
+
+
+@pytest.mark.parametrize("size", [0, 1, 2**12])
+def test_report_writer_matches_json_dumps_on_arrays(size):
+    rng = np.random.default_rng(size)
+    values = rng.standard_normal(size) * 10.0 ** rng.integers(-300, 300, size)
+    report = {"results": {"measure": values, "nested": [{"a": values[:1]}, values[::-1]],
+                          "ints": np.arange(3), "grid": np.ones((2, 2)), "solver": "x"},
+              "params": {"L": 3, "list": [1.5, -0.0]}, "pass": True, "wall_time": None}
+    assert cli._dumps(report) == _json_dumps(report)
 
 
 def test_reused_parser_matches_a_fresh_one(monkeypatch):

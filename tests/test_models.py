@@ -1,15 +1,17 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from integrable import models, ybe
 from integrable.errors import ParameterError
 from integrable.models import AsepParams, XxzParams
 from integrable.tensor import (
+    MAX_STATE_SPACE,
     Generator,
     ReducibleChain,
     StateSpaceTooLarge,
@@ -42,10 +44,10 @@ def test_rate_conventions_agree(q):
     # lone particle on sites 0, 1 hops right at rate 1 and left at rate q
     G = models.asep_generator(AsepParams(q=q, L=2)).rates.toarray()
     assert np.array_equal(G, models.asep_bulk_w(q))
-    index, W = models._window_generator(1, q, 0, 1)
-    W = W.rates.toarray()
-    assert W[index[(0,)], index[(1,)]] == 1.0
-    assert W[index[(1,)], index[(0,)]] == q
+    W = models._window_generator(1, q, 0, 1).rates.toarray()
+    left, right = (models._window_rank((s,), 0, 1) for s in (0, 1))
+    assert W[left, right] == 1.0
+    assert W[right, left] == q
 
 
 def test_full_generator_closed_and_open():
@@ -132,7 +134,7 @@ def test_sparse_stationary_law_matches_dense_null_space(
        t=st.floats(0.0, 4.0), data=st.data())
 def test_uniformized_row_matches_expm(n, width, q, t, data):
     n = min(n, width)
-    _, G = models._window_generator(n, q, 0, width - 1)
+    G = models._window_generator(n, q, 0, width - 1)
     state = data.draw(st.integers(0, G.dim - 1))
     exact = scipy.linalg.expm(t * G.rates.toarray())[state]
     assert np.max(np.abs(transition_row(G, state, t, tol=1e-13) - exact)) <= 1e-12
@@ -405,6 +407,46 @@ def test_tw_start_nodes_grow_with_t_and_are_capped():
         models.tw_start_nodes((0,), (1,), 0.5, 0.4, 0.5, n_quad=0)
 
 
+def _tw_eval_per_permutation(y, x, t, q, radius, n):
+    """The contour sum as _tw_eval computed it before its plan: complex
+    powers of the nodes and one einsum(optimize=True) per permutation.
+    Also returns the sum of the same terms in absolute value, the scale of
+    its rounding error."""
+    N = len(y)
+    nodes = radius * np.exp(1j * 2.0 * np.pi * np.arange(n) / n)
+    if N > 1:
+        xa, xb = nodes[:, None], nodes[None, :]
+        scattering = -((1.0 + q * xa * xb - (1.0 + q) * xa)
+                       / (1.0 + q * xa * xb - (1.0 + q) * xb))
+    base = nodes / n * np.exp(models._epsilon(nodes, q) * t)
+    total = scale = 0.0
+    for sigma in itertools.permutations(range(N)):
+        inv_sigma = [0] * N
+        for j, a in enumerate(sigma):
+            inv_sigma[a] = j
+        operands = [base * nodes ** (x[inv_sigma[a]] - y[a] - 1) for a in range(N)]
+        subs = list("abc"[:N])
+        for j, k in itertools.combinations(range(N), 2):
+            if sigma[j] > sigma[k]:
+                operands.append(scattering)
+                subs.append("abc"[sigma[j]] + "abc"[sigma[k]])
+        subs = ",".join(subs) + "->"
+        total = total + np.einsum(subs, *operands, optimize=True)
+        scale += np.einsum(subs, *map(np.abs, operands), optimize=True)
+    return complex(total), scale
+
+
+@pytest.mark.parametrize("n", [32, 256])
+@pytest.mark.parametrize("y, x", [
+    ((0,), (1,)), ((2,), (-3,)), ((0, 2), (1, 3)), ((0, 3), (2, 4)),
+    ((0, 2, 4), (1, 3, 5)), ((0, 1, 3), (1, 2, 4)), ((0, 2, 4), (3, 5, 9)),
+])
+def test_planned_contour_sum_matches_the_per_permutation_einsum(y, x, n):
+    for t, q in [(0.1, 0.2), (0.5, 0.4), (2.0, 2.5), (4.0, 0.5)]:
+        want, scale = _tw_eval_per_permutation(y, x, t, q, 0.5, n)
+        assert abs(models._tw_eval(y, x, t, q, 0.5, n) - want) <= 1e-14 * scale
+
+
 def _window_generator_loop(n_particles, q, lo, hi):
     """The per-state loop that _window_generator replaced."""
     states = itertools.combinations(range(lo, hi + 1), n_particles)
@@ -425,12 +467,86 @@ def _window_generator_loop(n_particles, q, lo, hi):
     (3, 0.37, -7, 12), (3, 0.9, 0, 2), (3, 0.55, -14, 19),
 ])
 def test_window_generator_equals_the_loop(n, q, lo, hi):
-    index, G = models._window_generator(n, q, lo, hi)
+    G = models._window_generator(n, q, lo, hi)
     index_loop, G_loop = _window_generator_loop(n, q, lo, hi)
-    assert list(index.items()) == list(index_loop.items())
+    assert [models._window_rank(s, lo, hi) for s in index_loop] == list(index_loop.values())
     for name in ("data", "indices", "indptr"):
         got, want = getattr(G.rates, name), getattr(G_loop.rates, name)
         assert got.dtype == want.dtype and np.array_equal(got, want), name
+
+
+def _ranks(configs, lo, hi):
+    """_window_rank of each row of `configs`, all at once."""
+    m, n = hi - lo + 1, configs.shape[1]
+    binom = np.array([[math.comb(a, j) for j in range(n + 1)] for a in range(m)])
+    return math.comb(m, n) - 1 - sum(binom[m - 1 - (configs[:, k] - lo), n - k]
+                                     for k in range(n))
+
+
+@st.composite
+def _oracle_points(draw):
+    n = draw(st.integers(1, 3))
+    y, x = (tuple(sorted(draw(st.sets(st.integers(0, 4), min_size=n, max_size=n))))
+            for _ in range(2))
+    return y, x, draw(st.floats(0.0, 4.0)), draw(st.floats(0.0, 3.0))
+
+
+@settings(max_examples=20, deadline=None)
+@given(point=_oracle_points())
+# a right margin sized from q t would be 10 sites where 20 are needed
+@example(point=((0, 2), (1, 3), 2.0, 0.1))
+# and the left margin matters most where q t is large
+@example(point=((0, 1, 4), (1, 2, 3), 4.0, 3.0))
+def test_oracle_window_is_within_its_tail_bound(point):
+    # The sized window's row is within ORACLE_TAIL of the infinite
+    # chain's in total variation, so within 2 ORACLE_TAIL in l1 (plus the
+    # 1e-13 each uniformization drops) of the row on a window with both
+    # margins doubled; its value agrees with that window's to 1e-12.
+    y, x, t, q = point
+    n = len(y)
+    lo, hi = models._oracle_window(y, x, t, q)
+    left, right = min(min(x), min(y)) - lo, hi - max(max(x), max(y))
+    assert left >= 1 and right >= 1
+    wide_lo, wide_hi = lo - left, hi + right
+    rows = []
+    for a, b in ((lo, hi), (wide_lo, wide_hi)):
+        G = models._window_generator(n, q, a, b)
+        rows.append(transition_row(G, models._window_rank(y, a, b), t, tol=1e-13))
+    row, wide = rows
+    value = models.ctmc_oracle_probability(y, x, t, q)
+    assert value == row[models._window_rank(x, lo, hi)]
+    assert abs(value - wide[models._window_rank(x, wide_lo, wide_hi)]) <= 1e-12
+    configs = np.array(list(itertools.combinations(range(lo, hi + 1), n)))
+    assert np.array_equal(_ranks(configs, lo, hi), np.arange(len(row)))
+    inside = _ranks(configs, wide_lo, wide_hi)
+    outside = np.ones(len(wide), dtype=bool)
+    outside[inside] = False
+    l1 = np.abs(row - wide[inside]).sum() + wide[outside].sum()
+    assert l1 <= 2.0 * (models.ORACLE_TAIL + 1e-13)
+
+
+def test_oracle_cap_refuses_before_anything_is_built(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a generator was built")
+
+    monkeypatch.setattr(models, "_sparse_generator", refuse)
+    # margins of about 180 sites at t = 100: C(366, 3) = 7.9e6 states
+    lo, hi = models._oracle_window((0, 1, 2), (0, 1, 2), 100.0, 1.0)
+    assert math.comb(hi - lo + 1, 3) > MAX_STATE_SPACE
+    with pytest.raises(StateSpaceTooLarge):
+        models.ctmc_oracle_probability((0, 1, 2), (0, 1, 2), 100.0, 1.0)
+    # a lone particle at q = 1 needs more than 2^20 sites from t of about 5.2e5
+    with pytest.raises(StateSpaceTooLarge):
+        models.ctmc_oracle_probability((0,), (3,), 1e6, 1.0)
+    # and past 2^20 in one margin, before that margin is summed
+    with pytest.raises(StateSpaceTooLarge):
+        models.ctmc_oracle_probability((0,), (3,), 1e12, 0.5)
+
+
+@pytest.mark.parametrize("y, x", [((1, 0), (0, 1)), ((0, 1), (1, 1))])
+def test_oracle_rejects_unsorted_positions(y, x):
+    with pytest.raises(ParameterError):
+        models.ctmc_oracle_probability(y, x, 0.5, 0.4)
 
 
 def test_asep_params_validation():
