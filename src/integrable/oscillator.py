@@ -156,20 +156,6 @@ def _restricted_commutator_defect(ja, jb, jc, n_modes: int, cutoff: int) -> floa
     return float(np.max(np.abs(resid)))
 
 
-def js_homomorphism_violation(A: np.ndarray, B: np.ndarray, cutoff: int) -> float:
-    """‖[JS(A), JS(B)] - JS([A, B])‖ restricted to total number <= cutoff-2.
-
-    The restriction is necessary: the raising operator leaks out of the
-    truncated space at the top shell. It is taken on the kept states, the
-    rows and columns of the product with total occupation <= cutoff - 2,
-    with the inner sum over every state, so the value is exactly that of
-    the full commutator with the rest cut away.
-    """
-    A = np.asarray(A)
-    ja, jb, jc = (jordan_schwinger(M, cutoff) for M in (A, B, A @ B - B @ A))
-    return _restricted_commutator_defect(ja, jb, jc, A.shape[0], cutoff)
-
-
 SL2_BASIS = {
     "h": np.diag([1.0, -1.0]),
     "e": np.array([[0.0, 1.0], [0.0, 0.0]]),
@@ -178,11 +164,17 @@ SL2_BASIS = {
 
 
 def sl2_js_violation(cutoff: int) -> float:
-    """The largest js_homomorphism_violation over the sl2 pairs (h, e),
-    (h, f) and (e, f), from the three images JS(h), JS(e) and JS(f): JS is
-    linear and [h, e] = 2e, [h, f] = -2f, [e, f] = h, so JS of each
-    commutator is an image already built, times 2, -2 or 1. Those scalings
-    are exact, so the value is the pairwise one bit for bit."""
+    """The largest ‖[JS(a), JS(b)] - JS([a, b])‖, restricted to total number
+    <= cutoff - 2, over the sl2 pairs (a, b) = (h, e), (h, f) and (e, f).
+
+    The restriction is necessary: the raising operator leaks out of the
+    truncated space at the top shell. It is taken on the kept states, with
+    the inner sum over every state, so the value is exactly that of the
+    full commutator with the rest cut away. The value comes from the three
+    images JS(h), JS(e) and JS(f): JS is linear and [h, e] = 2e,
+    [h, f] = -2f, [e, f] = h, so JS of each commutator is an image already
+    built, times 2, -2 or 1. Those scalings are exact, so the value is the
+    pairwise one bit for bit."""
     js = {name: jordan_schwinger(M, cutoff) for name, M in SL2_BASIS.items()}
     return max(_restricted_commutator_defect(js[a], js[b], scale * js[c], 2, cutoff)
                for a, b, scale, c in (("h", "e", 2.0, "e"), ("h", "f", -2.0, "f"),

@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -175,6 +176,50 @@ def test_exit_code(capsys, argv, expected, silent):
     code, out = _run(capsys, argv)
     assert code == expected
     assert (out == "") == silent
+
+
+# U's entries pass 1e33 at (20, 20, 0.7) and the float range at (63, 63,
+# 0.7); the dense check failed each of these correct identities.
+@pytest.mark.parametrize("lmq", [("4", "4", "0.3"), ("8", "8", "0.7"),
+                                 ("20", "20", "0.7"), ("63", "63", "0.7")])
+def test_universal_r_passes_where_r_grows(capsys, lmq):
+    l, m, q = lmq
+    code, out = _run(capsys, ["universal-r", "--l", l, "--m", m, "--q", q])
+    assert code == 0
+    report = json.loads(out)
+    assert max(report["residuals"].values()) <= 1e-13
+    assert report["results"]["exact"] is False
+    assert report["results"]["blocks"] == 2 * int(l) + 1
+    assert report["results"]["largest_block"] == int(l) + 1
+
+
+def test_universal_r_float_failure_goes_to_the_exact_check(capsys):
+    # no float residual meets --tol 1e-17; the exact check then decides
+    argv = ["--tol", "1e-17", "universal-r", "--l", "4", "--m", "4", "--q", "0.3"]
+    code, out = _run(capsys, argv)
+    assert code == 0
+    report = json.loads(out)
+    assert report["residuals"] == {"intertwine_e": 0.0, "intertwine_f": 0.0}
+    assert report["results"]["absolute"] == report["residuals"]
+    assert report["results"]["exact"] is True
+    jsonschema.validate(report, _schema())
+    # past the exact check's grid cap the float verdict stands
+    code, out = _run(capsys, ["--tol", "1e-17", "universal-r", "--l", "20", "--m", "20",
+                              "--q", "0.7"])
+    assert code == 1
+    assert json.loads(out)["results"]["exact"] is False
+
+
+def test_universal_r_cap_allocates_nothing(capsys):
+    tracemalloc.start()
+    try:
+        code = cli.main(["universal-r", "--l", "1000", "--m", "1000", "--q", "0.999"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert capsys.readouterr().out == ""
+    assert peak < 2**20
 
 
 def test_reflection_pole_at_one_names_k(capsys):

@@ -162,7 +162,7 @@ def test_real_input_stays_real():
         models.xxz_gauge_matrix(1.3),
         r1.E, r1.F, r1.K, r1.Kinv,
         uqsl2.universal_r(r1, uqsl2.rep(1, 0.6)),
-        uqsl2.coproduct(r1, r1, "e"),
+        embed(kron(r1.K, r1.E), (2, 1), (3, 3)),
         oscillator.jordan_schwinger(np.array([[1.0, 2.0], [0.0, -1.0]]), 3),
     ]
     for op in ops:
