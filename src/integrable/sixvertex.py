@@ -296,12 +296,20 @@ class LatticeConfig(NamedTuple):
 
     def to_csv(self) -> str:
         """JSON header line, then one row per vertex in raster order:
-        x, y, j1, k1, j2, k2. Each row is three tokens from lookup tables:
-        "x,", "y," and "j1,k1,j2,k2\n", the last one per distinct arrow
-        configuration of a vertex. The configurations are found by counting
+        x, y, j1, k1, j2, k2.
+
+        Each vertex is one fixed-width byte record of three NUL-padded
+        fields: "x,", "y," and "j1,k1,j2,k2\n", the last one per distinct
+        arrow configuration of a vertex. The x field is filled by
+        broadcasting the row of x tokens, the y field by broadcasting the
+        column of y tokens and the last field by one gather of the
+        configuration tokens. The configurations are found by counting
         their codes over the code range when it is at most _MAX_CSV_CODES,
         that is for arrow counts below 32 (every fused table), and by
-        sorting the codes past it."""
+        sorting the codes past it. The records lie in one bytearray behind
+        the header, and bytearray.translate deletes the padding: no token
+        holds a NUL. One ASCII decode then gives the text, so no Python
+        object is made per vertex and the peak is about twice the text."""
         header = {
             "seed": self.seed,
             "width": self.width,
@@ -310,28 +318,41 @@ class LatticeConfig(NamedTuple):
             "boundary_bottom": list(self.boundary_bottom),
             "sampler": SAMPLER_VERSION,
         }
-        arrows = np.stack([self.j_in, self.k_in, self.j_out, self.k_out])
-        arrows = arrows.reshape(4, -1)
-        base = int(arrows.max()) + 1  # arrow counts are nonnegative
-        code = ((arrows[0] * base + arrows[1]) * base + arrows[2]) * base + arrows[3]
+        head = ("# " + json.dumps(header, sort_keys=True) + "\n"
+                + "x,y,j1,k1,j2,k2\n").encode("ascii")
+        arrows = (self.j_in, self.k_in, self.j_out, self.k_out)
+        base = max(int(a.max()) for a in arrows) + 1  # counts are nonnegative
+        code = arrows[0].astype(np.int64)
+        for a in arrows[1:]:
+            code *= base
+            code += a
+        code = code.ravel()
         if base**4 <= _MAX_CSV_CODES:
             seen = np.bincount(code, minlength=base**4) > 0
             kinds = np.flatnonzero(seen)
             kind = (np.cumsum(seen) - 1)[code]
         else:
             kinds, kind = np.unique(code, return_inverse=True)
+        del code
         kind_tokens = np.array(
-            [f"{j1},{k1},{j2},{k2}\n" for j1, k1, j2, k2
-             in np.transpose(np.unravel_index(kinds, (base,) * 4)).tolist()],
-            dtype=object,
+            [f"{j1},{k1},{j2},{k2}\n".encode() for j1, k1, j2, k2
+             in np.transpose(np.unravel_index(kinds, (base,) * 4)).tolist()]
         )
-        rows = np.empty((self.height, self.width, 3), dtype=object)
-        rows[..., 0] = [f"{x}," for x in range(self.width)]
-        rows[..., 1] = np.array([f"{y}," for y in range(self.height)],
-                                dtype=object)[:, np.newaxis]
-        rows[..., 2] = kind_tokens[kind].reshape(self.height, self.width)
-        return ("# " + json.dumps(header, sort_keys=True) + "\n"
-                + "x,y,j1,k1,j2,k2\n" + "".join(rows.ravel().tolist()))
+        x_tokens = np.array([f"{x},".encode() for x in range(self.width)])
+        y_tokens = np.array([f"{y},".encode() for y in range(self.height)])
+        record = np.dtype([("x", x_tokens.dtype), ("y", y_tokens.dtype),
+                           ("k", kind_tokens.dtype)])
+        buf = bytearray(len(head) + self.height * self.width * record.itemsize)
+        buf[:len(head)] = head
+        rows = np.frombuffer(buf, dtype=record, offset=len(head))
+        rows = rows.reshape(self.height, self.width)
+        rows["x"] = x_tokens
+        rows["y"] = y_tokens[:, np.newaxis]
+        rows["k"] = kind_tokens[kind.reshape(self.height, self.width)]
+        del rows, kind  # rows holds buf: without it, del buf frees the records
+        stripped = buf.translate(None, b"\0")
+        del buf
+        return stripped.decode("ascii")
 
 
 class LatticeBatch(NamedTuple):
@@ -386,7 +407,10 @@ def _seed_array(seeds) -> np.ndarray:
 
 # Most vertices sampled in one call, over all seeds: at a peak of about 28
 # bytes per vertex (16 of them kept for the lattice) this is about 470 MB,
-# enough for four seeds at 2048^2.
+# enough for four seeds at 2048^2. A sample6v call also writes its one
+# lattice as CSV, whose writer peaks at about 36 bytes per vertex above the
+# 16 kept: the call peaked at 246 MB RSS at 2048^2, which scales to about
+# 0.9 GB at the cap, one seed at 4096^2.
 MAX_VERTICES = 2**24
 
 

@@ -1,5 +1,6 @@
 import io
 import json
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -243,13 +244,37 @@ def _reference_csv(c):
     return buf.getvalue()
 
 
-@pytest.mark.parametrize("size", [(3, 2), (128, 128), (256, 128)])
+# 1001 x 3 puts x tokens of 1 to 4 digits in one row.
+@pytest.mark.parametrize("size", [(3, 2), (128, 128), (256, 128), (1, 1), (1, 7),
+                                  (7, 1), (1001, 3)])
 def test_csv_writer_matches_per_vertex_oracle(size):
     width, height = size
     w = sixvertex.six_vertex_weights(0.4, 0.7)
     c = sixvertex.sample_lattice(w, width, height, boundary_left=(1,) * height,
                                  boundary_bottom=(0,) * width, seed=21)
     assert c.to_csv() == _reference_csv(c)
+
+
+def test_csv_writer_matches_oracle_on_a_fused_lattice():
+    w = sixvertex.fused_weights_recurrence(2, 2, 0.2, 1.5)
+    c = sixvertex.sample_lattice(w, 9, 6, boundary_left=(w.l,) * 6,
+                                 boundary_bottom=(0,) * 9, seed=5)
+    assert c.to_csv() == _reference_csv(c)
+
+
+def test_csv_writer_peak_is_at_most_four_times_the_csv():
+    # A writer that makes a Python object per vertex peaks at about 7 times
+    # the CSV's length; fixed-width byte records at about 2.
+    w = sixvertex.six_vertex_weights(0.4, 0.7)
+    c = sixvertex.sample_lattice(w, 512, 512, boundary_left=(1,) * 512,
+                                 boundary_bottom=(0,) * 512, seed=3)
+    tracemalloc.start()
+    try:
+        text = c.to_csv()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * len(text)
 
 
 def test_csv_writer_matches_oracle_on_multi_digit_counts():
