@@ -36,7 +36,6 @@ from .tensor import (
     kron,
     state_space,
     stationary_distribution,
-    transition_row,
 )
 
 
@@ -379,6 +378,8 @@ def tw_start_nodes(y, x, t: float, q: float, radius: float,
     """
     if not radius > 0:
         raise ParameterError(f"contour radius must be positive, got {radius}")
+    if not q >= 0:
+        raise ParameterError(f"q must be nonnegative, got {q}")
     if n_quad is None:
         need = 2.0 * math.e * t / radius + max(
             (abs(b - a) for a in y for b in x), default=0)
@@ -546,17 +547,16 @@ def _window_rank(config, lo: int, hi: int) -> int:
         math.comb(m - 1 - (c - lo), N - k) for k, c in enumerate(config))
 
 
-def _window_generator(n_particles, q, lo, hi) -> Generator:
-    """Sparse generator of N-particle ASEP (right rate 1, left rate q) with
-    blocking, on the integer window [lo, hi].
+def _window_moves(n_particles, lo, hi) -> np.ndarray:
+    """Move table of N-particle exclusion on the integer window [lo, hi].
 
-    Configurations are numbered by _window_rank. A hop of particle k
-    changes only the k-th term of the rank, so each (particle, direction)
-    is one masked move over every configuration at once. Column 2k + d of
-    `cols` is the hop of particle k to the right (d = 0) or left (d = 1),
-    so the moves are listed state by state, particle by particle, right
-    before left; that order fixes how each row's rates are summed into its
-    diagonal, and so every bit of the generator.
+    Configurations are numbered by _window_rank. Entry [c, 2k + d] is the
+    rank that particle k of configuration c reaches by a hop to the right
+    (d = 0) or left (d = 1), and the state count itself where that hop is
+    blocked, so a blocked hop reads one zero pad entry past the last state.
+    A hop of particle k changes only the k-th term of the rank, so each
+    (particle, direction) is one masked move over every configuration at
+    once.
     """
     N = n_particles
     m = hi - lo + 1
@@ -566,7 +566,7 @@ def _window_generator(n_particles, q, lo, hi) -> Generator:
     binom = np.array([[math.comb(a, j) for j in range(N + 1)] for a in range(m)],
                      dtype=np.int64)
     rank = np.arange(count)
-    cols = np.full((count, 2 * N), -1, dtype=np.int64)
+    moves = np.full((count, 2 * N), count, dtype=np.intp)
     for k in range(N):
         # A hop to a free neighbouring site keeps the positions sorted.
         right_block = pos[:, k + 1] if k + 1 < N else m
@@ -574,12 +574,9 @@ def _window_generator(n_particles, q, lo, hi) -> Generator:
         for d, (step, block) in enumerate(((1, right_block), (-1, left_block))):
             target = pos[:, k] + step
             ok = target != block
-            cols[ok, 2 * k + d] = (rank[ok] + binom[m - 1 - pos[ok, k], N - k]
-                                   - binom[m - 1 - target[ok], N - k])
-    moves = cols >= 0
-    rows = np.broadcast_to(rank[:, None], cols.shape)[moves]
-    rates = np.broadcast_to(np.tile([1.0, q], N), cols.shape)[moves]
-    return _sparse_generator(count, rows, cols[moves], rates)
+            moves[ok, 2 * k + d] = (rank[ok] + binom[m - 1 - pos[ok, k], N - k]
+                                    - binom[m - 1 - target[ok], N - k])
+    return moves
 
 
 # Bound on the total variation between the oracle's windowed chain and the
@@ -611,9 +608,56 @@ def _oracle_window(y, x, t: float, q: float) -> tuple:
             max(max(x), max(y)) + _poisson_margin(t))
 
 
+def _window_row(n_particles, q, lo, hi, state: int, t: float) -> np.ndarray:
+    """Row `state` of exp(tG), G the generator of N-particle ASEP (right
+    rate 1, left rate q) with blocking on the window [lo, hi], by
+    uniformization on the window's move table (_window_moves).
+
+    e_s exp(tG) = sum_k e^{-lambda t}(lambda t)^k / k! * e_s (I + G/lambda)^k,
+    truncated when the Poisson tail drops below 1e-13. No matrix is built:
+    one step of the row vector p through I + G/lambda is
+        p[c] <- (1 - exit[c]/lambda) p[c] + sum_k rate_k/lambda p[src_k(c)],
+    where a right hop (rate 1) of particle k flows into c from c's left-hop
+    neighbour for that particle and a left hop (rate q) from its right-hop
+    neighbour, and a blocked neighbour reads the zero pad entry. lambda is
+    the largest exit rate, or 1 where nothing can move. The state count is
+    checked against MAX_STATE_SPACE before the move table is allocated
+    (StateSpaceTooLarge).
+    """
+    state_space((math.comb(hi - lo + 1, n_particles),), MAX_STATE_SPACE)
+    moves = _window_moves(n_particles, lo, hi)
+    count = len(moves)
+    exit_rate = (moves < count) @ np.tile([1.0, q], n_particles)
+    lam = float(exit_rate.max()) or 1.0
+    stay = 1.0 - exit_rate / lam
+    # Column 2k holds c's right-hop neighbour, whose left hop (rate q)
+    # reaches c; column 2k + 1 its left-hop neighbour, by a right hop.
+    inflow = np.tile([q, 1.0], n_particles) / lam
+    p = np.zeros(count + 1)
+    p[state] = 1.0
+    mu = lam * t
+    # Poisson(mu) weights, accumulated until the tail is below 1e-13.
+    weight = math.exp(-mu)
+    acc = weight
+    row = weight * p[:count]
+    k = 0
+    kmax = int(mu + 40.0 * math.sqrt(mu) + 50)
+    while 1.0 - acc > 1e-13 and k < kmax:
+        k += 1
+        p[:count] = p[moves] @ inflow + stay * p[:count]
+        weight *= mu / k
+        acc += weight
+        row += weight * p[:count]
+    return row
+
+
 def ctmc_oracle_probability(y, x, t: float, q: float) -> float:
-    """Master-equation probability on one truncated lattice: the row of y
-    in exp(tG), by uniformization, on the window of _oracle_window.
+    """Master-equation probability on one truncated lattice: the entry x of
+    the row of y in exp(tG), by uniformization, on the window of
+    _oracle_window.
+
+    The row comes from _window_row, which steps the uniformized chain on
+    the window's move table and builds no matrix.
 
     The window is sized by a coupling. Drive the infinite chain and the
     windowed one by the same clocks: each particle has a rate-1 clock for
@@ -628,9 +672,7 @@ def ctmc_oracle_probability(y, x, t: float, q: float) -> float:
     at most P(Poisson(t) >= k) <= ORACLE_TAIL / 2; the left edge is the
     same with the leftmost particle's rate-q clock and Poisson(q t). The
     windowed row is thus within ORACLE_TAIL of the infinite one in total
-    variation. The window's state count is checked against
-    MAX_STATE_SPACE before anything is built (StateSpaceTooLarge), and
-    the ranks of y and x come from _window_rank.
+    variation. The ranks of y and x come from _window_rank.
     """
     y = tuple(int(v) for v in y)
     x = tuple(int(v) for v in x)
@@ -640,8 +682,11 @@ def ctmc_oracle_probability(y, x, t: float, q: float) -> float:
         raise ParameterError("N <= 3 only")
     if any(a >= b for c in (y, x) for a, b in zip(c, c[1:])):
         raise ParameterError("positions must be strictly increasing")
+    # written so that a NaN fails each check
+    if not q >= 0:
+        raise ParameterError(f"q must be nonnegative, got {q}")
+    if not t >= 0:
+        raise ParameterError(f"time must be nonnegative, got {t}")
     lo, hi = _oracle_window(y, x, t, q)
-    state_space((math.comb(hi - lo + 1, len(y)),), MAX_STATE_SPACE)
-    G = _window_generator(len(y), q, lo, hi)
-    row = transition_row(G, _window_rank(y, lo, hi), t, tol=1e-13)
+    row = _window_row(len(y), q, lo, hi, _window_rank(y, lo, hi), t)
     return float(row[_window_rank(x, lo, hi)])

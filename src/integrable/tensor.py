@@ -1,5 +1,5 @@
-"""Dense operators as numpy arrays, CTMC generators, stationary
-distributions, and single rows of the transition semigroup.
+"""Dense operators as numpy arrays, CTMC generators and stationary
+distributions.
 
 Conventions (wire-level contract, also used by the CLI's CSV tables):
   * leg order: the basis of V_1 (x) ... (x) V_n is lexicographic in the
@@ -31,8 +31,11 @@ solve whose residual shows a badly chosen pin is pinned again once. This solve
 gives the open exclusion chain its law where the matrix product (`mpa`)
 has no trusted one; in tests and scripts, it is the oracle of the matrix
 product and of the closed chain's closed form (`models.closed_asep_law`).
-A row of exp(tG) comes from sparse matrix-vector products. scipy is imported inside the functions that use
-it, which keeps it out of the package's import time.
+No Generator is built for a row of exp(tG): the transition-probability
+oracle (`models.ctmc_oracle_probability`) steps the uniformized chain on
+its window's move table. scipy is imported inside the functions that use
+it, which keeps it out of the package's import time and out of every
+process that builds no Generator.
 """
 
 from __future__ import annotations
@@ -44,7 +47,8 @@ import numpy as np
 
 from .errors import ParameterError
 
-# States of a sparse Generator.
+# States of a sparse Generator, and of the window that
+# models.ctmc_oracle_probability steps on.
 MAX_STATE_SPACE = 2**20
 # Side of a dense operator: a 4096 x 4096 complex array takes 256 MiB.
 MAX_DENSE_DIM = 2**12
@@ -405,37 +409,3 @@ def stationary_distribution(G: Generator) -> ProbVector:
     pi = np.zeros(G.dim)
     pi[members] = weights
     return ProbVector(pi)
-
-
-def transition_row(G: Generator, state: int, t: float, tol: float = 1e-12) -> np.ndarray:
-    """Row `state` of the stochastic matrix exp(tG), by uniformization.
-
-    e_s exp(tG) = sum_k e^{-lambda t}(lambda t)^k / k! * e_s (I + G/lambda)^k
-    with lambda the max exit rate, truncated when the Poisson tail drops
-    below `tol`. Each term costs one sparse matrix-vector product.
-    """
-    import scipy.sparse
-
-    if t < 0:
-        raise ParameterError(f"time must be nonnegative, got {t}")
-    row = np.zeros(G.dim)
-    row[state] = 1.0
-    lam = float(np.max(-G.rates.diagonal()))
-    if lam <= 0 or t == 0:
-        return row
-    # Row vectors times P = I + G/lambda, as P^T times column vectors.
-    step = (scipy.sparse.eye_array(G.dim, format="csr") + G.rates / lam).T.tocsr()
-    mu = lam * t
-    # Poisson(mu) weights, accumulated until the tail is below tol.
-    weight = math.exp(-mu)
-    acc = weight
-    result = weight * row
-    k = 0
-    kmax = int(mu + 40.0 * math.sqrt(mu) + 50)
-    while 1.0 - acc > tol and k < kmax:
-        k += 1
-        row = step @ row
-        weight *= mu / k
-        acc += weight
-        result += weight * row
-    return result

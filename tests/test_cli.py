@@ -335,8 +335,9 @@ def test_closed_asep_builds_no_generator(capsys, monkeypatch, argv):
     assert json.loads(out)["residuals"]["stationarity"] <= 1e-12
 
 
-@NO_GENERATOR
-def test_closed_asep_imports_no_scipy(argv):
+def _scipy_modules_after(argv):
+    """Exit code of main(argv) in a fresh interpreter, and the scipy
+    modules loaded there afterwards."""
     script = ("import contextlib, io, sys\n"
               "from integrable import cli\n"
               "with contextlib.redirect_stdout(io.StringIO()):\n"
@@ -347,7 +348,19 @@ def test_closed_asep_imports_no_scipy(argv):
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
     out = subprocess.run([sys.executable, "-c", script], capture_output=True,
                          text=True, check=True, env=env).stdout
-    assert out.split() == ["0", "[]"]
+    return out.split()
+
+
+@NO_GENERATOR
+def test_closed_asep_imports_no_scipy(argv):
+    assert _scipy_modules_after(argv) == ["0", "[]"]
+
+
+def test_twprob_oracle_imports_no_scipy():
+    # the oracle steps on its window's move table: no sparse matrix
+    argv = ["twprob", "--t", "4", "--q", "0.5", "--y", "0", "2", "--x", "1", "3",
+            "--check-oracle"]
+    assert _scipy_modules_after(argv) == ["0", "[]"]
 
 
 def test_band_cap_precedes_the_generator(capsys, monkeypatch):
@@ -616,6 +629,20 @@ def test_twprob_overflow_prints_one_error_and_no_warning():
                                    "--y", "0", "--x", "1"])
     assert (code, out) == (1, "")
     assert err.startswith("convergence error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("oracle", [[], ["--check-oracle"]], ids=["formula", "oracle"])
+def test_twprob_refuses_negative_q(oracle):
+    # a negative left rate is no chain: a parameter error with or without
+    # the oracle, while q = 0 (a totally asymmetric chain) stays valid
+    argv = ["twprob", "--t", "0.5", "--y", "0", "2", "--x", "1", "3", *oracle]
+    code, out, err = _outputs(argv[:3] + ["--q", "-0.5"] + argv[3:])
+    assert (code, out) == (2, "")
+    assert err.startswith("parameter error: q must be nonnegative")
+    code, out, _ = _outputs(argv[:3] + ["--q", "0"] + argv[3:])
+    report = json.loads(out)
+    assert code == 0 and report["pass"]
+    assert ("oracle" in report["results"]) == bool(oracle)
 
 
 def _json_dumps(report):

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,7 +18,6 @@ from integrable.tensor import (
     StateSpaceTooLarge,
     embed,
     stationary_distribution,
-    transition_row,
 )
 
 RATE = st.floats(0.05, 1.0)
@@ -44,10 +44,16 @@ def test_rate_conventions_agree(q):
     # lone particle on sites 0, 1 hops right at rate 1 and left at rate q
     G = models.asep_generator(AsepParams(q=q, L=2)).rates.toarray()
     assert np.array_equal(G, models.asep_bulk_w(q))
-    W = models._window_generator(1, q, 0, 1).rates.toarray()
+    W = _window_generator(1, q, 0, 1).rates.toarray()
     left, right = (models._window_rank((s,), 0, 1) for s in (0, 1))
     assert W[left, right] == 1.0
     assert W[right, left] == q
+    # the oracle's matrix-free row: a two-state chain with rates 1 and q
+    t = 0.7
+    decay = math.exp(-(1.0 + q) * t)
+    row = models._window_row(1, q, 0, 1, left, t)
+    assert abs(row[left] - (q + decay) / (1.0 + q)) <= 1e-12
+    assert abs(row[right] - (1.0 - decay) / (1.0 + q)) <= 1e-12
 
 
 def test_full_generator_closed_and_open():
@@ -130,14 +136,16 @@ def test_sparse_stationary_law_matches_dense_null_space(
 
 
 @settings(max_examples=30, deadline=None)
-@given(n=st.integers(1, 2), width=st.integers(2, 6), q=RATE,
+@given(n=st.integers(1, 3), width=st.integers(2, 6), q=RATE,
        t=st.floats(0.0, 4.0), data=st.data())
 def test_uniformized_row_matches_expm(n, width, q, t, data):
+    # the oracle's matrix-free row against expm of the dense window generator
     n = min(n, width)
-    G = models._window_generator(n, q, 0, width - 1)
+    G = _window_generator(n, q, 0, width - 1)
     state = data.draw(st.integers(0, G.dim - 1))
     exact = scipy.linalg.expm(t * G.rates.toarray())[state]
-    assert np.max(np.abs(transition_row(G, state, t, tol=1e-13) - exact)) <= 1e-12
+    row = models._window_row(n, q, 0, width - 1, state, t)
+    assert np.max(np.abs(row - exact)) <= 1e-12
 
 
 # Asymmetries on both sides of q = 1, where the law's weights flip order.
@@ -447,19 +455,76 @@ def test_planned_contour_sum_matches_the_per_permutation_einsum(y, x, n):
         assert abs(models._tw_eval(y, x, t, q, 0.5, n) - want) <= 1e-14 * scale
 
 
+def transition_row(G: Generator, state: int, t: float, tol: float = 1e-12) -> np.ndarray:
+    """Row `state` of the stochastic matrix exp(tG), by uniformization with
+    sparse products: the oracle of models._window_row.
+
+    e_s exp(tG) = sum_k e^{-lambda t}(lambda t)^k / k! * e_s (I + G/lambda)^k
+    with lambda the max exit rate, truncated when the Poisson tail drops
+    below `tol`. Each term costs one sparse matrix-vector product.
+    """
+    import scipy.sparse
+
+    row = np.zeros(G.dim)
+    row[state] = 1.0
+    lam = float(np.max(-G.rates.diagonal()))
+    if lam <= 0 or t == 0:
+        return row
+    # Row vectors times P = I + G/lambda, as P^T times column vectors.
+    step = (scipy.sparse.eye_array(G.dim, format="csr") + G.rates / lam).T.tocsr()
+    mu = lam * t
+    weight = math.exp(-mu)
+    acc = weight
+    result = weight * row
+    k = 0
+    kmax = int(mu + 40.0 * math.sqrt(mu) + 50)
+    while 1.0 - acc > tol and k < kmax:
+        k += 1
+        row = step @ row
+        weight *= mu / k
+        acc += weight
+        result += weight * row
+    return result
+
+
+def test_transition_row_is_stochastic_and_exact():
+    G = Generator(np.array([[-2.0, 2.0], [1.0, -1.0]]))
+    t = 0.7
+    P = np.array([transition_row(G, s, t) for s in range(2)])
+    assert np.allclose(P.sum(axis=1), 1.0, atol=1e-12)
+    assert np.allclose(P, scipy.linalg.expm(t * G.rates.toarray()), atol=1e-12)
+
+
+def _window_generator(n_particles, q, lo, hi) -> Generator:
+    """Sparse generator of N-particle ASEP (right rate 1, left rate q) with
+    blocking on [lo, hi], from the library's move table. The moves are
+    listed state by state, particle by particle, right before left; that
+    order fixes how each row's rates are summed into its diagonal, and so
+    every bit of the generator."""
+    moves = models._window_moves(n_particles, lo, hi)
+    count = len(moves)
+    free = moves < count
+    rows = np.broadcast_to(np.arange(count)[:, None], moves.shape)[free]
+    rates = np.broadcast_to(np.tile([1.0, q], n_particles), moves.shape)[free]
+    return models._sparse_generator(count, rows, moves[free], rates)
+
+
 def _window_generator_loop(n_particles, q, lo, hi):
-    """The per-state loop that _window_generator replaced."""
+    """The per-state loop that the move table replaced: the state index,
+    the move table and the generator."""
     states = itertools.combinations(range(lo, hi + 1), n_particles)
     index = {s: i for i, s in enumerate(states)}
+    moves = np.full((len(index), 2 * n_particles), len(index))
     rows, cols, rates = [], [], []
     for s, i in index.items():
         for k, pos in enumerate(s):
-            for target, rate in ((pos + 1, 1.0), (pos - 1, q)):
+            for d, (target, rate) in enumerate(((pos + 1, 1.0), (pos - 1, q))):
                 if lo <= target <= hi and target not in s:
+                    moves[i, 2 * k + d] = index[s[:k] + (target,) + s[k + 1:]]
                     rows.append(i)
-                    cols.append(index[s[:k] + (target,) + s[k + 1:]])
+                    cols.append(moves[i, 2 * k + d])
                     rates.append(rate)
-    return index, models._sparse_generator(len(index), rows, cols, rates)
+    return index, moves, models._sparse_generator(len(index), rows, cols, rates)
 
 
 @pytest.mark.parametrize("n, q, lo, hi", [
@@ -467,9 +532,10 @@ def _window_generator_loop(n_particles, q, lo, hi):
     (3, 0.37, -7, 12), (3, 0.9, 0, 2), (3, 0.55, -14, 19),
 ])
 def test_window_generator_equals_the_loop(n, q, lo, hi):
-    G = models._window_generator(n, q, lo, hi)
-    index_loop, G_loop = _window_generator_loop(n, q, lo, hi)
+    G = _window_generator(n, q, lo, hi)
+    index_loop, moves_loop, G_loop = _window_generator_loop(n, q, lo, hi)
     assert [models._window_rank(s, lo, hi) for s in index_loop] == list(index_loop.values())
+    assert np.array_equal(models._window_moves(n, lo, hi), moves_loop)
     for name in ("data", "indices", "indptr"):
         got, want = getattr(G.rates, name), getattr(G_loop.rates, name)
         assert got.dtype == want.dtype and np.array_equal(got, want), name
@@ -510,11 +576,12 @@ def test_oracle_window_is_within_its_tail_bound(point):
     wide_lo, wide_hi = lo - left, hi + right
     rows = []
     for a, b in ((lo, hi), (wide_lo, wide_hi)):
-        G = models._window_generator(n, q, a, b)
+        G = _window_generator(n, q, a, b)
         rows.append(transition_row(G, models._window_rank(y, a, b), t, tol=1e-13))
     row, wide = rows
     value = models.ctmc_oracle_probability(y, x, t, q)
-    assert value == row[models._window_rank(x, lo, hi)]
+    # the sparse route sums each step in another order
+    assert abs(value - row[models._window_rank(x, lo, hi)]) <= 1e-15
     assert abs(value - wide[models._window_rank(x, wide_lo, wide_hi)]) <= 1e-12
     configs = np.array(list(itertools.combinations(range(lo, hi + 1), n)))
     assert np.array_equal(_ranks(configs, lo, hi), np.arange(len(row)))
@@ -527,9 +594,9 @@ def test_oracle_window_is_within_its_tail_bound(point):
 
 def test_oracle_cap_refuses_before_anything_is_built(monkeypatch):
     def refuse(*args):
-        raise AssertionError("a generator was built")
+        raise AssertionError("a move table was built")
 
-    monkeypatch.setattr(models, "_sparse_generator", refuse)
+    monkeypatch.setattr(models, "_window_moves", refuse)
     # margins of about 180 sites at t = 100: C(366, 3) = 7.9e6 states
     lo, hi = models._oracle_window((0, 1, 2), (0, 1, 2), 100.0, 1.0)
     assert math.comb(hi - lo + 1, 3) > MAX_STATE_SPACE
@@ -541,6 +608,24 @@ def test_oracle_cap_refuses_before_anything_is_built(monkeypatch):
     # and past 2^20 in one margin, before that margin is summed
     with pytest.raises(StateSpaceTooLarge):
         models.ctmc_oracle_probability((0,), (3,), 1e12, 0.5)
+
+
+def test_oracle_memory_per_state():
+    # The move table and one gathered step take 96 B per state at N = 3,
+    # and the row and its step vectors about 40 more; the sparse route
+    # peaked near 820 B per state.
+    y, x, t, q = (0, 2, 4), (1, 3, 5), 4.0, 0.5
+    models.ctmc_oracle_probability(y, x, t, q)
+    lo, hi = models._oracle_window(y, x, t, q)
+    count = math.comb(hi - lo + 1, 3)
+    assert count == 22100
+    tracemalloc.start()
+    try:
+        models.ctmc_oracle_probability(y, x, t, q)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 200 * count
 
 
 @pytest.mark.parametrize("y, x", [((1, 0), (0, 1)), ((0, 1), (1, 1))])

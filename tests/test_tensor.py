@@ -20,7 +20,6 @@ from integrable.tensor import (
     kron,
     permutation_operator,
     stationary_distribution,
-    transition_row,
 )
 
 
@@ -380,13 +379,3 @@ def test_band_past_its_cap_is_refused_before_allocation():
     finally:
         tracemalloc.stop()
     assert peak < 64 * 2**20
-
-
-def test_transition_row_is_stochastic_and_exact():
-    G = Generator(np.array([[-2.0, 2.0], [1.0, -1.0]]))
-    t = 0.7
-    P = np.array([transition_row(G, s, t) for s in range(2)])
-    assert np.allclose(P.sum(axis=1), 1.0, atol=1e-12)
-    from scipy.linalg import expm
-
-    assert np.allclose(P, expm(t * G.rates.toarray()), atol=1e-12)
