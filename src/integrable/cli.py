@@ -48,12 +48,11 @@ PASS_EXIT = 0
 FAIL_EXIT = 1
 USAGE_EXIT = 2
 
-# Residuals limited by a truncation, a quadrature or a finite difference
+# Residuals limited by a truncation, a quadrature or a long recurrence
 # are compared against at least this tolerance, keyed by report command.
 TOL_FLOOR = {
     "fuse": 1e-8,
     "twprob": 1e-5,
-    "verify markov": 1e-8,
     "oscillator hermite": 1e-6,
 }
 
@@ -185,20 +184,18 @@ def _verify_spectral(args) -> Run:
 
 
 def _verify_reflection(args) -> Run:
+    """Both boundaries from the one K family: K at (alpha, gamma) and the
+    right boundary's K-bar at (-delta, -beta)."""
     r = functools.partial(ybe.asep_spectral_r, q=args.q)
-    k = functools.partial(ybe.reflection_k, q=args.q, a=args.alpha, c=args.gamma,
-                          side="left")
-    kbar = functools.partial(ybe.reflection_k, q=args.q, a=args.beta, c=args.delta,
-                             side="right")
-    residuals, checked = [], 0
+    k = functools.partial(ybe.reflection_k, q=args.q, a=args.alpha, c=args.gamma)
+    kbar = functools.partial(ybe.reflection_k, q=args.q, a=-args.delta, c=-args.beta)
+    checked = []
     for kf in (k, kbar):
         try:
-            res = ybe.verify_reflection_equation(r, kf, args.grid, args.grid)
+            checked.append(ybe.verify_reflection_equation(r, kf, args.grid, args.grid))
         except ybe.EvaluationPole:
             continue  # every grid point sits on a pole of R or of this K
-        residuals.append(res["residual"])
-        checked += res["points_checked"]
-    if not residuals:
+    if not checked:
         raise ParameterError("every grid point hits an evaluation pole")
     k1, pole = k(np.ones(1))
     if pole[0]:
@@ -207,8 +204,9 @@ def _verify_reflection(args) -> Run:
         "verify reflection",
         {"q": args.q, "alpha": args.alpha, "gamma": args.gamma,
          "beta": args.beta, "delta": args.delta, "grid": list(args.grid)},
-        {"points_checked": checked},
-        {"reflection": max(residuals),
+        {"points_checked": sum(res["points_checked"] for res in checked)},
+        {"reflection": float(np.max([res["residual"] for res in checked])),
+         "k_row_sums": float(np.max([res["k_row_sums"] for res in checked])),
          "k_at_one": float(np.max(np.abs(k1[0] - np.eye(2))))},
     )
 
@@ -357,7 +355,7 @@ def _sample6v(args) -> Run:
 
 def _twprob(args) -> Run:
     y, x = tuple(args.y), tuple(args.x)
-    nquad = models.tw_start_nodes(y, x, args.t, args.q, args.radius, args.nquad)
+    nquad = models.tw_start_nodes(y, x, args.t, args.q, args.radius)
     val = models.tw_transition_probability(
         y, x, args.t, args.q, radius=args.radius, n_quad=nquad
     )
@@ -493,8 +491,6 @@ COMMANDS = (
         _int("--y", nargs="+", required=True),
         _int("--x", nargs="+", required=True),
         _float("--radius", default=0.5),
-        _int("--nquad", default=None,
-             help="starting trapezoid node count (default: derived from t)"),
         _flag("--check-oracle"),
     ), _twprob),
     Command("oscillator", (

@@ -104,8 +104,10 @@ def asep_local_terms(p: AsepParams, open_boundary: bool = False) -> list:
     when open, B = [[-alpha, alpha], [gamma, -gamma]] on site 1 (site 1
     fills at alpha and empties at gamma) and [[-delta, delta],
     [beta, -beta]] on site L. The generator is the sum of the terms, each
-    embedded at its sites; the left K-matrix family has K'(1) = 2B/(q-1)
-    (Sklyanin, J. Phys. A 21 (1988) 2375)."""
+    embedded at its sites. The K-matrix family ybe.reflection_k has
+    K'(1) = 2B/(q-1) for the site-1 term B at (a, c) = (alpha, gamma), and
+    2B/(1-q) for the site-L term at (a, c) = (-delta, -beta) (Sklyanin,
+    J. Phys. A 21 (1988) 2375)."""
     w = asep_bulk_w(p.q)
     terms = [(x, w) for x in range(1, p.L)]
     if open_boundary:
@@ -357,6 +359,25 @@ def _scattering_pole_on_torus(q: float, radius: float) -> bool:
     return abs(centre - spread) <= 1.0 / radius <= centre + spread
 
 
+def _checked_positions(y, x, t: float, q: float) -> tuple:
+    """y and x as tuples of ints, after the checks that the contour formula
+    and its oracle share: equal lengths, N <= 3, strictly increasing
+    positions, t >= 0 and q >= 0, each written so that a NaN fails it."""
+    y = tuple(int(v) for v in y)
+    x = tuple(int(v) for v in x)
+    if len(y) != len(x):
+        raise ParameterError("x and y must have equal length")
+    if len(y) > 3:
+        raise ParameterError("N <= 3 only; the permutation sum grows as N!")
+    if any(a >= b for c in (y, x) for a, b in zip(c, c[1:])):
+        raise ParameterError("positions must be strictly increasing")
+    if not q >= 0:
+        raise ParameterError(f"q must be nonnegative, got {q}")
+    if not t >= 0:
+        raise ParameterError(f"t must be nonnegative, got {t}")
+    return y, x
+
+
 def tw_start_nodes(y, x, t: float, q: float, radius: float,
                    n_quad: int | None = None) -> int:
     """The first node count of the contour formula's doubling schedule.
@@ -378,8 +399,6 @@ def tw_start_nodes(y, x, t: float, q: float, radius: float,
     """
     if not radius > 0:
         raise ParameterError(f"contour radius must be positive, got {radius}")
-    if not q >= 0:
-        raise ParameterError(f"q must be nonnegative, got {q}")
     if n_quad is None:
         need = 2.0 * math.e * t / radius + max(
             (abs(b - a) for a in y for b in x), default=0)
@@ -433,19 +452,7 @@ def tw_transition_probability(
     every value must be finite, and the accepted value must be real to
     1e-10.
     """
-    y = tuple(int(v) for v in y)
-    x = tuple(int(v) for v in x)
-    N = len(y)
-    if len(x) != N:
-        raise ParameterError("x and y must have equal length")
-    if N > 3:
-        raise ParameterError("N <= 3 only; the permutation sum grows as N!")
-    if any(y[i] >= y[i + 1] for i in range(N - 1)) or any(
-        x[i] >= x[i + 1] for i in range(N - 1)
-    ):
-        raise ParameterError("positions must be strictly increasing")
-    if t < 0:
-        raise ParameterError("t must be nonnegative")
+    y, x = _checked_positions(y, x, t, q)
     n_quad = tw_start_nodes(y, x, t, q, radius, n_quad)
     last = max(TW_MAX_NODES, 2 * n_quad)
     schedule, changes = [], []
@@ -584,6 +591,12 @@ def _window_moves(n_particles, lo, hi) -> np.ndarray:
 ORACLE_TAIL = 1e-12
 
 
+def _poisson_weight(k: int, mu: float) -> float:
+    """P(Poisson(mu) = k), taken in log space: e^-mu alone is 0.0 past
+    mu = 745, but the weights near the mode are not."""
+    return math.exp((k * math.log(mu) if k else 0.0) - mu - math.lgamma(k + 1))
+
+
 def _poisson_margin(mu: float) -> int:
     """The smallest k with P(Poisson(mu) >= k) <= ORACLE_TAIL / 2. The tail
     is summed from mu + 40 sqrt(mu) + 50 down, where it is negligible. The
@@ -594,7 +607,7 @@ def _poisson_margin(mu: float) -> int:
     if mu > 0:
         tail = 0.0
         for k in range(int(mu + 40.0 * math.sqrt(mu) + 50), 0, -1):
-            tail += math.exp(k * math.log(mu) - mu - math.lgamma(k + 1))
+            tail += _poisson_weight(k, mu)
             if tail > ORACLE_TAIL / 2:
                 return k + 1
     return 1
@@ -636,16 +649,16 @@ def _window_row(n_particles, q, lo, hi, state: int, t: float) -> np.ndarray:
     p = np.zeros(count + 1)
     p[state] = 1.0
     mu = lam * t
-    # Poisson(mu) weights, accumulated until the tail is below 1e-13.
-    weight = math.exp(-mu)
-    acc = weight
-    row = weight * p[:count]
+    # Poisson(mu) weights in log space, accumulated until the tail is below
+    # 1e-13.
+    acc = _poisson_weight(0, mu)
+    row = acc * p[:count]
     k = 0
     kmax = int(mu + 40.0 * math.sqrt(mu) + 50)
     while 1.0 - acc > 1e-13 and k < kmax:
         k += 1
         p[:count] = p[moves] @ inflow + stay * p[:count]
-        weight *= mu / k
+        weight = _poisson_weight(k, mu)
         acc += weight
         row += weight * p[:count]
     return row
@@ -674,19 +687,7 @@ def ctmc_oracle_probability(y, x, t: float, q: float) -> float:
     windowed row is thus within ORACLE_TAIL of the infinite one in total
     variation. The ranks of y and x come from _window_rank.
     """
-    y = tuple(int(v) for v in y)
-    x = tuple(int(v) for v in x)
-    if len(y) != len(x):
-        raise ParameterError("x and y must have equal length")
-    if len(y) > 3:
-        raise ParameterError("N <= 3 only")
-    if any(a >= b for c in (y, x) for a, b in zip(c, c[1:])):
-        raise ParameterError("positions must be strictly increasing")
-    # written so that a NaN fails each check
-    if not q >= 0:
-        raise ParameterError(f"q must be nonnegative, got {q}")
-    if not t >= 0:
-        raise ParameterError(f"time must be nonnegative, got {t}")
+    y, x = _checked_positions(y, x, t, q)
     lo, hi = _oracle_window(y, x, t, q)
     row = _window_row(len(y), q, lo, hi, _window_rank(y, lo, hi), t)
     return float(row[_window_rank(x, lo, hi)])

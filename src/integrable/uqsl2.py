@@ -68,17 +68,12 @@ def rep(m: int, q: float) -> RepM:
         raise ParameterError(f"spin label must be nonnegative, got {m}")
     if q <= 0 or q == 1:
         raise InvalidDeformation(f"need q > 0 and q != 1, got {q}")
-    d = m + 1
-    state_space((d,))
-    E = np.zeros((d, d))
-    F = np.zeros((d, d))
-    denom = q - 1.0 / q
-    for k in range(d):
-        if k + 1 < d:
-            E[k + 1, k] = (q ** (m - k) - q ** (k - m)) / denom
-        if k - 1 >= 0:
-            F[k - 1, k] = (q**k - q ** (-k)) / denom
-    Kdiag = np.array([q ** (2 * k - m) for k in range(d)])
+    state_space((m + 1,))
+    powers, qint = _q_tables(q, m, float)
+    # e v_k = [m - k] v_(k+1) and f v_k = [k] v_(k-1), read from [1]..[m]
+    E = np.diag(qint[m + 1:][::-1], -1)
+    F = np.diag(qint[m + 1:], 1)
+    Kdiag = powers[::2]  # q^(2k - m)
     return RepM(m=m, q=q, E=E, F=F, K=np.diag(Kdiag), Kinv=np.diag(1.0 / Kdiag))
 
 
@@ -137,14 +132,16 @@ def universal_r(rl: RepM, rm: RepM) -> np.ndarray:
     # float power, not numpy's, which can differ in the last digit.
     cartan = np.array([q ** (wa * wb / 2.0) for wa in wl for wb in wm])
     denom = q - 1.0 / q
+    n = min(rl.m, rm.m)
+    _, qint = _q_tables(q, n, float)
     Fi, Ei = np.eye(d1), np.eye(d2)
     total = kron(Fi, Ei)  # the i = 0 term, with coefficient 1
     qfact = 1.0
     # One term at a time, so at most three D x D arrays are alive.
-    for i in range(1, min(rl.m, rm.m) + 1):
+    for i in range(1, n + 1):
         Fi = rl.F @ Fi
         Ei = rm.E @ Ei
-        qfact *= (q**i - q ** (-i)) / denom
+        qfact *= qint[i + n]
         coeff = denom**i * q ** (i * (i - 1) / 2.0) / qfact
         total = total + coeff * kron(Fi, Ei)
     return cartan[:, None] * total

@@ -181,32 +181,23 @@ def verify_hecke_quadratic(R: np.ndarray, lam1: complex, lam2: complex) -> dict:
     return {"residual": float(np.max(np.abs((R - lam1 * Id) @ (R - lam2 * Id))))}
 
 
-def reflection_k(x, q: float, a: float, c: float, side: str = "left"):
+def reflection_k(x, q: float, a: float, c: float):
     """Boundary K-matrix of the open exclusion process, row convention.
 
-    side="left" takes (a, c) = (alpha, gamma), the entry and exit rates at
-    the left boundary; side="right" takes (a, c) = (beta, delta). K(1) = Id,
-    and for the left family K'(1) = 2 rho B with rho = (q-1)^{-1} and
-    B = [[-alpha, alpha], [gamma, -gamma]]. At a 1-D array of n points it
-    is (entries, poles): the (n, 2, 2) stack and the mask of the poles,
-    where the denominator vanishes (below 1e-13) and the entries are zero.
+    One family serves both boundaries: (a, c) = (alpha, gamma), the entry
+    and exit rates at the left boundary, gives K, and (a, c) =
+    (-delta, -beta) gives the right boundary's K-bar. Each row sums to 1,
+    K(1) = Id, and K'(1) = 2B/(q - 1) with B = [[-a, a], [c, -c]]: the
+    site-1 term of the generator for K, and minus its site-L term for
+    K-bar (Sklyanin 1988). At a 1-D array of n points it is (entries,
+    poles): the (n, 2, 2) stack and the mask of the poles, where the
+    denominator vanishes (below 1e-13) and the entries are zero.
     """
-    if side not in ("left", "right"):
-        raise ParameterError(f"side must be left or right, got {side}")
-    if side == "left":
-        al, ga = a, c
-        den = x * x * ga + q * x + x * al - x * ga - x - al
-        numerators = (
-            ((-x * al + x * ga + q + al - ga - 1) * x, al * (x * x - 1)),
-            ((x * x - 1) * ga, q * x + x * al - x * ga - x - al + ga),
-        )
-    else:
-        be, de = a, c
-        den = -x * x * be + q * x - x * de + x * be - x + de
-        numerators = (
-            ((x * de - x * be + q - de + be - 1) * x, (x * x - 1) * de),
-            (-(x * x - 1) * be, q * x - x * de + x * be - x + de - be),
-        )
+    den = x * x * c + q * x + x * a - x * c - x - a
+    numerators = (
+        ((-x * a + x * c + q + a - c - 1) * x, a * (x * x - 1)),
+        ((x * x - 1) * c, q * x + x * a - x * c - x - a + c),
+    )
     poles = np.abs(den) < 1e-13
     den = np.where(poles, 1.0, den)
     return _stack([[n / den for n in row] for row in numerators], poles), poles
@@ -226,10 +217,13 @@ def verify_reflection_equation(r: Callable, k: Callable, z, w) -> dict:
     matrix of one stacked product. A point is skipped when w = 0 or when
     one of R(z/w), R(zw), K(z) and K(w) is a pole there. Returns the
     largest residual over the points checked, their number as
-    "points_checked", and the (len z, len w) mask of the skipped points as
-    "skipped". EvaluationPole if every point is skipped.
+    "points_checked", the (len z, len w) mask of the skipped points as
+    "skipped", and as "k_row_sums" the largest |row sum - 1| of K(z) and
+    K(w) over the points checked, each relative to max(1, the row's
+    largest |entry|): the equation leaves K's off-diagonal entries free,
+    and this pins them. EvaluationPole if every point is skipped.
     """
-    worst, skipped = [], []
+    worst, row_sums, skipped = [], [], []
     for zs, ws in _grid_blocks(z, w):
         at_zero = ws == 0
         R, r_poles = r(np.concatenate([zs / np.where(at_zero, 1, ws), zs * ws]))
@@ -241,6 +235,9 @@ def verify_reflection_equation(r: Callable, k: Callable, z, w) -> dict:
         keep = ~skip
         Ra, Rb = (part[keep] for part in np.split(R, 2))
         Kz, Kw = (part[keep] for part in np.split(K, 2))
+        both = np.concatenate([Kz, Kw])
+        scale = np.maximum(1, np.abs(both).max(axis=-1))
+        row_sums.append(np.max(np.abs(both.sum(axis=-1) - 1) / scale))
         dims = (Kz.shape[-1],) * 2
         K1 = embed(Kz, (2,), dims)
         K2 = embed(Kw, (1,), dims)
@@ -256,6 +253,7 @@ def verify_reflection_equation(r: Callable, k: Callable, z, w) -> dict:
         "residual": float(np.max(worst)),
         "points_checked": int(np.count_nonzero(~skipped)),
         "skipped": skipped.reshape(np.size(z), np.size(w)),
+        "k_row_sums": float(np.max(row_sums)),
     }
 
 
@@ -267,30 +265,30 @@ def markov_structure_report(r: Callable, w_local: np.ndarray) -> dict:
     "residuals" ||R(1) - P||, the misfit of that rho, row sums of R(z) on a
     z grid, and the rank-one fixed-point residual
     R^T(z/w) (v1(z) (x) v2(w)) = v1(z) (x) v2(w) for v(z) = (z, 1).
-    R'(1) is a central difference with one Richardson extrapolation step.
-    The family is evaluated once, on all the points these need; a pole
-    among them raises EvaluationPole.
+    R'(1) is taken by a complex step, Im R(1 + ih) / h, which has no
+    difference to cancel and is exact to rounding for h this small
+    (Squire-Trefethen 1998), so the family must accept complex z. The
+    family is evaluated once on the real points these need and once at
+    1 + ih; a pole among them raises EvaluationPole.
     """
-    h = 1e-5  # the central difference's step
+    h = 1e-20  # the complex step
     # The row sums are taken at zs, the fixed point at the ratios z / w,
     # which stay below 1 so qz never hits 1 for q in (0,1).
     zs = np.array([0.2, 0.4, 0.6, 0.8])
     z, w = np.array([0.3, 0.6, 0.4]), np.array([0.8, 0.9, 0.5])
-    near_one = [1.0, 1.0 + h, 1.0 - h, 1.0 + h / 2, 1.0 - h / 2]
-    points = np.concatenate([near_one, zs, z / w])
+    points = np.concatenate([[1.0], zs, z / w])
     stack, poles = r(points)
-    if poles.any():
-        raise EvaluationPole(f"family undefined at z={points[np.argmax(poles)].item()}")
-    at_one, rows, ratios = np.split(stack, [len(near_one), len(near_one) + zs.size])
-    R1, up, down, half_up, half_down = at_one
+    step, step_pole = r(np.array([complex(1.0, h)]))
+    if poles.any() or step_pole[0]:
+        at = points[np.argmax(poles)].item() if poles.any() else complex(1.0, h)
+        raise EvaluationPole(f"family undefined at z={at}")
+    (R1,), rows, ratios = np.split(stack, [1, 1 + zs.size])
     d = math.isqrt(R1.shape[-1])
     P = permutation_operator(d, d)
     regularity = float(np.max(np.abs(R1 - P)))
     if regularity > 1e-8:
         raise NotRegular(f"R(1) differs from P by {regularity}")
-    d1 = (up - down) / (2 * h)
-    d2 = (half_up - half_down) / h
-    M = (4 * d2 - d1) / 3 @ P
+    M = step[0].imag / h @ P
     denom = float(np.sum(w_local * w_local))
     rho = float(np.sum(M * w_local) / denom) if denom > 0 else 0.0
     markov_residual = float(np.max(np.abs(M - rho * w_local)))

@@ -234,8 +234,9 @@ def test_criterion_6_fusion_cross_check():
 def test_criterion_7_reflection_suite():
     q, alpha, gamma, beta, delta = 0.5, 0.6, 0.15, 0.4, 0.2
     r = functools.partial(ybe.asep_spectral_r, q=q)
-    k = functools.partial(ybe.reflection_k, q=q, a=alpha, c=gamma, side="left")
-    kbar = functools.partial(ybe.reflection_k, q=q, a=beta, c=delta, side="right")
+    # one K family: (alpha, gamma) on the left, (-delta, -beta) on the right
+    k = functools.partial(ybe.reflection_k, q=q, a=alpha, c=gamma)
+    kbar = functools.partial(ybe.reflection_k, q=q, a=-delta, c=-beta)
     worst = 0.0
     # grid chosen so q z/w and q z w stay away from 1 (R-matrix poles)
     for z in (0.3, 0.5, 0.7, 0.9):
@@ -247,18 +248,16 @@ def test_criterion_7_reflection_suite():
                 )
     k_one = max(float(np.max(np.abs(_at(kf, 1.0) - np.eye(2))))
                 for kf in (k, kbar))
-    h = 1e-5
-
-    def kl(x):
-        return _at(k, x)
-
-    d1 = (kl(1 + h) - kl(1 - h)) / (2 * h)
-    d2 = (kl(1 + h / 2) - kl(1 - h / 2)) / h
-    kp = (4 * d2 - d1) / 3
-    rho = 1.0 / (q - 1.0)
+    # K'(1) by a complex step is 2B/(q - 1) on the left and 2B_L/(1 - q)
+    # on the right, B and B_L the generator's boundary terms
+    h = 1e-20
     B = np.array([[-alpha, alpha], [gamma, -gamma]])
-    deriv = float(np.max(np.abs(kp - 2.0 * rho * B)))
-    ok = worst <= 1e-10 and k_one <= 1e-12 and deriv <= 1e-6
+    B_L = np.array([[-delta, delta], [beta, -beta]])
+    deriv = max(
+        float(np.max(np.abs(_at(kf, 1.0 + h * 1j).imag / h - want)))
+        for kf, want in ((k, 2.0 * B / (q - 1.0)), (kbar, 2.0 * B_L / (1.0 - q)))
+    )
+    ok = worst <= 1e-10 and k_one <= 1e-12 and deriv <= 1e-12
     _line(7, "boundary reflection suite", ok,
           f"reflection {worst:.2e}, K(1) {k_one:.2e}, K'(1) {deriv:.2e}")
 

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from integrable import cli
+from integrable import cli, ybe
 
 SCHEMA_PATH = "src/integrable/schemas/run_report.schema.json"
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -94,6 +94,7 @@ BAND_CAP_ARGV = ["asep", "stationary", "--open", "--L", "15", "--q", "0.5", "--a
     [
         # the contour encloses the wrong poles: probability -0.0153
         (TWPROB + ["--y", "0", "2", "--x", "1", "3", "--radius", "2.0"], 1, False),
+        # the start count is derived from t, and the option is gone
         (TWPROB + ["--y", "0", "--x", "1", "--nquad", "0"], 2, True),
         (TWPROB + ["--y", "0", "2", "--x", "1", "3", "--nquad", "0"], 2, True),
         # a contour needs a positive radius
@@ -253,6 +254,50 @@ def test_verify_reflection_reports_the_points_it_checked(capsys):
     code, out = _run(capsys, ["verify", "reflection", "--q", "0.5"])
     assert code == 0
     assert json.loads(out)["results"] == {"points_checked": 32}
+
+
+def test_right_boundary_poles_come_from_the_one_family(capsys):
+    # at (a, c) = (-delta, -beta) = (-0.25, -0.5), K-bar has a pole at
+    # x = 0.5, which leaves 1 of the 4 right-boundary points; swapping the
+    # two rates moves the pole off the grid
+    argv = ["verify", "reflection", "--q", "0.5", "--beta", "0.5", "--delta", "0.25",
+            "--grid", "0.3", "0.5"]
+    code, out = _run(capsys, argv)
+    assert code == 0
+    assert json.loads(out)["results"] == {"points_checked": 5}
+
+
+def test_reflection_row_sums_see_the_off_diagonal_entries(capsys, monkeypatch):
+    # the reflection equation leaves K[0, 1] free: tripling it in both
+    # boundaries keeps the reflection residual near rounding, and only the
+    # row sums fail
+    code, out = _run(capsys, ["verify", "reflection"])
+    assert code == 0
+    assert json.loads(out)["residuals"]["k_row_sums"] <= 1e-14
+    family = ybe.reflection_k
+
+    def tripled(x, q, a, c):
+        K, poles = family(x, q, a, c)
+        K[:, 0, 1] *= 3
+        return K, poles
+
+    monkeypatch.setattr(ybe, "reflection_k", tripled)
+    code, out = _run(capsys, ["verify", "reflection"])
+    residuals = json.loads(out)["residuals"]
+    assert code == 1
+    assert residuals["reflection"] <= 1e-10 and residuals["k_row_sums"] > 1e-2
+
+
+# R'(1) by a complex step: no difference to cancel near q = 1, where the
+# entries of R'(1) grow as 1/(q - 1)
+@pytest.mark.parametrize("q", ["0.05", "0.3", "0.5", "0.9", "0.99", "0.999", "0.9999",
+                               "0.99999", "1.001", "3", "10"])
+def test_verify_markov_near_and_far_from_q_one(capsys, q):
+    code, out = _run(capsys, ["verify", "markov", "--q", q])
+    assert code == 0
+    report = json.loads(out)
+    assert report["residuals"]["markov"] <= 1e-10
+    assert report["results"]["rho_fit"] == pytest.approx(1 / (float(q) - 1), rel=1e-9)
 
 
 @pytest.mark.parametrize("L", range(1, 13))

@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.special
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -225,29 +226,40 @@ def test_generator_is_the_sum_of_its_local_terms(L, q, rates, open_boundary):
 
 # Away from q = 1: K's denominator cancels to q - 1 at x = 1, so its
 # rounding grows as the largest rate over |q - 1|.
-@settings(max_examples=200, deadline=None)
-@given(q=st.one_of(st.floats(0.05, 0.95), st.floats(1.05, 20.0)),
-       alpha=st.floats(0.05, 5.0), gamma=st.floats(0.05, 5.0))
-def test_site_one_term_is_the_left_k_derivative(q, alpha, gamma):
-    # K'(1) = 2B/(q - 1) for the left family (Sklyanin 1988), by a complex
-    # step: Im K(1 + ih)/h is K'(1) to O(h^2), with no cancellation
+BOUNDARY_Q = st.one_of(st.floats(0.05, 0.95), st.floats(1.05, 20.0))
+
+
+def _k_derivative_at_one(q, a, c):
+    """K'(1) of the one K family, by a complex step: Im K(1 + ih)/h is
+    K'(1) to O(h^2), with no cancellation."""
     h = 1e-20
-    k, _ = ybe.reflection_k(np.array([1.0 + h * 1j]), q, alpha, gamma, "left")
+    k, _ = ybe.reflection_k(np.array([1.0 + h * 1j]), q, a, c)
+    return k[0].imag / h
+
+
+@settings(max_examples=200, deadline=None)
+@given(q=BOUNDARY_Q, alpha=st.floats(0.05, 5.0), gamma=st.floats(0.05, 5.0))
+def test_site_one_term_is_the_left_k_derivative(q, alpha, gamma):
+    # K'(1) = 2B/(q - 1) at (a, c) = (alpha, gamma) (Sklyanin 1988)
     p = AsepParams(q=q, alpha=alpha, gamma=gamma, L=3)
     site, B = models.asep_local_terms(p, open_boundary=True)[-2]
     assert site == 1
     want = 2.0 / (q - 1.0) * B
-    assert np.max(np.abs(k[0].imag / h - want)) <= 1e-12 * np.max(np.abs(want))
+    got = _k_derivative_at_one(q, alpha, gamma)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
-def test_right_k_derivative_is_not_a_generator_term():
-    # The right family gives K'(1)(q - 1)/2 = [[delta, delta], [-beta, beta]],
-    # whose rows do not sum to zero, so it is not the site-L term
-    # [[-delta, delta], [beta, -beta]] of asep_local_terms (ROADMAP item 2).
-    q, beta, delta, h = 0.5, 0.4, 0.2, 1e-20
-    k, _ = ybe.reflection_k(np.array([1.0 + h * 1j]), q, beta, delta, "right")
-    got = k[0].imag / h * (q - 1.0) / 2.0
-    assert np.allclose(got, [[delta, delta], [-beta, beta]], rtol=1e-12, atol=0)
+@settings(max_examples=200, deadline=None)
+@given(q=BOUNDARY_Q, beta=st.floats(0.05, 5.0), delta=st.floats(0.05, 5.0))
+def test_site_l_term_is_the_right_k_derivative(q, beta, delta):
+    # the same family at (a, c) = (-delta, -beta) gives the right
+    # boundary: K'(1)(1 - q)/2 is the site-L term [[-delta, delta],
+    # [beta, -beta]], whose rows sum to zero
+    p = AsepParams(q=q, beta=beta, delta=delta, L=3)
+    site, B = models.asep_local_terms(p, open_boundary=True)[-1]
+    assert site == 3
+    got = _k_derivative_at_one(q, -delta, -beta) * (1.0 - q) / 2.0
+    assert np.max(np.abs(got - B)) <= 1e-12 * np.max(np.abs(B))
 
 
 def test_absorbing_configuration_is_the_stationary_law():
@@ -632,6 +644,24 @@ def test_oracle_memory_per_state():
 def test_oracle_rejects_unsorted_positions(y, x):
     with pytest.raises(ParameterError):
         models.ctmc_oracle_probability(y, x, 0.5, 0.4)
+
+
+@pytest.mark.parametrize("t", [370.0, 400.0])
+def test_oracle_weights_do_not_underflow_at_large_t(t):
+    # one particle at q = 1 is a symmetric walk, whose law at 3 is the
+    # Skellam value e^(-2t) I_3(2t); e^(-2t) alone underflows past t = 372
+    want = scipy.special.ive(3, 2.0 * t)
+    assert abs(models.ctmc_oracle_probability((0,), (3,), t, 1.0) - want) <= 1e-12
+
+
+@pytest.mark.parametrize("probability", [models.tw_transition_probability,
+                                         models.ctmc_oracle_probability],
+                         ids=["contour", "oracle"])
+@pytest.mark.parametrize("t, q", [(math.nan, 0.5), (0.5, math.nan), (-0.5, 0.5),
+                                  (0.5, -0.5)], ids=["t-nan", "q-nan", "t-neg", "q-neg"])
+def test_contour_and_oracle_refuse_the_same_arguments(probability, t, q):
+    with pytest.raises(ParameterError):
+        probability((0, 2), (1, 3), t, q)
 
 
 def test_asep_params_validation():

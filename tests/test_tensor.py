@@ -152,8 +152,8 @@ def test_real_input_stays_real():
         permutation_operator(2, 3),
         ybe.r_alpha_beta(0.3, 0.6),
         ybe.asep_spectral_r(at, 0.5)[0],
-        ybe.reflection_k(at, 0.5, 0.6, 0.15, "left")[0],
-        ybe.reflection_k(at, 0.5, 0.4, 0.2, "right")[0],
+        ybe.reflection_k(at, 0.5, 0.6, 0.15)[0],
+        ybe.reflection_k(at, 0.5, -0.2, -0.4)[0],
         ybe.frt_r(0.7),
         *(m for _, m in models.asep_local_terms(
             models.AsepParams(q=0.5, alpha=0.6, beta=0.4, L=2), True)),

@@ -71,30 +71,36 @@ def test_frt_satisfies_braided_ybe():
     assert _braided(ybe.frt_r(0.7)) <= 1e-10
 
 
-def _reflection_k(q, a, c, side):
-    return functools.partial(ybe.reflection_k, q=q, a=a, c=c, side=side)
+def _reflection_k(q, a, c):
+    return functools.partial(ybe.reflection_k, q=q, a=a, c=c)
+
+
+# (a, c) of the one K family at each boundary: (alpha, gamma) = (0.6, 0.15)
+# on the left, and (-delta, -beta) = (-0.2, -0.4) on the right.
+BOUNDARIES = ((0.6, 0.15), (-0.2, -0.4))
 
 
 def test_reflection_equation_both_sides():
     q = 0.5
     r = functools.partial(ybe.asep_spectral_r, q=q)
-    kl = _reflection_k(q, 0.6, 0.15, "left")
-    kr = _reflection_k(q, 0.4, 0.2, "right")
+    kl, kr = (_reflection_k(q, a, c) for a, c in BOUNDARIES)
     for z, w in [(0.3, 0.55), (0.7, 0.32), (0.9, 0.77)]:
         assert ybe.verify_reflection_equation(r, kl, z, w)["residual"] <= 1e-10
         assert ybe.verify_reflection_equation(r, kr, z, w)["residual"] <= 1e-10
 
 
 def test_reflection_k_regular_at_one():
-    for side, a, c in (("left", 0.6, 0.15), ("right", 0.4, 0.2)):
-        K, poles = ybe.reflection_k(np.ones(1), 0.5, a, c, side)
-        assert not poles[0]
+    # K(1) = Id, and at every point each row sums to 1
+    for a, c in BOUNDARIES:
+        K, poles = ybe.reflection_k(np.array([1.0, 0.3, 0.7, 1.6, 3.0]), 0.5, a, c)
+        assert not poles.any()
         assert np.max(np.abs(K[0] - np.eye(2))) <= 1e-12
+        assert np.max(np.abs(K.sum(axis=-1) - 1.0)) <= 1e-14
 
 
 def test_reflection_pole_surfaces_as_evaluation_pole():
     r = functools.partial(ybe.asep_spectral_r, q=0.5)
-    kl = _reflection_k(0.5, 0.6, 0.15, "left")
+    kl = _reflection_k(0.5, 0.6, 0.15)
     with pytest.raises(ybe.EvaluationPole):
         # z/w = 2 makes q z/w = 1, a pole of the R factor
         ybe.verify_reflection_equation(r, kl, 0.7, 0.35)
@@ -105,8 +111,8 @@ def test_markov_structure_report_fits_rho():
     rep = ybe.markov_structure_report(
         functools.partial(ybe.asep_spectral_r, q=q), models.asep_bulk_w(q)
     )
-    assert max(rep["residuals"].values()) <= 1e-8, rep
-    assert rep["rho_fit"] == pytest.approx(1.0 / (q - 1.0), abs=1e-6)
+    assert max(rep["residuals"].values()) <= 1e-10, rep
+    assert rep["rho_fit"] == pytest.approx(1.0 / (q - 1.0), rel=1e-12)
 
 
 # The per-point verifiers that the batched ones replaced, kept as their
@@ -124,23 +130,14 @@ def _r_point(z, q):
                      [0, 0, 0, 1]])
 
 
-def _k_point(x, q, a, c, side):
+def _k_point(x, q, a, c):
     """K(x) by the scalar formula, or None at a pole."""
-    if side == "left":
-        al, ga = a, c
-        den = x * x * ga + q * x + x * al - x * ga - x - al
-        if abs(den) < 1e-13:
-            return None
-        return np.array([
-            [(-x * al + x * ga + q + al - ga - 1) * x / den, al * (x * x - 1) / den],
-            [(x * x - 1) * ga / den, (q * x + x * al - x * ga - x - al + ga) / den]])
-    be, de = a, c
-    den = -x * x * be + q * x - x * de + x * be - x + de
+    den = x * x * c + q * x + x * a - x * c - x - a
     if abs(den) < 1e-13:
         return None
     return np.array([
-        [(x * de - x * be + q - de + be - 1) * x / den, (x * x - 1) * de / den],
-        [-(x * x - 1) * be / den, (q * x - x * de + x * be - x + de - be) / den]])
+        [(-x * a + x * c + q + a - c - 1) * x / den, a * (x * x - 1) / den],
+        [(x * x - 1) * c / den, (q * x + x * a - x * c - x - a + c) / den]])
 
 
 _I2 = np.eye(2)
@@ -165,23 +162,28 @@ def _spectral_oracle(q, zs, ws):
     return worst
 
 
-def _reflection_oracle(q, a, c, side, zs, ws):
-    """(max over the points checked, mask of the skipped points)."""
-    worst, skipped = 0.0, np.zeros((len(zs), len(ws)), dtype=bool)
+def _reflection_oracle(q, a, c, zs, ws):
+    """(max over the points checked, mask of the skipped points, largest
+    relative |row sum - 1| of K(z) and K(w) over the points checked)."""
+    worst, rows = 0.0, 0.0
+    skipped = np.zeros((len(zs), len(ws)), dtype=bool)
     for i, z in enumerate(zs):
         for j, w in enumerate(ws):
             mats = (None,) if w == 0 else (
                 _r_point(z / w, q), _r_point(z * w, q),
-                _k_point(z, q, a, c, side), _k_point(w, q, a, c, side))
+                _k_point(z, q, a, c), _k_point(w, q, a, c))
             if any(m is None for m in mats):
                 skipped[i, j] = True
                 continue
             Ra, Rb, Kz, Kw = mats
+            for K in (Kz, Kw):
+                for row in K:
+                    rows = max(rows, abs(row.sum() - 1) / max(1, np.abs(row).max()))
             K1, K2 = np.kron(_I2, Kz), np.kron(Kw, _I2)
             lhs = Ra @ K1 @ (_SWAP @ Rb @ _SWAP) @ K2
             rhs = K2 @ Rb @ K1 @ (_SWAP @ Ra @ _SWAP)
             worst = max(worst, float(np.max(np.abs(lhs - rhs))))
-    return worst, skipped
+    return worst, skipped, rows
 
 
 @st.composite
@@ -217,9 +219,9 @@ def test_batched_verifiers_equal_the_per_point_loop(grids, rates):
     else:
         assert ybe.verify_spectral_ybe(r, zs, ws)["residual"] == expected
     alpha, gamma, beta, delta = rates
-    for side, a, c in (("left", alpha, gamma), ("right", beta, delta)):
-        k = functools.partial(ybe.reflection_k, q=q, a=a, c=c, side=side)
-        worst, skipped = _reflection_oracle(q, a, c, side, zs, ws)
+    for a, c in ((alpha, gamma), (-delta, -beta)):
+        k = functools.partial(ybe.reflection_k, q=q, a=a, c=c)
+        worst, skipped, rows = _reflection_oracle(q, a, c, zs, ws)
         if skipped.all():
             with pytest.raises(ybe.EvaluationPole):
                 ybe.verify_reflection_equation(r, k, zs, ws)
@@ -228,6 +230,7 @@ def test_batched_verifiers_equal_the_per_point_loop(grids, rates):
         assert res["residual"] == worst
         assert np.array_equal(res["skipped"], skipped)
         assert res["points_checked"] == np.count_nonzero(~skipped)
+        assert res["k_row_sums"] == rows
 
 
 def test_family_stacks_match_their_scalar_values():
@@ -237,11 +240,11 @@ def test_family_stacks_match_their_scalar_values():
     xs = np.array([0.3, 2.0, 0.0, 1.7])
     R, poles = ybe.asep_spectral_r(xs, q)
     assert R.shape == (4, 4, 4) and poles.tolist() == [False, True, False, False]
-    K, kpoles = ybe.reflection_k(xs, q, 0.0, 0.2, "left")
+    K, kpoles = ybe.reflection_k(xs, q, 0.0, 0.2)
     assert K.shape == (4, 2, 2) and kpoles.tolist() == [False, False, True, False]
     for x, Rx, Kx, pole, kpole in zip(xs, R, K, poles, kpoles):
         assert np.array_equal(Rx, 0 * Rx if pole else _r_point(x, q))
-        assert np.array_equal(Kx, 0 * Kx if kpole else _k_point(x, q, 0.0, 0.2, "left"))
+        assert np.array_equal(Kx, 0 * Kx if kpole else _k_point(x, q, 0.0, 0.2))
 
 
 def test_empty_grid_is_refused():
