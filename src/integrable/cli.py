@@ -52,8 +52,7 @@ USAGE_EXIT = 2
 # are compared against at least this tolerance, keyed by report command.
 TOL_FLOOR = {
     "fuse": 1e-8,
-    "twprob": 1e-5,
-    "oscillator hermite": 1e-6,
+    "twprob": models.TW_DOUBLING_TOL,
 }
 
 
@@ -222,7 +221,10 @@ def _verify_markov(args) -> Run:
         functools.partial(ybe.asep_spectral_r, q=args.q), models.asep_bulk_w(args.q)
     )
     fit = {"q": args.q, "rho_fit": res["rho_fit"]}
-    return Run("verify markov", fit, fit, res["residuals"])
+    # ASEP's R'(1) P = w / (q - 1): a family whose R'(1) is zero fits
+    # rho = 0 with no misfit, and fails here
+    rho = abs((args.q - 1.0) * res["rho_fit"] - 1.0)
+    return Run("verify markov", fit, fit, {**res["residuals"], "rho": rho})
 
 
 _VERIFY = {
@@ -355,10 +357,8 @@ def _sample6v(args) -> Run:
 
 def _twprob(args) -> Run:
     y, x = tuple(args.y), tuple(args.x)
-    nquad = models.tw_start_nodes(y, x, args.t, args.q, args.radius)
-    val = models.tw_transition_probability(
-        y, x, args.t, args.q, radius=args.radius, n_quad=nquad
-    )
+    nquad = models.tw_start_nodes(y, x, args.t, args.q)
+    val = models.tw_transition_probability(y, x, args.t, args.q, n_quad=nquad)
     results = {"probability": val}
     residuals = {"probability_range": max(0.0, -val, val - 1.0)}
     if args.check_oracle:
@@ -368,7 +368,7 @@ def _twprob(args) -> Run:
     return Run(
         "twprob",
         {"y": list(y), "x": list(x), "t": args.t, "q": args.q,
-         "radius": args.radius, "nquad": nquad},
+         "radius": models.tw_radius(args.q, len(y)), "nquad": nquad},
         results,
         residuals,
     )
@@ -490,7 +490,6 @@ COMMANDS = (
         _float("--q", required=True),
         _int("--y", nargs="+", required=True),
         _int("--x", nargs="+", required=True),
-        _float("--radius", default=0.5),
         _flag("--check-oracle"),
     ), _twprob),
     Command("oscillator", (

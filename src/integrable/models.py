@@ -39,10 +39,6 @@ from .tensor import (
 )
 
 
-class ContourHitsPole(ParameterError):
-    pass
-
-
 class NonConvergedQuadrature(ConvergenceError):
     pass
 
@@ -347,16 +343,30 @@ TW_DOUBLING_TOL = 1e-8
 # geometric convergence roughly squares the change at each doubling, so a
 # change of TW_DOUBLING_TOL follows one of about its square root.
 TW_APPROACH_TOL = 1e-4
+# Contour radius for N > 1 as a fraction of r*(q), the radius at which a
+# scattering pole reaches the torus of contours (see tw_radius).
+TW_RADIUS_MARGIN = 0.7
 
 
-def _scattering_pole_on_torus(q: float, radius: float) -> bool:
-    """Whether the scattering denominator 1 - xi_b ((1 + q) - q xi_a)
-    vanishes somewhere on the torus |xi_a| = |xi_b| = radius: for xi_a on
-    the circle, (1 + q) - q xi_a runs over the circle of radius |q| radius
-    about 1 + q, and the zero xi_b lies on the contour when that circle
-    meets |w| = 1 / radius."""
-    centre, spread = abs(1.0 + q), abs(q) * radius
-    return abs(centre - spread) <= 1.0 / radius <= centre + spread
+def tw_radius(q: float, n_particles: int) -> float:
+    """Radius of the contour circles: 1/2 for one particle, whose integrand
+    has no scattering factor, else min(1/2, TW_RADIUS_MARGIN r*(q)).
+
+    The scattering denominator 1 + q xi_a xi_b - (1 + q) xi_b vanishes
+    nowhere on the polydisk |xi_a|, |xi_b| <= r when r < r*(q), the
+    positive root of q r^2 + (1 + q) r = 1,
+    r*(q) = 2 / ((1 + q) + sqrt((1 + q)^2 + 4q)): there its modulus is at
+    least 1 - q r^2 - (1 + q) r > 0, so the contours enclose no pole but
+    the origin, as the formula (Tracy-Widom, Commun. Math. Phys. 279
+    (2008) 815) requires. At r <= c r* with c = TW_RADIUS_MARGIN
+    < 1 that bound is at least 1 - c, since q r^2 + (1 + q) r grows with r
+    and c^2 <= c. The integrand is then analytic in an annulus about each
+    circle, where the trapezoid rule converges geometrically.
+    """
+    if n_particles < 2:
+        return 0.5
+    r_star = 2.0 / ((1.0 + q) + math.sqrt((1.0 + q) ** 2 + 4.0 * q))
+    return min(0.5, TW_RADIUS_MARGIN * r_star)
 
 
 def _checked_positions(y, x, t: float, q: float) -> tuple:
@@ -378,37 +388,30 @@ def _checked_positions(y, x, t: float, q: float) -> tuple:
     return y, x
 
 
-def tw_start_nodes(y, x, t: float, q: float, radius: float,
-                   n_quad: int | None = None) -> int:
-    """The first node count of the contour formula's doubling schedule.
+def tw_start_nodes(y, x, t: float, q: float, n_quad: int | None = None) -> int:
+    """The first node count of the contour formula's doubling schedule,
+    after the checks of the positions, t and q.
 
     By default it is the node floor: the smallest power of two, from
     TW_MIN_NODES up to at most TW_FLOOR_CAP, that is at least
-    2e t / radius + max |x_j - y_a| over all pairs (j, a). On the circle
-    |xi| = radius the factor exp(t/xi) of the integrand has Laurent
-    coefficients of size (t/radius)^k / k! < (e t / (radius k))^k, which
-    fall below 2^-k once k exceeds 2e t / radius. Each permutation pairs
-    the variable xi_a with some x_j in the monomial xi_a^(x_j - y_a - 1),
-    which shifts that band by |x_j - y_a|, and an n-node trapezoid rule is
-    exact on Laurent terms of degree below n in magnitude. An explicit
-    `n_quad` replaces the floor.
-
-    For N > 1 on a torus that a scattering pole crosses, the schedule has
-    only its last two counts (see `tw_transition_probability`), so it
-    starts at max(TW_MAX_NODES // 2, n_quad).
+    2e t / r + max |x_j - y_a| over all pairs (j, a), with r =
+    tw_radius(q, N). On the circle |xi| = r the factor exp(t/xi) of the
+    integrand has Laurent coefficients of size (t/r)^k / k! <
+    (e t / (r k))^k, which fall below 2^-k once k exceeds 2e t / r. Each
+    permutation pairs the variable xi_a with some x_j in the monomial
+    xi_a^(x_j - y_a - 1), which shifts that band by |x_j - y_a|, and an
+    n-node trapezoid rule is exact on Laurent terms of degree below n in
+    magnitude. An explicit `n_quad` replaces the floor.
     """
-    if not radius > 0:
-        raise ParameterError(f"contour radius must be positive, got {radius}")
+    y, x = _checked_positions(y, x, t, q)
     if n_quad is None:
-        need = 2.0 * math.e * t / radius + max(
+        need = 2.0 * math.e * t / tw_radius(q, len(y)) + max(
             (abs(b - a) for a in y for b in x), default=0)
         n_quad = TW_MIN_NODES
         while n_quad < need and n_quad < TW_FLOOR_CAP:
             n_quad *= 2
     if n_quad < 1:
         raise ParameterError(f"need at least one quadrature node, got {n_quad}")
-    if len(y) > 1 and _scattering_pole_on_torus(q, radius):
-        return max(TW_MAX_NODES // 2, n_quad)
     return n_quad
 
 
@@ -417,15 +420,15 @@ def tw_transition_probability(
     x,
     t: float,
     q: float,
-    radius: float = 0.5,
     n_quad: int | None = None,
 ) -> float:
     """N-particle transition probability by the Bethe-ansatz contour
     formula: a sum over permutations of N-fold contour integrals with
     scattering factors over inversions.
 
-    Contours are circles of the given radius around the origin, integrated
-    by the trapezoid rule. The node count starts at `tw_start_nodes`: by
+    Contours are circles of radius `tw_radius(q, N)` around the origin,
+    which leave every pole of the scattering factor outside, integrated by
+    the trapezoid rule. The node count starts at `tw_start_nodes`: by
     default a floor of 32 to 256 nodes that grows with t / radius, or else
     `n_quad`. It doubles from there. The value at 2n is accepted once it
     moved by at most 1e-8 from the value at n, and the change before, from
@@ -439,27 +442,23 @@ def tw_transition_probability(
     change.
 
     Early acceptance rests on geometric convergence (Trefethen-Weideman,
-    SIAM Rev. 56 (2014) 385), which holds when the integrand is analytic
-    near the torus of contours; the rule above only tests for it. For
-    N > 1 at a (q, radius) where a pole of the scattering factor lies on
-    that torus, only the last two counts are evaluated: the fixed rule, 256
-    and 512 nodes by default. There coarse counts can agree by chance on a
-    wrong value, as 64, 128 and 256 nodes do at y = (0, 3), x = (2, 4),
-    t = 4, q = 0.8 (changes 8.6e-7, then 4.5e-11), on a value 4.5e-7 from
-    the master-equation oracle.
+    SIAM Rev. 56 (2014) 385), which holds because the integrand is analytic
+    near the torus of contours: every scattering denominator there has
+    modulus at least 1 - TW_RADIUS_MARGIN (see `tw_radius`). Where exp(t/xi)
+    is large on a small circle (large q and t), the terms cancel beyond
+    float precision, and the doubling raises instead of settling.
 
-    Each count scans the contours for poles of the scattering factor,
-    every value must be finite, and the accepted value must be real to
+    Every value must be finite, and the accepted value must be real to
     1e-10.
     """
     y, x = _checked_positions(y, x, t, q)
-    n_quad = tw_start_nodes(y, x, t, q, radius, n_quad)
+    n_quad = tw_start_nodes(y, x, t, q, n_quad)
     last = max(TW_MAX_NODES, 2 * n_quad)
     schedule, changes = [], []
 
     def evaluate(n):
         schedule.append(n)
-        val = _tw_eval(y, x, t, q, radius, n)
+        val = _tw_eval(y, x, t, q, n)
         if not cmath.isfinite(val):
             raise NonConvergedQuadrature(
                 f"trapezoid value {val} at {n} nodes is not finite "
@@ -509,23 +508,19 @@ def _tw_plan(N: int) -> tuple:
 
 
 @np.errstate(all="ignore")  # non-finite values are caught by the caller
-def _tw_eval(y, x, t, q, radius, n):
+def _tw_eval(y, x, t, q, n):
     N = len(y)
+    radius = tw_radius(q, N)
     # Node j is radius omega^j, omega = exp(2 pi i / n), and each power
     # xi_j^k is radius^k omega^(jk mod n), read from the table of roots.
     j = np.arange(n)
     roots = np.exp(2j * np.pi * j / n)
     nodes = radius * roots
     # The scattering factor S(xa, xb) = -num(xa, xb) / num(xb, xa) on the
-    # product torus, shared by every inversion of every permutation, after
-    # a scan of its denominator (num's transpose, so num's own entries) for
-    # poles.
+    # product torus, shared by every inversion of every permutation. On
+    # this radius |num| >= 1 - TW_RADIUS_MARGIN (see tw_radius).
     if N > 1:
         num = 1.0 + q * nodes[:, None] * nodes[None, :] - (1.0 + q) * nodes[:, None]
-        if np.min(np.abs(num)) < 1e-6:
-            raise ContourHitsPole(
-                f"scattering denominator within 1e-6 of zero at radius {radius}"
-            )
         scattering = -num / num.T
     # node value times dxi/(2 pi i) per trapezoid node, times exp(t eps(xi))
     base = nodes / n * np.exp(_epsilon(nodes, q) * t)

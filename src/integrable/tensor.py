@@ -27,7 +27,8 @@ of A + A^T, which makes the open exclusion chain's system a narrow band. Every c
 the pinned system is diagonally dominant, so in exact arithmetic partial
 pivoting exchanges no rows (see `stationary_distribution`). The band's
 size is known before it is allocated and is capped by MAX_BAND_BYTES. A
-solve whose residual shows a badly chosen pin is pinned again once. This solve
+solve whose residual shows a badly chosen pin is pinned again once, at the
+largest entry of that solve. This solve
 gives the open exclusion chain its law where the matrix product (`mpa`)
 has no trusted one; in tests and scripts, it is the oracle of the matrix
 product and of the closed chain's closed form (`models.closed_asep_law`).
@@ -60,8 +61,6 @@ MAX_BAND_BYTES = 2**29
 # Largest ||pi G||_1 on the closed class, relative to max(1, the largest exit
 # rate), that a pinned solve may leave before the class is pinned again.
 STATIONARY_TOL = 1e-13
-# Steps of the uniformized walk that picks the state to pin again.
-PIN_WALK_STEPS = 64
 
 
 class DimensionMismatch(ParameterError):
@@ -323,10 +322,12 @@ def _band_system(system) -> tuple:
     return order, kl, ku, band
 
 
-def _pinned_law(adjoint) -> np.ndarray:
-    """The normalised null vector of an irreducible generator, given as
-    its transpose in CSC form, with state 0 pinned to 1 before the solve
-    (see `stationary_distribution`)."""
+def _pinned_solve(adjoint) -> np.ndarray:
+    """The null vector of an irreducible generator, given as its transpose
+    in CSC form, with state 0 pinned to 1 before the solve (see
+    `stationary_distribution`), neither clipped nor normalised. An exactly
+    zero pivot of dgbsv leaves no solution: every entry but the pin is
+    then NaN, except the state of that pivot, which is inf."""
     from scipy.linalg.lapack import dgbsv
 
     weights = np.ones(adjoint.shape[0])
@@ -334,20 +335,17 @@ def _pinned_law(adjoint) -> np.ndarray:
         order, kl, ku, band = _band_system(adjoint[1:, 1:])
         rhs = -adjoint[1:, [0]].toarray()[order]
         *_, solution, info = dgbsv(kl, ku, band, rhs, overwrite_ab=1, overwrite_b=1)
-        # An exactly zero pivot leaves NaN, which the residual test pins again.
-        weights[1 + order] = solution[:, 0] if info == 0 else np.nan
+        if info == 0:
+            weights[1 + order] = solution[:, 0]
+        else:
+            weights[1:] = np.nan
+            weights[1 + order[info - 1]] = np.inf
+    return weights
+
+
+def _law(weights) -> np.ndarray:
     weights = np.clip(weights, 0.0, None)
     return weights / weights.sum()
-
-
-def _walk_peak(adjoint, rate: float) -> int:
-    """The state on which the uniformized chain I + G/rate puts the most
-    mass after PIN_WALK_STEPS steps from the uniform law; G is given as its
-    transpose."""
-    law = np.full(adjoint.shape[0], 1.0 / adjoint.shape[0])
-    for _ in range(PIN_WALK_STEPS):
-        law += (adjoint @ law) / rate
-    return int(np.argmax(law))
 
 
 def stationary_distribution(G: Generator) -> ProbVector:
@@ -368,9 +366,14 @@ def stationary_distribution(G: Generator) -> ProbVector:
     So ||pi G||_1 on the class is computed after the solve, at the cost of
     one sparse product. If it exceeds STATIONARY_TOL times
     max(1, the largest exit rate), the class is pinned again at the state
-    where a PIN_WALK_STEPS-step uniformized walk from the uniform law
-    peaks, and solved once more. That law is returned whatever its
-    residual; the caller judges it.
+    of the largest |entry| of the failed solve, taken before negative
+    entries are clipped, and solved once more: where the pin's mass is
+    tiny, the solve divides by it, and the states that hold the mass come
+    out largest. An exactly zero pivot leaves no finite entry but the pin;
+    the re-pin then takes the state of that pivot, the last state of a
+    leading block of the pinned system that rounding made singular: states
+    whose way back to the pin was lost to rounding. That law is returned
+    whatever its residual; the caller judges it.
 
     The pinned system A is put in the reverse Cuthill-McKee ordering
     (Cuthill-McKee, Proc. ACM 1969) of the pattern of A + A^T, which
@@ -399,13 +402,15 @@ def stationary_distribution(G: Generator) -> ProbVector:
         raise NotAGenerator(f"expected a Generator, got {type(G).__name__}")
     members = _closed_class(G.rates)
     adjoint = G.rates[members][:, members].T.tocsc()
-    weights = _pinned_law(adjoint)
+    solved = _pinned_solve(adjoint)
+    weights = _law(solved)
     rate = float(-adjoint.diagonal().min())
     # Written so that a non-finite residual pins again too.
     if not np.abs(adjoint @ weights).sum() <= STATIONARY_TOL * max(1.0, rate):
-        # The state the walk favours goes first, the rest keep their order.
-        order = np.roll(np.arange(members.size), -_walk_peak(adjoint, rate))
-        weights[order] = _pinned_law(adjoint[order][:, order])
+        # The state of the largest |entry| goes first, the rest keep their order.
+        peak = int(np.nanargmax(np.abs(solved)))
+        order = np.roll(np.arange(members.size), -peak)
+        weights[order] = _law(_pinned_solve(adjoint[order][:, order]))
     pi = np.zeros(G.dim)
     pi[members] = weights
     return ProbVector(pi)

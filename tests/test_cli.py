@@ -17,7 +17,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from integrable import cli, ybe
+from integrable import cli, models, ybe
 
 SCHEMA_PATH = "src/integrable/schemas/run_report.schema.json"
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -92,12 +92,12 @@ BAND_CAP_ARGV = ["asep", "stationary", "--open", "--L", "15", "--q", "0.5", "--a
 @pytest.mark.parametrize(
     "argv, expected, silent",
     [
-        # the contour encloses the wrong poles: probability -0.0153
-        (TWPROB + ["--y", "0", "2", "--x", "1", "3", "--radius", "2.0"], 1, False),
+        # the radius is derived from q, and the option is gone: a circle of
+        # radius 2 enclosed the wrong poles, and one of radius 0 none
+        (TWPROB + ["--y", "0", "2", "--x", "1", "3", "--radius", "2.0"], 2, True),
         # the start count is derived from t, and the option is gone
         (TWPROB + ["--y", "0", "--x", "1", "--nquad", "0"], 2, True),
         (TWPROB + ["--y", "0", "2", "--x", "1", "3", "--nquad", "0"], 2, True),
-        # a contour needs a positive radius
         (TWPROB + ["--y", "0", "2", "--x", "1", "3", "--radius", "0"], 2, True),
         (["verify", "spectral", "--grid"], 2, True),
         # qz = 1 at z = 2: any pole of the spectral check is a parameter error
@@ -298,6 +298,20 @@ def test_verify_markov_near_and_far_from_q_one(capsys, q):
     report = json.loads(out)
     assert report["residuals"]["markov"] <= 1e-10
     assert report["results"]["rho_fit"] == pytest.approx(1 / (float(q) - 1), rel=1e-9)
+    assert report["residuals"]["rho"] <= 1e-15
+
+
+def test_verify_markov_fails_a_family_with_no_derivative(capsys, monkeypatch):
+    # R(Re z): ASEP's R at every real point, but R'(1) = 0, so the fit is
+    # rho = 0 with no misfit; only rho against 1 / (q - 1) sees it
+    asep_r = ybe.asep_spectral_r
+    monkeypatch.setattr(ybe, "asep_spectral_r", lambda z, q: asep_r(np.real(z), q))
+    code, out = _run(capsys, ["verify", "markov", "--q", "0.5"])
+    report = json.loads(out)
+    assert code == 1
+    assert report["results"]["rho_fit"] == 0.0
+    assert report["residuals"]["markov"] == 0.0
+    assert report["residuals"]["rho"] == 1.0
 
 
 @pytest.mark.parametrize("L", range(1, 13))
@@ -616,7 +630,8 @@ def test_mpa_float_failure_prints_one_error_and_no_warning(argv, cause):
 
 
 def test_mpa_mirrors_q_above_one(capsys):
-    # The band LU fails at this point (its law has ||pi G||_1 = 0.871).
+    # The band LU failed at this point (||pi G||_1 = 0.871) when its re-pin
+    # followed a 64-step walk.
     argv = ["mpa", "--L", "10", "--q", "46.47848607733105", "--alpha",
             "0.0027522646135283743", "--beta", "0.0052862984388549455",
             "--delta", "0.44790675088142945"]
@@ -626,7 +641,8 @@ def test_mpa_mirrors_q_above_one(capsys):
 
 
 def test_open_chain_where_the_band_lu_fails_takes_the_matrix_product(capsys):
-    # The band LU's law has ||pi G||_1 = 0.871 here, even after its re-pin.
+    # The band LU's law had ||pi G||_1 = 0.871 here when its re-pin followed
+    # a 64-step walk; the matrix product is tried first either way.
     params = {"L": 10, "q": 46.47848607733105, "alpha": 0.0027522646135283743,
               "beta": 0.0052862984388549455, "gamma": 0.0,
               "delta": 0.44790675088142945}
@@ -688,6 +704,34 @@ def test_twprob_refuses_negative_q(oracle):
     report = json.loads(out)
     assert code == 0 and report["pass"]
     assert ("oracle" in report["results"]) == bool(oracle)
+
+
+@pytest.mark.parametrize("q, radius, probability", [
+    # radius 1/2 gave 0.00252, 1.04e-2 from the oracle, at q = 3, and did
+    # not converge at q = 0.8, where a scattering pole lay on its torus
+    ("3", 0.7 * 2 / (4 + math.sqrt(28)), 0.012896330007064),
+    ("0.8", 0.7 * 2 / (1.8 + math.sqrt(6.44)), 0.057888439444074),
+    # below q = 0.2335 the derived radius stays 1/2
+    ("0.2", 0.5, 0.087649518747710),
+])
+def test_twprob_takes_its_radius_from_q(capsys, q, radius, probability):
+    argv = ["twprob", "--t", "0.5", "--q", q, "--y", "0", "2", "--x", "1", "3",
+            "--check-oracle"]
+    code, out = _run(capsys, argv)
+    report = json.loads(out)
+    assert code == 0
+    assert report["params"]["radius"] == pytest.approx(radius, rel=1e-15)
+    assert report["results"]["probability"] == pytest.approx(probability, abs=1e-8)
+    assert report["residuals"]["oracle_diff"] <= models.TW_DOUBLING_TOL
+
+
+def test_tolerance_floors_are_the_claimed_accuracies():
+    # a contour value 1.03e-8 from the oracle passed the old 1e-5 floor;
+    # the floor is now the accuracy the node doubling claims
+    assert cli.TOL_FLOOR["twprob"] == models.TW_DOUBLING_TOL
+    assert not cli._passes("twprob", {"oracle_diff": 1.03e-8}, 1e-10)
+    # overlaps up to degree 6 are at most 4.5e-13: the default 1e-10 holds
+    assert not cli._passes("oscillator hermite", {"orthogonality": 1e-9}, 1e-10)
 
 
 def _json_dumps(report):

@@ -23,7 +23,7 @@ def _package_exception_classes():
 DEFINED = {
     "cli": {"NonFiniteResult"},
     "errors": {"RateOutOfRange", "SingularGauge"},
-    "models": {"ContourHitsPole", "NonConvergedQuadrature"},
+    "models": {"NonConvergedQuadrature"},
     "mpa": {"ZeroLeadingRate"},
     "sixvertex": {"PoleAtZEqualsQPower", "PoleInSpectralLadder", "InconsistentBoundary"},
     "tensor": {"DimensionMismatch", "StateSpaceTooLarge", "NotAGenerator",

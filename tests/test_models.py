@@ -347,7 +347,7 @@ TW_POINTS = {1: ((0,), (1,)), 2: ((0, 2), (1, 3)), 3: ((0, 2, 4), (1, 3, 5))}
 @pytest.mark.parametrize("N", [1, 2, 3])
 def test_tw_adaptive_equals_the_fixed_512_node_rule(N, t, q):
     y, x = TW_POINTS[N]
-    fixed = models._tw_eval(y, x, t, q, 0.5, 512).real
+    fixed = models._tw_eval(y, x, t, q, 512).real
     assert abs(models.tw_transition_probability(y, x, t, q) - fixed) <= 1e-10
     # starting at 256 nodes is the fixed 256/512 rule, bit for bit
     assert models.tw_transition_probability(y, x, t, q, n_quad=256) == fixed
@@ -377,15 +377,15 @@ def test_tw_coarse_start_is_right_or_raises(y, x, t, q, n_quad):
 def test_tw_coarse_levels_agreeing_by_chance_are_not_accepted(monkeypatch, wrong):
     y, x, t, q = (0, 2), (1, 3), 0.6, 0.3
     truth = models.tw_transition_probability(y, x, t, q)
-    start = models.tw_start_nodes(y, x, t, q, 0.5)
+    start = models.tw_start_nodes(y, x, t, q)
     real_eval = models._tw_eval
 
-    def fooled_eval(y, x, t, q, radius, n):
+    def fooled_eval(y, x, t, q, n):
         # the first levels return the values in `wrong`
         level = (n // start).bit_length() - 1
         if level < len(wrong):
             return complex(wrong[level])
-        return real_eval(y, x, t, q, radius, n)
+        return real_eval(y, x, t, q, n)
 
     monkeypatch.setattr(models, "_tw_eval", fooled_eval)
     if start * 2**len(wrong) >= models.TW_MAX_NODES:
@@ -398,42 +398,80 @@ def test_tw_coarse_levels_agreeing_by_chance_are_not_accepted(monkeypatch, wrong
 
 
 @pytest.mark.parametrize("n_quad", [None, 4, 16])
-def test_tw_pole_on_the_torus_takes_the_fixed_rule(n_quad):
-    # q = 0.8 at radius 0.5: a scattering pole lies on the torus. There 128
-    # and 256 nodes agree to 4.5e-11 after a change of 8.6e-7, on a value
-    # 4.5e-7 from the oracle, which the early rule would accept. The
-    # 256/512 rule rejects it (change 1.5e-8).
-    with pytest.raises(models.NonConvergedQuadrature, match=r"nodes \[256, 512\]"):
-        models.tw_transition_probability((0, 3), (2, 4), 4.0, 0.8, n_quad=n_quad)
-    # where the 256/512 rule accepts, the value is its value, bit for bit
-    fixed = models._tw_eval((0, 2), (1, 3), 6.0, 0.8, 0.5, 512).real
-    assert models.tw_transition_probability((0, 2), (1, 3), 6.0, 0.8, n_quad=n_quad) == fixed
+def test_tw_contour_inside_the_poles_converges_at_q_08(n_quad):
+    # At radius 1/2 a scattering pole lay on the torus for 2/3 <= q <= 2.
+    # There the first pair never settled, and the second was 1.03e-8 from
+    # the oracle and passed. On the derived radius both converge.
+    for y, x, t in [((0, 3), (2, 4), 4.0), ((0, 2), (1, 3), 6.0)]:
+        value = models.tw_transition_probability(y, x, t, 0.8, n_quad=n_quad)
+        assert abs(value - models.ctmc_oracle_probability(y, x, t, 0.8)) <= 1e-11
+
+
+def _r_star(q):
+    return 2.0 / ((1.0 + q) + math.sqrt((1.0 + q) ** 2 + 4.0 * q))
+
+
+@pytest.mark.parametrize("q", [0.0, 0.05, 0.2, 0.3, 0.8, 1.0, 2.0, 5.0, 50.0])
+def test_tw_radius_leaves_the_scattering_poles_outside(q):
+    # one particle has no scattering factor: the radius stays 1/2
+    assert models.tw_radius(q, 1) == 0.5
+    r = models.tw_radius(q, 2)
+    assert r == models.tw_radius(q, 3) == min(0.5, models.TW_RADIUS_MARGIN * _r_star(q))
+    assert 0 < models.TW_RADIUS_MARGIN < 1
+    # at radius r* the denominator vanishes on the torus, at xi_a = -r*, xi_b = r*
+    s = _r_star(q)
+    assert abs(1.0 - q * s * s - (1.0 + q) * s) <= 1e-15
+    # on the torus of radius r, |denominator| >= 1 - q r^2 - (1 + q) r >= 1 - c
+    nodes = r * np.exp(2j * np.pi * np.arange(512) / 512)
+    num = 1.0 + q * nodes[:, None] * nodes[None, :] - (1.0 + q) * nodes[None, :]
+    bound = 1.0 - q * r * r - (1.0 + q) * r
+    assert np.abs(num).min() >= bound - 1e-15
+    assert bound >= 1.0 - models.TW_RADIUS_MARGIN - 1e-15
+
+
+# N <= 3 on both sides of q = 1, t up to 4; the oracle checks each value.
+TW_GRID_PAIRS = [((0,), (1,)), ((0, 2), (1, 3)), ((0, 3), (2, 4)), ((0, 2, 4), (1, 3, 5))]
+
+
+@pytest.mark.parametrize("y, x", TW_GRID_PAIRS, ids=["N1", "N2", "N2-gap", "N3"])
+def test_tw_contour_is_right_or_raises_on_the_grid(y, x):
+    unsettled = []
+    for q in (0.05, 0.3, 0.8, 1.0, 2.0, 5.0):
+        for t in (0.1, 1.0, 4.0):
+            try:
+                value = models.tw_transition_probability(y, x, t, q)
+            except models.NonConvergedQuadrature:
+                unsettled.append((q, t))
+                continue
+            assert abs(value - models.ctmc_oracle_probability(y, x, t, q)) <= 1e-8, (q, t)
+    # the large-q corner may refuse, where exp(t / xi) cancels on a small
+    # circle; every point with 0.8 <= q <= 2 converges
+    assert all(q > 2 for q, _ in unsettled), unsettled
 
 
 def test_tw_start_nodes_grow_with_t_and_are_capped():
-    floors = [models.tw_start_nodes((0,), (1,), t, 0.4, 0.5) for t in (0.1, 2.0, 4.0, 6.0, 100.0)]
+    floors = [models.tw_start_nodes((0,), (1,), t, 0.4) for t in (0.1, 2.0, 4.0, 6.0, 100.0)]
     assert floors == [32, 32, 64, 128, 256]
-    assert models.tw_start_nodes((0,), (70,), 0.1, 0.4, 0.5) == 128
+    assert models.tw_start_nodes((0,), (70,), 0.1, 0.4) == 128
     # the monomials pair every y_a with every x_j: here the shift is 41, not 1
-    assert models.tw_start_nodes((0, 40), (1, 41), 0.1, 0.4, 0.5) == 64
-    assert models.tw_start_nodes((0,), (1,), 0.1, 0.4, 0.5, n_quad=8) == 8
-    # a scattering pole on the torus (2/3 <= q <= 2 at radius 1/2): fixed rule
-    assert models.tw_start_nodes((0, 2), (1, 3), 0.1, 0.8, 0.5) == 256
-    assert models.tw_start_nodes((0, 2), (1, 3), 0.1, 0.6, 0.5) == 32
-    assert models.tw_start_nodes((0,), (1,), 0.1, 0.8, 0.5) == 32
+    assert models.tw_start_nodes((0, 40), (1, 41), 0.1, 0.4) == 64
+    assert models.tw_start_nodes((0,), (1,), 0.1, 0.4, n_quad=8) == 8
+    # the floor grows with t / radius: at q = 3 the N = 2 radius is 0.151
+    assert models.tw_start_nodes((0,), (1,), 1.0, 3.0) == 32
+    assert models.tw_start_nodes((0, 2), (1, 3), 1.0, 3.0) == 64
     with pytest.raises(ValueError):
-        models.tw_start_nodes((0,), (1,), 0.5, 0.4, 0.0)
+        models.tw_start_nodes((0,), (1,), 0.5, -0.4)
     with pytest.raises(ValueError):
-        models.tw_start_nodes((0,), (1,), 0.5, 0.4, 0.5, n_quad=0)
+        models.tw_start_nodes((0,), (1,), 0.5, 0.4, n_quad=0)
 
 
-def _tw_eval_per_permutation(y, x, t, q, radius, n):
+def _tw_eval_per_permutation(y, x, t, q, n):
     """The contour sum as _tw_eval computed it before its plan: complex
     powers of the nodes and one einsum(optimize=True) per permutation.
     Also returns the sum of the same terms in absolute value, the scale of
     its rounding error."""
     N = len(y)
-    nodes = radius * np.exp(1j * 2.0 * np.pi * np.arange(n) / n)
+    nodes = models.tw_radius(q, N) * np.exp(1j * 2.0 * np.pi * np.arange(n) / n)
     if N > 1:
         xa, xb = nodes[:, None], nodes[None, :]
         scattering = -((1.0 + q * xa * xb - (1.0 + q) * xa)
@@ -463,8 +501,8 @@ def _tw_eval_per_permutation(y, x, t, q, radius, n):
 ])
 def test_planned_contour_sum_matches_the_per_permutation_einsum(y, x, n):
     for t, q in [(0.1, 0.2), (0.5, 0.4), (2.0, 2.5), (4.0, 0.5)]:
-        want, scale = _tw_eval_per_permutation(y, x, t, q, 0.5, n)
-        assert abs(models._tw_eval(y, x, t, q, 0.5, n) - want) <= 1e-14 * scale
+        want, scale = _tw_eval_per_permutation(y, x, t, q, n)
+        assert abs(models._tw_eval(y, x, t, q, n) - want) <= 1e-14 * scale
 
 
 def transition_row(G: Generator, state: int, t: float, tol: float = 1e-12) -> np.ndarray:

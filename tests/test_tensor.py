@@ -313,6 +313,10 @@ def test_stationary_matches_dense_null_space(G):
 # Both pinned the first state at a mass of about 1e-19 and missed by 1 to 8.
 @example(L=7, q=6.54, rates=[2.55, 3.09, 0.0, 2.61])
 @example(L=11, q=0.0246, rates=[2.45, 0.0125, 0.0209, 0.00621])
+# A re-pin where a 64-step walk from the uniform law peaked left 0.871 here.
+@example(L=10, q=46.47848607733105, rates=[0.0027522646135283743,
+                                          0.0052862984388549455, 0.0,
+                                          0.44790675088142945])
 def test_stationary_residual_is_at_rounding_level(L, q, rates):
     alpha, beta, gamma, delta = rates
     p = models.AsepParams(q=q, alpha=alpha, beta=beta, gamma=gamma, delta=delta, L=L)
@@ -323,6 +327,20 @@ def test_stationary_residual_is_at_rounding_level(L, q, rates):
         assume(False)
     rate = float(-G.rates.diagonal().min())
     assert np.abs(G.rates.T @ pi).sum() <= 1e-13 * max(1.0, rate)
+
+
+@pytest.mark.parametrize("leak", [1e-300, 1e-16])
+def test_exact_zero_pivot_pins_again_at_its_state(leak):
+    # State 1 returns to state 0 at a rate lost to rounding, so pinned at
+    # state 0 the system {1, 2} is singular in floats: dgbsv meets an
+    # exactly zero pivot and leaves no finite weight but the pin.
+    G = Generator(np.array([[-1.0, 1.0, 0.0],
+                            [leak, -(1.0 + leak), 1.0],
+                            [0.0, 1.0, -1.0]]))
+    solved = tensor._pinned_solve(G.rates.T.tocsc())
+    assert solved[0] == 1.0 and np.isinf(solved).sum() == 1
+    pi = stationary_distribution(G).values
+    assert np.allclose(pi, [leak / 2, 0.5, 0.5], rtol=1e-12, atol=0.0)
 
 
 # The stability argument of stationary_distribution, on the band it solves
