@@ -18,14 +18,13 @@ report, a verdict and an exit code.
 
 `asep stationary` and `mpa` share one report (_stationary_run), its
 certificate ||pi G||_1, computed without a generator, and
-`results.solver`: `closed-form` for the closed chain and for an open
-chain with no way in or no way out, whose law is a point mass,
-`matrix-product` for `mpa` and for `asep stationary --open` wherever the
-matrix product's report passes, rounding bound included, and `band-lu`
-for an open chain it cannot solve or certify. Only that fallback builds
-a generator and runs the band solve of `tensor.stationary_distribution`,
-the matrix product's test oracle, and it refuses a chain longer than
-`models.MAX_BAND_SITES` before building one.
+`results.solver`: `closed-form` for the closed chain, and
+`matrix-product` for `mpa` and for every `asep stationary --open` chain.
+A matrix-product report also names the symmetry image its weights were
+contracted in (`results.image`, see `mpa.images`) and bounds their
+rounding (`residuals.rounding`). An open chain that report does not
+certify fails with it: there is no second solver. Weights that round to
+a negative probability leave no law to report: a convergence error.
 """
 
 from __future__ import annotations
@@ -262,56 +261,43 @@ def _asep_params(args) -> models.AsepParams:
                              gamma=args.gamma, delta=args.delta, L=args.L)
 
 
-def _stationary_run(command, params, law, p, open_boundary, solver,
-                    rounding=None) -> Run:
-    """A stationary law's report: the measure and the solver that found it,
-    |sum pi - 1|, the certificate ||pi G||_1 from the matrix-free left
-    action, and for a matrix-product law the rounding bound of its
-    weights."""
+def _stationary_run(command, params, law, p, open_boundary, results,
+                    residuals) -> Run:
+    """A stationary law's report: the measure with `results`, which name
+    the solver, and |sum pi - 1| and the certificate ||pi G||_1 from the
+    matrix-free left action with `residuals`."""
     pi = law.values
     flow = models.asep_left_action(pi, p, open_boundary)
     residuals = {"normalization": abs(float(pi.sum()) - 1.0),
-                 "stationarity": float(np.abs(flow).sum())}
-    if rounding is not None:
-        residuals["rounding"] = rounding
-    return Run(command, params, {"measure": pi, "solver": solver}, residuals,
+                 "stationarity": float(np.abs(flow).sum()), **residuals}
+    return Run(command, params, {"measure": pi, **results}, residuals,
                table=lambda: _measure_csv(pi, p.L))
+
+
+def _matrix_product_run(command, params, p) -> Run:
+    """The open chain's report from the matrix product: its law, the image
+    it was contracted in and the rounding bound of its weights."""
+    law, rounding, image = mpa.measure_with_rounding(p)
+    return _stationary_run(command, params, law, p, True,
+                           {"solver": "matrix-product", "image": image},
+                           {"rounding": rounding})
 
 
 def _asep(args) -> Run:
     p = _asep_params(args)
-    if not args.open:
-        if p.alpha or p.beta or p.gamma or p.delta:
-            raise ParameterError("boundary rates need --open: the closed chain has none")
-        # closed chain conserves particle number; report the half-filled class
-        return _stationary_run("asep stationary", {"L": p.L, "q": p.q, "open": False},
-                               models.closed_asep_law(p, p.L // 2), p, False,
-                               "closed-form")
-    params = dict(vars(p), open=True)
-    point_mass = models.open_point_mass(p)
-    if point_mass is not None:
-        return _stationary_run("asep stationary", params, point_mass, p, True,
-                               "closed-form")
-    # The matrix product's law where its report passes; the band LU where
-    # it has no law (a zero injection rate, q = 1, a zero pivot, a
-    # cancellation) or where its report fails, its rounding bound included.
-    try:
-        law, rounding = mpa.measure_with_rounding(p)
-    except (ConvergenceError, ParameterError):
-        pass
-    else:
-        run = _stationary_run("asep stationary", params, law, p, True, "matrix-product",
-                              rounding)
-        if _passes(run.command, run.residuals, args.tol):
-            return run
-    return _stationary_run("asep stationary", params, models.open_band_law(p), p, True,
-                           "band-lu")
+    if args.open:
+        return _matrix_product_run("asep stationary", dict(vars(p), open=True), p)
+    if p.alpha or p.beta or p.gamma or p.delta:
+        raise ParameterError("boundary rates need --open: the closed chain has none")
+    # closed chain conserves particle number; report the half-filled class
+    return _stationary_run("asep stationary", {"L": p.L, "q": p.q, "open": False},
+                           models.closed_asep_law(p, p.L // 2), p, False,
+                           {"solver": "closed-form"}, {})
 
 
 def _mpa(args) -> Run:
     p = _asep_params(args)
-    law, rounding = mpa.measure_with_rounding(p)
-    return _stationary_run("mpa", vars(p), law, p, True, "matrix-product", rounding)
+    return _matrix_product_run("mpa", vars(p), p)
 
 
 def _fuse_csv(w: sixvertex.VertexWeights) -> str:

@@ -1,18 +1,18 @@
-"""Exclusion-process and spin-chain constructors: ASEP generators with open
-or closed boundaries, their action on a row vector without a matrix, the
-closed chain's stationary law in closed form, the XXZ Hamiltonian,
-symmetry commutators, gauge conjugation between the two, and the
-N-particle contour-integral transition probability with a master-equation
-oracle.
+"""Exclusion-process and spin-chain constructors: the ASEP generator's
+local terms with open or closed boundaries, its action on a row vector
+without a matrix, the closed chain's stationary law in closed form, the
+XXZ Hamiltonian, symmetry commutators, gauge conjugation between the two,
+and the N-particle contour-integral transition probability with a
+master-equation oracle.
 
 One rate convention, with site 1 the slowest index of a configuration:
 a particle hops right at rate 1 and left at rate q. The bulk hop matrix
 w = asep_bulk_w(q) carries it on each bond, and asep_local_terms, the
 only place that writes a rate into a generator term, lists w and the two
-boundary terms; the generator, its matrix-free action and the XXZ
-gauge's two-site target (the bulk term at q^2 with its two sites
-swapped) all come from there. The contour formula describes the
-infinite-lattice ASEP with the same rates.
+boundary terms; the generator's matrix-free action and the XXZ gauge's
+two-site target (the bulk term at q^2 with its two sites swapped) both
+come from there. The contour formula describes the infinite-lattice ASEP
+with the same rates.
 """
 
 from __future__ import annotations
@@ -29,13 +29,11 @@ from .errors import ConvergenceError, ParameterError, SingularGauge
 from .tensor import (
     MAX_STATE_SPACE,
     DimensionMismatch,
-    Generator,
     ProbVector,
     StateSpaceTooLarge,
     embed,
     kron,
     state_space,
-    stationary_distribution,
 )
 
 
@@ -112,72 +110,6 @@ def asep_local_terms(p: AsepParams, open_boundary: bool = False) -> list:
     return terms
 
 
-def _sparse_generator(n: int, rows, cols, rates) -> Generator:
-    """Generator on n states with the given off-diagonal rates (repeats add
-    up) and the diagonal that makes every row sum to zero."""
-    import scipy.sparse
-
-    off = scipy.sparse.csr_array((rates, (rows, cols)), shape=(n, n))
-    return Generator(off - scipy.sparse.diags_array(off.sum(axis=1)))
-
-
-# The most sites of an open chain whose band solve fits in MAX_BAND_BYTES.
-# The band of the pinned system in reverse Cuthill-McKee order depends on L
-# and on which ends have a nonzero rate. With both ends open it takes 298 MiB
-# at L = 14 and 1,077 MiB at L = 15; with one, 154-159 MiB and 554-571 MiB.
-# It grows about 3.6-fold per site, so open_band_law refuses a longer chain
-# from L alone, before its generator is built.
-MAX_BAND_SITES = 14
-
-
-def asep_generator(p: AsepParams, open_boundary: bool = False) -> Generator:
-    """Full-chain generator with the terms of asep_local_terms: each
-    off-diagonal rate m[i, j] of a term at first site x is one move, from
-    every configuration whose sites x, x+1, ... read i to the one where
-    they read j. In the leg order (site 1 slowest) those configurations are
-    column i of the indices viewed as (2^(x-1), side of m, rest)."""
-    L = p.L
-    state_space((2,) * L, MAX_STATE_SPACE)
-    idx = np.arange(1 << L)
-    # Seeded empty, so that a chain without moves (closed, L=1) concatenates.
-    rows, cols, rates = [idx[:0]], [idx[:0]], [np.zeros(0)]
-    for x, m in asep_local_terms(p, open_boundary):
-        view = idx.reshape(1 << (x - 1), len(m), -1)
-        for i, j in np.argwhere(m - np.diag(np.diag(m))):
-            rows.append(view[:, i].ravel())
-            cols.append(view[:, j].ravel())
-            rates.append(np.full(rows[-1].size, m[i, j]))
-    return _sparse_generator(1 << L, *map(np.concatenate, (rows, cols, rates)))
-
-
-def open_band_law(p: AsepParams) -> ProbVector:
-    """The open chain's law by the band LU of stationary_distribution on
-    asep_generator(p, open_boundary=True). A chain longer than
-    MAX_BAND_SITES is refused with StateSpaceTooLarge before its generator
-    is built."""
-    if p.L > MAX_BAND_SITES:
-        raise StateSpaceTooLarge(
-            f"the open chain's band solve exceeds MAX_BAND_BYTES from "
-            f"L = {MAX_BAND_SITES + 1}, got L = {p.L}")
-    return stationary_distribution(asep_generator(p, open_boundary=True))
-
-
-def open_point_mass(p: AsepParams) -> ProbVector | None:
-    """The open chain's law when it is a point mass, else None. With no way
-    in (alpha = delta = 0) and a way out (beta + gamma > 0), every
-    configuration drains to the empty one, which no rate leaves; with no
-    way out (beta = gamma = 0) and a way in, every one fills to the full
-    one. Only the 2^L states are checked against MAX_STATE_SPACE; no
-    generator is built."""
-    way_in, way_out = p.alpha + p.delta > 0, p.beta + p.gamma > 0
-    if way_in == way_out:
-        return None
-    state_space((2,) * p.L, MAX_STATE_SPACE)
-    pi = np.zeros(1 << p.L)
-    pi[-1 if way_in else 0] = 1.0
-    return ProbVector(pi)
-
-
 def closed_asep_law(p: AsepParams, particles: int) -> ProbVector:
     """Stationary law of the closed chain on the sector of `particles`
     particles, as a vector over all 2^L configurations that vanishes off
@@ -211,8 +143,8 @@ def closed_asep_law(p: AsepParams, particles: int) -> ProbVector:
 
 
 def asep_left_action(pi, p: AsepParams, open_boundary: bool = False) -> np.ndarray:
-    """The row vector pi G for the generator asep_generator builds, without
-    building it: for each term m of asep_local_terms at first site x, pi
+    """The row vector pi G for G the sum of asep_local_terms, each embedded
+    at its sites, without building G: for each term m at first site x, pi
     and pi G are viewed as (2^(x-1), side of m, rest) arrays, and the
     term's share of pi G is one product of the middle axis with m. The
     product covers only the contiguous span of m's nonzero rows and

@@ -384,8 +384,8 @@ class LatticeBatch(NamedTuple):
 
 
 def _philox_draws(seeds: np.ndarray, n: int) -> np.ndarray:
-    """ku[i, t]: the t-th double of Generator(Philox(seeds[i])).random()
-    is exactly ku[i, t] * 2^-53. numpy keeps the raw Philox stream stable,
+    """ku[i, t]: the t-th double that numpy.random.Generator draws with
+    .random() from Philox(seeds[i]) is exactly ku[i, t] * 2^-53. numpy keeps the raw Philox stream stable,
     and Generator.random keeps the top 53 bits of raw output t. numpy.random
     is first loaded here, not when the package is imported."""
     raw = np.empty((len(seeds), n), dtype=np.uint64)

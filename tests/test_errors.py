@@ -24,10 +24,8 @@ DEFINED = {
     "cli": {"NonFiniteResult"},
     "errors": {"RateOutOfRange", "SingularGauge"},
     "models": {"NonConvergedQuadrature"},
-    "mpa": {"ZeroLeadingRate"},
     "sixvertex": {"PoleAtZEqualsQPower", "PoleInSpectralLadder", "InconsistentBoundary"},
-    "tensor": {"DimensionMismatch", "StateSpaceTooLarge", "NotAGenerator",
-               "ReducibleChain", "NotReal"},
+    "tensor": {"DimensionMismatch", "StateSpaceTooLarge", "NotReal"},
     "uqsl2": {"InvalidDeformation", "DeformationMismatch"},
     "ybe": {"PoleInDenominator", "EvaluationPole", "NotRegular"},
 }

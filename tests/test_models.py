@@ -12,14 +12,10 @@ from hypothesis import strategies as st
 from integrable import models, ybe
 from integrable.errors import ParameterError
 from integrable.models import AsepParams, XxzParams
-from integrable.tensor import (
-    MAX_STATE_SPACE,
-    Generator,
-    ReducibleChain,
-    StateSpaceTooLarge,
-    embed,
-    stationary_distribution,
-)
+from integrable.tensor import MAX_STATE_SPACE, StateSpaceTooLarge, embed
+
+import oracles
+from oracles import Generator, ReducibleChain, stationary_distribution
 
 RATE = st.floats(0.05, 1.0)
 
@@ -43,7 +39,7 @@ def test_bulk_w_is_generator_summand():
 def test_rate_conventions_agree(q):
     # right rate 1, left rate q: the two-site chain is one bond of w, and a
     # lone particle on sites 0, 1 hops right at rate 1 and left at rate q
-    G = models.asep_generator(AsepParams(q=q, L=2)).rates.toarray()
+    G = oracles.asep_generator(AsepParams(q=q, L=2)).rates.toarray()
     assert np.array_equal(G, models.asep_bulk_w(q))
     W = _window_generator(1, q, 0, 1).rates.toarray()
     left, right = (models._window_rank((s,), 0, 1) for s in (0, 1))
@@ -59,8 +55,8 @@ def test_rate_conventions_agree(q):
 
 def test_full_generator_closed_and_open():
     p = AsepParams(q=0.5, alpha=0.6, beta=0.4, gamma=0.1, delta=0.2, L=3)
-    closed = models.asep_generator(p)
-    opened = models.asep_generator(p, open_boundary=True)
+    closed = oracles.asep_generator(p)
+    opened = oracles.asep_generator(p, open_boundary=True)
     for gen in (closed, opened):
         dense = gen.rates.toarray()
         assert np.abs(dense.sum(axis=1)).max() <= 1e-12
@@ -75,19 +71,17 @@ def test_full_generator_closed_and_open():
 
 def test_open_chain_has_unique_stationary_law():
     p = AsepParams(q=0.5, alpha=0.6, beta=0.4, gamma=0.1, delta=0.2, L=4)
-    pi = stationary_distribution(models.asep_generator(p, open_boundary=True))
+    pi = stationary_distribution(oracles.asep_generator(p, open_boundary=True))
     assert pi.values.min() > 0
 
 
 def _open_band_bytes(p):
     """Bytes of the band stationary_distribution would factor for the open
     chain p, found without allocating it."""
-    from integrable import tensor
-
-    rates = models.asep_generator(p, open_boundary=True).rates
-    members = tensor._closed_class(rates)
+    rates = oracles.asep_generator(p, open_boundary=True).rates
+    members = oracles._closed_class(rates)
     adjoint = rates[members][:, members].T.tocsc()
-    _, kl, ku, _ = tensor._band_layout(adjoint[1:, 1:])
+    _, kl, ku, _ = oracles._band_layout(adjoint[1:, 1:])
     return 8 * (2 * kl + ku + 1) * (members.size - 1)
 
 
@@ -99,22 +93,20 @@ def _open_band_bytes(p):
     {"beta": 0.4, "delta": 0.2},
 ], ids=["both", "left", "right"])
 def test_band_sites_cap_is_the_band_bytes_cap(rates):
-    from integrable.tensor import MAX_BAND_BYTES
-
-    cap = models.MAX_BAND_SITES
+    cap = oracles.MAX_BAND_SITES
     fits = _open_band_bytes(AsepParams(q=0.5, L=cap, **rates))
     refused = _open_band_bytes(AsepParams(q=0.5, L=cap + 1, **rates))
-    assert fits <= MAX_BAND_BYTES < refused
+    assert fits <= oracles.MAX_BAND_BYTES < refused
 
 
 def test_open_band_law_refuses_a_long_chain_before_its_generator(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the cap must precede the generator")
 
-    monkeypatch.setattr(models, "asep_generator", refuse)
-    p = AsepParams(q=0.5, alpha=0.6, beta=0.4, L=models.MAX_BAND_SITES + 1)
+    monkeypatch.setattr(oracles, "asep_generator", refuse)
+    p = AsepParams(q=0.5, alpha=0.6, beta=0.4, L=oracles.MAX_BAND_SITES + 1)
     with pytest.raises(StateSpaceTooLarge):
-        models.open_band_law(p)
+        oracles.open_band_law(p)
 
 
 @settings(max_examples=30, deadline=None)
@@ -124,7 +116,7 @@ def test_sparse_stationary_law_matches_dense_null_space(
     L, q, alpha, beta, gamma, delta, open_boundary
 ):
     p = AsepParams(q=q, alpha=alpha, beta=beta, gamma=gamma, delta=delta, L=L)
-    G = models.asep_generator(p, open_boundary=open_boundary)
+    G = oracles.asep_generator(p, open_boundary=open_boundary)
     # closed chains: the half-filled class, as the CLI reports it
     if not open_boundary:
         sector = [s for s in range(2**L) if bin(s).count("1") == L // 2]
@@ -160,7 +152,7 @@ def test_closed_law_matches_the_sparse_lu(L, q, data):
     p = AsepParams(q=q, L=L)
     filled = np.array([bin(s).count("1") for s in range(2**L)])
     sector = np.flatnonzero(filled == particles)
-    G = models.asep_generator(p).rates
+    G = oracles.asep_generator(p).rates
     lu = stationary_distribution(Generator(G[sector][:, sector])).values
     law = models.closed_asep_law(p, particles).values
     assert 0.5 * np.abs(law[sector] - lu).sum() <= 1e-12
@@ -191,7 +183,7 @@ def test_left_action_matches_the_generator(L, q, rates, open_boundary, seed):
     alpha, beta, gamma, delta = rates
     p = AsepParams(q=q, alpha=alpha, beta=beta, gamma=gamma, delta=delta, L=L)
     v = np.random.default_rng(seed).standard_normal(2**L)
-    want = models.asep_generator(p, open_boundary=open_boundary).rates.T @ v
+    want = oracles.asep_generator(p, open_boundary=open_boundary).rates.T @ v
     got = models.asep_left_action(v, p, open_boundary=open_boundary)
     assert np.max(np.abs(got - want)) <= 1e-13 * max(1e-300, np.max(np.abs(want)))
 
@@ -211,7 +203,7 @@ def test_generator_is_the_sum_of_its_local_terms(L, q, rates, open_boundary):
     dense = np.zeros((2**L, 2**L))
     for x, m in models.asep_local_terms(p, open_boundary):
         dense += embed(m, range(x, x + len(m).bit_length() - 1), (2,) * L)
-    G = models.asep_generator(p, open_boundary=open_boundary).rates.toarray()
+    G = oracles.asep_generator(p, open_boundary=open_boundary).rates.toarray()
     off = ~np.eye(2**L, dtype=bool)
     assert np.array_equal(dense[off], G[off])
     # the diagonals sum the same rates in another order
@@ -266,7 +258,7 @@ def test_absorbing_configuration_is_the_stationary_law():
     # injection only: the full configuration is the one closed class, and
     # every other state (state 0 included) is transient
     p = AsepParams(q=0.5, alpha=0.7, L=5)
-    pi = stationary_distribution(models.asep_generator(p, open_boundary=True))
+    pi = stationary_distribution(oracles.asep_generator(p, open_boundary=True))
     assert pi.values[-1] == 1.0
     assert pi.values[:-1].sum() == 0.0
 
@@ -274,12 +266,12 @@ def test_absorbing_configuration_is_the_stationary_law():
 def test_closed_chain_without_support_is_reducible():
     p = AsepParams(q=0.5, L=4)
     with pytest.raises(ReducibleChain):
-        stationary_distribution(models.asep_generator(p))
+        stationary_distribution(oracles.asep_generator(p))
 
 
 def test_state_space_cap_precedes_allocation():
     with pytest.raises(StateSpaceTooLarge):
-        models.asep_generator(AsepParams(q=0.5, L=40), open_boundary=True)
+        oracles.asep_generator(AsepParams(q=0.5, L=40), open_boundary=True)
     with pytest.raises(StateSpaceTooLarge):
         models.xxz_hamiltonian(XxzParams(Jx=1.0, Jy=1.0, Jz=1.0, N=40))
     # the dense cap: 2^13 states would ask for 1 GiB per complex array
@@ -556,7 +548,7 @@ def _window_generator(n_particles, q, lo, hi) -> Generator:
     free = moves < count
     rows = np.broadcast_to(np.arange(count)[:, None], moves.shape)[free]
     rates = np.broadcast_to(np.tile([1.0, q], n_particles), moves.shape)[free]
-    return models._sparse_generator(count, rows, moves[free], rates)
+    return oracles._sparse_generator(count, rows, moves[free], rates)
 
 
 def _window_generator_loop(n_particles, q, lo, hi):
@@ -574,7 +566,7 @@ def _window_generator_loop(n_particles, q, lo, hi):
                     rows.append(i)
                     cols.append(moves[i, 2 * k + d])
                     rates.append(rate)
-    return index, moves, models._sparse_generator(len(index), rows, cols, rates)
+    return index, moves, oracles._sparse_generator(len(index), rows, cols, rates)
 
 
 @pytest.mark.parametrize("n, q, lo, hi", [

