@@ -23,6 +23,3 @@ class ConvergenceError(IntegrableError):
 class RateOutOfRange(ParameterError):
     """A probability or rate lies outside [0, 1]."""
 
-
-class SingularGauge(ParameterError):
-    """A gauge matrix is (numerically) singular."""

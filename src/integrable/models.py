@@ -1,18 +1,17 @@
-"""Exclusion-process and spin-chain constructors: the ASEP generator's
-local terms with open or closed boundaries, its action on a row vector
-without a matrix, the closed chain's stationary law in closed form, the
-XXZ Hamiltonian, symmetry commutators, gauge conjugation between the two,
-and the N-particle contour-integral transition probability with a
-master-equation oracle.
+"""Exclusion-process constructors: the ASEP generator's local terms with
+open or closed boundaries, its action on a row vector without a matrix,
+the closed chain's stationary law in closed form, and the N-particle
+contour-integral transition probability with a master-equation oracle.
 
 One rate convention, with site 1 the slowest index of a configuration:
 a particle hops right at rate 1 and left at rate q. The bulk hop matrix
 w = asep_bulk_w(q) carries it on each bond, and asep_local_terms, the
 only place that writes a rate into a generator term, lists w and the two
-boundary terms; the generator's matrix-free action and the XXZ gauge's
-two-site target (the bulk term at q^2 with its two sites swapped) both
-come from there. The contour formula describes the infinite-lattice ASEP
-with the same rates.
+boundary terms; the generator's matrix-free action comes from there. The
+closed chain's spin-chain form needs no code of its own: its generator
+conjugated by the square root of its reversible law (closed_asep_law) is
+the U_q(sl2)-symmetric open XXZ chain (see asep_local_terms). The contour
+formula describes the infinite-lattice ASEP with the same rates.
 """
 
 from __future__ import annotations
@@ -25,14 +24,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, ParameterError, SingularGauge
+from .errors import ConvergenceError, ParameterError
 from .tensor import (
     MAX_STATE_SPACE,
     DimensionMismatch,
     ProbVector,
     StateSpaceTooLarge,
-    embed,
-    kron,
     state_space,
 )
 
@@ -63,26 +60,6 @@ class AsepParams:
             raise ParameterError(f"L must be >= 1, got {self.L}")
 
 
-@dataclass(frozen=True)
-class XxzParams:
-    Jx: float
-    Jy: float
-    Jz: float
-    h_field: float = 0.0
-    N: int = 2
-    periodic: bool = True
-
-    def __post_init__(self):
-        if self.N < 2:
-            raise ParameterError(f"N must be >= 2, got {self.N}")
-
-
-SIGMA1 = np.array([[0.0, 1.0], [1.0, 0.0]])
-SIGMA2 = np.array([[0, -1j], [1j, 0]], dtype=complex)
-SIGMA3 = np.array([[1.0, 0.0], [0.0, -1.0]])
-PAULI = {1: SIGMA1, 2: SIGMA2, 3: SIGMA3}
-
-
 def asep_bulk_w(q: float) -> np.ndarray:
     """Bulk hop matrix with right rate 1 and left rate q: the 01 -> 10 move
     (particle hops left) carries rate q, the 10 -> 01 move rate 1."""
@@ -101,7 +78,15 @@ def asep_local_terms(p: AsepParams, open_boundary: bool = False) -> list:
     embedded at its sites. The K-matrix family ybe.reflection_k has
     K'(1) = 2B/(q-1) for the site-1 term B at (a, c) = (alpha, gamma), and
     2B/(1-q) for the site-L term at (a, c) = (-delta, -beta) (Sklyanin,
-    J. Phys. A 21 (1988) 2375)."""
+    J. Phys. A 21 (1988) 2375).
+
+    Conjugated by Pi^(1/2), Pi(eta) = q^(-sum_x x eta_x) the closed chain's
+    reversible law, w becomes the bond term of the open XXZ chain,
+    (sqrt(q)/2)(sx sx + sy sy) + ((1+q)/4)(sz sz - 1)
+    + ((1-q)/4)(sz (x) 1 - 1 (x) sz) with sz = +1 on an empty site, and
+    the conjugated closed generator commutes with U_q(sl2) at deformation
+    sqrt(q) acting by its L-fold coproduct (Pasquier-Saleur, Nucl. Phys. B 330
+    (1990) 523; Schutz, J. Stat. Phys. 86 (1997) 1265)."""
     w = asep_bulk_w(p.q)
     terms = [(x, w) for x in range(1, p.L)]
     if open_boundary:
@@ -169,92 +154,6 @@ def asep_left_action(pi, p: AsepParams, open_boundary: bool = False) -> np.ndarr
         view = out.reshape(shape)[:, span]
         view += np.einsum("aib,ij->ajb", pi.reshape(shape)[:, span], block)
     return out
-
-
-def xxz_local_block(p: XxzParams) -> np.ndarray:
-    """The 4x4 summand J_x s1s1 + J_y s2s2 + J_z s3s3 + h(s3 (x) 1 + 1 (x) s3):
-    corners Jz + 2h and Jz - 2h, anti-corners Jx - Jy."""
-    one = np.eye(2)
-    return (
-        p.Jx * kron(SIGMA1, SIGMA1)
-        + p.Jy * kron(SIGMA2, SIGMA2)
-        + p.Jz * kron(SIGMA3, SIGMA3)
-        + p.h_field * (kron(SIGMA3, one) + kron(one, SIGMA3))
-    )
-
-
-def xxz_hamiltonian(p: XxzParams) -> np.ndarray:
-    """H = -1/2 sum_j (Jx s1_j s1_{j+1} + Jy s2_j s2_{j+1} + Jz s3_j s3_{j+1}
-    - h s3_j), each bond term at embed sites (j, j+1); the periodic wrap
-    s_{N+1} = s_1, when requested, is the bond at sites (N, 1)."""
-    N = p.N
-    dims, _ = state_space((2,) * N)
-    bonds = [(j, j % N + 1) for j in range(1, N + 1 if p.periodic else N)]
-    pairs = [kron(s, s) for s in (SIGMA1, SIGMA2, SIGMA3)]
-    hops = (J * embed(pair, bond, dims)
-            for bond in bonds for J, pair in zip((p.Jx, p.Jy, p.Jz), pairs))
-    field = (-p.h_field * embed(SIGMA3, (j,), dims) for j in range(1, N + 1))
-    return -0.5 * sum(itertools.chain(hops, field))
-
-
-def symmetry_commutator(H: np.ndarray, a: int) -> float:
-    """Max-norm of [H, sum_j sigma_j^a] on N qubit sites, N read from the
-    side 2^N of H."""
-    if a not in PAULI:
-        raise ParameterError(f"a must be 1, 2 or 3, got {a}")
-    N = H.shape[0].bit_length() - 1
-    if H.shape != (1 << N, 1 << N):
-        raise DimensionMismatch("symmetry commutator needs qubit sites")
-    dims = (2,) * N
-    S = sum(embed(PAULI[a], (j,), dims) for j in range(1, N + 1))
-    return float(np.max(np.abs(H @ S - S @ H)))
-
-
-def gauge_conjugate(H: np.ndarray, G: np.ndarray) -> np.ndarray:
-    """G^{-1} H G."""
-    try:
-        inv = np.linalg.inv(G)
-    except np.linalg.LinAlgError as exc:
-        raise SingularGauge("gauge matrix is singular") from exc
-    if np.linalg.cond(G) > 1e12:
-        raise SingularGauge("gauge matrix is numerically singular")
-    return inv @ H @ G
-
-
-def xxz_gauge_matrix(gamma: float) -> np.ndarray:
-    """The two-site change of basis with middle block [[1, gamma-1], [0, gamma]]."""
-    mat = np.eye(4)
-    mat[1, 2] = gamma - 1.0
-    mat[2, 2] = gamma
-    return mat
-
-
-def xxz_to_asep_gauge(q: float) -> dict:
-    """The (Jx, gamma) at which conjugating the two-site XXZ block at
-    Jz=1, h=0 by the gauge matrix reproduces the mirrored bulk term at q^2,
-    embed(asep_bulk_w(q^2), (2, 1)): 01 becomes 10 at rate 1 and 10
-    becomes 01 at rate q^2. It does so up to the trace-fixed scale
-    c = 4/(1+q^2).
-
-    Less its Jz diagonal shift, the block's middle is [[-2, 2Jx], [2Jx, -2]].
-    The target's middle block is singular, so 4 - 4Jx^2 = 0 and Jx = 1.
-    The second rows then agree only if 2/gamma = c q^2, so
-    gamma = (1+q^2)/(2q^2). Returns the point and the max-norm residual of
-    the conjugated block against c times the target.
-    """
-    if q <= 0:
-        raise ParameterError(f"q must be positive, got {q}")
-    target = embed(asep_bulk_w(q**2), (2, 1), (2, 2))
-    c = 4.0 / (1.0 + q**2)
-    Jx, gamma = 1.0, (1.0 + q**2) / (2.0 * q**2)
-    block = xxz_local_block(XxzParams(Jx=Jx, Jy=Jx, Jz=1.0, h_field=0.0))
-    conj = gauge_conjugate(block - np.eye(4), xxz_gauge_matrix(gamma))
-    return {
-        "Jx": Jx,
-        "gamma": gamma,
-        "scale": c,
-        "residual": float(np.max(np.abs(conj - c * target))),
-    }
 
 
 def _epsilon(xi: np.ndarray, q: float) -> np.ndarray:

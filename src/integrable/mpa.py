@@ -242,14 +242,18 @@ def cancellation(E: np.ndarray, z: np.ndarray) -> float:
     E >= 0, so every C >= 0 and kappa >= 1 is the factor by which the
     signed sums C z amplify their rounding. The rows sum to
     c = e_0 (E + D)^L, so kappa = c |z| / |c z|: L vector-matrix products
-    of side L + 1, and no second contraction. A kappa that is not a number
-    is returned as infinite."""
+    of side L + 1, and no second contraction. kappa is homogeneous of
+    degree 0 in c and in z, so c is rescaled by a power of two after each
+    product and z once, which is exact and keeps c from overflowing. A
+    kappa that is not a number is returned as infinite."""
     n = len(z)
     step = E + np.eye(n, k=1)
     c = np.eye(1, n)[0]
     with np.errstate(all="ignore"):
         for _ in range(n - 1):
             c = c @ step
+            c = np.ldexp(c, -np.frexp(np.abs(c).max())[1])
+        z = np.ldexp(z, -np.frexp(np.abs(z).max())[1])
         kappa = float(c @ np.abs(z) / abs(c @ z))
     return math.inf if math.isnan(kappa) else kappa
 

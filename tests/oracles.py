@@ -18,6 +18,11 @@ whose residual shows a badly chosen pin is pinned again once, at the
 largest entry of that solve. The band LU has no accuracy bound of its
 own; where it and the float matrix product disagree, exact_open_law
 decides, and it checks its law as the generator's exact null vector.
+
+The closed chain's spin-chain form is checked on small dense matrices:
+reversible_conjugate conjugates its generator by the square root of its
+reversible law, and uq_coproduct gives the L-fold U_q(sl2) coproduct that
+the result must commute with.
 """
 
 from __future__ import annotations
@@ -28,14 +33,15 @@ from fractions import Fraction
 
 import numpy as np
 
-from integrable import mpa
+from integrable import mpa, uqsl2
 from integrable.errors import ParameterError
-from integrable.models import AsepParams, asep_local_terms
+from integrable.models import AsepParams, asep_left_action, asep_local_terms
 from integrable.tensor import (
     MAX_STATE_SPACE,
     DimensionMismatch,
     ProbVector,
     StateSpaceTooLarge,
+    kron,
     state_space,
 )
 
@@ -344,3 +350,34 @@ def _integer_left_action(pi: np.ndarray, L: int, hop: int, q: int, alpha: int, b
     move(index[(index & last) == 0], last, delta)
     move(index[(index & last) != 0], last, beta)
     return out
+
+
+def reversible_half(L: int, q: float) -> np.ndarray:
+    """The diagonal of Pi^(1/2) for Pi(eta) = q^(-sum_x x eta_x), x the
+    1-based site: the closed chain's reversible law up to normalisation.
+    Site 1 is the most significant bit of the index."""
+    index = np.arange(1 << L)
+    position = sum(x * ((index >> (L - x)) & 1) for x in range(1, L + 1))
+    return math.sqrt(q) ** -position.astype(float)
+
+
+def reversible_conjugate(p: AsepParams) -> tuple:
+    """The closed chain's generator G, dense from asep_left_action on the
+    unit rows, and H = Pi^(1/2) G Pi^(-1/2) (see reversible_half)."""
+    G = np.array([asep_left_action(row, p) for row in np.eye(1 << p.L)])
+    half = reversible_half(p.L, p.q)
+    return G, half[:, np.newaxis] * G / half
+
+
+def uq_coproduct(L: int, q: float) -> tuple:
+    """Delta^(L)(e), Delta^(L)(f) and K (x) ... (x) K of U_q(sl2) at
+    deformation sqrt(q) on L sites, each carrying uqsl2.rep(1, sqrt(q)):
+    the two-site coproduct Delta(e) = K (x) E + E (x) 1,
+    Delta(f) = 1 (x) F + F (x) K^-1 iterated. The term of site x in
+    Delta^(L)(e) has K on the sites before x and 1 after it; in
+    Delta^(L)(f), 1 before and K^-1 after."""
+    r = uqsl2.rep(1, math.sqrt(q))
+    one = np.eye(2)
+    e = sum(kron(*[r.K] * (x - 1), r.E, *[one] * (L - x)) for x in range(1, L + 1))
+    f = sum(kron(*[one] * (x - 1), r.F, *[r.Kinv] * (L - x)) for x in range(1, L + 1))
+    return e, f, kron(*[r.K] * L)

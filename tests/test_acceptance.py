@@ -10,11 +10,11 @@ import numpy as np
 import pytest
 
 from integrable import cli, models, oscillator, sixvertex, uqsl2, ybe
-from integrable.models import AsepParams, XxzParams
+from integrable.models import AsepParams
 from integrable.sixvertex import PoleInSpectralLadder
-from integrable.tensor import permutation_operator
+from integrable.tensor import embed, kron, permutation_operator
 
-from oracles import open_band_law
+import oracles
 
 
 def _line(num: int, label: str, ok: bool, detail: str):
@@ -107,28 +107,73 @@ def test_criterion_3_quantum_group_suite(capsys):
           f"triple YBE {trip:.2e}, {verdicts.count(True)} of {len(verdicts)} reports pass")
 
 
+# Pauli matrices with sigma^z = +1 on an empty site (basis index 0).
+SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]])
+SIGMA_Y = np.array([[0.0, -1j], [1j, 0.0]])
+SIGMA_Z = np.diag([1.0, -1.0])
+
+
+def _xxz_bond(q: float) -> np.ndarray:
+    """(sqrt(q)/2)(sx sx + sy sy) + ((1+q)/4)(sz sz - 1)
+    + ((1-q)/4)(sz (x) 1 - 1 (x) sz): the bond term of the U_q(sl2)-symmetric
+    open XXZ chain (Pasquier-Saleur, Nucl. Phys. B 330 (1990) 523)."""
+    one = np.eye(2)
+    hop = (kron(SIGMA_X, SIGMA_X) + kron(SIGMA_Y, SIGMA_Y)).real
+    return (math.sqrt(q) / 2 * hop + (1 + q) / 4 * (kron(SIGMA_Z, SIGMA_Z) - np.eye(4))
+            + (1 - q) / 4 * (kron(SIGMA_Z, one) - kron(one, SIGMA_Z)))
+
+
+def _spin_sum(pauli: np.ndarray, L: int) -> np.ndarray:
+    return sum(embed(pauli, (x,), (2,) * L) for x in range(1, L + 1))
+
+
+def _commutator(A: np.ndarray, B: np.ndarray) -> float:
+    return float(np.max(np.abs(A @ B - B @ A)))
+
+
+def _row_norm(A: np.ndarray) -> float:
+    return float(np.abs(A).sum(axis=1).max())
+
+
 def test_criterion_4_xxz_asep_equivalence():
-    res = xxz = 0.0
-    for q in (0.4, 0.7):
-        res = max(res, models.xxz_to_asep_gauge(q)["residual"])
-    xxx = XxzParams(Jx=1.0, Jy=1.0, Jz=1.0, N=4)
-    xxx_worst = max(
-        models.symmetry_commutator(models.xxz_hamiltonian(xxx), a)
-        for a in (1, 2, 3)
-    )
-    aniso = XxzParams(Jx=1.0, Jy=1.0, Jz=1.7, N=4)
-    H = models.xxz_hamiltonian(aniso)
-    z_comm = models.symmetry_commutator(H, 3)
-    broken = min(models.symmetry_commutator(H, a) for a in (1, 2))
+    # The closed chain's generator G, conjugated by the square root of its
+    # reversible law, is the U_q(sl2)-symmetric open XXZ chain H at
+    # deformation sqrt(q): symmetric, commuting with the L-fold coproduct,
+    # and a sum of XXZ bond terms.
+    eps = np.finfo(float).eps
+    sym = comm = bond = 0.0
+    for L in (3, 5, 7):
+        for q in (0.37, 1.7):
+            _, H = oracles.reversible_conjugate(AsepParams(q=q, L=L))
+            sym = max(sym, float(np.max(np.abs(H - H.T)) / np.max(np.abs(H))))
+            comm = max(comm, *(_commutator(H, X) / (_row_norm(H) * _row_norm(X))
+                               for X in oracles.uq_coproduct(L, q)))
+    L = 4
+    dims = (2,) * L
+    for q in np.geomspace(0.05, 6.0, 13):
+        half = oracles.reversible_half(L, q)
+        w, xxz = models.asep_bulk_w(q), _xxz_bond(q)
+        for sites in zip(range(1, L), range(2, L + 1)):
+            term = half[:, np.newaxis] * embed(w, sites, dims) / half
+            bond = max(bond, float(np.abs(term - embed(xxz, sites, dims)).max()) / max(1.0, q))
+    # q = 1: G is the isotropic chain, with the full SU(2) symmetry
+    G, _ = oracles.reversible_conjugate(AsepParams(q=1.0, L=5))
+    isotropic = max(_commutator(G, _spin_sum(s, 5)) for s in (SIGMA_X, SIGMA_Y, SIGMA_Z))
+    # q != 1: only the axial symmetry is left
+    _, H = oracles.reversible_conjugate(AsepParams(q=0.37, L=5))
+    axial = _commutator(H, _spin_sum(SIGMA_Z, 5))
+    transverse = _commutator(H, _spin_sum(SIGMA_X, 5))
     ok = (
-        res <= 1e-9
-        and xxx_worst <= 1e-12
-        and z_comm <= 1e-12
-        and broken > 1e-3
+        sym <= 4 * eps
+        and comm <= 8 * eps
+        and bond <= 4 * eps
+        and isotropic <= 1e-12
+        and axial <= 1e-12
+        and transverse > 1e-3
     )
     _line(4, "spin chain / exclusion equivalence", ok,
-          f"search residual {res:.2e}, isotropic commutators {xxx_worst:.2e}, "
-          f"axial {z_comm:.2e}, transverse {broken:.2e}")
+          f"symmetry {sym:.2e}, coproduct commutators {comm:.2e}, bond form {bond:.2e}, "
+          f"isotropic {isotropic:.2e}, axial {axial:.2e}, transverse {transverse:.2e}")
 
 
 def _kappa_plus(u: float, v: float, q: float) -> float:
@@ -159,7 +204,7 @@ def test_criterion_5_mpa_vs_oracle(capsys):
                     "--gamma", gamma, "--delta", delta])
                 passed += report["pass"]
                 mu = np.array(report["results"]["measure"])
-                pi = open_band_law(p)
+                pi = oracles.open_band_law(p)
                 worst = max(worst, 0.5 * float(np.abs(mu - pi.values).sum()))
     ok = worst <= 1e-8 and shock > 0 and passed == 75
     _line(5, "mpa reports vs null-space oracle", ok,

@@ -22,7 +22,7 @@ def _package_exception_classes():
 # enumeration must find each one, so it cannot pass on an empty set.
 DEFINED = {
     "cli": {"NonFiniteResult"},
-    "errors": {"RateOutOfRange", "SingularGauge"},
+    "errors": {"RateOutOfRange"},
     "models": {"NonConvergedQuadrature"},
     "sixvertex": {"PoleAtZEqualsQPower", "PoleInSpectralLadder", "InconsistentBoundary"},
     "tensor": {"DimensionMismatch", "StateSpaceTooLarge", "NotReal"},

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from integrable import models, ybe
 from integrable.errors import ParameterError
-from integrable.models import AsepParams, XxzParams
+from integrable.models import AsepParams
 from integrable.tensor import MAX_STATE_SPACE, StateSpaceTooLarge, embed
 
 import oracles
@@ -21,7 +21,7 @@ RATE = st.floats(0.05, 1.0)
 
 
 def test_local_generator_rates():
-    # the XXZ gauge's two-site target: the bulk term at q^2 = 0.25, mirrored
+    # the bulk term at q = 0.25 with its two sites swapped
     G = embed(models.asep_bulk_w(0.25), (2, 1), (2, 2))
     assert G[1, 2] == pytest.approx(1.0)
     assert G[2, 1] == pytest.approx(0.25)
@@ -174,6 +174,29 @@ def test_closed_law_is_its_closed_form():
         models.closed_asep_law(AsepParams(q=q, L=3), 4)
 
 
+# Log-uniform asymmetries on both sides of q = 1, which U_q(sl2) at
+# deformation sqrt(q) excludes; sqrt(q) rounds to 1 for q an ulp above 1.
+LOG_ASYMMETRY = st.floats(math.log(0.05), math.log(20.0)).map(math.exp).filter(
+    lambda q: math.sqrt(q) != 1.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(L=st.integers(1, 7), q=LOG_ASYMMETRY)
+@example(L=7, q=0.05)
+@example(L=7, q=20.0)
+def test_reversible_conjugate_is_the_uq_symmetric_chain(L, q):
+    # H = Pi^(1/2) G Pi^(-1/2), Pi the closed chain's reversible law, is
+    # symmetric and commutes with the L-fold coproduct of U_q(sl2) at
+    # deformation sqrt(q): the open XXZ chain of Pasquier and Saleur
+    eps = np.finfo(float).eps
+    _, H = oracles.reversible_conjugate(AsepParams(q=q, L=L))
+    assert np.abs(H - H.T).max() <= 4 * eps * np.abs(H).max()
+    scale = np.abs(H).sum(axis=1).max()
+    for X in oracles.uq_coproduct(L, q):
+        comm = np.abs(H @ X - X @ H).max()
+        assert comm <= 8 * eps * scale * np.abs(X).sum(axis=1).max()
+
+
 @settings(max_examples=40, deadline=None)
 @given(L=st.integers(1, 10), q=ASYMMETRY,
        rates=st.lists(st.one_of(st.just(0.0), st.floats(0.05, 5.0)),
@@ -272,33 +295,34 @@ def test_closed_chain_without_support_is_reducible():
 def test_state_space_cap_precedes_allocation():
     with pytest.raises(StateSpaceTooLarge):
         oracles.asep_generator(AsepParams(q=0.5, L=40), open_boundary=True)
-    with pytest.raises(StateSpaceTooLarge):
-        models.xxz_hamiltonian(XxzParams(Jx=1.0, Jy=1.0, Jz=1.0, N=40))
-    # the dense cap: 2^13 states would ask for 1 GiB per complex array
-    with pytest.raises(StateSpaceTooLarge):
-        models.xxz_hamiltonian(XxzParams(Jx=1.0, Jy=1.0, Jz=1.0, N=13))
+
+
+PAULI = (np.array([[0.0, 1.0], [1.0, 0.0]]),
+         np.array([[0.0, -1j], [1j, 0.0]]),
+         np.diag([1.0, -1.0]))
+
+
+def _total_spin_commutator(H: np.ndarray, a: int) -> float:
+    """max |[H, S^a]| with S^a the sum over sites of the Pauli matrix a."""
+    L = int(math.log2(H.shape[0]))
+    S = sum(embed(PAULI[a - 1], (x,), (2,) * L) for x in range(1, L + 1))
+    return float(np.max(np.abs(H @ S - S @ H)))
 
 
 def test_xxz_isotropic_su2_symmetry():
-    H = models.xxz_hamiltonian(XxzParams(Jx=1.0, Jy=1.0, Jz=1.0, N=4))
+    # at q = 1 the closed chain's generator is the isotropic XXX chain
+    G, _ = oracles.reversible_conjugate(AsepParams(q=1.0, L=4))
     for a in (1, 2, 3):
-        assert models.symmetry_commutator(H, a) <= 1e-12
+        assert _total_spin_commutator(G, a) <= 1e-12
 
 
 def test_xxz_anisotropic_keeps_only_axial_symmetry():
-    H = models.xxz_hamiltonian(XxzParams(Jx=1.0, Jy=1.0, Jz=1.6, N=4))
-    assert models.symmetry_commutator(H, 3) <= 1e-12
-    assert models.symmetry_commutator(H, 1) > 1e-3
-
-
-# gamma runs from 0.52 (q = 5) to 200.5 (q = 0.05)
-@pytest.mark.parametrize("q", [0.05, 0.3, 0.4, 0.7, 0.8, 5.0])
-def test_xxz_to_asep_gauge_search(q):
-    out = models.xxz_to_asep_gauge(q)
-    assert out["Jx"] == 1.0
-    assert out["gamma"] == (1.0 + q**2) / (2.0 * q**2)
-    assert out["residual"] <= 1e-12
-    assert out["scale"] == pytest.approx(4.0 / (1.0 + q**2))
+    # q != 1: the conjugated generator is the open XXZ chain with anisotropy
+    # (1 + q) / (2 sqrt(q)); q is chosen to make it 1.6
+    q = (1.6 - math.sqrt(1.6**2 - 1)) ** 2
+    _, H = oracles.reversible_conjugate(AsepParams(q=q, L=4))
+    assert _total_spin_commutator(H, 3) <= 1e-12
+    assert _total_spin_commutator(H, 1) > 1e-3
 
 
 def test_tw_single_particle_is_heat_kernel_like():

@@ -416,6 +416,22 @@ def test_chain_beyond_the_float_range_is_contracted_in_scale(L, image):
     assert _certificate(mu, p) <= 1e-16
 
 
+@pytest.mark.parametrize("L", [18, 20])
+def test_cancellation_is_finite_where_the_row_sums_overflow(L):
+    # The image of both symmetries of the chain above: its row sums
+    # c = e_0 (E + D)^L overflow from L = 18, where kappa read infinite.
+    # Rescaled by powers of two, c gives kappa = 1 exactly, as z >= 0.
+    p = AsepParams(q=46.47848607733105, alpha=0.0027522646135283743,
+                   beta=0.0052862984388549455, gamma=0.0,
+                   delta=0.44790675088142945, L=L)
+    E, z = mpa.krylov_pair(*_image(p, "both")[0], L)
+    assert (z >= 0).all()
+    with np.errstate(over="ignore", invalid="ignore"):
+        row_sums = np.linalg.matrix_power(E + np.eye(L + 1, k=1), L)[0]
+    assert not np.isfinite(row_sums).all()
+    assert mpa.cancellation(E, z) == 1.0
+
+
 @settings(max_examples=100, deadline=None)
 @given(p=_chains)
 def test_scaled_contraction_is_the_plain_one(p):

@@ -157,7 +157,6 @@ def test_real_input_stays_real():
         *(m for _, m in models.asep_local_terms(
             models.AsepParams(q=0.5, alpha=0.6, beta=0.4, L=2), True)),
         models.asep_bulk_w(0.5),
-        models.xxz_gauge_matrix(1.3),
         r1.E, r1.F, r1.K, r1.Kinv,
         uqsl2.universal_r(r1, uqsl2.rep(1, 0.6)),
         embed(kron(r1.K, r1.E), (2, 1), (3, 3)),
@@ -177,7 +176,6 @@ def test_real_input_stays_real():
         assert mat.dtype == np.float64
     # complex input stays complex
     assert ybe.asep_spectral_r(np.array([0.4 + 0.1j]), 0.5)[0].dtype == np.complex128
-    assert models.xxz_local_block(models.XxzParams(1.0, 1.0, 1.0)).dtype == np.complex128
 
 
 @given(d1=st.integers(1, 4), d2=st.integers(1, 4))
