@@ -343,9 +343,9 @@ def _sample6v(args) -> Run:
 
 def _twprob(args) -> Run:
     y, x = tuple(args.y), tuple(args.x)
-    nquad = models.tw_start_nodes(y, x, args.t, args.q)
-    val = models.tw_transition_probability(y, x, args.t, args.q, n_quad=nquad)
-    results = {"probability": val}
+    diagnostics = {}
+    val = models.tw_transition_probability(y, x, args.t, args.q, diagnostics=diagnostics)
+    results = {"probability": val, **diagnostics}
     residuals = {"probability_range": max(0.0, -val, val - 1.0)}
     if args.check_oracle:
         oracle = models.ctmc_oracle_probability(y, x, args.t, args.q)
@@ -354,7 +354,7 @@ def _twprob(args) -> Run:
     return Run(
         "twprob",
         {"y": list(y), "x": list(x), "t": args.t, "q": args.q,
-         "radius": models.tw_radius(args.q, len(y)), "nquad": nquad},
+         "radius": models.tw_radius(args.q, len(y)), "nquad": diagnostics["nodes"][0]},
         results,
         residuals,
     )
@@ -362,13 +362,9 @@ def _twprob(args) -> Run:
 
 def _oscillator_hermite(args) -> Run:
     val = oscillator.hermite(args.n, args.x)
-    worst = max(
-        (abs(oscillator.hermite_overlap(mdeg, ndeg))
-         for mdeg in range(min(args.n, 6) + 1) for ndeg in range(mdeg)),
-        default=0.0,
-    )
+    gram = oscillator.hermite_gram(min(args.n, 6))
     return Run("oscillator hermite", {"n": args.n, "x": args.x}, {"value": val},
-               {"orthogonality": worst})
+               {"orthogonality": float(np.abs(np.tril(gram, -1)).max())})
 
 
 def _oscillator_fock(args) -> Run:

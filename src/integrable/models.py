@@ -174,6 +174,12 @@ TW_DOUBLING_TOL = 1e-8
 # geometric convergence roughly squares the change at each doubling, so a
 # change of TW_DOUBLING_TOL follows one of about its square root.
 TW_APPROACH_TOL = 1e-4
+# Nonzero changes below this are rounding noise of the sum, not quadrature
+# error, and need not fall from one doubling to the next.
+TW_ROUNDING_FLOOR = 1e-12
+# Largest relative error of a truncated scattering factor (see _tw_series):
+# a quarter of the float epsilon 2^-52.
+TW_SERIES_TOL = 2.0**-54
 # Contour radius for N > 1 as a fraction of r*(q), the radius at which a
 # scattering pole reaches the torus of contours (see tw_radius).
 TW_RADIUS_MARGIN = 0.7
@@ -209,7 +215,10 @@ def _checked_positions(y, x, t: float, q: float) -> tuple:
     if len(y) != len(x):
         raise ParameterError("x and y must have equal length")
     if len(y) > 3:
-        raise ParameterError("N <= 3 only; the permutation sum grows as N!")
+        raise ParameterError(
+            "N <= 3 only: the permutation sum grows as N!, and a variable of "
+            "the reversal term carries N - 1 scattering bonds of rank K + 2 "
+            "<= 25 (a geometric series in a ratio rho <= 0.2001)")
     if any(a >= b for c in (y, x) for a, b in zip(c, c[1:])):
         raise ParameterError("positions must be strictly increasing")
     if not q >= 0:
@@ -234,7 +243,11 @@ def tw_start_nodes(y, x, t: float, q: float, n_quad: int | None = None) -> int:
     n-node trapezoid rule is exact on Laurent terms of degree below n in
     magnitude. An explicit `n_quad` replaces the floor.
     """
-    y, x = _checked_positions(y, x, t, q)
+    return _start_nodes(*_checked_positions(y, x, t, q), t, q, n_quad)
+
+
+def _start_nodes(y, x, t, q, n_quad):
+    """tw_start_nodes on positions already checked."""
     if n_quad is None:
         need = 2.0 * math.e * t / tw_radius(q, len(y)) + max(
             (abs(b - a) for a in y for b in x), default=0)
@@ -252,6 +265,7 @@ def tw_transition_probability(
     t: float,
     q: float,
     n_quad: int | None = None,
+    diagnostics: dict | None = None,
 ) -> float:
     """N-particle transition probability by the Bethe-ansatz contour
     formula: a sum over permutations of N-fold contour integrals with
@@ -266,7 +280,11 @@ def tw_transition_probability(
     n/2 to n, was at most 1e-4 and strictly larger. So three successive
     counts must agree, as under geometric convergence, where each doubling
     roughly squares the change: two counts that agree by chance after one
-    that differs by more than 1e-4 are not enough. Three counts that all
+    that differs by more than 1e-4 are not enough. A nonzero change below
+    TW_ROUNDING_FLOOR = 1e-12 need not be the smaller: once the counts
+    agree to rounding, which of two changes is larger is chance, and
+    another doubling would buy nothing. A change of exactly zero gets no
+    such pass, since an evaluation that has stalled repeats its value. Three counts that all
     agree by chance on a wrong value would be. At the last count,
     max(512, 2 n_quad) nodes, a single change of at most 1e-8 is accepted;
     otherwise NonConvergedQuadrature names the node schedule and every
@@ -279,11 +297,19 @@ def tw_transition_probability(
     is large on a small circle (large q and t), the terms cancel beyond
     float precision, and the doubling raises instead of settling.
 
+    Each scattering factor is a geometric series in a ratio of modulus at
+    most rho = q r^2 / (1 - (1 + q) r) <= 0.2001, truncated after K + 1
+    terms (K <= 23, from q alone) and factored at rank K + 2, so no n x n
+    array is built (see _tw_series and _tw_eval).
+
     Every value must be finite, and the accepted value must be real to
-    1e-10.
+    1e-10. A `diagnostics` dict, if given, receives how the value was
+    reached: `nodes`, every node count evaluated; `rank`, that of the
+    scattering factors (0 for one particle, which has none); and
+    `truncation_bound`, the bound on their relative truncation error.
     """
     y, x = _checked_positions(y, x, t, q)
-    n_quad = tw_start_nodes(y, x, t, q, n_quad)
+    n_quad = _start_nodes(y, x, t, q, n_quad)
     last = max(TW_MAX_NODES, 2 * n_quad)
     schedule, changes = [], []
 
@@ -303,7 +329,8 @@ def tw_transition_probability(
         changes.append(abs(val - prev))
         if changes[-1] <= TW_DOUBLING_TOL and (
             schedule[-1] >= last
-            or (len(changes) >= 2 and changes[-1] < changes[-2] <= TW_APPROACH_TOL)
+            or (len(changes) >= 2 and changes[-2] <= TW_APPROACH_TOL
+                and (changes[-1] < changes[-2] or 0 < changes[-1] < TW_ROUNDING_FLOOR))
         ):
             break
         if schedule[-1] >= last:
@@ -313,33 +340,115 @@ def tw_transition_probability(
             )
     if abs(val.imag) > 1e-10:
         raise NonConvergedQuadrature(f"imaginary residue {val.imag}")
+    if diagnostics is not None:
+        rank, bound = 0, 0.0
+        if len(y) > 1:
+            K, bound = _tw_series(q, tw_radius(q, len(y)))
+            rank = K + 2
+        diagnostics.update(nodes=schedule, rank=rank, truncation_bound=bound)
     return float(val.real)
 
 
 @functools.cache
 def _tw_plan(N: int) -> tuple:
     """The structure of the permutation sum for N particles, one entry per
-    permutation sigma: its inverse (inv[a] = j where sigma[j] = a), its
+    permutation sigma: its inverse (inv[a] = j where sigma[j] = a) and its
     inversion pairs (sigma[j], sigma[k]) for j < k with sigma[j] >
-    sigma[k], the einsum subscripts of its term (one letter per contour
-    variable, one pair of letters per inversion) and the contraction
-    order of that term. Every operand is a vector or a matrix of one side
-    n, and the greedy order found at one side holds for all."""
-    letters = "abcdefghijklmnopqrstuvwxyz"[:N]
+    sigma[k]. Pair (a, b) carries the scattering factor S(xi_a, xi_b)."""
     plan = []
     for sigma in itertools.permutations(range(N)):
         inverse = tuple(sorted(range(N), key=sigma.__getitem__))
         pairs = tuple((sigma[j], sigma[k]) for j, k in itertools.combinations(range(N), 2)
                       if sigma[j] > sigma[k])
-        subs = ",".join([*letters, *(letters[a] + letters[b] for a, b in pairs)]) + "->"
-        shapes = [(TW_MIN_NODES,)] * N + [(TW_MIN_NODES,) * 2] * len(pairs)
-        path = np.einsum_path(subs, *map(np.empty, shapes), optimize="greedy")[0]
-        plan.append((inverse, pairs, subs, path))
+        plan.append((inverse, pairs))
     return tuple(plan)
+
+
+def _tw_series(q: float, radius: float) -> tuple:
+    """(K, bound): the terms k = 0..K of the scattering series that
+    _tw_factors keeps, and the bound on each entry's relative error.
+
+    With A = 1 - (1 + q) xi, the factor S(xi_a, xi_b) = -(A_a + q xi_a
+    xi_b) / (A_b + q xi_a xi_b) is -(A_a/A_b + z) / (1 + z) for z =
+    q xi_a xi_b / A_b, and 1/(1 + z) is the geometric series in -z. On the
+    torus of radius r, |z| <= rho = q r^2 / (1 - (1 + q) r), which is below
+    1 because r < r*(q) (see tw_radius), and at most 0.2001 for every
+    q >= 0 at r = tw_radius(q, N): 0.19 at q = 0.5, 0.20 at q = 1, 0.14 at
+    q = 5, 0 at q = 0. The dropped tail is at most rho^(K+1) / (1 - rho)
+    and |1 + z| <= 1 + rho, so bound = (1 + rho) rho^(K+1) / (1 - rho)
+    bounds the relative error of every truncated entry. K is the smallest
+    with bound <= TW_SERIES_TOL: at most 23, from q alone."""
+    rho = q * radius * radius / (1.0 - (1.0 + q) * radius)
+    K = 0
+    while (bound := (1.0 + rho) * rho ** (K + 1) / (1.0 - rho)) > TW_SERIES_TOL:
+        K += 1
+    return K, bound
+
+
+def _tw_factors(q: float, radius: float, roots: np.ndarray) -> tuple:
+    """(U, V), n x (K + 2), with U V^T the scattering factor S(xi_a, xi_b)
+    on the nodes xi = radius * roots, its series truncated at the K of
+    _tw_series.
+
+    With u = xi / radius, S = -(1 + xi_a beta_b) / A_b * sum_k (u_a P_b)^k
+    for beta = q xi - (1 + q) and P = -q radius^2 u / A, since u_a P_b = -z.
+    Collected by powers of u_a, the truncated series is a polynomial of
+    degree K + 1 in u_a: U holds u^0 ... u^(K+1), read from the table of
+    roots, and column k of V is -(P^k + radius beta P^(k-1)) / A, a power
+    out of range 0..K counting as zero. |P| <= rho, so no column
+    overflows, and the powers of P are multiplied out (np.vander)."""
+    n = len(roots)
+    K, _ = _tw_series(q, radius)
+    A = 1.0 - (1.0 + q) * radius * roots
+    powers = np.vander(-q * radius * radius * roots / A, K + 1, increasing=True)
+    V = np.zeros((n, K + 2), dtype=complex)
+    V[:, :-1] = powers
+    V[:, 1:] += (radius * (q * radius * roots - (1.0 + q)))[:, None] * powers
+    V /= -A[:, None]
+    U = roots[np.outer(np.arange(n), np.arange(K + 2)) % n]
+    return U, V
+
+
+def _vertex(m: np.ndarray, factors: list) -> np.ndarray:
+    """sum_xi m(xi) prod_i factors[i][xi, r_i], one axis r_i per factor:
+    the sum of m, a vector, or one (k x n)(n x k) product for two."""
+    lead = m[:, None]
+    for f in factors[:-1]:
+        lead = (lead[:, :, None] * f[:, None, :]).reshape(len(m), -1)
+    if not factors:
+        return lead.sum()
+    return (lead.T @ factors[-1]).reshape(factors[-1].shape[1:] * len(factors))
+
+
+def _contract(vertices: list):
+    """The sum over every bond index of the product of the vertex tensors,
+    each given as (tensor, the bond of each of its axes). Each step is one
+    matrix product: the axes of the value so far that the next tensor
+    shares are summed against that tensor's."""
+    value, labels = vertices[0]
+    for tensor, axes in vertices[1:]:
+        kept = [b for b in labels if b not in axes]
+        shared = [b for b in labels if b in axes]
+        rest = [b for b in axes if b not in labels]
+        left = np.transpose(value, [labels.index(b) for b in kept + shared])
+        right = np.transpose(tensor, [axes.index(b) for b in shared + rest])
+        side = right.shape[:len(shared)]
+        value = (left.reshape(-1, math.prod(side)) @ right.reshape(math.prod(side), -1)
+                 ).reshape(left.shape[:len(kept)] + right.shape[len(shared):])
+        labels = kept + rest
+    return value
 
 
 @np.errstate(all="ignore")  # non-finite values are caught by the caller
 def _tw_eval(y, x, t, q, n):
+    """The n-node trapezoid value of the contour formula. Per permutation
+    the integrand is one monomial per contour variable times S(xi_a, xi_b)
+    per inversion (a, b). With S = U V^T (_tw_factors), each inversion is a
+    bond index of rank k = K + 2, and each variable a vertex tensor: its
+    monomial summed against the U columns of the bonds where it is first
+    and the V columns where it is second, at most one (k x n)(n x k)
+    product for N <= 3. Contracting the vertices over the bonds gives the
+    term in O(n k^2), with no n x n array."""
     N = len(y)
     radius = tw_radius(q, N)
     # Node j is radius omega^j, omega = exp(2 pi i / n), and each power
@@ -347,26 +456,24 @@ def _tw_eval(y, x, t, q, n):
     j = np.arange(n)
     roots = np.exp(2j * np.pi * j / n)
     nodes = radius * roots
-    # The scattering factor S(xa, xb) = -num(xa, xb) / num(xb, xa) on the
-    # product torus, shared by every inversion of every permutation. On
-    # this radius |num| >= 1 - TW_RADIUS_MARGIN (see tw_radius).
-    if N > 1:
-        num = 1.0 + q * nodes[:, None] * nodes[None, :] - (1.0 + q) * nodes[:, None]
-        scattering = -num / num.T
+    factors = _tw_factors(q, radius, roots) if N > 1 else ()
     # node value times dxi/(2 pi i) per trapezoid node, times exp(t eps(xi))
     base = nodes / n * np.exp(_epsilon(nodes, q) * t)
 
+    @functools.cache
     def monomial(k):
         return base * radius**k * roots[j * k % n]
 
-    # Per permutation the integrand factors into one vector per contour
-    # variable and one matrix per inversion pair, so the N-fold sum is a
-    # small einsum contraction (memory O(n^2) instead of O(n^N)).
     total = 0.0
-    for inverse, pairs, subs, path in _tw_plan(N):
-        operands = [monomial(x[inverse[a]] - y[a] - 1) for a in range(N)]
-        operands += [scattering for _ in pairs]
-        total = total + np.einsum(subs, *operands, optimize=path)
+    for inverse, pairs in _tw_plan(N):
+        vertices = []
+        for a in range(N):
+            bonds = [(i, side) for i, pair in enumerate(pairs)
+                     for side, v in enumerate(pair) if v == a]
+            tensor = _vertex(monomial(x[inverse[a]] - y[a] - 1),
+                             [factors[side] for _, side in bonds])
+            vertices.append((tensor, [i for i, _ in bonds]))
+        total = total + _contract(vertices)
     return complex(total)
 
 

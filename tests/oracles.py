@@ -19,6 +19,10 @@ largest entry of that solve. The band LU has no accuracy bound of its
 own; where it and the float matrix product disagree, exact_open_law
 decides, and it checks its law as the generator's exact null vector.
 
+The contour formula's scattering factor is checked against its dense
+n x n matrix on the trapezoid nodes (scattering_matrix), which the package
+never builds: it contracts low-rank factors of it (models._tw_factors).
+
 The closed chain's spin-chain form is checked on small dense matrices:
 reversible_conjugate conjugates its generator by the square root of its
 reversible law, and uq_coproduct gives the L-fold U_q(sl2) coproduct that
@@ -381,3 +385,11 @@ def uq_coproduct(L: int, q: float) -> tuple:
     e = sum(kron(*[r.K] * (x - 1), r.E, *[one] * (L - x)) for x in range(1, L + 1))
     f = sum(kron(*[one] * (x - 1), r.F, *[r.Kinv] * (L - x)) for x in range(1, L + 1))
     return e, f, kron(*[r.K] * L)
+
+
+def scattering_matrix(q: float, nodes: np.ndarray) -> np.ndarray:
+    """The scattering factor of the contour formula on every pair of
+    nodes, S[a, b] = -(1 + q xi_a xi_b - (1 + q) xi_a) /
+    (1 + q xi_a xi_b - (1 + q) xi_b), as a dense n x n matrix."""
+    xa, xb = nodes[:, None], nodes[None, :]
+    return -((1.0 + q * xa * xb - (1.0 + q) * xa) / (1.0 + q * xa * xb - (1.0 + q) * xb))

@@ -811,6 +811,33 @@ def test_twprob_takes_its_radius_from_q(capsys, q, radius, probability):
     assert report["residuals"]["oracle_diff"] <= models.TW_DOUBLING_TOL
 
 
+@pytest.mark.parametrize("argv, rank", [
+    (["--t", "2", "--q", "1.5", "--y", "0", "2", "4", "--x", "1", "3", "5"], 25),
+    (["--t", "1", "--q", "0.05", "--y", "0", "1", "3", "--x", "1", "2", "4"], 12),
+    (["--t", "0.5", "--q", "0.4", "--y", "0", "--x", "1"], 0),
+])
+def test_twprob_reports_how_it_converged(capsys, argv, rank):
+    code, out = _run(capsys, ["twprob", *argv, "--check-oracle"])
+    report = json.loads(out)
+    assert code == 0 and report["pass"]
+    results = report["results"]
+    nodes = results["nodes"]
+    assert report["params"]["nquad"] == nodes[0]
+    assert nodes == [nodes[0] * 2**k for k in range(len(nodes))] and len(nodes) >= 2
+    assert results["rank"] == rank
+    assert 0.0 <= results["truncation_bound"] <= models.TW_SERIES_TOL
+    jsonschema.validate(report, _schema())
+
+
+def test_hermite_report_checks_every_overlap_to_degree_six(capsys):
+    code, out = _run(capsys, ["oscillator", "hermite", "--n", "9", "--x", "0.3"])
+    report = json.loads(out)
+    gram = cli.oscillator.hermite_gram(6)
+    assert code == 0
+    assert report["residuals"]["orthogonality"] == max(
+        abs(gram[m, n]) for m in range(7) for n in range(m)) <= 2.3e-13
+
+
 def test_tolerance_floors_are_the_claimed_accuracies():
     # a contour value 1.03e-8 from the oracle passed the old 1e-5 floor;
     # the floor is now the accuracy the node doubling claims

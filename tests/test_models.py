@@ -413,6 +413,23 @@ def test_tw_coarse_levels_agreeing_by_chance_are_not_accepted(monkeypatch, wrong
     assert abs(models.tw_transition_probability(y, x, t, q) - truth) <= 1e-8
 
 
+def test_tw_rounding_noise_that_does_not_fall_is_accepted(monkeypatch):
+    # three counts within rounding of each other settle at the third even
+    # when the second change is the larger; a change of 1e-11 does not
+    y, x, t, q = (0, 2), (1, 3), 4.0, 0.3
+    start = models.tw_start_nodes(y, x, t, q)
+    truth = models._tw_eval(y, x, t, q, start)
+    for noise, settled in (((0.0, 1e-15, -2e-15), 3), ((0.0, 1e-11, -1e-11), 4)):
+        def noisy_eval(y, x, t, q, n, noise=noise):
+            level = (n // start).bit_length() - 1
+            return truth + (noise[level] if level < len(noise) else 0.0)
+
+        monkeypatch.setattr(models, "_tw_eval", noisy_eval)
+        diagnostics = {}
+        models.tw_transition_probability(y, x, t, q, diagnostics=diagnostics)
+        assert diagnostics["nodes"] == [start << k for k in range(settled)]
+
+
 @pytest.mark.parametrize("n_quad", [None, 4, 16])
 def test_tw_contour_inside_the_poles_converges_at_q_08(n_quad):
     # At radius 1/2 a scattering pole lay on the torus for 2/3 <= q <= 2.
@@ -489,9 +506,7 @@ def _tw_eval_per_permutation(y, x, t, q, n):
     N = len(y)
     nodes = models.tw_radius(q, N) * np.exp(1j * 2.0 * np.pi * np.arange(n) / n)
     if N > 1:
-        xa, xb = nodes[:, None], nodes[None, :]
-        scattering = -((1.0 + q * xa * xb - (1.0 + q) * xa)
-                       / (1.0 + q * xa * xb - (1.0 + q) * xb))
+        scattering = oracles.scattering_matrix(q, nodes)
     base = nodes / n * np.exp(models._epsilon(nodes, q) * t)
     total = scale = 0.0
     for sigma in itertools.permutations(range(N)):
@@ -519,6 +534,68 @@ def test_planned_contour_sum_matches_the_per_permutation_einsum(y, x, n):
     for t, q in [(0.1, 0.2), (0.5, 0.4), (2.0, 2.5), (4.0, 0.5)]:
         want, scale = _tw_eval_per_permutation(y, x, t, q, n)
         assert abs(models._tw_eval(y, x, t, q, n) - want) <= 1e-14 * scale
+
+
+EPS = np.finfo(float).eps
+SCATTERING_Q = st.one_of(st.sampled_from([0.0, 1.0]),
+                         st.floats(math.log(1e-3), math.log(1e3)).map(math.exp))
+
+
+@settings(max_examples=60, deadline=None)
+@given(q=SCATTERING_Q, n=st.sampled_from([8, 32, 512]))
+@example(q=0.0, n=512).via("no scattering series: S = -A_a / A_b")
+@example(q=1.0, n=512).via("the largest ratio, rho = 0.2, and K = 23")
+def test_scattering_factors_match_the_dense_matrix(q, n):
+    r = models.tw_radius(q, 2)
+    rho = q * r * r / (1.0 - (1.0 + q) * r)
+    assert 0.0 <= rho <= 0.2002 < 1.0
+
+    def bound(K):
+        return (1.0 + rho) * rho ** (K + 1) / (1.0 - rho)
+
+    K, claimed = models._tw_series(q, r)
+    # K is the fewest terms whose tail bound is a quarter of the epsilon
+    assert K <= 23 and claimed == bound(K) <= EPS / 4
+    assert K == 0 or bound(K - 1) > EPS / 4
+    roots = np.exp(2j * np.pi * np.arange(n) / n)
+    U, V = models._tw_factors(q, r, roots)
+    assert U.shape == V.shape == (n, K + 2)
+    S = oracles.scattering_matrix(q, r * roots)
+    # The dense oracle rounds too: its numerator and denominator cancel to
+    # at least 0.3 of terms summing to 1.7, and the factored sum is at most
+    # 8 eps from it at n = 512. 16 eps leaves that margin twice over; a
+    # halved K alone leaves 1e-9.
+    assert np.all(np.abs(U @ V.T - S) <= (bound(K) + 16 * EPS) * np.abs(S))
+
+
+def test_contour_sum_at_three_particles_builds_no_scattering_matrix():
+    y, x, t, q, n = (0, 2, 4), (1, 3, 5), 2.0, 1.0, 512
+    models._tw_eval(y, x, t, q, n)  # the plan is cached on the first call
+    tracemalloc.start()
+    try:
+        models._tw_eval(y, x, t, q, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the dense 512 x 512 complex S alone takes 4 MiB
+    assert peak < 2 * 2**20
+
+
+@pytest.mark.parametrize("y, x, q, rank", [
+    ((0,), (1,), 0.4, 0), ((0, 2), (1, 3), 0.0, 2), ((0, 2), (1, 3), 1.0, 25),
+    ((0, 2, 4), (1, 3, 5), 0.05, 12),
+])
+def test_tw_diagnostics_say_how_the_value_was_reached(y, x, q, rank):
+    diagnostics = {}
+    value = models.tw_transition_probability(y, x, 0.5, q, diagnostics=diagnostics)
+    assert value == models.tw_transition_probability(y, x, 0.5, q)
+    nodes = diagnostics["nodes"]
+    assert nodes[0] == models.tw_start_nodes(y, x, 0.5, q)
+    assert nodes == [nodes[0] * 2**k for k in range(len(nodes))] and len(nodes) >= 2
+    assert value == models._tw_eval(y, x, 0.5, q, nodes[-1]).real
+    assert diagnostics["rank"] == rank
+    assert 0.0 <= diagnostics["truncation_bound"] <= models.TW_SERIES_TOL == EPS / 4
+    assert (diagnostics["truncation_bound"] == 0.0) == (rank <= 2)
 
 
 def transition_row(G: Generator, state: int, t: float, tol: float = 1e-12) -> np.ndarray:

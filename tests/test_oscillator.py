@@ -52,6 +52,25 @@ def test_hermite_overlap_off_diagonal_vanishes():
             assert abs(oscillator.hermite_overlap(m, n)) / norm <= 1e-10
 
 
+def test_hermite_table_rows_are_the_recurrence_at_each_point():
+    x = np.array([-1.7, 0.0, 0.3, 5.5])
+    table = oscillator.hermite_table(9, x)
+    assert table.shape == (10, 4)
+    for n in range(10):
+        assert table[n].tolist() == [oscillator.hermite(n, v) for v in x]
+    assert oscillator.hermite_table(0, x).tolist() == [[1.0] * 4]
+
+
+def test_hermite_gram_is_every_overlap_from_one_table():
+    gram = oscillator.hermite_gram(6)
+    for m in range(7):
+        for n in range(7):
+            overlap = oscillator.hermite_overlap(m, n)
+            assert gram[m, n] == pytest.approx(overlap, rel=1e-14, abs=2.3e-13)
+            if m != n:
+                assert abs(gram[m, n]) <= 2.3e-13
+
+
 def test_hermite_report_leaves_numpy_polynomial_unloaded():
     # a Gauss rule from numpy.polynomial's leggauss would load that package
     # and run a LAPACK eigensolve, about 2 MB of peak resident memory on the
