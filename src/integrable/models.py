@@ -208,17 +208,18 @@ def tw_radius(q: float, n_particles: int) -> float:
 
 def _checked_positions(y, x, t: float, q: float) -> tuple:
     """y and x as tuples of ints, after the checks that the contour formula
-    and its oracle share: equal lengths, N <= 3, strictly increasing
+    and its oracle share: equal lengths, N <= 4, strictly increasing
     positions, t >= 0 and q >= 0, each written so that a NaN fails it."""
     y = tuple(int(v) for v in y)
     x = tuple(int(v) for v in x)
     if len(y) != len(x):
         raise ParameterError("x and y must have equal length")
-    if len(y) > 3:
+    if len(y) > 4:
         raise ParameterError(
-            "N <= 3 only: the permutation sum grows as N!, and a variable of "
-            "the reversal term carries N - 1 scattering bonds of rank K + 2 "
-            "<= 25 (a geometric series in a ratio rho <= 0.2001)")
+            "N <= 4 only: the permutation sum grows as N!, and each variable of "
+            "the reversal term carries N - 1 scattering bonds of rank K + 2 <= 25, "
+            "so at N = 5 one vertex tensor holds 25^4 entries and its product "
+            "is built from an n x 25^3 array")
     if any(a >= b for c in (y, x) for a, b in zip(c, c[1:])):
         raise ParameterError("positions must be strictly increasing")
     if not q >= 0:
@@ -300,7 +301,10 @@ def tw_transition_probability(
     Each scattering factor is a geometric series in a ratio of modulus at
     most rho = q r^2 / (1 - (1 + q) r) <= 0.2001, truncated after K + 1
     terms (K <= 23, from q alone) and factored at rank K + 2, so no n x n
-    array is built (see _tw_series and _tw_eval).
+    array is built (see _tw_series and _tw_block). The rules are nested,
+    so the counts start_nodes, 2 start_nodes and 4 start_nodes (those up to
+    the last count) come from one pass over the finest one's nodes, and
+    each later doubling from a pass of its own.
 
     Every value must be finite, and the accepted value must be real to
     1e-10. A `diagnostics` dict, if given, receives how the value was
@@ -312,20 +316,22 @@ def tw_transition_probability(
     n_quad = _start_nodes(y, x, t, q, n_quad)
     last = max(TW_MAX_NODES, 2 * n_quad)
     schedule, changes = [], []
-
-    def evaluate(n):
-        schedule.append(n)
-        val = _tw_eval(y, x, t, q, n)
+    # The first block holds every count the rule needs before it can accept:
+    # n_quad, 2 n_quad and 4 n_quad, those up to `last`.
+    first = min(3, (last // n_quad).bit_length())
+    pending = _tw_block(y, x, t, q, n_quad << (first - 1), first)
+    val = None
+    while True:
+        prev = val
+        schedule.append(n_quad << len(schedule))
+        val = pending.pop(0) if pending else _tw_block(y, x, t, q, schedule[-1], 1)[0]
         if not cmath.isfinite(val):
             raise NonConvergedQuadrature(
-                f"trapezoid value {val} at {n} nodes is not finite "
+                f"trapezoid value {val} at {schedule[-1]} nodes is not finite "
                 f"(nodes {schedule}, changes {changes})"
             )
-        return val
-
-    val = evaluate(n_quad)
-    while True:
-        prev, val = val, evaluate(2 * schedule[-1])
+        if prev is None:
+            continue
         changes.append(abs(val - prev))
         if changes[-1] <= TW_DOUBLING_TOL and (
             schedule[-1] >= last
@@ -352,15 +358,24 @@ def tw_transition_probability(
 @functools.cache
 def _tw_plan(N: int) -> tuple:
     """The structure of the permutation sum for N particles, one entry per
-    permutation sigma: its inverse (inv[a] = j where sigma[j] = a) and its
-    inversion pairs (sigma[j], sigma[k]) for j < k with sigma[j] >
-    sigma[k]. Pair (a, b) carries the scattering factor S(xi_a, xi_b)."""
+    permutation sigma, inversion pair (sigma[j], sigma[k]) for j < k with
+    sigma[j] > sigma[k] carrying the scattering factor S(xi_a, xi_b) of its
+    pair (a, b). Per variable a the entry holds inv[a] (the j with
+    sigma[j] = a) and the bond list of a's vertex: the index of each pair
+    that holds a, and the side (0 first, 1 second) on which it does, as
+    two tuples."""
     plan = []
     for sigma in itertools.permutations(range(N)):
-        inverse = tuple(sorted(range(N), key=sigma.__getitem__))
-        pairs = tuple((sigma[j], sigma[k]) for j, k in itertools.combinations(range(N), 2)
-                      if sigma[j] > sigma[k])
-        plan.append((inverse, pairs))
+        inverse = sorted(range(N), key=sigma.__getitem__)
+        pairs = [(sigma[j], sigma[k]) for j, k in itertools.combinations(range(N), 2)
+                 if sigma[j] > sigma[k]]
+        term = []
+        for a in range(N):
+            bonds = [(i, side) for i, pair in enumerate(pairs)
+                     for side, v in enumerate(pair) if v == a]
+            term.append((inverse[a], tuple(i for i, _ in bonds),
+                         tuple(side for _, side in bonds)))
+        plan.append(tuple(term))
     return tuple(plan)
 
 
@@ -385,96 +400,137 @@ def _tw_series(q: float, radius: float) -> tuple:
     return K, bound
 
 
-def _tw_factors(q: float, radius: float, roots: np.ndarray) -> tuple:
-    """(U, V), n x (K + 2), with U V^T the scattering factor S(xi_a, xi_b)
-    on the nodes xi = radius * roots, its series truncated at the K of
-    _tw_series.
+def _tw_factors(q: float, radius: float, roots: np.ndarray, j: np.ndarray) -> tuple:
+    """(U, V), len(j) x (K + 2), with U V^T the scattering factor
+    S(xi_a, xi_b) on the nodes xi = radius * roots[j], roots the n-th roots
+    of unity in order, its series truncated at the K of _tw_series. Both are
+    transposed views of (K + 2) x len(j) arrays, one row per power.
 
     With u = xi / radius, S = -(1 + xi_a beta_b) / A_b * sum_k (u_a P_b)^k
     for beta = q xi - (1 + q) and P = -q radius^2 u / A, since u_a P_b = -z.
     Collected by powers of u_a, the truncated series is a polynomial of
     degree K + 1 in u_a: U holds u^0 ... u^(K+1), read from the table of
     roots, and column k of V is -(P^k + radius beta P^(k-1)) / A, a power
-    out of range 0..K counting as zero. |P| <= rho, so no column
-    overflows, and the powers of P are multiplied out (np.vander)."""
+    out of range 0..K counting as zero: -1/A for k = 0, -(P^(k-1) / A)
+    (P + radius beta) for 1 <= k <= K, and -(P^K / A) radius beta for
+    k = K + 1. |P| <= rho, so no column overflows, and the powers -P^k / A
+    are multiplied out one row at a time."""
     n = len(roots)
     K, _ = _tw_series(q, radius)
-    A = 1.0 - (1.0 + q) * radius * roots
-    powers = np.vander(-q * radius * radius * roots / A, K + 1, increasing=True)
-    V = np.zeros((n, K + 2), dtype=complex)
-    V[:, :-1] = powers
-    V[:, 1:] += (radius * (q * radius * roots - (1.0 + q)))[:, None] * powers
-    V /= -A[:, None]
-    U = roots[np.outer(np.arange(n), np.arange(K + 2)) % n]
-    return U, V
+    u = roots[j]
+    A = 1.0 - (1.0 + q) * radius * u
+    P = -q * radius * radius * u / A
+    rb = radius * (q * radius * u - (1.0 + q))
+    powers = np.empty((K + 1, len(j)), dtype=complex)
+    powers[0] = -1.0 / A
+    for k in range(1, K + 1):
+        np.multiply(powers[k - 1], P, out=powers[k])
+    V = np.empty((K + 2, len(j)), dtype=complex)
+    V[0] = powers[0]
+    np.multiply(powers[:-1], P + rb, out=V[1:-1])
+    np.multiply(powers[-1], rb, out=V[-1])
+    U = roots[np.arange(K + 2)[:, None] * j % n]
+    return U.T, V.T
 
 
-def _vertex(m: np.ndarray, factors: list) -> np.ndarray:
-    """sum_xi m(xi) prod_i factors[i][xi, r_i], one axis r_i per factor:
-    the sum of m, a vector, or one (k x n)(n x k) product for two."""
-    lead = m[:, None]
+def _vertex(m: np.ndarray, factors: list, weights: np.ndarray) -> np.ndarray:
+    """One vertex tensor at every count of a block: sum_xi m(xi)
+    prod_i factors[i][r_i, xi], one axis r_i per factor, after a leading
+    count axis. m is (classes, nodes per class) and each factor (classes,
+    k, nodes per class); the sum over each class is the sum of m, a vector,
+    or one (k^(f-1) x n)(n x k) product for f factors, batched over the
+    classes, and count l sums the classes with weights[l] (see
+    _tw_block)."""
+    lead = m[:, None, :]
     for f in factors[:-1]:
-        lead = (lead[:, :, None] * f[:, None, :]).reshape(len(m), -1)
+        lead = (lead[:, :, None, :] * f[:, None, :, :]).reshape(len(m), -1, m.shape[1])
     if not factors:
-        return lead.sum()
-    return (lead.T @ factors[-1]).reshape(factors[-1].shape[1:] * len(factors))
+        return weights @ m.sum(axis=1)
+    per_class = lead @ factors[-1].swapaxes(1, 2)
+    return (weights @ per_class.reshape(len(m), -1)).reshape(
+        (len(weights),) + factors[-1].shape[1:2] * len(factors))
 
 
-def _contract(vertices: list):
+def _contract(vertices: list) -> np.ndarray:
     """The sum over every bond index of the product of the vertex tensors,
-    each given as (tensor, the bond of each of its axes). Each step is one
-    matrix product: the axes of the value so far that the next tensor
-    shares are summed against that tensor's."""
-    value, labels = vertices[0]
-    for tensor, axes in vertices[1:]:
-        kept = [b for b in labels if b not in axes]
-        shared = [b for b in labels if b in axes]
-        rest = [b for b in axes if b not in labels]
-        left = np.transpose(value, [labels.index(b) for b in kept + shared])
-        right = np.transpose(tensor, [axes.index(b) for b in shared + rest])
-        side = right.shape[:len(shared)]
-        value = (left.reshape(-1, math.prod(side)) @ right.reshape(math.prod(side), -1)
-                 ).reshape(left.shape[:len(kept)] + right.shape[len(shared):])
+    each given as (tensor, the bond of each of its axes after the leading
+    count axis), at every count. A vertex with no bond is a factor per
+    count. Each other step is one matrix product batched over the counts:
+    the axes of the value so far that the next tensor shares are summed
+    against that tensor's."""
+    scalar = 1.0
+    value = labels = None
+    for tensor, axes in vertices:
+        if not axes:
+            scalar = scalar * tensor
+            continue
+        if value is None:
+            value, labels = tensor, axes
+            continue
+        kept = tuple(b for b in labels if b not in axes)
+        shared = tuple(b for b in labels if b in axes)
+        rest = tuple(b for b in axes if b not in labels)
+        left = value.transpose((0,) + tuple(1 + labels.index(b) for b in kept + shared))
+        right = tensor.transpose((0,) + tuple(1 + axes.index(b) for b in shared + rest))
+        side = math.prod(right.shape[1:1 + len(shared)])
+        value = (left.reshape(len(left), -1, side) @ right.reshape(len(right), side, -1)
+                 ).reshape(left.shape[:1 + len(kept)] + right.shape[1 + len(shared):])
         labels = kept + rest
-    return value
+    return scalar if value is None else scalar * value
 
 
 @np.errstate(all="ignore")  # non-finite values are caught by the caller
-def _tw_eval(y, x, t, q, n):
-    """The n-node trapezoid value of the contour formula. Per permutation
-    the integrand is one monomial per contour variable times S(xi_a, xi_b)
-    per inversion (a, b). With S = U V^T (_tw_factors), each inversion is a
-    bond index of rank k = K + 2, and each variable a vertex tensor: its
-    monomial summed against the U columns of the bonds where it is first
-    and the V columns where it is second, at most one (k x n)(n x k)
-    product for N <= 3. Contracting the vertices over the bonds gives the
-    term in O(n k^2), with no n x n array."""
+def _tw_block(y, x, t, q, n: int, counts: int) -> list:
+    """The trapezoid values of the contour formula at the node counts
+    n / 2^(counts - 1), ..., n / 2, n, from one pass over the n nodes.
+
+    Per permutation the integrand is one monomial per contour variable
+    times S(xi_a, xi_b) per inversion (a, b). With S = U V^T
+    (_tw_factors), each inversion is a bond index of rank k = K + 2, and
+    each variable a vertex tensor: its monomial summed against the U
+    columns of the bonds where it is first and the V columns where it is
+    second, at most one (k^2 x n)(n x k) product for N <= 4. Contracting
+    the vertices over the bonds gives the term in O(n k^2) at N <= 3, with
+    no n x n array.
+
+    The rules are nested (Trefethen-Weideman, SIAM Rev. 56 (2014) 385):
+    with c = 2^(counts - 1), node j = c i + r lies in residue class r, and
+    the nodes of the count n / 2^s are the classes r = 0 (mod 2^s). Each
+    vertex is summed per class, a batch axis of its product, and its value
+    at the count n / 2^s is the sum of those classes weighted by 2^s, the
+    ratio of that rule's weight to the finest one's; the contraction
+    carries the counts as a leading axis."""
     N = len(y)
     radius = tw_radius(q, N)
+    c = 1 << (counts - 1)
     # Node j is radius omega^j, omega = exp(2 pi i / n), and each power
     # xi_j^k is radius^k omega^(jk mod n), read from the table of roots.
-    j = np.arange(n)
-    roots = np.exp(2j * np.pi * j / n)
-    nodes = radius * roots
-    factors = _tw_factors(q, radius, roots) if N > 1 else ()
+    # The nodes are held class by class: row r of each (c, n / c) table
+    # holds the nodes j = c i + r.
+    j = np.arange(n).reshape(-1, c).T.ravel()
+    roots = np.exp(2j * np.pi * np.arange(n) / n)
+    nodes = radius * roots[j]
+    factors = ()
+    if N > 1:
+        factors = tuple(f.T.reshape(-1, c, n // c).swapaxes(0, 1)
+                        for f in _tw_factors(q, radius, roots, j))
     # node value times dxi/(2 pi i) per trapezoid node, times exp(t eps(xi))
     base = nodes / n * np.exp(_epsilon(nodes, q) * t)
+    # Row l is the count n / 2^s, s = counts - 1 - l: weight 2^s on each
+    # class r = 0 (mod 2^s), zero on the others.
+    step = 1 << np.arange(counts - 1, -1, -1)[:, None]
+    weights = np.where(np.arange(c) % step == 0, step, 0).astype(float)
 
     @functools.cache
-    def monomial(k):
-        return base * radius**k * roots[j * k % n]
+    def vertex(k, sides):
+        monomial = (base * radius**k * roots[j * k % n]).reshape(c, -1)
+        return _vertex(monomial, [factors[side] for side in sides], weights)
 
     total = 0.0
-    for inverse, pairs in _tw_plan(N):
-        vertices = []
-        for a in range(N):
-            bonds = [(i, side) for i, pair in enumerate(pairs)
-                     for side, v in enumerate(pair) if v == a]
-            tensor = _vertex(monomial(x[inverse[a]] - y[a] - 1),
-                             [factors[side] for _, side in bonds])
-            vertices.append((tensor, [i for i, _ in bonds]))
-        total = total + _contract(vertices)
-    return complex(total)
+    for term in _tw_plan(N):
+        total = total + _contract([(vertex(x[inv] - y[a] - 1, sides), labels)
+                                   for a, (inv, labels, sides) in enumerate(term)])
+    return total.tolist()
 
 
 def _window_rank(config, lo: int, hi: int) -> int:

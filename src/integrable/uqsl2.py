@@ -1,5 +1,6 @@
 """Finite-dimensional representations of U_q(sl2), defining-relation
-checks, and the universal R-matrix on pairs of representations.
+checks, and the universal R-matrix on pairs of representations, checked
+by weight grading.
 
 On the (m+1)-dimensional representation with weight basis v_0..v_m:
     e v_k = [(q^{m-k} - q^{k-m}) / (q - q^{-1})] v_{k+1}
@@ -13,8 +14,8 @@ form R = C U (`universal_r_check`): C is diagonal, U maps the weight block
 a + b = s into itself, and the intertwining U Delta(x) = C^-1 Delta'(x) C U
 is a sum of four terms on each point of an (a, b, k) grid, with only
 integer powers of q. The same code runs on a float q and, exactly, on a
-Fraction q. The dense `universal_r`, built one `kron` at a time, is the
-check's test oracle.
+Fraction q. The dense R, built one `kron` at a time, is the check's oracle
+in the test suite (tests/oracles.py), and nothing here builds it.
 
 The checks return residuals and pass no verdict; the caller compares them
 with its tolerance.
@@ -29,14 +30,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError
-from .tensor import MAX_DENSE_DIM, StateSpaceTooLarge, kron, state_space
+from .tensor import MAX_DENSE_DIM, StateSpaceTooLarge, state_space
 
 
 class InvalidDeformation(ParameterError):
-    pass
-
-
-class DeformationMismatch(ParameterError):
     pass
 
 
@@ -104,47 +101,6 @@ def check_relations(r: RepM) -> dict:
     if r.m == 0:
         res["counit"] = norm(E) + norm(F) + norm(K - Id)
     return res
-
-
-def universal_r(rl: RepM, rm: RepM) -> np.ndarray:
-    """Evaluate the universal R on V_l (x) V_m.
-
-    R = q^{(1/2) h (x) h} sum_{i>=0} (q - q^{-1})^i q^{i(i-1)/2} / [i]_q^~!
-        f^i (x) e^i
-    with the symmetric q-factorial [i]^~! built from (q^i - q^{-i})/(q - q^{-1}).
-    The f (x) e ordering and the q^{i(i-1)/2} exponent are pinned numerically:
-    they form the unique variant (within the natural family of sign and
-    exponent choices) intertwining the coproduct used here with its flip.
-    The sum terminates at i = min(l, m) by nilpotency of f and e. The
-    product space is checked against the dense cap before anything is
-    built on it.
-    """
-    if rl.q != rm.q:
-        raise DeformationMismatch(f"q mismatch: {rl.q} vs {rm.q}")
-    q = rl.q
-    if q == 1:
-        raise InvalidDeformation("universal R requires q != 1")
-    d1, d2 = rl.dim, rm.dim
-    state_space((d1, d2))
-    wl = rl.weights.astype(float)
-    wm = rm.weights.astype(float)
-    # q^{h (x) h / 2}: diagonal with entries q^{w_a w_b / 2}. Python's
-    # float power, not numpy's, which can differ in the last digit.
-    cartan = np.array([q ** (wa * wb / 2.0) for wa in wl for wb in wm])
-    denom = q - 1.0 / q
-    n = min(rl.m, rm.m)
-    _, qint = _q_tables(q, n, float)
-    Fi, Ei = np.eye(d1), np.eye(d2)
-    total = kron(Fi, Ei)  # the i = 0 term, with coefficient 1
-    qfact = 1.0
-    # One term at a time, so at most three D x D arrays are alive.
-    for i in range(1, n + 1):
-        Fi = rl.F @ Fi
-        Ei = rm.E @ Ei
-        qfact *= qint[i + n]
-        coeff = denom**i * q ** (i * (i - 1) / 2.0) / qfact
-        total = total + coeff * kron(Fi, Ei)
-    return cartan[:, None] * total
 
 
 # Entries of the (a, b, k) grid the graded check works on: as many as one

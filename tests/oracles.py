@@ -23,6 +23,10 @@ The contour formula's scattering factor is checked against its dense
 n x n matrix on the trapezoid nodes (scattering_matrix), which the package
 never builds: it contracts low-rank factors of it (models._tw_factors).
 
+The universal R of U_q(sl2) is checked against its dense matrix on
+V_l (x) V_m (universal_r), built one kron at a time; the package checks it
+by weight grading (uqsl2.universal_r_check) and never builds it.
+
 The closed chain's spin-chain form is checked on small dense matrices:
 reversible_conjugate conjugates its generator by the square root of its
 reversible law, and uq_coproduct gives the L-fold U_q(sl2) coproduct that
@@ -393,3 +397,48 @@ def scattering_matrix(q: float, nodes: np.ndarray) -> np.ndarray:
     (1 + q xi_a xi_b - (1 + q) xi_b), as a dense n x n matrix."""
     xa, xb = nodes[:, None], nodes[None, :]
     return -((1.0 + q * xa * xb - (1.0 + q) * xa) / (1.0 + q * xa * xb - (1.0 + q) * xb))
+
+
+class DeformationMismatch(ParameterError):
+    pass
+
+
+def universal_r(rl: uqsl2.RepM, rm: uqsl2.RepM) -> np.ndarray:
+    """Evaluate the universal R on V_l (x) V_m.
+
+    R = q^{(1/2) h (x) h} sum_{i>=0} (q - q^{-1})^i q^{i(i-1)/2} / [i]_q^~!
+        f^i (x) e^i
+    with the symmetric q-factorial [i]^~! built from (q^i - q^{-i})/(q - q^{-1}).
+    The f (x) e ordering and the q^{i(i-1)/2} exponent are pinned numerically:
+    they form the unique variant (within the natural family of sign and
+    exponent choices) intertwining the coproduct used here with its flip.
+    The sum terminates at i = min(l, m) by nilpotency of f and e. The
+    product space is checked against the dense cap before anything is
+    built on it.
+    """
+    if rl.q != rm.q:
+        raise DeformationMismatch(f"q mismatch: {rl.q} vs {rm.q}")
+    q = rl.q
+    if q == 1:
+        raise uqsl2.InvalidDeformation("universal R requires q != 1")
+    d1, d2 = rl.dim, rm.dim
+    state_space((d1, d2))
+    wl = rl.weights.astype(float)
+    wm = rm.weights.astype(float)
+    # q^{h (x) h / 2}: diagonal with entries q^{w_a w_b / 2}. Python's
+    # float power, not numpy's, which can differ in the last digit.
+    cartan = np.array([q ** (wa * wb / 2.0) for wa in wl for wb in wm])
+    denom = q - 1.0 / q
+    n = min(rl.m, rm.m)
+    _, qint = uqsl2._q_tables(q, n, float)
+    Fi, Ei = np.eye(d1), np.eye(d2)
+    total = kron(Fi, Ei)  # the i = 0 term, with coefficient 1
+    qfact = 1.0
+    # One term at a time, so at most three D x D arrays are alive.
+    for i in range(1, n + 1):
+        Fi = rl.F @ Fi
+        Ei = rm.E @ Ei
+        qfact *= qint[i + n]
+        coeff = denom**i * q ** (i * (i - 1) / 2.0) / qfact
+        total = total + coeff * kron(Fi, Ei)
+    return cartan[:, None] * total

@@ -99,7 +99,7 @@ def test_criterion_3_quantum_group_suite(capsys):
         r1 = uqsl2.rep(1, q)
         trip = max(
             trip,
-            ybe.verify_braided_ybe(uqsl2.universal_r(r1, r1))["r_check_residual"],
+            ybe.verify_braided_ybe(oracles.universal_r(r1, r1))["r_check_residual"],
         )
     ok = all(verdicts) and rel <= 1e-10 and intw <= 1e-10 and frt <= 1e-10 and trip <= 1e-10
     _line(3, "quantum group suite", ok,

@@ -815,6 +815,7 @@ def test_twprob_takes_its_radius_from_q(capsys, q, radius, probability):
     (["--t", "2", "--q", "1.5", "--y", "0", "2", "4", "--x", "1", "3", "5"], 25),
     (["--t", "1", "--q", "0.05", "--y", "0", "1", "3", "--x", "1", "2", "4"], 12),
     (["--t", "0.5", "--q", "0.4", "--y", "0", "--x", "1"], 0),
+    (["--t", "2", "--q", "0.4", "--y", "0", "2", "4", "6", "--x", "1", "3", "5", "7"], 24),
 ])
 def test_twprob_reports_how_it_converged(capsys, argv, rank):
     code, out = _run(capsys, ["twprob", *argv, "--check-oracle"])

@@ -26,7 +26,7 @@ DEFINED = {
     "models": {"NonConvergedQuadrature"},
     "sixvertex": {"PoleAtZEqualsQPower", "PoleInSpectralLadder", "InconsistentBoundary"},
     "tensor": {"DimensionMismatch", "StateSpaceTooLarge", "NotReal"},
-    "uqsl2": {"InvalidDeformation", "DeformationMismatch"},
+    "uqsl2": {"InvalidDeformation"},
     "ybe": {"PoleInDenominator", "EvaluationPole", "NotRegular"},
 }
 

@@ -343,7 +343,7 @@ def test_tw_rejects_bad_positions():
     with pytest.raises(ValueError):
         models.tw_transition_probability((1, 0), (0, 1), 0.5, 0.4)
     with pytest.raises(ValueError):
-        models.tw_transition_probability((0, 1, 2, 3), (0, 1, 2, 3), 0.5, 0.4)
+        models.tw_transition_probability((0, 1, 2, 3, 4), (0, 1, 2, 3, 4), 0.5, 0.4)
 
 
 def test_probabilities_sum_to_one_over_target_window():
@@ -363,9 +363,10 @@ TW_POINTS = {1: ((0,), (1,)), 2: ((0, 2), (1, 3)), 3: ((0, 2, 4), (1, 3, 5))}
 @pytest.mark.parametrize("N", [1, 2, 3])
 def test_tw_adaptive_equals_the_fixed_512_node_rule(N, t, q):
     y, x = TW_POINTS[N]
-    fixed = models._tw_eval(y, x, t, q, 512).real
+    fixed = models._tw_block(y, x, t, q, 512, 2)[-1].real
     assert abs(models.tw_transition_probability(y, x, t, q) - fixed) <= 1e-10
-    # starting at 256 nodes is the fixed 256/512 rule, bit for bit
+    # starting at 256 nodes is the fixed 256/512 rule, bit for bit: one
+    # block of the counts 256 and 512
     assert models.tw_transition_probability(y, x, t, q, n_quad=256) == fixed
 
 
@@ -394,16 +395,18 @@ def test_tw_coarse_levels_agreeing_by_chance_are_not_accepted(monkeypatch, wrong
     y, x, t, q = (0, 2), (1, 3), 0.6, 0.3
     truth = models.tw_transition_probability(y, x, t, q)
     start = models.tw_start_nodes(y, x, t, q)
-    real_eval = models._tw_eval
+    real_block = models._tw_block
 
-    def fooled_eval(y, x, t, q, n):
+    def fooled_block(y, x, t, q, n, counts):
         # the first levels return the values in `wrong`
-        level = (n // start).bit_length() - 1
-        if level < len(wrong):
-            return complex(wrong[level])
-        return real_eval(y, x, t, q, n)
+        values = real_block(y, x, t, q, n, counts)
+        for i in range(counts):
+            level = ((n >> (counts - 1 - i)) // start).bit_length() - 1
+            if level < len(wrong):
+                values[i] = complex(wrong[level])
+        return values
 
-    monkeypatch.setattr(models, "_tw_eval", fooled_eval)
+    monkeypatch.setattr(models, "_tw_block", fooled_block)
     if start * 2**len(wrong) >= models.TW_MAX_NODES:
         # only the last level is right: one change, and it is large
         with pytest.raises(models.NonConvergedQuadrature,
@@ -418,13 +421,15 @@ def test_tw_rounding_noise_that_does_not_fall_is_accepted(monkeypatch):
     # when the second change is the larger; a change of 1e-11 does not
     y, x, t, q = (0, 2), (1, 3), 4.0, 0.3
     start = models.tw_start_nodes(y, x, t, q)
-    truth = models._tw_eval(y, x, t, q, start)
+    truth = models._tw_block(y, x, t, q, start, 1)[0]
     for noise, settled in (((0.0, 1e-15, -2e-15), 3), ((0.0, 1e-11, -1e-11), 4)):
-        def noisy_eval(y, x, t, q, n, noise=noise):
-            level = (n // start).bit_length() - 1
-            return truth + (noise[level] if level < len(noise) else 0.0)
+        def noisy_block(y, x, t, q, n, counts, noise=noise):
+            levels = [((n >> (counts - 1 - i)) // start).bit_length() - 1
+                      for i in range(counts)]
+            return [truth + (noise[level] if level < len(noise) else 0.0)
+                    for level in levels]
 
-        monkeypatch.setattr(models, "_tw_eval", noisy_eval)
+        monkeypatch.setattr(models, "_tw_block", noisy_block)
         diagnostics = {}
         models.tw_transition_probability(y, x, t, q, diagnostics=diagnostics)
         assert diagnostics["nodes"] == [start << k for k in range(settled)]
@@ -462,15 +467,23 @@ def test_tw_radius_leaves_the_scattering_poles_outside(q):
     assert bound >= 1.0 - models.TW_RADIUS_MARGIN - 1e-15
 
 
-# N <= 3 on both sides of q = 1, t up to 4; the oracle checks each value.
-TW_GRID_PAIRS = [((0,), (1,)), ((0, 2), (1, 3)), ((0, 3), (2, 4)), ((0, 2, 4), (1, 3, 5))]
+# N <= 4 on both sides of q = 1, t up to 4 for N <= 3; the oracle checks
+# each value. At N = 4 the oracle's window grows as C(width, 4): t = 4
+# takes it 0.2-3.7 s a point, and at q = 5 past MAX_STATE_SPACE, so N = 4
+# stops at t = 1.
+TW_GRID_PAIRS = [
+    ((0,), (1,), (0.1, 1.0, 4.0)), ((0, 2), (1, 3), (0.1, 1.0, 4.0)),
+    ((0, 3), (2, 4), (0.1, 1.0, 4.0)), ((0, 2, 4), (1, 3, 5), (0.1, 1.0, 4.0)),
+    ((0, 2, 4, 6), (1, 3, 5, 7), (0.1, 1.0)), ((0, 1, 2, 3), (1, 2, 4, 6), (0.1, 1.0)),
+]
 
 
-@pytest.mark.parametrize("y, x", TW_GRID_PAIRS, ids=["N1", "N2", "N2-gap", "N3"])
-def test_tw_contour_is_right_or_raises_on_the_grid(y, x):
+@pytest.mark.parametrize("y, x, times", TW_GRID_PAIRS,
+                         ids=["N1", "N2", "N2-gap", "N3", "N4", "N4-packed"])
+def test_tw_contour_is_right_or_raises_on_the_grid(y, x, times):
     unsettled = []
     for q in (0.05, 0.3, 0.8, 1.0, 2.0, 5.0):
-        for t in (0.1, 1.0, 4.0):
+        for t in times:
             try:
                 value = models.tw_transition_probability(y, x, t, q)
             except models.NonConvergedQuadrature:
@@ -499,7 +512,7 @@ def test_tw_start_nodes_grow_with_t_and_are_capped():
 
 
 def _tw_eval_per_permutation(y, x, t, q, n):
-    """The contour sum as _tw_eval computed it before its plan: complex
+    """The contour sum as the package computed it before its plan: complex
     powers of the nodes and one einsum(optimize=True) per permutation.
     Also returns the sum of the same terms in absolute value, the scale of
     its rounding error."""
@@ -514,11 +527,11 @@ def _tw_eval_per_permutation(y, x, t, q, n):
         for j, a in enumerate(sigma):
             inv_sigma[a] = j
         operands = [base * nodes ** (x[inv_sigma[a]] - y[a] - 1) for a in range(N)]
-        subs = list("abc"[:N])
+        subs = list("abcd"[:N])
         for j, k in itertools.combinations(range(N), 2):
             if sigma[j] > sigma[k]:
                 operands.append(scattering)
-                subs.append("abc"[sigma[j]] + "abc"[sigma[k]])
+                subs.append("abcd"[sigma[j]] + "abcd"[sigma[k]])
         subs = ",".join(subs) + "->"
         total = total + np.einsum(subs, *operands, optimize=True)
         scale += np.einsum(subs, *map(np.abs, operands), optimize=True)
@@ -533,7 +546,27 @@ def _tw_eval_per_permutation(y, x, t, q, n):
 def test_planned_contour_sum_matches_the_per_permutation_einsum(y, x, n):
     for t, q in [(0.1, 0.2), (0.5, 0.4), (2.0, 2.5), (4.0, 0.5)]:
         want, scale = _tw_eval_per_permutation(y, x, t, q, n)
-        assert abs(models._tw_eval(y, x, t, q, n) - want) <= 1e-14 * scale
+        assert abs(models._tw_block(y, x, t, q, n, 1)[0] - want) <= 1e-14 * scale
+
+
+@pytest.mark.parametrize("y, x", [
+    ((0,), (1,)), ((2,), (-3,)), ((0, 2), (1, 3)), ((0, 2, 4), (1, 3, 5)),
+    ((0, 1, 3), (1, 2, 4)), ((0, 2, 4, 6), (1, 3, 5, 7)), ((0, 1, 2, 3), (1, 2, 4, 6)),
+])
+def test_block_values_equal_blocks_of_one(y, x):
+    # the n/4-, n/2- and n-node values of one pass over n nodes: each is the
+    # block of one at its count, and the per-permutation sum, to rounding.
+    # Far from convergence (t = 2, q = 2.5 needs about 64 nodes) the three
+    # counts differ, so a count read from the wrong classes, with the wrong
+    # class weight or in the wrong order cannot pass.
+    n = 64
+    for t, q in [(0.5, 0.4), (2.0, 2.5)]:
+        block = models._tw_block(y, x, t, q, n, 3)
+        assert len(block) == 3
+        for value, count in zip(block, (n // 4, n // 2, n)):
+            want, scale = _tw_eval_per_permutation(y, x, t, q, count)
+            assert abs(value - models._tw_block(y, x, t, q, count, 1)[0]) <= 1e-14 * scale
+            assert abs(value - want) <= 1e-14 * scale
 
 
 EPS = np.finfo(float).eps
@@ -558,7 +591,7 @@ def test_scattering_factors_match_the_dense_matrix(q, n):
     assert K <= 23 and claimed == bound(K) <= EPS / 4
     assert K == 0 or bound(K - 1) > EPS / 4
     roots = np.exp(2j * np.pi * np.arange(n) / n)
-    U, V = models._tw_factors(q, r, roots)
+    U, V = models._tw_factors(q, r, roots, np.arange(n))
     assert U.shape == V.shape == (n, K + 2)
     S = oracles.scattering_matrix(q, r * roots)
     # The dense oracle rounds too: its numerator and denominator cancel to
@@ -570,15 +603,17 @@ def test_scattering_factors_match_the_dense_matrix(q, n):
 
 def test_contour_sum_at_three_particles_builds_no_scattering_matrix():
     y, x, t, q, n = (0, 2, 4), (1, 3, 5), 2.0, 1.0, 512
-    models._tw_eval(y, x, t, q, n)  # the plan is cached on the first call
-    tracemalloc.start()
-    try:
-        models._tw_eval(y, x, t, q, n)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    # the dense 512 x 512 complex S alone takes 4 MiB
-    assert peak < 2 * 2**20
+    models._tw_block(y, x, t, q, n, 1)  # the plan is cached on the first call
+    # a block of one count and one of three, from the same 512 nodes
+    for counts in (1, 3):
+        tracemalloc.start()
+        try:
+            models._tw_block(y, x, t, q, n, counts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the dense 512 x 512 complex S alone takes 4 MiB
+        assert peak < 2 * 2**20, counts
 
 
 @pytest.mark.parametrize("y, x, q, rank", [
@@ -592,7 +627,14 @@ def test_tw_diagnostics_say_how_the_value_was_reached(y, x, q, rank):
     nodes = diagnostics["nodes"]
     assert nodes[0] == models.tw_start_nodes(y, x, 0.5, q)
     assert nodes == [nodes[0] * 2**k for k in range(len(nodes))] and len(nodes) >= 2
-    assert value == models._tw_eval(y, x, 0.5, q, nodes[-1]).real
+    # the value is the last of the block that computed it: the first block
+    # holds up to three counts, and each later count is a block of one
+    first = min(3, (max(models.TW_MAX_NODES, 2 * nodes[0]) // nodes[0]).bit_length())
+    if len(nodes) <= first:
+        block = models._tw_block(y, x, 0.5, q, nodes[0] << (first - 1), first)
+        assert value == block[len(nodes) - 1].real
+    else:
+        assert value == models._tw_block(y, x, 0.5, q, nodes[-1], 1)[0].real
     assert diagnostics["rank"] == rank
     assert 0.0 <= diagnostics["truncation_bound"] <= models.TW_SERIES_TOL == EPS / 4
     assert (diagnostics["truncation_bound"] == 0.0) == (rank <= 2)

@@ -158,7 +158,7 @@ def test_real_input_stays_real():
             models.AsepParams(q=0.5, alpha=0.6, beta=0.4, L=2), True)),
         models.asep_bulk_w(0.5),
         r1.E, r1.F, r1.K, r1.Kinv,
-        uqsl2.universal_r(r1, uqsl2.rep(1, 0.6)),
+        oracles.universal_r(r1, uqsl2.rep(1, 0.6)),
         embed(kron(r1.K, r1.E), (2, 1), (3, 3)),
         oscillator.jordan_schwinger(np.array([[1.0, 2.0], [0.0, -1.0]]), 3),
     ]
