@@ -208,12 +208,14 @@ def tw_radius(q: float, n_particles: int) -> float:
 
 def _checked_positions(y, x, t: float, q: float) -> tuple:
     """y and x as tuples of ints, after the checks that the contour formula
-    and its oracle share: equal lengths, N <= 4, strictly increasing
+    and its oracle share: equal lengths, 1 <= N <= 4, strictly increasing
     positions, t >= 0 and q >= 0, each written so that a NaN fails it."""
     y = tuple(int(v) for v in y)
     x = tuple(int(v) for v in x)
     if len(y) != len(x):
         raise ParameterError("x and y must have equal length")
+    if not y:
+        raise ParameterError("need 1 <= N <= 4 particles, got none")
     if len(y) > 4:
         raise ParameterError(
             "N <= 4 only: the permutation sum grows as N!, and each variable of "

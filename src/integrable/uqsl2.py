@@ -17,15 +17,25 @@ integer powers of q. The same code runs on a float q and, exactly, on a
 Fraction q. The dense R, built one `kron` at a time, is the check's oracle
 in the test suite (tests/oracles.py), and nothing here builds it.
 
+What the check computes from (l, m) alone is its plan (`_Plan`): the
+indices into the q tables of the weights and of the terms, and where the
+weights live, all by integer arithmetic. The plan of a grid of at most
+MAX_EXACT_GRID points, the grids the exact check takes, is kept read-only,
+one per shape, so a float check and its exact rerun build one plan. At
+most _PLANS = 32 are kept, each at most about 0.8 MB, so about 25 MB in
+all. A larger grid builds its term indices one chunk at a time.
+
 The checks return residuals and pass no verdict; the caller compares them
 with its tolerance.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -111,9 +121,15 @@ MAX_GRID = MAX_DENSE_DIM**2
 MAX_EXACT_GRID = 2**12
 
 # Points of the grid evaluated at once, about 410 bytes each: a small grid
-# takes one pass, and a large one holds this many and its weights, about
-# 50 bytes a point.
-_CHUNK = 2**15
+# takes one pass, and a large one holds this many (1.7 MB) and its weights,
+# about 50 bytes a point. Eight times as many took 1.3 to 1.5 times as long at
+# l = m = 24 and 63, on a 2-core x86 VM: the chunk no longer stays in cache.
+_CHUNK = 2**12
+# Plans kept, one per shape (l, m) whose grid has at most MAX_EXACT_GRID
+# points, so a float check and its exact rerun share one. A plan holds 24
+# int64 and one bool per grid point, at most about 0.8 MB, so the kept
+# plans hold at most about 25 MB.
+_PLANS = 32
 
 # Each term of (U Delta(x) - Dt(x) U) at grid point (a, b, k), four for
 # each of x = e and x = f: its sign; the argument n of its q-integer [n] and
@@ -131,11 +147,25 @@ _TERMS = np.array([
     [-1,       0,  1,  1,  0,  0,  0,        0,  0,  0,  0,  0,  0,    0,  0,  0],
 ])
 _SIGN = _TERMS[:, :1]
-_AFFINE = _TERMS[:, 1:13].reshape(8, 2, 6)
+# _AFFINE[c] holds the coefficients on c in (a, b, k, l, m, 1) of each
+# term's n (row 0) and p (row 1), shaped to broadcast on (a, b) and k.
+_AFFINE = _TERMS[:, 1:13].reshape(8, 2, 6).T.copy()[..., None, None]
 _SHIFT = _TERMS[:, 13:]
 # The exponent of a zero term: below every exponent of a nonzero one, and
 # far enough from the int32 bounds that differences with it do not wrap.
 _NO_EXPONENT = -(2**30)
+
+
+class _Plan(NamedTuple):
+    """What the graded check computes from (l, m) alone. ratio: the indices
+    into the q tables (powers, then qint three times) of the weights' ratio
+    u(a, b, i) / u(a, b, i-1); live: where i <= min(a, m - b), the ratio's
+    support; terms: the eight terms' (n, p, at) on the whole grid
+    (`_term_index`) in a kept plan, else None."""
+
+    ratio: tuple
+    live: np.ndarray
+    terms: tuple | None
 
 
 def _is_exact(q) -> bool:
@@ -144,20 +174,22 @@ def _is_exact(q) -> bool:
     return isinstance(q, numbers.Rational) and not isinstance(q, numbers.Integral)
 
 
-def _checked_side(l: int, m: int, q) -> int:
+def _grid(l: int, m: int) -> tuple:
+    """The (a, b, k) grid's shape: a <= l, b <= m, k <= min(l, m) + 1."""
+    return l + 1, m + 1, min(l, m) + 2
+
+
+def _check_grid(l: int, m: int, q) -> None:
     """Check l, m and q, and the (a, b, k) grid's entry count against its
     cap, MAX_EXACT_GRID for a Fraction q and MAX_GRID otherwise, before
-    anything is allocated on it. Returns the largest block side."""
+    anything is allocated on it."""
     if l < 0 or m < 0:
         raise ParameterError(f"spin labels must be nonnegative, got {l}, {m}")
     if q <= 0 or q == 1:
         raise InvalidDeformation(f"need q > 0 and q != 1, got {q}")
-    side = min(l, m) + 1
     cap = MAX_EXACT_GRID if _is_exact(q) else MAX_GRID
-    if (l + 1) * (m + 1) * (side + 1) > cap:
-        raise StateSpaceTooLarge(
-            f"the ({l + 1}, {m + 1}, {side + 1}) grid exceeds {cap} entries")
-    return side
+    if math.prod(_grid(l, m)) > cap:
+        raise StateSpaceTooLarge(f"the {_grid(l, m)} grid exceeds {cap} entries")
 
 
 def _q_tables(q, N: int, dtype) -> tuple:
@@ -167,6 +199,60 @@ def _q_tables(q, N: int, dtype) -> tuple:
     q = q if dtype == object else float(q)
     powers = np.array([q**j for j in range(-N, N + 1)], dtype=dtype)
     return powers, (powers - powers[::-1]) / (q - 1 / q)
+
+
+def _tables(l: int, m: int, q) -> tuple:
+    """The q tables the graded check reads on V_l (x) V_m, exact for an
+    exact q."""
+    return _q_tables(q, l + m + 2 * min(l, m) + 2, object if _is_exact(q) else float)
+
+
+def _term_index(l: int, m: int, start: int, stop: int) -> tuple:
+    """The eight terms' q-integer index n, power index p and index `at` into
+    the padded flat weights (see `_residuals`), each of shape (8, points), at
+    every grid point (a, b, k) whose (a, b) is start..stop-1 in flat order."""
+    side = min(l, m) + 1
+    a, b = np.divmod(np.arange(start, stop)[:, None], m + 1)
+    k = np.arange(side + 1)
+    # the constant joins before k, so only the last sum takes the chunk's
+    # full size
+    constant = _AFFINE[3] * l + _AFFINE[4] * m + _AFFINE[5] + l + m + 2 * side
+    n, p = (_AFFINE[0] * a + _AFFINE[1] * b + constant + _AFFINE[2] * k).reshape(2, 8, -1)
+    # the padded weights have shape (l + 3, m + 3, side + 2): each shift,
+    # plus one for the border, adds its offset to the point's
+    offset = ((_SHIFT[:, :1] + 1) * (m + 3) + _SHIFT[:, 1:2] + 1) * (side + 2) + _SHIFT[:, 2:] + 1
+    at = offset[:, :, None] + (a * (m + 3) + b) * (side + 2) + k
+    return n, p, at.reshape(8, -1)
+
+
+def _weight_plan(l: int, m: int) -> _Plan:
+    """The plan of (l, m) without its term indices."""
+    side = min(l, m) + 1
+    N = l + m + 2 * side
+    a = np.arange(l + 1)[:, None, None]
+    b = np.arange(m + 1)[None, :, None]
+    i = np.arange(1, side)
+    ratio = (i - 1 + N, i + N, a - i + 1 + N, m - b - i + 1 + N)
+    live = i <= np.minimum(a, m - b)
+    return _Plan(ratio, live, None)
+
+
+@functools.lru_cache(maxsize=_PLANS)
+def _kept_plan(l: int, m: int) -> _Plan:
+    """The plan of a grid of at most MAX_EXACT_GRID points, read-only."""
+    plan = _weight_plan(l, m)._replace(terms=_term_index(l, m, 0, (l + 1) * (m + 1)))
+    for array in (*plan.ratio, plan.live, *plan.terms):
+        array.setflags(write=False)
+    return plan
+
+
+def _plan(l: int, m: int) -> _Plan:
+    """The plan of (l, m): kept for a grid of at most MAX_EXACT_GRID points,
+    otherwise built afresh, without term indices, which the check then
+    builds one chunk at a time."""
+    if math.prod(_grid(l, m)) <= MAX_EXACT_GRID:
+        return _kept_plan(l, m)
+    return _weight_plan(l, m)
 
 
 def universal_r_weights(l: int, m: int, q) -> tuple:
@@ -180,20 +266,21 @@ def universal_r_weights(l: int, m: int, q) -> tuple:
     like q^(-lm), so for a float q they come as (mantissa, exponent), u =
     mantissa * 2^exponent, with the mantissa in [0.5^i, 1). For a Fraction
     q they come exact, as an object array, with exponent 0."""
-    side = _checked_side(l, m, q)
-    exact = _is_exact(q)
-    N = l + m + 2 * side
-    powers, qint = _q_tables(q, N, object if exact else float)
-    a = np.arange(l + 1)[:, None, None]
-    b = np.arange(m + 1)[None, :, None]
-    i = np.arange(1, side)
+    _check_grid(l, m, q)
+    return _weights(q, _tables(l, m, q), _plan(l, m))
+
+
+def _weights(q, tables, plan: _Plan) -> tuple:
+    """universal_r_weights from the q tables and the plan."""
+    powers, qint = tables
+    at_power, at_i, at_a, at_b = plan.ratio
+    shape = (*plan.live.shape[:2], plan.live.shape[2] + 1)
     with np.errstate(all="ignore"):
-        ratio = ((q - 1 / q) * powers[i - 1 + N] / qint[i + N]
-                 * qint[a - i + 1 + N] * qint[m - b - i + 1 + N])
-        ratio = np.where(i <= np.minimum(a, m - b), ratio, 0)
-        mantissa = np.ones((l + 1, m + 1, side), ratio.dtype)
-        exponent = np.zeros((l + 1, m + 1, side), np.int32)
-        if exact:
+        ratio = (q - 1 / q) * powers[at_power] / qint[at_i] * qint[at_a] * qint[at_b]
+        ratio = np.where(plan.live, ratio, 0)
+        mantissa = np.ones(shape, ratio.dtype)
+        exponent = np.zeros(shape, np.int32)
+        if powers.dtype == object:
             np.multiply.accumulate(ratio, axis=2, out=mantissa[..., 1:])
         else:
             step, shift = np.frexp(ratio)
@@ -214,38 +301,43 @@ def intertwining_residuals(mantissa: np.ndarray, exponent: np.ndarray, q) -> dic
     terms: a q-integer, times a power of q, times an entry of u (_TERMS).
     Each term is scaled by 2^-E, E the largest exponent among the terms at
     its grid point, which keeps the float sums in range. The grid is taken
-    _CHUNK points at a time.
+    at most _CHUNK points at a time, every k of an (a, b) in one chunk.
 
     Returns {x: (relative, absolute)}: the largest componentwise relative
     residual |sum of terms| / sum |terms| over the grid, which no diagonal
     change of basis moves, and the largest |sum of terms|, the absolute
     residual in the weight basis, inf where it passes the float range.
     Fraction weights give both exactly, as Fractions."""
+    l, m = mantissa.shape[0] - 1, mantissa.shape[1] - 1
+    return _residuals(mantissa, exponent, _tables(l, m, q), _plan(l, m))
+
+
+def _residuals(mantissa: np.ndarray, exponent: np.ndarray, tables, plan: _Plan) -> dict:
+    """intertwining_residuals from the q tables and the plan."""
     l, m, side = mantissa.shape[0] - 1, mantissa.shape[1] - 1, mantissa.shape[2]
     exact = mantissa.dtype == object
-    N = l + m + 2 * side
-    powers, qint = _q_tables(q, N, mantissa.dtype)
+    powers, qint = tables
     # u's entries with a zero border, so every shifted read lands inside,
-    # read by flat index: each term adds the offset of its shift, plus one
-    # for the border, to its grid point's
+    # read by flat index (`_term_index`)
     shape = (l + 3, m + 3, side + 2)
     u_m = np.zeros(shape, mantissa.dtype)
     u_e = np.zeros(shape, np.int32)
     u_m[1:-1, 1:-1, 1:-1] = mantissa
     u_e[1:-1, 1:-1, 1:-1] = exponent
     u_m, u_e = u_m.ravel(), u_e.ravel()
-    offset = ((_SHIFT + 1) @ (shape[1] * shape[2], shape[2], 1))[:, None]
-    constant = (_AFFINE[..., 3:] @ (l, m, 1) + N)[..., None]
-    grid = (l + 1, m + 1, side + 1)
-    count = math.prod(grid)
+    # a chunk holds every k of as many (a, b) as fit in _CHUNK points
+    pairs, step = (l + 1) * (m + 1), max(1, _CHUNK // (side + 1))
+    chunks = ([plan.terms] if plan.terms is not None else
+              (_term_index(l, m, start, min(start + step, pairs))
+               for start in range(0, pairs, step)))
     worst = np.zeros((2, 2), mantissa.dtype)  # (relative, absolute) by x
     with np.errstate(all="ignore"):
-        for start in range(0, count, _CHUNK):
-            point = np.unravel_index(np.arange(start, min(start + _CHUNK, count)), grid)
-            index = _AFFINE[..., :3] @ np.array(point) + constant
-            n, p = index[:, 0], index[:, 1]
-            at = np.ravel_multi_index(point, shape) + offset
-            terms = (_SIGN * qint[n] * powers[p] * u_m[at]).reshape(2, 4, -1)
+        for n, p, at in chunks:
+            terms = qint[n]
+            terms *= _SIGN
+            terms *= powers[p]
+            terms *= u_m[at]
+            terms = terms.reshape(2, 4, -1)
             if not exact:
                 shift = u_e[at].reshape(2, 4, -1)
                 scale = np.max(np.where(terms != 0, shift, _NO_EXPONENT), axis=1)
@@ -278,7 +370,9 @@ def universal_r_check(l: int, m: int, q) -> tuple:
     ones (None past the float range), the block count l + m + 1, the
     largest block side min(l, m) + 1 and whether q was exact (a
     Fraction)."""
-    checked = intertwining_residuals(*universal_r_weights(l, m, q), q)
+    _check_grid(l, m, q)
+    tables, plan = _tables(l, m, q), _plan(l, m)
+    checked = _residuals(*_weights(q, tables, plan), tables, plan)
     residuals = {f"intertwine_{gen}": float(rel) for gen, (rel, _) in checked.items()}
     results = {
         "absolute": {f"intertwine_{gen}": _finite_or_none(ab)

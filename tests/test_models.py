@@ -340,10 +340,14 @@ def test_tw_two_particle_matches_oracle():
 
 
 def test_tw_rejects_bad_positions():
-    with pytest.raises(ValueError):
-        models.tw_transition_probability((1, 0), (0, 1), 0.5, 0.4)
-    with pytest.raises(ValueError):
-        models.tw_transition_probability((0, 1, 2, 3, 4), (0, 1, 2, 3, 4), 0.5, 0.4)
+    # the contour formula and its oracle share the checks
+    for probability in (models.tw_transition_probability, models.ctmc_oracle_probability):
+        with pytest.raises(ParameterError):
+            probability((1, 0), (0, 1), 0.5, 0.4)
+        with pytest.raises(ParameterError, match="N <= 4"):
+            probability((0, 1, 2, 3, 4), (0, 1, 2, 3, 4), 0.5, 0.4)
+        with pytest.raises(ParameterError, match="1 <= N <= 4"):
+            probability((), (), 0.5, 0.4)
 
 
 def test_probabilities_sum_to_one_over_target_window():

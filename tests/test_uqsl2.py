@@ -1,11 +1,12 @@
 import itertools
+import math
 import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from integrable import uqsl2, ybe
+from integrable import cli, uqsl2, ybe
 from integrable.errors import ParameterError
 from integrable.tensor import StateSpaceTooLarge, embed, kron
 
@@ -128,6 +129,88 @@ def test_absolute_residual_past_the_float_range_is_none():
     assert max(residuals.values()) <= 1e-14
 
 
+def loop_weights(l, m, q):
+    """universal_r_weights one entry at a time: u(a, b, i) / u(a, b, i-1)
+    where i <= min(a, m - b), else 0, multiplied up over i; for a float q
+    as (mantissa, exponent) by frexp at each step."""
+    side = min(l, m) + 1
+    N = l + m + 2 * side
+    exact = isinstance(q, Fraction)
+    powers, qint = uqsl2._q_tables(q, N, object if exact else float)
+    mantissa = np.ones((l + 1, m + 1, side), object if exact else float)
+    exponent = np.zeros((l + 1, m + 1, side), np.int32)
+    for a, b, i in itertools.product(range(l + 1), range(m + 1), range(1, side)):
+        ratio = 0
+        if i <= min(a, m - b):
+            ratio = ((q - 1 / q) * powers[i - 1 + N] / qint[i + N]
+                     * qint[a - i + 1 + N] * qint[m - b - i + 1 + N])
+        step, shift = (ratio, 0) if exact else math.frexp(ratio)
+        mantissa[a, b, i] = mantissa[a, b, i - 1] * step
+        exponent[a, b, i] = exponent[a, b, i - 1] + shift
+    return mantissa, exponent
+
+
+SHAPES = [(0, 0), (0, 3), (1, 1), (2, 5), (5, 2), (4, 4), (3, 7)]
+
+
+@pytest.mark.parametrize("q", [0.3, 1.7, Fraction(7, 10)])
+def test_weights_are_the_loop_reference(q):
+    # to the bit: the same operations on the same q tables, entry by entry
+    for l, m in SHAPES:
+        for got, want in zip(uqsl2.universal_r_weights(l, m, q), loop_weights(l, m, q)):
+            assert got.shape == want.shape and np.all(got == want), (l, m)
+
+
+@pytest.mark.parametrize("q", [0.3, 1.7, Fraction(7, 10)])
+def test_kept_plan_gives_the_residuals_of_a_fresh_one(q, monkeypatch):
+    # a kept plan, a fresh build of it, and the chunked term indices of a
+    # large grid, one (a, b) per chunk, give the same residuals
+    for l, m in SHAPES:
+        kept = uqsl2._plan(l, m)
+        assert kept is uqsl2._kept_plan(l, m)
+        fresh = uqsl2._kept_plan.__wrapped__(l, m)
+        tables = uqsl2._tables(l, m, q)
+        weights = uqsl2._weights(q, tables, fresh)
+        for got, want in zip(uqsl2._weights(q, tables, kept), weights):
+            assert np.all(got == want)
+        checked = uqsl2._residuals(*weights, tables, kept)
+        assert uqsl2._residuals(*weights, tables, fresh) == checked
+        with monkeypatch.context() as patch:
+            patch.setattr(uqsl2, "_CHUNK", 1)
+            chunked = uqsl2._residuals(*weights, tables, fresh._replace(terms=None))
+        assert chunked == checked, (l, m)
+
+
+def test_kept_plan_is_read_only():
+    plan = uqsl2._plan(3, 4)
+    for array in (*plan.ratio, plan.live, *plan.terms):
+        with pytest.raises(ValueError):
+            array.flat[0] = 1
+
+
+def test_plans_kept_are_bounded_and_small_grids_only():
+    uqsl2._kept_plan.cache_clear()
+    maxsize = uqsl2._kept_plan.cache_info().maxsize
+    shapes = [(l, m) for l in range(1, 9) for m in range(1, 9)][:maxsize + 5]
+    for l, m in shapes:
+        uqsl2.universal_r_check(l, m, 0.7)
+    assert uqsl2._kept_plan.cache_info().currsize <= maxsize
+    # (24, 24): a grid of 16,250 points, over MAX_EXACT_GRID
+    before = uqsl2._kept_plan.cache_info()
+    assert math.prod(uqsl2._grid(24, 24)) > uqsl2.MAX_EXACT_GRID
+    uqsl2.universal_r_check(24, 24, 0.7)
+    assert uqsl2._kept_plan.cache_info() == before
+
+
+def test_float_check_and_its_exact_rerun_build_one_plan(capsys):
+    uqsl2._kept_plan.cache_clear()
+    argv = ["--tol", "1e-17", "universal-r", "--l", "4", "--m", "4", "--q", "0.3"]
+    assert cli.main(argv) == 0
+    assert '"exact": true' in capsys.readouterr().out
+    info = uqsl2._kept_plan.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+
+
 @pytest.mark.parametrize("q", [Fraction(3, 10), Fraction(0.7), Fraction(17, 10)])
 def test_exact_check_is_zero_and_sees_one_perturbed_weight(q):
     residuals, results = uqsl2.universal_r_check(3, 4, q)
@@ -196,8 +279,8 @@ def test_universal_r_check_memory_does_not_grow_with_its_terms():
     # R has 25 terms f^i (x) e^i on a space of side 625 at l = m = 24, and
     # the dense check held several 625 x 625 arrays. The graded check holds
     # the weights and works on at most uqsl2._CHUNK points of its (a, b, k)
-    # grid at a time: 16,250 points at l = m = 24, in one chunk, and
-    # 266,240 at l = m = 63, in nine.
+    # grid at a time: 16,250 points at l = m = 24, in four chunks, and
+    # 266,240 at l = m = 63, in 66.
     for l in (24, 63):
         points = (l + 1) ** 2 * (l + 2)
         tracemalloc.start()
