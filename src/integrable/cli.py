@@ -361,7 +361,7 @@ def _twprob(args) -> Run:
 
 
 def _oscillator_hermite(args) -> Run:
-    val = oscillator.hermite(args.n, args.x)
+    val = float(oscillator.hermite_table(args.n, np.array([args.x]))[args.n, 0])
     gram = oscillator.hermite_gram(min(args.n, 6))
     return Run("oscillator hermite", {"n": args.n, "x": args.x}, {"value": val},
                {"orthogonality": float(np.abs(np.tril(gram, -1)).max())})

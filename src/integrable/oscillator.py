@@ -28,28 +28,20 @@ TRAPEZOID_X = np.arange(-40, 41) / 4
 TRAPEZOID_WEIGHTS = np.array([math.exp(-k * k / 16) / 4 for k in range(-40, 41)])
 
 
-def hermite(n: int, x: float) -> float:
-    """Physicists' Hermite polynomial H_n(x) by the three-term recurrence
-    H_{k+1} = 2x H_k - 2k H_{k-1} from H_0 = 1, H_1 = 2x."""
+def hermite_table(n: int, x: np.ndarray) -> np.ndarray:
+    """Physicists' Hermite polynomials H_0(x), ..., H_n(x) at every point of
+    x, one row per degree, by the three-term recurrence
+    H_{k+1} = 2x H_k - 2k H_{k-1} from H_0 = 1, H_1 = 2x. A value past the
+    float range comes out inf or NaN, with no warning."""
     if n < 0:
         raise ParameterError(f"degree must be nonnegative, got {n}")
-    h_prev, h = 1.0, 2.0 * x
-    if n == 0:
-        return h_prev
-    for k in range(1, n):
-        h_prev, h = h, 2.0 * x * h - 2.0 * k * h_prev
-    return h
-
-
-def hermite_table(n: int, x: np.ndarray) -> np.ndarray:
-    """H_0(x), ..., H_n(x) at every point of x, one row per degree, by the
-    recurrence of `hermite`."""
     table = np.empty((n + 1, len(x)))
     table[0] = 1.0
-    if n:
-        table[1] = 2.0 * x
-    for k in range(1, n):
-        table[k + 1] = 2.0 * x * table[k] - 2.0 * k * table[k - 1]
+    with np.errstate(all="ignore"):
+        if n:
+            table[1] = 2.0 * x
+        for k in range(1, n):
+            table[k + 1] = 2.0 * x * table[k] - 2.0 * k * table[k - 1]
     return table
 
 
@@ -63,14 +55,6 @@ def hermite_gram(n: int) -> np.ndarray:
     """
     table = hermite_table(n, TRAPEZOID_X)
     return (table * TRAPEZOID_WEIGHTS) @ table.T
-
-
-def hermite_overlap(m: int, n: int) -> float:
-    """Quadrature value of the weighted overlap of H_m and H_n: entry
-    (m, n) of hermite_gram."""
-    if min(m, n) < 0:
-        raise ParameterError(f"degrees must be nonnegative, got {m} and {n}")
-    return float(hermite_gram(max(m, n))[m, n])
 
 
 @dataclass(frozen=True)

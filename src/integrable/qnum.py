@@ -1,5 +1,4 @@
-"""q-arithmetic primitives: q-Pochhammer symbols, q-integers and
-q-binomials.
+"""q-arithmetic primitives: q-integers and q-binomials.
 
 Conventions follow the standard q-analysis literature: the q-integer is
 [n]_q = (1 - q^n)/(1 - q). Every function keeps the number type of its
@@ -8,23 +7,8 @@ input, so a Fraction q gives an exact value.
 
 from __future__ import annotations
 
-from .errors import ParameterError
-
 # |q - 1| below this switches every q-formula to its analytic q -> 1 limit.
 Q_ONE_THRESHOLD = 1e-8
-
-
-def q_pochhammer(a: complex, q: float, n: int) -> complex:
-    """(a; q)_n = prod_{k=0}^{n-1} (1 - a q^k) for n >= 0; the empty product
-    is 1, and a negative order raises ParameterError. The value has the
-    number type of a and q: real, complex, or an exact Fraction.
-    """
-    if n < 0:
-        raise ParameterError(f"q-Pochhammer order must be nonnegative, got {n}")
-    out = q**0
-    for k in range(n):
-        out *= 1 - a * q**k
-    return out
 
 
 def q_int(n: int, q: float) -> float:

@@ -1,6 +1,7 @@
 """Stochastic six-vertex weights, an anti-diagonal lattice sampler over a
-batch of seeds, fusion of the spin-1/2 weights to higher-spin vertex
-weights by a recurrence, and its exact closed-form single-sum oracle.
+batch of seeds, and fusion of the spin-1/2 weights to higher-spin vertex
+weights by a recurrence. The recurrence's oracle, an exact closed-form
+single sum, lives in the test suite (tests/oracles.py).
 
 Weight tables are indexed W[j1, k1, j2, k2]: j counts horizontal arrows
 (j1 in from the left, j2 out to the right, both at most l) and k counts
@@ -11,7 +12,6 @@ each input pair's outgoing weights sum to 1.
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -19,12 +19,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ParameterError, RateOutOfRange
-from .qnum import q_binomial, q_pochhammer
-from .tensor import float_array, real_entries, state_space
-
-
-class PoleAtZEqualsQPower(ParameterError):
-    pass
+from .qnum import q_binomial
+from .tensor import state_space
 
 
 class PoleInSpectralLadder(ParameterError):
@@ -38,12 +34,16 @@ class InconsistentBoundary(ParameterError):
 @dataclass(frozen=True)
 class VertexWeights:
     """Stochastic vertex weight table on V_l (x) V_m, of shape
-    (l+1, m+1, l+1, m+1)."""
+    (l+1, m+1, l+1, m+1). The entries are real: floats, or exact Fractions
+    in an object array. A complex table is refused."""
 
     table: np.ndarray
 
     def __post_init__(self):
-        t = float_array(self.table)
+        t = np.asarray(self.table)
+        if np.iscomplexobj(t):
+            raise ParameterError("vertex weights must be real, got a complex table")
+        t = np.asarray(t, dtype=np.result_type(t, float))
         if t.ndim != 4 or t.shape[:2] != t.shape[2:]:
             raise ParameterError(f"table shape {t.shape} is not (l+1, m+1, l+1, m+1)")
         object.__setattr__(self, "table", t)
@@ -94,21 +94,17 @@ def six_vertex_weights(b1: float, b2: float) -> VertexWeights:
     return VertexWeights(W)
 
 
-def higher_spin_base_weights(m: int, z: complex, q: float) -> VertexWeights:
+def higher_spin_base_weights(m: int, z: float, q: float) -> VertexWeights:
     """l=1 weights with vertical capacity m.
 
     With g arrows below and no arrow from the left: pass up with weight
     (q^{m+1} - q^{2g} z)/(q^{m+1} - z), emit right with z(q^{2g}-1)/(q^{m+1}-z).
     With one arrow from the left: pass right with (q^{2g-m+1}-z)/(q^{m+1}-z),
     absorb up with (q^{m+1}-q^{2g-m+1})/(q^{m+1}-z). Each pair sums to 1.
+    The pole z = q^{m+1} is the first rung of the spectral ladder.
     """
-    if m < 1:
-        raise ParameterError(f"m must be >= 1, got {m}")
-    if q == 0:
-        raise ParameterError("q must be nonzero")
+    _check_spectral_ladder(1, m, z, q)
     den = q ** (m + 1) - z
-    if abs(den) < 1e-13:
-        raise PoleAtZEqualsQPower(f"z = q^(m+1) at z={z}, m={m}")
     W = np.zeros((2, m + 1, 2, m + 1), dtype=np.result_type(z, q, float))
     for g in range(m + 1):
         W[0, g, 0, g] = (q ** (m + 1) - q ** (2 * g) * z) / den
@@ -144,7 +140,7 @@ def _check_spectral_ladder(l: int, m: int, z, q) -> None:
             )
 
 
-def fused_weights_recurrence(l: int, m: int, z: complex, q: float) -> VertexWeights:
+def fused_weights_recurrence(l: int, m: int, z: float, q: float) -> VertexWeights:
     """Fused weights built inductively in the horizontal capacity.
 
     The capacity-c vertex splits into a capacity-(c-1) vertex at z and a
@@ -173,85 +169,6 @@ def fused_weights_recurrence(l: int, m: int, z: complex, q: float) -> VertexWeig
                 W[:, :, b:b + c] += np.einsum("ikjm,mn->ikjn", split, one[a, :, b, :])
         prev = W
     return VertexWeights(prev)
-
-
-def _fused_entry_closed(j1, k1, j2, l, m, z, q):
-    """Fused weight W[j1, k1, j2, j1 + k1 - j2] from the closed-form sum;
-    see fused_weights_closed_form for the exact expression."""
-    Q = q * q
-    w = z * q ** (-(m + 1))
-    nu = q ** (-2 * m)
-    w_top = w * Q ** (l - j1)  # spectral argument seen by the passing block
-    total = 0
-    for p in range(0, min(j1, j2) + 1):
-        e = j2 - p
-        n = l - j1
-        if e > n:
-            continue
-        h = k1 + j1 - p
-        # absorption block: j1 - p arrows absorbed, p pass through
-        t = (
-            q_binomial(j1, p, Q)
-            * Q ** (p * (p - 1) // 2)
-            * q_pochhammer(Q**k1 * nu, Q, j1 - p)
-        )
-        for i in range(1, p + 1):
-            t *= Q ** (k1 - p + i) * nu - w_top
-        # emission block: e of the remaining l - j1 lines pick up an arrow
-        t *= (
-            q_binomial(n, e, Q)
-            * (-w) ** e
-            * Q ** (e * (e - 1) // 2)
-            * q_pochhammer(Q ** (h - e + 1), Q, e)
-            * q_pochhammer(Q**h * w, Q, n - e)
-        )
-        total += t
-    return total / q_pochhammer(w, Q, l)
-
-
-def fused_weights_closed_form(l: int, m: int, z: float, q: float) -> VertexWeights:
-    """Exact fused weights from an explicit single-sum formula: the oracle
-    of fused_weights_recurrence.
-
-    With Q = q^2, w = z q^{-(m+1)} and nu = q^{-2m}, the entry is
-
-        W[j1,k1,j2,k2] (w; Q)_l =
-          sum_p  C(j1,p)_Q Q^{p(p-1)/2} (Q^{k1} nu; Q)_{j1-p}
-                 prod_{i=1}^{p} (Q^{k1-p+i} nu - w Q^{l-j1})
-               * C(l-j1,j2-p)_Q (-w)^{j2-p} Q^{(j2-p)(j2-p-1)/2}
-                 (Q^{h-j2+p+1}; Q)_{j2-p} (Q^h w; Q)_{l-j1-j2+p}
-
-    with h = k1 + j1 - p. The index p counts horizontal arrows passing
-    straight through; j1 - p are absorbed and j2 - p are emitted.
-
-    The sum is a balanced terminating 4phi3 (Borodin-Petrov, Selecta Math.
-    24 (2018) 751), but only from the first nonzero summand on. With
-    p0 = max(0, j2 - (l - j1), j1 + k1 - m) and T(p0) the summand at p0,
-
-        W (w; Q)_l = T(p0) 4phi3( Q^{p0-j1}, Q^{p0-j2},
-                                  w Q^{l-j1-k1+m+p0}, Q^{1-j1-k1+p0}/w ;
-                                  Q^{m+1-j1-k1+p0}, Q^{l-j1-j2+1+p0},
-                                  Q^{p0-j1-k1} ; Q, Q ),
-
-    where, when p0 > 0, the series' (Q; Q)_k is (Q^{1+p0}; Q)_k. This
-    identity held exactly at 2,947 random rational entries with
-    1 <= l, m <= 6 and 0 < z, q < 1. The oracle stays the explicit sum: a general series evaluator would
-    still need the shift and the prefactor, so it would add code.
-
-    In floating point the alternating sum loses whole rows to cancellation,
-    so it is evaluated at Fraction(z) and Fraction(q), which equal float
-    input exactly, into a table of Fractions (about 1 s at l = m = 8).
-    """
-    from fractions import Fraction  # oracle only: keeps it off the CLI's import
-
-    z, q = Fraction(z), Fraction(q)
-    _check_spectral_ladder(l, m, z, q)
-    W = np.zeros((l + 1, m + 1, l + 1, m + 1), dtype=object)
-    for j1, k1, j2 in itertools.product(range(l + 1), range(m + 1), range(l + 1)):
-        k2 = j1 + k1 - j2
-        if 0 <= k2 <= m:
-            W[j1, k1, j2, k2] = _fused_entry_closed(j1, k1, j2, l, m, z, q)
-    return VertexWeights(W)
 
 
 # Written to the "sampler" key of the CSV header. The same seed gives the
@@ -490,7 +407,7 @@ def sample_lattices(
 
     # One row per input pair r = j1 (m+1) + k1, over the outputs
     # o = j2 (m+1) + k2.
-    rows = real_entries(w.table).reshape(n_in, -1)
+    rows = w.table.reshape(n_in, -1)
     totals = rows.sum(axis=1)
     bad = ~(np.abs(totals - 1.0) <= 1e-8) | ~(rows.min(axis=1) >= 0)  # NaN too
     thresholds = _inverse_cdf_table(rows / np.where(bad, 1.0, totals)[:, np.newaxis])

@@ -54,10 +54,6 @@ class StateSpaceTooLarge(ParameterError):
     pass
 
 
-class NotReal(ParameterError):
-    pass
-
-
 def state_space(site_dims, cap: int = MAX_DENSE_DIM) -> tuple:
     """The site dimensions as ints, and their product, which must not
     exceed `cap` (by default the dense cap). Call it on the dimensions
@@ -69,26 +65,6 @@ def state_space(site_dims, cap: int = MAX_DENSE_DIM) -> tuple:
     if total > cap:
         raise StateSpaceTooLarge(f"state space {total} exceeds cap {cap}")
     return dims, total
-
-
-def float_array(values) -> np.ndarray:
-    """`values` as an array of at least float precision: integer and real
-    input becomes float64, complex input stays complex."""
-    values = np.asarray(values)
-    return np.asarray(values, dtype=np.result_type(values, float))
-
-
-def real_entries(values, tol: float = 1e-12) -> np.ndarray:
-    """`values` as a real array. Complex values must have every imaginary
-    part within tol * max(1, max |value|), else NotReal."""
-    values = np.asarray(values)
-    if not np.iscomplexobj(values):
-        return values
-    scale = max(1.0, float(np.max(np.abs(values))))
-    worst = float(np.max(np.abs(values.imag)))
-    if worst > tol * scale:
-        raise NotReal(f"imaginary part {worst} exceeds {tol} x {scale}")
-    return values.real
 
 
 def check_stack(batch, side: int) -> None:

@@ -18,12 +18,12 @@ Fraction q. The dense R, built one `kron` at a time, is the check's oracle
 in the test suite (tests/oracles.py), and nothing here builds it.
 
 What the check computes from (l, m) alone is its plan (`_Plan`): the
-indices into the q tables of the weights and of the terms, and where the
-weights live, all by integer arithmetic. The plan of a grid of at most
-MAX_EXACT_GRID points, the grids the exact check takes, is kept read-only,
-one per shape, so a float check and its exact rerun build one plan. At
-most _PLANS = 32 are kept, each at most about 0.8 MB, so about 25 MB in
-all. A larger grid builds its term indices one chunk at a time.
+indices into the q tables of the weights and of the terms, all by integer
+arithmetic. The plan of a grid of at most MAX_EXACT_GRID points, the grids
+the exact check takes, is kept read-only, one per shape, so a float check
+and its exact rerun build one plan. At most _PLANS = 32 are kept, each at
+most about 0.8 MB, so about 25 MB in all. A larger grid builds its term
+indices one chunk at a time.
 
 The checks return residuals and pass no verdict; the caller compares them
 with its tolerance.
@@ -127,8 +127,8 @@ MAX_EXACT_GRID = 2**12
 _CHUNK = 2**12
 # Plans kept, one per shape (l, m) whose grid has at most MAX_EXACT_GRID
 # points, so a float check and its exact rerun share one. A plan holds 24
-# int64 and one bool per grid point, at most about 0.8 MB, so the kept
-# plans hold at most about 25 MB.
+# int64 per grid point, at most about 0.8 MB, so the kept plans hold at
+# most about 25 MB.
 _PLANS = 32
 
 # Each term of (U Delta(x) - Dt(x) U) at grid point (a, b, k), four for
@@ -159,12 +159,10 @@ _NO_EXPONENT = -(2**30)
 class _Plan(NamedTuple):
     """What the graded check computes from (l, m) alone. ratio: the indices
     into the q tables (powers, then qint three times) of the weights' ratio
-    u(a, b, i) / u(a, b, i-1); live: where i <= min(a, m - b), the ratio's
-    support; terms: the eight terms' (n, p, at) on the whole grid
-    (`_term_index`) in a kept plan, else None."""
+    u(a, b, i) / u(a, b, i-1); terms: the eight terms' (n, p, at) on the
+    whole grid (`_term_index`) in a kept plan, else None."""
 
     ratio: tuple
-    live: np.ndarray
     terms: tuple | None
 
 
@@ -233,15 +231,14 @@ def _weight_plan(l: int, m: int) -> _Plan:
     b = np.arange(m + 1)[None, :, None]
     i = np.arange(1, side)
     ratio = (i - 1 + N, i + N, a - i + 1 + N, m - b - i + 1 + N)
-    live = i <= np.minimum(a, m - b)
-    return _Plan(ratio, live, None)
+    return _Plan(ratio, None)
 
 
 @functools.lru_cache(maxsize=_PLANS)
 def _kept_plan(l: int, m: int) -> _Plan:
     """The plan of a grid of at most MAX_EXACT_GRID points, read-only."""
     plan = _weight_plan(l, m)._replace(terms=_term_index(l, m, 0, (l + 1) * (m + 1)))
-    for array in (*plan.ratio, plan.live, *plan.terms):
+    for array in (*plan.ratio, *plan.terms):
         array.setflags(write=False)
     return plan
 
@@ -262,10 +259,13 @@ def universal_r_weights(l: int, m: int, q) -> tuple:
     sum_i u[a, b, i] v_(a-i) (x) v_(b+i), for i <= min(l, m), with
         u(a, b, i) = c_i [a]!/[a-i]! [m-b]!/[m-b-i]!,
         c_i = (q - q^-1)^i q^(i(i-1)/2) / [i]!,
-    from one cumprod over i of u(a, b, i) / u(a, b, i-1). The weights grow
-    like q^(-lm), so for a float q they come as (mantissa, exponent), u =
-    mantissa * 2^exponent, with the mantissa in [0.5^i, 1). For a Fraction
-    q they come exact, as an object array, with exponent 0."""
+    from one cumprod over i of u(a, b, i) / u(a, b, i-1). At
+    i = min(a, m - b) + 1 the ratio holds the factor [0] = 0, so from there
+    on the weight is exactly zero and its exponent means nothing. The
+    weights grow like q^(-lm), so for a float q they come as (mantissa,
+    exponent), u = mantissa * 2^exponent, with a nonzero mantissa in
+    [0.5^i, 1). For a Fraction q they come exact, as an object array, with
+    exponent 0."""
     _check_grid(l, m, q)
     return _weights(q, _tables(l, m, q), _plan(l, m))
 
@@ -274,10 +274,9 @@ def _weights(q, tables, plan: _Plan) -> tuple:
     """universal_r_weights from the q tables and the plan."""
     powers, qint = tables
     at_power, at_i, at_a, at_b = plan.ratio
-    shape = (*plan.live.shape[:2], plan.live.shape[2] + 1)
     with np.errstate(all="ignore"):
         ratio = (q - 1 / q) * powers[at_power] / qint[at_i] * qint[at_a] * qint[at_b]
-        ratio = np.where(plan.live, ratio, 0)
+        shape = (*ratio.shape[:2], ratio.shape[2] + 1)
         mantissa = np.ones(shape, ratio.dtype)
         exponent = np.zeros(shape, np.int32)
         if powers.dtype == object:

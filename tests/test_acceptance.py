@@ -227,12 +227,12 @@ def test_criterion_6_fusion_cross_check():
                     # z = 0.25 = q^(m+1) q^(2s) for some rung: the exact
                     # oracle must refuse the evaluation too
                     with pytest.raises(PoleInSpectralLadder):
-                        sixvertex.fused_weights_closed_form(l, m, z, q)
+                        oracles.fused_weights_closed_form(l, m, z, q)
                     pole_points.append((l, m, z))
                     continue
                 # the closed form in exact rational arithmetic; entries
                 # reach ~1e10 at l=m=4, so deviations are relative per row
-                exact = sixvertex.fused_weights_closed_form(l, m, z, q)
+                exact = oracles.fused_weights_closed_form(l, m, z, q)
                 exact_dev = max(exact_dev, exact.row_sum_violation(),
                                 exact.conservation_violation())
                 worst_dev = max(worst_dev, rec.row_deviation(exact))
@@ -356,13 +356,12 @@ def test_criterion_9_sampler_statistics():
 
 
 def test_criterion_10_oscillator_suite():
+    gram = oscillator.hermite_gram(6)
     worst = 0.0
     for m in range(7):
         for n in range(m):
-            norm = math.sqrt(
-                oscillator.hermite_overlap(m, m) * oscillator.hermite_overlap(n, n)
-            )
-            worst = max(worst, abs(oscillator.hermite_overlap(m, n)) / norm)
+            norm = math.sqrt(gram[m, m] * gram[n, n])
+            worst = max(worst, abs(gram[m, n]) / norm)
     js = oscillator.sl2_js_violation(8)
     ok = worst <= 1e-6 and js <= 1e-10
     _line(10, "oscillator suite", ok,

@@ -146,6 +146,7 @@ BAND_CAP_ARGV = ["asep", "stationary", "--open", "--L", "15", "--q", "0.5", "--a
         (["twprob", "--t", "1200", "--q", "0.5", "--y", "0", "--x", "1"], 1, True),
         # H_400(30) overflows to inf - inf: a non-finite result, never NaN
         (["oscillator", "hermite", "--n", "400", "--x", "30"], 1, True),
+        (["oscillator", "hermite", "--n", "-1"], 2, True),
         # 256^2 and 100000 dense states: refused before allocation
         (["oscillator", "js", "--cutoff", "256"], 2, True),
         (["oscillator", "fock", "--cutoff", "100000"], 2, True),
@@ -174,15 +175,22 @@ BAND_CAP_ARGV = ["asep", "stationary", "--open", "--L", "15", "--q", "0.5", "--a
          "mpa-not-converged", "mpa-cap", "asep-csv-fails", "fuse-l8-z01",
          "asep-cap", "asep-band-cap", "fuse-l8-relative", "fuse-l4-relative", "fuse-cap",
          "fuse-q0", "twprob-overflow",
-         "hermite-nan", "js-cap", "fock-cap", "hecke-overflow",
+         "hermite-nan", "hermite-negative", "js-cap", "fock-cap", "hecke-overflow",
          "rep-check-overflow", "sample6v-cap", "universal-r-cap", "mpa-truncation-cap",
          "reflection-k-pole", "markov-pole", "asep-no-rates",
          "asep-closed-rates"],
 )
 def test_exit_code(capsys, argv, expected, silent):
-    code, out = _run(capsys, argv)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = cli.main(argv)
+    out, err = capsys.readouterr()
     assert code == expected
     assert (out == "") == silent
+    # Past argparse, a call with no report says why in one line on stderr,
+    # and a warning would print more lines there.
+    if silent and not err.startswith("usage:"):
+        assert len(err.splitlines()) + len(caught) == 1, (err, caught)
 
 
 # U's entries pass 1e33 at (20, 20, 0.7) and the float range at (63, 63,

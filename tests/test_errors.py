@@ -24,8 +24,8 @@ DEFINED = {
     "cli": {"NonFiniteResult"},
     "errors": {"RateOutOfRange"},
     "models": {"NonConvergedQuadrature"},
-    "sixvertex": {"PoleAtZEqualsQPower", "PoleInSpectralLadder", "InconsistentBoundary"},
-    "tensor": {"DimensionMismatch", "StateSpaceTooLarge", "NotReal"},
+    "sixvertex": {"PoleInSpectralLadder", "InconsistentBoundary"},
+    "tensor": {"DimensionMismatch", "StateSpaceTooLarge"},
     "uqsl2": {"InvalidDeformation"},
     "ybe": {"PoleInDenominator", "EvaluationPole", "NotRegular"},
 }

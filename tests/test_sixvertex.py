@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from integrable import sixvertex, ybe
 from integrable.errors import ParameterError
 from integrable.qnum import q_binomial
@@ -51,10 +52,16 @@ def test_higher_spin_base_reduces_to_six_vertex():
     zz, qq = 1.0 / z, q * q
     b1 = qq * (zz - 1) / (qq * zz - 1)
     b2 = (zz - 1) / (qq * zz - 1)
-    assert base.table[0, 1, 0, 1].real == pytest.approx(b1)
-    assert base.table[0, 1, 1, 0].real == pytest.approx(1 - b1)
-    assert base.table[1, 0, 1, 0].real == pytest.approx(b2)
-    assert base.table[1, 0, 0, 1].real == pytest.approx(1 - b2)
+    assert base.table[0, 1, 0, 1] == pytest.approx(b1)
+    assert base.table[0, 1, 1, 0] == pytest.approx(1 - b1)
+    assert base.table[1, 0, 1, 0] == pytest.approx(b2)
+    assert base.table[1, 0, 0, 1] == pytest.approx(1 - b2)
+
+
+@pytest.mark.parametrize("m, q", [(1, 0.5), (2, 0.5), (3, 0.7), (1, 2.0)])
+def test_higher_spin_base_pole_is_the_first_rung_of_the_ladder(m, q):
+    with pytest.raises(PoleInSpectralLadder, match=r"z q\^0 hits the pole"):
+        sixvertex.higher_spin_base_weights(m, q ** (m + 1), q)
 
 
 @given(
@@ -71,7 +78,7 @@ def test_higher_spin_base_is_stochastic(m, z, q):
 
 
 def _assert_recurrence_matches_exact_oracle(l, m, z, q):
-    exact = sixvertex.fused_weights_closed_form(l, m, z, q)
+    exact = oracles.fused_weights_closed_form(l, m, z, q)
     assert all(isinstance(v, (Fraction, int)) for v in exact.table.flat)
     assert exact.row_sum_violation() == 0
     assert exact.conservation_violation() == 0
@@ -129,9 +136,10 @@ def _loop_recurrence(l, m, z, q):
     return prev
 
 
+# (3, 5) is the one shape with l < m
 @pytest.mark.parametrize("lmzq", [(4, 4, 0.1, 0.5), (8, 8, 0.25, 0.5),
                                   (16, 16, 0.25, 0.5), (2, 2, 0.2, 1.5),
-                                  (5, 2, -0.5, 0.5), (3, 5, 0.3 + 0.2j, 0.7),
+                                  (5, 2, -0.5, 0.5), (3, 5, 0.3, 0.7),
                                   (6, 3, 0.4, -0.8)])
 def test_fusion_contraction_equals_the_loop(lmzq):
     table = sixvertex.fused_weights_recurrence(*lmzq).table
@@ -148,6 +156,18 @@ def test_vertex_weights_read_capacities_from_the_table():
             sixvertex.VertexWeights(np.zeros(shape))
 
 
+def test_vertex_weights_are_real():
+    assert sixvertex.VertexWeights(np.ones((2, 2, 2, 2), int)).table.dtype == float
+    exact = sixvertex.VertexWeights(np.full((2, 2, 2, 2), Fraction(1, 3), object))
+    assert all(isinstance(v, Fraction) for v in exact.table.flat)
+    for table in (np.zeros((2, 2, 2, 2), complex), np.full((2, 1, 2, 1), 0.5 + 0j)):
+        with pytest.raises(ParameterError, match="must be real"):
+            sixvertex.VertexWeights(table)
+    # a complex spectral point gives a complex table: refused the same way
+    with pytest.raises(ParameterError, match="must be real"):
+        sixvertex.fused_weights_recurrence(3, 5, 0.3 + 0.2j, 0.7)
+
+
 def test_fusion_l1_reproduces_base_weights():
     m, z, q = 2, 0.3, 0.5
     fused = sixvertex.fused_weights_recurrence(1, m, z, q)
@@ -160,7 +180,7 @@ def test_fusion_pole_detection_in_both_constructions():
     with pytest.raises(PoleInSpectralLadder):
         sixvertex.fused_weights_recurrence(2, 1, 0.25, 0.5)
     with pytest.raises(PoleInSpectralLadder):
-        sixvertex.fused_weights_closed_form(2, 1, 0.25, 0.5)
+        oracles.fused_weights_closed_form(2, 1, 0.25, 0.5)
 
 
 def test_fusion_refuses_capacities_beyond_the_cap():
