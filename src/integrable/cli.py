@@ -47,12 +47,10 @@ PASS_EXIT = 0
 FAIL_EXIT = 1
 USAGE_EXIT = 2
 
-# Residuals limited by a truncation, a quadrature or a long recurrence
-# are compared against at least this tolerance, keyed by report command.
-TOL_FLOOR = {
-    "fuse": 1e-8,
-    "twprob": models.TW_DOUBLING_TOL,
-}
+# Residuals limited by a truncation or a quadrature are compared against
+# at least this tolerance, keyed by report command. Every other command,
+# `fuse` among them, is judged at --tol itself.
+TOL_FLOOR = {"twprob": models.TW_DOUBLING_TOL}
 
 
 class NonFiniteResult(ConvergenceError):

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError
-from .tensor import embed, kron, state_space
+from .tensor import embed, state_space
 
 # Gaussian-weight orthogonality is checked by the trapezoid rule of step
 # 1/4 on [-10, 10], with exp(-x^2) folded into the weights. For
@@ -94,7 +94,7 @@ def jordan_schwinger(mat: np.ndarray, cutoff: int) -> np.ndarray:
     n = mat.shape[0]
     dims, total_dim = state_space((cutoff,) * n)
     f = truncated_fock(cutoff)
-    hop = kron(f.adag, f.a)
+    hop = np.kron(f.adag, f.a)
     total = np.zeros((total_dim, total_dim), dtype=np.result_type(mat, float))
     for i, j in itertools.product(range(n), repeat=2):
         if mat[i, j] == 0:

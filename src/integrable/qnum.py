@@ -1,33 +1,18 @@
-"""q-arithmetic primitives: q-integers and q-binomials.
+"""q-arithmetic primitives: the q-integers.
 
-Conventions follow the standard q-analysis literature: the q-integer is
-[n]_q = (1 - q^n)/(1 - q). Every function keeps the number type of its
-input, so a Fraction q gives an exact value.
+The q-integer [n]_q = 1 + q + ... + q^(n-1), which is (1 - q^n)/(1 - q)
+for q != 1 and n at q = 1.
 """
 
 from __future__ import annotations
 
-# |q - 1| below this switches every q-formula to its analytic q -> 1 limit.
-Q_ONE_THRESHOLD = 1e-8
 
-
-def q_int(n: int, q: float) -> float:
-    """[n]_q = (1 - q^n)/(1 - q), with the limit value n at q = 1."""
-    if abs(q - 1) < Q_ONE_THRESHOLD:
-        return n * q**0
-    return (1 - q**n) / (1 - q)
-
-
-def q_binomial(l: int, j: int, q: float) -> float:
-    """Gaussian binomial [l choose j]_q; zero outside 0 <= j <= l.
-
-    Computed by the product form prod_{k=1}^{j} [l-j+k]_q / [k]_q, which
-    stays finite at q = 1 (classical binomial). Like q_int, it keeps the
-    number type of q, so a Fraction q gives an exact value.
-    """
-    if j < 0 or j > l:
-        return 0 * q
-    out = q**0
-    for k in range(1, j + 1):
-        out *= q_int(l - j + k, q) / q_int(k, q)
+def q_ints(n: int, q) -> list:
+    """[0]_q, [1]_q, ..., [n]_q by [k]_q = [k-1]_q + q^(k-1). A sum of
+    powers with no division: it has no cancellation near q = 1, equals the
+    integers exactly at q = 1, and keeps the number type of q, so a
+    Fraction q gives exact values."""
+    out = [0 * q]
+    for k in range(1, n + 1):
+        out.append(out[-1] + q ** (k - 1))
     return out

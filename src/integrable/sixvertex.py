@@ -7,7 +7,9 @@ Weight tables are indexed W[j1, k1, j2, k2]: j counts horizontal arrows
 (j1 in from the left, j2 out to the right, both at most l) and k counts
 vertical arrows (k1 in from the bottom, k2 out to the top, both at most m).
 Arrow conservation j1 + k1 = j2 + k2 holds for every nonzero entry and
-each input pair's outgoing weights sum to 1.
+each input pair's outgoing weights sum to 1. The sampler checks every row
+of its table once, before it draws, and refuses one that is not a
+probability law.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ParameterError, RateOutOfRange
-from .qnum import q_binomial
+from .qnum import q_ints
 from .tensor import state_space
 
 
@@ -153,18 +155,25 @@ def fused_weights_recurrence(l: int, m: int, z: float, q: float) -> VertexWeight
     j1 - a of the capacity-(c-1) table, times P(a | j1), are contracted
     over the intermediate occupancy (conservation leaves one nonzero term)
     with one[a, :, b, :] into the outputs j2 = b, ..., b + c - 1.
+
+    The ratio of Q-binomials reduces to one of Q-integers [n] = [n]_Q,
+        P(0 | j1) = [c-j1] / [c],    P(1 | j1) = Q^{c-j1} [j1] / [c],
+    all read from one table, qnum.q_ints(l, Q). These are sums of powers,
+    which do not cancel near q = 1, so the rows sum to 1 to rounding there
+    as at every other q.
     """
     _check_spectral_ladder(l, m, z, q)
     prev = higher_spin_base_weights(m, z, q).table
     Q = q * q
+    qint = q_ints(l, Q)
     for c in range(2, l + 1):
         one = higher_spin_base_weights(m, z * q ** (2 * (c - 1)), q).table
         W = np.zeros((c + 1, m + 1, c + 1, m + 1), dtype=prev.dtype)
         for a in (0, 1):
             split = np.zeros((c + 1, m + 1, c, m + 1), dtype=prev.dtype)
             for j1 in range(a, a + c):
-                prob = Q ** (a * (c - j1)) * q_binomial(c - 1, j1 - a, Q)
-                split[j1] = prob / q_binomial(c, j1, Q) * prev[j1 - a]
+                prob = Q ** (c - j1) * qint[j1] if a else qint[c - j1]
+                split[j1] = prob / qint[c] * prev[j1 - a]
             for b in (0, 1):
                 W[:, :, b:b + c] += np.einsum("ikjm,mn->ikjn", split, one[a, :, b, :])
         prev = W
@@ -337,12 +346,12 @@ def _inverse_cdf_table(rows: np.ndarray) -> np.ndarray:
     exactly when ku >= ceil(c 2^53). From each row's last positive entry
     on, and wherever c > 1, the threshold is 2^53, above every ku: so a
     uniform above a cumulative sum rounded below 1 still draws a possible
-    output, and a zero-probability output is never drawn."""
+    output, and a zero-probability output is never drawn. The rows are
+    probability laws, so no c is negative."""
     cdf = np.cumsum(rows, axis=1)
     last = rows.shape[1] - 1 - np.argmax(rows[:, ::-1] > 0, axis=1)
     never = (np.arange(rows.shape[1]) >= last[:, np.newaxis]) | ~(cdf <= 1)
-    # a negative c, which only a refused row has, is below every u
-    thresholds = np.where(never, 2**53, np.ceil(np.maximum(cdf, 0) * 2.0**53))
+    thresholds = np.where(never, 2**53, np.ceil(cdf * 2.0**53))
     return thresholds.astype(np.int64)
 
 
@@ -376,9 +385,10 @@ def sample_lattices(
 
     More than MAX_VERTICES vertices over all seeds raise StateSpaceTooLarge
     and a table with more than MAX_INPUT_PAIRS input pairs raises
-    ParameterError, both before anything is allocated. A weight row that is
-    not a probability law raises InconsistentBoundary before any vertex
-    draws from it; a row that no vertex reaches is never checked.
+    ParameterError, both before anything is allocated. Every weight row is
+    checked before the sweep: the first row, in input-pair order, that is
+    not a probability law (a row sum off 1 by more than 1e-8, or a negative
+    entry) raises InconsistentBoundary, whether or not a vertex reaches it.
     """
     if width < 1 or height < 1:
         raise InconsistentBoundary(
@@ -410,8 +420,14 @@ def sample_lattices(
     rows = w.table.reshape(n_in, -1)
     totals = rows.sum(axis=1)
     bad = ~(np.abs(totals - 1.0) <= 1e-8) | ~(rows.min(axis=1) >= 0)  # NaN too
-    thresholds = _inverse_cdf_table(rows / np.where(bad, 1.0, totals)[:, np.newaxis])
-    thresholds[bad] = 2**53  # keeps the keys sorted; never drawn from
+    if bad.any():
+        row = int(np.argmax(bad))
+        j1, k1 = divmod(row, w.m + 1)
+        raise InconsistentBoundary(
+            f"weight row ({j1},{k1}) sums to {totals[row]} or has a "
+            "negative entry; it is not a probability law"
+        )
+    thresholds = _inverse_cdf_table(rows / totals[:, np.newaxis])
     keys = (thresholds + np.arange(n_in)[:, np.newaxis] * _KEY_ROW).ravel()
     # From p = r n_out + o: the outputs, and the inputs they give the right
     # and upper neighbours, scaled to the key of their row.
@@ -431,22 +447,12 @@ def sample_lattices(
     V = np.empty((height + 1, batch), dtype=np.int64)
     H[:] = np.array(boundary_left)[:, np.newaxis] * ((w.m + 1) * _KEY_ROW)
     bottom = np.array(boundary_bottom) * _KEY_ROW
-    any_bad = bool(bad.any())
     step = max(width - 1, 1)
     for d in range(width + height - 1):
         y0, y1 = max(0, d - width + 1), min(d, height - 1) + 1
         if d < width:
             V[0] = bottom[d]
         key = H[y0:y1] + V[y0:y1]
-        if any_bad:
-            r = key.T // _KEY_ROW
-            if bad[r].any():
-                row = int(r[bad[r]][0])
-                j1, k1 = divmod(row, w.m + 1)
-                raise InconsistentBoundary(
-                    f"weight row ({j1},{k1}) sums to {totals[row]} or has a "
-                    "negative entry; it is not a probability law"
-                )
         at = slice(y0 * (width - 1) + d, (y1 - 1) * (width - 1) + d + 1, step)
         key += ku[at]
         p = keys.searchsorted(key, side="right")

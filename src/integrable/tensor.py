@@ -4,12 +4,11 @@ and probability vectors over a chain's configurations.
 Conventions (wire-level contract, also used by the CLI's CSV tables):
   * leg order: the basis of V_1 (x) ... (x) V_n is lexicographic in the
     site indices with site 1 slowest, the order numpy.kron produces with
-    site 1 as the outermost factor. This module is the only place that
-    builds a tensor product: `kron` multiplies arrays in site order and
-    `embed` places an array on any ordered tuple of sites, so callers name
-    sites and never write Kronecker products by hand. Both work on a
-    matrix or on a stack of matrices with leading batch axes, such as a
-    spectral family evaluated on a whole grid;
+    site 1 as the outermost factor. `embed` places an array on any ordered
+    tuple of sites, so callers name sites and never write Kronecker
+    products with identities by hand. It works on a matrix or on a stack
+    of matrices with leading batch axes, such as a spectral family
+    evaluated on a whole grid;
   * a dense operator is a plain numpy array and keeps its dtype, so real
     input stays real and complex input stays complex;
   * generators have rows summing to 0 and nonnegative off-diagonals
@@ -78,32 +77,6 @@ def check_stack(batch, side: int) -> None:
         raise StateSpaceTooLarge(
             f"{count} matrices of side {side} exceed {MAX_DENSE_DIM}^2 entries"
         )
-
-
-def kron(*mats) -> np.ndarray:
-    """Tensor product of arrays in site order; site 1 of the first factor
-    is slowest. A factor is a matrix or a stack of matrices with leading batch
-    axes, and the batch axes of the factors broadcast against each other.
-    Each factor after the first costs one broadcast product written
-    straight into the axes (batch, rows, rows', cols, cols'), numpy.kron's
-    own layout, so each matrix of the result is numpy.kron's bit for bit;
-    numpy.multiply.outer and a transpose can differ in the last bit on
-    1 x 1 complex factors. No factors give the 1 x 1 identity. Before the
-    result is allocated, the product of the factors' longer sides, which
-    bounds both sides of the result, is checked against the dense cap, and
-    the whole stack against `check_stack`."""
-    if not mats:
-        return np.eye(1)
-    _, side = state_space(max(m.shape[-2:]) for m in mats)
-    batches = [m.shape[:-2] for m in mats if m.ndim > 2]
-    if batches:
-        check_stack(np.broadcast_shapes(*batches), side)
-    mat = mats[0]
-    for op in mats[1:]:
-        (r, c), (s, t) = mat.shape[-2:], op.shape[-2:]
-        product = mat[..., :, None, :, None] * op[..., None, :, None, :]
-        mat = product.reshape(product.shape[:-4] + (r * s, c * t))
-    return mat
 
 
 def embed(entries, sites, site_dims) -> np.ndarray:

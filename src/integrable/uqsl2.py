@@ -14,7 +14,7 @@ form R = C U (`universal_r_check`): C is diagonal, U maps the weight block
 a + b = s into itself, and the intertwining U Delta(x) = C^-1 Delta'(x) C U
 is a sum of four terms on each point of an (a, b, k) grid, with only
 integer powers of q. The same code runs on a float q and, exactly, on a
-Fraction q. The dense R, built one `kron` at a time, is the check's oracle
+Fraction q. The dense R, built one numpy.kron at a time, is the check's oracle
 in the test suite (tests/oracles.py), and nothing here builds it.
 
 What the check computes from (l, m) alone is its plan (`_Plan`): the

@@ -29,7 +29,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ParameterError, RateOutOfRange
-from .tensor import embed, kron, permutation_operator
+from .tensor import embed, permutation_operator
 
 # Points of one block of a verifier's grid: a grid is checked in blocks of
 # at most this many points, each one stacked product. A spectral point
@@ -294,7 +294,7 @@ def markov_structure_report(r: Callable, w_local: np.ndarray) -> dict:
     markov_residual = float(np.max(np.abs(M - rho * w_local)))
     row_sum_dev = float(np.max(np.abs(rows.sum(axis=-1) - 1.0)))
     # v1 (x) v2 at each pair, as a stack of (4, 1) columns
-    vec = kron(*(np.stack([v, np.ones_like(v)], axis=-1)[..., None] for v in (z, w)))
+    vec = np.stack([z * w, z, w, np.ones_like(z)], axis=-1)[..., None]
     fixed = float(np.max(np.abs(np.swapaxes(ratios, -1, -2) @ vec - vec)))
     return {
         "rho_fit": rho,

@@ -24,13 +24,15 @@ n x n matrix on the trapezoid nodes (scattering_matrix), which the package
 never builds: it contracts low-rank factors of it (models._tw_factors).
 
 The universal R of U_q(sl2) is checked against its dense matrix on
-V_l (x) V_m (universal_r), built one kron at a time; the package checks it
-by weight grading (uqsl2.universal_r_check) and never builds it.
+V_l (x) V_m (universal_r), built one numpy.kron at a time (kron); the
+package checks it by weight grading (uqsl2.universal_r_check) and never
+builds it.
 
 The fused vertex weights are checked against an exact closed-form single
 sum (fused_weights_closed_form), evaluated in Fraction arithmetic with
-its q-Pochhammer symbols (q_pochhammer); the package builds them by the
-recurrence (sixvertex.fused_weights_recurrence) alone.
+its q-Pochhammer symbols (q_pochhammer) and Gaussian binomials
+(q_binomial); the package builds them by the recurrence
+(sixvertex.fused_weights_recurrence) alone.
 
 The closed chain's spin-chain form is checked on small dense matrices:
 reversible_conjugate conjugates its generator by the square root of its
@@ -40,6 +42,7 @@ the result must commute with.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -50,13 +53,11 @@ import numpy as np
 from integrable import mpa, sixvertex, uqsl2
 from integrable.errors import ParameterError
 from integrable.models import AsepParams, asep_left_action, asep_local_terms
-from integrable.qnum import q_binomial
 from integrable.tensor import (
     MAX_STATE_SPACE,
     DimensionMismatch,
     ProbVector,
     StateSpaceTooLarge,
-    kron,
     state_space,
 )
 
@@ -384,6 +385,12 @@ def reversible_conjugate(p: AsepParams) -> tuple:
     return G, half[:, np.newaxis] * G / half
 
 
+def kron(*mats) -> np.ndarray:
+    """numpy.kron folded over the factors from a 1 x 1 identity, site 1
+    outermost; no factors give the 1 x 1 identity."""
+    return functools.reduce(np.kron, mats, np.eye(1))
+
+
 def uq_coproduct(L: int, q: float) -> tuple:
     """Delta^(L)(e), Delta^(L)(f) and K (x) ... (x) K of U_q(sl2) at
     deformation sqrt(q) on L sites, each carrying uqsl2.rep(1, sqrt(q)):
@@ -462,6 +469,19 @@ def q_pochhammer(a, q, n: int):
     for k in range(n):
         out *= 1 - a * q**k
     return out
+
+
+def q_binomial(l: int, j: int, q):
+    """Gaussian binomial C(l, j)_q, zero outside 0 <= j <= l, by the
+    q-Pascal rule C(n, k) = C(n-1, k-1) + q^k C(n-1, k): sums and products
+    only, so it is the binomial at q = 1 and keeps the number type of q."""
+    if j < 0 or j > l:
+        return 0 * q
+    row = [q**0]
+    for n in range(1, l + 1):
+        row = [(row[k - 1] if k else 0) + (q**k * row[k] if k < n else 0)
+               for k in range(n + 1)]
+    return row[j]
 
 
 def _fused_entry_closed(j1, k1, j2, l, m, z, q):

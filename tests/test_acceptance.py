@@ -12,7 +12,7 @@ import pytest
 from integrable import cli, models, oscillator, sixvertex, uqsl2, ybe
 from integrable.models import AsepParams
 from integrable.sixvertex import PoleInSpectralLadder
-from integrable.tensor import embed, kron, permutation_operator
+from integrable.tensor import embed, permutation_operator
 
 import oracles
 
@@ -118,9 +118,9 @@ def _xxz_bond(q: float) -> np.ndarray:
     + ((1-q)/4)(sz (x) 1 - 1 (x) sz): the bond term of the U_q(sl2)-symmetric
     open XXZ chain (Pasquier-Saleur, Nucl. Phys. B 330 (1990) 523)."""
     one = np.eye(2)
-    hop = (kron(SIGMA_X, SIGMA_X) + kron(SIGMA_Y, SIGMA_Y)).real
-    return (math.sqrt(q) / 2 * hop + (1 + q) / 4 * (kron(SIGMA_Z, SIGMA_Z) - np.eye(4))
-            + (1 - q) / 4 * (kron(SIGMA_Z, one) - kron(one, SIGMA_Z)))
+    hop = (np.kron(SIGMA_X, SIGMA_X) + np.kron(SIGMA_Y, SIGMA_Y)).real
+    return (math.sqrt(q) / 2 * hop + (1 + q) / 4 * (np.kron(SIGMA_Z, SIGMA_Z) - np.eye(4))
+            + (1 - q) / 4 * (np.kron(SIGMA_Z, one) - np.kron(one, SIGMA_Z)))
 
 
 def _spin_sum(pauli: np.ndarray, L: int) -> np.ndarray:

@@ -348,6 +348,21 @@ def test_fuse_rows_sum_to_one_at_large_capacity(capsys, lmzq):
     assert json.loads(out)["residuals"]["row_sums"] <= 1e-13
 
 
+# Q-integers taken as (1 - Q^n)/(1 - Q) cancel near Q = 1: these rows were
+# off by up to 1.2e-9, and a 1e-8 floor on fuse let them pass any --tol.
+@pytest.mark.parametrize("lmzq", [("8", "8", "0.25", "1.00000002"),
+                                  ("6", "6", "0.1", "0.99999999"),
+                                  ("8", "8", "0.25", "1.0001"),
+                                  ("4", "8", "0.3", "1")])
+def test_fuse_near_q_one_is_judged_at_tol(capsys, lmzq):
+    l, m, z, q = lmzq
+    code, out = _run(capsys, ["--tol", "1e-13", "fuse", "--l", l, "--m", m,
+                              "--z", z, "--q", q])
+    report = json.loads(out)
+    assert report["residuals"]["row_sums"] <= 1e-13
+    assert code == 0 and report["pass"]
+
+
 @pytest.mark.parametrize("extra", [["--alpha", "0.6", "--beta", "0.4", "--gamma",
                                     "0.1", "--delta", "0.2", "--open"], []])
 def test_asep_report_checks_stationarity(capsys, extra):
@@ -852,6 +867,9 @@ def test_tolerance_floors_are_the_claimed_accuracies():
     # the floor is now the accuracy the node doubling claims
     assert cli.TOL_FLOOR["twprob"] == models.TW_DOUBLING_TOL
     assert not cli._passes("twprob", {"oracle_diff": 1.03e-8}, 1e-10)
+    # fused rows sum to 1 to rounding at every q: fuse has no floor
+    assert "fuse" not in cli.TOL_FLOOR
+    assert not cli._passes("fuse", {"row_sums": 4.8e-10}, 1e-10)
     # overlaps up to degree 6 are at most 4.5e-13: the default 1e-10 holds
     assert not cli._passes("oscillator hermite", {"orthogonality": 1e-9}, 1e-10)
 

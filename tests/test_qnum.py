@@ -35,10 +35,10 @@ def test_q_binomial_pascal(l, j, q):
     if j > l or abs(q - 1.0) < 1e-3:
         return
     # q-Pascal rule: C(l+1,j) = C(l,j) + q^(l+1-j) C(l,j-1)
-    lhs = qnum.q_binomial(l + 1, j, q)
-    rhs = qnum.q_binomial(l, j, q)
+    lhs = oracles.q_binomial(l + 1, j, q)
+    rhs = oracles.q_binomial(l, j, q)
     if j >= 1:
-        rhs += q ** (l + 1 - j) * qnum.q_binomial(l, j - 1, q)
+        rhs += q ** (l + 1 - j) * oracles.q_binomial(l, j - 1, q)
     assert abs(lhs - rhs) <= 1e-9 * max(1.0, abs(lhs))
 
 
@@ -46,17 +46,39 @@ def test_q_binomial_pascal(l, j, q):
 def test_q_binomial_pascal_is_exact_at_rational_q(q):
     for l in range(8):
         for j in range(l + 2):
-            rhs = qnum.q_binomial(l, j, q) + q ** (l + 1 - j) * qnum.q_binomial(
+            rhs = oracles.q_binomial(l, j, q) + q ** (l + 1 - j) * oracles.q_binomial(
                 l, j - 1, q
             )
-            assert qnum.q_binomial(l + 1, j, q) == rhs
+            assert oracles.q_binomial(l + 1, j, q) == rhs
             assert isinstance(rhs, Fraction)
 
 
 def test_q_binomial_counts_at_q_one_limit():
-    assert qnum.q_binomial(5, 2, 1.0 + 1e-9) == pytest.approx(10.0, rel=1e-6)
+    assert oracles.q_binomial(5, 2, 1.0 + 1e-9) == pytest.approx(10.0, rel=1e-6)
+    assert oracles.q_binomial(5, 2, 1.0) == 10.0
 
 
-def test_q_int_and_factorial():
-    q = 0.5
-    assert qnum.q_int(3, q) == pytest.approx(1 + q + q**2)
+@given(n=st.integers(0, 40),
+       q=st.one_of(st.floats(0.01, 20.0), st.floats(1 - 1e-6, 1 + 1e-6)))
+def test_q_ints_equal_the_exact_sums(n, q):
+    # the exact sum of powers of the float q; each [k] is within a few
+    # roundings of it, also where (1 - q^k)/(1 - q) would cancel
+    exact = [sum(Fraction(q) ** i for i in range(k)) for k in range(n + 1)]
+    got = qnum.q_ints(n, q)
+    assert len(got) == n + 1 and got[0] == 0
+    for k, (value, sum_k) in enumerate(zip(got, exact)):
+        assert abs(Fraction(value) - sum_k) <= 4 * k * 2.0**-53 * sum_k
+
+
+@pytest.mark.parametrize("q", [Fraction(1, 2), Fraction(5, 3), Fraction(-3, 7)])
+def test_q_ints_are_exact_at_rational_q(q):
+    got = qnum.q_ints(12, q)
+    assert all(isinstance(v, Fraction) for v in got)
+    assert got == [(1 - q**k) / (1 - q) for k in range(13)]
+
+
+@pytest.mark.parametrize("one", [1, 1.0, Fraction(1)])
+def test_q_ints_at_q_one_are_the_integers(one):
+    got = qnum.q_ints(16, one)
+    assert got == list(range(17))
+    assert all(type(v) is type(one) for v in got)

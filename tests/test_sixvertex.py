@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 import oracles
 from integrable import sixvertex, ybe
 from integrable.errors import ParameterError
-from integrable.qnum import q_binomial
 from integrable.sixvertex import (
     InconsistentBoundary,
     PoleInSpectralLadder,
@@ -107,9 +106,12 @@ def _loop_recurrence(l, m, z, q):
     for c in range(2, l + 1):
         one = sixvertex.higher_spin_base_weights(m, z * q ** (2 * (c - 1)), q).table
         W = np.zeros((c + 1, m + 1, c + 1, m + 1), dtype=np.result_type(z, q, float))
+        # Q-integers [n] = 1 + Q + ... + Q^(n-1); the Q-binomial ratios are
+        # C(c-1, j1)/C(c, j1) = [c-j1]/[c], C(c-1, j1-1)/C(c, j1) = [j1]/[c]
+        qint = [sum(Q**i for i in range(n)) for n in range(c + 1)]
         for j1 in range(c + 1):
-            p0 = q_binomial(c - 1, j1, Q) / q_binomial(c, j1, Q)
-            p1 = Q ** (c - j1) * q_binomial(c - 1, j1 - 1, Q) / q_binomial(c, j1, Q)
+            p0 = qint[c - j1] / qint[c]
+            p1 = Q ** (c - j1) * qint[j1] / qint[c]
             for k1 in range(m + 1):
                 for j2 in range(c + 1):
                     for k2 in range(m + 1):
@@ -413,12 +415,23 @@ def _six_vertex_with_bad_row():
     return sixvertex.VertexWeights(table)
 
 
-def test_unreached_bad_row_is_not_checked():
-    # no arrows enter: every vertex reads row (0, 0)
-    c = sixvertex.sample_lattice(_six_vertex_with_bad_row(), 6, 5,
+def test_unreached_bad_row_is_refused():
+    # no arrows enter, so every vertex would read row (0, 0); the table is
+    # refused before the sweep all the same
+    with pytest.raises(InconsistentBoundary,
+                       match=r"weight row \(1,1\) sums to 2.0 or has a negative "
+                             "entry; it is not a probability law"):
+        sixvertex.sample_lattice(_six_vertex_with_bad_row(), 6, 5,
                                  boundary_left=(0,) * 5, boundary_bottom=(0,) * 6)
-    assert c.conservation_violation() == 0
-    assert not c.j_out.any() and not c.k_out.any()
+
+
+def test_first_bad_row_is_named():
+    # rows (0, 1) and (1, 0) are both bad; (0, 1) comes first
+    table = sixvertex.six_vertex_weights(0.4, 0.7).table.copy()
+    table[1, 0, 1, 0] = -0.5
+    table[0, 1, 0, 1] = 0.5
+    with pytest.raises(InconsistentBoundary, match=r"weight row \(0,1\) sums to 1.1"):
+        sixvertex.sample_lattice(sixvertex.VertexWeights(table), 2, 2)
 
 
 def test_reached_bad_row_raises():
@@ -517,9 +530,11 @@ def test_tables_past_the_key_range_are_refused():
     with pytest.raises(ParameterError, match="at most 1023 input pairs"):
         sixvertex.sample_lattice(sixvertex.VertexWeights(np.zeros((32, 32, 32, 32))),
                                  2, 2)
-    # 1023 input pairs draw from the last row, whose keys reach 1023 * 2^53
+    # 1023 input pairs draw from the last row, whose keys reach 1023 * 2^53;
+    # every row is a law, each sending its arrows straight on
     table = np.zeros((31, 33, 31, 33))
-    table[30, 32, 30, 32] = 1.0
+    j, k = np.indices((31, 33))
+    table[j, k, j, k] = 1.0
     c = sixvertex.sample_lattice(sixvertex.VertexWeights(table), 2, 2,
                                  boundary_left=(30, 30), boundary_bottom=(32, 32))
     assert (c.j_out == 30).all() and (c.k_out == 32).all()

@@ -8,7 +8,7 @@ import pytest
 
 from integrable import cli, uqsl2, ybe
 from integrable.errors import ParameterError
-from integrable.tensor import StateSpaceTooLarge, embed, kron
+from integrable.tensor import StateSpaceTooLarge, embed
 
 import oracles
 
@@ -46,10 +46,10 @@ def coproduct(rl, rm, gen):
     Delta(e) = K (x) E + E (x) 1,  Delta(f) = 1 (x) F + F (x) K^{-1},
     Delta(k) = K (x) K."""
     if gen == "e":
-        return kron(rl.K, rm.E) + kron(rl.E, np.eye(rm.dim))
+        return np.kron(rl.K, rm.E) + np.kron(rl.E, np.eye(rm.dim))
     if gen == "f":
-        return kron(np.eye(rl.dim), rm.F) + kron(rl.F, rm.Kinv)
-    return kron(rl.K, rm.K)
+        return np.kron(np.eye(rl.dim), rm.F) + np.kron(rl.F, rm.Kinv)
+    return np.kron(rl.K, rm.K)
 
 
 def opposite_coproduct(rl, rm, gen):
