@@ -24,12 +24,12 @@ def main() -> int:
 
     w = sixvertex.six_vertex_weights(args.b1, args.b2)
     # All reps in one sweep: rep r is the lattice of seed args.seed + r.
-    batch = sixvertex.sample_lattices(
+    batch = sixvertex.sample_lattice(
         w, args.width, args.height,
         boundary_left=(1,) * args.height, boundary_bottom=(0,) * args.width,
         seeds=range(args.seed, args.seed + args.reps),
     )
-    mean = np.mean([batch.lattice(r).top_height_profile() for r in range(args.reps)], axis=0)
+    mean = batch.top_height_profile().mean(axis=0)
 
     print("x,mean_height")
     for x, h in enumerate(mean):

@@ -324,18 +324,18 @@ _BOUNDARIES = {"step": 1, "empty": 0}
 
 
 def _sample6v(args) -> Run:
-    config = sixvertex.sample_lattice(
+    lattice = sixvertex.sample_lattice(
         sixvertex.six_vertex_weights(args.b1, args.b2), args.width, args.height,
         boundary_left=(_BOUNDARIES[args.boundary],) * args.height,
-        boundary_bottom=(0,) * args.width, seed=args.seed,
+        boundary_bottom=(0,) * args.width, seeds=(args.seed,),
     )
     return Run(
         "sample6v",
         {"b1": args.b1, "b2": args.b2, "width": args.width, "height": args.height,
          "seed": args.seed, "boundary": args.boundary},
         {},
-        {"conservation": config.conservation_violation()},
-        table=config.to_csv,
+        {"conservation": lattice.conservation_violation()},
+        table=lattice.to_csv,
     )
 
 
@@ -368,7 +368,8 @@ def _oscillator_hermite(args) -> Run:
 def _oscillator_fock(args) -> Run:
     f = oscillator.truncated_fock(args.cutoff)
     return Run("oscillator fock", {"cutoff": args.cutoff}, {},
-               {"commutator": f.commutator_violation()})
+               {"commutator": oscillator.restricted_commutator_defect(
+                   f.a, f.adag, np.eye(args.cutoff), 1, args.cutoff)})
 
 
 def _oscillator_js(args) -> Run:

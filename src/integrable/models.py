@@ -246,11 +246,7 @@ def tw_start_nodes(y, x, t: float, q: float, n_quad: int | None = None) -> int:
     n-node trapezoid rule is exact on Laurent terms of degree below n in
     magnitude. An explicit `n_quad` replaces the floor.
     """
-    return _start_nodes(*_checked_positions(y, x, t, q), t, q, n_quad)
-
-
-def _start_nodes(y, x, t, q, n_quad):
-    """tw_start_nodes on positions already checked."""
+    y, x = _checked_positions(y, x, t, q)
     if n_quad is None:
         need = 2.0 * math.e * t / tw_radius(q, len(y)) + max(
             (abs(b - a) for a in y for b in x), default=0)
@@ -315,7 +311,7 @@ def tw_transition_probability(
     `truncation_bound`, the bound on their relative truncation error.
     """
     y, x = _checked_positions(y, x, t, q)
-    n_quad = _start_nodes(y, x, t, q, n_quad)
+    n_quad = tw_start_nodes(y, x, t, q, n_quad)
     last = max(TW_MAX_NODES, 2 * n_quad)
     schedule, changes = [], []
     # The first block holds every count the rule needs before it can accept:

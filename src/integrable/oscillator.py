@@ -66,11 +66,6 @@ class TruncatedFock:
     adag: np.ndarray
     number_op: np.ndarray
 
-    def commutator_violation(self) -> float:
-        """max |[a, a'] - 1| away from the top level."""
-        C = self.a @ self.adag - self.adag @ self.a - np.eye(self.cutoff)
-        return float(np.max(np.abs(C[: self.cutoff - 1, : self.cutoff - 1])))
-
 
 def truncated_fock(cutoff: int) -> TruncatedFock:
     """Ladder pair with a|n> = sqrt(n)|n-1>, a'|n> = sqrt(n+1)|n+1>."""
@@ -107,7 +102,7 @@ def jordan_schwinger(mat: np.ndarray, cutoff: int) -> np.ndarray:
     return total
 
 
-def _restricted_commutator_defect(ja, jb, jc, n_modes: int, cutoff: int) -> float:
+def restricted_commutator_defect(ja, jb, jc, n_modes: int, cutoff: int) -> float:
     """max |[ja, jb] - jc| on the states of n_modes modes with total
     occupation <= cutoff - 2, the inner sum taken over every state."""
     occupation = np.indices((cutoff,) * n_modes).sum(axis=0).ravel()
@@ -136,6 +131,6 @@ def sl2_js_violation(cutoff: int) -> float:
     built, times 2, -2 or 1. Those scalings are exact, so the value is the
     pairwise one bit for bit."""
     js = {name: jordan_schwinger(M, cutoff) for name, M in SL2_BASIS.items()}
-    return max(_restricted_commutator_defect(js[a], js[b], scale * js[c], 2, cutoff)
+    return max(restricted_commutator_defect(js[a], js[b], scale * js[c], 2, cutoff)
                for a, b, scale, c in (("h", "e", 2.0, "e"), ("h", "f", -2.0, "f"),
                                       ("e", "f", 1.0, "h")))

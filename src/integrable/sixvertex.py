@@ -3,6 +3,10 @@ batch of seeds, and fusion of the spin-1/2 weights to higher-spin vertex
 weights by a recurrence. The recurrence's oracle, an exact closed-form
 single sum, lives in the test suite (tests/oracles.py).
 
+A sampled batch is its draws (Lattices): one integer code per vertex that
+names its input pair and its output, from which the arrows, the boundary
+data, the CSV and the checks are all decoded.
+
 Weight tables are indexed W[j1, k1, j2, k2]: j counts horizontal arrows
 (j1 in from the left, j2 out to the right, both at most l) and k counts
 vertical arrows (k1 in from the bottom, k2 out to the top, both at most m).
@@ -191,122 +195,88 @@ _KEY_ROW = 2**53 + 1
 MAX_INPUT_PAIRS = 1023
 
 
-# Most codes j1 k1 j2 k2 in base (largest count + 1) that LatticeConfig.to_csv
-# counts over: 32^4, so 8 MB of counts.
-_MAX_CSV_CODES = 2**20
+class Lattices(NamedTuple):
+    """Lattices sampled in one sweep, one per seed. draws[s, y, x] is the
+    code p = r n + o that vertex (y, x) of seeds[s] drew (see
+    sample_lattice): its input pair r = j1 (m+1) + k1 and its output
+    o = j2 (m+1) + k2, with n = (l+1)(m+1). The arrows, the boundary data
+    and the shape are all read off the draws. It is a NamedTuple: a frozen
+    dataclass costs about 1 ms of import time."""
 
+    w: VertexWeights
+    draws: np.ndarray  # int32, shape (len(seeds), height, width)
+    seeds: tuple
 
-# The lattice types are NamedTuples: a frozen dataclass costs about 1 ms
-# of import time each.
-class LatticeConfig(NamedTuple):
-    """Sampled configuration: per-vertex arrow counts and metadata."""
-
-    width: int
-    height: int
-    j_in: np.ndarray  # horizontal input of each vertex, shape (height, width)
-    k_in: np.ndarray  # vertical input
-    j_out: np.ndarray
-    k_out: np.ndarray
-    seed: int
-    boundary_left: tuple
-    boundary_bottom: tuple
+    def arrows(self, draws=None) -> tuple:
+        """j1, k1, j2, k2 of the given draw codes, by default of every vertex."""
+        r, o = np.divmod(self.draws if draws is None else draws,
+                         (self.w.l + 1) * (self.w.m + 1))
+        return (*np.divmod(r, self.w.m + 1), *np.divmod(o, self.w.m + 1))
 
     def conservation_violation(self) -> int:
-        return int(
-            np.max(np.abs(self.j_in + self.k_in - self.j_out - self.k_out))
-        )
+        """Largest |j1 + k1 - j2 - k2| over the vertices."""
+        j1, k1, j2, k2 = self.arrows()
+        return int(np.max(np.abs(j1 + k1 - j2 - k2)))
 
     def top_height_profile(self) -> np.ndarray:
-        """Cumulative count of arrows leaving through the top edge."""
-        return np.cumsum(self.k_out[-1, :])
+        """Cumulative count of arrows leaving through the top edge, one row
+        per seed."""
+        return np.cumsum(self.arrows(self.draws[:, -1])[3], axis=1)
 
     def to_csv(self) -> str:
         """JSON header line, then one row per vertex in raster order:
-        x, y, j1, k1, j2, k2.
+        x, y, j1, k1, j2, k2. A batch of more than one seed raises
+        ParameterError.
 
         Each vertex is one fixed-width byte record of three NUL-padded
         fields: "x,", "y," and "j1,k1,j2,k2\n", the last one per distinct
-        arrow configuration of a vertex. The x field is filled by
-        broadcasting the row of x tokens, the y field by broadcasting the
-        column of y tokens and the last field by one gather of the
-        configuration tokens. The configurations are found by counting
-        their codes over the code range when it is at most _MAX_CSV_CODES,
-        that is for arrow counts below 32 (every fused table), and by
-        sorting the codes past it. The records lie in one bytearray behind
-        the header, and bytearray.translate deletes the padding: no token
-        holds a NUL. One ASCII decode then gives the text, so no Python
-        object is made per vertex and the peak is about twice the text."""
+        draw code. The x field is filled by broadcasting the row of x
+        tokens, the y field by broadcasting the column of y tokens and the
+        last field by one gather of the draw codes' tokens. The distinct
+        codes are found by counting the draws: they stay below n^2 <=
+        MAX_INPUT_PAIRS^2 < 2^20, so the counts take at most 8 MB. The
+        records lie in one bytearray behind the header, and
+        bytearray.translate deletes the padding: no token holds a NUL. One
+        ASCII decode then gives the text, so no Python object is made per
+        vertex and the peak is about twice the text."""
+        if len(self.seeds) != 1:
+            raise ParameterError(
+                f"to_csv writes one lattice, got a batch of {len(self.seeds)} seeds"
+            )
+        draws = self.draws[0]
+        height, width = draws.shape
         header = {
-            "seed": self.seed,
-            "width": self.width,
-            "height": self.height,
-            "boundary_left": list(self.boundary_left),
-            "boundary_bottom": list(self.boundary_bottom),
+            "seed": self.seeds[0],
+            "width": width,
+            "height": height,
+            "boundary_left": self.arrows(draws[:, 0])[0].tolist(),
+            "boundary_bottom": self.arrows(draws[0])[1].tolist(),
             "sampler": SAMPLER_VERSION,
         }
         head = ("# " + json.dumps(header, sort_keys=True) + "\n"
                 + "x,y,j1,k1,j2,k2\n").encode("ascii")
-        arrows = (self.j_in, self.k_in, self.j_out, self.k_out)
-        base = max(int(a.max()) for a in arrows) + 1  # counts are nonnegative
-        code = arrows[0].astype(np.int64)
-        for a in arrows[1:]:
-            code *= base
-            code += a
-        code = code.ravel()
-        if base**4 <= _MAX_CSV_CODES:
-            seen = np.bincount(code, minlength=base**4) > 0
-            kinds = np.flatnonzero(seen)
-            kind = (np.cumsum(seen) - 1)[code]
-        else:
-            kinds, kind = np.unique(code, return_inverse=True)
-        del code
+        seen = np.bincount(draws.ravel()) > 0
+        kinds = np.flatnonzero(seen)
+        kind = (np.cumsum(seen) - 1)[draws]
         kind_tokens = np.array(
             [f"{j1},{k1},{j2},{k2}\n".encode() for j1, k1, j2, k2
-             in np.transpose(np.unravel_index(kinds, (base,) * 4)).tolist()]
+             in zip(*(a.tolist() for a in self.arrows(kinds)))]
         )
-        x_tokens = np.array([f"{x},".encode() for x in range(self.width)])
-        y_tokens = np.array([f"{y},".encode() for y in range(self.height)])
+        x_tokens = np.array([f"{x},".encode() for x in range(width)])
+        y_tokens = np.array([f"{y},".encode() for y in range(height)])
         record = np.dtype([("x", x_tokens.dtype), ("y", y_tokens.dtype),
                            ("k", kind_tokens.dtype)])
-        buf = bytearray(len(head) + self.height * self.width * record.itemsize)
+        buf = bytearray(len(head) + height * width * record.itemsize)
         buf[:len(head)] = head
         rows = np.frombuffer(buf, dtype=record, offset=len(head))
-        rows = rows.reshape(self.height, self.width)
+        rows = rows.reshape(height, width)
         rows["x"] = x_tokens
         rows["y"] = y_tokens[:, np.newaxis]
-        rows["k"] = kind_tokens[kind.reshape(self.height, self.width)]
+        rows["k"] = kind_tokens[kind]
         del rows, kind  # rows holds buf: without it, del buf frees the records
         stripped = buf.translate(None, b"\0")
         del buf
         return stripped.decode("ascii")
-
-
-class LatticeBatch(NamedTuple):
-    """Lattices sampled in one sweep, one per seed: arrow arrays of shape
-    (len(seeds), height, width)."""
-
-    j_in: np.ndarray
-    k_in: np.ndarray
-    j_out: np.ndarray
-    k_out: np.ndarray
-    seeds: tuple
-    boundary_left: tuple
-    boundary_bottom: tuple
-
-    def lattice(self, i: int) -> LatticeConfig:
-        """The lattice of seeds[i]."""
-        height, width = self.j_in.shape[1:]
-        return LatticeConfig(
-            width=width,
-            height=height,
-            j_in=self.j_in[i],
-            k_in=self.k_in[i],
-            j_out=self.j_out[i],
-            k_out=self.k_out[i],
-            seed=self.seeds[i],
-            boundary_left=self.boundary_left,
-            boundary_bottom=self.boundary_bottom,
-        )
 
 
 def _philox_draws(seeds: np.ndarray, n: int) -> np.ndarray:
@@ -331,12 +301,12 @@ def _seed_array(seeds) -> np.ndarray:
     return s.astype(np.uint64)
 
 
-# Most vertices sampled in one call, over all seeds: at a peak of about 28
-# bytes per vertex (16 of them kept for the lattice) this is about 470 MB,
-# enough for four seeds at 2048^2. A sample6v call also writes its one
-# lattice as CSV, whose writer peaks at about 36 bytes per vertex above the
-# 16 kept: the call peaked at 246 MB RSS at 2048^2, which scales to about
-# 0.9 GB at the cap, one seed at 4096^2.
+# Most vertices sampled in one call, over all seeds: at a sweep peak of
+# about 16 bytes per vertex (4 of them kept for the draws) this is about
+# 270 MB, enough for four seeds at 2048^2. A sample6v call also writes its
+# one lattice as CSV, whose writer peaks at about 36 bytes per vertex above
+# the 4 kept: the call peaked at 192 MB RSS at 2048^2, which scales to about
+# 0.65 GB at the cap, one seed at 4096^2.
 MAX_VERTICES = 2**24
 
 
@@ -355,14 +325,14 @@ def _inverse_cdf_table(rows: np.ndarray) -> np.ndarray:
     return thresholds.astype(np.int64)
 
 
-def sample_lattices(
+def sample_lattice(
     w: VertexWeights,
     width: int,
     height: int,
     boundary_left=None,
     boundary_bottom=None,
     seeds=(0,),
-) -> LatticeBatch:
+) -> Lattices:
     """Sample one lattice per seed in a single anti-diagonal sweep.
 
     A vertex's inputs are its left and lower neighbours' outputs, so every
@@ -381,7 +351,7 @@ def sample_lattices(
     whole diagonal is drawn by one search: the number of keys at most
     r (2^53 + 1) + ku is p = r n_out + o, the input pair and the drawn
     output o = j2 (m+1) + k2 at once. Lookup tables on p give the next
-    diagonal's inputs, and the lattice is decoded from p after the sweep.
+    diagonal's inputs, and the p of every vertex are the Lattices' draws.
 
     More than MAX_VERTICES vertices over all seeds raise StateSpaceTooLarge
     and a table with more than MAX_INPUT_PAIRS input pairs raises
@@ -459,37 +429,4 @@ def sample_lattices(
         swept[at] = p
         H[y0:y1] = to_right[p]
         V[y0 + 1:y1 + 1] = to_top[p]
-    del ku
-
-    # J[:, y, x] is the horizontal input of vertex (y, x) and J[:, y, x + 1]
-    # its output; K[:, y, x] and K[:, y + 1, x] likewise vertically.
-    J = np.empty((batch, height, width + 1), dtype=int)
-    K = np.empty((batch, height + 1, width), dtype=int)
-    J[:, :, 0] = boundary_left
-    K[:, 0, :] = boundary_bottom
-    p_at = p_at.reshape(batch, height, width)
-    J[:, :, 1:] = j2[p_at]
-    K[:, 1:, :] = k2[p_at]
-    return LatticeBatch(
-        j_in=J[:, :, :-1],
-        k_in=K[:, :-1, :],
-        j_out=J[:, :, 1:],
-        k_out=K[:, 1:, :],
-        seeds=tuple(seeds.tolist()),
-        boundary_left=boundary_left,
-        boundary_bottom=boundary_bottom,
-    )
-
-
-def sample_lattice(
-    w: VertexWeights,
-    width: int,
-    height: int,
-    boundary_left=None,
-    boundary_bottom=None,
-    seed: int = 0,
-) -> LatticeConfig:
-    """One lattice: the batch of one seed of sample_lattices."""
-    return sample_lattices(
-        w, width, height, boundary_left, boundary_bottom, seeds=(seed,)
-    ).lattice(0)
+    return Lattices(w, p_at.reshape(batch, height, width), tuple(seeds.tolist()))

@@ -443,8 +443,9 @@ def universal_r(rl: uqsl2.RepM, rm: uqsl2.RepM) -> np.ndarray:
     # float power, not numpy's, which can differ in the last digit.
     cartan = np.array([q ** (wa * wb / 2.0) for wa in wl for wb in wm])
     denom = q - 1.0 / q
+    # [i] = (q^i - q^-i) / (q - q^-1) from Python's float powers
+    qf = float(q)
     n = min(rl.m, rm.m)
-    _, qint = uqsl2._q_tables(q, n, float)
     Fi, Ei = np.eye(d1), np.eye(d2)
     total = kron(Fi, Ei)  # the i = 0 term, with coefficient 1
     qfact = 1.0
@@ -452,7 +453,7 @@ def universal_r(rl: uqsl2.RepM, rm: uqsl2.RepM) -> np.ndarray:
     for i in range(1, n + 1):
         Fi = rl.F @ Fi
         Ei = rm.E @ Ei
-        qfact *= qint[i + n]
+        qfact *= (qf**i - qf**-i) / denom
         coeff = denom**i * q ** (i * (i - 1) / 2.0) / qfact
         total = total + coeff * kron(Fi, Ei)
     return cartan[:, None] * total

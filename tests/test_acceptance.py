@@ -333,21 +333,21 @@ def test_criterion_9_sampler_statistics():
     n = 100_000
     # iid single-vertex draws: a 1x1 lattice per seed, conditioned on each
     # nontrivial input state, all seeds in one batched sweep
-    up = sixvertex.sample_lattices(
+    up = sixvertex.sample_lattice(
         w, 1, 1, boundary_left=(0,), boundary_bottom=(1,), seeds=range(n)
     )
-    counts_up = int(np.sum(up.k_out[:, 0, 0] == 1))
-    right = sixvertex.sample_lattices(
+    counts_up = int(np.sum(up.arrows()[3] == 1))
+    right = sixvertex.sample_lattice(
         w, 1, 1, boundary_left=(1,), boundary_bottom=(0,), seeds=range(n, 2 * n)
     )
-    counts_right = int(np.sum(right.j_out[:, 0, 0] == 1))
+    counts_right = int(np.sum(right.arrows()[2] == 1))
     dev1 = abs(counts_up / n - b1) / math.sqrt(b1 * (1 - b1) / n)
     dev2 = abs(counts_right / n - b2) / math.sqrt(b2 * (1 - b2) / n)
     a = sixvertex.sample_lattice(
-        w, 20, 20, boundary_left=(1,) * 20, boundary_bottom=(0,) * 20, seed=11
+        w, 20, 20, boundary_left=(1,) * 20, boundary_bottom=(0,) * 20, seeds=(11,)
     ).to_csv()
     b = sixvertex.sample_lattice(
-        w, 20, 20, boundary_left=(1,) * 20, boundary_bottom=(0,) * 20, seed=11
+        w, 20, 20, boundary_left=(1,) * 20, boundary_bottom=(0,) * 20, seeds=(11,)
     ).to_csv()
     ok = dev1 <= 4.0 and dev2 <= 4.0 and a == b
     _line(9, "sampler statistics", ok,

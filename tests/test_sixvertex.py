@@ -196,29 +196,28 @@ def test_fusion_refuses_capacities_beyond_the_cap():
 def test_sampler_conserves_arrows_and_respects_boundary():
     w = sixvertex.six_vertex_weights(0.4, 0.7)
     c = sixvertex.sample_lattice(
-        w, 8, 6, boundary_left=(1,) * 6, boundary_bottom=(0,) * 8, seed=5
+        w, 8, 6, boundary_left=(1,) * 6, boundary_bottom=(0,) * 8, seeds=(5,)
     )
+    assert c.draws.shape == (1, 6, 8) and c.draws.dtype == np.int32
     assert c.conservation_violation() == 0
-    assert tuple(c.j_in[:, 0]) == (1,) * 6
-    assert tuple(c.k_in[0, :]) == (0,) * 8
+    j_in, k_in, _, _ = c.arrows()
+    assert tuple(j_in[0, :, 0]) == (1,) * 6
+    assert tuple(k_in[0, 0, :]) == (0,) * 8
 
 
 def test_sampler_seed_reproducibility():
     w = sixvertex.six_vertex_weights(0.4, 0.7)
-    a = sixvertex.sample_lattice(w, 10, 10, seed=42)
-    b = sixvertex.sample_lattice(w, 10, 10, seed=42)
-    assert np.array_equal(a.j_out, b.j_out)
-    assert np.array_equal(a.k_out, b.k_out)
-    c = sixvertex.sample_lattice(w, 10, 10, seed=43)
-    assert not (
-        np.array_equal(a.j_out, c.j_out) and np.array_equal(a.k_out, c.k_out)
-    )
+    a = sixvertex.sample_lattice(w, 10, 10, seeds=(42,))
+    b = sixvertex.sample_lattice(w, 10, 10, seeds=(42,))
+    assert np.array_equal(a.draws, b.draws)
+    c = sixvertex.sample_lattice(w, 10, 10, seeds=(43,))
+    assert not np.array_equal(a.draws, c.draws)
 
 
 def test_sampler_rejects_inconsistent_boundary():
     w = sixvertex.six_vertex_weights(0.4, 0.7)
     with pytest.raises(InconsistentBoundary):
-        sixvertex.sample_lattice(w, 4, 4, boundary_left=(1, 1), seed=0)
+        sixvertex.sample_lattice(w, 4, 4, boundary_left=(1, 1), seeds=(0,))
     with pytest.raises(InconsistentBoundary):
         sixvertex.sample_lattice(
             w, 4, 4, boundary_left=(2, 0, 0, 0), boundary_bottom=(0,) * 4
@@ -228,42 +227,61 @@ def test_sampler_rejects_inconsistent_boundary():
 def test_height_profile_monotone():
     w = sixvertex.six_vertex_weights(0.4, 0.7)
     c = sixvertex.sample_lattice(
-        w, 8, 8, boundary_left=(1,) * 8, boundary_bottom=(0,) * 8, seed=1
+        w, 8, 8, boundary_left=(1,) * 8, boundary_bottom=(0,) * 8, seeds=(1,)
     )
     h = c.top_height_profile()
+    assert h.shape == (1, 8)
     assert np.all(np.diff(h) >= 0)
+    assert np.array_equal(h[0], np.cumsum(c.arrows()[3][0, -1]))
 
 
 def test_csv_round_trip_header():
     w = sixvertex.six_vertex_weights(0.4, 0.7)
-    c = sixvertex.sample_lattice(w, 3, 2, seed=9)
+    c = sixvertex.sample_lattice(w, 3, 2, seeds=(9,))
     text = c.to_csv()
     header = json.loads(text.splitlines()[0][2:])
     assert header["seed"] == 9
     assert header["width"] == 3 and header["height"] == 2
+    # the default boundary: no arrow from the left, m from the bottom
+    assert header["boundary_left"] == [0, 0]
+    assert header["boundary_bottom"] == [1, 1, 1]
 
 
-def _reference_csv(c):
+def test_csv_refuses_a_batch_of_more_than_one_seed():
+    w = sixvertex.six_vertex_weights(0.4, 0.7)
+    with pytest.raises(ParameterError, match="a batch of 2 seeds"):
+        sixvertex.sample_lattice(w, 3, 2, seeds=(9, 10)).to_csv()
+
+
+def _reference_csv(seed, left, bottom, arrays):
     """The per-vertex f-string writer that to_csv replaced, kept as its
-    byte oracle."""
+    byte oracle, on the arrows of the raster loop."""
+    height, width = arrays["j_in"].shape
     header = {
-        "seed": c.seed,
-        "width": c.width,
-        "height": c.height,
-        "boundary_left": list(c.boundary_left),
-        "boundary_bottom": list(c.boundary_bottom),
+        "seed": seed,
+        "width": width,
+        "height": height,
+        "boundary_left": list(left),
+        "boundary_bottom": list(bottom),
         "sampler": sixvertex.SAMPLER_VERSION,
     }
     buf = io.StringIO()
     buf.write("# " + json.dumps(header, sort_keys=True) + "\n")
     buf.write("x,y,j1,k1,j2,k2\n")
-    for y in range(c.height):
-        for x in range(c.width):
+    for y in range(height):
+        for x in range(width):
             buf.write(
-                f"{x},{y},{c.j_in[y, x]},{c.k_in[y, x]},"
-                f"{c.j_out[y, x]},{c.k_out[y, x]}\n"
+                f"{x},{y},{arrays['j_in'][y, x]},{arrays['k_in'][y, x]},"
+                f"{arrays['j_out'][y, x]},{arrays['k_out'][y, x]}\n"
             )
     return buf.getvalue()
+
+
+def _csv_and_reference(w, width, height, left, bottom, seed):
+    text = sixvertex.sample_lattice(w, width, height, left, bottom,
+                                    seeds=(seed,)).to_csv()
+    arrays = _raster_loop(w, width, height, left, bottom, seed)
+    return text, _reference_csv(seed, left, bottom, arrays)
 
 
 # 1001 x 3 puts x tokens of 1 to 4 digits in one row.
@@ -272,16 +290,15 @@ def _reference_csv(c):
 def test_csv_writer_matches_per_vertex_oracle(size):
     width, height = size
     w = sixvertex.six_vertex_weights(0.4, 0.7)
-    c = sixvertex.sample_lattice(w, width, height, boundary_left=(1,) * height,
-                                 boundary_bottom=(0,) * width, seed=21)
-    assert c.to_csv() == _reference_csv(c)
+    text, reference = _csv_and_reference(w, width, height, (1,) * height,
+                                         (0,) * width, 21)
+    assert text == reference
 
 
 def test_csv_writer_matches_oracle_on_a_fused_lattice():
     w = sixvertex.fused_weights_recurrence(2, 2, 0.2, 1.5)
-    c = sixvertex.sample_lattice(w, 9, 6, boundary_left=(w.l,) * 6,
-                                 boundary_bottom=(0,) * 9, seed=5)
-    assert c.to_csv() == _reference_csv(c)
+    text, reference = _csv_and_reference(w, 9, 6, (w.l,) * 6, (0,) * 9, 5)
+    assert text == reference
 
 
 def test_csv_writer_peak_is_at_most_four_times_the_csv():
@@ -289,7 +306,7 @@ def test_csv_writer_peak_is_at_most_four_times_the_csv():
     # the CSV's length; fixed-width byte records at about 2.
     w = sixvertex.six_vertex_weights(0.4, 0.7)
     c = sixvertex.sample_lattice(w, 512, 512, boundary_left=(1,) * 512,
-                                 boundary_bottom=(0,) * 512, seed=3)
+                                 boundary_bottom=(0,) * 512, seeds=(3,))
     tracemalloc.start()
     try:
         text = c.to_csv()
@@ -299,12 +316,27 @@ def test_csv_writer_peak_is_at_most_four_times_the_csv():
     assert peak <= 4 * len(text)
 
 
+def _spread_table(l, m):
+    """A conserving stochastic table on capacities (l, m): each input pair
+    sends its arrows to every conserving output with equal weight."""
+    table = np.zeros((l + 1, m + 1, l + 1, m + 1))
+    for j1, k1, j2 in np.ndindex(l + 1, m + 1, l + 1):
+        if 0 <= j1 + k1 - j2 <= m:
+            table[j1, k1, j2, j1 + k1 - j2] = 1.0
+    return sixvertex.VertexWeights(table / table.sum(axis=(2, 3), keepdims=True))
+
+
 def test_csv_writer_matches_oracle_on_multi_digit_counts():
+    # vertical capacity 40: counts of two digits, and l != m, so that the
+    # draw codes' split by m + 1 is told apart from one by l + 1
+    w = _spread_table(1, 40)
     rng = np.random.default_rng(4)
-    arrows = [rng.integers(0, 120, size=(5, 7)) for _ in range(4)]
-    c = sixvertex.LatticeConfig(7, 5, *arrows, seed=2**40, boundary_left=(3,) * 5,
-                                boundary_bottom=(11,) * 7)
-    assert c.to_csv() == _reference_csv(c)
+    left = tuple(rng.integers(0, 2, size=5).tolist())
+    bottom = tuple(rng.integers(0, 41, size=7).tolist())
+    text, reference = _csv_and_reference(w, 7, 5, left, bottom, 2**40)
+    assert text == reference
+    counts = [int(v) for line in text.splitlines()[2:] for v in line.split(",")[2:]]
+    assert max(counts) >= 10 and min(counts) == 0
 
 
 # The sampler's integer draws, scaled by 2^-53, are Generator.random's.
@@ -323,14 +355,14 @@ def test_vertex_cap_counts_every_seed():
     w = sixvertex.six_vertex_weights(0.4, 0.7)
     assert 4 * 2048 * 2048 <= sixvertex.MAX_VERTICES < 5 * 2048 * 2048
     with pytest.raises(StateSpaceTooLarge):
-        sixvertex.sample_lattices(w, 2048, 2048, seeds=range(5))
+        sixvertex.sample_lattice(w, 2048, 2048, seeds=range(5))
 
 
 @pytest.mark.parametrize("bad_seeds", [[-1], [2**64], [], [1.5], 3])
 def test_seeds_outside_uint64_are_refused(bad_seeds):
     w = sixvertex.six_vertex_weights(0.4, 0.7)
     with pytest.raises(ParameterError):
-        sixvertex.sample_lattices(w, 2, 2, seeds=bad_seeds)
+        sixvertex.sample_lattice(w, 2, 2, seeds=bad_seeds)
 
 
 @pytest.mark.parametrize("weights", [
@@ -338,14 +370,20 @@ def test_seeds_outside_uint64_are_refused(bad_seeds):
     sixvertex.fused_weights_recurrence(2, 2, 0.2, 1.5),
 ])
 def test_batch_member_equals_single_seed_call(weights):
+    # member i of a batch is the one-seed batch of seeds[i], in its draws,
+    # its arrows, its height profile and its CSV bytes
     left, bottom = (weights.l,) * 6, (0,) * 9
     seeds = (11, 3, 2**40, 11)
-    batch = sixvertex.sample_lattices(weights, 9, 6, left, bottom, seeds=seeds)
+    batch = sixvertex.sample_lattice(weights, 9, 6, left, bottom, seeds=seeds)
+    assert batch.seeds == seeds and batch.draws.shape == (4, 6, 9)
+    profiles = batch.top_height_profile()
     for i, seed in enumerate(seeds):
-        one = sixvertex.sample_lattice(weights, 9, 6, left, bottom, seed=seed)
-        member = batch.lattice(i)
-        for name in ("j_in", "k_in", "j_out", "k_out"):
-            assert np.array_equal(getattr(member, name), getattr(one, name))
+        one = sixvertex.sample_lattice(weights, 9, 6, left, bottom, seeds=(seed,))
+        assert np.array_equal(batch.draws[i], one.draws[0])
+        for member, single in zip(batch.arrows(), one.arrows()):
+            assert np.array_equal(member[i], single[0])
+        assert np.array_equal(profiles[i], one.top_height_profile()[0])
+        member = sixvertex.Lattices(weights, batch.draws[i:i + 1], seeds[i:i + 1])
         assert member.to_csv() == one.to_csv()
 
 
@@ -386,9 +424,10 @@ def test_sampler_matches_exact_law(weights, width, height, left, bottom):
     law = _exact_law(weights, width, height, left, bottom)
     assert sum(law.values()) == pytest.approx(1.0, abs=1e-12)
     n = 20_000
-    batch = sixvertex.sample_lattices(weights, width, height, left, bottom,
-                                      seeds=range(1000, 1000 + n))
-    outs = np.stack([batch.j_out.reshape(n, -1), batch.k_out.reshape(n, -1)], axis=-1)
+    batch = sixvertex.sample_lattice(weights, width, height, left, bottom,
+                                     seeds=range(1000, 1000 + n))
+    _, _, j_out, k_out = batch.arrows()
+    outs = np.stack([j_out.reshape(n, -1), k_out.reshape(n, -1)], axis=-1)
     counts = {}
     for row in outs.tolist():
         key = tuple(map(tuple, row))
@@ -440,8 +479,8 @@ def test_reached_bad_row_raises():
     with pytest.raises(InconsistentBoundary,
                        match=r"weight row \(1,1\) sums to 2.0 or has a negative "
                              "entry; it is not a probability law"):
-        sixvertex.sample_lattices(_six_vertex_with_bad_row(), 4, 3, left, bottom,
-                                  seeds=range(5))
+        sixvertex.sample_lattice(_six_vertex_with_bad_row(), 4, 3, left, bottom,
+                                 seeds=range(5))
 
 
 def test_inverse_cdf_never_draws_a_zero_probability_output(monkeypatch):
@@ -475,8 +514,9 @@ def test_inverse_cdf_never_draws_a_zero_probability_output(monkeypatch):
                             lambda seeds, n: np.array([[th - 1, th]]))
         c = sixvertex.sample_lattice(sixvertex.six_vertex_weights(b1, 0.5), 1, 2,
                                      boundary_left=(0, 0), boundary_bottom=(1,))
-        assert c.k_out[:, 0].tolist() == [1, 0], b1
-        assert c.j_out[:, 0].tolist() == [0, 1], b1
+        _, _, j_out, k_out = c.arrows()
+        assert k_out[0, :, 0].tolist() == [1, 0], b1
+        assert j_out[0, :, 0].tolist() == [0, 1], b1
 
 
 def _raster_loop(w, width, height, left, bottom, seed):
@@ -508,7 +548,8 @@ def _raster_loop(w, width, height, left, bottom, seed):
     sixvertex.six_vertex_weights(0.4, 0.7),
     sixvertex.six_vertex_weights(0.35, 0.9),
     sixvertex.fused_weights_recurrence(2, 2, 0.2, 1.5),
-], ids=["6v", "6v-b", "spin2"])
+    sixvertex.higher_spin_base_weights(3, 0.2, 1.5),
+], ids=["6v", "6v-b", "spin2", "l1-m3"])
 @pytest.mark.parametrize("size", [(1, 1), (9, 6), (4, 13), (1, 7), (7, 1)])
 @pytest.mark.parametrize("boundary", ["default", "empty", "step"])
 def test_sweep_equals_the_raster_loop(weights, size, boundary):
@@ -518,11 +559,11 @@ def test_sweep_equals_the_raster_loop(weights, size, boundary):
                     "step": ((weights.l,) * height, (0,) * width)}[boundary]
     seeds = (0, 17, 2**40 + 3)
     arg = (None, None) if boundary == "default" else (left, bottom)
-    batch = sixvertex.sample_lattices(weights, width, height, *arg, seeds=seeds)
+    batch = sixvertex.sample_lattice(weights, width, height, *arg, seeds=seeds)
     for i, seed in enumerate(seeds):
         expected = _raster_loop(weights, width, height, left, bottom, seed)
-        for name, array in expected.items():
-            assert np.array_equal(getattr(batch, name)[i], array), (seed, name)
+        for (name, want), got in zip(expected.items(), batch.arrows()):
+            assert np.array_equal(got[i], want), (seed, name)
 
 
 def test_tables_past_the_key_range_are_refused():
@@ -537,4 +578,5 @@ def test_tables_past_the_key_range_are_refused():
     table[j, k, j, k] = 1.0
     c = sixvertex.sample_lattice(sixvertex.VertexWeights(table), 2, 2,
                                  boundary_left=(30, 30), boundary_bottom=(32, 32))
-    assert (c.j_out == 30).all() and (c.k_out == 32).all()
+    _, _, j_out, k_out = c.arrows()
+    assert (j_out == 30).all() and (k_out == 32).all()
