@@ -234,7 +234,7 @@ _VERIFY = {
 
 
 def _rep_check(args) -> Run:
-    res = uqsl2.check_relations(uqsl2.rep(args.m, args.q))
+    res = uqsl2.check_relations(args.m, args.q)
     return Run("rep-check", {"m": args.m, "q": args.q}, {}, res)
 
 

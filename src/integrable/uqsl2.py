@@ -6,8 +6,11 @@ On the (m+1)-dimensional representation with weight basis v_0..v_m:
     e v_k = [(q^{m-k} - q^{k-m}) / (q - q^{-1})] v_{k+1}
     f v_k = [(q^k - q^{-k}) / (q - q^{-1})] v_{k-1}
     h v_k = (2k - m) v_k,   K = q^h
-All powers q^{c h} are realized diagonally on the weight basis. A
-representation holds the arrays of e, f, K and K^{-1}.
+All powers q^{c h} are realized diagonally on the weight basis, and no
+matrix is built: `check_relations` evaluates each defining relation on the
+one diagonal where it can be nonzero, from the same q tables (`_q_tables`)
+as the universal-R check. The dense representation, one (m+1) x (m+1)
+array for each of e, f, K and K^{-1}, is the test suite's oracle.
 
 The universal R on V_l (x) V_m is checked by weight grading, in factored
 form R = C U (`universal_r_check`): C is diagonal, U maps the weight block
@@ -34,7 +37,6 @@ from __future__ import annotations
 import functools
 import math
 import numbers
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -47,69 +49,56 @@ class InvalidDeformation(ParameterError):
     pass
 
 
-@dataclass(frozen=True)
-class RepM:
-    """Spin-label m representation: matrices for e, f, K = q^h, K^{-1}."""
-
-    m: int
-    q: float
-    E: np.ndarray
-    F: np.ndarray
-    K: np.ndarray
-    Kinv: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return self.m + 1
-
-    @property
-    def weights(self) -> np.ndarray:
-        """Eigenvalues 2k - m of h on the weight basis."""
-        return 2 * np.arange(self.m + 1) - self.m
-
-
-def rep(m: int, q: float) -> RepM:
-    """Build the (m+1)-dimensional representation; m + 1 is checked
-    against the dense cap before any matrix is filled."""
-    if m < 0:
-        raise ParameterError(f"spin label must be nonnegative, got {m}")
+def _check_input(q, *labels) -> None:
+    """Check the spin labels and q, for both checks."""
+    if min(labels) < 0:
+        raise ParameterError(f"spin label{'s' * (len(labels) > 1)} must be nonnegative, "
+                             f"got {', '.join(map(str, labels))}")
     if q <= 0 or q == 1:
         raise InvalidDeformation(f"need q > 0 and q != 1, got {q}")
+
+
+def check_relations(m: int, q: float) -> dict:
+    """Max-norm residuals of the defining relations, the antipode
+    anti-homomorphism, and counit consistency on the trivial rep, on the
+    (m+1)-dimensional representation; m + 1 is checked against the dense
+    cap before anything is allocated. Each relation is evaluated on the one
+    diagonal of the weight basis where it can be nonzero, with the products
+    of the dense matrices in their order, so the residuals are theirs to
+    the bit (tests/oracles.py)."""
+    _check_input(q, m)
     state_space((m + 1,))
     powers, qint = _q_tables(q, m, float)
-    # e v_k = [m - k] v_(k+1) and f v_k = [k] v_(k-1), read from [1]..[m]
-    E = np.diag(qint[m + 1:][::-1], -1)
-    F = np.diag(qint[m + 1:], 1)
-    Kdiag = powers[::2]  # q^(2k - m)
-    return RepM(m=m, q=q, E=E, F=F, K=np.diag(Kdiag), Kinv=np.diag(1.0 / Kdiag))
-
-
-def check_relations(r: RepM) -> dict:
-    """Max-norm residuals of the defining relations, the antipode
-    anti-homomorphism, and counit consistency on the trivial rep."""
-    q = r.q
-    E, F, K, Kinv = r.E, r.F, r.K, r.Kinv
-    Id = np.eye(r.dim)
+    # e v_k = [m - k] v_(k+1), f v_(k+1) = [k + 1] v_k and K v_k = q^(2k - m) v_k
+    e, f, K = qint[m + 1:][::-1], qint[m + 1:], powers[::2]
+    Kinv = 1.0 / K
     denom = q - 1.0 / q
 
-    def norm(M):
-        return float(np.max(np.abs(M))) if M.size else 0.0
+    def norm(v):
+        return float(np.abs(v).max(initial=0.0))
 
-    res = {
-        "kek": norm(K @ E @ Kinv - q**2 * E),
-        "kfk": norm(K @ F @ Kinv - q**-2 * F),
-        "ef_commutator": norm(E @ F - F @ E - (K - Kinv) / denom),
-        "k_kinv": norm(K @ Kinv - Id),
-    }
-    # Antipode S(e) = -K^{-1} e, S(f) = -f K, S(K) = K^{-1}; being an
-    # anti-homomorphism it must reverse the commutation relation.
-    SE = -Kinv @ E
-    SF = -F @ K
-    res["antipode_commutator"] = norm(SF @ SE - SE @ SF - (Kinv - K) / denom)
-    res["antipode_kek"] = norm(K @ SE @ Kinv - q**2 * SE)
+    # the diagonals of the commutators, from products padded with a zero at
+    # each end: (E F)_kk = ef[k] and (F E)_kk = ef[k + 1]
+    ef, s = np.zeros(m + 2), np.zeros(m + 2)
+    with np.errstate(all="ignore"):
+        ef[1:-1] = e * f
+        res = {
+            "kek": norm(K[1:] * e * Kinv[:-1] - q**2 * e),
+            "kfk": norm(K[:-1] * f * Kinv[1:] - q**-2 * f),
+            "ef_commutator": norm(ef[:-1] - ef[1:] - (K - Kinv) / denom),
+            "k_kinv": norm(K * Kinv - 1.0),
+        }
+        # Antipode S(e) = -K^{-1} e, S(f) = -f K, S(K) = K^{-1}; being an
+        # anti-homomorphism it must reverse the commutation relation:
+        # (SE SF)_kk = s[k] and (SF SE)_kk = s[k + 1].
+        SE = -Kinv[1:] * e
+        SF = -f * K[1:]
+        s[1:-1] = SF * SE
+        res["antipode_commutator"] = norm(s[1:] - s[:-1] - (Kinv - K) / denom)
+        res["antipode_kek"] = norm(K[1:] * SE * Kinv[:-1] - q**2 * SE)
     # Counit: on the trivial (m=0) rep, e, f act as 0 and K as 1.
-    if r.m == 0:
-        res["counit"] = norm(E) + norm(F) + norm(K - Id)
+    if m == 0:
+        res["counit"] = norm(e) + norm(f) + norm(K - 1.0)
     return res
 
 
@@ -181,10 +170,7 @@ def _check_grid(l: int, m: int, q) -> None:
     """Check l, m and q, and the (a, b, k) grid's entry count against its
     cap, MAX_EXACT_GRID for a Fraction q and MAX_GRID otherwise, before
     anything is allocated on it."""
-    if l < 0 or m < 0:
-        raise ParameterError(f"spin labels must be nonnegative, got {l}, {m}")
-    if q <= 0 or q == 1:
-        raise InvalidDeformation(f"need q > 0 and q != 1, got {q}")
+    _check_input(q, l, m)
     cap = MAX_EXACT_GRID if _is_exact(q) else MAX_GRID
     if math.prod(_grid(l, m)) > cap:
         raise StateSpaceTooLarge(f"the {_grid(l, m)} grid exceeds {cap} entries")
@@ -252,9 +238,9 @@ def _plan(l: int, m: int) -> _Plan:
     return _weight_plan(l, m)
 
 
-def universal_r_weights(l: int, m: int, q) -> tuple:
-    """The universal R on V_l (x) V_m in factored form R = C U: C is the
-    diagonal q^(w_a w_b / 2), w_a = 2a - l and w_b = 2b - m, and U, unit
+def _weights(q, tables, plan: _Plan) -> tuple:
+    """The weights of the universal R on V_l (x) V_m, from its q tables and
+    plan. R is in factored form R = C U: C is the diagonal q^(w_a w_b / 2), w_a = 2a - l and w_b = 2b - m, and U, unit
     triangular on each weight block a + b = s, maps v_a (x) v_b to
     sum_i u[a, b, i] v_(a-i) (x) v_(b+i), for i <= min(l, m), with
         u(a, b, i) = c_i [a]!/[a-i]! [m-b]!/[m-b-i]!,
@@ -266,12 +252,6 @@ def universal_r_weights(l: int, m: int, q) -> tuple:
     exponent), u = mantissa * 2^exponent, with a nonzero mantissa in
     [0.5^i, 1). For a Fraction q they come exact, as an object array, with
     exponent 0."""
-    _check_grid(l, m, q)
-    return _weights(q, _tables(l, m, q), _plan(l, m))
-
-
-def _weights(q, tables, plan: _Plan) -> tuple:
-    """universal_r_weights from the q tables and the plan."""
     powers, qint = tables
     at_power, at_i, at_a, at_b = plan.ratio
     with np.errstate(all="ignore"):
@@ -288,9 +268,9 @@ def _weights(q, tables, plan: _Plan) -> tuple:
     return mantissa, exponent
 
 
-def intertwining_residuals(mantissa: np.ndarray, exponent: np.ndarray, q) -> dict:
+def _residuals(mantissa: np.ndarray, exponent: np.ndarray, tables, plan: _Plan) -> dict:
     """Residuals of U Delta(x) = Dt(x) U, for x in (e, f), on the weights u
-    of `universal_r_weights` (mantissa, exponent), on V_l (x) V_m. Here
+    of `_weights` (mantissa, exponent), on V_l (x) V_m. Here
     Dt(x) = C^-1 Delta'(x) C, Delta' is the coproduct with its legs swapped,
     and only integer powers of q appear:
         Delta(e) = K (x) E + E (x) 1,    Dt(e) = E (x) 1 + K^-1 (x) E,
@@ -307,12 +287,6 @@ def intertwining_residuals(mantissa: np.ndarray, exponent: np.ndarray, q) -> dic
     change of basis moves, and the largest |sum of terms|, the absolute
     residual in the weight basis, inf where it passes the float range.
     Fraction weights give both exactly, as Fractions."""
-    l, m = mantissa.shape[0] - 1, mantissa.shape[1] - 1
-    return _residuals(mantissa, exponent, _tables(l, m, q), _plan(l, m))
-
-
-def _residuals(mantissa: np.ndarray, exponent: np.ndarray, tables, plan: _Plan) -> dict:
-    """intertwining_residuals from the q tables and the plan."""
     l, m, side = mantissa.shape[0] - 1, mantissa.shape[1] - 1, mantissa.shape[2]
     exact = mantissa.dtype == object
     powers, qint = tables
@@ -359,9 +333,8 @@ def _finite_or_none(value):
 
 def universal_r_check(l: int, m: int, q) -> tuple:
     """The universal R's intertwining on V_l (x) V_m, block by weight block
-    in its factored form R = C U (see `universal_r_weights` and
-    `intertwining_residuals`); no dense R, Delta(x) or inverse is built.
-    K (x) K is constant on every block, so R commutes with Delta(k), and U
+    in its factored form R = C U (see `_weights` and `_residuals`); no
+    dense R, Delta(x) or inverse is built. K (x) K is constant on every block, so R commutes with Delta(k), and U
     is unit triangular, so R is invertible: both hold by construction.
 
     Returns (residuals, results): residuals holds the componentwise relative

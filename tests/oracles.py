@@ -23,10 +23,12 @@ The contour formula's scattering factor is checked against its dense
 n x n matrix on the trapezoid nodes (scattering_matrix), which the package
 never builds: it contracts low-rank factors of it (models._tw_factors).
 
-The universal R of U_q(sl2) is checked against its dense matrix on
-V_l (x) V_m (universal_r), built one numpy.kron at a time (kron); the
-package checks it by weight grading (uqsl2.universal_r_check) and never
-builds it.
+The representations of U_q(sl2) are checked against their dense
+matrices (rep): the defining relations by dense products (relations),
+which the package evaluates on the weight basis (uqsl2.check_relations),
+and the universal R on V_l (x) V_m (universal_r), built one numpy.kron at
+a time (kron); the package checks it by weight grading
+(uqsl2.universal_r_check) and never builds it.
 
 The fused vertex weights are checked against an exact closed-form single
 sum (fused_weights_closed_form), evaluated in Fraction arithmetic with
@@ -391,14 +393,78 @@ def kron(*mats) -> np.ndarray:
     return functools.reduce(np.kron, mats, np.eye(1))
 
 
+@dataclass(frozen=True)
+class RepM:
+    """Spin-label m representation: matrices for e, f, K = q^h, K^{-1}."""
+
+    m: int
+    q: float
+    E: np.ndarray
+    F: np.ndarray
+    K: np.ndarray
+    Kinv: np.ndarray
+
+    @property
+    def dim(self) -> int:
+        return self.m + 1
+
+    @property
+    def weights(self) -> np.ndarray:
+        """Eigenvalues 2k - m of h on the weight basis."""
+        return 2 * np.arange(self.m + 1) - self.m
+
+
+def rep(m: int, q: float) -> RepM:
+    """Build the (m+1)-dimensional representation; m + 1 is checked
+    against the dense cap before any matrix is filled."""
+    uqsl2._check_input(q, m)
+    state_space((m + 1,))
+    powers, qint = uqsl2._q_tables(q, m, float)
+    # e v_k = [m - k] v_(k+1) and f v_k = [k] v_(k-1), read from [1]..[m]
+    E = np.diag(qint[m + 1:][::-1], -1)
+    F = np.diag(qint[m + 1:], 1)
+    Kdiag = powers[::2]  # q^(2k - m)
+    return RepM(m=m, q=q, E=E, F=F, K=np.diag(Kdiag), Kinv=np.diag(1.0 / Kdiag))
+
+
+def relations(r: RepM) -> dict:
+    """uqsl2.check_relations by dense matrix products: max-norm residuals
+    of the defining relations, the antipode anti-homomorphism, and counit
+    consistency on the trivial rep."""
+    q = r.q
+    E, F, K, Kinv = r.E, r.F, r.K, r.Kinv
+    Id = np.eye(r.dim)
+    denom = q - 1.0 / q
+
+    def norm(M):
+        return float(np.max(np.abs(M))) if M.size else 0.0
+
+    res = {
+        "kek": norm(K @ E @ Kinv - q**2 * E),
+        "kfk": norm(K @ F @ Kinv - q**-2 * F),
+        "ef_commutator": norm(E @ F - F @ E - (K - Kinv) / denom),
+        "k_kinv": norm(K @ Kinv - Id),
+    }
+    # Antipode S(e) = -K^{-1} e, S(f) = -f K, S(K) = K^{-1}; being an
+    # anti-homomorphism it must reverse the commutation relation.
+    SE = -Kinv @ E
+    SF = -F @ K
+    res["antipode_commutator"] = norm(SF @ SE - SE @ SF - (Kinv - K) / denom)
+    res["antipode_kek"] = norm(K @ SE @ Kinv - q**2 * SE)
+    # Counit: on the trivial (m=0) rep, e, f act as 0 and K as 1.
+    if r.m == 0:
+        res["counit"] = norm(E) + norm(F) + norm(K - Id)
+    return res
+
+
 def uq_coproduct(L: int, q: float) -> tuple:
     """Delta^(L)(e), Delta^(L)(f) and K (x) ... (x) K of U_q(sl2) at
-    deformation sqrt(q) on L sites, each carrying uqsl2.rep(1, sqrt(q)):
+    deformation sqrt(q) on L sites, each carrying rep(1, sqrt(q)):
     the two-site coproduct Delta(e) = K (x) E + E (x) 1,
     Delta(f) = 1 (x) F + F (x) K^-1 iterated. The term of site x in
     Delta^(L)(e) has K on the sites before x and 1 after it; in
     Delta^(L)(f), 1 before and K^-1 after."""
-    r = uqsl2.rep(1, math.sqrt(q))
+    r = rep(1, math.sqrt(q))
     one = np.eye(2)
     e = sum(kron(*[r.K] * (x - 1), r.E, *[one] * (L - x)) for x in range(1, L + 1))
     f = sum(kron(*[one] * (x - 1), r.F, *[r.Kinv] * (L - x)) for x in range(1, L + 1))
@@ -417,7 +483,7 @@ class DeformationMismatch(ParameterError):
     pass
 
 
-def universal_r(rl: uqsl2.RepM, rm: uqsl2.RepM) -> np.ndarray:
+def universal_r(rl: RepM, rm: RepM) -> np.ndarray:
     """Evaluate the universal R on V_l (x) V_m.
 
     R = q^{(1/2) h (x) h} sum_{i>=0} (q - q^{-1})^i q^{i(i-1)/2} / [i]_q^~!

@@ -9,7 +9,7 @@ import math
 import numpy as np
 import pytest
 
-from integrable import cli, models, oscillator, sixvertex, uqsl2, ybe
+from integrable import cli, models, oscillator, sixvertex, ybe
 from integrable.models import AsepParams
 from integrable.sixvertex import PoleInSpectralLadder
 from integrable.tensor import embed, permutation_operator
@@ -96,7 +96,7 @@ def test_criterion_3_quantum_group_suite(capsys):
         verdicts.append(report["pass"])
         frt = max(frt, report["residuals"]["braided_ybe"])
         # no CLI family reaches the universal R's braid relation
-        r1 = uqsl2.rep(1, q)
+        r1 = oracles.rep(1, q)
         trip = max(
             trip,
             ybe.verify_braided_ybe(oracles.universal_r(r1, r1))["r_check_residual"],

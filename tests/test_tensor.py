@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from integrable import models, oscillator, sixvertex, tensor, uqsl2, ybe
+from integrable import models, oscillator, sixvertex, tensor, ybe
 from integrable.errors import ParameterError
 from integrable.tensor import (
     DimensionMismatch,
@@ -109,7 +109,7 @@ def test_a_stack_past_the_dense_cap_is_refused_before_allocation():
 
 
 def test_real_input_stays_real():
-    r1 = uqsl2.rep(2, 0.6)
+    r1 = oracles.rep(2, 0.6)
     at = np.array([0.4])
     ops = [
         permutation_operator(2, 3),
@@ -122,7 +122,7 @@ def test_real_input_stays_real():
             models.AsepParams(q=0.5, alpha=0.6, beta=0.4, L=2), True)),
         models.asep_bulk_w(0.5),
         r1.E, r1.F, r1.K, r1.Kinv,
-        oracles.universal_r(r1, uqsl2.rep(1, 0.6)),
+        oracles.universal_r(r1, oracles.rep(1, 0.6)),
         embed(np.kron(r1.K, r1.E), (2, 1), (3, 3)),
         oscillator.jordan_schwinger(np.array([[1.0, 2.0], [0.0, -1.0]]), 3),
     ]

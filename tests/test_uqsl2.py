@@ -1,10 +1,14 @@
 import itertools
+import json
 import math
 import tracemalloc
+import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from integrable import cli, uqsl2, ybe
 from integrable.errors import ParameterError
@@ -22,12 +26,36 @@ GRID_BYTES = 16 * 8
 @pytest.mark.parametrize("q", [0.3, 0.7, 1.5])
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
 def test_defining_relations(m, q):
-    res = uqsl2.check_relations(uqsl2.rep(m, q))
+    res = uqsl2.check_relations(m, q)
     assert max(res.values()) <= 1e-10, res
 
 
+@settings(max_examples=200, deadline=None)
+@given(m=st.integers(0, 16),
+       q=st.floats(0.05, 0.95) | st.floats(1.05, 20.0))
+@example(m=0, q=0.5)
+@example(m=16, q=0.3)
+@example(m=16, q=20.0)
+def test_relations_are_the_dense_oracles_to_the_bit(m, q):
+    # the same products in the same order, on the one diagonal where each
+    # relation can be nonzero; m = 0 adds the counit
+    assert uqsl2.check_relations(m, q) == oracles.relations(oracles.rep(m, q))
+
+
+@pytest.mark.parametrize("m, q", [("8", "1e30"), ("300", "0.3")])
+def test_rep_check_overflow_is_null_without_a_warning(capsys, m, q):
+    # the products pass the float range: null residuals, exit 1, and
+    # nothing on stderr
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = cli.main(["rep-check", "--m", m, "--q", q])
+    out, err = capsys.readouterr()
+    assert (code, err, caught) == (1, "", [])
+    assert None in json.loads(out)["residuals"].values()
+
+
 def test_rep_dimension_and_weights():
-    r = uqsl2.rep(3, 0.5)
+    r = oracles.rep(3, 0.5)
     assert r.dim == 4
     # K = q^h is diagonal with exponents m, m-2, ..., -m
     diag = np.diag(r.K).real
@@ -36,9 +64,9 @@ def test_rep_dimension_and_weights():
 
 def test_invalid_deformation_rejected():
     with pytest.raises(uqsl2.InvalidDeformation):
-        uqsl2.rep(2, 1.0)
+        uqsl2.check_relations(2, 1.0)
     with pytest.raises(uqsl2.InvalidDeformation):
-        uqsl2.rep(2, 0.0)
+        uqsl2.check_relations(2, 0.0)
 
 
 def coproduct(rl, rm, gen):
@@ -58,11 +86,16 @@ def opposite_coproduct(rl, rm, gen):
     return embed(coproduct(rm, rl, gen), (2, 1), (rl.dim, rm.dim))
 
 
+def graded_weights(l, m, q):
+    """The graded check's weights of U on V_l (x) V_m."""
+    return uqsl2._weights(q, uqsl2._tables(l, m, q), uqsl2._plan(l, m))
+
+
 def graded_r(l, m, q):
     """C U as a dense matrix, from the graded weights: R's column
     v_a (x) v_b holds c u(a, b, i) at v_(a-i) (x) v_(b+i), c the Cartan
     factor q^(w w' / 2) of that row."""
-    u = np.ldexp(*uqsl2.universal_r_weights(l, m, q))
+    u = np.ldexp(*graded_weights(l, m, q))
     R = np.zeros(((l + 1) * (m + 1),) * 2)
     for a, b, i in itertools.product(range(l + 1), range(m + 1), range(min(l, m) + 1)):
         if i <= a and b + i <= m:
@@ -72,7 +105,7 @@ def graded_r(l, m, q):
 
 
 def test_coproduct_vs_opposite_differ_generically():
-    r = uqsl2.rep(1, 0.6)
+    r = oracles.rep(1, 0.6)
     D = coproduct(r, r, "e")
     Dop = opposite_coproduct(r, r, "e")
     assert np.max(np.abs(D - Dop)) > 1e-3
@@ -84,7 +117,7 @@ def test_universal_r_intertwines(lm, q):
     # the dense oracle R Delta(x) = Delta'(x) R, x in (e, f, k), R invertible;
     # and the graded check on the same pair
     l, m = lm
-    rl, rm = uqsl2.rep(l, q), uqsl2.rep(m, q)
+    rl, rm = oracles.rep(l, q), oracles.rep(m, q)
     R = oracles.universal_r(rl, rm)
     for gen in "efk":
         D, Dop = coproduct(rl, rm, gen), opposite_coproduct(rl, rm, gen)
@@ -102,7 +135,7 @@ def test_universal_r_intertwines(lm, q):
 @pytest.mark.parametrize("l", range(7))
 def test_graded_factor_is_the_dense_r(l, q):
     for m in range(7):
-        R = oracles.universal_r(uqsl2.rep(l, q), uqsl2.rep(m, q))
+        R = oracles.universal_r(oracles.rep(l, q), oracles.rep(m, q))
         CU = graded_r(l, m, q)
         weight = np.add.outer(np.arange(l + 1), np.arange(m + 1)).ravel()
         off_block = weight[:, None] != weight[None, :]
@@ -130,7 +163,7 @@ def test_absolute_residual_past_the_float_range_is_none():
 
 
 def loop_weights(l, m, q):
-    """universal_r_weights one entry at a time: u(a, b, i) / u(a, b, i-1)
+    """The graded check's weights one entry at a time: u(a, b, i) / u(a, b, i-1)
     where i <= min(a, m - b), else 0, multiplied up over i; for a float q
     as (mantissa, exponent) by frexp at each step."""
     side = min(l, m) + 1
@@ -167,7 +200,7 @@ def test_weights_are_the_loop_reference(q):
     # A zero weight's exponent means nothing, so exponents are compared only
     # where the weight is nonzero.
     for l, m in SHAPES:
-        got, want = uqsl2.universal_r_weights(l, m, q), loop_weights(l, m, q)
+        got, want = graded_weights(l, m, q), loop_weights(l, m, q)
         assert got[0].shape == want[0].shape, (l, m)
         assert np.array_equal(_values(*got), _values(*want)), (l, m)
         nonzero = want[0] != 0
@@ -230,11 +263,11 @@ def test_exact_check_is_zero_and_sees_one_perturbed_weight(q):
     assert residuals == {"intertwine_e": 0.0, "intertwine_f": 0.0}
     assert results["absolute"] == residuals
     assert results["exact"] is True
-    mantissa, exponent = uqsl2.universal_r_weights(3, 4, q)
+    mantissa, exponent = graded_weights(3, 4, q)
     assert not any(isinstance(x, float) for x in mantissa.flat)
     assert not exponent.any()
     mantissa[2, 1, 1] *= 1 + Fraction(1, 10**12)
-    checked = uqsl2.intertwining_residuals(mantissa, exponent, q)
+    checked = uqsl2._residuals(mantissa, exponent, uqsl2._tables(3, 4, q), uqsl2._plan(3, 4))
     assert all(relative > 0 for relative, _ in checked.values())
 
 
@@ -253,12 +286,12 @@ def test_graded_check_rejects_bad_input():
 
 def test_deformation_mismatch_raises():
     with pytest.raises(oracles.DeformationMismatch):
-        oracles.universal_r(uqsl2.rep(1, 0.4), uqsl2.rep(1, 0.5))
+        oracles.universal_r(oracles.rep(1, 0.4), oracles.rep(1, 0.5))
 
 
 def test_braided_r_satisfies_braid_relation():
     # the braid relation of R-check = P o R
-    r = uqsl2.rep(1, 0.7)
+    r = oracles.rep(1, 0.7)
     assert ybe.verify_braided_ybe(oracles.universal_r(r, r))["r_check_residual"] <= 1e-12
 
 
@@ -266,7 +299,7 @@ def test_rep_beyond_the_dense_cap_allocates_nothing():
     tracemalloc.start()
     try:
         with pytest.raises(StateSpaceTooLarge):
-            uqsl2.rep(5000, 0.999)
+            uqsl2.check_relations(5000, 0.999)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -274,7 +307,7 @@ def test_rep_beyond_the_dense_cap_allocates_nothing():
 
 
 def test_universal_r_beyond_the_dense_cap_allocates_nothing():
-    rl = uqsl2.rep(1000, 0.999)
+    rl = oracles.rep(1000, 0.999)
     tracemalloc.start()
     try:
         with pytest.raises(StateSpaceTooLarge):
