@@ -366,10 +366,8 @@ def _oscillator_hermite(args) -> Run:
 
 
 def _oscillator_fock(args) -> Run:
-    f = oscillator.truncated_fock(args.cutoff)
     return Run("oscillator fock", {"cutoff": args.cutoff}, {},
-               {"commutator": oscillator.restricted_commutator_defect(
-                   f.a, f.adag, np.eye(args.cutoff), 1, args.cutoff)})
+               {"commutator": oscillator.fock_commutator_defect(args.cutoff)})
 
 
 def _oscillator_js(args) -> Run:

@@ -1,6 +1,8 @@
-"""Classical harmonic-oscillator toolkit: Hermite polynomials, ladder
-operators on a truncated Fock space, and the Jordan-Schwinger map sending a
-matrix M to sum_{ij} a_i' M_ij a_j on a multi-mode Fock space.
+"""Classical harmonic-oscillator toolkit: Hermite polynomials, and the
+commutators of the ladder operators on a truncated Fock space and of the
+Jordan-Schwinger map sending a matrix M to sum_{ij} a_i' M_ij a_j on two
+modes, evaluated on the occupation-number basis: no operator is built. The
+dense operators are the test suite's oracle (tests/oracles.py).
 
 Commutator identities hold exactly only away from the truncation edge: a'
 maps the top level out of the space, so every check restricts to states
@@ -9,14 +11,12 @@ with total occupation at most cutoff - 2.
 
 from __future__ import annotations
 
-import itertools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ParameterError
-from .tensor import embed, state_space
+from .tensor import state_space
 
 # Gaussian-weight orthogonality is checked by the trapezoid rule of step
 # 1/4 on [-10, 10], with exp(-x^2) folded into the weights. For
@@ -57,80 +57,50 @@ def hermite_gram(n: int) -> np.ndarray:
     return (table * TRAPEZOID_WEIGHTS) @ table.T
 
 
-@dataclass(frozen=True)
-class TruncatedFock:
-    """Single-mode ladder operators on the basis |0>, ..., |cutoff-1>."""
-
-    cutoff: int
-    a: np.ndarray
-    adag: np.ndarray
-    number_op: np.ndarray
-
-
-def truncated_fock(cutoff: int) -> TruncatedFock:
-    """Ladder pair with a|n> = sqrt(n)|n-1>, a'|n> = sqrt(n+1)|n+1>."""
+def _ladder(cutoff: int) -> np.ndarray:
+    """s = sqrt(0), ..., sqrt(cutoff - 1), the ladder pair's entries on the
+    basis |0>, ..., |cutoff-1>: a|n> = s[n]|n-1> and a'|n> = s[n+1]|n+1>."""
     if cutoff < 2:
         raise ParameterError(f"cutoff must be >= 2, got {cutoff}")
     state_space((cutoff,))
-    adag = np.zeros((cutoff, cutoff))
-    for n in range(cutoff - 1):
-        adag[n + 1, n] = np.sqrt(n + 1.0)
-    a = adag.T.copy()
-    return TruncatedFock(cutoff=cutoff, a=a, adag=adag, number_op=adag @ a)
+    return np.sqrt(np.arange(cutoff))
 
 
-def jordan_schwinger(mat: np.ndarray, cutoff: int) -> np.ndarray:
-    """Image of an n x n matrix under M -> sum_{ij} a_i' M_ij a_j on the
-    n-mode truncated Fock space (site dims all equal to cutoff): a_i' a_j
-    is embedded at sites (i, j), and a_i' a_i at site i."""
-    mat = np.asarray(mat)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise ParameterError(f"need a square matrix, got shape {mat.shape}")
-    n = mat.shape[0]
-    dims, total_dim = state_space((cutoff,) * n)
-    f = truncated_fock(cutoff)
-    hop = np.kron(f.adag, f.a)
-    total = np.zeros((total_dim, total_dim), dtype=np.result_type(mat, float))
-    for i, j in itertools.product(range(n), repeat=2):
-        if mat[i, j] == 0:
-            continue
-        if i == j:
-            term = embed(f.number_op, (i + 1,), dims)
-        else:
-            term = embed(hop, (i + 1, j + 1), dims)
-        total += mat[i, j] * term
-    return total
-
-
-def restricted_commutator_defect(ja, jb, jc, n_modes: int, cutoff: int) -> float:
-    """max |[ja, jb] - jc| on the states of n_modes modes with total
-    occupation <= cutoff - 2, the inner sum taken over every state."""
-    occupation = np.indices((cutoff,) * n_modes).sum(axis=0).ravel()
-    keep = np.flatnonzero(occupation <= cutoff - 2)
-    resid = ja[keep] @ jb[:, keep] - jb[keep] @ ja[:, keep] - jc[np.ix_(keep, keep)]
-    return float(np.max(np.abs(resid)))
-
-
-SL2_BASIS = {
-    "h": np.diag([1.0, -1.0]),
-    "e": np.array([[0.0, 1.0], [0.0, 0.0]]),
-    "f": np.array([[0.0, 0.0], [1.0, 0.0]]),
-}
+def fock_commutator_defect(cutoff: int) -> float:
+    """max |[a, a'] - 1| on the states |n> with n <= cutoff - 2: the
+    commutator is diagonal, N[n+1] - N[n] with N = s s the number
+    operator's diagonal (see `_ladder`)."""
+    s = _ladder(cutoff)
+    N = s * s
+    return float(np.abs(N[1:] - N[:-1] - 1.0).max())
 
 
 def sl2_js_violation(cutoff: int) -> float:
-    """The largest ‖[JS(a), JS(b)] - JS([a, b])‖, restricted to total number
-    <= cutoff - 2, over the sl2 pairs (a, b) = (h, e), (h, f) and (e, f).
+    """The largest |[JS(a), JS(b)] - JS([a, b])| over the sl2 pairs
+    (a, b) = (h, e), (h, f) and (e, f), on the two-mode states |k, l> with
+    k + l <= cutoff - 2, where the Jordan-Schwinger images are
+    h = N_1 - N_2, e = a_1' a_2 and f = a_2' a_1.
 
     The restriction is necessary: the raising operator leaks out of the
-    truncated space at the top shell. It is taken on the kept states, with
-    the inner sum over every state, so the value is exactly that of the
-    full commutator with the rest cut away. The value comes from the three
-    images JS(h), JS(e) and JS(f): JS is linear and [h, e] = 2e,
-    [h, f] = -2f, [e, f] = h, so JS of each commutator is an image already
-    built, times 2, -2 or 1. Those scalings are exact, so the value is the
-    pairwise one bit for bit."""
-    js = {name: jordan_schwinger(M, cutoff) for name, M in SL2_BASIS.items()}
-    return max(restricted_commutator_defect(js[a], js[b], scale * js[c], 2, cutoff)
-               for a, b, scale, c in (("h", "e", 2.0, "e"), ("h", "f", -2.0, "f"),
-                                      ("e", "f", 1.0, "h")))
+    truncated space at the top shell. Each generator moves |k, l> by at
+    most one quantum per mode, so each commutator is nonzero on one
+    diagonal only: with H = N[k] - N[l], e|k, l> = E|k+1, l-1> and
+    f|k, l> = F|k-1, l+1>, each residual is the one nonzero term of the
+    dense products, in their order (tests/oracles.py), so it is theirs to
+    the bit."""
+    state_space((cutoff,) * 2)
+    s = _ladder(cutoff)
+    # a zero past the top level, which N[k - 1] and N[l - 1] read at k = 0
+    # and l = 0, where F and E are 0
+    N = np.append(s * s, 0.0)
+    k, l = np.indices((cutoff - 1,) * 2).reshape(2, -1)
+    shell = k + l <= cutoff - 2
+    k, l = k[shell], l[shell]
+    H = N[k] - N[l]
+    E = s[k + 1] * s[l]
+    F = s[k] * s[l + 1]
+    return max(float(np.abs(v).max()) for v in (
+        (N[k + 1] - N[l - 1]) * E - E * H - 2.0 * E,
+        (N[k - 1] - N[l + 1]) * F - F * H + 2.0 * F,
+        F * F - E * E - H,
+    ))

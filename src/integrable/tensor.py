@@ -15,12 +15,13 @@ Conventions (wire-level contract, also used by the CLI's CSV tables):
     (G[c, c'] is the rate c -> c' for c != c');
   * stochastic matrices have rows summing to 1.
 
-A dense operator (R-matrices, the oscillator's truncated ladder operators
-and Jordan-Schwinger images) has its side capped by MAX_DENSE_DIM, and so
-has a U_q(sl2) representation, which `uqsl2` checks without building it;
-`state_space` checks a space against a cap before anything is allocated
-on it, and `check_stack` keeps a stack of matrices within the entries of
-one matrix at that cap. A law over the 2^L
+A dense operator (the R- and K-matrices that `ybe` places with `embed`,
+its one caller in the package) has its side capped by MAX_DENSE_DIM, and
+so have a U_q(sl2) representation and the oscillator's truncated Fock
+spaces, which `uqsl2` and `oscillator` check on their bases without
+building an operator; `state_space` checks a space against a cap before
+anything is allocated on it, and `check_stack` keeps a stack of matrices
+within the entries of one matrix at that cap. A law over the 2^L
 configurations of a chain is a ProbVector, capped by MAX_STATE_SPACE.
 No generator is built as a matrix: the laws come from the matrix product
 (`mpa`) and the closed form (`models.closed_asep_law`), their certificate

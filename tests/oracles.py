@@ -40,6 +40,13 @@ The closed chain's spin-chain form is checked on small dense matrices:
 reversible_conjugate conjugates its generator by the square root of its
 reversible law, and uq_coproduct gives the L-fold U_q(sl2) coproduct that
 the result must commute with.
+
+The oscillator's commutators are checked against its dense ladder
+operators (truncated_fock) and Jordan-Schwinger images
+(jordan_schwinger), with the commutators restricted to total occupation
+at most cutoff - 2 (restricted_commutator_defect); the package reads each
+one off its one nonzero diagonal on the occupation-number basis
+(oscillator.fock_commutator_defect and oscillator.sl2_js_violation).
 """
 
 from __future__ import annotations
@@ -60,6 +67,7 @@ from integrable.tensor import (
     DimensionMismatch,
     ProbVector,
     StateSpaceTooLarge,
+    embed,
     state_space,
 )
 
@@ -428,9 +436,10 @@ def rep(m: int, q: float) -> RepM:
 
 
 def relations(r: RepM) -> dict:
-    """uqsl2.check_relations by dense matrix products: max-norm residuals
-    of the defining relations, the antipode anti-homomorphism, and counit
-    consistency on the trivial rep."""
+    """uqsl2.check_relations by dense matrix products: the largest
+    componentwise relative residual |sum of terms| / sum |terms| of each
+    defining relation and of the antipode anti-homomorphism, 0 where every
+    term is 0, and the absolute counit residual on the trivial rep."""
     q = r.q
     E, F, K, Kinv = r.E, r.F, r.K, r.Kinv
     Id = np.eye(r.dim)
@@ -439,18 +448,23 @@ def relations(r: RepM) -> dict:
     def norm(M):
         return float(np.max(np.abs(M))) if M.size else 0.0
 
+    def relative(*terms):
+        total = np.abs(sum(terms))
+        size = sum(np.abs(term) for term in terms)
+        return norm(total / np.where(size == 0, 1, size))
+
     res = {
-        "kek": norm(K @ E @ Kinv - q**2 * E),
-        "kfk": norm(K @ F @ Kinv - q**-2 * F),
-        "ef_commutator": norm(E @ F - F @ E - (K - Kinv) / denom),
-        "k_kinv": norm(K @ Kinv - Id),
+        "kek": relative(K @ E @ Kinv, -q**2 * E),
+        "kfk": relative(K @ F @ Kinv, -q**-2 * F),
+        "ef_commutator": relative(E @ F, -(F @ E), -(K - Kinv) / denom),
+        "k_kinv": relative(K @ Kinv, -Id),
     }
     # Antipode S(e) = -K^{-1} e, S(f) = -f K, S(K) = K^{-1}; being an
     # anti-homomorphism it must reverse the commutation relation.
     SE = -Kinv @ E
     SF = -F @ K
-    res["antipode_commutator"] = norm(SF @ SE - SE @ SF - (Kinv - K) / denom)
-    res["antipode_kek"] = norm(K @ SE @ Kinv - q**2 * SE)
+    res["antipode_commutator"] = relative(SF @ SE, -(SE @ SF), -(Kinv - K) / denom)
+    res["antipode_kek"] = relative(K @ SE @ Kinv, -q**2 * SE)
     # Counit: on the trivial (m=0) rep, e, f act as 0 and K as 1.
     if r.m == 0:
         res["counit"] = norm(E) + norm(F) + norm(K - Id)
@@ -627,3 +641,82 @@ def fused_weights_closed_form(l: int, m: int, z: float, q: float) -> sixvertex.V
         if 0 <= k2 <= m:
             W[j1, k1, j2, k2] = _fused_entry_closed(j1, k1, j2, l, m, z, q)
     return sixvertex.VertexWeights(W)
+
+
+@dataclass(frozen=True)
+class TruncatedFock:
+    """Single-mode ladder operators on the basis |0>, ..., |cutoff-1>."""
+
+    cutoff: int
+    a: np.ndarray
+    adag: np.ndarray
+    number_op: np.ndarray
+
+
+def truncated_fock(cutoff: int) -> TruncatedFock:
+    """Ladder pair with a|n> = sqrt(n)|n-1>, a'|n> = sqrt(n+1)|n+1>, as
+    dense matrices."""
+    if cutoff < 2:
+        raise ParameterError(f"cutoff must be >= 2, got {cutoff}")
+    state_space((cutoff,))
+    adag = np.zeros((cutoff, cutoff))
+    for n in range(cutoff - 1):
+        adag[n + 1, n] = np.sqrt(n + 1.0)
+    a = adag.T.copy()
+    return TruncatedFock(cutoff=cutoff, a=a, adag=adag, number_op=adag @ a)
+
+
+def jordan_schwinger(mat: np.ndarray, cutoff: int) -> np.ndarray:
+    """Image of an n x n matrix under M -> sum_{ij} a_i' M_ij a_j on the
+    n-mode truncated Fock space (site dims all equal to cutoff): a_i' a_j
+    is embedded at sites (i, j), and a_i' a_i at site i."""
+    mat = np.asarray(mat)
+    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+        raise ParameterError(f"need a square matrix, got shape {mat.shape}")
+    n = mat.shape[0]
+    dims, total_dim = state_space((cutoff,) * n)
+    f = truncated_fock(cutoff)
+    hop = np.kron(f.adag, f.a)
+    total = np.zeros((total_dim, total_dim), dtype=np.result_type(mat, float))
+    for i, j in itertools.product(range(n), repeat=2):
+        if mat[i, j] == 0:
+            continue
+        if i == j:
+            term = embed(f.number_op, (i + 1,), dims)
+        else:
+            term = embed(hop, (i + 1, j + 1), dims)
+        total += mat[i, j] * term
+    return total
+
+
+def restricted_commutator_defect(ja, jb, jc, n_modes: int, cutoff: int) -> float:
+    """max |[ja, jb] - jc| on the states of n_modes modes with total
+    occupation <= cutoff - 2, the inner sum taken over every state."""
+    occupation = np.indices((cutoff,) * n_modes).sum(axis=0).ravel()
+    keep = np.flatnonzero(occupation <= cutoff - 2)
+    resid = ja[keep] @ jb[:, keep] - jb[keep] @ ja[:, keep] - jc[np.ix_(keep, keep)]
+    return float(np.max(np.abs(resid)))
+
+
+SL2_BASIS = {
+    "h": np.diag([1.0, -1.0]),
+    "e": np.array([[0.0, 1.0], [0.0, 0.0]]),
+    "f": np.array([[0.0, 0.0], [1.0, 0.0]]),
+}
+
+
+def fock_commutator_defect(cutoff: int) -> float:
+    """oscillator.fock_commutator_defect by dense products: [a, a'] - 1 on
+    the states of one mode below the top level."""
+    f = truncated_fock(cutoff)
+    return restricted_commutator_defect(f.a, f.adag, np.eye(cutoff), 1, cutoff)
+
+
+def sl2_js_violation(cutoff: int) -> float:
+    """oscillator.sl2_js_violation from the three dense images JS(h), JS(e)
+    and JS(f): JS is linear and [h, e] = 2e, [h, f] = -2f, [e, f] = h, so
+    JS of each commutator is an image already built, times 2, -2 or 1."""
+    js = {name: jordan_schwinger(M, cutoff) for name, M in SL2_BASIS.items()}
+    return max(restricted_commutator_defect(js[a], js[b], scale * js[c], 2, cutoff)
+               for a, b, scale, c in (("h", "e", 2.0, "e"), ("h", "f", -2.0, "f"),
+                                      ("e", "f", 1.0, "h")))

@@ -150,6 +150,9 @@ BAND_CAP_ARGV = ["asep", "stationary", "--open", "--L", "15", "--q", "0.5", "--a
         # 256^2 and 100000 dense states: refused before allocation
         (["oscillator", "js", "--cutoff", "256"], 2, True),
         (["oscillator", "fock", "--cutoff", "100000"], 2, True),
+        # two modes of 64 levels fill the dense cap, and 65 pass it
+        (["oscillator", "js", "--cutoff", "64"], 0, False),
+        (["oscillator", "js", "--cutoff", "65"], 2, True),
         # q^-2 overflows a float: a non-finite result, not a traceback
         (["verify", "hecke", "--q", "1e-200"], 1, True),
         (["rep-check", "--m", "2", "--q", "1e-200"], 1, True),
@@ -175,7 +178,8 @@ BAND_CAP_ARGV = ["asep", "stationary", "--open", "--L", "15", "--q", "0.5", "--a
          "mpa-not-converged", "mpa-cap", "asep-csv-fails", "fuse-l8-z01",
          "asep-cap", "asep-band-cap", "fuse-l8-relative", "fuse-l4-relative", "fuse-cap",
          "fuse-q0", "twprob-overflow",
-         "hermite-nan", "hermite-negative", "js-cap", "fock-cap", "hecke-overflow",
+         "hermite-nan", "hermite-negative", "js-cap", "fock-cap", "js-at-cap", "js-past-cap",
+         "hecke-overflow",
          "rep-check-overflow", "sample6v-cap", "universal-r-cap", "mpa-truncation-cap",
          "reflection-k-pole", "markov-pole", "asep-no-rates",
          "asep-closed-rates"],

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -12,13 +13,15 @@ from integrable import oscillator
 from integrable.errors import ParameterError
 from integrable.tensor import StateSpaceTooLarge
 
+import oracles
+
 
 def js_homomorphism_violation(A, B, cutoff):
     """‖[JS(A), JS(B)] - JS([A, B])‖ on the states of total number <=
     cutoff - 2, for any pair: the oracle of oscillator.sl2_js_violation."""
     A = np.asarray(A)
-    ja, jb, jc = (oscillator.jordan_schwinger(M, cutoff) for M in (A, B, A @ B - B @ A))
-    return oscillator.restricted_commutator_defect(ja, jb, jc, A.shape[0], cutoff)
+    ja, jb, jc = (oracles.jordan_schwinger(M, cutoff) for M in (A, B, A @ B - B @ A))
+    return oracles.restricted_commutator_defect(ja, jb, jc, A.shape[0], cutoff)
 
 
 def _hermite(n, x):
@@ -109,22 +112,22 @@ def test_hermite_report_leaves_numpy_polynomial_unloaded():
 
 
 def test_truncated_fock_ladder_action():
-    f = oscillator.truncated_fock(6)
+    f = oracles.truncated_fock(6)
     v = np.zeros(6)
     v[2] = 1.0
     assert np.allclose(f.a @ v, math.sqrt(2) * np.eye(6)[1])
     assert np.allclose(f.adag @ v, math.sqrt(3) * np.eye(6)[3])
-    assert oscillator.restricted_commutator_defect(f.a, f.adag, np.eye(6), 1, 6) <= 1e-12
+    assert oracles.restricted_commutator_defect(f.a, f.adag, np.eye(6), 1, 6) <= 1e-12
 
 
 def test_number_operator_diagonal():
-    f = oscillator.truncated_fock(5)
+    f = oracles.truncated_fock(5)
     assert np.allclose(np.diag(f.number_op), np.arange(5))
 
 
 def test_jordan_schwinger_identity_gives_total_number():
     cutoff = 4
-    op = oscillator.jordan_schwinger(np.eye(2), cutoff)
+    op = oracles.jordan_schwinger(np.eye(2), cutoff)
     diag = np.diag(op).real
     for idx in range(cutoff**2):
         assert diag[idx] == pytest.approx(idx // cutoff + idx % cutoff)
@@ -139,28 +142,51 @@ def test_jordan_schwinger_sl2_commutators():
 
 
 @pytest.mark.parametrize("cutoff", [2, 3, 8, 12])
-def test_sl2_violation_from_three_images_is_the_pairwise_one(cutoff, monkeypatch):
-    basis = oscillator.SL2_BASIS
+def test_sl2_violation_from_three_images_is_the_pairwise_one(cutoff):
+    basis = oracles.SL2_BASIS
     pairwise = max(js_homomorphism_violation(basis[a], basis[b], cutoff)
                    for a, b in ("he", "hf", "ef"))
-    built = []
-    build = oscillator.jordan_schwinger
-    monkeypatch.setattr(oscillator, "jordan_schwinger",
-                        lambda M, c: built.append(M) or build(M, c))
+    assert oracles.sl2_js_violation(cutoff) == pairwise
     assert oscillator.sl2_js_violation(cutoff) == pairwise
-    assert len(built) == 3
+
+
+@pytest.mark.parametrize("cutoff", [*range(2, 65), 4096])
+def test_fock_commutator_is_the_dense_oracles_to_the_bit(cutoff):
+    # the one nonzero term of each diagonal entry of a a' - a' a - 1
+    assert oscillator.fock_commutator_defect(cutoff) == oracles.fock_commutator_defect(cutoff)
+
+
+@pytest.mark.parametrize("cutoff", range(2, 41))
+def test_sl2_js_violation_is_the_dense_oracles_to_the_bit(cutoff):
+    # each commutator's one nonzero diagonal, with the dense products'
+    # operations in their order
+    assert oscillator.sl2_js_violation(cutoff) == oracles.sl2_js_violation(cutoff)
+
+
+@pytest.mark.parametrize("cutoff", [-1, 0, 1])
+def test_cutoff_below_two_is_refused(cutoff):
+    with pytest.raises(ParameterError):
+        oscillator.fock_commutator_defect(cutoff)
+    with pytest.raises(ParameterError):
+        oscillator.sl2_js_violation(cutoff)
 
 
 def test_jordan_schwinger_rejects_non_square():
     with pytest.raises(ValueError):
-        oscillator.jordan_schwinger(np.zeros((2, 3)), 4)
+        oracles.jordan_schwinger(np.zeros((2, 3)), 4)
 
 
 def test_dense_cap_precedes_allocation():
-    with pytest.raises(StateSpaceTooLarge):
-        oscillator.jordan_schwinger(np.eye(2), 256)
-    with pytest.raises(StateSpaceTooLarge):
-        oscillator.truncated_fock(100_000)
+    tracemalloc.start()
+    try:
+        with pytest.raises(StateSpaceTooLarge):
+            oscillator.sl2_js_violation(256)
+        with pytest.raises(StateSpaceTooLarge):
+            oscillator.fock_commutator_defect(100_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**16  # even s = sqrt(0 ... 99,999) would take 800 KB
 
 
 def _shell_projector(n_modes, cutoff, max_total):
@@ -192,7 +218,7 @@ def test_js_restriction_equals_the_projector_sandwich(cutoff):
     if cutoff <= 6:  # 3 modes only at small cutoffs, to keep the test fast
         pairs.append((*rng.normal(size=(2, 3, 3)), False))
     for A, B, exact in pairs:
-        ja, jb, jc = (oscillator.jordan_schwinger(M, cutoff)
+        ja, jb, jc = (oracles.jordan_schwinger(M, cutoff)
                       for M in (A, B, A @ B - B @ A))
         P = _shell_projector(A.shape[0], cutoff, cutoff - 2)
         oracle = float(np.max(np.abs(P @ (ja @ jb - jb @ ja - jc) @ P)))

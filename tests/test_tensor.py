@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from integrable import models, oscillator, sixvertex, tensor, ybe
+from integrable import models, sixvertex, tensor, ybe
 from integrable.errors import ParameterError
 from integrable.tensor import (
     DimensionMismatch,
@@ -124,7 +124,7 @@ def test_real_input_stays_real():
         r1.E, r1.F, r1.K, r1.Kinv,
         oracles.universal_r(r1, oracles.rep(1, 0.6)),
         embed(np.kron(r1.K, r1.E), (2, 1), (3, 3)),
-        oscillator.jordan_schwinger(np.array([[1.0, 2.0], [0.0, -1.0]]), 3),
+        oracles.jordan_schwinger(np.array([[1.0, 2.0], [0.0, -1.0]]), 3),
     ]
     for op in ops:
         assert op.dtype == np.float64
@@ -135,7 +135,7 @@ def test_real_input_stays_real():
     ]
     for w in tables:
         assert w.table.dtype == np.float64
-    fock = oscillator.truncated_fock(4)
+    fock = oracles.truncated_fock(4)
     for mat in (fock.a, fock.adag, fock.number_op):
         assert mat.dtype == np.float64
     # complex input stays complex

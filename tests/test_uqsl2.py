@@ -42,6 +42,14 @@ def test_relations_are_the_dense_oracles_to_the_bit(m, q):
     assert uqsl2.check_relations(m, q) == oracles.relations(oracles.rep(m, q))
 
 
+@pytest.mark.parametrize("m, q", [(300, 1.7), (4095, 0.99), (4, 1.0000001)])
+def test_correct_identities_pass_at_any_scale(m, q):
+    # the relations' entries reach 1e138 at m = 300, q = 1.7, and their
+    # absolute residuals 1e120; relative to the terms they are rounding.
+    # Near q = 1 (K - K^-1) / (q - q^-1) still cancels, to 4.6e-11.
+    assert max(uqsl2.check_relations(m, q).values()) <= 1e-10
+
+
 @pytest.mark.parametrize("m, q", [("8", "1e30"), ("300", "0.3")])
 def test_rep_check_overflow_is_null_without_a_warning(capsys, m, q):
     # the products pass the float range: null residuals, exit 1, and
